@@ -22,6 +22,7 @@ from .congruences import (
     permutes,
     principal_congruence,
 )
+from .factor import boolean_center, factor_congruences
 from .fixtures import FIXTURE_NAMES, fixture
 
 __all__ = [
@@ -42,6 +43,8 @@ __all__ = [
     "meet",
     "permutes",
     "principal_congruence",
+    "boolean_center",
+    "factor_congruences",
     "fixture",
     "FIXTURE_NAMES",
 ]

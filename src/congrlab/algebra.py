@@ -366,7 +366,7 @@ def build_from_spec(spec: dict) -> FiniteAlgebra:
         kind = "generic"
     if kind not in KINDS:
         raise TableError(f"unknown kind {kind!r}")
-    labels = [str(x) for x in spec.get("elements", [])]
+    labels = [str(x) for x in _spec_field(spec, "elements", list)]
     if not labels:
         raise TableError("spec has no elements")
     if len(set(labels)) != len(labels):
@@ -374,17 +374,16 @@ def build_from_spec(spec: dict) -> FiniteAlgebra:
     n = len(labels)
     index = {lab: i for i, lab in enumerate(labels)}
     name = spec.get("name")
+    operations = _spec_field(spec, "operations", dict)
 
     if "cover" in spec:
-        leq = _close_cover(spec["cover"], labels, index)
+        leq = _close_cover(_spec_field(spec, "cover", list), labels, index)
         extra = {}
         if kind == "residuated":
             for opname in ("times", "implies"):
-                if opname not in spec.get("operations", {}):
+                if opname not in operations:
                     raise TableError(f"residuated spec requires a {opname!r} table")
-                extra[opname] = _table_from_labels(
-                    spec["operations"][opname], 2, index, opname
-                )
+                extra[opname] = _table_from_labels(operations[opname], 2, index, opname)
         return lattice_from_order(leq, labels, kind=kind, name=name, extra_tables=extra)
 
     if "operations" not in spec:
@@ -394,25 +393,37 @@ def build_from_spec(spec: dict) -> FiniteAlgebra:
 
     tables = {}
     sig_ops = []
-    for opname, raw in spec["operations"].items():
-        arity = _table_arity(raw)
+    for opname, raw in operations.items():
+        arity = _table_arity(raw, opname)
         tables[opname] = _table_from_labels(raw, arity, index, opname)
         sig_ops.append((opname, arity))
-    for cname, lab in spec.get("constants", {}).items():
-        if lab not in index:
-            raise TableError(f"constant {cname} refers to unknown label {lab!r}")
-        tables[cname] = index[lab]
+    for cname, lab in _spec_field(spec, "constants", dict).items():
+        tables[cname] = _label_index(lab, index, f"constant {cname}")
         sig_ops.append((cname, 0))
     order = {"join": 0, "meet": 1, "bot": 2, "top": 3, "times": 4, "implies": 5}
     sig_ops.sort(key=lambda p: (order.get(p[0], 99), p[0]))
     return FiniteAlgebra(n, labels, Signature(tuple(sig_ops), kind), tables, name=name)
 
 
+def _spec_field(spec, key, shape):
+    """spec[key], absent as an empty value, or TableError if it has the wrong shape."""
+    value = spec.get(key, shape())
+    if not isinstance(value, shape):
+        raise TableError(f"spec field {key!r} must be a JSON {'list' if shape is list else 'object'}")
+    return value
+
+
+def _label_index(lab, index, what):
+    if not isinstance(lab, str) or lab not in index:
+        raise TableError(f"{what} refers to unknown label {lab!r}")
+    return index[lab]
+
+
 def _close_cover(cover, labels, index):
     n = len(labels)
     adj = [set() for _ in range(n)]
     for pair in cover:
-        if len(pair) != 2:
+        if not isinstance(pair, list) or len(pair) != 2:
             raise TableError(f"bad cover pair {pair!r}")
         lo, hi = str(pair[0]), str(pair[1])
         if lo not in index or hi not in index:
@@ -438,10 +449,12 @@ def _close_cover(cover, labels, index):
     return leq
 
 
-def _table_arity(raw):
+def _table_arity(raw, fname):
     arity = 0
     t = raw
     while isinstance(t, list):
+        if not t:
+            raise TableError(f"table for {fname} is not total")
         arity += 1
         t = t[0]
     return arity
@@ -449,9 +462,7 @@ def _table_arity(raw):
 
 def _table_from_labels(raw, arity, index, fname):
     if arity == 0:
-        if raw not in index:
-            raise TableError(f"table for {fname} has unknown label {raw!r}")
-        return index[raw]
+        return _label_index(raw, index, f"table for {fname}")
     if not isinstance(raw, list) or len(raw) != len(index):
         raise TableError(f"table for {fname} is not total")
     return tuple(_table_from_labels(row, arity - 1, index, fname) for row in raw)
@@ -689,7 +700,6 @@ def find_isomorphism(A: FiniteAlgebra, B: FiniteAlgebra):
             row = []
             for f in binary:
                 t = X.tables[f]
-                row.append(sorted(sorted((t[e][x], t[x][e])) for x in range(X.n)).__len__())
                 row.append(sum(t[e][x] == e for x in range(X.n)))
             out.append(tuple(row))
         return out
@@ -729,7 +739,7 @@ def find_isomorphism(A: FiniteAlgebra, B: FiniteAlgebra):
         for img in range(n):
             if used[img] or pa[e] != pb[img]:
                 continue
-            mapping[e] = e_img = img
+            mapping[e] = img
             if consistent(e, img):
                 used[img] = True
                 if extend(e + 1):
@@ -790,6 +800,22 @@ def meet_partitions(p, q) -> tuple[int, ...]:
         key = (p[e], q[e])
         out[e] = first.setdefault(key, e)
     return tuple(out)
+
+
+def join_partitions(p, q) -> tuple[int, ...]:
+    """Finest partition coarser than both (their join), by union-find."""
+    parent = list(p)
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for e, r in enumerate(q):
+        a, b = root(e), root(r)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    return canonicalize(parent)
 
 
 def delta_partition(n) -> tuple[int, ...]:

@@ -62,26 +62,39 @@ def _add_input_args(p):
     p.add_argument("--max-size", type=int, default=None, help="refuse larger inputs")
 
 
+def _read_spec(path: str, max_size: int | None = None) -> dict:
+    """Parse a spec file, refusing it before anything is built when it lists
+    more than max_size elements."""
+    try:
+        with open(path) as fh:
+            spec = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise CongrlabError(f"{path} is not a valid JSON spec: {exc}") from None
+    elements = spec.get("elements") if isinstance(spec, dict) else None
+    if max_size is not None and isinstance(elements, list):
+        _check_size(len(elements), max_size)
+    return spec
+
+
+def _check_size(n: int, max_size: int | None):
+    if max_size is not None and n > max_size:
+        raise CongrlabError(f"input has {n} elements, above the requested limit {max_size}")
+
+
 def _load(args) -> FiniteAlgebra:
     if bool(args.fixture) == bool(args.file):
         raise CongrlabError("give exactly one of --fixture or --file")
     if args.fixture:
         A = fixture(args.fixture)
-    else:
-        with open(args.file) as fh:
-            A = build_from_spec(json.load(fh))
-    if args.max_size is not None and A.n > args.max_size:
-        raise CongrlabError(
-            f"input has {A.n} elements, above the requested limit {args.max_size}"
-        )
-    return A
+        _check_size(A.n, args.max_size)
+        return A
+    return build_from_spec(_read_spec(args.file, args.max_size))
 
 
 def _load_operand(name_or_path: str) -> FiniteAlgebra:
     if name_or_path in FIXTURE_NAMES:
         return fixture(name_or_path)
-    with open(name_or_path) as fh:
-        return build_from_spec(json.load(fh))
+    return build_from_spec(_read_spec(name_or_path))
 
 
 def _emit(text: str, out):

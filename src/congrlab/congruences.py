@@ -22,6 +22,7 @@ import hashlib
 import itertools
 import json
 import os
+import tempfile
 from collections import deque
 from functools import total_ordering
 
@@ -31,6 +32,7 @@ from .algebra import (
     block_masks,
     canonicalize,
     delta_partition,
+    join_partitions,
     meet_partitions,
     nabla_partition,
     partition_blocks,
@@ -112,12 +114,14 @@ class Congruence:
     def is_nabla(self) -> bool:
         return self.num_blocks == 1
 
-    def block_string(self) -> str:
+    def block_string(self, over: "Congruence | None" = None) -> str:
+        """Blocks as "a,b|c".  With over = θ ≤ self, render self/θ in the
+        labels of A/θ: each θ-block is one element, its members joined by "+"."""
         labels = self.algebra.labels
-        parts = []
-        for blk in self.blocks():
-            parts.append(",".join(labels[e] for e in blk))
-        return "|".join(parts)
+        if over is None:
+            return "|".join(",".join(labels[e] for e in blk) for blk in self.blocks())
+        name = {blk[0]: "+".join(labels[e] for e in blk) for blk in over.blocks()}
+        return "|".join(",".join(name[e] for e in blk if e in name) for blk in self.blocks())
 
 
 def delta(A: FiniteAlgebra) -> Congruence:
@@ -446,23 +450,15 @@ class ConLattice:
 # label-independent structure key lets quotients of equal shape share work
 _PARTITION_CACHE: dict = {}
 
+# part of every disk-cache key; change it whenever the file format changes
+CACHE_FORMAT = 2
+
 
 def _enumerate_partitions(A: FiniteAlgebra) -> tuple:
     key = A.structure_key()
     hit = _PARTITION_CACHE.get(key)
     if hit is not None:
         return hit
-    disk_key = None
-    cache_dir = os.environ.get("CONGRLAB_CACHE")
-    if cache_dir:
-        digest = hashlib.sha256(repr(key).encode()).hexdigest()
-        disk_key = os.path.join(cache_dir, f"con-{digest}.json")
-        if os.path.exists(disk_key):
-            with open(disk_key) as fh:
-                parts = tuple(tuple(p) for p in json.load(fh))
-            _PARTITION_CACHE[key] = parts
-            return parts
-
     n = A.n
     if A.is_lattice:
         # for lattices, principal congruences over cover pairs generate Con:
@@ -472,10 +468,28 @@ def _enumerate_partitions(A: FiniteAlgebra) -> tuple:
         gen_pairs = A.covers()
     else:
         gen_pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    gens = list(dict.fromkeys(_close(A, [(a, b)]) for a, b in gen_pairs))
+    cache_dir = os.environ.get("CONGRLAB_CACHE")
+    path = None
+    parts = None
+    if cache_dir:
+        digest = hashlib.sha256(repr((CACHE_FORMAT, key)).encode()).hexdigest()
+        path = os.path.join(cache_dir, f"con-{digest}.json")
+        parts = _read_cached(path, A, gens)
+    if parts is None:
+        parts = _close_under_joins(A, gens)
+        if path:
+            _write_cached(path, parts)
+    _PARTITION_CACHE[key] = parts
+    return parts
+
+
+def _close_under_joins(A: FiniteAlgebra, gens) -> tuple:
+    """Every join of the principal congruences gens, plus Δ."""
+    n = A.n
     found = {delta_partition(n): None}
     worklist = []
-    for a, b in gen_pairs:
-        p = _close(A, [(a, b)])
+    for p in gens:
         if p not in found:
             found[p] = None
             worklist.append(p)
@@ -491,13 +505,52 @@ def _enumerate_partitions(A: FiniteAlgebra) -> tuple:
                 if len(found) > CON_CAP:
                     raise SizeCap(f"congruence count exceeds cap {CON_CAP}")
         stable.append(p)
-    parts = tuple(sorted(found, key=lambda p: (-len(set(p)), p)))
-    _PARTITION_CACHE[key] = parts
-    if disk_key:
-        os.makedirs(cache_dir, exist_ok=True)
-        with open(disk_key, "w") as fh:
+    return tuple(sorted(found, key=lambda p: (-len(set(p)), p)))
+
+
+def _read_cached(path: str, A: FiniteAlgebra, gens):
+    """The partitions stored at path if they provably are Con(A), else None.
+
+    A stored set S is accepted only if every member is a canonical partition
+    compatible with A (so S lies in Con(A)), and S holds Δ and every
+    generator and is closed under joining with a generator (so S holds every
+    join of generators, which is all of Con(A)).  A torn, stale or edited
+    file is therefore a miss, never a wrong answer."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    n = A.n
+    if not isinstance(raw, list):
+        return None
+    found = set()
+    for p in raw:
+        if not (isinstance(p, list) and len(p) == n and all(type(x) is int and 0 <= x < n for x in p)):
+            return None
+        canonical = all(p[r] == r and r <= e for e, r in enumerate(p))
+        if not canonical or compatibility_violation(A, p) is not None:
+            return None
+        found.add(tuple(p))
+    if delta_partition(n) not in found or not found.issuperset(gens):
+        return None
+    if any(join_partitions(p, g) not in found for p in found for g in gens):
+        return None
+    return tuple(found)
+
+
+def _write_cached(path: str, parts):
+    """Write through a temporary file, so a reader never sees a torn file."""
+    cache_dir = os.path.dirname(path)
+    os.makedirs(cache_dir, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
             json.dump([list(p) for p in parts], fh)
-    return parts
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 _CONLATTICE_CACHE: dict = {}

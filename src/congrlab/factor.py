@@ -5,6 +5,10 @@ complemented elements; applied to a congruence lattice its members are the
 "Boolean congruences".  A factor congruence is a Boolean congruence theta
 whose composition with its complement is already the full relation — these
 are exactly the congruences inducing direct-product decompositions.
+
+Both are read off an interval [t, ∇] of Con(A), which is Con(A/θ_t) by the
+correspondence theorem: β/θ, γ/θ are complements iff β ∨ γ = ∇ and β ∧ γ = θ,
+and (β/θ)∘(γ/θ) is full on A/θ iff β∘γ is full on A.
 """
 
 from __future__ import annotations
@@ -42,8 +46,10 @@ CRT_K_MAX = 3
 
 
 @dataclass
-class BooleanCenter:
-    """Complemented members of a ConLattice, with the complement involution."""
+class Center:
+    """Members of the interval [t, ∇] of a ConLattice that have a complement
+    relative to t, with that complement: the Boolean congruences, or the
+    factor congruences among them, of A/θ_t (of A itself when t is Δ)."""
 
     lattice: ConLattice
     members: list[int]
@@ -52,50 +58,44 @@ class BooleanCenter:
     def congruences(self) -> list[Congruence]:
         return [self.lattice.elements[i] for i in self.members]
 
-    def complement_of(self, theta: Congruence) -> Congruence:
-        i = self.lattice.index(theta)
-        return self.lattice.elements[self.complement[i]]
+
+def boolean_center(cl: ConLattice, t: int = 0) -> Center:
+    """Elements of [t, ∇] with a complement relative to t; t = 0 is Δ."""
+    return _interval_centers(cl, t)[0]
 
 
-@dataclass
-class FactorAlgebra:
-    """The factor congruences, as a subset of the Boolean center."""
-
-    lattice: ConLattice
-    members: list[int]
-    complement: dict[int, int]
-
-    def congruences(self) -> list[Congruence]:
-        return [self.lattice.elements[i] for i in self.members]
-
-    def complement_of(self, theta: Congruence) -> Congruence:
-        i = self.lattice.index(theta)
-        return self.lattice.elements[self.complement[i]]
+def factor_congruences(cl: ConLattice, t: int = 0) -> Center:
+    """Members of boolean_center(cl, t) that permute with their complement
+    (equivalently: whose composition with the complement is already full)."""
+    return _interval_centers(cl, t)[1]
 
 
-def boolean_center(cl: ConLattice) -> BooleanCenter:
-    """Scan for complemented congruences; requires a distributive ConLattice
-    so that complements are unique."""
-    hit = cl._cache.get("center")
+def _interval_centers(cl: ConLattice, t: int) -> tuple[Center, Center]:
+    """Scan [t, ∇] once for both centers, cached on the lattice.  Requires
+    Con(A) distributive, so that every interval is and complements are
+    unique."""
+    hit = cl._cache.get(("center", t))
     if hit is not None:
         return hit
     if not cl.is_distributive():
         raise NotDistributive(
             "congruence lattice is not distributive; complements would be ambiguous"
         )
-    k = len(cl.elements)
-    d, nb = cl.index_of_delta, cl.index_of_nabla
-    members = []
-    complement = {}
-    for i in range(k):
-        for j in range(k):
-            if cl.join_table[i][j] == nb and cl.meet_table[i][j] == d:
-                members.append(i)
-                complement[i] = j
+    nb = cl.index_of_nabla
+    ups = cl.up_set(t)
+    bc, fc = Center(cl, [], {}), Center(cl, [], {})
+    for i in ups:
+        ji, mi = cl.join_table[i], cl.meet_table[i]
+        for j in ups:
+            if ji[j] == nb and mi[j] == t:
+                bc.members.append(i)
+                bc.complement[i] = j
+                if _fc_relation(cl, i, j).is_full():
+                    fc.members.append(i)
+                    fc.complement[i] = j
                 break
-    out = BooleanCenter(cl, members, complement)
-    cl._cache["center"] = out
-    return out
+    hit = cl._cache[("center", t)] = (bc, fc)
+    return hit
 
 
 def _fc_relation(cl: ConLattice, i: int, j: int) -> Relation:
@@ -106,25 +106,6 @@ def _fc_relation(cl: ConLattice, i: int, j: int) -> Relation:
         hit = compose(cl.elements[i], cl.elements[j])
         cl._cache[key] = hit
     return hit
-
-
-def factor_congruences(cl: ConLattice) -> FactorAlgebra:
-    """Boolean congruences that permute with their complement
-    (equivalently: whose composition with the complement is already full)."""
-    hit = cl._cache.get("fc")
-    if hit is not None:
-        return hit
-    bc = boolean_center(cl)
-    members = []
-    complement = {}
-    for i in bc.members:
-        j = bc.complement[i]
-        if _fc_relation(cl, i, j).is_full():
-            members.append(i)
-            complement[i] = j
-    out = FactorAlgebra(cl, members, complement)
-    cl._cache["fc"] = out
-    return out
 
 
 def is_factor_pair(A: FiniteAlgebra, phi: Congruence, psi: Congruence) -> bool:

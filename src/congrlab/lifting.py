@@ -4,9 +4,10 @@ A congruence theta "lifts" factor congruences when the induced map
 u(alpha) = (alpha v theta)/theta from the factor congruences of A onto those
 of A/theta is surjective; the algebra has the property when every theta
 does.  The same scheme with Boolean congruences instead of factor
-congruences gives the second property.  Both are decided by exhaustive
-search — every candidate witness is tried, and failures name the target
-congruence that cannot be reached.
+congruences gives the second property.  Both are decided inside Con(A):
+by the correspondence theorem Con(A/theta) is the interval [theta, ∇], so
+u(alpha) is alpha v theta and no quotient is built.  Every candidate witness
+is tried, and failures name the target congruence that cannot be reached.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .algebra import FiniteAlgebra, canonicalize
 from .congruences import (
     Congruence,
     all_congruences,
-    compose,
     is_arithmetical,
     is_congruence_distributive,
     is_congruence_permutable,
@@ -123,17 +123,24 @@ class LiftEvidence:
 
 
 def _has_lifting(A, theta, members_of) -> tuple[bool, LiftEvidence]:
-    Q = quotient(A, theta)
-    src = members_of(all_congruences(A)).congruences()
-    tgt = members_of(all_congruences(Q.quotient)).congruences()
-    images = {alpha: u_map(A, theta, alpha, Q=Q) for alpha in src}
+    """Decide the lifting inside Con(A): the targets are members_of(cl, t),
+    the center of [θ, ∇] ≅ Con(A/θ), and u(α) is α ∨ θ.  Targets are
+    rendered in the labels of A/θ."""
+    if theta.algebra != A:
+        raise ParentMismatch("congruence does not belong to the algebra")
+    cl = all_congruences(A)
+    t = cl.index(theta)
+    images: dict[int, int] = {}
+    for a in members_of(cl).members:
+        images.setdefault(cl.join_table[a][t], a)
     ev = LiftEvidence()
-    for beta in tgt:
-        hit = next((a for a in src if images[a] == beta), None)
+    for b in members_of(cl, t).members:
+        target = cl.elements[b].block_string(over=theta)
+        hit = images.get(b)
         if hit is None:
-            ev.unliftable = beta.block_string()
+            ev.unliftable = target
             return False, ev
-        ev.witnesses.append((beta.block_string(), hit.block_string()))
+        ev.witnesses.append((target, cl.elements[hit].block_string()))
     return True, ev
 
 
@@ -147,22 +154,23 @@ def has_cblp(A: FiniteAlgebra, theta: Congruence) -> tuple[bool, LiftEvidence]:
     return _has_lifting(A, theta, boolean_center)
 
 
+def _algebra_lifting(A, has_lifting):
+    for theta in all_congruences(A).elements:
+        ok, ev = has_lifting(A, theta)
+        if not ok:
+            return False, ev, theta
+    return True, None, None
+
+
 def algebra_fclp(A: FiniteAlgebra) -> tuple[bool, LiftEvidence | None, Congruence | None]:
     """Conjunction of has_fclp over all congruences; stops at the first
     failure and returns its evidence and the failing congruence."""
-    for theta in all_congruences(A).elements:
-        ok, ev = has_fclp(A, theta)
-        if not ok:
-            return False, ev, theta
-    return True, None, None
+    return _algebra_lifting(A, has_fclp)
 
 
 def algebra_cblp(A: FiniteAlgebra) -> tuple[bool, LiftEvidence | None, Congruence | None]:
-    for theta in all_congruences(A).elements:
-        ok, ev = has_cblp(A, theta)
-        if not ok:
-            return False, ev, theta
-    return True, None, None
+    """The same conjunction for has_cblp."""
+    return _algebra_lifting(A, has_cblp)
 
 
 # -- normality conditions ---------------------------------------------------
@@ -284,9 +292,7 @@ def lifting_report(A: FiniteAlgebra, name: str | None = None) -> LiftingReport:
     rows = []
     all_fclp = True
     all_cblp = True
-    for theta in cl.elements:
-        Q = quotient(A, theta)
-        clq = all_congruences(Q.quotient)
+    for t, theta in enumerate(cl.elements):
         f_ok, f_ev = has_fclp(A, theta)
         c_ok, c_ev = has_cblp(A, theta)
         all_fclp &= f_ok
@@ -299,10 +305,10 @@ def lifting_report(A: FiniteAlgebra, name: str | None = None) -> LiftingReport:
                 "fclp_unliftable": f_ev.unliftable,
                 "cblp": c_ok,
                 "cblp_unliftable": c_ev.unliftable,
-                "quotient_size": Q.quotient.n,
-                "quotient_con_size": len(clq),
-                "quotient_center_size": len(boolean_center(clq).members),
-                "quotient_fc_size": len(factor_congruences(clq).members),
+                "quotient_size": theta.num_blocks,
+                "quotient_con_size": len(cl.up_set(t)),
+                "quotient_center_size": len(boolean_center(cl, t).members),
+                "quotient_fc_size": len(factor_congruences(cl, t).members),
                 "maximal": theta.block_of in maxes,
                 "prime": theta.block_of in primes,
             }

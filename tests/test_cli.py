@@ -186,6 +186,34 @@ def test_max_size_limit(capsys):
     assert code == 2 and "above the requested limit" in err
 
 
+MALFORMED_SPECS = {
+    "truncated": '{"elements": ["0", "1"], "cover": [["0", "1"]',
+    "cover-pair-not-a-list": '{"elements": ["0", "1"], "cover": [1]}',
+    "empty-table": '{"elements": ["0", "1"], "operations": {"f": []}}',
+    "operations-not-an-object": '{"elements": ["0", "1"], "operations": [["0"]]}',
+    "not-utf8": b"\xff\xfe",
+}
+
+
+@pytest.mark.parametrize("verb", ["con", "product"])
+@pytest.mark.parametrize("name", sorted(MALFORMED_SPECS))
+def test_malformed_spec_exits_2_with_one_error_line(tmp_path, capsys, verb, name):
+    spec = tmp_path / "bad.json"
+    text = MALFORMED_SPECS[name]
+    spec.write_bytes(text if isinstance(text, bytes) else text.encode())
+    argv = ["con", "--file", str(spec)] if verb == "con" else ["product", "L2", str(spec)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_max_size_is_checked_before_the_spec_is_built(tmp_path, capsys):
+    spec = tmp_path / "big.json"
+    spec.write_text(json.dumps({"elements": [str(e) for e in range(6)], "operations": {"f": []}}))
+    code, _, err = run(capsys, "con", "--file", str(spec), "--max-size", "5")
+    assert code == 2 and "6 elements, above the requested limit 5" in err
+
+
 def test_file_input_works(tmp_path, capsys):
     spec = tmp_path / "a.json"
     spec.write_text(json.dumps(emit_spec(fixture("P"))))
@@ -231,3 +259,30 @@ def test_disk_cache_round_trip(tmp_path, monkeypatch):
     second = congruences.all_congruences(A).elements
     assert second == first
     assert {p: p.stat().st_mtime_ns for p in files} == mtimes
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        "[[0, 1, 2], [0, 0, 0]]",
+        "[[0, 1, 2], [0, 0, 2], [0, 1, 1], [0,",
+        "[[0, 1, 2], [0, 0, 2], [0, 0, 0]]",
+        "[[1, 0, 2], [0, 0, 2], [0, 1, 1], [0, 0, 0]]",
+    ],
+    ids=["poisoned", "torn", "missing-a-generator", "not-canonical"],
+)
+def test_disk_cache_never_changes_an_answer(tmp_path, monkeypatch, capsys, content):
+    monkeypatch.setenv("CONGRLAB_CACHE", str(tmp_path))
+    congruences._PARTITION_CACHE.clear()
+    congruences._CONLATTICE_CACHE.clear()
+    assert run(capsys, "con", "--fixture", "L3")[0] == 0
+    (entry,) = tmp_path.iterdir()
+    entry.write_text(content)
+    congruences._PARTITION_CACHE.clear()
+    congruences._CONLATTICE_CACHE.clear()
+    code, out, _ = run(capsys, "con", "--fixture", "L3")
+    assert code == 0 and "|Con|=4" in out
+    assert run(capsys, "check", "fclp", "--fixture", "L3")[0] == 0
+    # the bad entry was recomputed and replaced
+    assert len(json.loads(entry.read_text())) == 4
+    assert [p.name for p in tmp_path.iterdir()] == [entry.name]

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from congrlab.algebra import are_isomorphic, dual
@@ -297,3 +299,13 @@ def test_lifting_report_counts_quotient_structure():
     full = [r for r in rep.per_congruence if r["blocks"] == 1][0]
     assert full["quotient_size"] == 1
     assert full["quotient_con_size"] == 1
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    code = readme.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(code, scope)
+    assert scope["boolean_center"] is boolean_center
+    assert scope["factor_congruences"] is factor_congruences
+    assert scope["ok"] is False and scope["theta"].block_string() == "0|x|y,z|1"
