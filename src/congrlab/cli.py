@@ -4,9 +4,6 @@ Exit-code contract (so shell scripts can assert properties):
   0  success, or the checked property holds
   1  the checked property fails (evidence printed on stdout)
   2  input or validation error
-
-Set CONGRLAB_CACHE to a directory to memoize congruence-lattice
-computations on disk, keyed by a content hash of the operation tables.
 """
 
 from __future__ import annotations

@@ -1,10 +1,14 @@
 """Congruence generation, enumeration and classification.
 
 A congruence is stored as a canonical partition (minimum-representative
-array) tied to its parent algebra.  Generation uses a union-find with
-queue-driven compatibility propagation: whenever two classes merge via the
-pair (x, y), every operation is applied to x and y against all argument
-completions and the results are merged too, until no queue entries remain.
+array) tied to its parent algebra.  Principal (and finitely generated)
+congruences come from a union-find with queue-driven compatibility
+propagation: whenever two classes merge via the pair (x, y), every operation
+is applied to x and y against all argument completions and the results are
+merged too, until no queue entries remain.  Joins need no propagation: Con(A)
+is a sublattice of Eq(A), so the join of two congruences is the join of their
+partitions, and Con(A) is enumerated by joining with the principal
+generators alone.
 
 Composition of relations follows the convention
 
@@ -18,11 +22,7 @@ the other.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
-import os
-import tempfile
 from collections import deque
 from functools import total_ordering
 
@@ -250,11 +250,11 @@ def _require_same_parent(theta: Congruence, phi: Congruence):
 
 
 def join(theta: Congruence, phi: Congruence) -> Congruence:
+    """θ ∨ φ in Con(A).  Both arguments must be congruences: their join is
+    then the partition join, as Con(A) is a sublattice of Eq(A).  For the
+    congruence generated by arbitrary pairs, use cg_generated."""
     _require_same_parent(theta, phi)
-    A = theta.algebra
-    seeds = [(e, theta.block_of[e]) for e in range(A.n)]
-    seeds += [(e, phi.block_of[e]) for e in range(A.n)]
-    return Congruence(A, _close(A, seeds))
+    return Congruence(theta.algebra, join_partitions(theta.block_of, phi.block_of))
 
 
 def meet(theta: Congruence, phi: Congruence) -> Congruence:
@@ -419,20 +419,12 @@ class ConLattice:
 
     def is_distributive(self) -> bool:
         if "distributive" not in self._cache:
-            k = len(self.elements)
-            jt, mt = self.join_table, self.meet_table
-            ok = True
-            for a in range(k):
-                for b in range(k):
-                    for c in range(k):
-                        if mt[a][jt[b][c]] != jt[mt[a][b]][mt[a][c]]:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            self._cache["distributive"] = ok
+            # Funayama–Nakayama: Con of a lattice is distributive, and so is
+            # Con of a residuated lattice, a sublattice of its reduct's
+            jt, mt, ks = self.join_table, self.meet_table, range(len(self.elements))
+            self._cache["distributive"] = self.algebra.is_lattice or all(
+                mt[a][jt[b][c]] == jt[mt[a][b]][mt[a][c]] for a in ks for b in ks for c in ks
+            )
         return self._cache["distributive"]
 
     def is_permutable(self) -> bool:
@@ -450,9 +442,6 @@ class ConLattice:
 # label-independent structure key lets quotients of equal shape share work
 _PARTITION_CACHE: dict = {}
 
-# part of every disk-cache key; change it whenever the file format changes
-CACHE_FORMAT = 2
-
 
 def _enumerate_partitions(A: FiniteAlgebra) -> tuple:
     key = A.structure_key()
@@ -469,88 +458,26 @@ def _enumerate_partitions(A: FiniteAlgebra) -> tuple:
     else:
         gen_pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     gens = list(dict.fromkeys(_close(A, [(a, b)]) for a, b in gen_pairs))
-    cache_dir = os.environ.get("CONGRLAB_CACHE")
-    path = None
-    parts = None
-    if cache_dir:
-        digest = hashlib.sha256(repr((CACHE_FORMAT, key)).encode()).hexdigest()
-        path = os.path.join(cache_dir, f"con-{digest}.json")
-        parts = _read_cached(path, A, gens)
-    if parts is None:
-        parts = _close_under_joins(A, gens)
-        if path:
-            _write_cached(path, parts)
-    _PARTITION_CACHE[key] = parts
+    parts = _PARTITION_CACHE[key] = _close_under_joins(n, gens)
     return parts
 
 
-def _close_under_joins(A: FiniteAlgebra, gens) -> tuple:
-    """Every join of the principal congruences gens, plus Δ."""
-    n = A.n
-    found = {delta_partition(n): None}
-    worklist = []
-    for p in gens:
-        if p not in found:
-            found[p] = None
-            worklist.append(p)
-    stable = list(found)
+def _close_under_joins(n: int, gens) -> tuple:
+    """Δ and every join of the principal congruences gens.  Each join is a
+    partition join, and joining every new partition with each generator
+    reaches every join of generators."""
+    found = {delta_partition(n)}
+    worklist = list(found)
     while worklist:
         p = worklist.pop()
-        for q in stable:
-            seeds = [(e, p[e]) for e in range(n)] + [(e, q[e]) for e in range(n)]
-            r = _close(A, seeds)
+        for g in gens:
+            r = join_partitions(p, g)
             if r not in found:
-                found[r] = None
+                found.add(r)
                 worklist.append(r)
                 if len(found) > CON_CAP:
                     raise SizeCap(f"congruence count exceeds cap {CON_CAP}")
-        stable.append(p)
-    return tuple(sorted(found, key=lambda p: (-len(set(p)), p)))
-
-
-def _read_cached(path: str, A: FiniteAlgebra, gens):
-    """The partitions stored at path if they provably are Con(A), else None.
-
-    A stored set S is accepted only if every member is a canonical partition
-    compatible with A (so S lies in Con(A)), and S holds Δ and every
-    generator and is closed under joining with a generator (so S holds every
-    join of generators, which is all of Con(A)).  A torn, stale or edited
-    file is therefore a miss, never a wrong answer."""
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    n = A.n
-    if not isinstance(raw, list):
-        return None
-    found = set()
-    for p in raw:
-        if not (isinstance(p, list) and len(p) == n and all(type(x) is int and 0 <= x < n for x in p)):
-            return None
-        canonical = all(p[r] == r and r <= e for e, r in enumerate(p))
-        if not canonical or compatibility_violation(A, p) is not None:
-            return None
-        found.add(tuple(p))
-    if delta_partition(n) not in found or not found.issuperset(gens):
-        return None
-    if any(join_partitions(p, g) not in found for p in found for g in gens):
-        return None
     return tuple(found)
-
-
-def _write_cached(path: str, parts):
-    """Write through a temporary file, so a reader never sees a torn file."""
-    cache_dir = os.path.dirname(path)
-    os.makedirs(cache_dir, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump([list(p) for p in parts], fh)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 _CONLATTICE_CACHE: dict = {}

@@ -20,6 +20,7 @@ from .algebra import (
     FiniteAlgebra,
     block_masks,
     canonicalize,
+    join_partitions,
     ordinal_sum_with_maps,
     product_decode,
     product_radix,
@@ -279,23 +280,13 @@ def osum_congruence(L, M, phi: Congruence, psi: Congruence, S=None) -> Congruenc
         S = S_built
     elif S.tables != S_built.tables or S.n != S_built.n:
         raise EncodingMismatch("given sum does not match ordinal_sum(L, M)")
-    parent = list(range(S.n))
-
-    def root(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def unite(x, y):
-        rx, ry = root(x), root(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
+    # each part embedded as a parent forest over S: its other elements are roots
+    lower, upper = list(range(S.n)), list(range(S.n))
     for e in range(L.n):
-        unite(map_l[e], map_l[phi.block_of[e]])
+        lower[map_l[e]] = map_l[phi.block_of[e]]
     for e in range(M.n):
-        unite(map_m[e], map_m[psi.block_of[e]])
-    return Congruence(S, canonicalize(parent), check=True)
+        upper[map_m[e]] = map_m[psi.block_of[e]]
+    return Congruence(S, join_partitions(lower, upper), check=True)
 
 
 def osum_con_iso_check(L, M) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import FiniteAlgebra, canonicalize, lattice_from_order, lattice_reduct
+from .algebra import FiniteAlgebra, lattice_from_order, lattice_reduct
 from .congruences import Congruence, all_congruences
 from .errors import (
     AmbiguousComplement,
@@ -239,22 +239,9 @@ def ideal_congruence(A: FiniteAlgebra, I) -> Congruence:
 
 
 def _partition_of(related):
-    """Partition from a relation matrix that is already an equivalence."""
-    n = len(related)
-    parent = list(range(n))
-
-    def root(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    for x in range(n):
-        for y in range(x + 1, n):
-            if related[x][y]:
-                rx, ry = root(x), root(y)
-                if rx != ry:
-                    parent[max(rx, ry)] = min(rx, ry)
-    return canonicalize(parent)
+    """Partition from a relation matrix that is already an equivalence: the
+    first element related to x is the least of x's block."""
+    return tuple(row.index(True) for row in related)
 
 
 def has_filt_blp(A: FiniteAlgebra) -> bool:
