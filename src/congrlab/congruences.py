@@ -18,6 +18,10 @@ i.e. ``compose(phi, psi)`` applies psi first.  The two textbook conventions
 differ exactly on non-permuting pairs, so this is load-bearing: see the L3
 example in the tests, where (0, 1) lies in one order of composition but not
 the other.
+
+Con(A)'s tables answer the two questions asked of compositions most often
+without composing: θ∘φ = ∇ iff |A/(θ∧φ)| = |A/θ|·|A/φ|, and Con(A) is
+permutable iff its join-irreducibles pairwise permute.
 """
 
 from __future__ import annotations
@@ -347,12 +351,14 @@ class ConLattice:
     """The congruence lattice of a finite algebra.
 
     elements are sorted canonically: number of blocks descending, then
-    lexicographically by partition array — so Δ is first and ∇ last.
+    lexicographically by partition array — so Δ is first and ∇ last, and
+    blocks[i] = |A/θ_i|.
     """
 
     __slots__ = (
         "algebra",
         "elements",
+        "blocks",
         "leq",
         "join_table",
         "meet_table",
@@ -360,6 +366,7 @@ class ConLattice:
         "index_of_nabla",
         "_index",
         "_up_masks",
+        "_down_masks",
         "_cache",
     )
 
@@ -369,6 +376,7 @@ class ConLattice:
         self._index = {c.block_of: i for i, c in enumerate(self.elements)}
         self._cache = {}
         k = len(self.elements)
+        self.blocks = [c.num_blocks for c in self.elements]
         self.leq = [
             [partition_refines(self.elements[i].block_of, self.elements[j].block_of) for j in range(k)]
             for i in range(k)
@@ -376,26 +384,16 @@ class ConLattice:
         self._up_masks = [
             sum(1 << j for j in range(k) if self.leq[i][j]) for i in range(k)
         ]
+        self._down_masks = [
+            sum(1 << i for i in range(k) if self.leq[i][j]) for j in range(k)
+        ]
         self.index_of_delta = self._index[delta_partition(algebra.n)]
         self.index_of_nabla = self._index[nabla_partition(algebra.n)]
-        self.meet_table = [
-            [
-                self._index[meet_partitions(self.elements[i].block_of, self.elements[j].block_of)]
-                for j in range(k)
-            ]
-            for i in range(k)
-        ]
-        self.join_table = [[0] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(i, k):
-                ubs = self._up_masks[i] & self._up_masks[j]
-                r = ubs
-                while r:
-                    c = (r & -r).bit_length() - 1
-                    if self._up_masks[c] & ubs == ubs:
-                        break
-                    r &= r - 1
-                self.join_table[i][j] = self.join_table[j][i] = c
+        # index order is a linear extension of the lattice order, so the meet
+        # is the highest common lower bound and the join the lowest upper one
+        downs, ups = self._down_masks, self._up_masks
+        self.meet_table = [[(d & e).bit_length() - 1 for e in downs] for d in downs]
+        self.join_table = [[_lowest_bit(u & v) for v in ups] for u in ups]
 
     def __len__(self):
         return len(self.elements)
@@ -427,15 +425,32 @@ class ConLattice:
             )
         return self._cache["distributive"]
 
+    def composes_to_nabla(self, i: int, j: int) -> bool:
+        """θ_i∘θ_j = ∇, without composing: that holds iff every θ_i-block
+        meets every θ_j-block, i.e. iff |A/(θ_i∧θ_j)| = |A/θ_i|·|A/θ_j|."""
+        return self.blocks[self.meet_table[i][j]] == self.blocks[i] * self.blocks[j]
+
     def is_permutable(self) -> bool:
+        """Whether all congruences pairwise permute, tested on the
+        join-irreducibles alone: if α, β, γ pairwise permute then
+        α∨β = α∘β permutes with γ, so pairwise permuting join-irreducibles
+        make every join of them, i.e. every congruence, permute."""
         if "permutable" not in self._cache:
-            els = self.elements
+            # j is join-irreducible iff its strict down-set is one element's
+            els, down = self.elements, self._down_masks
+            ji = [
+                j
+                for j, d in enumerate(down)
+                if (below := d & ~(1 << j)) and down[below.bit_length() - 1] == below
+            ]
             self._cache["permutable"] = all(
-                permutes(els[i], els[j])
-                for i in range(len(els))
-                for j in range(i + 1, len(els))
+                permutes(els[i], els[j]) for x, i in enumerate(ji) for j in ji[x + 1 :]
             )
         return self._cache["permutable"]
+
+
+def _lowest_bit(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
 
 
 # in-memory memoization: congruence data depends only on the tables, so a

@@ -8,7 +8,9 @@ are exactly the congruences inducing direct-product decompositions.
 
 Both are read off an interval [t, ∇] of Con(A), which is Con(A/θ_t) by the
 correspondence theorem: β/θ, γ/θ are complements iff β ∨ γ = ∇ and β ∧ γ = θ,
-and (β/θ)∘(γ/θ) is full on A/θ iff β∘γ is full on A.
+and (β/θ)∘(γ/θ) is full on A/θ iff β∘γ is full on A.  No composition is
+built: β∘γ is full iff every β-block meets every γ-block, i.e. iff
+|A/(β∧γ)| = |A/β|·|A/γ|, read off the block counts of Con(A).
 """
 
 from __future__ import annotations
@@ -28,11 +30,9 @@ from .algebra import (
 from .congruences import (
     ConLattice,
     Congruence,
-    Relation,
     all_congruences,
-    compose,
+    permutes,
     principal_congruence,
-    relation_of,
 )
 from .errors import (
     EncodingMismatch,
@@ -91,7 +91,7 @@ def _interval_centers(cl: ConLattice, t: int) -> tuple[Center, Center]:
             if ji[j] == nb and mi[j] == t:
                 bc.members.append(i)
                 bc.complement[i] = j
-                if _fc_relation(cl, i, j).is_full():
+                if cl.composes_to_nabla(i, j):
                     fc.members.append(i)
                     fc.complement[i] = j
                 break
@@ -99,23 +99,14 @@ def _interval_centers(cl: ConLattice, t: int) -> tuple[Center, Center]:
     return hit
 
 
-def _fc_relation(cl: ConLattice, i: int, j: int) -> Relation:
-    """compose(theta_i, theta_j), cached on the lattice."""
-    key = ("rel", i, j)
-    hit = cl._cache.get(key)
-    if hit is None:
-        hit = compose(cl.elements[i], cl.elements[j])
-        cl._cache[key] = hit
-    return hit
-
-
 def is_factor_pair(A: FiniteAlgebra, phi: Congruence, psi: Congruence) -> bool:
-    """(phi, psi) decomposes A: composition full and meet diagonal."""
+    """(phi, psi) decomposes A: meet diagonal and composition full.  With the
+    meet Δ, the composition is full iff |A/phi|·|A/psi| = |A|."""
     if phi.algebra != A or psi.algebra != A:
         raise ParentMismatch("congruences do not belong to the given algebra")
     from .congruences import meet as con_meet
 
-    return compose(phi, psi).is_full() and con_meet(phi, psi).is_delta()
+    return con_meet(phi, psi).is_delta() and phi.num_blocks * psi.num_blocks == A.n
 
 
 # -- CRT --------------------------------------------------------------------
@@ -146,11 +137,8 @@ def crt_characterization(A: FiniteAlgebra, omega) -> bool:
             for c in idxs:
                 if mt[a][jt[b][c]] != jt[mt[a][b]][mt[a][c]]:
                     return False
-    for i in idxs:
-        for j in idxs:
-            if _fc_relation(cl, i, j) != _fc_relation(cl, j, i):
-                return False
-    return True
+    els = cl.elements
+    return all(permutes(els[i], els[j]) for x, i in enumerate(idxs) for j in idxs[x + 1 :])
 
 
 def crt_direct_check(A: FiniteAlgebra, omega, k_max: int = 2):

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from .algebra import FiniteAlgebra, canonicalize
 from .congruences import (
+    ConLattice,
     Congruence,
     all_congruences,
     is_arithmetical,
@@ -26,7 +27,7 @@ from .congruences import (
     prime_congruences,
 )
 from .errors import ParentMismatch, TrivialAlgebra
-from .factor import _fc_relation, boolean_center, factor_congruences
+from .factor import boolean_center, factor_congruences
 
 
 @dataclass
@@ -122,17 +123,28 @@ class LiftEvidence:
     unliftable: str | None = None
 
 
+def _images(cl: ConLattice, t: int, members_of) -> dict[int, int]:
+    """u(α) = α ∨ θ_t for each α in members_of(cl), mapped to its first α."""
+    images: dict[int, int] = {}
+    for a in members_of(cl).members:
+        images.setdefault(cl.join_table[a][t], a)
+    return images
+
+
+def _unliftable(cl: ConLattice, t: int, members_of) -> int | None:
+    """The first member of members_of(cl, t), the center of [θ_t, ∇] ≅
+    Con(A/θ_t), that no u(α) reaches; None if θ_t has the lifting."""
+    images = _images(cl, t, members_of)
+    return next((b for b in members_of(cl, t).members if b not in images), None)
+
+
 def _has_lifting(A, theta, members_of) -> tuple[bool, LiftEvidence]:
-    """Decide the lifting inside Con(A): the targets are members_of(cl, t),
-    the center of [θ, ∇] ≅ Con(A/θ), and u(α) is α ∨ θ.  Targets are
-    rendered in the labels of A/θ."""
+    """The lifting with its evidence, targets rendered in the labels of A/θ."""
     if theta.algebra != A:
         raise ParentMismatch("congruence does not belong to the algebra")
     cl = all_congruences(A)
     t = cl.index(theta)
-    images: dict[int, int] = {}
-    for a in members_of(cl).members:
-        images.setdefault(cl.join_table[a][t], a)
+    images = _images(cl, t, members_of)
     ev = LiftEvidence()
     for b in members_of(cl, t).members:
         target = cl.elements[b].block_string(over=theta)
@@ -154,23 +166,23 @@ def has_cblp(A: FiniteAlgebra, theta: Congruence) -> tuple[bool, LiftEvidence]:
     return _has_lifting(A, theta, boolean_center)
 
 
-def _algebra_lifting(A, has_lifting):
-    for theta in all_congruences(A).elements:
-        ok, ev = has_lifting(A, theta)
-        if not ok:
-            return False, ev, theta
+def _algebra_lifting(A, members_of):
+    cl = all_congruences(A)
+    for t, theta in enumerate(cl.elements):
+        if _unliftable(cl, t, members_of) is not None:
+            return False, _has_lifting(A, theta, members_of)[1], theta
     return True, None, None
 
 
 def algebra_fclp(A: FiniteAlgebra) -> tuple[bool, LiftEvidence | None, Congruence | None]:
     """Conjunction of has_fclp over all congruences; stops at the first
     failure and returns its evidence and the failing congruence."""
-    return _algebra_lifting(A, has_fclp)
+    return _algebra_lifting(A, factor_congruences)
 
 
 def algebra_cblp(A: FiniteAlgebra) -> tuple[bool, LiftEvidence | None, Congruence | None]:
     """The same conjunction for has_cblp."""
-    return _algebra_lifting(A, has_cblp)
+    return _algebra_lifting(A, boolean_center)
 
 
 # -- normality conditions ---------------------------------------------------
@@ -179,7 +191,10 @@ def algebra_cblp(A: FiniteAlgebra) -> tuple[bool, LiftEvidence | None, Congruenc
 def is_fc_normal(A: FiniteAlgebra):
     """For every pair with compose(phi, psi) the full relation, a factor
     congruence alpha must exist with phi v alpha = psi v (complement of
-    alpha) = the full congruence.  Returns (ok, witness map or failing pair)."""
+    alpha) = the full congruence.  Returns (ok, witness map or failing pair).
+
+    The trigger builds no composition: phi∘psi is full iff every phi-block
+    meets every psi-block, i.e. iff |A/(phi∧psi)| = |A/phi|·|A/psi|."""
     cl = all_congruences(A)
     fc = factor_congruences(cl)
     nb = cl.index_of_nabla
@@ -187,7 +202,7 @@ def is_fc_normal(A: FiniteAlgebra):
     witnesses = {}
     for i in range(k):
         for j in range(k):
-            if not _fc_relation(cl, i, j).is_full():
+            if not cl.composes_to_nabla(i, j):
                 continue
             found = None
             for a in fc.members:
@@ -290,21 +305,16 @@ def lifting_report(A: FiniteAlgebra, name: str | None = None) -> LiftingReport:
         maxes = set()
     primes = set(c.block_of for c in prime_congruences(A)) if A.n > 1 else set()
     rows = []
-    all_fclp = True
-    all_cblp = True
     for t, theta in enumerate(cl.elements):
-        f_ok, f_ev = has_fclp(A, theta)
-        c_ok, c_ev = has_cblp(A, theta)
-        all_fclp &= f_ok
-        all_cblp &= c_ok
-        rows.append(
+        row = {"congruence": theta.block_string(), "blocks": theta.num_blocks}
+        for prop, members_of in (("fclp", factor_congruences), ("cblp", boolean_center)):
+            bad = _unliftable(cl, t, members_of)
+            row[prop] = bad is None
+            row[f"{prop}_unliftable"] = (
+                None if bad is None else cl.elements[bad].block_string(over=theta)
+            )
+        row.update(
             {
-                "congruence": theta.block_string(),
-                "blocks": theta.num_blocks,
-                "fclp": f_ok,
-                "fclp_unliftable": f_ev.unliftable,
-                "cblp": c_ok,
-                "cblp_unliftable": c_ev.unliftable,
                 "quotient_size": theta.num_blocks,
                 "quotient_con_size": len(cl.up_set(t)),
                 "quotient_center_size": len(boolean_center(cl, t).members),
@@ -313,14 +323,15 @@ def lifting_report(A: FiniteAlgebra, name: str | None = None) -> LiftingReport:
                 "prime": theta.block_of in primes,
             }
         )
+        rows.append(row)
     fcn, _ = is_fc_normal(A)
     bn, _ = is_b_normal(A)
     flags = {
         "con_size": len(cl),
         "center_size": len(bc.members),
         "fc_size": len(fc.members),
-        "fclp": all_fclp,
-        "cblp": all_cblp,
+        "fclp": all(row["fclp"] for row in rows),
+        "cblp": all(row["cblp"] for row in rows),
         "fc_normal": fcn,
         "b_normal": bn,
         "distributive": is_congruence_distributive(A),
