@@ -84,7 +84,7 @@ class FiniteAlgebra:
     algebras are equal iff they agree table-for-table and label-for-label.
     """
 
-    __slots__ = ("n", "labels", "signature", "tables", "name", "_hash")
+    __slots__ = ("n", "labels", "signature", "tables", "name", "_hash", "_con")
 
     def __init__(self, n, labels, signature, tables, name=None, validate=True):
         if n < 1:
@@ -100,6 +100,7 @@ class FiniteAlgebra:
         object.__setattr__(self, "tables", _freeze_tables(tables))
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_con", None)  # Con(A), set by all_congruences
         if validate:
             self._validate()
 

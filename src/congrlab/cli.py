@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .algebra import FiniteAlgebra, build_from_spec, direct_product, dual, emit_spec, ordinal_sum
 from .congruences import all_congruences, parse_congruence
-from .errors import AmbiguousComplement, CongrlabError
+from .errors import CongrlabError
 from .factor import (
     boolean_center,
     crt_characterization,
@@ -346,9 +346,6 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return run(args)
-    except AmbiguousComplement as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CongrlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

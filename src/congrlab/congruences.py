@@ -495,18 +495,12 @@ def _close_under_joins(n: int, gens) -> tuple:
     return tuple(found)
 
 
-_CONLATTICE_CACHE: dict = {}
-
-
 def all_congruences(A: FiniteAlgebra) -> ConLattice:
-    """Enumerate Con(A) by closing the principal congruences under join."""
-    key = (id(A), A.structure_key(), A.labels)
-    hit = _CONLATTICE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    cl = ConLattice(A, _enumerate_partitions(A))
-    _CONLATTICE_CACHE[key] = cl
-    return cl
+    """Enumerate Con(A) by closing the principal congruences under join.
+    The lattice is kept on A, so it lives exactly as long as A does."""
+    if A._con is None:
+        object.__setattr__(A, "_con", ConLattice(A, _enumerate_partitions(A)))
+    return A._con
 
 
 def brute_force_congruences(A: FiniteAlgebra) -> list[Congruence]:

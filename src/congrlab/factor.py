@@ -42,6 +42,7 @@ from .errors import (
     PreconditionFailed,
     SizeCap,
 )
+from .residuated import element_boolean_center
 
 CRT_K_MAX = 3
 
@@ -351,12 +352,7 @@ def bdl_fc_isomorphism(L: FiniteAlgebra):
         raise NotDistributive("the element-level map needs a distributive lattice")
     bot, top = L.bottom(), L.top()
     join_t, meet_t = L.tables["join"], L.tables["meet"]
-    comp = {}
-    for a in range(L.n):
-        for b in range(L.n):
-            if join_t[a][b] == top and meet_t[a][b] == bot:
-                comp[a] = b
-                break
+    comp = element_boolean_center(L).complement
     mapping = {a: principal_congruence(L, a, bot) for a in comp}
     cl = all_congruences(L)
     fc = factor_congruences(cl)

@@ -1,6 +1,13 @@
 """Element-level Boolean centers, BLP variants, filters/ideals, and the
 finite reticulation of a residuated lattice.
 
+Everything is decided on A's own tables.  A/theta joins and meets class
+representatives, so the classes of r and s are complements in A/theta iff
+(r v s) theta 1 and (r ^ s) theta 0: BLP needs no quotient.  Every filter
+of a finite residuated lattice is principal (its meet is idempotent), so the
+filters are the n principal filters and the ideals are the filters of the
+order dual: no subset is scanned.
+
 Orientation of the reticulation: the carrier is the set of principal
 filters, ordered by REVERSE inclusion — F <= G iff F is a superset of G —
 so that the whole algebra (the filter generated by bottom) is the least
@@ -12,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import FiniteAlgebra, lattice_from_order, lattice_reduct
+from .algebra import FiniteAlgebra, delta_partition, dual, lattice_from_order, lattice_reduct
 from .congruences import Congruence, all_congruences
 from .errors import (
     AmbiguousComplement,
@@ -20,9 +27,9 @@ from .errors import (
     NotAFilter,
     NotAnIdeal,
     NotDistributive,
+    ParentMismatch,
     SizeCap,
 )
-from .lifting import quotient
 
 FILTER_CAP = 12
 
@@ -36,35 +43,45 @@ class ElementBooleanCenter:
     complement: dict[int, int]
 
 
-def element_boolean_center(A: FiniteAlgebra) -> ElementBooleanCenter:
-    """Scan every element for complements against bot/top.  An element with
-    two complements (possible only in a non-distributive plain lattice) is
-    an error, never a silent choice."""
+def _complements(A: FiniteAlgebra, block_of) -> dict[int, int]:
+    """{rep: complement rep} over the classes of block_of, each named by its
+    least element (see module doc).  A class with two complements (possible
+    only in a non-distributive plain lattice) is an error, never a silent
+    choice; the message labels classes as the quotient does."""
     A.require_lattice()
     join, meet_t = A.tables["join"], A.tables["meet"]
-    bot, top = A.bottom(), A.top()
-    members = []
+    top, bot = block_of[A.top()], block_of[A.bottom()]
+    reps = sorted(set(block_of))
+
+    def label(r):
+        return "+".join(A.labels[e] for e in range(A.n) if block_of[e] == r)
+
     complement = {}
-    for a in range(A.n):
+    for r in reps:
         comps = [
-            b for b in range(A.n) if join[a][b] == top and meet_t[a][b] == bot
+            s for s in reps if block_of[join[r][s]] == top and block_of[meet_t[r][s]] == bot
         ]
         if len(comps) > 1:
-            raise AmbiguousComplement(A.labels[a], [A.labels[b] for b in comps])
+            raise AmbiguousComplement(label(r), [label(s) for s in comps])
         if comps:
-            members.append(a)
-            complement[a] = comps[0]
-    return ElementBooleanCenter(A, members, complement)
+            complement[r] = comps[0]
+    return complement
+
+
+def element_boolean_center(A: FiniteAlgebra) -> ElementBooleanCenter:
+    """The complemented elements of A: the complement scan at Δ."""
+    complement = _complements(A, delta_partition(A.n))
+    return ElementBooleanCenter(A, list(complement), complement)
 
 
 def has_blp(A: FiniteAlgebra, theta: Congruence) -> bool:
     """Every complemented element of A/theta has a complemented element of A
-    in its class."""
-    Q = quotient(A, theta)
-    center_q = element_boolean_center(Q.quotient)
-    center_a = set(element_boolean_center(A).members)
-    images = {Q.project(a) for a in center_a}
-    return all(m in images for m in center_q.members)
+    in its class.  Decided on A's tables: no quotient is built."""
+    if theta.algebra != A:
+        raise ParentMismatch("congruence does not belong to the algebra")
+    complemented = _complements(A, theta.block_of)
+    images = {theta.block_of[a] for a in element_boolean_center(A).members}
+    return all(r in images for r in complemented)
 
 
 def algebra_blp(A: FiniteAlgebra):
@@ -81,15 +98,11 @@ def algebra_blp(A: FiniteAlgebra):
 
 @dataclass
 class FilterSet:
+    """The filters of A.  principal[i] says filters[i] is principal, which is
+    always True: every filter of a finite lattice is (see filters)."""
+
     algebra: FiniteAlgebra
     filters: list[frozenset]
-    principal: list[bool]
-
-
-@dataclass
-class IdealSet:
-    algebra: FiniteAlgebra
-    ideals: list[frozenset]
     principal: list[bool]
 
 
@@ -150,36 +163,25 @@ def principal_filter(A: FiniteAlgebra, x: int) -> frozenset:
 
 
 def filters(A: FiniteAlgebra) -> FilterSet:
-    """All filters, by exhaustive subset scan (carrier capped)."""
+    """All filters, smallest first.  A filter F of a finite lattice is the
+    up-set of m = ^F; in a residuated lattice m*m is in F and m*m <= m, so m
+    is idempotent and F = principal_filter(m).  Conversely every principal
+    filter is a filter, so the filters are the n principal filters."""
     A.require_lattice()
     if A.n > FILTER_CAP:
         raise SizeCap(f"filter enumeration capped at carrier size {FILTER_CAP}")
-    top = A.top()
-    rest = [e for e in range(A.n) if e != top]
-    found = []
-    for bits in range(1 << len(rest)):
-        F = {top} | {rest[i] for i in range(len(rest)) if bits >> i & 1}
-        if is_filter(A, F):
-            found.append(frozenset(F))
-    found.sort(key=lambda F: (len(F), sorted(F)))
-    principals = {principal_filter(A, x) for x in range(A.n)}
-    return FilterSet(A, found, [F in principals for F in found])
+    found = sorted(
+        {principal_filter(A, x) for x in range(A.n)}, key=lambda F: (len(F), sorted(F))
+    )
+    return FilterSet(A, found, [True] * len(found))
 
 
-def ideals(A: FiniteAlgebra) -> IdealSet:
+def ideals(A: FiniteAlgebra) -> list[frozenset]:
+    """All ideals, smallest first: the filters of the order dual."""
     A.require_lattice()
     if A.n > FILTER_CAP:
         raise SizeCap(f"ideal enumeration capped at carrier size {FILTER_CAP}")
-    bot = A.bottom()
-    rest = [e for e in range(A.n) if e != bot]
-    found = []
-    for bits in range(1 << len(rest)):
-        I = {bot} | {rest[i] for i in range(len(rest)) if bits >> i & 1}
-        if is_ideal(A, I):
-            found.append(frozenset(I))
-    found.sort(key=lambda I: (len(I), sorted(I)))
-    principals = {frozenset(b for b in range(A.n) if A.leq(b, x)) for x in range(A.n)}
-    return IdealSet(A, found, [I in principals for I in found])
+    return filters(dual(lattice_reduct(A))).filters
 
 
 def maximal_filters(A: FiniteAlgebra) -> list[frozenset]:
@@ -250,7 +252,7 @@ def has_filt_blp(A: FiniteAlgebra) -> bool:
 
 def has_id_blp(A: FiniteAlgebra) -> bool:
     L = lattice_reduct(A, "bounded-lattice") if A.signature.kind == "residuated" else A
-    return all(has_blp(L, ideal_congruence(L, I)) for I in ideals(L).ideals)
+    return all(has_blp(L, ideal_congruence(L, I)) for I in ideals(L))
 
 
 # -- reticulation -----------------------------------------------------------

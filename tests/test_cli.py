@@ -51,6 +51,8 @@ def test_check_blp_variants(capsys):
     assert code == 1 and "failing congruence" in out
     assert run(capsys, "check", "filt-blp", "--fixture", "L2osumL2x2")[0] == 0
     assert run(capsys, "check", "id-blp", "--fixture", "L2osumL2x2")[0] == 1
+    code, out, err = run(capsys, "check", "blp", "--fixture", "D")
+    assert (code, out, err) == (2, "", "error: element a has several complements: b, c\n")
 
 
 def test_check_normality(capsys):
@@ -249,7 +251,6 @@ def test_a_stale_cache_variable_is_ignored(tmp_path, monkeypatch, capsys):
     stale.write_text("")
     monkeypatch.setenv("CONGRLAB_CACHE", str(stale))
     congruences._PARTITION_CACHE.clear()
-    congruences._CONLATTICE_CACHE.clear()
     code, out, _ = run(capsys, "con", "--fixture", "L3")
     assert code == 0 and "|Con|=4" in out
     assert [p.name for p in tmp_path.iterdir()] == [stale.name]

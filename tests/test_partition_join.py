@@ -107,7 +107,6 @@ def test_cold_enumeration_closes_only_the_generators(build, closures, monkeypatc
     close = congruences._close
     monkeypatch.setattr(congruences, "_close", lambda *args: calls.append(1) or close(*args))
     monkeypatch.setattr(congruences, "_PARTITION_CACHE", {})
-    monkeypatch.setattr(congruences, "_CONLATTICE_CACHE", {})
     all_congruences(A)
     assert len(calls) == closures
 
