@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -56,6 +57,10 @@ CHECK_PROPERTIES = (
 def _add_input_args(p):
     p.add_argument("--fixture", help="named example algebra")
     p.add_argument("--file", help="path to an algebra spec (JSON)")
+    _add_max_size(p)
+
+
+def _add_max_size(p):
     p.add_argument("--max-size", type=int, default=None, help="refuse larger inputs")
 
 
@@ -73,9 +78,9 @@ def _read_spec(path: str, max_size: int | None = None) -> dict:
     return spec
 
 
-def _check_size(n: int, max_size: int | None):
+def _check_size(n: int, max_size: int | None, what: str = "input"):
     if max_size is not None and n > max_size:
-        raise CongrlabError(f"input has {n} elements, above the requested limit {max_size}")
+        raise CongrlabError(f"{what} has {n} elements, above the requested limit {max_size}")
 
 
 def _load(args) -> FiniteAlgebra:
@@ -88,10 +93,12 @@ def _load(args) -> FiniteAlgebra:
     return build_from_spec(_read_spec(args.file, args.max_size))
 
 
-def _load_operand(name_or_path: str) -> FiniteAlgebra:
+def _load_operand(name_or_path: str, max_size: int | None) -> FiniteAlgebra:
     if name_or_path in FIXTURE_NAMES:
-        return fixture(name_or_path)
-    return build_from_spec(_read_spec(name_or_path))
+        A = fixture(name_or_path)
+        _check_size(A.n, max_size)
+        return A
+    return build_from_spec(_read_spec(name_or_path, max_size))
 
 
 def _emit(text: str, out):
@@ -126,8 +133,10 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--by", required=True, help='congruence as blocks, e.g. "0,m|1"')
     p = verb("product", "direct product of algebras")
     p.add_argument("operands", nargs="+", help="fixture names or spec files")
+    _add_max_size(p)
     p = verb("osum", "ordinal sum of two lattices")
     p.add_argument("operands", nargs=2, help="fixture names or spec files")
+    _add_max_size(p)
     p = verb("dual", "order-dual of a lattice")
     _add_input_args(p)
     p = verb("check", "decide a property (exit 0 holds / 1 fails)")
@@ -188,7 +197,8 @@ def run(args) -> int:
         _emit(_algebra_output(Q.quotient, args.format), args.out)
         return 0
     if verb == "product":
-        As = [_load_operand(x) for x in args.operands]
+        As = [_load_operand(x, args.max_size) for x in args.operands]
+        _check_size(math.prod(A.n for A in As), args.max_size, "the product")
         P = direct_product(As)
         ok = product_con_iso_check(As, P=P)
         if args.format == "json":
@@ -200,7 +210,8 @@ def run(args) -> int:
             _emit(product_summary(As, P, ok), args.out)
         return 0 if ok else 1
     if verb == "osum":
-        L, M = (_load_operand(x) for x in args.operands)
+        L, M = (_load_operand(x, args.max_size) for x in args.operands)
+        _check_size(L.n + M.n - 1, args.max_size, "the ordinal sum")
         S = ordinal_sum(L, M)
         cmp_ = osum_fc_comparison(L, M)
         if args.format == "json":

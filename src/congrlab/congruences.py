@@ -10,6 +10,17 @@ is a sublattice of Eq(A), so the join of two congruences is the join of their
 partitions, and Con(A) is enumerated by joining with the principal
 generators alone.
 
+On an algebra with a lattice reduct (join and meet among its operations)
+the generators are Cg(j₊, j) for the join-irreducible elements j, where
+j₊ = ⋁{x : x < j} is j's one lower cover (Freese, Proc. AMS 125, 1997).
+Cover pairs generate Con(A): Cg(a, b) = Cg(a∧b, a∨b), and for a < b it is
+the join of the Cg's of the covers along a maximal chain from a to b.  Each
+j₊ ≺ j is a cover pair, and every cover a ≺ b gives the same congruence as
+one of them.  Take j minimal with j ≤ b and j ≰ a.  Every x < j then has
+x ≤ a, so j₊ = j∧a ≠ j, and a < a∨j ≤ b gives a∨j = b.  A congruence
+holding (a, b) holds (j∧a, j∧b) = (j₊, j), and one holding (j₊, j) holds
+(a∨j₊, a∨j) = (a, b).  So Cg(a, b) = Cg(j₊, j).
+
 Composition of relations follows the convention
 
     compose(phi, psi) = { (a, b) | exists x with (a, x) in psi and (x, b) in phi }
@@ -465,16 +476,29 @@ def _enumerate_partitions(A: FiniteAlgebra) -> tuple:
         return hit
     n = A.n
     if A.is_lattice:
-        # for lattices, principal congruences over cover pairs generate Con:
-        # Cg(a, b) with a < b is the join of the Cg's along any maximal chain
-        # from a to b, and Cg(a, b) = Cg(a^b, avb) in general.  The oracle
-        # cross-check in the tests keeps this honest.
-        gen_pairs = A.covers()
+        # Cg(a, b) over cover pairs generates Con, and each cover pair gives
+        # the same Cg as some (j₊, j) with j join-irreducible (module doc)
+        gen_pairs = _join_irreducible_pairs(A)
     else:
         gen_pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     gens = list(dict.fromkeys(_close(A, [(a, b)]) for a, b in gen_pairs))
     parts = _PARTITION_CACHE[key] = _close_under_joins(n, gens)
     return parts
+
+
+def _join_irreducible_pairs(A: FiniteAlgebra) -> list[tuple[int, int]]:
+    """(j₊, j) for each join-irreducible j, where j₊ = ⋁{x : x < j}: j is
+    join-irreducible iff some x < j and j₊ ≠ j, and then j₊ ≺ j."""
+    join, meet = A.tables["join"], A.tables["meet"]
+    pairs = []
+    for j in range(A.n):
+        lower = None
+        for x in range(A.n):
+            if x != j and meet[x][j] == x:
+                lower = x if lower is None else join[lower][x]
+        if lower is not None and lower != j:
+            pairs.append((lower, j))
+    return pairs
 
 
 def _close_under_joins(n: int, gens) -> tuple:
@@ -569,8 +593,17 @@ def maximal_congruences(A: FiniteAlgebra) -> list[Congruence]:
 
 
 def prime_congruences(A: FiniteAlgebra) -> list[Congruence]:
-    """θ ≠ ∇ such that α∩β ⊆ θ forces α ⊆ θ or β ⊆ θ."""
+    """θ ≠ ∇ such that α∩β ⊆ θ forces α ⊆ θ or β ⊆ θ.  In a distributive
+    Con(A) these are the meet-irreducibles: the θ whose strict up-set has a
+    least element, the lowest index in it (index order extends the order)."""
     cl = all_congruences(A)
+    if cl.is_distributive():
+        ups = cl._up_masks
+        return [
+            cl.elements[t]
+            for t, u in enumerate(ups)
+            if (above := u & ~(1 << t)) and ups[_lowest_bit(above)] == above
+        ]
     k = len(cl.elements)
     nb = cl.index_of_nabla
     out = []

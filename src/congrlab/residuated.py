@@ -80,15 +80,24 @@ def has_blp(A: FiniteAlgebra, theta: Congruence) -> bool:
     if theta.algebra != A:
         raise ParentMismatch("congruence does not belong to the algebra")
     complemented = _complements(A, theta.block_of)
-    images = {theta.block_of[a] for a in element_boolean_center(A).members}
+    return _center_reaches(theta.block_of, complemented, element_boolean_center(A))
+
+
+def _center_reaches(block_of, complemented, center: ElementBooleanCenter) -> bool:
+    """Every class in complemented holds a member of A's center."""
+    images = {block_of[a] for a in center.members}
     return all(r in images for r in complemented)
 
 
 def algebra_blp(A: FiniteAlgebra):
     """Conjunction of has_blp over all congruences; returns (ok, first
-    failing congruence or None)."""
-    for theta in all_congruences(A).elements:
-        if not has_blp(A, theta):
+    failing congruence or None).  A's center is computed once: Δ comes
+    first, and at Δ the congruence's complement scan is A's own, so an
+    ambiguous complement raises the same message as in has_blp."""
+    thetas = all_congruences(A).elements
+    center = element_boolean_center(A)
+    for theta in thetas:
+        if not _center_reaches(theta.block_of, _complements(A, theta.block_of), center):
             return False, theta
     return True, None
 

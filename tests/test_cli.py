@@ -215,6 +215,36 @@ def test_max_size_is_checked_before_the_spec_is_built(tmp_path, capsys):
     assert code == 2 and "6 elements, above the requested limit 5" in err
 
 
+@pytest.mark.parametrize(
+    "argv,limit,message",
+    [
+        (["product", "T", "E"], 42, "the product has 42 elements"),  # 7 * 6
+        (["product", "L2", "L2", "L2"], 8, "the product has 8 elements"),
+        (["osum", "L2x2", "D"], 8, "the ordinal sum has 8 elements"),  # 4 + 5 - 1
+    ],
+)
+def test_product_and_osum_take_max_size(capsys, argv, limit, message):
+    code, out, err = run(capsys, *argv, "--max-size", str(limit - 1))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}, above the requested limit {limit - 1}\n"
+    assert run(capsys, *argv, "--max-size", str(limit))[0] == 0
+
+
+@pytest.mark.parametrize("argv", [["product", "L2", "T"], ["osum", "T", "L2"]])
+def test_each_operand_is_checked_against_max_size(capsys, argv):
+    # T has 7 elements; the result would have 14 and 8
+    code, out, err = run(capsys, *argv, "--max-size", "6")
+    assert code == 2 and out == ""
+    assert err == "error: input has 7 elements, above the requested limit 6\n"
+
+
+def test_operand_max_size_is_checked_before_the_spec_is_built(tmp_path, capsys):
+    spec = tmp_path / "big.json"
+    spec.write_text(json.dumps({"elements": [str(e) for e in range(6)], "operations": {"f": []}}))
+    code, _, err = run(capsys, "product", "L2", str(spec), "--max-size", "5")
+    assert code == 2 and err == "error: input has 6 elements, above the requested limit 5\n"
+
+
 def test_file_input_works(tmp_path, capsys):
     spec = tmp_path / "a.json"
     spec.write_text(json.dumps(emit_spec(fixture("P"))))

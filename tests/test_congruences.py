@@ -302,6 +302,39 @@ def test_primes_are_maximal_on_distributive_con():
             assert m in primes
 
 
+def prime_scan(cl):
+    """The O(k^3) definition scan: θ ≠ ∇ with α∧β ≤ θ forcing α ≤ θ or β ≤ θ."""
+    ks = range(len(cl))
+    return [
+        cl.elements[t]
+        for t in ks
+        if t != cl.index_of_nabla
+        and all(
+            cl.leq[a][t] or cl.leq[b][t] or not cl.leq[cl.meet_table[a][b]][t]
+            for a in ks
+            for b in ks
+        )
+    ]
+
+
+def test_primes_are_the_meet_irreducibles_of_distributive_con():
+    from test_partition_join import generic_copy, lattice_algebras
+
+    algebras = lattice_algebras()
+    algebras += [generic_copy(fixture(name)) for name in ("P", "X", "E", "L2x3cube")]
+    total = 0
+    for A in algebras:
+        cl = all_congruences(A)
+        assert cl.is_distributive()
+        primes = prime_congruences(A)
+        assert primes == prime_scan(cl), A.name
+        total += len(primes)
+    assert total == 765 + 11  # the 243 lattice-based algebras, then the copies
+    V4 = xor_algebra()  # Con(V4) is the diamond M3: the scan answers, and finds none
+    assert not all_congruences(V4).is_distributive()
+    assert prime_congruences(V4) == prime_scan(all_congruences(V4)) == []
+
+
 def test_trivial_algebra_has_no_maximal_congruence():
     with pytest.raises(TrivialAlgebra):
         maximal_congruences(fixture("L1"))

@@ -13,6 +13,7 @@ import sys
 
 import pytest
 
+from congrlab import residuated
 from congrlab.algebra import direct_product
 from congrlab.congruences import all_congruences
 from congrlab.errors import AmbiguousComplement
@@ -20,6 +21,7 @@ from congrlab.fixtures import FIXTURE_NAMES, fixture
 from congrlab.lifting import quotient
 from congrlab.report import build_report
 from congrlab.residuated import (
+    algebra_blp,
     element_boolean_center,
     filters,
     has_blp,
@@ -92,6 +94,27 @@ def test_blp_on_a_matches_the_quotient():
             thetas += 1
             ambiguous += isinstance(want, str)
     assert (thetas, ambiguous) == (2392, 837)
+
+
+def has_blp_loop(A):
+    """algebra_blp as a loop of has_blp, each call scanning A's center."""
+    for theta in all_congruences(A).elements:
+        if not has_blp(A, theta):
+            return False, theta
+    return True, None
+
+
+def test_algebra_blp_is_the_has_blp_loop_with_one_center(monkeypatch):
+    calls = []
+    center = residuated.element_boolean_center
+    monkeypatch.setattr(
+        residuated, "element_boolean_center", lambda A: calls.append(A) or center(A)
+    )
+    for A in ALGEBRAS:
+        want = outcome(has_blp_loop, A)
+        calls.clear()
+        assert outcome(algebra_blp, A) == want, A.name
+        assert len(calls) == 1, A.name
 
 
 def test_filters_and_ideals_are_the_principal_ones():

@@ -3,7 +3,9 @@
 Con(A) is a sublattice of Eq(A), so `join` and the enumeration of Con(A)
 use the plain partition join.  The slow paths live on here as oracles: the
 closure of both congruences' pairs, and the enumeration that closes every
-found congruence under Mal'cev joins with every other one.
+found congruence under Mal'cev joins with every other one.  On a lattice the
+enumeration closes one pair (j₊, j) per join-irreducible j; the oracle
+closes every cover pair.
 """
 
 import pytest
@@ -59,6 +61,28 @@ def malcev_join_enumeration(A):
     return found
 
 
+def lattice_algebras():
+    """The 225 sweep lattices, the 16 fixtures, L2^5 and T×E."""
+    return (
+        sweep()
+        + [fixture(name) for name in FIXTURE_NAMES]
+        + [direct_product([fixture("L2")] * 5), direct_product([fixture("T"), fixture("E")])]
+    )
+
+
+def test_join_irreducible_pairs_give_the_cover_pairs_generators():
+    algebras = lattice_algebras()
+    assert len(algebras) == 243
+    for A in algebras:
+        pairs = congruences._join_irreducible_pairs(A)
+        assert set(pairs) <= set(A.covers()), A.name
+        from_pairs = {congruences._close(A, [p]) for p in pairs}
+        assert from_pairs == {congruences._close(A, [p]) for p in A.covers()}, A.name
+        # the generic-kind copy is enumerated from all pairs a < b instead
+        found = {c.block_of for c in all_congruences(A).elements}
+        assert found == {c.block_of for c in all_congruences(generic_copy(A)).elements}, A.name
+
+
 def assert_joins_are_closures(A):
     els = all_congruences(A).elements
     for i, a in enumerate(els):
@@ -95,11 +119,12 @@ def test_enumeration_matches_the_pairwise_malcev_closure(build):
 @pytest.mark.parametrize(
     "build,closures",
     [
-        (lambda: chain(8), 7),  # one per cover pair
-        (lambda: direct_product([fixture("L2")] * 5), 80),  # one per cover pair
+        (lambda: chain(8), 7),  # one per join-irreducible element
+        (lambda: direct_product([fixture("L2")] * 5), 5),  # 80 cover pairs
+        (lambda: direct_product([fixture("T"), fixture("E")]), 9),  # 97 cover pairs
         (xor_algebra, 6),  # one per pair a < b
     ],
-    ids=["C8", "L2^5", "V4"],
+    ids=["C8", "L2^5", "TxE", "V4"],
 )
 def test_cold_enumeration_closes_only_the_generators(build, closures, monkeypatch):
     A = build()
