@@ -84,7 +84,7 @@ class FiniteAlgebra:
     algebras are equal iff they agree table-for-table and label-for-label.
     """
 
-    __slots__ = ("n", "labels", "signature", "tables", "name", "_hash", "_con")
+    __slots__ = ("n", "labels", "signature", "tables", "name", "_hash", "_con", "_cache")
 
     def __init__(self, n, labels, signature, tables, name=None, validate=True):
         if n < 1:
@@ -101,6 +101,7 @@ class FiniteAlgebra:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_con", None)  # Con(A), set by all_congruences
+        object.__setattr__(self, "_cache", {})  # facts derived from the tables
         if validate:
             self._validate()
 
@@ -193,19 +194,37 @@ class FiniteAlgebra:
                     out.append((a, b))
         return out
 
-    def is_distributive_lattice(self) -> bool:
-        """Element-level distributivity, checked by exhaustive triple scan."""
-        self.require_lattice()
+    def join_irreducible_pairs(self) -> list[tuple[int, int]]:
+        """(j₊, j) for each join-irreducible j, where j₊ = ⋁{x : x < j}: j is
+        join-irreducible iff some x < j and j₊ ≠ j, and then j₊ ≺ j."""
         join, meet = self.tables["join"], self.tables["meet"]
-        rng = range(self.n)
-        for a in rng:
-            ja, ma = join[a], meet[a]
-            for b in rng:
-                mab = ma[b]
-                for c in rng:
-                    if ma[join[b][c]] != join[mab][ma[c]]:
-                        return False
-        return True
+        pairs = []
+        for j in range(self.n):
+            lower = None
+            for x in range(self.n):
+                if x != j and meet[x][j] == x:
+                    lower = x if lower is None else join[lower][x]
+            if lower is not None and lower != j:
+                pairs.append((lower, j))
+        return pairs
+
+    def is_distributive_lattice(self) -> bool:
+        """A finite lattice is distributive iff every join-irreducible j is
+        join-prime: j ≤ a∨b forces j ≤ a or j ≤ b (Davey & Priestley, ch. 10).
+        Cached on the algebra."""
+        self.require_lattice()
+        hit = self._cache.get("distributive")
+        if hit is None:
+            join, meet = self.tables["join"], self.tables["meet"]
+            hit = True
+            for _, j in self.join_irreducible_pairs():
+                mj = meet[j]
+                outside = [x for x in range(self.n) if mj[x] != j]
+                if any(mj[join[a][b]] == j for a in outside for b in outside):
+                    hit = False
+                    break
+            self._cache["distributive"] = hit
+        return hit
 
     # -- validation ---------------------------------------------------------
 
@@ -314,33 +333,41 @@ def lattice_from_order(leq, labels, kind="lattice", name=None, extra_tables=None
 
     Every pair must have a unique least upper bound and greatest lower bound;
     otherwise NotALattice names an offending pair.  ``leq[a][b]`` is truthy
-    iff a <= b.
+    iff a <= b.  The join of a and b is the element whose up-set is
+    ↑a ∩ ↑b, and the meet the element whose down-set is ↓a ∩ ↓b.
     """
     n = len(leq)
     labels = tuple(str(x) for x in labels)
+    up = [sum(1 << c for c in range(n) if leq[a][c]) for a in range(n)]
+    down = [sum(1 << c for c in range(n) if leq[c][a]) for a in range(n)]
+    by_up, by_down = _element_of(up), _element_of(down)
     join = [[0] * n for _ in range(n)]
     meet = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(a, n):
-            ubs = [c for c in range(n) if leq[a][c] and leq[b][c]]
-            lub = [c for c in ubs if all(leq[c][d] for d in ubs)]
-            if len(lub) != 1:
+            lub = by_up.get(up[a] & up[b], -1)
+            if lub < 0:
                 raise NotALattice(labels[a], labels[b], "least upper bound")
-            lbs = [c for c in range(n) if leq[c][a] and leq[c][b]]
-            glb = [c for c in lbs if all(leq[d][c] for d in lbs)]
-            if len(glb) != 1:
+            glb = by_down.get(down[a] & down[b], -1)
+            if glb < 0:
                 raise NotALattice(labels[a], labels[b], "greatest lower bound")
-            join[a][b] = join[b][a] = lub[0]
-            meet[a][b] = meet[b][a] = glb[0]
+            join[a][b] = join[b][a] = lub
+            meet[a][b] = meet[b][a] = glb
     tables = {"join": join, "meet": meet}
     if kind in ("bounded-lattice", "residuated"):
-        bot = next(e for e in range(n) if all(leq[e][x] for x in range(n)))
-        top = next(e for e in range(n) if all(leq[x][e] for x in range(n)))
-        tables["bot"] = bot
-        tables["top"] = top
+        tables["bot"] = by_up[(1 << n) - 1]
+        tables["top"] = by_down[(1 << n) - 1]
     if extra_tables:
         tables.update(extra_tables)
     return FiniteAlgebra(n, labels, lattice_signature(kind), tables, name=name)
+
+
+def _element_of(masks) -> dict[int, int]:
+    """mask -> the element carrying it, or -1 if two elements share it."""
+    out: dict[int, int] = {}
+    for e, m in enumerate(masks):
+        out[m] = -1 if m in out else e
+    return out
 
 
 def order_matrix(algebra: FiniteAlgebra) -> list[list[bool]]:

@@ -9,6 +9,7 @@ Exit-code contract (so shell scripts can assert properties):
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -108,7 +109,9 @@ def _emit(text: str, out):
         sys.stdout.write(text)
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="congrlab",
         description=__doc__,

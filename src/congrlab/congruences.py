@@ -21,6 +21,11 @@ x ≤ a, so j₊ = j∧a ≠ j, and a < a∨j ≤ b gives a∨j = b.  A congruen
 holding (a, b) holds (j∧a, j∧b) = (j₊, j), and one holding (j₊, j) holds
 (a∨j₊, a∨j) = (a, b).  So Cg(a, b) = Cg(j₊, j).
 
+Con(A) is ordered on generator masks, for every algebra.  Cg(a, b) ≤ θ iff
+a θ b, so the mask of θ (bit g set iff the g-th distinct generator lies
+below θ) costs one lookup per generator.  Every θ found is a join of
+generators, so θ = ⋁{g : g ≤ θ}, and θ ≤ φ iff mask(θ) ⊆ mask(φ).
+
 Composition of relations follows the convention
 
     compose(phi, psi) = { (a, b) | exists x with (a, x) in psi and (x, b) in phi }
@@ -227,26 +232,42 @@ def _close(A: FiniteAlgebra, seed_pairs) -> tuple[int, ...]:
 
     for a, b in seed_pairs:
         union(a, b)
-    ops = [(f, ar) for f, ar in A.signature.operations if ar >= 1]
+    unary = [A.tables[f] for f, ar in A.signature.operations if ar == 1]
+    binary = _binary_rows(A)
+    higher = [(f, ar) for f, ar in A.signature.operations if ar >= 3]
     while queue:
         x, y = queue.popleft()
-        for fname, arity in ops:
-            t = A.tables[fname]
-            if arity == 1:
-                union(t[x], t[y])
-            elif arity == 2:
-                tx, ty = t[x], t[y]
-                for z in range(n):
-                    union(tx[z], ty[z])
-                    union(t[z][x], t[z][y])
-            else:
-                for rest in itertools.product(range(n), repeat=arity - 1):
-                    for i in range(arity):
-                        union(
-                            A.op(fname, *rest[:i], x, *rest[i:]),
-                            A.op(fname, *rest[:i], y, *rest[i:]),
-                        )
+        for t in unary:
+            union(t[x], t[y])
+        for t in binary:
+            tx, ty = t[x], t[y]
+            for z in range(n):
+                union(tx[z], ty[z])
+        for fname, arity in higher:
+            for rest in itertools.product(range(n), repeat=arity - 1):
+                for i in range(arity):
+                    union(
+                        A.op(fname, *rest[:i], x, *rest[i:]),
+                        A.op(fname, *rest[:i], y, *rest[i:]),
+                    )
     return canonicalize(parent)
+
+
+def _binary_rows(A: FiniteAlgebra) -> list:
+    """Each binary table, and its transpose unless the two are equal: x θ y
+    must give t[x][z] θ t[y][z] on the rows of both.  A symmetric table,
+    such as join or meet, is its own transpose and is walked once.  Decided
+    from the tables, once per algebra."""
+    rows = A._cache.get("binary_rows")
+    if rows is None:
+        rows = []
+        for f, arity in A.signature.operations:
+            if arity == 2:
+                t = A.tables[f]
+                tt = tuple(zip(*t))
+                rows += [t] if tt == t else [t, tt]
+        A._cache["binary_rows"] = rows
+    return rows
 
 
 def principal_congruence(A: FiniteAlgebra, a: int, b: int) -> Congruence:
@@ -363,14 +384,15 @@ class ConLattice:
 
     elements are sorted canonically: number of blocks descending, then
     lexicographically by partition array — so Δ is first and ∇ last, and
-    blocks[i] = |A/θ_i|.
+    blocks[i] = |A/θ_i|.  gen_masks[i] has bit g set iff the g-th generator
+    lies below θ_i, and orders Con(A) by inclusion (module doc).
     """
 
     __slots__ = (
         "algebra",
         "elements",
         "blocks",
-        "leq",
+        "gen_masks",
         "join_table",
         "meet_table",
         "index_of_delta",
@@ -381,29 +403,46 @@ class ConLattice:
         "_cache",
     )
 
-    def __init__(self, algebra: FiniteAlgebra, partitions):
+    def __init__(self, algebra: FiniteAlgebra, partitions, seeds):
+        """partitions are all of Con(A), each a join of the generators
+        Cg(a, b) with (a, b) in seeds."""
         self.algebra = algebra
         self.elements = [Congruence(algebra, p) for p in sorted(partitions, key=lambda p: (-len(set(p)), p))]
         self._index = {c.block_of: i for i, c in enumerate(self.elements)}
         self._cache = {}
         k = len(self.elements)
         self.blocks = [c.num_blocks for c in self.elements]
-        self.leq = [
-            [partition_refines(self.elements[i].block_of, self.elements[j].block_of) for j in range(k)]
-            for i in range(k)
+        # Cg(a, b) ≤ θ iff a θ b
+        self.gen_masks = [
+            sum(1 << g for g, (a, b) in enumerate(seeds) if c.block_of[a] == c.block_of[b])
+            for c in self.elements
         ]
-        self._up_masks = [
-            sum(1 << j for j in range(k) if self.leq[i][j]) for i in range(k)
+        # has[g]: the indices of the θ above generator g.  θ_i ≤ θ_j iff
+        # every g below θ_i is below θ_j, so ↑θ_i is the meet of has[g] over
+        # g in mask_i, and ↓θ_j that of the complements over g not in mask_j.
+        full = (1 << k) - 1
+        has = [
+            sum(1 << i for i, m in enumerate(self.gen_masks) if m >> g & 1)
+            for g in range(len(seeds))
         ]
-        self._down_masks = [
-            sum(1 << i for i in range(k) if self.leq[i][j]) for j in range(k)
-        ]
+        self._up_masks, self._down_masks = [], []
+        for m in self.gen_masks:
+            up = down = full
+            for g, h in enumerate(has):
+                if m >> g & 1:
+                    up &= h
+                else:
+                    down &= ~h
+            self._up_masks.append(up)
+            self._down_masks.append(down)
         self.index_of_delta = self._index[delta_partition(algebra.n)]
         self.index_of_nabla = self._index[nabla_partition(algebra.n)]
-        # index order is a linear extension of the lattice order, so the meet
-        # is the highest common lower bound and the join the lowest upper one
-        downs, ups = self._down_masks, self._up_masks
-        self.meet_table = [[(d & e).bit_length() - 1 for e in downs] for d in downs]
+        # g ≤ θ∧φ iff g ≤ θ and g ≤ φ, so the meet's mask is the AND; index
+        # order is a linear extension of the order, so the join is the lowest
+        # common upper bound
+        at = {m: i for i, m in enumerate(self.gen_masks)}
+        self.meet_table = [[at[m & x] for x in self.gen_masks] for m in self.gen_masks]
+        ups = self._up_masks
         self.join_table = [[_lowest_bit(u & v) for v in ups] for u in ups]
 
     def __len__(self):
@@ -423,8 +462,24 @@ class ConLattice:
     def meet(self, i: int, j: int) -> int:
         return self.meet_table[i][j]
 
+    def leq(self, i: int, j: int) -> bool:
+        """θ_i ≤ θ_j: every generator below θ_i is below θ_j."""
+        return self.gen_masks[i] & ~self.gen_masks[j] == 0
+
     def up_set(self, i: int) -> list[int]:
-        return [j for j in range(len(self.elements)) if self.leq[i][j]]
+        up = self._up_masks[i]
+        return [j for j in range(i, len(self.elements)) if up >> j & 1]
+
+    def covers(self) -> list[tuple[int, int]]:
+        """Pairs (i, j) with θ_i ≺ θ_j, in index order: the interval
+        [θ_i, θ_j] = ↑θ_i ∩ ↓θ_j is {θ_i, θ_j} exactly."""
+        ups, downs = self._up_masks, self._down_masks
+        return [
+            (i, j)
+            for i, up in enumerate(ups)
+            for j in range(i + 1, len(downs))
+            if up & downs[j] == 1 << i | 1 << j
+        ]
 
     def is_distributive(self) -> bool:
         if "distributive" not in self._cache:
@@ -470,6 +525,8 @@ _PARTITION_CACHE: dict = {}
 
 
 def _enumerate_partitions(A: FiniteAlgebra) -> tuple:
+    """Con(A)'s partitions, and one seed pair (a, b) per distinct generator
+    Cg(a, b)."""
     key = A.structure_key()
     hit = _PARTITION_CACHE.get(key)
     if hit is not None:
@@ -478,38 +535,28 @@ def _enumerate_partitions(A: FiniteAlgebra) -> tuple:
     if A.is_lattice:
         # Cg(a, b) over cover pairs generates Con, and each cover pair gives
         # the same Cg as some (j₊, j) with j join-irreducible (module doc)
-        gen_pairs = _join_irreducible_pairs(A)
+        gen_pairs = A.join_irreducible_pairs()
     else:
         gen_pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    gens = list(dict.fromkeys(_close(A, [(a, b)]) for a, b in gen_pairs))
-    parts = _PARTITION_CACHE[key] = _close_under_joins(n, gens)
-    return parts
+    gens = {}
+    for a, b in gen_pairs:
+        gens.setdefault(_close(A, [(a, b)]), (a, b))
+    hit = _PARTITION_CACHE[key] = (_close_under_joins(n, gens), tuple(gens.values()))
+    return hit
 
 
-def _join_irreducible_pairs(A: FiniteAlgebra) -> list[tuple[int, int]]:
-    """(j₊, j) for each join-irreducible j, where j₊ = ⋁{x : x < j}: j is
-    join-irreducible iff some x < j and j₊ ≠ j, and then j₊ ≺ j."""
-    join, meet = A.tables["join"], A.tables["meet"]
-    pairs = []
-    for j in range(A.n):
-        lower = None
-        for x in range(A.n):
-            if x != j and meet[x][j] == x:
-                lower = x if lower is None else join[lower][x]
-        if lower is not None and lower != j:
-            pairs.append((lower, j))
-    return pairs
-
-
-def _close_under_joins(n: int, gens) -> tuple:
-    """Δ and every join of the principal congruences gens.  Each join is a
-    partition join, and joining every new partition with each generator
-    reaches every join of generators."""
+def _close_under_joins(n: int, gens: dict) -> tuple:
+    """Δ and every join of the principal congruences gens, each mapped to
+    its seed pair (a, b).  Each join is a partition join, and joining every
+    new partition with each generator reaches every join of generators;
+    p ∨ Cg(a, b) = p when a p b, so that join is skipped."""
     found = {delta_partition(n)}
     worklist = list(found)
     while worklist:
         p = worklist.pop()
-        for g in gens:
+        for g, (a, b) in gens.items():
+            if p[a] == p[b]:
+                continue
             r = join_partitions(p, g)
             if r not in found:
                 found.add(r)
@@ -523,7 +570,7 @@ def all_congruences(A: FiniteAlgebra) -> ConLattice:
     """Enumerate Con(A) by closing the principal congruences under join.
     The lattice is kept on A, so it lives exactly as long as A does."""
     if A._con is None:
-        object.__setattr__(A, "_con", ConLattice(A, _enumerate_partitions(A)))
+        object.__setattr__(A, "_con", ConLattice(A, *_enumerate_partitions(A)))
     return A._con
 
 
@@ -581,15 +628,11 @@ def maximal_congruences(A: FiniteAlgebra) -> list[Congruence]:
     cl = all_congruences(A)
     if len(cl) == 1:
         raise TrivialAlgebra("the one-element algebra has no maximal congruence")
-    k = len(cl.elements)
     nb = cl.index_of_nabla
-    out = []
-    for i in range(k):
-        if i == nb:
-            continue
-        if all(j == nb or j == i or not cl.leq[i][j] for j in range(k)):
-            out.append(cl.elements[i])
-    return out
+    # θ_i is maximal iff ↑θ_i is {θ_i, ∇}
+    return [
+        cl.elements[i] for i, up in enumerate(cl._up_masks) if up == 1 << i | 1 << nb and i != nb
+    ]
 
 
 def prime_congruences(A: FiniteAlgebra) -> list[Congruence]:
@@ -604,21 +647,12 @@ def prime_congruences(A: FiniteAlgebra) -> list[Congruence]:
             for t, u in enumerate(ups)
             if (above := u & ~(1 << t)) and ups[_lowest_bit(above)] == above
         ]
-    k = len(cl.elements)
-    nb = cl.index_of_nabla
+    # otherwise θ_t ≠ ∇ is prime iff no two congruences outside ↓θ_t meet inside it
+    mt, nb = cl.meet_table, cl.index_of_nabla
     out = []
-    for t in range(k):
-        if t == nb:
-            continue
-        good = True
-        for a in range(k):
-            for b in range(k):
-                if cl.leq[cl.meet_table[a][b]][t] and not (cl.leq[a][t] or cl.leq[b][t]):
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
+    for t, down in enumerate(cl._down_masks):
+        outside = [a for a in range(len(cl)) if not down >> a & 1]
+        if t != nb and not any(down >> mt[a][b] & 1 for a in outside for b in outside):
             out.append(cl.elements[t])
     return out
 

@@ -84,7 +84,6 @@ def render_dot(A: FiniteAlgebra, cl: ConLattice | None = None) -> str:
     cl = cl or all_congruences(A)
     bc = set(boolean_center(cl).members)
     fc = set(factor_congruences(cl).members)
-    k = len(cl.elements)
     lines = [
         f'digraph "Con({A.name or "A"})" {{',
         "  // legend: doublecircle = Boolean congruence, filled = factor congruence",
@@ -100,15 +99,7 @@ def render_dot(A: FiniteAlgebra, cl: ConLattice | None = None) -> str:
         attr = (", " + ", ".join(attrs)) if attrs else ""
         lines.append(f'  n{i} [label="{theta.block_string()}"{attr}];')
     # cover edges of the congruence order
-    for i in range(k):
-        for j in range(k):
-            if i == j or not cl.leq[i][j]:
-                continue
-            if any(
-                m != i and m != j and cl.leq[i][m] and cl.leq[m][j] for m in range(k)
-            ):
-                continue
-            lines.append(f"  n{i} -> n{j};")
+    lines += [f"  n{i} -> n{j};" for i, j in cl.covers()]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

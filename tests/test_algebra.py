@@ -9,6 +9,7 @@ from congrlab.algebra import (
     dual,
     emit_spec,
     lattice_from_order,
+    order_matrix,
     ordinal_sum,
     product_decode,
     product_radix,
@@ -261,3 +262,91 @@ def test_constructed_lattices_pass_exhaustive_axiom_check():
     FiniteAlgebra(S.n, S.labels, S.signature, S.tables)
     P = direct_product([fixture("L3"), fixture("L2x2")])
     FiniteAlgebra(P.n, P.labels, P.signature, P.tables)
+
+
+# -- lattice_from_order and distributivity against the scans they replace -----
+
+
+def scan_bounds(leq, labels):
+    """The old per-pair scan: the join and meet tables, or the first pair
+    without a unique least upper or greatest lower bound."""
+    n = len(leq)
+    join = [[0] * n for _ in range(n)]
+    meet = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            ubs = [c for c in range(n) if leq[a][c] and leq[b][c]]
+            lub = [c for c in ubs if all(leq[c][d] for d in ubs)]
+            if len(lub) != 1:
+                return (labels[a], labels[b], "least upper bound")
+            lbs = [c for c in range(n) if leq[c][a] and leq[c][b]]
+            glb = [c for c in lbs if all(leq[d][c] for d in lbs)]
+            if len(glb) != 1:
+                return (labels[a], labels[b], "greatest lower bound")
+            join[a][b] = join[b][a] = lub[0]
+            meet[a][b] = meet[b][a] = glb[0]
+    return {"join": join, "meet": meet}
+
+
+def mask_bounds(leq, labels):
+    try:
+        L = lattice_from_order(leq, labels, kind="bounded-lattice")
+    except NotALattice as err:
+        assert str(err) == f"not a lattice: pair ({err.pair[0]}, {err.pair[1]}) has no unique {err.what}"
+        return (*err.pair, err.what)
+    n = len(leq)
+    assert L.tables["bot"] == next(e for e in range(n) if all(leq[e]))
+    assert L.tables["top"] == next(e for e in range(n) if all(row[e] for row in leq))
+    return {f: [list(row) for row in L.tables[f]] for f in ("join", "meet")}
+
+
+def random_preorder(rng, n):
+    """A reflexive, transitive matrix; two elements may share an up-set."""
+    p = rng.uniform(0.1, 0.6)
+    leq = [[a == b or rng.random() < p for b in range(n)] for a in range(n)]
+    if rng.random() < 0.5:  # bounds make lattices likely
+        for row in leq:
+            row[n - 1] = True
+        leq[0] = [True] * n
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if leq[i][k] and leq[k][j]:
+                    leq[i][j] = True
+    return leq
+
+
+def test_lattice_from_order_agrees_with_the_bound_scan():
+    import random
+
+    from sweep import sweep
+
+    orders = [order_matrix(L) for L in sweep()]
+    rng = random.Random(8)
+    orders += [random_preorder(rng, rng.randint(1, 7)) for _ in range(3000)]
+    outcomes = {"lattice": 0, "not antisymmetric": 0, "other": 0}
+    for leq in orders:
+        labels = [f"x{i}" for i in range(len(leq))]
+        want = scan_bounds(leq, labels)
+        assert mask_bounds(leq, labels) == want, leq
+        if isinstance(want, dict):
+            outcomes["lattice"] += 1
+        elif any(a != b and leq[a] == leq[b] for a in range(len(leq)) for b in range(a)):
+            outcomes["not antisymmetric"] += 1
+        else:
+            outcomes["other"] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_distributivity_by_join_primes_agrees_with_the_triple_scan():
+    from test_partition_join import lattice_algebras
+
+    verdicts = set()
+    for L in lattice_algebras():
+        L._cache.pop("distributive", None)
+        join, meet, ks = L.tables["join"], L.tables["meet"], range(L.n)
+        scan = all(meet[a][join[b][c]] == join[meet[a][b]][meet[a][c]] for a in ks for b in ks for c in ks)
+        assert L.is_distributive_lattice() == scan, L.name
+        assert L._cache["distributive"] == scan
+        verdicts.add(scan)
+    assert verdicts == {True, False}

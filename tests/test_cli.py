@@ -284,3 +284,48 @@ def test_a_stale_cache_variable_is_ignored(tmp_path, monkeypatch, capsys):
     code, out, _ = run(capsys, "con", "--fixture", "L3")
     assert code == 0 and "|Con|=4" in out
     assert [p.name for p in tmp_path.iterdir()] == [stale.name]
+
+
+# -- one parser per process -----------------------------------------------------
+
+
+def test_the_cached_parser_answers_as_a_fresh_one(tmp_path, capsys, monkeypatch):
+    from congrlab import cli
+
+    assert cli.make_parser() is cli.make_parser()
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"kind": "lattice", "elements": ["0", "1"], "cov')
+    calls = [
+        ["con", "--fixture", "L3", "--format", "json"],
+        ["con", "--fixture", "L3"],
+        ["report", "--fixture", "H", "--out", str(tmp_path / "H.txt")],
+        ["report", "--fixture", "H"],
+        ["center", "--fixture", "E", "--format", "dot"],
+        ["check", "cblp", "--fixture", "H"],
+        ["check", "fclp", "--fixture", "L3", "--max-size", "2"],
+        ["check", "fclp", "--fixture", "L3"],
+        ["con", "--file", str(bad)],
+        ["product", "L2", "L3", "--format", "json"],
+        ["fixture", "L3", "--emit-spec"],
+        ["fixture", "L3"],
+        ["quotient", "--fixture", "L3", "--by", "0,m|1"],
+        ["dual", "--fixture", "P", "--format", "json"],
+        ["check", "no-such-property", "--fixture", "L3"],
+        ["con", "--fixture", "L3", "--format", "dot"],
+    ]
+
+    def answers():
+        out = []
+        for argv in calls:
+            try:
+                out.append(run(capsys, *argv))
+            except SystemExit as exc:  # argparse refuses the arguments
+                out.append((exc.code, *capsys.readouterr()))
+            if "--out" in argv:
+                out.append((tmp_path / "H.txt").read_text())
+        return out
+
+    cached = answers()
+    monkeypatch.setattr(cli, "make_parser", cli.make_parser.__wrapped__)
+    assert cached == answers()
+    assert [r[0] for r in cached if isinstance(r, tuple)] == [0, 0, 0, 0, 0, 1, 2, 0, 2, 0, 0, 0, 0, 0, 2, 0]

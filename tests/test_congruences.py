@@ -183,7 +183,7 @@ def test_lattice_tables_agree_with_pairwise_operations():
         for j, b in enumerate(els):
             assert els[cl.join_table[i][j]] == join(a, b)
             assert els[cl.meet_table[i][j]] == meet(a, b)
-            assert cl.leq[i][j] == a.refines(b)
+            assert cl.leq(i, j) == a.refines(b)
 
 
 def test_con_lattice_is_a_con_lattice_instance_with_bounds():
@@ -310,7 +310,7 @@ def prime_scan(cl):
         for t in ks
         if t != cl.index_of_nabla
         and all(
-            cl.leq[a][t] or cl.leq[b][t] or not cl.leq[cl.meet_table[a][b]][t]
+            cl.leq(a, t) or cl.leq(b, t) or not cl.leq(cl.meet_table[a][b], t)
             for a in ks
             for b in ks
         )

@@ -5,15 +5,33 @@ use the plain partition join.  The slow paths live on here as oracles: the
 closure of both congruences' pairs, and the enumeration that closes every
 found congruence under Mal'cev joins with every other one.  On a lattice the
 enumeration closes one pair (j₊, j) per join-irreducible j; the oracle
-closes every cover pair.
+closes every cover pair.  The generator-mask order of Con(A) is checked
+against partition refinement and the O(k³) cover scan, and the closure that
+walks a symmetric table once against the two-sided closure.
 """
+
+import itertools
+from collections import deque
 
 import pytest
 
-from congrlab import congruences
-from congrlab.algebra import build_from_spec, delta_partition, direct_product, emit_spec
-from congrlab.congruences import all_congruences, cg_generated, join
-from congrlab.fixtures import FIXTURE_NAMES, fixture
+from congrlab import algebra, congruences, factor, fixtures
+from congrlab.algebra import (
+    FiniteAlgebra,
+    Signature,
+    build_from_spec,
+    canonicalize,
+    delta_partition,
+    direct_product,
+    emit_spec,
+    join_partitions,
+    meet_partitions,
+    partition_refines,
+)
+from congrlab.cli import main
+from congrlab.congruences import all_congruences, cg_generated, join, maximal_congruences
+from congrlab.fixtures import FIXTURE_NAMES, fixture, fixture_spec
+from congrlab.report import build_report, render_dot
 
 from sweep import sweep
 from test_congruences import xor_algebra
@@ -74,7 +92,7 @@ def test_join_irreducible_pairs_give_the_cover_pairs_generators():
     algebras = lattice_algebras()
     assert len(algebras) == 243
     for A in algebras:
-        pairs = congruences._join_irreducible_pairs(A)
+        pairs = A.join_irreducible_pairs()
         assert set(pairs) <= set(A.covers()), A.name
         from_pairs = {congruences._close(A, [p]) for p in pairs}
         assert from_pairs == {congruences._close(A, [p]) for p in A.covers()}, A.name
@@ -144,3 +162,201 @@ def test_the_distributivity_scan_agrees_with_funayama_nakayama():
         cl = all_congruences(G)
         assert not G.is_lattice and cl.is_distributive(), L.name
     assert not all_congruences(xor_algebra()).is_distributive()
+
+
+# -- the order of Con(A) on generator masks ------------------------------------
+
+
+def order_algebras():
+    """The lattice algebras, their generic-kind copies and V4."""
+    lattices = lattice_algebras()
+    return lattices + [generic_copy(A) for A in lattices] + [xor_algebra()]
+
+
+def refinement_order(cl):
+    els = cl.elements
+    return [[partition_refines(a.block_of, b.block_of) for b in els] for a in els]
+
+
+def cover_scan(leq):
+    """The O(k^3) cover scan: i < j with nothing strictly between."""
+    k = len(leq)
+    return [
+        (i, j)
+        for i in range(k)
+        for j in range(k)
+        if i != j
+        and leq[i][j]
+        and not any(m != i and m != j and leq[i][m] and leq[m][j] for m in range(k))
+    ]
+
+
+def test_the_mask_order_is_refinement():
+    pairs = 0
+    for A in order_algebras():
+        cl = all_congruences(A)
+        leq = refinement_order(cl)
+        k = len(cl)
+        assert [[cl.leq(i, j) for j in range(k)] for i in range(k)] == leq, A.name
+        assert [[cl.elements[m].block_of for m in row] for row in cl.meet_table] == [
+            [meet_partitions(a.block_of, b.block_of) for b in cl.elements] for a in cl.elements
+        ], A.name
+        assert [cl.up_set(i) for i in range(k)] == [
+            [j for j in range(k) if leq[i][j]] for i in range(k)
+        ], A.name
+        nb = cl.index_of_nabla
+        maximal = [
+            cl.elements[i]
+            for i in range(k)
+            if i != nb and all(j in (i, nb) or not leq[i][j] for j in range(k))
+        ]
+        if k > 1:
+            assert maximal_congruences(A) == maximal, A.name
+        assert cl.covers() == cover_scan(leq), A.name
+        pairs += k * k
+    assert pairs > 2 * 68528
+
+
+def test_render_dot_draws_the_cover_edges():
+    # V4's Con is not distributive, so it has no center to draw
+    algebras = [fixture(name) for name in FIXTURE_NAMES]
+    algebras += [generic_copy(A) for A in algebras] + lattice_algebras()[-2:]
+    for A in algebras:
+        cl = all_congruences(A)
+        edges = [line for line in render_dot(A).splitlines() if "->" in line]
+        assert edges == [f"  n{i} -> n{j};" for i, j in cover_scan(refinement_order(cl))]
+
+
+def test_each_generator_is_kept_with_one_seed_pair():
+    for A in [fixture(name) for name in FIXTURE_NAMES] + [xor_algebra(), chain(8)]:
+        parts, seeds = congruences._enumerate_partitions(A)
+        gens = [congruences._close(A, [pair]) for pair in seeds]
+        assert len(set(gens)) == len(gens), A.name
+        cl = all_congruences(A)
+        # every congruence is the join of the generators below it
+        for theta, mask in zip(cl.elements, cl.gen_masks):
+            below = delta_partition(A.n)
+            for g, p in enumerate(gens):
+                if mask >> g & 1:
+                    below = join_partitions(below, p)
+            assert below == theta.block_of, A.name
+
+
+def large_report_operations():
+    """The six operations of the benchmark's large_reports workload, on
+    isomorphic copies: reports on C7, C8, L2^4, L2^5 and T×E, then
+    `congrlab product T E`."""
+    T, E, L2 = (build_from_spec(fixture_spec(name)) for name in ("T", "E", "L2"))
+    algebras = [chain(7), chain(8), direct_product([L2] * 4), direct_product([L2] * 5)]
+    algebras.append(direct_product([T, E]))
+    return [lambda A=A: build_report(A) for A in algebras] + [lambda: main(["product", "T", "E"])]
+
+
+def test_cold_large_reports_refine_no_partitions(monkeypatch, capsys):
+    # each operation starts cold; no pinned count may go up
+    counts = {"partition_refines": 0, "join_partitions": 0, "_close": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (congruences, factor):
+        for name in counts:
+            if hasattr(module, name):
+                counted(module, name)
+    counted(algebra, "partition_refines")
+    for op in large_report_operations():
+        monkeypatch.setattr(congruences, "_PARTITION_CACHE", {})
+        monkeypatch.setattr(fixtures, "_CACHE", {})
+        op()
+    capsys.readouterr()
+    assert counts == {"partition_refines": 0, "join_partitions": 887, "_close": 49}
+
+
+# -- closures on symmetric tables ------------------------------------------------
+
+
+def two_sided_close(A, a, b):
+    """The closure as it was: both argument positions of every binary
+    table, commutative or not."""
+    n = A.n
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    queue = deque()
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            if rx > ry:
+                rx, ry = ry, rx
+            parent[ry] = rx
+            queue.append((rx, ry))
+
+    union(a, b)
+    ops = [(f, ar) for f, ar in A.signature.operations if ar >= 1]
+    while queue:
+        x, y = queue.popleft()
+        for fname, arity in ops:
+            t = A.tables[fname]
+            if arity == 1:
+                union(t[x], t[y])
+            elif arity == 2:
+                tx, ty = t[x], t[y]
+                for z in range(n):
+                    union(tx[z], ty[z])
+                    union(t[z][x], t[z][y])
+            else:
+                for rest in itertools.product(range(n), repeat=arity - 1):
+                    for i in range(arity):
+                        union(
+                            A.op(fname, *rest[:i], x, *rest[i:]),
+                            A.op(fname, *rest[:i], y, *rest[i:]),
+                        )
+    return canonicalize(parent)
+
+
+def subtraction_mod(n):
+    """Z_n under x - y: a binary operation that is not commutative."""
+    return FiniteAlgebra(
+        n, [str(i) for i in range(n)], Signature((("minus", 2),)),
+        {"minus": [[(x - y) % n for y in range(n)] for x in range(n)]},
+    )
+
+
+def left_zero_with_shift():
+    """x·y = x on four elements, with a unary shift: one non-symmetric and
+    one unary table."""
+    n = 4
+    return FiniteAlgebra(
+        n, "abcd", Signature((("dot", 2), ("shift", 1))),
+        {"dot": [[x] * n for x in range(n)], "shift": [(x + 1) % n for x in range(n)]},
+    )
+
+
+def test_closure_walks_symmetric_tables_once_and_others_twice():
+    fixtures_ = [fixture(name) for name in FIXTURE_NAMES]
+    algebras = fixtures_ + [generic_copy(A) for A in fixtures_]
+    algebras += [xor_algebra(), subtraction_mod(6), left_zero_with_shift()]
+    assert any(len(congruences._binary_rows(A)) > sum(ar == 2 for _, ar in A.signature.operations) for A in algebras)
+    for A in algebras:
+        for a in range(A.n):
+            for b in range(a + 1, A.n):
+                assert congruences._close(A, [(a, b)]) == two_sided_close(A, a, b), (A.name, a, b)
+
+
+def test_symmetry_is_read_from_the_table_not_the_name():
+    # a table named "join" that is not commutative keeps both positions
+    A = FiniteAlgebra(3, "abc", Signature((("join", 2),)), {"join": [[x] * 3 for x in range(3)]})
+    assert len(congruences._binary_rows(A)) == 2
+    assert len(congruences._binary_rows(fixture("L3"))) == 2  # join and meet, once each
