@@ -24,9 +24,10 @@ from .errors import (
 # Size caps: everything downstream is exponential-ish, so fail loudly.
 CARRIER_CAP = 4096
 CON_CAP = 20000
-# Full O(n^3) associativity checking is only run up to this carrier size;
-# larger tables are always synthesized from an order that was already
-# verified pairwise, or assembled componentwise from verified factors.
+# Full O(n^3) associativity checking of explicit tables is only run up to
+# this carrier size; tables derived from an order are lattices by
+# construction (lattice_from_order), and products are assembled
+# componentwise from verified factors.
 FULL_AXIOM_CAP = 128
 
 KINDS = ("generic", "lattice", "bounded-lattice", "residuated")
@@ -228,7 +229,7 @@ class FiniteAlgebra:
 
     # -- validation ---------------------------------------------------------
 
-    def _validate(self):
+    def _validate(self, lattice_axioms=True):
         n = self.n
         ops = dict(self.signature.operations)
         if set(ops) != set(self.tables):
@@ -237,7 +238,7 @@ class FiniteAlgebra:
             )
         for fname, arity in self.signature.operations:
             _check_table(self.tables[fname], arity, n, fname)
-        if self.signature.is_lattice:
+        if self.signature.is_lattice and lattice_axioms:
             self._validate_lattice_axioms()
         if self.signature.kind == "residuated":
             self._validate_residuation()
@@ -335,10 +336,25 @@ def lattice_from_order(leq, labels, kind="lattice", name=None, extra_tables=None
     otherwise NotALattice names an offending pair.  ``leq[a][b]`` is truthy
     iff a <= b.  The join of a and b is the element whose up-set is
     ↑a ∩ ↑b, and the meet the element whose down-set is ↓a ∩ ↓b.
+    ``extra_tables`` holds the operations not derived from the order.
+
+    The tables are a lattice's by construction, so the O(n³) lattice axiom
+    scan is skipped.  leq is checked reflexive and transitive on its
+    up-sets in O(n²); it is then antisymmetric too, or two elements share an
+    up-set and the lookup for their join fails.  In a partial order, an
+    element c with ↑c = ↑a ∩ ↑b is the least upper bound of a and b, and
+    dually for the meet, so join and meet are the operations of the lattice
+    the order is, with bot and top its least and greatest elements.
     """
     n = len(leq)
     labels = tuple(str(x) for x in labels)
     up = [sum(1 << c for c in range(n) if leq[a][c]) for a in range(n)]
+    for a in range(n):
+        if not up[a] >> a & 1:
+            raise TableError(f"order is not reflexive at {labels[a]}")
+        for c in range(n):
+            if up[a] >> c & 1 and up[c] & ~up[a]:
+                raise TableError(f"order is not transitive at ({labels[a]}, {labels[c]})")
     down = [sum(1 << c for c in range(n) if leq[c][a]) for a in range(n)]
     by_up, by_down = _element_of(up), _element_of(down)
     join = [[0] * n for _ in range(n)]
@@ -358,8 +374,12 @@ def lattice_from_order(leq, labels, kind="lattice", name=None, extra_tables=None
         tables["bot"] = by_up[(1 << n) - 1]
         tables["top"] = by_down[(1 << n) - 1]
     if extra_tables:
+        if set(extra_tables) & set(tables):
+            raise TableError("extra_tables may not replace the tables derived from the order")
         tables.update(extra_tables)
-    return FiniteAlgebra(n, labels, lattice_signature(kind), tables, name=name)
+    A = FiniteAlgebra(n, labels, lattice_signature(kind), tables, name=name, validate=False)
+    A._validate(lattice_axioms=False)
+    return A
 
 
 def _element_of(masks) -> dict[int, int]:

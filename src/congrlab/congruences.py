@@ -21,10 +21,23 @@ x ≤ a, so j₊ = j∧a ≠ j, and a < a∨j ≤ b gives a∨j = b.  A congruen
 holding (a, b) holds (j∧a, j∧b) = (j₊, j), and one holding (j₊, j) holds
 (a∨j₊, a∨j) = (a, b).  So Cg(a, b) = Cg(j₊, j).
 
-Con(A) is ordered on generator masks, for every algebra.  Cg(a, b) ≤ θ iff
-a θ b, so the mask of θ (bit g set iff the g-th distinct generator lies
-below θ) costs one lookup per generator.  Every θ found is a join of
-generators, so θ = ⋁{g : g ≤ θ}, and θ ≤ φ iff mask(θ) ⊆ mask(φ).
+Con(A) is held as masks over its join-irreducibles J(Con A), for every
+algebra.  Cg(a, b) ≤ θ iff a θ b, so the set of distinct generators below θ
+costs one lookup per generator.  Every join-irreducible θ is a join of
+generators, hence one of them, and every θ is the join of the
+join-irreducibles below it.  So with mask(θ) the set of join-irreducible
+generators below θ (a generator is join-irreducible iff the θ strictly
+below it have a greatest element):
+
+- θ ≤ φ iff mask(θ) ⊆ mask(φ), and mask(θ ∧ φ) = mask(θ) ∩ mask(φ);
+- if mask(θ) ∪ mask(φ) is the mask of some ψ, then ψ = θ ∨ φ.  When Con(A)
+  is distributive it always is, as join-irreducibles are then join-prime
+  (Davey & Priestley, *Introduction to Lattices and Order*, ch. 5 and 10);
+- in a distributive Con(A), θ ≥ τ has a complement relative to τ in
+  [τ, ∇] iff mask(τ) ∪ (J ∖ mask(θ)) is a mask, and that is its mask.
+
+On a lattice no generator is dropped: each Cg(j₊, j) is generated by a
+prime quotient j₊ ≺ j, and such a congruence is join-irreducible.
 
 Composition of relations follows the convention
 
@@ -35,14 +48,17 @@ differ exactly on non-permuting pairs, so this is load-bearing: see the L3
 example in the tests, where (0, 1) lies in one order of composition but not
 the other.
 
-Con(A)'s tables answer the two questions asked of compositions most often
-without composing: θ∘φ = ∇ iff |A/(θ∧φ)| = |A/θ|·|A/φ|, and Con(A) is
-permutable iff its join-irreducibles pairwise permute.
+Con(A)'s masks and block counts answer the two questions asked of
+compositions most often without composing: θ∘φ = ∇ iff
+|A/(θ∧φ)| = |A/θ|·|A/φ|, and Con(A) is permutable iff its join-irreducibles
+pairwise permute.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from collections import deque
 from functools import total_ordering
 
@@ -240,9 +256,9 @@ def _close(A: FiniteAlgebra, seed_pairs) -> tuple[int, ...]:
         for t in unary:
             union(t[x], t[y])
         for t in binary:
-            tx, ty = t[x], t[y]
-            for z in range(n):
-                union(tx[z], ty[z])
+            for a, b in zip(t[x], t[y]):
+                if a != b:
+                    union(a, b)
         for fname, arity in higher:
             for rest in itertools.product(range(n), repeat=arity - 1):
                 for i in range(arity):
@@ -385,7 +401,8 @@ class ConLattice:
     elements are sorted canonically: number of blocks descending, then
     lexicographically by partition array — so Δ is first and ∇ last, and
     blocks[i] = |A/θ_i|.  gen_masks[i] has bit g set iff the g-th generator
-    lies below θ_i, and orders Con(A) by inclusion (module doc).
+    is join-irreducible in Con(A) and lies below θ_i: θ_i's mask over
+    J(Con A), which orders Con(A) and gives its meets and joins (module doc).
     """
 
     __slots__ = (
@@ -393,11 +410,11 @@ class ConLattice:
         "elements",
         "blocks",
         "gen_masks",
-        "join_table",
-        "meet_table",
         "index_of_delta",
         "index_of_nabla",
         "_index",
+        "_at",
+        "_above",
         "_up_masks",
         "_down_masks",
         "_cache",
@@ -413,37 +430,39 @@ class ConLattice:
         k = len(self.elements)
         self.blocks = [c.num_blocks for c in self.elements]
         # Cg(a, b) ≤ θ iff a θ b
-        self.gen_masks = [
+        masks = [
             sum(1 << g for g, (a, b) in enumerate(seeds) if c.block_of[a] == c.block_of[b])
             for c in self.elements
         ]
-        # has[g]: the indices of the θ above generator g.  θ_i ≤ θ_j iff
-        # every g below θ_i is below θ_j, so ↑θ_i is the meet of has[g] over
+        # above[g]: the indices of the θ above generator g.  θ_i ≤ θ_j iff
+        # every g below θ_i is below θ_j, so ↑θ_i is the meet of above[g] over
         # g in mask_i, and ↓θ_j that of the complements over g not in mask_j.
         full = (1 << k) - 1
-        has = [
-            sum(1 << i for i, m in enumerate(self.gen_masks) if m >> g & 1)
-            for g in range(len(seeds))
+        self._above = above = [
+            sum(1 << i for i, m in enumerate(masks) if m >> g & 1) for g in range(len(seeds))
         ]
         self._up_masks, self._down_masks = [], []
-        for m in self.gen_masks:
+        for m in masks:
             up = down = full
-            for g, h in enumerate(has):
+            for g, h in enumerate(above):
                 if m >> g & 1:
                     up &= h
                 else:
                     down &= ~h
             self._up_masks.append(up)
             self._down_masks.append(down)
+        # generator g is the lowest index above g, as index order extends the
+        # order; it is join-irreducible iff its strict down-set has a top
+        downs, jbits = self._down_masks, 0
+        for g, h in enumerate(above):
+            e = _lowest_bit(h)
+            below = downs[e] & ~(1 << e)
+            if below and downs[below.bit_length() - 1] == below:
+                jbits |= 1 << g
+        self.gen_masks = [m & jbits for m in masks]
+        self._at = {m: i for i, m in enumerate(self.gen_masks)}
         self.index_of_delta = self._index[delta_partition(algebra.n)]
         self.index_of_nabla = self._index[nabla_partition(algebra.n)]
-        # g ≤ θ∧φ iff g ≤ θ and g ≤ φ, so the meet's mask is the AND; index
-        # order is a linear extension of the order, so the join is the lowest
-        # common upper bound
-        at = {m: i for i, m in enumerate(self.gen_masks)}
-        self.meet_table = [[at[m & x] for x in self.gen_masks] for m in self.gen_masks]
-        ups = self._up_masks
-        self.join_table = [[_lowest_bit(u & v) for v in ups] for u in ups]
 
     def __len__(self):
         return len(self.elements)
@@ -457,18 +476,54 @@ class ConLattice:
             ) from None
 
     def join(self, i: int, j: int) -> int:
-        return self.join_table[i][j]
+        """θ_i ∨ θ_j: the θ whose mask is the union of theirs, if there is
+        one, for it is then the least upper bound; else the lowest index
+        above both, since index order extends the order."""
+        hit = self._at.get(self.gen_masks[i] | self.gen_masks[j])
+        return _lowest_bit(self._up_masks[i] & self._up_masks[j]) if hit is None else hit
 
     def meet(self, i: int, j: int) -> int:
-        return self.meet_table[i][j]
+        """θ_i ∧ θ_j: its mask is the intersection of theirs."""
+        return self._at[self.gen_masks[i] & self.gen_masks[j]]
+
+    def joins(self, t: int, members) -> list[int]:
+        """θ_t ∨ θ_a for each a in members."""
+        at, gm = self._at, self.gen_masks
+        mt = gm[t]
+        out = [at.get(mt | gm[a]) for a in members]
+        if None in out:
+            out = [self.join(t, a) if x is None else x for x, a in zip(out, members)]
+        return out
+
+    def relative_complement(self, i: int, t: int) -> int | None:
+        """In a distributive Con(A), the complement of θ_i ≥ θ_t in
+        [θ_t, ∇], or None.  In masks, a complement of I in [T, J] meets I in
+        T and joins it to J, so it can only be T ∪ (J ∖ I), and it is one iff
+        that is some θ's mask."""
+        gm = self.gen_masks
+        return self._at.get(gm[t] | gm[self.index_of_nabla] & ~gm[i])
+
+    def joins_to_nabla(self, i: int) -> list[int]:
+        """The j with θ_i ∨ θ_j = ∇, in index order.  In a distributive
+        Con(A) those are the θ_j whose mask holds J(Con A) ∖ mask_i."""
+        if not self.is_distributive():
+            nb = self.index_of_nabla
+            return [j for j in range(len(self.elements)) if self.join(i, j) == nb]
+        up = (1 << len(self.elements)) - 1
+        for g in _bits(self.gen_masks[self.index_of_nabla] & ~self.gen_masks[i]):
+            up &= self._above[g]
+        return _bits(up)
 
     def leq(self, i: int, j: int) -> bool:
         """θ_i ≤ θ_j: every generator below θ_i is below θ_j."""
         return self.gen_masks[i] & ~self.gen_masks[j] == 0
 
     def up_set(self, i: int) -> list[int]:
-        up = self._up_masks[i]
-        return [j for j in range(i, len(self.elements)) if up >> j & 1]
+        return _bits(self._up_masks[i])
+
+    def up_size(self, i: int) -> int:
+        """|↑θ_i|, which is |Con(A/θ_i)| by the correspondence theorem."""
+        return self._up_masks[i].bit_count()
 
     def covers(self) -> list[tuple[int, int]]:
         """Pairs (i, j) with θ_i ≺ θ_j, in index order: the interval
@@ -484,17 +539,21 @@ class ConLattice:
     def is_distributive(self) -> bool:
         if "distributive" not in self._cache:
             # Funayama–Nakayama: Con of a lattice is distributive, and so is
-            # Con of a residuated lattice, a sublattice of its reduct's
-            jt, mt, ks = self.join_table, self.meet_table, range(len(self.elements))
+            # Con of a residuated lattice, a sublattice of its reduct's.
+            # Otherwise test that each join-irreducible g is join-prime: the
+            # θ not above g have a join not above g iff their masks' union
+            # is a mask (Davey & Priestley, ch. 10)
+            gm = self.gen_masks
             self._cache["distributive"] = self.algebra.is_lattice or all(
-                mt[a][jt[b][c]] == jt[mt[a][b]][mt[a][c]] for a in ks for b in ks for c in ks
+                functools.reduce(operator.or_, (m for m in gm if not m >> g & 1), 0) in self._at
+                for g in _bits(gm[self.index_of_nabla])
             )
         return self._cache["distributive"]
 
     def composes_to_nabla(self, i: int, j: int) -> bool:
         """θ_i∘θ_j = ∇, without composing: that holds iff every θ_i-block
         meets every θ_j-block, i.e. iff |A/(θ_i∧θ_j)| = |A/θ_i|·|A/θ_j|."""
-        return self.blocks[self.meet_table[i][j]] == self.blocks[i] * self.blocks[j]
+        return self.blocks[self.meet(i, j)] == self.blocks[i] * self.blocks[j]
 
     def is_permutable(self) -> bool:
         """Whether all congruences pairwise permute, tested on the
@@ -502,13 +561,8 @@ class ConLattice:
         α∨β = α∘β permutes with γ, so pairwise permuting join-irreducibles
         make every join of them, i.e. every congruence, permute."""
         if "permutable" not in self._cache:
-            # j is join-irreducible iff its strict down-set is one element's
-            els, down = self.elements, self._down_masks
-            ji = [
-                j
-                for j, d in enumerate(down)
-                if (below := d & ~(1 << j)) and down[below.bit_length() - 1] == below
-            ]
+            els, above = self.elements, self._above
+            ji = sorted(_lowest_bit(above[g]) for g in _bits(self.gen_masks[self.index_of_nabla]))
             self._cache["permutable"] = all(
                 permutes(els[i], els[j]) for x, i in enumerate(ji) for j in ji[x + 1 :]
             )
@@ -519,18 +573,19 @@ def _lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-# in-memory memoization: congruence data depends only on the tables, so a
-# label-independent structure key lets quotients of equal shape share work
-_PARTITION_CACHE: dict = {}
+def _bits(mask: int) -> list[int]:
+    """The indices of mask's set bits, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _enumerate_partitions(A: FiniteAlgebra) -> tuple:
     """Con(A)'s partitions, and one seed pair (a, b) per distinct generator
     Cg(a, b)."""
-    key = A.structure_key()
-    hit = _PARTITION_CACHE.get(key)
-    if hit is not None:
-        return hit
     n = A.n
     if A.is_lattice:
         # Cg(a, b) over cover pairs generates Con, and each cover pair gives
@@ -541,8 +596,7 @@ def _enumerate_partitions(A: FiniteAlgebra) -> tuple:
     gens = {}
     for a, b in gen_pairs:
         gens.setdefault(_close(A, [(a, b)]), (a, b))
-    hit = _PARTITION_CACHE[key] = (_close_under_joins(n, gens), tuple(gens.values()))
-    return hit
+    return _close_under_joins(n, gens), tuple(gens.values())
 
 
 def _close_under_joins(n: int, gens: dict) -> tuple:
@@ -648,11 +702,11 @@ def prime_congruences(A: FiniteAlgebra) -> list[Congruence]:
             if (above := u & ~(1 << t)) and ups[_lowest_bit(above)] == above
         ]
     # otherwise θ_t ≠ ∇ is prime iff no two congruences outside ↓θ_t meet inside it
-    mt, nb = cl.meet_table, cl.index_of_nabla
+    nb = cl.index_of_nabla
     out = []
     for t, down in enumerate(cl._down_masks):
         outside = [a for a in range(len(cl)) if not down >> a & 1]
-        if t != nb and not any(down >> mt[a][b] & 1 for a in outside for b in outside):
+        if t != nb and not any(down >> cl.meet(a, b) & 1 for a in outside for b in outside):
             out.append(cl.elements[t])
     return out
 

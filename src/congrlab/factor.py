@@ -11,6 +11,12 @@ correspondence theorem: β/θ, γ/θ are complements iff β ∨ γ = ∇ and β 
 and (β/θ)∘(γ/θ) is full on A/θ iff β∘γ is full on A.  No composition is
 built: β∘γ is full iff every β-block meets every γ-block, i.e. iff
 |A/(β∧γ)| = |A/β|·|A/γ|, read off the block counts of Con(A).
+
+Con(A) must be distributive.  By Birkhoff duality θ is then the set J(θ) of
+join-irreducibles below it, and the complement of β relative to θ is the
+one candidate J(θ) ∪ (J ∖ J(β)), if that is some γ's set
+(ConLattice.relative_complement).  So each β in [θ, ∇] costs one lookup,
+and as β ∧ γ = θ, β is a factor member iff |A/θ| = |A/β|·|A/γ|.
 """
 
 from __future__ import annotations
@@ -73,9 +79,9 @@ def factor_congruences(cl: ConLattice, t: int = 0) -> Center:
 
 
 def _interval_centers(cl: ConLattice, t: int) -> tuple[Center, Center]:
-    """Scan [t, ∇] once for both centers, cached on the lattice.  Requires
-    Con(A) distributive, so that every interval is and complements are
-    unique."""
+    """Both centers of [t, ∇], one relative-complement lookup per element,
+    cached on the lattice.  Requires Con(A) distributive, so that every
+    interval is and complements are unique."""
     hit = cl._cache.get(("center", t))
     if hit is not None:
         return hit
@@ -83,19 +89,17 @@ def _interval_centers(cl: ConLattice, t: int) -> tuple[Center, Center]:
         raise NotDistributive(
             "congruence lattice is not distributive; complements would be ambiguous"
         )
-    nb = cl.index_of_nabla
-    ups = cl.up_set(t)
     bc, fc = Center(cl, [], {}), Center(cl, [], {})
-    for i in ups:
-        ji, mi = cl.join_table[i], cl.meet_table[i]
-        for j in ups:
-            if ji[j] == nb and mi[j] == t:
-                bc.members.append(i)
-                bc.complement[i] = j
-                if cl.composes_to_nabla(i, j):
-                    fc.members.append(i)
-                    fc.complement[i] = j
-                break
+    blocks = cl.blocks
+    for i in cl.up_set(t):
+        j = cl.relative_complement(i, t)
+        if j is not None:
+            bc.members.append(i)
+            bc.complement[i] = j
+            # θ_i ∧ θ_j = θ_t, so θ_i∘θ_j = ∇ iff |A/θ_t| = |A/θ_i|·|A/θ_j|
+            if blocks[i] * blocks[j] == blocks[t]:
+                fc.members.append(i)
+                fc.complement[i] = j
     hit = cl._cache[("center", t)] = (bc, fc)
     return hit
 
@@ -120,7 +124,7 @@ def _omega_indices(cl: ConLattice, omega) -> list[int]:
     sset = set(idxs)
     for i in idxs:
         for j in idxs:
-            if cl.join_table[i][j] not in sset or cl.meet_table[i][j] not in sset:
+            if cl.join(i, j) not in sset or cl.meet(i, j) not in sset:
                 raise NotASublattice(
                     "the congruence family is not closed under join and meet"
                 )
@@ -132,11 +136,11 @@ def crt_characterization(A: FiniteAlgebra, omega) -> bool:
     solving iff it is distributive and all of its pairs permute."""
     cl = all_congruences(A)
     idxs = _omega_indices(cl, omega)
-    jt, mt = cl.join_table, cl.meet_table
+    join, meet = cl.join, cl.meet
     for a in idxs:
         for b in idxs:
             for c in idxs:
-                if mt[a][jt[b][c]] != jt[mt[a][b]][mt[a][c]]:
+                if meet(a, join(b, c)) != join(meet(a, b), meet(a, c)):
                     return False
     els = cl.elements
     return all(permutes(els[i], els[j]) for x, i in enumerate(idxs) for j in idxs[x + 1 :])
@@ -155,7 +159,7 @@ def crt_direct_check(A: FiniteAlgebra, omega, k_max: int = 2):
     join_masks = {}
     for i in idxs:
         for j in idxs:
-            join_masks[(i, j)] = cl.elements[cl.join_table[i][j]].masks()
+            join_masks[(i, j)] = cl.elements[cl.join(i, j)].masks()
     full = (1 << n) - 1
     for k in range(2, k_max + 1):
         # the condition is symmetric under permuting coordinates jointly,
@@ -241,11 +245,11 @@ def product_con_iso_check(As: list[FiniteAlgebra], P: FiniteAlgebra | None = Non
     # join/meet preservation, componentwise vs in the product
     for t1 in tuples:
         for t2 in tuples:
-            jt = tuple(cls[i].join_table[a][b] for i, (a, b) in enumerate(zip(t1, t2)))
-            mt = tuple(cls[i].meet_table[a][b] for i, (a, b) in enumerate(zip(t1, t2)))
-            if image[jt] != clp.join_table[image[t1]][image[t2]]:
+            jt = tuple(c.join(a, b) for c, a, b in zip(cls, t1, t2))
+            mt = tuple(c.meet(a, b) for c, a, b in zip(cls, t1, t2))
+            if image[jt] != clp.join(image[t1], image[t2]):
                 return False
-            if image[mt] != clp.meet_table[image[t1]][image[t2]]:
+            if image[mt] != clp.meet(image[t1], image[t2]):
                 return False
     # center and factor-congruence transport
     centers = [set(boolean_center(c).members) for c in cls]
@@ -302,11 +306,11 @@ def osum_con_iso_check(L, M) -> bool:
         return False
     for t1 in tuples:
         for t2 in tuples:
-            jt = (cll.join_table[t1[0]][t2[0]], clm.join_table[t1[1]][t2[1]])
-            mt = (cll.meet_table[t1[0]][t2[0]], clm.meet_table[t1[1]][t2[1]])
-            if image[jt] != cls_.join_table[image[t1]][image[t2]]:
+            jt = (cll.join(t1[0], t2[0]), clm.join(t1[1], t2[1]))
+            mt = (cll.meet(t1[0], t2[0]), clm.meet(t1[1], t2[1]))
+            if image[jt] != cls_.join(image[t1], image[t2]):
                 return False
-            if image[mt] != cls_.meet_table[image[t1]][image[t2]]:
+            if image[mt] != cls_.meet(image[t1], image[t2]):
                 return False
     bl = set(boolean_center(cll).members)
     bm = set(boolean_center(clm).members)
@@ -362,12 +366,10 @@ def bdl_fc_isomorphism(L: FiniteAlgebra):
         for b in comp:
             if not ok:
                 break
-            ja, ma = join_t[a][b], meet_t[a][b]
+            ia, ib = cl.index(mapping[a]), cl.index(mapping[b])
             ok = (
-                cl.join_table[cl.index(mapping[a])][cl.index(mapping[b])]
-                == cl.index(mapping[ja])
-                and cl.meet_table[cl.index(mapping[a])][cl.index(mapping[b])]
-                == cl.index(mapping[ma])
+                cl.join(ia, ib) == cl.index(mapping[join_t[a][b]])
+                and cl.meet(ia, ib) == cl.index(mapping[meet_t[a][b]])
             )
     if ok:
         for a in comp:

@@ -8,6 +8,15 @@ congruences gives the second property.  Both are decided inside Con(A):
 by the correspondence theorem Con(A/theta) is the interval [theta, ∇], so
 u(alpha) is alpha v theta and no quotient is built.  Every candidate witness
 is tried, and failures name the target congruence that cannot be reached.
+Each (property, theta) verdict is decided once per lattice and cached.
+
+The normality checks read witness bitsets.  For a center with members
+alpha_0, alpha_1, ..., bit x of left[i] is set iff theta_i v alpha_x = ∇,
+and bit x of right[j] iff theta_j v alpha_x' = ∇, alpha_x' the complement.
+A trigger pair (i, j) has a witness iff left[i] & right[j] is not zero, and
+its lowest set bit is the first witness in member order.  Only the pairs
+with theta_i v theta_j = ∇ can trigger, and those are listed from
+Con(A)'s masks.
 """
 
 from __future__ import annotations
@@ -125,17 +134,20 @@ class LiftEvidence:
 
 def _images(cl: ConLattice, t: int, members_of) -> dict[int, int]:
     """u(α) = α ∨ θ_t for each α in members_of(cl), mapped to its first α."""
-    images: dict[int, int] = {}
-    for a in members_of(cl).members:
-        images.setdefault(cl.join_table[a][t], a)
-    return images
+    members = members_of(cl).members
+    # read backwards, so that each image keeps its first α
+    return dict(zip(reversed(cl.joins(t, members)), reversed(members)))
 
 
 def _unliftable(cl: ConLattice, t: int, members_of) -> int | None:
     """The first member of members_of(cl, t), the center of [θ_t, ∇] ≅
-    Con(A/θ_t), that no u(α) reaches; None if θ_t has the lifting."""
-    images = _images(cl, t, members_of)
-    return next((b for b in members_of(cl, t).members if b not in images), None)
+    Con(A/θ_t), that no u(α) reaches; None if θ_t has the lifting.  Cached
+    on the lattice, as a report asks for each verdict twice."""
+    key = ("unliftable", members_of, t)
+    if key not in cl._cache:
+        images = set(cl.joins(t, members_of(cl).members))
+        cl._cache[key] = next((b for b in members_of(cl, t).members if b not in images), None)
+    return cl._cache[key]
 
 
 def _has_lifting(A, theta, members_of) -> tuple[bool, LiftEvidence]:
@@ -188,32 +200,52 @@ def algebra_cblp(A: FiniteAlgebra) -> tuple[bool, LiftEvidence | None, Congruenc
 # -- normality conditions ---------------------------------------------------
 
 
+def _witness_bits(co: list[list[int]], members) -> list[int]:
+    """Bit x of entry i is set iff θ_i ∨ θ_{members[x]} = ∇, where co[a]
+    lists the i with θ_i ∨ θ_a = ∇."""
+    out = [0] * len(co)
+    for x, a in enumerate(members):
+        bit = 1 << x
+        for i in co[a]:
+            out[i] |= bit
+    return out
+
+
+def _normality(cl: ConLattice, center, trigger, found):
+    """For each pair (i, j) with θ_i ∨ θ_j = ∇ and trigger(i, j), the first
+    member α of center with θ_i ∨ α = θ_j ∨ α' = ∇, where α' is α's
+    complement.  With left[i] the set of α that θ_i joins to ∇, and right[j]
+    the set of α whose complement θ_j joins to ∇, the first witness is the
+    lowest bit of left[i] & right[j].  Returns (True, a map from each pair
+    to found[x] for its witness center.members[x]) or (False, the first
+    pair without a witness)."""
+    members = center.members
+    co = [cl.joins_to_nabla(i) for i in range(len(cl))]
+    left = _witness_bits(co, members)
+    right = _witness_bits(co, [center.complement[a] for a in members])
+    witnesses = {}
+    for i, js in enumerate(co):
+        for j in js:
+            if not trigger(i, j):
+                continue
+            both = left[i] & right[j]
+            if not both:
+                return False, (cl.elements[i].block_string(), cl.elements[j].block_string())
+            witnesses[(i, j)] = found[(both & -both).bit_length() - 1]
+    return True, witnesses
+
+
 def is_fc_normal(A: FiniteAlgebra):
     """For every pair with compose(phi, psi) the full relation, a factor
     congruence alpha must exist with phi v alpha = psi v (complement of
     alpha) = the full congruence.  Returns (ok, witness map or failing pair).
 
     The trigger builds no composition: phi∘psi is full iff every phi-block
-    meets every psi-block, i.e. iff |A/(phi∧psi)| = |A/phi|·|A/psi|."""
+    meets every psi-block, i.e. iff |A/(phi∧psi)| = |A/phi|·|A/psi|, and
+    then phi v psi is full too, so only the pairs joining to ∇ are tried."""
     cl = all_congruences(A)
     fc = factor_congruences(cl)
-    nb = cl.index_of_nabla
-    k = len(cl.elements)
-    witnesses = {}
-    for i in range(k):
-        for j in range(k):
-            if not cl.composes_to_nabla(i, j):
-                continue
-            found = None
-            for a in fc.members:
-                if cl.join_table[i][a] == nb and cl.join_table[j][fc.complement[a]] == nb:
-                    found = a
-                    break
-            if found is None:
-                pair = (cl.elements[i].block_string(), cl.elements[j].block_string())
-                return False, pair
-            witnesses[(i, j)] = found
-    return True, witnesses
+    return _normality(cl, fc, cl.composes_to_nabla, fc.members)
 
 
 def is_b_normal(A: FiniteAlgebra):
@@ -226,24 +258,8 @@ def is_b_normal(A: FiniteAlgebra):
     (alpha, complement of alpha) works too."""
     cl = all_congruences(A)
     bc = boolean_center(cl)
-    nb = cl.index_of_nabla
-    k = len(cl.elements)
-    witnesses = {}
-    for i in range(k):
-        for j in range(k):
-            if cl.join_table[i][j] != nb:
-                continue
-            found = None
-            for a in bc.members:
-                b = bc.complement[a]
-                if cl.join_table[i][a] == nb and cl.join_table[j][b] == nb:
-                    found = (a, b)
-                    break
-            if found is None:
-                pair = (cl.elements[i].block_string(), cl.elements[j].block_string())
-                return False, pair
-            witnesses[(i, j)] = found
-    return True, witnesses
+    pairs = [(a, bc.complement[a]) for a in bc.members]
+    return _normality(cl, bc, lambda i, j: True, pairs)
 
 
 # -- theorem validator ------------------------------------------------------
@@ -316,7 +332,7 @@ def lifting_report(A: FiniteAlgebra, name: str | None = None) -> LiftingReport:
         row.update(
             {
                 "quotient_size": theta.num_blocks,
-                "quotient_con_size": len(cl.up_set(t)),
+                "quotient_con_size": cl.up_size(t),
                 "quotient_center_size": len(boolean_center(cl, t).members),
                 "quotient_fc_size": len(factor_congruences(cl, t).members),
                 "maximal": theta.block_of in maxes,

@@ -294,6 +294,7 @@ def mask_bounds(leq, labels):
     except NotALattice as err:
         assert str(err) == f"not a lattice: pair ({err.pair[0]}, {err.pair[1]}) has no unique {err.what}"
         return (*err.pair, err.what)
+    L._validate_lattice_axioms()  # the O(n³) scan the order check replaces
     n = len(leq)
     assert L.tables["bot"] == next(e for e in range(n) if all(leq[e]))
     assert L.tables["top"] == next(e for e in range(n) if all(row[e] for row in leq))
@@ -336,6 +337,24 @@ def test_lattice_from_order_agrees_with_the_bound_scan():
         else:
             outcomes["other"] += 1
     assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_lattice_from_order_rejects_a_matrix_that_is_not_an_order():
+    with pytest.raises(TableError, match="not reflexive at b"):
+        lattice_from_order([[True, True], [False, False]], "ab")
+    # a ≤ b ≤ c without a ≤ c
+    gap = [[True, True, False], [False, True, True], [False, False, True]]
+    with pytest.raises(TableError, match=r"not transitive at \(a, b\)"):
+        lattice_from_order(gap, "abc")
+    # past the size the axiom scan would have reached
+    n = 130
+    chain = [[a <= b for b in range(n)] for a in range(n)]
+    lattice_from_order(chain, [str(e) for e in range(n)])
+    chain[0][n - 1] = False
+    with pytest.raises(TableError, match="not transitive"):
+        lattice_from_order(chain, [str(e) for e in range(n)])
+    with pytest.raises(TableError, match="may not replace"):
+        lattice_from_order([[True]], "a", extra_tables={"join": [[0]]})
 
 
 def test_distributivity_by_join_primes_agrees_with_the_triple_scan():

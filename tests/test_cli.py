@@ -3,7 +3,6 @@ from pathlib import Path
 
 import pytest
 
-from congrlab import congruences
 from congrlab.algebra import build_from_spec, emit_spec
 from congrlab.cli import main
 from congrlab.fixtures import FIXTURE_NAMES, fixture
@@ -280,7 +279,6 @@ def test_a_stale_cache_variable_is_ignored(tmp_path, monkeypatch, capsys):
     stale = tmp_path / "not-a-directory"
     stale.write_text("")
     monkeypatch.setenv("CONGRLAB_CACHE", str(stale))
-    congruences._PARTITION_CACHE.clear()
     code, out, _ = run(capsys, "con", "--fixture", "L3")
     assert code == 0 and "|Con|=4" in out
     assert [p.name for p in tmp_path.iterdir()] == [stale.name]

@@ -79,8 +79,8 @@ def test_center_complement_is_involutive():
     for i in bc.members:
         j = bc.complement[i]
         assert bc.complement[j] == i
-        assert cl.join_table[i][j] == cl.index_of_nabla
-        assert cl.meet_table[i][j] == cl.index_of_delta
+        assert cl.join(i, j) == cl.index_of_nabla
+        assert cl.meet(i, j) == cl.index_of_delta
 
 
 def test_center_requires_distributive_con():

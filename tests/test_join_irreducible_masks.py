@@ -1,0 +1,225 @@
+"""Con(A) on masks over J(Con A), against the table scans it replaces.
+
+ConLattice keeps, for each θ, the set of join-irreducible generators below
+it.  Meets are intersections, joins are unions where the union is a mask,
+relative complements are one lookup, and the normality checks read witness
+bitsets.  The old ways live on here as oracles, run on k×k join and meet
+tables built from partition joins and meets: the pair scan for relative
+complements, the normality loops, and the triple scan for distributivity.
+"""
+
+import random
+
+import pytest
+
+from congrlab import lifting
+from congrlab.algebra import FiniteAlgebra, Signature, join_partitions, meet_partitions
+from congrlab.congruences import ConLattice, Congruence, all_congruences
+from congrlab.errors import NotDistributive
+from congrlab.factor import boolean_center, factor_congruences
+from congrlab.fixtures import FIXTURE_NAMES, fixture
+from congrlab.lifting import is_b_normal, is_fc_normal
+from congrlab.report import build_report
+
+from sweep import sweep
+from test_congruences import xor_algebra
+from test_partition_join import chain, generic_copy, lattice_algebras
+
+
+def partition_tables(cl):
+    """The k×k join and meet tables, from the partitions."""
+    els = cl.elements
+    A = cl.algebra
+    join = [[cl.index(Congruence(A, join_partitions(a.block_of, b.block_of))) for b in els] for a in els]
+    meet = [[cl.index(Congruence(A, meet_partitions(a.block_of, b.block_of))) for b in els] for a in els]
+    return join, meet
+
+
+def random_generic_algebras(count=80, seed=9):
+    """Small algebras with one unary and at most one binary operation:
+    many have a congruence lattice that is not distributive."""
+    rng = random.Random(seed)
+    out = []
+    for x in range(count):
+        n = rng.randint(2, 5)
+        ops, tables = [("f", 1)], {"f": [rng.randrange(n) for _ in range(n)]}
+        if rng.random() < 0.3:
+            ops.append(("g", 2))
+            tables["g"] = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        out.append(FiniteAlgebra(n, [str(e) for e in range(n)], Signature(tuple(ops)), tables, name=f"G{x}"))
+    return out
+
+
+def mask_algebras():
+    """The 16 fixtures, their generic-kind copies, the 225 sweep lattices and V4."""
+    fixtures = [fixture(name) for name in FIXTURE_NAMES]
+    return fixtures + [generic_copy(A) for A in fixtures] + sweep() + [xor_algebra()]
+
+
+# -- the masks are over J(Con A) ------------------------------------------------
+
+
+def join_irreducibles(cl, join):
+    """θ ≠ Δ that is not the join of two congruences strictly below it."""
+    k = len(cl)
+    below = [[j for j in range(k) if j != i and cl.leq(j, i)] for i in range(k)]
+    return {i for i in range(k) if below[i] and all(join[a][b] != i for a in below[i] for b in below[i])}
+
+
+def test_the_mask_bits_are_the_join_irreducibles():
+    algebras = lattice_algebras()
+    algebras += [generic_copy(A) for A in algebras[:-2]] + random_generic_algebras() + [xor_algebra()]
+    dropped = 0
+    for A in algebras:
+        cl = all_congruences(A)
+        join, _ = partition_tables(cl)
+        bits = cl.gen_masks[cl.index_of_nabla]
+        # each kept bit's lowest element, the generator itself, is join-irreducible
+        owners = {min(i for i, m in enumerate(cl.gen_masks) if m >> g & 1) for g in range(bits.bit_length()) if bits >> g & 1}
+        assert owners == join_irreducibles(cl, join), A.name
+        assert [bin(m).count("1") for m in cl.gen_masks] == [
+            len([j for j in owners if cl.leq(j, i)]) for i in range(len(cl))
+        ], A.name
+        seeds = len(cl._above)
+        if A.is_lattice:
+            # each Cg(j₊, j) is generated by a prime quotient: no bit is lost
+            assert bits == (1 << seeds) - 1, A.name
+        dropped += seeds - len(owners)
+    assert dropped > 0  # the generic path does drop generators
+
+
+def test_join_and_meet_are_the_partition_join_and_meet():
+    algebras = mask_algebras() + random_generic_algebras()
+    for A in algebras:
+        cl = all_congruences(A)
+        join, meet = partition_tables(cl)
+        k = len(cl)
+        assert [[cl.join(i, j) for j in range(k)] for i in range(k)] == join, A.name
+        assert [[cl.meet(i, j) for j in range(k)] for i in range(k)] == meet, A.name
+        for t in range(k):
+            assert cl.joins(t, range(k)) == join[t], A.name
+            assert cl.up_size(t) == len(cl.up_set(t)) == sum(cl.leq(t, j) for j in range(k))
+        assert [cl.joins_to_nabla(i) for i in range(k)] == [
+            [j for j in range(k) if join[i][j] == cl.index_of_nabla] for i in range(k)
+        ], A.name
+
+
+def test_distributivity_by_join_primes_agrees_with_the_triple_scan():
+    verdicts = {True: 0, False: 0}
+    for A in mask_algebras() + random_generic_algebras():
+        cl = all_congruences(A)
+        jt, mt = partition_tables(cl)
+        ks = range(len(cl))
+        scan = all(mt[a][jt[b][c]] == jt[mt[a][b]][mt[a][c]] for a in ks for b in ks for c in ks)
+        # generic algebras, the copies among them, take the join-prime test
+        assert cl.is_distributive() == scan, A.name
+        verdicts[scan] += not A.is_lattice
+    assert min(verdicts.values()) >= 10, verdicts
+
+
+# -- relative complements --------------------------------------------------------
+
+
+def pair_scan_centers(cl, jt, mt, t):
+    """The old scan of [θ_t, ∇]: each i paired with the first j that joins
+    it to ∇ and meets it in θ_t."""
+    nb = cl.index_of_nabla
+    ups = [i for i in range(len(cl)) if cl.leq(t, i)]
+    bc, fc = ([], {}), ([], {})
+    for i in ups:
+        for j in ups:
+            if jt[i][j] == nb and mt[i][j] == t:
+                bc[0].append(i)
+                bc[1][i] = j
+                if cl.blocks[mt[i][j]] == cl.blocks[i] * cl.blocks[j]:
+                    fc[0].append(i)
+                    fc[1][i] = j
+                break
+    return bc, fc
+
+
+def test_interval_centers_are_the_pair_scan():
+    for A in mask_algebras():
+        cl = all_congruences(A)
+        if not cl.is_distributive():
+            with pytest.raises(NotDistributive):
+                boolean_center(cl)
+            continue
+        jt, mt = partition_tables(cl)
+        for t in range(len(cl)):
+            bc, fc = pair_scan_centers(cl, jt, mt, t)
+            got_bc, got_fc = boolean_center(cl, t), factor_congruences(cl, t)
+            assert (got_bc.members, got_bc.complement) == bc, (A.name, t)
+            assert (got_fc.members, got_fc.complement) == fc, (A.name, t)
+
+
+# -- normality ------------------------------------------------------------------
+
+
+def normality_loops(A):
+    """The old fc- and b-normality loops, each (ok, witness map or failing pair)."""
+    cl = all_congruences(A)
+    jt, mt = partition_tables(cl)
+    bc, fc = pair_scan_centers(cl, jt, mt, cl.index_of_delta)
+    nb, k, els = cl.index_of_nabla, len(cl), cl.elements
+
+    def scan(trigger, center, found_of):
+        witnesses = {}
+        for i in range(k):
+            for j in range(k):
+                if not trigger(i, j):
+                    continue
+                found = None
+                for a in center[0]:
+                    if jt[i][a] == nb and jt[j][center[1][a]] == nb:
+                        found = found_of(a)
+                        break
+                if found is None:
+                    return False, (els[i].block_string(), els[j].block_string())
+                witnesses[(i, j)] = found
+        return True, witnesses
+
+    composes = lambda i, j: cl.blocks[mt[i][j]] == cl.blocks[i] * cl.blocks[j]
+    joins = lambda i, j: jt[i][j] == nb
+    return scan(composes, fc, lambda a: a), scan(joins, bc, lambda a: (a, bc[1][a]))
+
+
+def test_normality_bitsets_agree_with_the_loops():
+    verdicts = set()
+    for A in mask_algebras():
+        if not all_congruences(A).is_distributive():
+            with pytest.raises(NotDistributive):
+                is_fc_normal(A)
+            continue
+        fcn, bn = normality_loops(A)
+        assert is_fc_normal(A) == fcn, A.name
+        assert is_b_normal(A) == bn, A.name
+        verdicts.add((fcn[0], bn[0]))
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
+
+# -- one path for both kinds ------------------------------------------------------
+
+
+def test_generic_copies_report_as_the_lattices_do():
+    algebras = [fixture(name) for name in FIXTURE_NAMES] + sweep()
+    assert len(algebras) == 241
+    for A in algebras:
+        want, got = build_report(A), build_report(generic_copy(A))
+        assert got["flags"] == want["flags"], A.name
+        assert got["per_congruence"] == want["per_congruence"], A.name
+
+
+def test_a_cold_report_decides_each_lifting_verdict_once(monkeypatch):
+    A = chain(8)
+    calls = []
+    joins = ConLattice.joins
+    monkeypatch.setattr(
+        ConLattice, "joins", lambda self, t, members: calls.append((t, tuple(members))) or joins(self, t, members)
+    )
+    build_report(A)
+    # lifting_report, then blp_equivalence_check, ask for the verdict of each
+    # (property, θ); it is decided once.  A chain has both properties, so no
+    # evidence is rendered.
+    assert len(calls) == len(set(calls)) == 2 * len(all_congruences(A))
+    assert lifting.algebra_fclp(A)[0] and lifting.algebra_cblp(A)[0]

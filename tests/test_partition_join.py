@@ -149,7 +149,6 @@ def test_cold_enumeration_closes_only_the_generators(build, closures, monkeypatc
     calls = []
     close = congruences._close
     monkeypatch.setattr(congruences, "_close", lambda *args: calls.append(1) or close(*args))
-    monkeypatch.setattr(congruences, "_PARTITION_CACHE", {})
     all_congruences(A)
     assert len(calls) == closures
 
@@ -198,7 +197,7 @@ def test_the_mask_order_is_refinement():
         leq = refinement_order(cl)
         k = len(cl)
         assert [[cl.leq(i, j) for j in range(k)] for i in range(k)] == leq, A.name
-        assert [[cl.elements[m].block_of for m in row] for row in cl.meet_table] == [
+        assert [[cl.elements[cl.meet(i, j)].block_of for j in range(k)] for i in range(k)] == [
             [meet_partitions(a.block_of, b.block_of) for b in cl.elements] for a in cl.elements
         ], A.name
         assert [cl.up_set(i) for i in range(k)] == [
@@ -271,7 +270,6 @@ def test_cold_large_reports_refine_no_partitions(monkeypatch, capsys):
                 counted(module, name)
     counted(algebra, "partition_refines")
     for op in large_report_operations():
-        monkeypatch.setattr(congruences, "_PARTITION_CACHE", {})
         monkeypatch.setattr(fixtures, "_CACHE", {})
         op()
     capsys.readouterr()
