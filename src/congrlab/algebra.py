@@ -184,16 +184,12 @@ class FiniteAlgebra:
         return e
 
     def covers(self) -> list[tuple[int, int]]:
-        """Cover pairs (a, b) with a covered by b, in index order."""
+        """Cover pairs (a, b) with a covered by b, ordered by b, then a."""
         self.require_lattice()
-        n = self.n
-        below = [[a for a in range(n) if a != b and self.leq(a, b)] for b in range(n)]
-        out = []
-        for b in range(n):
-            for a in below[b]:
-                if not any(self.leq(a, c) and a != c for c in below[b] if c != a and self.leq(c, b)):
-                    out.append((a, b))
-        return out
+        n, meet = self.n, self.tables["meet"]
+        ups = [sum(1 << b for b in range(n) if meet[a][b] == a) for a in range(n)]
+        downs = [sum(1 << a for a in range(n) if meet[a][b] == a) for b in range(n)]
+        return cover_pairs(ups, downs)
 
     def join_irreducible_pairs(self) -> list[tuple[int, int]]:
         """(j₊, j) for each join-irreducible j, where j₊ = ⋁{x : x < j}: j is
@@ -388,6 +384,28 @@ def _element_of(masks) -> dict[int, int]:
     for e, m in enumerate(masks):
         out[m] = -1 if m in out else e
     return out
+
+
+def _bits(mask: int) -> list[int]:
+    """The indices of mask's set bits, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def cover_pairs(ups, downs) -> list[tuple[int, int]]:
+    """The pairs a ≺ b of a finite order, ordered by b, then a, where ups[a]
+    and downs[b] are the bitmasks of ↑a and ↓b: a ≺ b iff a ≠ b and the
+    interval ↑a ∩ ↓b is {a, b}."""
+    return [
+        (a, b)
+        for b, down in enumerate(downs)
+        for a in _bits(down)
+        if a != b and ups[a] & down == 1 << a | 1 << b
+    ]
 
 
 def order_matrix(algebra: FiniteAlgebra) -> list[list[bool]]:

@@ -16,7 +16,12 @@ import sys
 from pathlib import Path
 
 from .algebra import FiniteAlgebra, build_from_spec, direct_product, dual, emit_spec, ordinal_sum
-from .congruences import all_congruences, parse_congruence
+from .congruences import (
+    all_congruences,
+    is_congruence_distributive,
+    is_congruence_permutable,
+    parse_congruence,
+)
 from .errors import CongrlabError
 from .factor import (
     boolean_center,
@@ -315,8 +320,6 @@ def _check(A: FiniteAlgebra, args) -> int:
             print(f"failing pair: {info[0]} / {info[1]}")
         return 0 if ok else 1
     if prop == "arithmetical":
-        from .congruences import is_arithmetical, is_congruence_distributive, is_congruence_permutable
-
         d = is_congruence_distributive(A)
         p = is_congruence_permutable(A)
         print(f"congruence-distributive: {yn(d)}; congruence-permutable: {yn(p)}")

@@ -36,6 +36,11 @@ below it have a greatest element):
 - in a distributive Con(A), θ ≥ τ has a complement relative to τ in
   [τ, ∇] iff mask(τ) ∪ (J ∖ mask(θ)) is a mask, and that is its mask.
 
+Each question about the order then has one test, on every algebra: Con(A)
+is distributive iff every j ∈ J is join-prime, i.e. iff the union of the
+masks without j is a mask; θ ≠ ∇ is prime iff the meet of the j ≰ θ is
+not below θ; θ ≺ φ iff ↑θ ∩ ↓φ = {θ, φ}, read off the up- and down-masks.
+
 On a lattice no generator is dropped: each Cg(j₊, j) is generated by a
 prime quotient j₊ ≺ j, and such a congruence is join-irreducible.
 
@@ -65,8 +70,10 @@ from functools import total_ordering
 from .algebra import (
     CON_CAP,
     FiniteAlgebra,
+    _bits,
     block_masks,
     canonicalize,
+    cover_pairs,
     delta_partition,
     join_partitions,
     meet_partitions,
@@ -345,10 +352,8 @@ class Relation:
     def transpose(self) -> "Relation":
         rows = [0] * self.n
         for a, r in enumerate(self.rows):
-            while r:
-                b = (r & -r).bit_length() - 1
+            for b in _bits(r):
                 rows[b] |= 1 << a
-                r &= r - 1
         return Relation(self.n, rows)
 
     def is_symmetric(self) -> bool:
@@ -360,10 +365,8 @@ class Relation:
 
     def pairs(self):
         for a, r in enumerate(self.rows):
-            while r:
-                b = (r & -r).bit_length() - 1
+            for b in _bits(r):
                 yield (a, b)
-                r &= r - 1
 
 
 def relation_of(theta: Congruence) -> Relation:
@@ -379,11 +382,8 @@ def compose(phi: Congruence, psi: Congruence) -> Relation:
     rows = []
     for a in range(n):
         acc = 0
-        r = srow[a]
-        while r:
-            x = (r & -r).bit_length() - 1
+        for x in _bits(srow[a]):
             acc |= prow[x]
-            r &= r - 1
         rows.append(acc)
     return Relation(n, rows)
 
@@ -424,7 +424,7 @@ class ConLattice:
         """partitions are all of Con(A), each a join of the generators
         Cg(a, b) with (a, b) in seeds."""
         self.algebra = algebra
-        self.elements = [Congruence(algebra, p) for p in sorted(partitions, key=lambda p: (-len(set(p)), p))]
+        self.elements = sorted((Congruence(algebra, p) for p in partitions), key=Congruence.sort_key)
         self._index = {c.block_of: i for i, c in enumerate(self.elements)}
         self._cache = {}
         k = len(self.elements)
@@ -526,25 +526,16 @@ class ConLattice:
         return self._up_masks[i].bit_count()
 
     def covers(self) -> list[tuple[int, int]]:
-        """Pairs (i, j) with θ_i ≺ θ_j, in index order: the interval
-        [θ_i, θ_j] = ↑θ_i ∩ ↓θ_j is {θ_i, θ_j} exactly."""
-        ups, downs = self._up_masks, self._down_masks
-        return [
-            (i, j)
-            for i, up in enumerate(ups)
-            for j in range(i + 1, len(downs))
-            if up & downs[j] == 1 << i | 1 << j
-        ]
+        """Pairs (i, j) with θ_i ≺ θ_j, in index order."""
+        return sorted(cover_pairs(self._up_masks, self._down_masks))
 
     def is_distributive(self) -> bool:
         if "distributive" not in self._cache:
-            # Funayama–Nakayama: Con of a lattice is distributive, and so is
-            # Con of a residuated lattice, a sublattice of its reduct's.
-            # Otherwise test that each join-irreducible g is join-prime: the
-            # θ not above g have a join not above g iff their masks' union
-            # is a mask (Davey & Priestley, ch. 10)
+            # each join-irreducible g must be join-prime: the θ not above g
+            # have a join not above g iff their masks' union is a mask
+            # (Davey & Priestley, ch. 10)
             gm = self.gen_masks
-            self._cache["distributive"] = self.algebra.is_lattice or all(
+            self._cache["distributive"] = all(
                 functools.reduce(operator.or_, (m for m in gm if not m >> g & 1), 0) in self._at
                 for g in _bits(gm[self.index_of_nabla])
             )
@@ -571,16 +562,6 @@ class ConLattice:
 
 def _lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
-
-
-def _bits(mask: int) -> list[int]:
-    """The indices of mask's set bits, in increasing order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _enumerate_partitions(A: FiniteAlgebra) -> tuple:
@@ -690,34 +671,28 @@ def maximal_congruences(A: FiniteAlgebra) -> list[Congruence]:
 
 
 def prime_congruences(A: FiniteAlgebra) -> list[Congruence]:
-    """θ ≠ ∇ such that α∩β ⊆ θ forces α ⊆ θ or β ⊆ θ.  In a distributive
-    Con(A) these are the meet-irreducibles: the θ whose strict up-set has a
-    least element, the lowest index in it (index order extends the order)."""
+    """θ ≠ ∇ such that α∩β ⊆ θ forces α ⊆ θ or β ⊆ θ: in a finite lattice,
+    the θ with ⋀{α : α ≰ θ} ≰ θ.  Each α ≰ θ lies above a join-irreducible
+    j ≰ θ, so that meet's mask is the AND of the masks of those j.  On ∇ the
+    family is empty and its meet is ∇ itself, so ∇ is never prime."""
     cl = all_congruences(A)
-    if cl.is_distributive():
-        ups = cl._up_masks
-        return [
-            cl.elements[t]
-            for t, u in enumerate(ups)
-            if (above := u & ~(1 << t)) and ups[_lowest_bit(above)] == above
-        ]
-    # otherwise θ_t ≠ ∇ is prime iff no two congruences outside ↓θ_t meet inside it
-    nb = cl.index_of_nabla
+    gm, nabla = cl.gen_masks, cl.gen_masks[cl.index_of_nabla]
+    # the join-irreducible g is θ_e for e the lowest index above g
+    ji = [(g, gm[_lowest_bit(cl._above[g])]) for g in _bits(nabla)]
     out = []
-    for t, down in enumerate(cl._down_masks):
-        outside = [a for a in range(len(cl)) if not down >> a & 1]
-        if t != nb and not any(down >> cl.meet(a, b) & 1 for a in outside for b in outside):
-            out.append(cl.elements[t])
+    for theta, m in zip(cl.elements, gm):
+        below = nabla
+        for g, mj in ji:
+            if not m >> g & 1:
+                below &= mj
+        if below & ~m:
+            out.append(theta)
     return out
 
 
 def radical(A: FiniteAlgebra) -> Congruence:
     """Intersection of the maximal congruences."""
-    maxes = maximal_congruences(A)
-    out = maxes[0]
-    for m in maxes[1:]:
-        out = meet(out, m)
-    return out
+    return functools.reduce(meet, maximal_congruences(A))
 
 
 def is_local(A: FiniteAlgebra) -> bool:

@@ -22,12 +22,14 @@ and as β ∧ γ = θ, β is a factor member iff |A/θ| = |A/β|·|A/γ|.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations_with_replacement, product
 
 from .algebra import (
     FiniteAlgebra,
     block_masks,
     canonicalize,
+    direct_product,
     join_partitions,
     ordinal_sum_with_maps,
     product_decode,
@@ -37,6 +39,8 @@ from .congruences import (
     ConLattice,
     Congruence,
     all_congruences,
+    join as con_join,
+    meet as con_meet,
     permutes,
     principal_congruence,
 )
@@ -109,8 +113,6 @@ def is_factor_pair(A: FiniteAlgebra, phi: Congruence, psi: Congruence) -> bool:
     meet Δ, the composition is full iff |A/phi|·|A/psi| = |A|."""
     if phi.algebra != A or psi.algebra != A:
         raise ParentMismatch("congruences do not belong to the given algebra")
-    from .congruences import meet as con_meet
-
     return con_meet(phi, psi).is_delta() and phi.num_blocks * psi.num_blocks == A.n
 
 
@@ -218,49 +220,52 @@ def product_congruence(P: FiniteAlgebra, factors, thetas) -> Congruence:
     return Congruence(P, canonicalize(block_of))
 
 
+def _glued_image(parts: list[ConLattice], whole: ConLattice, glue) -> dict | None:
+    """Map each tuple of congruence indices of the parts to the index of
+    the congruence that glue makes of those congruences, if that is a
+    bijection onto Con of the whole that preserves the bounds, joins and
+    meets (of tuples, taken componentwise); None otherwise."""
+    tuples = list(product(*[range(len(c)) for c in parts]))
+    if len(tuples) != len(whole):
+        return None
+    image = {tup: whole.index(glue([c.elements[i] for c, i in zip(parts, tup)])) for tup in tuples}
+    if len(set(image.values())) != len(whole):
+        return None
+    if image[tuple(c.index_of_delta for c in parts)] != whole.index_of_delta:
+        return None
+    if image[tuple(c.index_of_nabla for c in parts)] != whole.index_of_nabla:
+        return None
+    for t1 in tuples:
+        for t2 in tuples:
+            jt = tuple(c.join(a, b) for c, a, b in zip(parts, t1, t2))
+            mt = tuple(c.meet(a, b) for c, a, b in zip(parts, t1, t2))
+            if image[jt] != whole.join(image[t1], image[t2]):
+                return None
+            if image[mt] != whole.meet(image[t1], image[t2]):
+                return None
+    return image
+
+
+def _center_image(parts: list[ConLattice], image: dict, center_of) -> set[int]:
+    """The images of the tuples whose every component is in center_of its part."""
+    members = [set(center_of(c).members) for c in parts]
+    return {v for tup, v in image.items() if all(x in m for x, m in zip(tup, members))}
+
+
 def product_con_iso_check(As: list[FiniteAlgebra], P: FiniteAlgebra | None = None) -> bool:
     """Verify the tuple map Con(A_1) x ... x Con(A_k) -> Con(prod A_i):
     a bounded-lattice bijection that also restricts to bijections between
     the Boolean centers and between the factor congruences."""
-    from .algebra import direct_product
-
     if P is None:
         P = direct_product(As)
     cls = [all_congruences(A) for A in As]
     clp = all_congruences(P)
-    tuples = list(product(*[range(len(c.elements)) for c in cls]))
-    if len(tuples) != len(clp.elements):
-        return False
-    image = {}
-    for tup in tuples:
-        c = product_congruence(P, As, [cls[i].elements[j] for i, j in enumerate(tup)])
-        image[tup] = clp.index(c)
-    if len(set(image.values())) != len(clp.elements):
-        return False
-    # bounds
-    delta_tup = tuple(c.index_of_delta for c in cls)
-    nabla_tup = tuple(c.index_of_nabla for c in cls)
-    if image[delta_tup] != clp.index_of_delta or image[nabla_tup] != clp.index_of_nabla:
-        return False
-    # join/meet preservation, componentwise vs in the product
-    for t1 in tuples:
-        for t2 in tuples:
-            jt = tuple(c.join(a, b) for c, a, b in zip(cls, t1, t2))
-            mt = tuple(c.meet(a, b) for c, a, b in zip(cls, t1, t2))
-            if image[jt] != clp.join(image[t1], image[t2]):
-                return False
-            if image[mt] != clp.meet(image[t1], image[t2]):
-                return False
-    # center and factor-congruence transport
-    centers = [set(boolean_center(c).members) for c in cls]
-    fcs = [set(factor_congruences(c).members) for c in cls]
-    center_img = {image[t] for t in tuples if all(t[i] in centers[i] for i in range(len(As)))}
-    fc_img = {image[t] for t in tuples if all(t[i] in fcs[i] for i in range(len(As)))}
-    if center_img != set(boolean_center(clp).members):
-        return False
-    if fc_img != set(factor_congruences(clp).members):
-        return False
-    return True
+    image = _glued_image(cls, clp, lambda thetas: product_congruence(P, As, thetas))
+    return (
+        image is not None
+        and _center_image(cls, image, boolean_center) == set(boolean_center(clp).members)
+        and _center_image(cls, image, factor_congruences) == set(factor_congruences(clp).members)
+    )
 
 
 def osum_congruence(L, M, phi: Congruence, psi: Congruence, S=None) -> Congruence:
@@ -291,31 +296,10 @@ def osum_con_iso_check(L, M) -> bool:
     fixture is a counterexample, surfaced by osum_fc_comparison)."""
     S, _, _ = ordinal_sum_with_maps(L, M)
     cll, clm, cls_ = all_congruences(L), all_congruences(M), all_congruences(S)
-    tuples = list(product(range(len(cll.elements)), range(len(clm.elements))))
-    if len(tuples) != len(cls_.elements):
-        return False
-    image = {}
-    for i, j in tuples:
-        c = osum_congruence(L, M, cll.elements[i], clm.elements[j], S=S)
-        image[(i, j)] = cls_.index(c)
-    if len(set(image.values())) != len(cls_.elements):
-        return False
-    if image[(cll.index_of_delta, clm.index_of_delta)] != cls_.index_of_delta:
-        return False
-    if image[(cll.index_of_nabla, clm.index_of_nabla)] != cls_.index_of_nabla:
-        return False
-    for t1 in tuples:
-        for t2 in tuples:
-            jt = (cll.join(t1[0], t2[0]), clm.join(t1[1], t2[1]))
-            mt = (cll.meet(t1[0], t2[0]), clm.meet(t1[1], t2[1]))
-            if image[jt] != cls_.join(image[t1], image[t2]):
-                return False
-            if image[mt] != cls_.meet(image[t1], image[t2]):
-                return False
-    bl = set(boolean_center(cll).members)
-    bm = set(boolean_center(clm).members)
-    bs = {image[(i, j)] for i, j in tuples if i in bl and j in bm}
-    return bs == set(boolean_center(cls_).members)
+    image = _glued_image([cll, clm], cls_, lambda thetas: osum_congruence(L, M, *thetas, S=S))
+    return image is not None and _center_image([cll, clm], image, boolean_center) == set(
+        boolean_center(cls_).members
+    )
 
 
 def osum_fc_comparison(L, M) -> dict:
@@ -389,7 +373,6 @@ def factorize(A: FiniteAlgebra, alphas: list[Congruence]):
     Every alpha_i must be a factor congruence, their intersection the
     diagonal, and each pair must join to the full congruence; each condition
     is verified and the first violation is reported."""
-    from .congruences import join as con_join, meet as con_meet
     from .lifting import quotient
 
     cl = all_congruences(A)
@@ -402,10 +385,7 @@ def factorize(A: FiniteAlgebra, alphas: list[Congruence]):
             raise PreconditionFailed(
                 f"{a.block_string()} is not a factor congruence"
             )
-    acc = alphas[0]
-    for a in alphas[1:]:
-        acc = con_meet(acc, a)
-    if not acc.is_delta():
+    if not reduce(con_meet, alphas).is_delta():
         raise PreconditionFailed(
             "the congruences do not intersect to the diagonal"
         )

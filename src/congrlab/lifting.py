@@ -10,13 +10,13 @@ u(alpha) is alpha v theta and no quotient is built.  Every candidate witness
 is tried, and failures name the target congruence that cannot be reached.
 Each (property, theta) verdict is decided once per lattice and cached.
 
-The normality checks read witness bitsets.  For a center with members
-alpha_0, alpha_1, ..., bit x of left[i] is set iff theta_i v alpha_x = ∇,
-and bit x of right[j] iff theta_j v alpha_x' = ∇, alpha_x' the complement.
-A trigger pair (i, j) has a witness iff left[i] & right[j] is not zero, and
-its lowest set bit is the first witness in member order.  Only the pairs
-with theta_i v theta_j = ∇ can trigger, and those are listed from
-Con(A)'s masks.
+The normality checks return (True, None) or (False, the first failing
+pair).  For a center with members alpha_0, alpha_1, ..., bit x of left[i]
+is set iff theta_i v alpha_x = ∇, and bit x of right[j] iff
+theta_j v alpha_x' = ∇, alpha_x' the complement.  A trigger pair (i, j)
+has a witness iff left[i] & right[j] is not zero.  Only the pairs with
+theta_i v theta_j = ∇ can trigger, and those are listed from Con(A)'s
+masks.
 """
 
 from __future__ import annotations
@@ -211,55 +211,48 @@ def _witness_bits(co: list[list[int]], members) -> list[int]:
     return out
 
 
-def _normality(cl: ConLattice, center, trigger, found):
-    """For each pair (i, j) with θ_i ∨ θ_j = ∇ and trigger(i, j), the first
+def _normality(cl: ConLattice, center, trigger):
+    """Whether each pair (i, j) with θ_i ∨ θ_j = ∇ and trigger(i, j) has a
     member α of center with θ_i ∨ α = θ_j ∨ α' = ∇, where α' is α's
     complement.  With left[i] the set of α that θ_i joins to ∇, and right[j]
-    the set of α whose complement θ_j joins to ∇, the first witness is the
-    lowest bit of left[i] & right[j].  Returns (True, a map from each pair
-    to found[x] for its witness center.members[x]) or (False, the first
-    pair without a witness)."""
+    the set of α whose complement θ_j joins to ∇, that holds iff
+    left[i] & right[j] is not empty.  Returns (True, None) or (False, the
+    first pair without a witness)."""
     members = center.members
     co = [cl.joins_to_nabla(i) for i in range(len(cl))]
     left = _witness_bits(co, members)
     right = _witness_bits(co, [center.complement[a] for a in members])
-    witnesses = {}
     for i, js in enumerate(co):
         for j in js:
-            if not trigger(i, j):
-                continue
-            both = left[i] & right[j]
-            if not both:
+            if trigger(i, j) and not left[i] & right[j]:
                 return False, (cl.elements[i].block_string(), cl.elements[j].block_string())
-            witnesses[(i, j)] = found[(both & -both).bit_length() - 1]
-    return True, witnesses
+    return True, None
 
 
 def is_fc_normal(A: FiniteAlgebra):
     """For every pair with compose(phi, psi) the full relation, a factor
     congruence alpha must exist with phi v alpha = psi v (complement of
-    alpha) = the full congruence.  Returns (ok, witness map or failing pair).
+    alpha) = the full congruence.  Returns (True, None) or (False, the
+    first failing pair of block strings).
 
     The trigger builds no composition: phi∘psi is full iff every phi-block
     meets every psi-block, i.e. iff |A/(phi∧psi)| = |A/phi|·|A/psi|, and
     then phi v psi is full too, so only the pairs joining to ∇ are tried."""
     cl = all_congruences(A)
     fc = factor_congruences(cl)
-    return _normality(cl, fc, cl.composes_to_nabla, fc.members)
+    return _normality(cl, fc, cl.composes_to_nabla)
 
 
 def is_b_normal(A: FiniteAlgebra):
     """Same scheme with join as the trigger and Boolean-congruence pairs
-    meeting in the diagonal as witnesses.
+    meeting in the diagonal as witnesses, and the same return shape.
 
     The witness search only tries pairs (alpha, complement of alpha): any
     witness beta satisfies alpha ^ beta = diagonal, hence beta lies below
     the complement, and join is monotone — so if some (alpha, beta) works,
     (alpha, complement of alpha) works too."""
     cl = all_congruences(A)
-    bc = boolean_center(cl)
-    pairs = [(a, bc.complement[a]) for a in bc.members]
-    return _normality(cl, bc, lambda i, j: True, pairs)
+    return _normality(cl, boolean_center(cl), lambda i, j: True)
 
 
 # -- theorem validator ------------------------------------------------------
@@ -275,7 +268,7 @@ def check_special_congruences(A: FiniteAlgebra) -> dict:
         maxes = maximal_congruences(A)
     except TrivialAlgebra:
         maxes = []
-    primes = prime_congruences(A) if A.n > 1 else []
+    primes = prime_congruences(A)
     for label, group in (("maximal", maxes), ("prime", primes)):
         for theta in group:
             for prop, check in (("fclp", has_fclp), ("cblp", has_cblp)):
@@ -319,7 +312,7 @@ def lifting_report(A: FiniteAlgebra, name: str | None = None) -> LiftingReport:
         maxes = set(c.block_of for c in maximal_congruences(A))
     except TrivialAlgebra:
         maxes = set()
-    primes = set(c.block_of for c in prime_congruences(A)) if A.n > 1 else set()
+    primes = set(c.block_of for c in prime_congruences(A))
     rows = []
     for t, theta in enumerate(cl.elements):
         row = {"congruence": theta.block_string(), "blocks": theta.num_blocks}

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .algebra import FiniteAlgebra
+from .algebra import FiniteAlgebra, ordinal_sum
 from .congruences import ConLattice, all_congruences
 from .errors import AmbiguousComplement
 from .factor import boolean_center, factor_congruences, osum_fc_comparison
@@ -149,8 +149,6 @@ def build_report(A: FiniteAlgebra, name: str | None = None) -> dict:
         parts = OSUM_PARTS[name]
         L = fixture(parts[0])
         for p in parts[1:-1]:
-            from .algebra import ordinal_sum
-
             L = ordinal_sum(L, fixture(p))
         M = fixture(parts[-1])
         cmp_ = osum_fc_comparison(L, M)

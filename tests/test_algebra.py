@@ -9,6 +9,7 @@ from congrlab.algebra import (
     dual,
     emit_spec,
     lattice_from_order,
+    lattice_reduct,
     order_matrix,
     ordinal_sum,
     product_decode,
@@ -369,3 +370,33 @@ def test_distributivity_by_join_primes_agrees_with_the_triple_scan():
         assert L._cache["distributive"] == scan
         verdicts.add(scan)
     assert verdicts == {True, False}
+
+
+# -- covers -----------------------------------------------------------------
+
+
+def cover_scan(L):
+    """The O(n³) scan that covers() replaces: for each b, the a < b with no
+    c strictly between them."""
+    n = L.n
+    below = [[a for a in range(n) if a != b and L.leq(a, b)] for b in range(n)]
+    out = []
+    for b in range(n):
+        for a in below[b]:
+            if not any(L.leq(a, c) and a != c for c in below[b] if c != a and L.leq(c, b)):
+                out.append((a, b))
+    return out
+
+
+def test_covers_agree_with_the_cubic_scan():
+    from test_partition_join import lattice_algebras
+
+    fixtures = [fixture(name) for name in FIXTURE_NAMES]
+    lattices = lattice_algebras() + [dual(lattice_reduct(L)) for L in fixtures]
+    assert len(lattices) == 243 + 16
+    pairs = 0
+    for L in lattices:
+        got = L.covers()
+        assert got == cover_scan(L), L.name
+        pairs += len(got)
+    assert pairs > 2000

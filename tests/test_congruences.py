@@ -317,7 +317,8 @@ def prime_scan(cl):
     ]
 
 
-def test_primes_are_the_meet_irreducibles_of_distributive_con():
+def test_primes_agree_with_the_definition_scan():
+    from test_join_irreducible_masks import random_generic_algebras
     from test_partition_join import generic_copy, lattice_algebras
 
     algebras = lattice_algebras()
@@ -330,9 +331,20 @@ def test_primes_are_the_meet_irreducibles_of_distributive_con():
         assert primes == prime_scan(cl), A.name
         total += len(primes)
     assert total == 765 + 11  # the 243 lattice-based algebras, then the copies
-    V4 = xor_algebra()  # Con(V4) is the diamond M3: the scan answers, and finds none
+    V4 = xor_algebra()  # Con(V4) is the diamond M3, and has no prime
     assert not all_congruences(V4).is_distributive()
     assert prime_congruences(V4) == prime_scan(all_congruences(V4)) == []
+    # a non-distributive Con(A) that has primes: 14 of them in 12 of the 18
+    non_distributive, with_primes, primes_found = 0, 0, 0
+    for A in random_generic_algebras():
+        cl = all_congruences(A)
+        primes = prime_congruences(A)
+        assert primes == prime_scan(cl), A.name
+        if not cl.is_distributive():
+            non_distributive += 1
+            with_primes += bool(primes)
+            primes_found += len(primes)
+    assert (non_distributive, with_primes, primes_found) == (18, 12, 14)
 
 
 def test_trivial_algebra_has_no_maximal_congruence():
