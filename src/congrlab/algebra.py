@@ -24,11 +24,6 @@ from .errors import (
 # Size caps: everything downstream is exponential-ish, so fail loudly.
 CARRIER_CAP = 4096
 CON_CAP = 20000
-# Full O(n^3) associativity checking of explicit tables is only run up to
-# this carrier size; tables derived from an order are lattices by
-# construction (lattice_from_order), and products are assembled
-# componentwise from verified factors.
-FULL_AXIOM_CAP = 128
 
 KINDS = ("generic", "lattice", "bounded-lattice", "residuated")
 
@@ -187,7 +182,7 @@ class FiniteAlgebra:
         """Cover pairs (a, b) with a covered by b, ordered by b, then a."""
         self.require_lattice()
         n, meet = self.n, self.tables["meet"]
-        ups = [sum(1 << b for b in range(n) if meet[a][b] == a) for a in range(n)]
+        ups = _up_masks(meet)
         downs = [sum(1 << a for a in range(n) if meet[a][b] == a) for b in range(n)]
         return cover_pairs(ups, downs)
 
@@ -240,35 +235,22 @@ class FiniteAlgebra:
             self._validate_residuation()
 
     def _validate_lattice_axioms(self):
-        n = self.n
+        """join and meet are a lattice's operations iff they are the least
+        upper and greatest lower bounds of the order a ≤ b ⇔ a∧b = a
+        (Davey & Priestley, ch. 2): derive both from that order and compare."""
+        n, labels = self.n, self.labels
         join, meet = self.tables["join"], self.tables["meet"]
-        for t, oname in ((join, "join"), (meet, "meet")):
+        lub, glb = _order_operations(_up_masks(meet), labels)
+        for oname, given, want, what in (
+            ("join", join, lub, "least upper bound"),
+            ("meet", meet, glb, "greatest lower bound"),
+        ):
             for a in range(n):
-                if t[a][a] != a:
-                    raise TableError(f"{oname} not idempotent at {self.labels[a]}")
-                for b in range(n):
-                    if t[a][b] != t[b][a]:
-                        raise TableError(
-                            f"{oname} not commutative at ({self.labels[a]}, {self.labels[b]})"
-                        )
-        for a in range(n):
-            for b in range(n):
-                if meet[a][join[a][b]] != a or join[a][meet[a][b]] != a:
+                if list(given[a]) != want[a]:
+                    b = next(b for b in range(n) if given[a][b] != want[a][b])
                     raise TableError(
-                        f"absorption fails at ({self.labels[a]}, {self.labels[b]})"
+                        f"{oname} of ({labels[a]}, {labels[b]}) is not their {what} in meet's order"
                     )
-        if n <= FULL_AXIOM_CAP:
-            rng = range(n)
-            for t, oname in ((join, "join"), (meet, "meet")):
-                for a in rng:
-                    for b in rng:
-                        tab = t[a][b]
-                        for c in rng:
-                            if t[tab][c] != t[a][t[b][c]]:
-                                raise TableError(
-                                    f"{oname} not associative at "
-                                    f"({self.labels[a]}, {self.labels[b]}, {self.labels[c]})"
-                                )
         if "bot" in self.tables:
             b = self.tables["bot"]
             if any(meet[b][x] != b for x in range(n)):
@@ -330,45 +312,25 @@ def lattice_from_order(leq, labels, kind="lattice", name=None, extra_tables=None
 
     Every pair must have a unique least upper bound and greatest lower bound;
     otherwise NotALattice names an offending pair.  ``leq[a][b]`` is truthy
-    iff a <= b.  The join of a and b is the element whose up-set is
-    ↑a ∩ ↑b, and the meet the element whose down-set is ↓a ∩ ↓b.
-    ``extra_tables`` holds the operations not derived from the order.
-
-    The tables are a lattice's by construction, so the O(n³) lattice axiom
-    scan is skipped.  leq is checked reflexive and transitive on its
-    up-sets in O(n²); it is then antisymmetric too, or two elements share an
-    up-set and the lookup for their join fails.  In a partial order, an
-    element c with ↑c = ↑a ∩ ↑b is the least upper bound of a and b, and
-    dually for the meet, so join and meet are the operations of the lattice
-    the order is, with bot and top its least and greatest elements.
+    iff a <= b.  ``extra_tables`` holds the operations not derived from the
+    order.  See _order_operations for how join and meet are derived.
     """
     n = len(leq)
-    labels = tuple(str(x) for x in labels)
     up = [sum(1 << c for c in range(n) if leq[a][c]) for a in range(n)]
-    for a in range(n):
-        if not up[a] >> a & 1:
-            raise TableError(f"order is not reflexive at {labels[a]}")
-        for c in range(n):
-            if up[a] >> c & 1 and up[c] & ~up[a]:
-                raise TableError(f"order is not transitive at ({labels[a]}, {labels[c]})")
-    down = [sum(1 << c for c in range(n) if leq[c][a]) for a in range(n)]
-    by_up, by_down = _element_of(up), _element_of(down)
-    join = [[0] * n for _ in range(n)]
-    meet = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            lub = by_up.get(up[a] & up[b], -1)
-            if lub < 0:
-                raise NotALattice(labels[a], labels[b], "least upper bound")
-            glb = by_down.get(down[a] & down[b], -1)
-            if glb < 0:
-                raise NotALattice(labels[a], labels[b], "greatest lower bound")
-            join[a][b] = join[b][a] = lub
-            meet[a][b] = meet[b][a] = glb
+    return _lattice_from_up_sets(up, labels, kind, name, extra_tables)
+
+
+def _lattice_from_up_sets(up, labels, kind, name, extra_tables):
+    """lattice_from_order on the up-set bitmasks of the order.  The tables
+    are a lattice's by construction, so they are not checked again; bot and
+    top are the elements whose up-sets are everything and themselves."""
+    n = len(up)
+    labels = tuple(str(x) for x in labels)
+    join, meet = _order_operations(up, labels)
     tables = {"join": join, "meet": meet}
     if kind in ("bounded-lattice", "residuated"):
-        tables["bot"] = by_up[(1 << n) - 1]
-        tables["top"] = by_down[(1 << n) - 1]
+        tables["bot"] = up.index((1 << n) - 1)
+        tables["top"] = next(a for a, m in enumerate(up) if m == 1 << a)
     if extra_tables:
         if set(extra_tables) & set(tables):
             raise TableError("extra_tables may not replace the tables derived from the order")
@@ -378,12 +340,52 @@ def lattice_from_order(leq, labels, kind="lattice", name=None, extra_tables=None
     return A
 
 
+def _order_operations(up, labels) -> tuple[list[list[int]], list[list[int]]]:
+    """The join and meet tables of the order whose up-sets are the bitmasks
+    up: the one path by which every input is decided to be a lattice.
+
+    up is checked reflexive and transitive in O(n²); it is then
+    antisymmetric too, or two elements share an up-set and the lookup for
+    their join fails.  In a partial order, an element c with ↑c = ↑a ∩ ↑b
+    is the least upper bound of a and b, and dually for the meet, so join
+    and meet are the operations of the lattice the order is.  Otherwise
+    NotALattice names the first pair (a, b), a ≤ b in index order, without
+    a unique bound.
+    """
+    n = len(up)
+    down = [0] * n
+    for a, m in enumerate(up):
+        if not m >> a & 1:
+            raise TableError(f"order is not reflexive at {labels[a]}")
+        for c in _bits(m):
+            if up[c] & ~m:
+                raise TableError(f"order is not transitive at ({labels[a]}, {labels[c]})")
+            down[c] |= 1 << a
+    by_up, by_down = _element_of(up), _element_of(down)
+    join, meet = [], []
+    for a in range(n):
+        ua, da = up[a], down[a]
+        join.append([by_up.get(ua & u, -1) for u in up])
+        meet.append([by_down.get(da & d, -1) for d in down])
+        if -1 in join[a] or -1 in meet[a]:
+            # a pair (b, a) with b < a would have failed at row b
+            b = min(row.index(-1) for row in (join[a], meet[a]) if -1 in row)
+            what = "least upper bound" if join[a][b] < 0 else "greatest lower bound"
+            raise NotALattice(labels[a], labels[b], what)
+    return join, meet
+
+
 def _element_of(masks) -> dict[int, int]:
     """mask -> the element carrying it, or -1 if two elements share it."""
     out: dict[int, int] = {}
     for e, m in enumerate(masks):
         out[m] = -1 if m in out else e
     return out
+
+
+def _up_masks(meet) -> list[int]:
+    """The bitmask of ↑a = {b : a∧b = a} for each a."""
+    return [sum(1 << b for b, m in enumerate(row) if m == a) for a, row in enumerate(meet)]
 
 
 def _bits(mask: int) -> list[int]:
@@ -443,14 +445,14 @@ def build_from_spec(spec: dict) -> FiniteAlgebra:
     operations = _spec_field(spec, "operations", dict)
 
     if "cover" in spec:
-        leq = _close_cover(_spec_field(spec, "cover", list), labels, index)
+        up = _close_cover(_spec_field(spec, "cover", list), labels, index)
         extra = {}
         if kind == "residuated":
             for opname in ("times", "implies"):
                 if opname not in operations:
                     raise TableError(f"residuated spec requires a {opname!r} table")
                 extra[opname] = _table_from_labels(operations[opname], 2, index, opname)
-        return lattice_from_order(leq, labels, kind=kind, name=name, extra_tables=extra)
+        return _lattice_from_up_sets(up, labels, kind, name, extra)
 
     if "operations" not in spec:
         if n == 1:
@@ -486,6 +488,9 @@ def _label_index(lab, index, what):
 
 
 def _close_cover(cover, labels, index):
+    """The up-set bitmask of each element in the reflexive-transitive closure
+    of the cover pairs.  An element on a cycle reaches itself: the search
+    from it pops it, so no two elements can share an up-set."""
     n = len(labels)
     adj = [set() for _ in range(n)]
     for pair in cover:
@@ -495,24 +500,18 @@ def _close_cover(cover, labels, index):
         if lo not in index or hi not in index:
             raise TableError(f"cover pair ({lo}, {hi}) uses unknown labels")
         adj[index[lo]].add(index[hi])
-    # reflexive-transitive closure; a cycle makes some element reach itself
-    leq = [[a == b for b in range(n)] for a in range(n)]
+    up = []
     for a in range(n):
-        stack = list(adj[a])
+        seen, stack = 1 << a, list(adj[a])
         while stack:
             b = stack.pop()
             if b == a:
                 raise TableError(f"cover relation has a cycle through {labels[a]}")
-            if not leq[a][b]:
-                leq[a][b] = True
+            if not seen >> b & 1:
+                seen |= 1 << b
                 stack.extend(adj[b])
-    for a in range(n):
-        for b in range(n):
-            if a != b and leq[a][b] and leq[b][a]:
-                raise TableError(
-                    f"cover relation has a cycle through {labels[a]} and {labels[b]}"
-                )
-    return leq
+        up.append(seen)
+    return up
 
 
 def _table_arity(raw, fname):
@@ -699,24 +698,17 @@ def ordinal_sum_with_maps(L, M, name=None):
         while lab in labels:
             lab += "'"
         labels.append(lab)
-    leq_l = order_matrix(L)
-    leq_m = order_matrix(M)
-    leq = [[False] * n for _ in range(n)]
-    for a in range(L.n):
-        for b in range(L.n):
-            leq[a][b] = leq_l[a][b]
-    for a in range(M.n):
-        for b in range(M.n):
-            leq[to_sum[("M", a)]][to_sum[("M", b)]] = leq_m[a][b]
-    for a in range(L.n):  # everything in L sits below everything in M
-        for j in m_rest:
-            leq[a][to_sum[("M", j)]] = True
+    # L keeps its indices and lies below the rest of M, which follows it
+    rest = (1 << n) - (1 << L.n)
+    up = [m | rest for m in _up_masks(L.tables["meet"])]
+    up_m = _up_masks(M.tables["meet"])
+    up += [sum(1 << to_sum[("M", b)] for b in _bits(up_m[j])) for j in m_rest]
     kind = L.signature.kind
     if M.signature.kind == "bounded-lattice":
         kind = "bounded-lattice" if kind != "lattice" else "lattice"
     if name is None and L.name and M.name:
         name = f"{L.name}+{M.name}"
-    total = lattice_from_order(leq, labels, kind=kind, name=name)
+    total = _lattice_from_up_sets(up, labels, kind, name, None)
     map_l = [to_sum[("L", i)] for i in range(L.n)]
     map_m = [to_sum[("M", j)] for j in range(M.n)]
     return total, map_l, map_m

@@ -486,15 +486,6 @@ class ConLattice:
         """θ_i ∧ θ_j: its mask is the intersection of theirs."""
         return self._at[self.gen_masks[i] & self.gen_masks[j]]
 
-    def joins(self, t: int, members) -> list[int]:
-        """θ_t ∨ θ_a for each a in members."""
-        at, gm = self._at, self.gen_masks
-        mt = gm[t]
-        out = [at.get(mt | gm[a]) for a in members]
-        if None in out:
-            out = [self.join(t, a) if x is None else x for x, a in zip(out, members)]
-        return out
-
     def relative_complement(self, i: int, t: int) -> int | None:
         """In a distributive Con(A), the complement of θ_i ≥ θ_t in
         [θ_t, ∇], or None.  In masks, a complement of I in [T, J] meets I in
@@ -502,17 +493,6 @@ class ConLattice:
         that is some θ's mask."""
         gm = self.gen_masks
         return self._at.get(gm[t] | gm[self.index_of_nabla] & ~gm[i])
-
-    def joins_to_nabla(self, i: int) -> list[int]:
-        """The j with θ_i ∨ θ_j = ∇, in index order.  In a distributive
-        Con(A) those are the θ_j whose mask holds J(Con A) ∖ mask_i."""
-        if not self.is_distributive():
-            nb = self.index_of_nabla
-            return [j for j in range(len(self.elements)) if self.join(i, j) == nb]
-        up = (1 << len(self.elements)) - 1
-        for g in _bits(self.gen_masks[self.index_of_nabla] & ~self.gen_masks[i]):
-            up &= self._above[g]
-        return _bits(up)
 
     def leq(self, i: int, j: int) -> bool:
         """θ_i ≤ θ_j: every generator below θ_i is below θ_j."""

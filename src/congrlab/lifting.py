@@ -15,15 +15,15 @@ pair).  For a center with members alpha_0, alpha_1, ..., bit x of left[i]
 is set iff theta_i v alpha_x = ∇, and bit x of right[j] iff
 theta_j v alpha_x' = ∇, alpha_x' the complement.  A trigger pair (i, j)
 has a witness iff left[i] & right[j] is not zero.  Only the pairs with
-theta_i v theta_j = ∇ can trigger, and those are listed from Con(A)'s
-masks.
+theta_i v theta_j = ∇ can trigger, and those are listed once per lattice
+from Con(A)'s masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import FiniteAlgebra, canonicalize
+from .algebra import FiniteAlgebra, _bits, canonicalize
 from .congruences import (
     ConLattice,
     Congruence,
@@ -133,10 +133,12 @@ class LiftEvidence:
 
 
 def _images(cl: ConLattice, t: int, members_of) -> dict[int, int]:
-    """u(α) = α ∨ θ_t for each α in members_of(cl), mapped to its first α."""
-    members = members_of(cl).members
+    """The mask of u(α) = α ∨ θ_t for each α in members_of(cl), mapped to
+    its first α.  A center exists only on a distributive Con(A), where the
+    mask of a join is the union of the masks."""
+    gm, mt = cl.gen_masks, cl.gen_masks[t]
     # read backwards, so that each image keeps its first α
-    return dict(zip(reversed(cl.joins(t, members)), reversed(members)))
+    return {gm[a] | mt: a for a in reversed(members_of(cl).members)}
 
 
 def _unliftable(cl: ConLattice, t: int, members_of) -> int | None:
@@ -145,8 +147,8 @@ def _unliftable(cl: ConLattice, t: int, members_of) -> int | None:
     on the lattice, as a report asks for each verdict twice."""
     key = ("unliftable", members_of, t)
     if key not in cl._cache:
-        images = set(cl.joins(t, members_of(cl).members))
-        cl._cache[key] = next((b for b in members_of(cl, t).members if b not in images), None)
+        images, gm = _images(cl, t, members_of), cl.gen_masks
+        cl._cache[key] = next((b for b in members_of(cl, t).members if gm[b] not in images), None)
     return cl._cache[key]
 
 
@@ -160,7 +162,7 @@ def _has_lifting(A, theta, members_of) -> tuple[bool, LiftEvidence]:
     ev = LiftEvidence()
     for b in members_of(cl, t).members:
         target = cl.elements[b].block_string(over=theta)
-        hit = images.get(b)
+        hit = images.get(cl.gen_masks[b])
         if hit is None:
             ev.unliftable = target
             return False, ev
@@ -200,6 +202,21 @@ def algebra_cblp(A: FiniteAlgebra) -> tuple[bool, LiftEvidence | None, Congruenc
 # -- normality conditions ---------------------------------------------------
 
 
+def _joins_to_nabla(cl: ConLattice) -> list[int]:
+    """Bit j of entry i is set iff θ_i ∨ θ_j = ∇.  In a distributive Con(A)
+    that holds iff mask_j holds J(Con A) ∖ mask_i, so entry i is the AND of
+    the up-sets of the generators outside mask_i."""
+    gm, full = cl.gen_masks, (1 << len(cl)) - 1
+    nabla = gm[cl.index_of_nabla]
+    out = []
+    for m in gm:
+        up = full
+        for g in _bits(nabla & ~m):
+            up &= cl._above[g]
+        out.append(up)
+    return out
+
+
 def _witness_bits(co: list[list[int]], members) -> list[int]:
     """Bit x of entry i is set iff θ_i ∨ θ_{members[x]} = ∇, where co[a]
     lists the i with θ_i ∨ θ_a = ∇."""
@@ -217,9 +234,12 @@ def _normality(cl: ConLattice, center, trigger):
     complement.  With left[i] the set of α that θ_i joins to ∇, and right[j]
     the set of α whose complement θ_j joins to ∇, that holds iff
     left[i] & right[j] is not empty.  Returns (True, None) or (False, the
-    first pair without a witness)."""
+    first pair without a witness).  The pairs joining to ∇ are listed once
+    per lattice; Con(A) is distributive, as center exists."""
+    if "joins_to_nabla" not in cl._cache:
+        cl._cache["joins_to_nabla"] = _joins_to_nabla(cl)
+    co = [_bits(m) for m in cl._cache["joins_to_nabla"]]
     members = center.members
-    co = [cl.joins_to_nabla(i) for i in range(len(cl))]
     left = _witness_bits(co, members)
     right = _witness_bits(co, [center.complement[a] for a in members])
     for i, js in enumerate(co):

@@ -15,7 +15,7 @@ from .errors import AmbiguousComplement
 from .factor import boolean_center, factor_congruences, osum_fc_comparison
 from .fixtures import OSUM_PARTS, fixture
 from .lifting import lifting_report
-from .residuated import algebra_blp, blp_equivalence_check, has_filt_blp, has_id_blp
+from .residuated import FILTER_CAP, blp_equivalence_check, has_filt_blp, has_id_blp
 
 
 def yn(v) -> str:
@@ -141,11 +141,12 @@ def build_report(A: FiniteAlgebra, name: str | None = None) -> dict:
         distributive_enough = (
             A.signature.kind == "residuated" or A.is_distributive_lattice()
         )
-        if A.n <= 12 and distributive_enough:
+        if A.n <= FILTER_CAP and distributive_enough:
             doc["filt_blp"] = has_filt_blp(A)
             doc["id_blp"] = has_id_blp(A)
-    # how factor congruences move (or fail to) across an ordinal-sum split
-    if name in OSUM_PARTS:
+    # how factor congruences move (or fail to) across an ordinal-sum split,
+    # for the fixture itself and not for whatever else carries its name
+    if name in OSUM_PARTS and A == fixture(name):
         parts = OSUM_PARTS[name]
         L = fixture(parts[0])
         for p in parts[1:-1]:

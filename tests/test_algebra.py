@@ -295,7 +295,7 @@ def mask_bounds(leq, labels):
     except NotALattice as err:
         assert str(err) == f"not a lattice: pair ({err.pair[0]}, {err.pair[1]}) has no unique {err.what}"
         return (*err.pair, err.what)
-    L._validate_lattice_axioms()  # the O(n³) scan the order check replaces
+    assert axiom_scan(L.tables["join"], L.tables["meet"]) is None
     n = len(leq)
     assert L.tables["bot"] == next(e for e in range(n) if all(leq[e]))
     assert L.tables["top"] == next(e for e in range(n) if all(row[e] for row in leq))
@@ -356,6 +356,110 @@ def test_lattice_from_order_rejects_a_matrix_that_is_not_an_order():
         lattice_from_order(chain, [str(e) for e in range(n)])
     with pytest.raises(TableError, match="may not replace"):
         lattice_from_order([[True]], "a", extra_tables={"join": [[0]]})
+
+
+def axiom_scan(join, meet):
+    """The O(n³) law-by-law scan that the order check replaces: the first
+    law that join and meet break, or None if they are a lattice's
+    operations."""
+    rng = range(len(join))
+    for t, oname in ((join, "join"), (meet, "meet")):
+        for a in rng:
+            if t[a][a] != a:
+                return f"{oname} not idempotent"
+            if any(t[a][b] != t[b][a] for b in rng):
+                return f"{oname} not commutative"
+    if any(meet[a][join[a][b]] != a or join[a][meet[a][b]] != a for a in rng for b in rng):
+        return "absorption fails"
+    for t, oname in ((join, "join"), (meet, "meet")):
+        if any(t[t[a][b]][c] != t[a][t[b][c]] for a in rng for b in rng for c in rng):
+            return f"{oname} not associative"
+    return None
+
+
+def order_check(labels, join, meet):
+    """The check on explicit lattice tables: None, or the error it raises."""
+    spec = {"kind": "lattice", "elements": labels, "operations": {"join": join, "meet": meet}}
+    try:
+        build_from_spec(spec)
+    except (TableError, NotALattice) as err:
+        return err
+    return None
+
+
+def test_the_order_check_agrees_with_the_axiom_scan():
+    import random
+
+    from sweep import sweep
+
+    rng = random.Random(11)
+    outcomes = {"lattice": 0, "TableError": 0, "NotALattice": 0}
+    for A in [fixture(name) for name in FIXTURE_NAMES] + sweep():
+        spec = emit_spec(A)
+        assert build_from_spec(spec) == A, A.name
+        assert axiom_scan(A.tables["join"], A.tables["meet"]) is None, A.name
+        labels = spec["elements"]
+        index = {lab: i for i, lab in enumerate(labels)}
+        for x in range(8 if A.n > 1 else 1):
+            tables = {f: [row[:] for row in spec["operations"][f]] for f in ("join", "meet")}
+            if x:  # one entry, or one entry and its mirror, gets another label
+                t = tables[rng.choice(("join", "meet"))]
+                a, b = rng.randrange(A.n), rng.randrange(A.n)
+                t[a][b] = rng.choice([lab for lab in labels if lab != t[a][b]])
+                if rng.random() < 0.5:
+                    t[b][a] = t[a][b]
+            err = order_check(labels, tables["join"], tables["meet"])
+            want = axiom_scan(*([[index[v] for v in row] for row in tables[f]] for f in ("join", "meet")))
+            assert (err is None) == (want is None), (A.name, tables, err, want)
+            outcomes["lattice" if err is None else type(err).__name__] += 1
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+def rock_paper_scissors(n):
+    """0 < a, b, c < 1 followed by a chain up to n elements, with meet and
+    join cyclic on a, b, c: a∧b = a, b∧c = b, c∧a = c.  Both tables are
+    idempotent and commutative and satisfy absorption, but the order their
+    meet induces has a ≤ b ≤ c ≤ a, and neither is associative."""
+    rank = [0, 1, 1, 1] + list(range(2, n - 2))
+    above = {1: 2, 2: 3, 3: 1}  # x ≤ above[x]
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            if x == y:
+                lo = hi = x
+            elif rank[x] == rank[y]:
+                lo, hi = (x, y) if above[x] == y else (y, x)
+            else:
+                lo, hi = (x, y) if rank[x] < rank[y] else (y, x)
+            meet[x][y], join[x][y] = lo, hi
+    labels = ["0", "a", "b", "c", "1"] + [f"p{e}" for e in range(5, n)]
+    return labels, join, meet
+
+
+def test_a_cyclic_meet_order_is_rejected_at_every_size():
+    labels, join, meet = rock_paper_scissors(5)
+    assert axiom_scan(join, meet) == "join not associative"
+    named = lambda t: [[labels[v] for v in row] for row in t]
+    err = order_check(labels, named(join), named(meet))
+    assert isinstance(err, TableError) and "not transitive at (a, b)" in str(err)
+    for n in (128, 129, 130):  # the law-by-law scan skipped associativity above 128
+        labels, join, meet = rock_paper_scissors(n)
+        with pytest.raises(TableError, match=r"not transitive at \(a, b\)"):
+            FiniteAlgebra(n, labels, Signature((("join", 2), ("meet", 2)), "lattice"), {"join": join, "meet": meet})
+
+
+def test_explicit_tables_name_the_first_entry_off_the_order():
+    named = lambda t: [["xyz"[v] for v in row] for row in t]
+    low = [[min(a, b) for b in range(3)] for a in range(3)]
+    high = [[max(a, b) for b in range(3)] for a in range(3)]
+    assert order_check(list("xyz"), named(high), named(low)) is None
+    err = order_check(list("xyz"), named(low), named(low))
+    assert str(err) == "join of (x, y) is not their least upper bound in meet's order"
+    # the order of this meet has x below y and z, and no upper bound of both
+    vee = [[0, 0, 0], [0, 1, 0], [0, 0, 2]]
+    err = order_check(list("xyz"), named(high), named(vee))
+    assert isinstance(err, NotALattice) and err.pair == ("y", "z")
 
 
 def test_distributivity_by_join_primes_agrees_with_the_triple_scan():

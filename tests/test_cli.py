@@ -251,6 +251,19 @@ def test_file_input_works(tmp_path, capsys):
     assert code == 0 and "|Con|=5" in out
 
 
+def test_only_the_fixture_itself_gets_the_ordinal_sum_section(tmp_path, capsys):
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({"name": "T", "kind": "lattice", "elements": ["0", "1"], "cover": [["0", "1"]]}))
+    code, out, _ = run(capsys, "report", "--file", str(chain))
+    assert code == 0 and "ordinal-sum split" not in out
+    _, spec, _ = run(capsys, "fixture", "T", "--emit-spec")
+    copy = tmp_path / "t.json"
+    copy.write_text(spec)
+    for source in (["--fixture", "T"], ["--file", str(copy)]):
+        code, out, _ = run(capsys, "report", "--format", "json", *source)
+        assert code == 0 and json.loads(out)["osum_fc_transport"]["parts"] == ["L2", "D", "L2"]
+
+
 # -- goldens ----------------------------------------------------------------
 
 

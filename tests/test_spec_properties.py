@@ -1,7 +1,8 @@
 """Random specs, malformed ones included, never escape as a traceback.
 
-Each spec starts well-formed (a cover relation or operation tables on up to
-four elements) and may then have one node replaced by stray JSON or deleted:
+Each spec starts well-formed (a cover relation, or operation tables on up to
+four elements, among them random join and meet tables of the lattice kinds)
+and may then have one node replaced by stray JSON or deleted:
 a wrong kind, a short row, an unknown label, a list where a label belongs.
 build_from_spec must build it or raise CongrlabError, and `congrlab con
 --file` must exit 0 or 2, with exactly one `error:` line when it is 2.
@@ -45,13 +46,16 @@ def specs(draw):
             "cover": draw(st.lists(st.lists(label, min_size=2, max_size=2), max_size=5)),
         }
     else:
+        kind = draw(st.sampled_from(["algebra", "lattice", "bounded-lattice"]))
         row = st.lists(label, min_size=n, max_size=n)
-        table = row | st.lists(row, min_size=n, max_size=n)
-        spec = {
-            "kind": "algebra",
-            "elements": elements,
-            "operations": draw(st.dictionaries(st.sampled_from(["f", "g"]), table, max_size=2)),
-        }
+        square = st.lists(row, min_size=n, max_size=n)
+        spec = {"kind": kind, "elements": elements}
+        if kind == "algebra":
+            spec["operations"] = draw(st.dictionaries(st.sampled_from(["f", "g"]), row | square, max_size=2))
+        else:  # lattice tables, for the check that they are a lattice's
+            spec["operations"] = draw(st.fixed_dictionaries({"join": square, "meet": square}))
+        if kind == "bounded-lattice":
+            spec["constants"] = draw(st.fixed_dictionaries({"bot": label, "top": label}))
     path = draw(st.sampled_from([None, *_paths(spec)]))
     if path is None:
         return spec
