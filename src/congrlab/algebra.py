@@ -178,13 +178,19 @@ class FiniteAlgebra:
             e = join[e][x]
         return e
 
+    def order_masks(self) -> tuple[list[int], list[int]]:
+        """The bitmasks of ↑a and ↓a for each a: b ∈ ↑a iff a∧b = a, and
+        b ∈ ↓a iff a∨b = a.  Cached on the algebra; the lattice check of a
+        build leaves them there."""
+        self.require_lattice()
+        hit = self._cache.get("order_masks")
+        if hit is None:
+            hit = self._cache["order_masks"] = _up_masks(self.tables["meet"]), _up_masks(self.tables["join"])
+        return hit
+
     def covers(self) -> list[tuple[int, int]]:
         """Cover pairs (a, b) with a covered by b, ordered by b, then a."""
-        self.require_lattice()
-        n, meet = self.n, self.tables["meet"]
-        ups = _up_masks(meet)
-        downs = [sum(1 << a for a in range(n) if meet[a][b] == a) for b in range(n)]
-        return cover_pairs(ups, downs)
+        return cover_pairs(*self.order_masks())
 
     def join_irreducible_pairs(self) -> list[tuple[int, int]]:
         """(j₊, j) for each join-irreducible j, where j₊ = ⋁{x : x < j}: j is
@@ -240,7 +246,8 @@ class FiniteAlgebra:
         (Davey & Priestley, ch. 2): derive both from that order and compare."""
         n, labels = self.n, self.labels
         join, meet = self.tables["join"], self.tables["meet"]
-        lub, glb = _order_operations(_up_masks(meet), labels)
+        up = _up_masks(meet)
+        lub, glb, down = _order_operations(up, labels)
         for oname, given, want, what in (
             ("join", join, lub, "least upper bound"),
             ("meet", meet, glb, "greatest lower bound"),
@@ -259,6 +266,7 @@ class FiniteAlgebra:
             t = self.tables["top"]
             if any(join[t][x] != t for x in range(n)):
                 raise TableError("declared top is not the greatest element")
+        self._cache["order_masks"] = up, down
 
     def _validate_residuation(self):
         n = self.n
@@ -326,7 +334,7 @@ def _lattice_from_up_sets(up, labels, kind, name, extra_tables):
     top are the elements whose up-sets are everything and themselves."""
     n = len(up)
     labels = tuple(str(x) for x in labels)
-    join, meet = _order_operations(up, labels)
+    join, meet, down = _order_operations(up, labels)
     tables = {"join": join, "meet": meet}
     if kind in ("bounded-lattice", "residuated"):
         tables["bot"] = up.index((1 << n) - 1)
@@ -337,12 +345,14 @@ def _lattice_from_up_sets(up, labels, kind, name, extra_tables):
         tables.update(extra_tables)
     A = FiniteAlgebra(n, labels, lattice_signature(kind), tables, name=name, validate=False)
     A._validate(lattice_axioms=False)
+    A._cache["order_masks"] = up, down
     return A
 
 
-def _order_operations(up, labels) -> tuple[list[list[int]], list[list[int]]]:
+def _order_operations(up, labels) -> tuple[list[list[int]], list[list[int]], list[int]]:
     """The join and meet tables of the order whose up-sets are the bitmasks
-    up: the one path by which every input is decided to be a lattice.
+    up, and its down-set bitmasks: the one path by which every input is
+    decided to be a lattice.
 
     up is checked reflexive and transitive in O(n²); it is then
     antisymmetric too, or two elements share an up-set and the lookup for
@@ -372,7 +382,7 @@ def _order_operations(up, labels) -> tuple[list[list[int]], list[list[int]]]:
             b = min(row.index(-1) for row in (join[a], meet[a]) if -1 in row)
             what = "least upper bound" if join[a][b] < 0 else "greatest lower bound"
             raise NotALattice(labels[a], labels[b], what)
-    return join, meet
+    return join, meet, down
 
 
 def _element_of(masks) -> dict[int, int]:
@@ -634,16 +644,13 @@ def direct_product(algebras: list[FiniteAlgebra], name=None) -> FiniteAlgebra:
         if arity == 0:
             tables[fname] = product_encode([A.tables[fname] for A in algebras], radix)
         elif arity == 2:
-            t = [[0] * total for _ in range(total)]
-            tups = [product_decode(i, sizes, radix) for i in range(total)]
-            comp = [A.tables[fname] for A in algebras]
-            for i in range(total):
-                ti = tups[i]
-                for j in range(total):
-                    tj = tups[j]
-                    t[i][j] = product_encode(
-                        [comp[k][ti[k]][tj[k]] for k in range(len(algebras))], radix
-                    )
+            # (a, b) is a·n_B + b in the mixed radix, so the table of A×B has
+            # t[(a, b)][(c, d)] = tA[a][c]·n_B + tB[b][d]; fold factor by factor
+            t = algebras[0].tables[fname]
+            for B in algebras[1:]:
+                tb, nb = B.tables[fname], B.n
+                scaled = [[x * nb for x in row] for row in t]
+                t = [[x + y for x in sa for y in rb] for sa in scaled for rb in tb]
             tables[fname] = t
         else:
             tables[fname] = _product_table(algebras, fname, arity, sizes, radix, total)
@@ -861,19 +868,32 @@ def meet_partitions(p, q) -> tuple[int, ...]:
 
 
 def join_partitions(p, q) -> tuple[int, ...]:
-    """Finest partition coarser than both (their join), by union-find."""
-    parent = list(p)
+    """Finest partition coarser than both (their join), by union-find; p
+    is canonical, q any parent forest."""
+    return merge_pairs(p, enumerate(q))
 
-    def root(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
 
-    for e, r in enumerate(q):
-        a, b = root(e), root(r)
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-    return canonicalize(parent)
+def merge_pairs(p, pairs) -> tuple[int, ...]:
+    """The canonical partition p with the blocks of a and b merged for each
+    pair (a, b): the join of p with the equivalence the pairs generate.  The
+    union-find runs on p's block minima alone, always linking the larger to
+    the smaller, so each root stays the least member of its block."""
+    link: dict[int, int] = {}
+    for a, b in pairs:
+        ra, rb = p[a], p[b]
+        while ra in link:
+            ra = link[ra]
+        while rb in link:
+            rb = link[rb]
+        if ra < rb:
+            link[rb] = ra
+        elif rb < ra:
+            link[ra] = rb
+    for r, x in link.items():
+        while x in link:
+            x = link[x]
+        link[r] = x
+    return tuple(map(link.get, p, p))
 
 
 def delta_partition(n) -> tuple[int, ...]:

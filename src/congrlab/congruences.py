@@ -8,7 +8,7 @@ is applied to x and y against all argument completions and the results are
 merged too, until no queue entries remain.  Joins need no propagation: Con(A)
 is a sublattice of Eq(A), so the join of two congruences is the join of their
 partitions, and Con(A) is enumerated by joining with the principal
-generators alone.
+generators alone.  A pure lattice needs neither (below).
 
 On an algebra with a lattice reduct (join and meet among its operations)
 the generators are Cg(j₊, j) for the join-irreducible elements j, where
@@ -20,6 +20,31 @@ one of them.  Take j minimal with j ≤ b and j ≰ a.  Every x < j then has
 x ≤ a, so j₊ = j∧a ≠ j, and a < a∨j ≤ b gives a∨j = b.  A congruence
 holding (a, b) holds (j∧a, j∧b) = (j₊, j), and one holding (j₊, j) holds
 (a∨j₊, a∨j) = (a, b).  So Cg(a, b) = Cg(j₊, j).
+
+A pure lattice L, whose only operations besides join and meet are
+constants (which constrain no congruence), is enumerated with no closure and
+no partition join.  For j, k ∈ J(L), the join-irreducible elements, let
+j D k iff j ≠ k and some x has j ≤ k∨x but j ≰ k₊∨x, and let D* be the
+reflexive-transitive closure of D.  Then Cg(j₊, j) ≤ Cg(k₊, k) iff j D* k
+(Freese, Ježek & Nation, *Free Lattices*, ch. II).  The x can be taken
+meet-irreducible, with k₊ ≤ x and k ≰ x: a maximal m ≥ k₊∨x with j ≰ m has
+j ≤ k∨x ≤ k∨m, and m = u∧v with u, v > m would put j below u and v, hence
+below m.  So D costs one mask operation per such pair (k, m), and D* comes
+from Warshall's algorithm on bitmask rows.  j and k are D*-equivalent iff
+their D*-down-sets are equal.  The classes, ordered by D*, are J(Con L), and
+as Con(L) is distributive its members are the down-sets S of the classes.
+The class of a cover a ≺ b is that of a minimal j ≤ b with j ≰ a, as
+Cg(a, b) = Cg(j₊, j).
+
+The partition of ⋁S is the union-find over the covers whose class is in S.
+Each of those covers lies in ⋁S, and every (j₊, j) with j's class in S is
+one of them.  Conversely let a ⋁S b.  Then a ⋁S a∧b ⋁S b, so take a < b.
+The blocks of a lattice congruence are convex, so every cover on a maximal
+chain from a to b lies in ⋁S.  Its Cg is join-irreducible, hence join-prime
+in the distributive Con(L), so it lies below a member of S and its class is
+in S.  Each down-set is a smaller one plus one class, and its partition is
+the smaller one's with that class's covers merged.  The down-sets are
+counted against CON_CAP before any partition is built.
 
 Con(A) is held as masks over its join-irreducibles J(Con A), for every
 algebra.  Cg(a, b) ≤ θ iff a θ b, so the set of distinct generators below θ
@@ -77,6 +102,7 @@ from .algebra import (
     delta_partition,
     join_partitions,
     meet_partitions,
+    merge_pairs,
     nabla_partition,
     partition_blocks,
     partition_refines,
@@ -548,6 +574,10 @@ def _enumerate_partitions(A: FiniteAlgebra) -> tuple:
     """Con(A)'s partitions, and one seed pair (a, b) per distinct generator
     Cg(a, b)."""
     n = A.n
+    # read from the signature, not the kind: a lattice-kind spec may carry
+    # another operation, and that can shrink Con
+    if A.is_lattice and all(f in ("join", "meet") or ar == 0 for f, ar in A.signature.operations):
+        return _lattice_partitions(A)
     if A.is_lattice:
         # Cg(a, b) over cover pairs generates Con, and each cover pair gives
         # the same Cg as some (j₊, j) with j join-irreducible (module doc)
@@ -558,6 +588,67 @@ def _enumerate_partitions(A: FiniteAlgebra) -> tuple:
     for a, b in gen_pairs:
         gens.setdefault(_close(A, [(a, b)]), (a, b))
     return _close_under_joins(n, gens), tuple(gens.values())
+
+
+def _lattice_partitions(A: FiniteAlgebra) -> tuple:
+    """_enumerate_partitions on a pure lattice, by the dependency relation
+    on J(L) (module doc)."""
+    n, join = A.n, A.tables["join"]
+    up, down = A.order_masks()
+    covers = cover_pairs(up, down)
+    n_lower, n_upper, lower = [0] * n, [0] * n, {}
+    for a, b in covers:
+        n_lower[b] += 1
+        n_upper[a] += 1
+        lower[b] = a
+    lower = {j: a for j, a in lower.items() if n_lower[j] == 1}  # j ∈ J(L) -> j₊
+    meet_irreducible = sum(1 << m for m in range(n) if n_upper[m] == 1)
+    join_irreducible = sum(1 << j for j in lower)
+    jd = [d & join_irreducible for d in down]  # J(L) ∩ ↓x
+    # below[k] = {j : j D* k}, starting from k and the j with j D k for a
+    # meet-irreducible m with k₊ ≤ m, k ≰ m, j ≤ k∨m and j ≰ m; then Warshall
+    below = {}
+    for k, kp in lower.items():
+        acc, row = 1 << k, join[k]
+        for m in _bits(up[kp] & ~up[k] & meet_irreducible):
+            acc |= jd[row[m]] & ~jd[m]
+        below[k] = acc
+    for i, bi in below.items():
+        if bi & (bi - 1):
+            bit = 1 << i
+            for k, bk in below.items():
+                if bk & bit:
+                    below[k] = bk | bi
+    # j, k share a class iff their below-sets are equal; the classes are
+    # numbered by their least members, which are the seeds' j
+    class_of, seeds = {}, []
+    for j in sorted(below):
+        if below[j] not in class_of:
+            class_of[below[j]] = len(seeds)
+            seeds.append((lower[j], j))
+    cls = {j: class_of[b] for j, b in below.items()}
+    under = []  # the classes strictly below each class
+    for c, (_, j) in enumerate(seeds):
+        under.append(functools.reduce(operator.or_, (1 << cls[k] for k in _bits(below[j]))) & ~(1 << c))
+    class_covers = [[] for _ in seeds]
+    for a, b in covers:
+        cand = jd[b] & ~jd[a]
+        j = next(j for j in _bits(cand) if jd[j] & cand == 1 << j)  # minimal
+        class_covers[cls[j]].append((a, b))
+    # each down-set is an earlier one plus a class c, where the classes come
+    # in an order that puts c after every class below it
+    made, sets = [], [0]
+    for c in sorted(range(len(seeds)), key=lambda c: under[c].bit_count()):
+        for i in range(len(sets)):
+            if under[c] & ~sets[i] == 0:
+                sets.append(sets[i] | 1 << c)
+                made.append((i, c))
+        if len(sets) > CON_CAP:
+            raise SizeCap(f"congruence count exceeds cap {CON_CAP}")
+    parts = [delta_partition(n)]
+    for i, c in made:
+        parts.append(merge_pairs(parts[i], class_covers[c]))
+    return tuple(parts), tuple(seeds)
 
 
 def _close_under_joins(n: int, gens: dict) -> tuple:
@@ -582,7 +673,8 @@ def _close_under_joins(n: int, gens: dict) -> tuple:
 
 
 def all_congruences(A: FiniteAlgebra) -> ConLattice:
-    """Enumerate Con(A) by closing the principal congruences under join.
+    """Enumerate Con(A): on a pure lattice from the dependency relation on
+    J(L), else by closing the principal congruences under join (module doc).
     The lattice is kept on A, so it lives exactly as long as A does."""
     if A._con is None:
         object.__setattr__(A, "_con", ConLattice(A, *_enumerate_partitions(A)))

@@ -310,14 +310,37 @@ def test_criterion_7_ordinal_sum_divergence():
     print("PASS: criterion 7 — ordinal-sum factor-congruence divergence exhibited")
 
 
-def test_criterion_8_scale_limits_are_enforced():
+def test_criterion_8_scale_limits_are_enforced(tmp_path, monkeypatch, capsys):
     """Every documented size cap actually raises instead of silently
     degrading, and brute-force oracles refuse inputs they cannot certify."""
+    import json
+
     import congrlab.algebra as algebra
     import congrlab.congruences as congruences
     import congrlab.factor as factor
     import congrlab.residuated as residuated
+    from congrlab.cli import main
     from congrlab.errors import SizeCap
+
+    # C16 has 2^15 congruences, past CON_CAP; the down-sets of J(Con C16)
+    # are counted first, so no partition is built
+    assert congruences.CON_CAP == 20000
+    c16 = tmp_path / "C16.json"
+    c16.write_text(json.dumps({
+        "name": "C16",
+        "kind": "lattice",
+        "elements": [f"e{i}" for i in range(16)],
+        "cover": [[f"e{i}", f"e{i+1}"] for i in range(15)],
+    }))
+
+    def no_partition(*args):
+        raise AssertionError("a partition was built past the cap")
+
+    monkeypatch.setattr(congruences, "merge_pairs", no_partition)
+    capsys.readouterr()
+    assert main(["con", "--file", str(c16)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: congruence count exceeds cap 20000\n"
 
     assert congruences.BRUTE_FORCE_CAP <= 9
     big_chain = {

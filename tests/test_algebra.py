@@ -13,6 +13,7 @@ from congrlab.algebra import (
     order_matrix,
     ordinal_sum,
     product_decode,
+    product_encode,
     product_radix,
     sublattice,
 )
@@ -180,6 +181,21 @@ def test_product_projection_recovers_factors():
                 ta, tb = product_decode(a, sizes, radix), product_decode(b, sizes, radix)
                 r = product_decode(P.op("join", a, b), sizes, radix)
                 assert r[i] == A.op("join", ta[i], tb[i])
+
+
+def test_product_tables_fold_to_the_encoded_componentwise_tables():
+    # each entry of the binary tables, encoded from its decoded components
+    for factors in ([fixture("T"), fixture("E")], [fixture("L2")] * 5, [fixture("L3"), fixture("L2x2")]):
+        P = direct_product(factors)
+        sizes = [A.n for A in factors]
+        radix = product_radix(sizes)
+        tups = [product_decode(i, sizes, radix) for i in range(P.n)]
+        for f in ("join", "meet"):
+            want = [
+                [product_encode([A.tables[f][x][y] for A, x, y in zip(factors, s, t)], radix) for t in tups]
+                for s in tups
+            ]
+            assert [list(row) for row in P.tables[f]] == want, (P.name, f)
 
 
 def test_product_of_t_and_e_has_42_elements():

@@ -1,16 +1,21 @@
-"""The partition join against the Mal'cev closure it replaces.
+"""The partition join and the dependency relation against the Mal'cev
+closure they replace.
 
 Con(A) is a sublattice of Eq(A), so `join` and the enumeration of Con(A)
 use the plain partition join.  The slow paths live on here as oracles: the
 closure of both congruences' pairs, and the enumeration that closes every
-found congruence under Mal'cev joins with every other one.  On a lattice the
-enumeration closes one pair (j₊, j) per join-irreducible j; the oracle
-closes every cover pair.  The generator-mask order of Con(A) is checked
-against partition refinement and the O(k³) cover scan, and the closure that
-walks a symmetric table once against the two-sided closure.
+found congruence under Mal'cev joins with every other one.  On an algebra
+with a lattice reduct and more operations the enumeration closes one pair
+(j₊, j) per join-irreducible j; the oracle closes every cover pair.  On a
+pure lattice it closes nothing: Con(L) is read off the dependency relation
+on J(L), and the closure enumeration it replaced is the oracle.  The
+generator-mask order of Con(A) is checked against partition refinement and
+the O(k³) cover scan, and the closure that walks a symmetric table once
+against the two-sided closure.
 """
 
 import itertools
+import random
 from collections import deque
 
 import pytest
@@ -23,13 +28,21 @@ from congrlab.algebra import (
     canonicalize,
     delta_partition,
     direct_product,
+    dual,
     emit_spec,
     join_partitions,
+    lattice_reduct,
     meet_partitions,
     partition_refines,
 )
 from congrlab.cli import main
-from congrlab.congruences import all_congruences, cg_generated, join, maximal_congruences
+from congrlab.congruences import (
+    all_congruences,
+    brute_force_congruences,
+    cg_generated,
+    join,
+    maximal_congruences,
+)
 from congrlab.fixtures import FIXTURE_NAMES, fixture, fixture_spec
 from congrlab.report import build_report, render_dot
 
@@ -134,23 +147,134 @@ def test_enumeration_matches_the_pairwise_malcev_closure(build):
     assert found == malcev_join_enumeration(A)
 
 
+# -- Con(L) by the dependency relation -----------------------------------------
+
+
+def closure_enumeration(A):
+    """Con(A) as every lattice used to be enumerated: Cg(j₊, j) closed for
+    each join-irreducible j, then closed under partition joins."""
+    gens = {}
+    for a, b in A.join_irreducible_pairs():
+        gens.setdefault(congruences._close(A, [(a, b)]), (a, b))
+    return congruences._close_under_joins(A.n, gens), tuple(gens.values())
+
+
+def relabelled(A, seed):
+    """An isomorphic copy of a lattice with its carrier shuffled."""
+    n = A.n
+    new = list(range(n))
+    random.Random(seed).shuffle(new)  # element e becomes new[e]
+    old = sorted(range(n), key=new.__getitem__)
+    tables = {}
+    for f, arity in A.signature.operations:
+        t = A.tables[f]
+        tables[f] = new[t] if arity == 0 else [[new[t[old[x]][old[y]]] for y in range(n)] for x in range(n)]
+    labels = [A.labels[e] for e in old]
+    return FiniteAlgebra(n, labels, A.signature, tables, name=f"{A.name}~{seed}")
+
+
+def dependency_algebras():
+    """The sweep, the lattice-kind fixtures, their duals and relabelled
+    copies, L2^5 and T×E."""
+    lattices = [fixture(name) for name in FIXTURE_NAMES if fixture(name).signature.kind == "lattice"]
+    lattices += [dual(L) for L in lattices] + [relabelled(L, i) for i, L in enumerate(lattices)]
+    return sweep() + lattices + lattice_algebras()[-2:]
+
+
+def test_the_dependency_relation_matches_the_closure_enumeration():
+    algebras = dependency_algebras()
+    assert len(algebras) == 225 + 3 * 15 + 2
+    for A in algebras:
+        parts, seeds = congruences._enumerate_partitions(A)
+        want_parts, want_seeds = closure_enumeration(A)
+        assert set(parts) == set(want_parts) and len(parts) == len(want_parts), A.name
+        assert seeds == want_seeds, A.name
+        # the same partitions, in the same index order, under the same masks
+        got, want = congruences.ConLattice(A, parts, seeds), congruences.ConLattice(A, want_parts, want_seeds)
+        assert [c.block_of for c in got.elements] == [c.block_of for c in want.elements], A.name
+        assert got.gen_masks == want.gen_masks, A.name
+
+
+def test_pure_lattices_need_no_closure_and_no_join(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a pure lattice was enumerated by closure")
+
+    lattices = sweep()
+    expected = [congruences._enumerate_partitions(L) for L in lattices]
+    monkeypatch.setattr(congruences, "_close", refuse)
+    monkeypatch.setattr(congruences, "join_partitions", refuse)
+    for A in dependency_algebras():
+        congruences._enumerate_partitions(A)
+    # bounded-lattice copies take the same path to the same answer
+    for L, want in zip(lattices, expected):
+        B = lattice_reduct(L, "bounded-lattice")
+        assert B.signature.kind == "bounded-lattice"
+        assert congruences._enumerate_partitions(B) == want, L.name
+
+
+def c3_with_a_reversal():
+    """The chain 0 < a < 1 with the order-reversing unary f, as a
+    lattice-kind spec.  C3 alone has four congruences; f leaves two."""
+    return build_from_spec(
+        {
+            "name": "C3f",
+            "kind": "lattice",
+            "elements": ["0", "a", "1"],
+            "operations": {
+                "join": [["0", "a", "1"], ["a", "a", "1"], ["1", "1", "1"]],
+                "meet": [["0", "0", "0"], ["0", "a", "a"], ["0", "a", "1"]],
+                "f": ["1", "a", "0"],
+            },
+        }
+    )
+
+
+def test_an_extra_operation_keeps_the_closure_path(monkeypatch):
+    A = c3_with_a_reversal()
+    assert A.signature.kind == "lattice"
+    counts = count_calls(monkeypatch, congruences, ["_close"])
+    cl = all_congruences(A)
+    assert counts["_close"] == 2  # one per join-irreducible element
+    assert cl.elements == brute_force_congruences(A)
+    assert len(cl) == 2
+    assert len(all_congruences(lattice_reduct(A))) == 4
+
+
+def count_calls(monkeypatch, module, names):
+    """Wrap each named function of module to count its calls."""
+    counts = dict.fromkeys(names, 0)
+
+    def counted(name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in names:
+        counted(name)
+    return counts
+
+
 @pytest.mark.parametrize(
-    "build,closures",
+    "build,closures,joins",
     [
-        (lambda: chain(8), 7),  # one per join-irreducible element
-        (lambda: direct_product([fixture("L2")] * 5), 5),  # 80 cover pairs
-        (lambda: direct_product([fixture("T"), fixture("E")]), 9),  # 97 cover pairs
-        (xor_algebra, 6),  # one per pair a < b
+        # a pure lattice: the dependency relation, no closure and no join
+        (lambda: chain(8), 0, 0),
+        (lambda: direct_product([fixture("L2")] * 5), 0, 0),
+        (lambda: direct_product([fixture("T"), fixture("E")]), 0, 0),
+        (xor_algebra, 6, 9),  # one closure per pair a < b
+        (lambda: build_from_spec(fixture_spec("R0")), 3, 8),  # one per join-irreducible
     ],
-    ids=["C8", "L2^5", "TxE", "V4"],
+    ids=["C8", "L2^5", "TxE", "V4", "R0"],
 )
-def test_cold_enumeration_closes_only_the_generators(build, closures, monkeypatch):
+def test_cold_enumeration_closes_only_the_generators(build, closures, joins, monkeypatch):
     A = build()
-    calls = []
-    close = congruences._close
-    monkeypatch.setattr(congruences, "_close", lambda *args: calls.append(1) or close(*args))
+    counts = count_calls(monkeypatch, congruences, ["_close", "join_partitions"])
     all_congruences(A)
-    assert len(calls) == closures
+    assert counts == {"_close": closures, "join_partitions": joins}
 
 
 def test_the_distributivity_scan_agrees_with_funayama_nakayama():
@@ -253,27 +377,19 @@ def large_report_operations():
 
 def test_cold_large_reports_refine_no_partitions(monkeypatch, capsys):
     # each operation starts cold; no pinned count may go up
-    counts = {"partition_refines": 0, "join_partitions": 0, "_close": 0}
-
-    def counted(module, name):
-        original = getattr(module, name)
-
-        def wrapper(*args):
-            counts[name] += 1
-            return original(*args)
-
-        monkeypatch.setattr(module, name, wrapper)
-
+    names = ["partition_refines", "join_partitions", "_close"]
+    tallies = [count_calls(monkeypatch, algebra, ["partition_refines"])]
     for module in (congruences, factor):
-        for name in counts:
-            if hasattr(module, name):
-                counted(module, name)
-    counted(algebra, "partition_refines")
+        tallies.append(count_calls(monkeypatch, module, [n for n in names if hasattr(module, n)]))
     for op in large_report_operations():
         monkeypatch.setattr(fixtures, "_CACHE", {})
         op()
     capsys.readouterr()
-    assert counts == {"partition_refines": 0, "join_partitions": 887, "_close": 49}
+    counts = dict.fromkeys(names, 0)
+    for tally in tallies:
+        for name, c in tally.items():
+            counts[name] += c
+    assert counts == {"partition_refines": 0, "join_partitions": 0, "_close": 0}
 
 
 # -- closures on symmetric tables ------------------------------------------------
