@@ -24,6 +24,9 @@ from .errors import (
 # Size caps: everything downstream is exponential-ish, so fail loudly.
 CARRIER_CAP = 4096
 CON_CAP = 20000
+# The residuation check scans all n³ triples: a 128-element Gödel chain
+# builds in about 1.7 s (README, Limits).
+RESIDUATED_CAP = 128
 
 KINDS = ("generic", "lattice", "bounded-lattice", "residuated")
 
@@ -270,6 +273,8 @@ class FiniteAlgebra:
 
     def _validate_residuation(self):
         n = self.n
+        if n > RESIDUATED_CAP:
+            raise SizeCap(f"residuated carrier size {n} exceeds cap {RESIDUATED_CAP}")
         times, implies = self.tables["times"], self.tables["implies"]
         top = self.tables["top"]
         for a in range(n):
@@ -452,6 +457,8 @@ def build_from_spec(spec: dict) -> FiniteAlgebra:
     n = len(labels)
     index = {lab: i for i, lab in enumerate(labels)}
     name = spec.get("name")
+    if name is not None and not isinstance(name, str):
+        raise TableError("spec field 'name' must be a JSON string")
     operations = _spec_field(spec, "operations", dict)
 
     if "cover" in spec:

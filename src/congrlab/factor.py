@@ -82,6 +82,15 @@ def factor_congruences(cl: ConLattice, t: int = 0) -> Center:
     return _interval_centers(cl, t)[1]
 
 
+def require_distributive(cl: ConLattice) -> None:
+    """Raise NotDistributive unless Con(A) is distributive, which every
+    center, and every question read off J(Con A), presumes."""
+    if not cl.is_distributive():
+        raise NotDistributive(
+            "congruence lattice is not distributive; complements would be ambiguous"
+        )
+
+
 def _interval_centers(cl: ConLattice, t: int) -> tuple[Center, Center]:
     """Both centers of [t, ∇], one relative-complement lookup per element,
     cached on the lattice.  Requires Con(A) distributive, so that every
@@ -89,10 +98,7 @@ def _interval_centers(cl: ConLattice, t: int) -> tuple[Center, Center]:
     hit = cl._cache.get(("center", t))
     if hit is not None:
         return hit
-    if not cl.is_distributive():
-        raise NotDistributive(
-            "congruence lattice is not distributive; complements would be ambiguous"
-        )
+    require_distributive(cl)
     bc, fc = Center(cl, [], {}), Center(cl, [], {})
     blocks = cl.blocks
     for i in cl.up_set(t):

@@ -6,17 +6,45 @@ of A/theta is surjective; the algebra has the property when every theta
 does.  The same scheme with Boolean congruences instead of factor
 congruences gives the second property.  Both are decided inside Con(A):
 by the correspondence theorem Con(A/theta) is the interval [theta, ∇], so
-u(alpha) is alpha v theta and no quotient is built.  Every candidate witness
-is tried, and failures name the target congruence that cannot be reached.
-Each (property, theta) verdict is decided once per lattice and cached.
+u(alpha) is alpha v theta and no quotient is built.  For factor congruences
+every candidate witness is tried, and failures name the target congruence
+that cannot be reached.  Each (property, theta) verdict is decided once per
+lattice and cached.
+
+The Boolean property and both normality checks are read off the order of
+J = J(Con A).  A center exists only on a distributive Con(A), and then
+θ ↦ D_θ, the set of members of J below θ (its mask), is an isomorphism onto
+the down-sets of J, with unions as joins and intersections as meets, and
+J itself as ∇ (Davey & Priestley, ch. 5 and 10).  A component is a
+connected component of J's comparability graph.
+
+1. The Boolean elements are the unions of components.  D has a complement
+   iff J ∖ D is a down-set too, that is iff no comparable pair has one end
+   in D and one outside it.
+2. θ has the Boolean property iff, for every component C, the trace
+   C ∖ D_θ is empty or connected.  [θ, ∇] is the down-sets of J ∖ D_θ, so
+   by 1 its Boolean elements are D_θ ∪ U, U a union of components of
+   J ∖ D_θ.
+   u sends the union W of components to D_θ ∪ (W ∖ D_θ), a union of
+   traces.  Each component of J ∖ D_θ lies in one trace, so u is onto iff
+   every non-empty trace is one component.  Every θ has the property iff
+   every component has a greatest element: a non-empty trace holds that
+   element, as D_θ is a down-set, and all of the trace is below it; and a
+   component without one has two maximal m ≠ m', and the down-set
+   J ∖ {m, m'} leaves them as a disconnected trace.
+3. A is b-normal iff, for every φ, V ⊆ φ⁺, where V is the union of the
+   components that meet J ∖ D_φ and φ⁺ = ↓(J ∖ D_φ).  φ ∨ ψ = ∇ iff
+   D_ψ ⊇ J ∖ D_φ, so φ⁺ is the least such ψ.  A Boolean α = W, α' = J ∖ W,
+   has φ ∨ α = ψ ∨ α' = ∇ iff J ∖ D_φ ⊆ W ⊆ D_ψ, and the least such W is V;
+   so (φ, ψ) has a witness iff V ⊆ D_ψ, and every ψ has one iff φ⁺ does.
+4. For fc-normality, let T_i be the set of j with θ_i ∨ θ_j = ∇.  A factor
+   congruence α is a witness for (i, j) iff α ∈ T_i and j ∈ T_α', so the j
+   with a witness are the union of T_α' over the factor α in T_i.  Only
+   the other j in T_i can fail, and only they are tested for θ_i∘θ_j = ∇.
 
 The normality checks return (True, None) or (False, the first failing
-pair).  For a center with members alpha_0, alpha_1, ..., bit x of left[i]
-is set iff theta_i v alpha_x = ∇, and bit x of right[j] iff
-theta_j v alpha_x' = ∇, alpha_x' the complement.  A trigger pair (i, j)
-has a witness iff left[i] & right[j] is not zero.  Only the pairs with
-theta_i v theta_j = ∇ can trigger, and those are listed once per lattice
-from Con(A)'s masks.
+pair in index order).  Every verdict and its evidence is the one the scans
+replaced here gave; the tests keep those scans as oracles.
 """
 
 from __future__ import annotations
@@ -27,6 +55,7 @@ from .algebra import FiniteAlgebra, _bits, canonicalize
 from .congruences import (
     ConLattice,
     Congruence,
+    _lowest_bit,
     all_congruences,
     is_arithmetical,
     is_congruence_distributive,
@@ -36,7 +65,7 @@ from .congruences import (
     prime_congruences,
 )
 from .errors import ParentMismatch, TrivialAlgebra
-from .factor import boolean_center, factor_congruences
+from .factor import boolean_center, factor_congruences, require_distributive
 
 
 @dataclass
@@ -143,13 +172,67 @@ def _images(cl: ConLattice, t: int, members_of) -> dict[int, int]:
 
 def _unliftable(cl: ConLattice, t: int, members_of) -> int | None:
     """The first member of members_of(cl, t), the center of [θ_t, ∇] ≅
-    Con(A/θ_t), that no u(α) reaches; None if θ_t has the lifting.  Cached
-    on the lattice, as a report asks for each verdict twice."""
+    Con(A/θ_t), that no u(α) reaches; None if θ_t has the lifting.  For
+    Boolean congruences a passing θ_t is told by its traces (module doc, 2)
+    and builds no images.  Cached on the lattice, as a report asks for each
+    verdict twice."""
     key = ("unliftable", members_of, t)
     if key not in cl._cache:
-        images, gm = _images(cl, t, members_of), cl.gen_masks
-        cl._cache[key] = next((b for b in members_of(cl, t).members if gm[b] not in images), None)
+        if members_of is boolean_center and _traces_connected(cl, t):
+            cl._cache[key] = None
+        else:
+            images, gm = _images(cl, t, members_of), cl.gen_masks
+            cl._cache[key] = next((b for b in members_of(cl, t).members if gm[b] not in images), None)
     return cl._cache[key]
+
+
+def _j_order(cl: ConLattice) -> tuple[list[int], list[int], list[int]]:
+    """J(Con A) as masks over the generator bits, cached on the lattice:
+    down[g] = ↓g, near[g] = the members comparable to g, and the connected
+    components.  g's own congruence is the lowest index above it, and its
+    mask is ↓g."""
+    hit = cl._cache.get("j_order")
+    if hit is None:
+        require_distributive(cl)
+        gm, js = cl.gen_masks, _bits(cl.gen_masks[cl.index_of_nabla])
+        down = [0] * len(cl._above)
+        for g in js:
+            down[g] = gm[_lowest_bit(cl._above[g])]
+        near = down[:]
+        for h in js:
+            for g in _bits(down[h]):
+                near[g] |= 1 << h
+        components, rest = [], gm[cl.index_of_nabla]
+        while rest:
+            c = _reach(near, rest & -rest, rest)
+            components.append(c)
+            rest &= ~c
+        hit = cl._cache["j_order"] = down, near, components
+    return hit
+
+
+def _reach(near: list[int], seed: int, within: int) -> int:
+    """The members of within that a path inside within joins to seed."""
+    reached = frontier = seed
+    while frontier:
+        step = 0
+        for g in _bits(frontier):
+            step |= near[g]
+        frontier = step & within & ~reached
+        reached |= frontier
+    return reached
+
+
+def _traces_connected(cl: ConLattice, t: int) -> bool:
+    """Whether every component of J meets J ∖ D_t in a connected set or
+    not at all: θ_t's Boolean lifting (module doc, 2)."""
+    _, near, components = _j_order(cl)
+    dt = cl.gen_masks[t]
+    for c in components:
+        trace = c & ~dt
+        if trace and _reach(near, trace & -trace, trace) != trace:
+            return False
+    return True
 
 
 def _has_lifting(A, theta, members_of) -> tuple[bool, LiftEvidence]:
@@ -195,7 +278,13 @@ def algebra_fclp(A: FiniteAlgebra) -> tuple[bool, LiftEvidence | None, Congruenc
 
 
 def algebra_cblp(A: FiniteAlgebra) -> tuple[bool, LiftEvidence | None, Congruence | None]:
-    """The same conjunction for has_cblp."""
+    """The same conjunction for has_cblp.  It holds iff every component of
+    J(Con A) has a greatest element (module doc, 2); only a failure walks
+    the θ for the first one without the lifting."""
+    cl = all_congruences(A)
+    down, _, components = _j_order(cl)
+    if all(any(down[g] == c for g in _bits(c)) for c in components):
+        return True, None, None
     return _algebra_lifting(A, boolean_center)
 
 
@@ -217,36 +306,11 @@ def _joins_to_nabla(cl: ConLattice) -> list[int]:
     return out
 
 
-def _witness_bits(co: list[list[int]], members) -> list[int]:
-    """Bit x of entry i is set iff θ_i ∨ θ_{members[x]} = ∇, where co[a]
-    lists the i with θ_i ∨ θ_a = ∇."""
-    out = [0] * len(co)
-    for x, a in enumerate(members):
-        bit = 1 << x
-        for i in co[a]:
-            out[i] |= bit
-    return out
-
-
-def _normality(cl: ConLattice, center, trigger):
-    """Whether each pair (i, j) with θ_i ∨ θ_j = ∇ and trigger(i, j) has a
-    member α of center with θ_i ∨ α = θ_j ∨ α' = ∇, where α' is α's
-    complement.  With left[i] the set of α that θ_i joins to ∇, and right[j]
-    the set of α whose complement θ_j joins to ∇, that holds iff
-    left[i] & right[j] is not empty.  Returns (True, None) or (False, the
-    first pair without a witness).  The pairs joining to ∇ are listed once
-    per lattice; Con(A) is distributive, as center exists."""
+def _trigger_masks(cl: ConLattice) -> list[int]:
+    """_joins_to_nabla, listed once per lattice."""
     if "joins_to_nabla" not in cl._cache:
         cl._cache["joins_to_nabla"] = _joins_to_nabla(cl)
-    co = [_bits(m) for m in cl._cache["joins_to_nabla"]]
-    members = center.members
-    left = _witness_bits(co, members)
-    right = _witness_bits(co, [center.complement[a] for a in members])
-    for i, js in enumerate(co):
-        for j in js:
-            if trigger(i, j) and not left[i] & right[j]:
-                return False, (cl.elements[i].block_string(), cl.elements[j].block_string())
-    return True, None
+    return cl._cache["joins_to_nabla"]
 
 
 def is_fc_normal(A: FiniteAlgebra):
@@ -257,22 +321,46 @@ def is_fc_normal(A: FiniteAlgebra):
 
     The trigger builds no composition: phi∘psi is full iff every phi-block
     meets every psi-block, i.e. iff |A/(phi∧psi)| = |A/phi|·|A/psi|, and
-    then phi v psi is full too, so only the pairs joining to ∇ are tried."""
+    then phi v psi is full too.  So only the pairs joining to ∇ that have
+    no witness are tried (module doc, 4)."""
     cl = all_congruences(A)
     fc = factor_congruences(cl)
-    return _normality(cl, fc, cl.composes_to_nabla)
+    joins = _trigger_masks(cl)
+    members = sum(1 << a for a in fc.members)
+    for i, m in enumerate(joins):
+        witnessed = 0
+        for a in _bits(m & members):
+            witnessed |= joins[fc.complement[a]]
+        for j in _bits(m & ~witnessed):
+            if cl.composes_to_nabla(i, j):
+                return False, (cl.elements[i].block_string(), cl.elements[j].block_string())
+    return True, None
 
 
 def is_b_normal(A: FiniteAlgebra):
-    """Same scheme with join as the trigger and Boolean-congruence pairs
-    meeting in the diagonal as witnesses, and the same return shape.
+    """For every pair with phi v psi the full congruence, Boolean
+    congruences alpha, beta meeting in the diagonal must exist with
+    phi v alpha = psi v beta = the full congruence; the same return shape.
 
-    The witness search only tries pairs (alpha, complement of alpha): any
-    witness beta satisfies alpha ^ beta = diagonal, hence beta lies below
-    the complement, and join is monotone — so if some (alpha, beta) works,
-    (alpha, complement of alpha) works too."""
+    beta may be taken to be the complement of alpha: alpha ^ beta =
+    diagonal puts beta below the complement, and join is monotone.  Decided
+    per phi on J(Con A) (module doc, 3); the pairs joining to ∇ are listed
+    only to name the first psi of a failing phi."""
     cl = all_congruences(A)
-    return _normality(cl, boolean_center(cl), lambda i, j: True)
+    down, _, components = _j_order(cl)
+    gm = cl.gen_masks
+    nabla = gm[cl.index_of_nabla]
+    for i, m in enumerate(gm):
+        rest, plus, v = nabla & ~m, 0, 0
+        for g in _bits(rest):
+            plus |= down[g]
+        for c in components:
+            if c & rest:
+                v |= c
+        if v & ~plus:
+            j = next(j for j in _bits(_trigger_masks(cl)[i]) if v & ~gm[j])
+            return False, (cl.elements[i].block_string(), cl.elements[j].block_string())
+    return True, None
 
 
 # -- theorem validator ------------------------------------------------------

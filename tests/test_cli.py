@@ -192,16 +192,17 @@ MALFORMED_SPECS = {
     "empty-table": '{"elements": ["0", "1"], "operations": {"f": []}}',
     "operations-not-an-object": '{"elements": ["0", "1"], "operations": [["0"]]}',
     "not-utf8": b"\xff\xfe",
+    "name-not-a-string": '{"name": ["x"], "kind": "lattice", "elements": ["0", "1"], "cover": [["0", "1"]]}',
 }
 
 
-@pytest.mark.parametrize("verb", ["con", "product"])
+@pytest.mark.parametrize("verb", ["con", "product", "report"])
 @pytest.mark.parametrize("name", sorted(MALFORMED_SPECS))
 def test_malformed_spec_exits_2_with_one_error_line(tmp_path, capsys, verb, name):
     spec = tmp_path / "bad.json"
     text = MALFORMED_SPECS[name]
     spec.write_bytes(text if isinstance(text, bytes) else text.encode())
-    argv = ["con", "--file", str(spec)] if verb == "con" else ["product", "L2", str(spec)]
+    argv = ["product", "L2", str(spec)] if verb == "product" else [verb, "--file", str(spec)]
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err

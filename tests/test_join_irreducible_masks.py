@@ -2,29 +2,30 @@
 
 ConLattice keeps, for each θ, the set of join-irreducible generators below
 it.  Meets are intersections, joins are unions where the union is a mask,
-relative complements are one lookup, and the normality checks read witness
-bitsets and return the first failing pair.  The old ways live on here as
-oracles, run on k×k join and meet tables built from partition joins and
-meets: the pair scan for relative complements, the normality loops, and
-the triple scan for distributivity.
+relative complements are one lookup, and the Boolean lifting and both
+normality checks are read off the components of J(Con A).  The old ways
+live on here as oracles: on k×k join and meet tables built from partition
+joins and meets, the pair scan for relative complements, the normality
+loops and the triple scan for distributivity; on the masks, the images scan
+for the Boolean lifting and the witness bitsets for normality.
 """
 
 import random
 
 import pytest
 
-from congrlab import lifting
-from congrlab.algebra import FiniteAlgebra, Signature, _bits, join_partitions, meet_partitions
+from congrlab import factor, lifting
+from congrlab.algebra import FiniteAlgebra, Signature, _bits, direct_product, join_partitions, meet_partitions
 from congrlab.congruences import Congruence, all_congruences
 from congrlab.errors import NotDistributive
 from congrlab.factor import boolean_center, factor_congruences
 from congrlab.fixtures import FIXTURE_NAMES, fixture
-from congrlab.lifting import is_b_normal, is_fc_normal
+from congrlab.lifting import algebra_cblp, has_cblp, is_b_normal, is_fc_normal
 from congrlab.report import build_report
 
 from sweep import sweep
 from test_congruences import xor_algebra
-from test_partition_join import chain, generic_copy, lattice_algebras
+from test_partition_join import chain, count_calls, generic_copy, lattice_algebras
 
 
 def partition_tables(cl):
@@ -212,9 +213,10 @@ def test_a_cold_report_decides_each_lifting_verdict_once(monkeypatch):
     )
     build_report(A)
     # lifting_report, then blp_equivalence_check, ask for the verdict of each
-    # (property, θ); it is decided once.  A chain has both properties, so no
-    # evidence is rendered.
-    assert len(calls) == len(set(calls)) == 2 * len(all_congruences(A))
+    # (property, θ); it is decided once, and only the factor lifting builds
+    # images.  A chain has both properties, so no evidence is rendered.
+    assert len(calls) == len(set(calls)) == len(all_congruences(A))
+    assert {members_of for _, members_of in calls} == {factor_congruences}
     assert lifting.algebra_fclp(A)[0] and lifting.algebra_cblp(A)[0]
 
 
@@ -224,5 +226,87 @@ def test_a_cold_report_lists_the_trigger_pairs_once(monkeypatch):
     listing = lifting._joins_to_nabla
     monkeypatch.setattr(lifting, "_joins_to_nabla", lambda cl: calls.append(cl) or listing(cl))
     build_report(A)
-    # is_fc_normal and is_b_normal both read the listing
+    # is_fc_normal reads the listing; a b-normal algebra needs none
     assert calls == [all_congruences(A)]
+
+
+# -- the Boolean lifting and normality on the components of J(Con A) -------------
+
+
+def images_unliftable(cl, t):
+    """The old per-θ scan: the first Boolean member of [θ_t, ∇] that no
+    α ∨ θ_t, α in B(A), reaches."""
+    gm = cl.gen_masks
+    images = {gm[a] | gm[t] for a in boolean_center(cl).members}
+    return next((b for b in boolean_center(cl, t).members if gm[b] not in images), None)
+
+
+def images_algebra_cblp(A):
+    cl = all_congruences(A)
+    for t, theta in enumerate(cl.elements):
+        if images_unliftable(cl, t) is not None:
+            return False, has_cblp(A, theta)[1], theta
+    return True, None, None
+
+
+def witness_bits(co, members):
+    out = [0] * len(co)
+    for x, a in enumerate(members):
+        for i in co[a]:
+            out[i] |= 1 << x
+    return out
+
+
+def bitset_normality(cl, center, trigger):
+    """The old bitset check: bit x of left[i] is set iff θ_i ∨ α_x = ∇, and
+    of right[j] iff θ_j ∨ α_x' = ∇; a trigger pair (i, j) joining to ∇ has
+    a witness iff left[i] & right[j] is not zero."""
+    co = [_bits(m) for m in lifting._joins_to_nabla(cl)]
+    left = witness_bits(co, center.members)
+    right = witness_bits(co, [center.complement[a] for a in center.members])
+    for i, js in enumerate(co):
+        for j in js:
+            if trigger(i, j) and not left[i] & right[j]:
+                return False, (cl.elements[i].block_string(), cl.elements[j].block_string())
+    return True, None
+
+
+def test_the_components_decide_as_the_images_and_bitsets_do():
+    verdicts = {"cblp": set(), "fcn": set(), "bn": set()}
+    for A in mask_algebras() + random_generic_algebras():
+        cl = all_congruences(A)
+        if not cl.is_distributive():
+            for check in (algebra_cblp, is_b_normal, is_fc_normal):
+                with pytest.raises(NotDistributive):
+                    check(A)
+            with pytest.raises(NotDistributive):
+                lifting._unliftable(cl, cl.index_of_nabla, boolean_center)
+            continue
+        for t in range(len(cl)):
+            assert lifting._unliftable(cl, t, boolean_center) == images_unliftable(cl, t), (A.name, t)
+        want = images_algebra_cblp(A)
+        assert algebra_cblp(A) == want, A.name
+        fcn = bitset_normality(cl, factor_congruences(cl), cl.composes_to_nabla)
+        bn = bitset_normality(cl, boolean_center(cl), lambda i, j: True)
+        assert (is_fc_normal(A), is_b_normal(A)) == (fcn, bn), A.name
+        verdicts["cblp"].add(want[0])
+        verdicts["fcn"].add(fcn[0])
+        verdicts["bn"].add(bn[0])
+    assert all(v == {True, False} for v in verdicts.values()), verdicts
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: chain(8), lambda: direct_product([fixture("L2")] * 5)], ids=["C8", "L2^5"]
+)
+def test_cold_cblp_and_b_normality_build_no_images_centers_or_pairs(build, monkeypatch):
+    A = build()
+    calls = []
+    images, centers = lifting._images, factor._interval_centers
+    monkeypatch.setattr(lifting, "_images", lambda cl, t, members_of: calls.append(t) or images(cl, t, members_of))
+    monkeypatch.setattr(factor, "_interval_centers", lambda cl, t: calls.append(t) or centers(cl, t))
+    assert algebra_cblp(A) == (True, None, None)
+    assert set(calls) <= {all_congruences(A).index_of_delta}
+    B = build()
+    counts = count_calls(monkeypatch, lifting, ["_joins_to_nabla"])
+    assert is_b_normal(B) == (True, None)
+    assert counts == {"_joins_to_nabla": 0}

@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from congrlab import lifting
 from congrlab.algebra import are_isomorphic, build_from_spec, lattice_reduct
 from congrlab.congruences import all_congruences, delta, parse_congruence
 from congrlab.errors import (
@@ -10,7 +13,8 @@ from congrlab.errors import (
     SizeCap,
 )
 from congrlab.fixtures import fixture
-from congrlab.lifting import quotient
+from congrlab.factor import boolean_center, factor_congruences
+from congrlab.lifting import algebra_cblp, is_b_normal, is_fc_normal, quotient
 from congrlab.residuated import (
     algebra_blp,
     blp_equivalence_check,
@@ -260,3 +264,68 @@ def test_r0_is_arithmetical():
     from congrlab.congruences import is_arithmetical
 
     assert is_arithmetical(fixture("R0"))
+
+
+# -- residuated chains from their t-norms --------------------------------------
+
+T_NORMS = {
+    "godel": lambda x, y, top: min(x, y),
+    "lukasiewicz": lambda x, y, top: max(0, x + y - top),
+    "drastic": lambda x, y, top: y if x == top else x if y == top else 0,
+}
+
+
+def residuated_chain(n, t_norm, name=None):
+    """The chain 0 < 1 < ... < n-1 with the product t_norm and its residuum
+    x → y = max{z : z·x ≤ y}, as explicit tables."""
+    labels, top = [str(e) for e in range(n)], n - 1
+    times = [[T_NORMS[t_norm](x, y, top) for y in range(n)] for x in range(n)]
+    implies = [[max(z for z in range(n) if times[z][x] <= y) for y in range(n)] for x in range(n)]
+    table = lambda f: [[labels[f(x, y)] for y in range(n)] for x in range(n)]
+    return {
+        "name": name or f"{t_norm}{n}",
+        "kind": "residuated",
+        "elements": labels,
+        "operations": {
+            "join": table(max),
+            "meet": table(min),
+            "times": table(lambda x, y: times[x][y]),
+            "implies": table(lambda x, y: implies[x][y]),
+        },
+        "constants": {"bot": "0", "top": labels[top]},
+    }
+
+
+RESIDUATED_CHAINS = [(t, n) for t in T_NORMS for n in range(2, 9)]
+
+
+@pytest.mark.parametrize("t_norm,n", RESIDUATED_CHAINS, ids=[f"{t}{n}" for t, n in RESIDUATED_CHAINS])
+def test_residuated_chains_decide_as_the_oracles_do(t_norm, n):
+    from test_join_irreducible_masks import (
+        bitset_normality,
+        images_algebra_cblp,
+        images_unliftable,
+        normality_loops,
+    )
+
+    A = build_from_spec(residuated_chain(n, t_norm))  # the build checks residuation
+    cl = all_congruences(A)
+    for t in range(len(cl)):
+        assert lifting._unliftable(cl, t, boolean_center) == images_unliftable(cl, t), t
+    assert algebra_cblp(A) == images_algebra_cblp(A)
+    fcn = bitset_normality(cl, factor_congruences(cl), cl.composes_to_nabla)
+    bn = bitset_normality(cl, boolean_center(cl), lambda i, j: True)
+    assert (is_fc_normal(A), is_b_normal(A)) == (fcn, bn) == normality_loops(A)
+    assert blp_equivalence_check(A)["consistent"]
+
+
+def test_a_residuated_spec_over_the_cap_exits_2(tmp_path, capsys):
+    from congrlab.algebra import RESIDUATED_CAP
+    from congrlab.cli import main
+
+    path = tmp_path / "godel.json"
+    path.write_text(json.dumps(residuated_chain(RESIDUATED_CAP + 1, "godel")))
+    assert main(["con", "--file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: residuated carrier size {RESIDUATED_CAP + 1} exceeds cap {RESIDUATED_CAP}\n"

@@ -2,10 +2,11 @@
 
 Each spec starts well-formed (a cover relation, or operation tables on up to
 four elements, among them random join and meet tables of the lattice kinds)
-and may then have one node replaced by stray JSON or deleted:
-a wrong kind, a short row, an unknown label, a list where a label belongs.
-build_from_spec must build it or raise CongrlabError, and `congrlab con
---file` must exit 0 or 2, with exactly one `error:` line when it is 2.
+and may carry a name, which may be stray JSON; it may then have one node
+replaced by stray JSON or deleted: a wrong kind, a short row, an unknown
+label, a list where a label belongs.  build_from_spec must build it or raise
+CongrlabError, and `congrlab con --file` and `congrlab report --file` must
+exit 0 or 2, with exactly one `error:` line when it is 2.
 """
 
 import io
@@ -56,6 +57,8 @@ def specs(draw):
             spec["operations"] = draw(st.fixed_dictionaries({"join": square, "meet": square}))
         if kind == "bounded-lattice":
             spec["constants"] = draw(st.fixed_dictionaries({"bot": label, "top": label}))
+    if draw(st.booleans()):
+        spec["name"] = draw(st.text(max_size=3) | STRAY)
     path = draw(st.sampled_from([None, *_paths(spec)]))
     if path is None:
         return spec
@@ -87,12 +90,13 @@ def test_con_on_a_random_spec_exits_0_or_2(tmp_path):
     @given(specs())
     def check(spec):
         path.write_text(json.dumps(spec))
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(["con", "--file", str(path)])
-        assert code in (0, 2), (spec, code)
-        if code == 2:
-            assert out.getvalue() == "" and err.getvalue().startswith("error: "), spec
-            assert err.getvalue().count("\n") == 1, spec
+        for verb in ("con", "report"):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([verb, "--file", str(path)])
+            assert code in (0, 2), (verb, spec, code)
+            if code == 2:
+                assert out.getvalue() == "" and err.getvalue().startswith("error: "), (verb, spec)
+                assert err.getvalue().count("\n") == 1, (verb, spec)
 
     check()
