@@ -297,11 +297,22 @@ class FiniteAlgebra:
                         )
 
 
+_INT_TYPES = frozenset((int, bool))
+
+
+def _int_row(row) -> bool:
+    """Every entry of row is an int, tested at C speed."""
+    return set(map(type, row)) <= _INT_TYPES
+
+
 def _freeze_tables(tables):
+    """Nested sequences as nested tuples, a row of ints in one tuple() call."""
+
     def freeze(t):
         if isinstance(t, int):
             return t
-        return tuple(freeze(x) for x in t)
+        row = tuple(t)
+        return row if _int_row(row) else tuple(map(freeze, row))
 
     return {name: freeze(t) for name, t in tables.items()}
 
@@ -313,6 +324,8 @@ def _check_table(table, arity, n, fname):
         return
     if not isinstance(table, tuple) or len(table) != n:
         raise TableError(f"table for {fname} is not total")
+    if arity == 1 and _int_row(table) and 0 <= min(table) and max(table) < n:
+        return
     for row in table:
         _check_table(row, arity - 1, n, fname)
 
@@ -415,14 +428,24 @@ def _bits(mask: int) -> list[int]:
 
 def cover_pairs(ups, downs) -> list[tuple[int, int]]:
     """The pairs a ≺ b of a finite order, ordered by b, then a, where ups[a]
-    and downs[b] are the bitmasks of ↑a and ↓b: a ≺ b iff a ≠ b and the
-    interval ↑a ∩ ↓b is {a, b}."""
-    return [
-        (a, b)
-        for b, down in enumerate(downs)
-        for a in _bits(down)
-        if a != b and ups[a] & down == 1 << a | 1 << b
-    ]
+    and downs[b] are the bitmasks of ↑a and ↓b.  The lower covers of b are
+    the maximal elements of ↓b ∖ {b}.  From any member a of what is left,
+    climb to a maximal one: while ↑a holds another member, step to the
+    highest such.  A maximal element found is a cover; dropping its down-set
+    leaves the other maximal elements and nothing below the found ones."""
+    out = []
+    for b, down in enumerate(downs):
+        rest, lower = down & ~(1 << b), []
+        while rest:
+            a = rest.bit_length() - 1
+            above = ups[a] & rest & ~(1 << a)
+            while above:
+                a = above.bit_length() - 1
+                above = ups[a] & rest & ~(1 << a)
+            lower.append(a)
+            rest &= ~downs[a]
+        out += [(a, b) for a in sorted(lower)]
+    return out
 
 
 def order_matrix(algebra: FiniteAlgebra) -> list[list[bool]]:

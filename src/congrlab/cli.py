@@ -45,7 +45,7 @@ from .report import (
     render_report_table,
     yn,
 )
-from .residuated import algebra_blp, has_filt_blp, has_id_blp
+from .residuated import algebra_blp, filt_blp_failure, id_blp_failure
 
 CHECK_PROPERTIES = (
     "fclp",
@@ -299,14 +299,13 @@ def _check(A: FiniteAlgebra, args) -> int:
         if not ok:
             print(f"failing congruence: {theta.block_string()}")
         return 0 if ok else 1
-    if prop == "filt-blp":
-        ok = has_filt_blp(A)
-        print(f"Filt-BLP: {yn(ok)}")
-        return 0 if ok else 1
-    if prop == "id-blp":
-        ok = has_id_blp(A)
-        print(f"Id-BLP: {yn(ok)}")
-        return 0 if ok else 1
+    if prop in ("filt-blp", "id-blp"):
+        name, failure = ("Filt-BLP", filt_blp_failure) if prop == "filt-blp" else ("Id-BLP", id_blp_failure)
+        theta = failure(A)
+        print(f"{name}: {yn(theta is None)}")
+        if theta is not None:
+            print(f"failing congruence: {theta.block_string()}")
+        return 0 if theta is None else 1
     if prop == "fc-normal":
         ok, info = is_fc_normal(A)
         print(f"fc-normal: {yn(ok)}")

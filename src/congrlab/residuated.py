@@ -3,10 +3,22 @@ finite reticulation of a residuated lattice.
 
 Everything is decided on A's own tables.  A/theta joins and meets class
 representatives, so the classes of r and s are complements in A/theta iff
-(r v s) theta 1 and (r ^ s) theta 0: BLP needs no quotient.  Every filter
-of a finite residuated lattice is principal (its meet is idempotent), so the
-filters are the n principal filters and the ideals are the filters of the
-order dual: no subset is scanned.
+(r v s) theta 1 and (r ^ s) theta 0: BLP needs no quotient.  A's own center
+is that scan at Delta, run once per algebra and kept on A._cache.
+
+Every filter F of a finite lattice is principal: m = ^F lies in F, so
+F = [m).  In a residuated lattice m*m is in F and m*m <= m*1 = m, so m is
+idempotent.  The filters are therefore the n principal filters, and the
+ideals, dually, the n principal ideals (x].  Their congruences are kernels,
+computed in O(n):
+
+* x ^ a = y ^ a for some a in [m)  iff  x ^ m = y ^ m.  If x ^ a = y ^ a
+  with m <= a, meet both sides with m; conversely take a = m.  Dually,
+  x v a = y v a for some a in (m]  iff  x v m = y v m.
+* For the residuated kind, (x -> y) ^ (y -> x) in [m)  iff  m*x = m*y.  By
+  residuation m <= x -> y iff m*x <= y, which gives m*x = m*m*x <= m*y;
+  the other conjunct gives m*y <= m*x.  Conversely m*x = m*y <= y gives
+  m <= x -> y, and likewise m <= y -> x.
 
 Orientation of the reticulation: the carrier is the set of principal
 filters, ordered by REVERSE inclusion — F <= G iff F is a superset of G —
@@ -17,9 +29,10 @@ meet is the filter generated by the union.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from .algebra import FiniteAlgebra, delta_partition, dual, lattice_from_order, lattice_reduct
+from .algebra import FiniteAlgebra, _bits, delta_partition, lattice_from_order, lattice_reduct
 from .congruences import Congruence, all_congruences
 from .errors import (
     AmbiguousComplement,
@@ -69,16 +82,31 @@ def _complements(A: FiniteAlgebra, block_of) -> dict[int, int]:
 
 
 def element_boolean_center(A: FiniteAlgebra) -> ElementBooleanCenter:
-    """The complemented elements of A: the complement scan at Δ."""
-    complement = _complements(A, delta_partition(A.n))
-    return ElementBooleanCenter(A, list(complement), complement)
+    """The complemented elements of A: the complement scan at Δ, run once
+    per algebra and cached on it.  An ambiguous complement is cached too, and
+    raised again on every call."""
+    hit = A._cache.get("element_center")
+    if hit is None:
+        try:
+            complement = _complements(A, delta_partition(A.n))
+            hit = ElementBooleanCenter(A, list(complement), complement)
+        except AmbiguousComplement as exc:
+            hit = exc
+        A._cache["element_center"] = hit
+    if isinstance(hit, AmbiguousComplement):
+        raise AmbiguousComplement(hit.element, hit.complements)
+    return hit
 
 
 def has_blp(A: FiniteAlgebra, theta: Congruence) -> bool:
     """Every complemented element of A/theta has a complemented element of A
-    in its class.  Decided on A's tables: no quotient is built."""
+    in its class.  Decided on A's tables: no quotient is built.  At Δ the
+    scan is A's own center, which holds it; an ambiguous complement raises."""
     if theta.algebra != A:
         raise ParentMismatch("congruence does not belong to the algebra")
+    if theta.is_delta():
+        element_boolean_center(A)
+        return True
     complemented = _complements(A, theta.block_of)
     return _center_reaches(theta.block_of, complemented, element_boolean_center(A))
 
@@ -91,12 +119,13 @@ def _center_reaches(block_of, complemented, center: ElementBooleanCenter) -> boo
 
 def algebra_blp(A: FiniteAlgebra):
     """Conjunction of has_blp over all congruences; returns (ok, first
-    failing congruence or None).  A's center is computed once: Δ comes
-    first, and at Δ the congruence's complement scan is A's own, so an
-    ambiguous complement raises the same message as in has_blp."""
+    failing congruence or None).  A's center is computed once, first, as
+    has_blp at Δ would, so an ambiguous complement raises the same message."""
     thetas = all_congruences(A).elements
     center = element_boolean_center(A)
     for theta in thetas:
+        if theta.is_delta():
+            continue
         if not _center_reaches(theta.block_of, _complements(A, theta.block_of), center):
             return False, theta
     return True, None
@@ -118,79 +147,60 @@ class FilterSet:
 def is_filter(A: FiniteAlgebra, F) -> bool:
     """Non-empty, upward closed, meet-closed; for the residuated kind also
     closed under the product operation."""
-    F = set(F)
-    if not F:
-        return False
-    meet_t = A.tables["meet"]
-    for a in F:
-        for b in range(A.n):
-            if A.leq(a, b) and b not in F:
-                return False
-        for b in F:
-            if meet_t[a][b] not in F:
-                return False
-    if A.signature.kind == "residuated":
-        times = A.tables["times"]
-        for a in F:
-            for b in F:
-                if times[a][b] not in F:
-                    return False
-    return True
+    products = ("meet", "times") if A.signature.kind == "residuated" else ("meet",)
+    return _is_closed(A, F, A.order_masks()[0], products)
 
 
 def is_ideal(A: FiniteAlgebra, I) -> bool:
-    I = set(I)
-    if not I:
+    """Non-empty, downward closed, join-closed."""
+    return _is_closed(A, I, A.order_masks()[1], ("join",))
+
+
+def _is_closed(A: FiniteAlgebra, S, masks, operations) -> bool:
+    """S is non-empty, contains masks[a] for each member a, and is closed
+    under the named binary operations."""
+    S = set(S)
+    if not S:
         return False
-    join = A.tables["join"]
-    for a in I:
-        for b in range(A.n):
-            if A.leq(b, a) and b not in I:
-                return False
-        for b in I:
-            if join[a][b] not in I:
-                return False
-    return True
+    mask = sum(1 << e for e in S)
+    if any(masks[a] & ~mask for a in S):
+        return False
+    return all(A.tables[f][a][b] in S for f in operations for a in S for b in S)
 
 
 def principal_filter(A: FiniteAlgebra, x: int) -> frozenset:
     """[x): upward closure of the powers of x (powers matter only when the
     product is not idempotent)."""
-    if A.signature.kind == "residuated":
-        times = A.tables["times"]
-        powers = {x}
-        p = x
-        while True:
-            p = times[p][x]
-            if p in powers:
-                break
-            powers.add(p)
-        return frozenset(
-            b for b in range(A.n) if any(A.leq(p, b) for p in powers)
-        )
-    return frozenset(b for b in range(A.n) if A.leq(x, b))
+    up = A.order_masks()[0]
+    if A.signature.kind != "residuated":
+        return frozenset(_bits(up[x]))
+    times, mask, powers, p = A.tables["times"], 0, set(), x
+    while p not in powers:
+        powers.add(p)
+        mask |= up[p]
+        p = times[p][x]
+    return frozenset(_bits(mask))
 
 
 def filters(A: FiniteAlgebra) -> FilterSet:
-    """All filters, smallest first.  A filter F of a finite lattice is the
-    up-set of m = ^F; in a residuated lattice m*m is in F and m*m <= m, so m
-    is idempotent and F = principal_filter(m).  Conversely every principal
-    filter is a filter, so the filters are the n principal filters."""
+    """All filters, smallest first: the n principal filters (module doc)."""
     A.require_lattice()
     if A.n > FILTER_CAP:
         raise SizeCap(f"filter enumeration capped at carrier size {FILTER_CAP}")
-    found = sorted(
-        {principal_filter(A, x) for x in range(A.n)}, key=lambda F: (len(F), sorted(F))
-    )
+    found = _smallest_first(principal_filter(A, x) for x in range(A.n))
     return FilterSet(A, found, [True] * len(found))
 
 
 def ideals(A: FiniteAlgebra) -> list[frozenset]:
-    """All ideals, smallest first: the filters of the order dual."""
+    """All ideals, smallest first: the n principal ideals (module doc)."""
     A.require_lattice()
     if A.n > FILTER_CAP:
         raise SizeCap(f"ideal enumeration capped at carrier size {FILTER_CAP}")
-    return filters(dual(lattice_reduct(A))).filters
+    return _smallest_first(frozenset(_bits(d)) for d in A.order_masks()[1])
+
+
+def _smallest_first(sets) -> list[frozenset]:
+    return sorted(set(sets), key=lambda S: (len(S), sorted(S)))
 
 
 def maximal_filters(A: FiniteAlgebra) -> list[frozenset]:
@@ -200,9 +210,10 @@ def maximal_filters(A: FiniteAlgebra) -> list[frozenset]:
 
 
 def filter_congruence(A: FiniteAlgebra, F) -> Congruence:
-    """The congruence a filter induces.  Residuated kind: x ~ y iff the
-    biconditional (x -> y) ^ (y -> x) lands in the filter; distributive
-    lattice kind: x ~ y iff x ^ a = y ^ a for some member a."""
+    """The congruence a filter F = [m) induces.  Residuated kind: x ~ y iff
+    the biconditional (x -> y) ^ (y -> x) lands in F, which is m*x = m*y;
+    distributive lattice kind: x ~ y iff x ^ a = y ^ a for some member a,
+    which is x ^ m = y ^ m (module doc)."""
     F = frozenset(F)
     if A.signature.kind != "residuated" and not A.is_distributive_lattice():
         raise NotDistributive(
@@ -210,23 +221,15 @@ def filter_congruence(A: FiniteAlgebra, F) -> Congruence:
         )
     if not is_filter(A, F):
         raise NotAFilter(f"{sorted(A.labels[e] for e in F)} is not a filter")
-    n = A.n
     meet_t = A.tables["meet"]
-    related = [[False] * n for _ in range(n)]
-    if A.signature.kind == "residuated":
-        implies = A.tables["implies"]
-        for x in range(n):
-            for y in range(n):
-                related[x][y] = meet_t[implies[x][y]][implies[y][x]] in F
-    else:
-        for x in range(n):
-            for y in range(n):
-                related[x][y] = any(meet_t[x][a] == meet_t[y][a] for a in F)
-    return Congruence(A, _partition_of(related), check=True)
+    m = functools.reduce(lambda a, b: meet_t[a][b], F)
+    by = A.tables["times"] if A.signature.kind == "residuated" else meet_t
+    return Congruence(A, _kernel(by[m]), check=True)
 
 
 def ideal_congruence(A: FiniteAlgebra, I) -> Congruence:
-    """x ~ y iff x v a = y v a for some member of the ideal.
+    """x ~ y iff x v a = y v a for some member of the ideal I = (m], which
+    is x v m = y v m (module doc).
 
     For the residuated kind the congruence is taken on the bounded-lattice
     reduct: joining against ideal elements respects join and meet but not
@@ -240,28 +243,41 @@ def ideal_congruence(A: FiniteAlgebra, I) -> Congruence:
         )
     if not is_ideal(A, I):
         raise NotAnIdeal(f"{sorted(A.labels[e] for e in I)} is not an ideal")
-    n = A.n
     join = A.tables["join"]
-    related = [
-        [any(join[x][a] == join[y][a] for a in I) for y in range(n)]
-        for x in range(n)
-    ]
-    return Congruence(A, _partition_of(related), check=True)
+    m = functools.reduce(lambda a, b: join[a][b], I)
+    return Congruence(A, _kernel(join[m]), check=True)
 
 
-def _partition_of(related):
-    """Partition from a relation matrix that is already an equivalence: the
-    first element related to x is the least of x's block."""
-    return tuple(row.index(True) for row in related)
+def _kernel(image) -> tuple[int, ...]:
+    """The canonical partition of x -> image[x]: each x joins the block of
+    the least element with the same image."""
+    first: dict[int, int] = {}
+    return tuple(first.setdefault(v, x) for x, v in enumerate(image))
+
+
+def filt_blp_failure(A: FiniteAlgebra) -> Congruence | None:
+    """The first filter congruence, in filters(A) order, whose quotient
+    fails BLP, or None if Filt-BLP holds."""
+    return _first_failure(A, (filter_congruence(A, F) for F in filters(A).filters))
+
+
+def id_blp_failure(A: FiniteAlgebra) -> Congruence | None:
+    """The first ideal congruence, in ideals(A) order, whose quotient fails
+    BLP, or None if Id-BLP holds.  Residuated kind: on the lattice reduct."""
+    L = lattice_reduct(A, "bounded-lattice") if A.signature.kind == "residuated" else A
+    return _first_failure(L, (ideal_congruence(L, I) for I in ideals(L)))
+
+
+def _first_failure(A: FiniteAlgebra, thetas) -> Congruence | None:
+    return next((theta for theta in thetas if not has_blp(A, theta)), None)
 
 
 def has_filt_blp(A: FiniteAlgebra) -> bool:
-    return all(has_blp(A, filter_congruence(A, F)) for F in filters(A).filters)
+    return filt_blp_failure(A) is None
 
 
 def has_id_blp(A: FiniteAlgebra) -> bool:
-    L = lattice_reduct(A, "bounded-lattice") if A.signature.kind == "residuated" else A
-    return all(has_blp(L, ideal_congruence(L, I)) for I in ideals(L))
+    return id_blp_failure(A) is None
 
 
 # -- reticulation -----------------------------------------------------------

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from congrlab import algebra
 from congrlab.algebra import (
     FiniteAlgebra,
     Signature,
@@ -82,6 +85,68 @@ def test_non_total_table_is_rejected():
         build_from_spec(
             {"kind": "algebra", "elements": ["0", "1"], "operations": {"f": [["0"]]}}
         )
+
+
+def entrywise_freeze(tables):
+    """_freeze_tables one entry per call, as it was before it froze rows."""
+
+    def freeze(t):
+        if isinstance(t, int):
+            return t
+        return tuple(freeze(x) for x in t)
+
+    return {name: freeze(t) for name, t in tables.items()}
+
+
+def entrywise_check(table, arity, n, fname):
+    """_check_table one entry per call, as it was before it checked rows."""
+    if arity == 0:
+        if not isinstance(table, int) or not 0 <= table < n:
+            raise TableError(f"constant {fname} out of range")
+        return
+    if not isinstance(table, tuple) or len(table) != n:
+        raise TableError(f"table for {fname} is not total")
+    for row in table:
+        entrywise_check(row, arity - 1, n, fname)
+
+
+def table_outcome(freeze, check, table, arity, n):
+    """The frozen table, or the message of the TableError raised."""
+    try:
+        frozen = freeze({"f": table})["f"]
+        check(frozen, arity, n, "f")
+        return frozen
+    except TableError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "table,arity",
+    [
+        ([[0, 1, 2], [1, 1, 2], [2, 2, 2]], 2),
+        (((0, 1, 2), (1, 1, 2), (2, 2, 2)), 2),
+        ([[0, 1, True], [False, 1, 2], [2, 2, 2]], 2),
+        ([0, 2, 1], 1),
+        (2, 0),
+        (3, 0),
+        (-1, 0),
+        ([[0, 1, 2], [1, 1, 3], [2, 2, 2]], 2),
+        ([[0, 1, 2], [1, -1, 2], [2, 2, 2]], 2),
+        ([[0, 1, 2], [1, 1], [2, 2, 2]], 2),
+        ([[0, 1, 2], [1, 1, 2]], 2),
+        ([[0, 1, 2], [1, [1], 2], [2, 2, 2]], 2),
+        ([[0, 1, 2], 1, [2, 2, 2]], 2),
+        ([[[0, 1, 2]] * 3] * 3, 3),
+        ([[[0, 1, 2]] * 3, [[0, 1, 2], [0, 1, 9], [0, 1, 2]], [[0, 1, 2]] * 3], 3),
+        ([[0, 1, 2]] * 3, 3),
+        ([0, 1, 2], 2),
+        ([[0, 1, 2]] * 3, 1),
+        ([], 1),
+    ],
+)
+def test_rows_are_frozen_and_checked_as_entry_by_entry(table, arity):
+    want = table_outcome(entrywise_freeze, entrywise_check, table, arity, 3)
+    assert table_outcome(algebra._freeze_tables, algebra._check_table, table, arity, 3) == want
 
 
 def test_bad_lattice_table_is_rejected():
@@ -520,3 +585,22 @@ def test_covers_agree_with_the_cubic_scan():
         assert got == cover_scan(L), L.name
         pairs += len(got)
     assert pairs > 2000
+
+
+def relabelled_chain(n, seed):
+    """The chain of n elements, its indices in a random order."""
+    names = [f"c{i}" for i in range(n)]
+    elements = names[:]
+    random.Random(seed).shuffle(elements)
+    cover = [[names[i], names[i + 1]] for i in range(n - 1)]
+    return build_from_spec({"kind": "lattice", "elements": elements, "cover": cover})
+
+
+def test_covers_of_a_relabelled_chain():
+    for n, seed in ((2, 1), (9, 2), (33, 3)):
+        L = relabelled_chain(n, seed)
+        assert L.covers() == cover_scan(L)
+    L = relabelled_chain(512, 4)
+    at = {label: e for e, label in enumerate(L.labels)}
+    want = sorted(((at[f"c{i}"], at[f"c{i + 1}"]) for i in range(511)), key=lambda p: p[1])
+    assert L.covers() == want

@@ -44,12 +44,21 @@ def test_check_on_trivial_algebra(capsys):
     assert "FCLP: yes; CBLP: yes" in out
 
 
-def test_check_blp_variants(capsys):
+def test_check_blp_variants(capsys, tmp_path):
     assert run(capsys, "check", "blp", "--fixture", "R0")[0] == 0
     code, out, _ = run(capsys, "check", "blp", "--fixture", "L2osumL2x2")
     assert code == 1 and "failing congruence" in out
-    assert run(capsys, "check", "filt-blp", "--fixture", "L2osumL2x2")[0] == 0
-    assert run(capsys, "check", "id-blp", "--fixture", "L2osumL2x2")[0] == 1
+    assert run(capsys, "check", "filt-blp", "--fixture", "L2osumL2x2") == (0, "Filt-BLP: yes\n", "")
+    code, out, _ = run(capsys, "check", "id-blp", "--fixture", "L2osumL2x2")
+    assert (code, out) == (1, "Id-BLP: no\nfailing congruence: 0,c|a|b|1\n")
+    code, out, _ = run(capsys, "check", "id-blp", "--fixture", "R0")
+    assert (code, out) == (1, "Id-BLP: no\nfailing congruence: 0,c|a|b|1\n")
+    square_then_top = tmp_path / "L2x2osumL2.json"  # the order dual of L2osumL2x2
+    cover = [["0", "a"], ["0", "b"], ["a", "c"], ["b", "c"], ["c", "1"]]
+    square_then_top.write_text(json.dumps({"kind": "lattice", "elements": ["0", "a", "b", "c", "1"], "cover": cover}))
+    code, out, _ = run(capsys, "check", "filt-blp", "--file", str(square_then_top))
+    assert (code, out) == (1, "Filt-BLP: no\nfailing congruence: 0|a|b|c,1\n")
+    assert run(capsys, "check", "id-blp", "--file", str(square_then_top)) == (0, "Id-BLP: yes\n", "")
     code, out, err = run(capsys, "check", "blp", "--fixture", "D")
     assert (code, out, err) == (2, "", "error: element a has several complements: b, c\n")
 

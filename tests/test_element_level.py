@@ -3,10 +3,12 @@ paths they replace.
 
 residuated.has_blp reads the complements of A/θ off A's tables: the classes
 of r and s are complements iff (r ∨ s) θ 1 and (r ∧ s) θ 0.  filters and
-ideals list the principal filters of A and of its order dual.  The old ways
-live on here as oracles: build the quotient and scan its elements for
-complements, and test every subset of the carrier for being a filter or an
-ideal.
+ideals list the principal filters and ideals of A, and a filter [m) or an
+ideal (m] induces the kernel of x ↦ x∧m (x·m on the residuated kind) or of
+x ↦ x∨m.  The old ways live on here as oracles: build the quotient and scan
+its elements for complements, test every subset of the carrier for being a
+filter or an ideal, and fill an n×n relation matrix by the definition of
+the filter or ideal congruence.
 """
 
 import sys
@@ -14,17 +16,23 @@ import sys
 import pytest
 
 from congrlab import residuated
-from congrlab.algebra import direct_product
+from congrlab.algebra import build_from_spec, direct_product
 from congrlab.congruences import all_congruences
 from congrlab.errors import AmbiguousComplement
-from congrlab.fixtures import FIXTURE_NAMES, fixture
+from congrlab.fixtures import FIXTURE_NAMES, fixture, fixture_spec
 from congrlab.lifting import quotient
 from congrlab.report import build_report
 from congrlab.residuated import (
     algebra_blp,
     element_boolean_center,
+    filt_blp_failure,
+    filter_congruence,
     filters,
     has_blp,
+    has_filt_blp,
+    has_id_blp,
+    id_blp_failure,
+    ideal_congruence,
     ideals,
     is_filter,
     is_ideal,
@@ -32,6 +40,7 @@ from congrlab.residuated import (
 
 from sweep import sweep
 from test_partition_join import chain
+from test_residuated import RESIDUATED_CHAINS, residuated_chain
 
 
 def scan_center(A):
@@ -145,3 +154,117 @@ def test_a_report_builds_no_quotient(build, monkeypatch):
         if name.startswith("congrlab") and hasattr(module, "quotient"):
             monkeypatch.setattr(module, "quotient", no_quotient)
     build_report(build())
+
+
+# -- filter and ideal congruences as kernels ----------------------------------
+
+
+def matrix_filter_partition(A, F):
+    """The relation-matrix filter congruence: x ~ y iff (x → y) ∧ (y → x) ∈ F
+    on the residuated kind, iff x ∧ a = y ∧ a for some a ∈ F otherwise; the
+    first element related to x names x's block."""
+    n, meet = A.n, A.tables["meet"]
+    if A.signature.kind == "residuated":
+        implies = A.tables["implies"]
+        related = [[meet[implies[x][y]][implies[y][x]] in F for y in range(n)] for x in range(n)]
+    else:
+        related = [[any(meet[x][a] == meet[y][a] for a in F) for y in range(n)] for x in range(n)]
+    return tuple(row.index(True) for row in related)
+
+
+def matrix_ideal_partition(A, I):
+    """The relation-matrix ideal congruence: x ~ y iff x ∨ a = y ∨ a for some
+    a ∈ I."""
+    n, join = A.n, A.tables["join"]
+    related = [[any(join[x][a] == join[y][a] for a in I) for y in range(n)] for x in range(n)]
+    return tuple(row.index(True) for row in related)
+
+
+def filt_id_algebras():
+    """The algebras with at most 12 elements where Filt-BLP and Id-BLP
+    apply: the distributive fixtures and sweep lattices, R0, and the
+    residuated chains."""
+    fixtures = [fixture(name) for name in FIXTURE_NAMES]
+    chains = [build_from_spec(residuated_chain(n, t)) for t, n in RESIDUATED_CHAINS]
+    return [
+        A
+        for A in fixtures + list(sweep()) + chains
+        if A.is_lattice and A.n <= 12 and (A.signature.kind == "residuated" or A.is_distributive_lattice())
+    ]
+
+
+def oracle_failure(A, sets, congruence, partition):
+    """The first congruence of sets whose quotient fails BLP, decided on the
+    quotient, after checking it against the relation-matrix partition."""
+    for S in sets:
+        theta = congruence(A, S)
+        assert theta.block_of == partition(theta.algebra, S), (A.name, sorted(S))
+        if not quotient_has_blp(theta.algebra, theta):
+            return theta
+    return None
+
+
+def test_filter_and_ideal_congruences_are_the_kernels():
+    algebras = filt_id_algebras()
+    assert len(algebras) == 58
+    counts = [0, 0]
+    failures = {"filt": [], "id": []}
+    for A in algebras:
+        fs, ids = filters(A).filters, ideals(A)
+        counts[0] += len(fs)
+        counts[1] += len(ids)
+        filt = oracle_failure(A, fs, filter_congruence, matrix_filter_partition)
+        idl = oracle_failure(A, ids, ideal_congruence, matrix_ideal_partition)
+        assert filt_blp_failure(A) == filt and has_filt_blp(A) == (filt is None), A.name
+        assert id_blp_failure(A) == idl and has_id_blp(A) == (idl is None), A.name
+        failures["filt"] += [A.name] if filt else []
+        failures["id"] += [A.name] if idl else []
+    assert counts == [273, 315]
+    assert (len(failures["filt"]), len(failures["id"])) == (5, 11)
+    assert "L2osumL2x2" in failures["id"] and "R0" in failures["id"]
+
+
+@pytest.mark.parametrize("build", [lambda: chain(8), lambda: build_from_spec(fixture_spec("L2x3cube"))], ids=["C8", "L2x3cube"])
+def test_a_cold_report_scans_the_center_once_and_builds_no_reduct(build, monkeypatch):
+    A = build()
+    scans = []
+    complements = residuated._complements
+    monkeypatch.setattr(
+        residuated, "_complements", lambda B, block_of: scans.append(tuple(block_of)) or complements(B, block_of)
+    )
+
+    def no_algebra(*args, **kwargs):
+        raise AssertionError("a dual or a lattice reduct was built")
+
+    for name, module in list(sys.modules.items()):
+        for f in ("dual", "lattice_reduct"):
+            if name.startswith("congrlab") and hasattr(module, f):
+                monkeypatch.setattr(module, f, no_algebra)
+    doc = build_report(A)
+    assert doc["filt_blp"] and doc["id_blp"]
+    assert scans.count(tuple(range(A.n))) == 1
+
+
+def test_a_residuated_filter_congruence_is_the_product_kernel():
+    # 0 < a < m < 1 with m·m = m and m·a = a·a = 0: [m) is a filter, and
+    # m·x = m·y, not x ∧ m = y ∧ m, is its congruence
+    labels, n = ["0", "a", "m", "1"], 4
+    times = [[y if x == 3 else x if y == 3 else 2 if x == y == 2 else 0 for y in range(n)] for x in range(n)]
+    implies = [[max(z for z in range(n) if times[z][x] <= y) for y in range(n)] for x in range(n)]
+    table = lambda f: [[labels[f(x, y)] for y in range(n)] for x in range(n)]
+    A = build_from_spec(
+        {
+            "kind": "residuated",
+            "elements": labels,
+            "operations": {
+                "join": table(max),
+                "meet": table(min),
+                "times": table(lambda x, y: times[x][y]),
+                "implies": table(lambda x, y: implies[x][y]),
+            },
+            "constants": {"bot": "0", "top": "1"},
+        }
+    )
+    for F in filters(A).filters:
+        assert filter_congruence(A, F).block_of == matrix_filter_partition(A, F)
+    assert filter_congruence(A, {2, 3}).block_string() == "0,a|m,1"
