@@ -44,7 +44,10 @@ chain from a to b lies in ⋁S.  Its Cg is join-irreducible, hence join-prime
 in the distributive Con(L), so it lies below a member of S and its class is
 in S.  Each down-set is a smaller one plus one class, and its partition is
 the smaller one's with that class's covers merged.  The down-sets are
-counted against CON_CAP before any partition is built.
+counted against CON_CAP before any partition is built.  Each class is one
+generator Cg(j₊, j), so S is also ⋁S's mask over J(Con L) (below): the
+lattice path hands its down-sets to ConLattice as the masks, and no seed
+pair is looked up in any partition.
 
 Con(A) is held as masks over its join-irreducibles J(Con A), for every
 algebra.  Cg(a, b) ≤ θ iff a θ b, so the set of distinct generators below θ
@@ -204,7 +207,11 @@ def nabla(A: FiniteAlgebra) -> Congruence:
 def compatibility_violation(A: FiniteAlgebra, block_of):
     """First instance (opname, result_a, result_b) breaking compatibility,
     or None.  Checked one argument position at a time, which suffices by
-    composing substitutions."""
+    composing substitutions.  The verdict compares each element with its
+    block's least member only, as relatedness is transitive; the scan of
+    every related pair runs only on a failure, to name the first one."""
+    if _compatible(A, block_of):
+        return None
     n = A.n
     related = [
         (a, b) for a in range(n) for b in range(n) if a != b and block_of[a] == block_of[b]
@@ -233,6 +240,38 @@ def compatibility_violation(A: FiniteAlgebra, block_of):
                         if block_of[ra] != block_of[rb]:
                             return (fname, ra, rb)
     return None
+
+
+def _compatible(A: FiniteAlgebra, block_of) -> bool:
+    """Whether every operation, in each argument position, sends each
+    element and its block's least member into one block.  A binary table is
+    walked by rows through _binary_rows, so a symmetric one is walked once."""
+    moved = [(r, e) for e, r in enumerate(block_of) if r != e]
+    if not moved:
+        return True
+    block = block_of.__getitem__
+    for fname, arity in A.signature.operations:
+        if arity == 1:
+            t = A.tables[fname]
+            if any(block_of[t[r]] != block_of[t[e]] for r, e in moved):
+                return False
+        elif arity >= 3:
+            for rest in itertools.product(range(A.n), repeat=arity - 1):
+                for i in range(arity):
+                    for r, e in moved:
+                        fr = A.op(fname, *rest[:i], r, *rest[i:])
+                        fe = A.op(fname, *rest[:i], e, *rest[i:])
+                        if block_of[fr] != block_of[fe]:
+                            return False
+    for t in _binary_rows(A):
+        images = {}
+        for r, e in moved:
+            want = images.get(r)
+            if want is None:
+                want = images[r] = list(map(block, t[r]))
+            if list(map(block, t[e])) != want:
+                return False
+    return True
 
 
 def parse_congruence(A: FiniteAlgebra, text: str) -> Congruence:
@@ -429,6 +468,8 @@ class ConLattice:
     blocks[i] = |A/θ_i|.  gen_masks[i] has bit g set iff the g-th generator
     is join-irreducible in Con(A) and lies below θ_i: θ_i's mask over
     J(Con A), which orders Con(A) and gives its meets and joins (module doc).
+    The closure path reads gen_masks off the seeds; the lattice path hands
+    over its down-sets of J-classes, which are those masks.
     """
 
     __slots__ = (
@@ -446,20 +487,27 @@ class ConLattice:
         "_cache",
     )
 
-    def __init__(self, algebra: FiniteAlgebra, partitions, seeds):
+    def __init__(self, algebra: FiniteAlgebra, partitions, seeds, masks=None):
         """partitions are all of Con(A), each a join of the generators
-        Cg(a, b) with (a, b) in seeds."""
+        Cg(a, b) with (a, b) in seeds.  masks[x], when given, is the set of
+        generators below partitions[x], as the lattice path builds it; else
+        it is read off the seeds."""
         self.algebra = algebra
-        self.elements = sorted((Congruence(algebra, p) for p in partitions), key=Congruence.sort_key)
+        counts = [len(set(p)) for p in partitions]
+        order = sorted(range(len(partitions)), key=lambda x: (-counts[x], partitions[x]))
+        self.elements = [Congruence(algebra, partitions[x]) for x in order]
         self._index = {c.block_of: i for i, c in enumerate(self.elements)}
         self._cache = {}
         k = len(self.elements)
-        self.blocks = [c.num_blocks for c in self.elements]
-        # Cg(a, b) ≤ θ iff a θ b
-        masks = [
-            sum(1 << g for g, (a, b) in enumerate(seeds) if c.block_of[a] == c.block_of[b])
-            for c in self.elements
-        ]
+        self.blocks = [counts[x] for x in order]
+        if masks is None:
+            # Cg(a, b) ≤ θ iff a θ b
+            masks = [
+                sum(1 << g for g, (a, b) in enumerate(seeds) if c.block_of[a] == c.block_of[b])
+                for c in self.elements
+            ]
+        else:
+            masks = [masks[x] for x in order]
         # above[g]: the indices of the θ above generator g.  θ_i ≤ θ_j iff
         # every g below θ_i is below θ_j, so ↑θ_i is the meet of above[g] over
         # g in mask_i, and ↓θ_j that of the complements over g not in mask_j.
@@ -571,8 +619,9 @@ def _lowest_bit(mask: int) -> int:
 
 
 def _enumerate_partitions(A: FiniteAlgebra) -> tuple:
-    """Con(A)'s partitions, and one seed pair (a, b) per distinct generator
-    Cg(a, b)."""
+    """Con(A)'s partitions, one seed pair (a, b) per distinct generator
+    Cg(a, b), and on a pure lattice each partition's set of generators
+    below it (None on the closure path)."""
     n = A.n
     # read from the signature, not the kind: a lattice-kind spec may carry
     # another operation, and that can shrink Con
@@ -587,7 +636,7 @@ def _enumerate_partitions(A: FiniteAlgebra) -> tuple:
     gens = {}
     for a, b in gen_pairs:
         gens.setdefault(_close(A, [(a, b)]), (a, b))
-    return _close_under_joins(n, gens), tuple(gens.values())
+    return _close_under_joins(n, gens), tuple(gens.values()), None
 
 
 def _lattice_partitions(A: FiniteAlgebra) -> tuple:
@@ -648,7 +697,9 @@ def _lattice_partitions(A: FiniteAlgebra) -> tuple:
     parts = [delta_partition(n)]
     for i, c in made:
         parts.append(merge_pairs(parts[i], class_covers[c]))
-    return tuple(parts), tuple(seeds)
+    # class c is the generator of seeds[c], so sets[x] is the set of
+    # generators below parts[x]
+    return tuple(parts), tuple(seeds), sets
 
 
 def _close_under_joins(n: int, gens: dict) -> tuple:

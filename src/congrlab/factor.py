@@ -91,6 +91,11 @@ def require_distributive(cl: ConLattice) -> None:
         )
 
 
+def centers_cached(cl: ConLattice, t: int) -> bool:
+    """Whether both centers of [t, ∇] are already cached on the lattice."""
+    return ("center", t) in cl._cache
+
+
 def _interval_centers(cl: ConLattice, t: int) -> tuple[Center, Center]:
     """Both centers of [t, ∇], one relative-complement lookup per element,
     cached on the lattice.  Requires Con(A) distributive, so that every

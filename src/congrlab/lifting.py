@@ -41,6 +41,14 @@ connected component of J's comparability graph.
    congruence α is a witness for (i, j) iff α ∈ T_i and j ∈ T_α', so the j
    with a witness are the union of T_α' over the factor α in T_i.  Only
    the other j in T_i can fail, and only they are tested for θ_i∘θ_j = ∇.
+5. θ has the factor property iff every factor member of [θ, ∇] has an
+   image D_α ∪ D_θ, α ∈ FC(A), as its mask.  So the first one without is
+   found in one pass over ↑θ, with no center of [θ, ∇] built: a member of
+   ↑θ whose mask is an image is skipped, and only the others are tested for
+   a relative complement with the block-count product of a factor pair.
+   Every θ has the factor property when |FC(A)| = |B(A)| and every θ has
+   the Boolean one: FC(A) ⊆ B(A) gives FC(A) = B(A), and u then maps it
+   onto B(A/θ) ⊇ FC(A/θ).
 
 The normality checks return (True, None) or (False, the first failing
 pair in index order).  Every verdict and its evidence is the one the scans
@@ -65,7 +73,7 @@ from .congruences import (
     prime_congruences,
 )
 from .errors import ParentMismatch, TrivialAlgebra
-from .factor import boolean_center, factor_congruences, require_distributive
+from .factor import boolean_center, centers_cached, factor_congruences, require_distributive
 
 
 @dataclass
@@ -174,16 +182,32 @@ def _unliftable(cl: ConLattice, t: int, members_of) -> int | None:
     """The first member of members_of(cl, t), the center of [θ_t, ∇] ≅
     Con(A/θ_t), that no u(α) reaches; None if θ_t has the lifting.  For
     Boolean congruences a passing θ_t is told by its traces (module doc, 2)
-    and builds no images.  Cached on the lattice, as a report asks for each
-    verdict twice."""
+    and builds no images.  For factor congruences, unless the center of
+    [θ_t, ∇] is already cached, one pass over ↑θ_t builds none (module doc,
+    5).  Cached on the lattice, as a report asks for each verdict twice."""
     key = ("unliftable", members_of, t)
     if key not in cl._cache:
         if members_of is boolean_center and _traces_connected(cl, t):
             cl._cache[key] = None
+        elif members_of is factor_congruences and not centers_cached(cl, t):
+            cl._cache[key] = _first_unreached_factor(cl, t)
         else:
             images, gm = _images(cl, t, members_of), cl.gen_masks
             cl._cache[key] = next((b for b in members_of(cl, t).members if gm[b] not in images), None)
     return cl._cache[key]
+
+
+def _first_unreached_factor(cl: ConLattice, t: int) -> int | None:
+    """The first member of factor_congruences(cl, t) whose mask is no
+    image, found in one pass over ↑θ_t: only a θ_i that no u(α) reaches is
+    tested for a relative complement θ_j with |A/θ_t| = |A/θ_i|·|A/θ_j|."""
+    images, gm, blocks = _images(cl, t, factor_congruences), cl.gen_masks, cl.blocks
+    for i in _bits(cl._up_masks[t]):
+        if gm[i] not in images:
+            j = cl.relative_complement(i, t)
+            if j is not None and blocks[i] * blocks[j] == blocks[t]:
+                return i
+    return None
 
 
 def _j_order(cl: ConLattice) -> tuple[list[int], list[int], list[int]]:
@@ -271,9 +295,21 @@ def _algebra_lifting(A, members_of):
     return True, None, None
 
 
+def _components_topped(cl: ConLattice) -> bool:
+    """Whether every component of J(Con A) has a greatest element, that is
+    whether every θ has the Boolean lifting (module doc, 2)."""
+    down, _, components = _j_order(cl)
+    return all(any(down[g] == c for g in _bits(c)) for c in components)
+
+
 def algebra_fclp(A: FiniteAlgebra) -> tuple[bool, LiftEvidence | None, Congruence | None]:
     """Conjunction of has_fclp over all congruences; stops at the first
-    failure and returns its evidence and the failing congruence."""
+    failure and returns its evidence and the failing congruence.  It holds
+    without a walk over the θ when FC(A) = B(A) and every θ has the Boolean
+    lifting (module doc, 5)."""
+    cl = all_congruences(A)
+    if len(factor_congruences(cl).members) == len(boolean_center(cl).members) and _components_topped(cl):
+        return True, None, None
     return _algebra_lifting(A, factor_congruences)
 
 
@@ -281,9 +317,7 @@ def algebra_cblp(A: FiniteAlgebra) -> tuple[bool, LiftEvidence | None, Congruenc
     """The same conjunction for has_cblp.  It holds iff every component of
     J(Con A) has a greatest element (module doc, 2); only a failure walks
     the θ for the first one without the lifting."""
-    cl = all_congruences(A)
-    down, _, components = _j_order(cl)
-    if all(any(down[g] == c for g in _bits(c)) for c in components):
+    if _components_topped(all_congruences(A)):
         return True, None, None
     return _algebra_lifting(A, boolean_center)
 
@@ -326,13 +360,19 @@ def is_fc_normal(A: FiniteAlgebra):
     cl = all_congruences(A)
     fc = factor_congruences(cl)
     joins = _trigger_masks(cl)
+    gm, blocks, at = cl.gen_masks, cl.blocks, cl._at
     members = sum(1 << a for a in fc.members)
     for i, m in enumerate(joins):
         witnessed = 0
         for a in _bits(m & members):
             witnessed |= joins[fc.complement[a]]
-        for j in _bits(m & ~witnessed):
-            if cl.composes_to_nabla(i, j):
+        untested = m & ~witnessed
+        if not untested:
+            continue
+        mi, bi = gm[i], blocks[i]
+        for j in _bits(untested):
+            # θ_i∘θ_j = ∇ (ConLattice.composes_to_nabla); the meet's mask is the AND
+            if blocks[at[mi & gm[j]]] == bi * blocks[j]:
                 return False, (cl.elements[i].block_string(), cl.elements[j].block_string())
     return True, None
 
@@ -423,6 +463,8 @@ def lifting_report(A: FiniteAlgebra, name: str | None = None) -> LiftingReport:
     primes = set(c.block_of for c in prime_congruences(A))
     rows = []
     for t, theta in enumerate(cl.elements):
+        # the centers of [θ_t, ∇] first, so that the verdicts read them
+        bc_t, fc_t = boolean_center(cl, t), factor_congruences(cl, t)
         row = {"congruence": theta.block_string(), "blocks": theta.num_blocks}
         for prop, members_of in (("fclp", factor_congruences), ("cblp", boolean_center)):
             bad = _unliftable(cl, t, members_of)
@@ -434,8 +476,8 @@ def lifting_report(A: FiniteAlgebra, name: str | None = None) -> LiftingReport:
             {
                 "quotient_size": theta.num_blocks,
                 "quotient_con_size": cl.up_size(t),
-                "quotient_center_size": len(boolean_center(cl, t).members),
-                "quotient_fc_size": len(factor_congruences(cl, t).members),
+                "quotient_center_size": len(bc_t.members),
+                "quotient_fc_size": len(fc_t.members),
                 "maximal": theta.block_of in maxes,
                 "prime": theta.block_of in primes,
             }

@@ -1,11 +1,16 @@
+import itertools
+
 import pytest
 
-from congrlab.algebra import build_from_spec
+from congrlab.algebra import FiniteAlgebra, Signature, build_from_spec
 from congrlab.congruences import (
     ConLattice,
+    Congruence,
+    _all_partitions,
     all_congruences,
     brute_force_congruences,
     cg_generated,
+    compatibility_violation,
     compose,
     delta,
     is_arithmetical,
@@ -25,7 +30,7 @@ from congrlab.congruences import (
     relation_of,
 )
 from congrlab.errors import InvalidCongruence, ParentMismatch, TableError, TrivialAlgebra
-from congrlab.fixtures import fixture
+from congrlab.fixtures import FIXTURE_NAMES, fixture
 
 
 def xor_algebra():
@@ -122,6 +127,88 @@ def test_parse_rejects_bad_input():
         parse_congruence(L3, "0,m|1|zz")  # unknown label
     with pytest.raises(InvalidCongruence):
         parse_congruence(L3, "0,1|m")  # equivalence but not compatible
+
+
+def pair_scan_violation(A, block_of):
+    """The old compatibility scan: every ordered pair of distinct related
+    elements, in every argument position of every operation."""
+    n = A.n
+    related = [(a, b) for a in range(n) for b in range(n) if a != b and block_of[a] == block_of[b]]
+    for fname, arity in A.signature.operations:
+        if arity == 0:
+            continue
+        for a, b in related:
+            if arity == 1:
+                t = A.tables[fname]
+                if block_of[t[a]] != block_of[t[b]]:
+                    return (fname, t[a], t[b])
+            elif arity == 2:
+                t = A.tables[fname]
+                for z in range(n):
+                    if block_of[t[a][z]] != block_of[t[b][z]]:
+                        return (fname, t[a][z], t[b][z])
+                    if block_of[t[z][a]] != block_of[t[z][b]]:
+                        return (fname, t[z][a], t[z][b])
+            else:
+                for rest in itertools.product(range(n), repeat=arity - 1):
+                    for i in range(arity):
+                        ra = A.op(fname, *rest[:i], a, *rest[i:])
+                        rb = A.op(fname, *rest[:i], b, *rest[i:])
+                        if block_of[ra] != block_of[rb]:
+                            return (fname, ra, rb)
+    return None
+
+
+def skewed_algebra():
+    """Z4 with 2x, x - y and x - y + z: a table that is not symmetric and
+    one of arity three.  Its congruences are Δ, mod 2 and ∇."""
+    n = 4
+    tables = {
+        "f": [2 * x % n for x in range(n)],
+        "sub": [[(x - y) % n for y in range(n)] for x in range(n)],
+        "p": [[[(x - y + z) % n for z in range(n)] for y in range(n)] for x in range(n)],
+    }
+    return FiniteAlgebra(n, "0123", Signature((("f", 1), ("sub", 2), ("p", 3))), tables, name="Z4f")
+
+
+def right_algebra():
+    """x·y = g(y), which every partition respects in the first argument,
+    and a unary h."""
+    g, h = [1, 0, 3, 3, 2], [0, 0, 1, 2, 3]
+    return FiniteAlgebra(5, "01234", Signature((("h", 1), ("r", 2))), {"h": h, "r": [g] * 5}, name="R5")
+
+
+def middle_algebra():
+    """q(x, y, z) = g(y): a ternary operation alone, which only its middle
+    argument can break."""
+    g = [1, 0, 3, 3]
+    return FiniteAlgebra(4, "0123", Signature((("q", 3),)), {"q": [[[g[y]] * 4 for y in range(4)]] * 4}, name="Q4")
+
+
+def test_compatibility_is_the_pair_scan():
+    algebras = [fixture(name) for name in FIXTURE_NAMES if fixture(name).n <= 7]
+    algebras += [xor_algebra(), skewed_algebra(), right_algebra(), middle_algebra()]
+    found = {True: 0, False: 0}
+    for A in algebras:
+        labels = A.labels
+        for p in _all_partitions(A.n):
+            want = pair_scan_violation(A, p)
+            assert compatibility_violation(A, p) == want, (A.name, p)
+            try:
+                Congruence(A, p, check=True)
+                msg = None
+            except InvalidCongruence as exc:
+                msg = str(exc)
+            if want is not None:
+                f, a, b = want
+                want = (
+                    f"not a congruence: {f}({labels[a]}) and {f}({labels[b]}) land in "
+                    f"different blocks although {labels[a]} ~ {labels[b]}"
+                )
+            assert msg == want, (A.name, p)
+            found[want is None] += 1
+    # the congruences, and the partitions that name a violation
+    assert found == {True: 80, False: 2611}
 
 
 def test_constructor_requires_canonical_form():

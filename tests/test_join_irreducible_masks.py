@@ -3,11 +3,13 @@
 ConLattice keeps, for each θ, the set of join-irreducible generators below
 it.  Meets are intersections, joins are unions where the union is a mask,
 relative complements are one lookup, and the Boolean lifting and both
-normality checks are read off the components of J(Con A).  The old ways
-live on here as oracles: on k×k join and meet tables built from partition
-joins and meets, the pair scan for relative complements, the normality
-loops and the triple scan for distributivity; on the masks, the images scan
-for the Boolean lifting and the witness bitsets for normality.
+normality checks are read off the components of J(Con A).  The factor
+lifting at θ takes one pass over ↑θ.  The old ways live on here as oracles:
+on k×k join and meet tables built from partition joins and meets, the pair
+scan for relative complements, the normality loops and the triple scan for
+distributivity; on the masks, the images scan for the Boolean lifting, the
+center scan for the factor lifting, the per-θ loop for FCLP of A and the
+witness bitsets for normality.
 """
 
 import random
@@ -20,7 +22,7 @@ from congrlab.congruences import Congruence, all_congruences
 from congrlab.errors import NotDistributive
 from congrlab.factor import boolean_center, factor_congruences
 from congrlab.fixtures import FIXTURE_NAMES, fixture
-from congrlab.lifting import algebra_cblp, has_cblp, is_b_normal, is_fc_normal
+from congrlab.lifting import algebra_cblp, algebra_fclp, has_cblp, is_b_normal, is_fc_normal, lifting_report
 from congrlab.report import build_report
 
 from sweep import sweep
@@ -310,3 +312,81 @@ def test_cold_cblp_and_b_normality_build_no_images_centers_or_pairs(build, monke
     counts = count_calls(monkeypatch, lifting, ["_joins_to_nabla"])
     assert is_b_normal(B) == (True, None)
     assert counts == {"_joins_to_nabla": 0}
+
+
+# -- the factor lifting in one pass ------------------------------------------------
+
+
+def cold(A):
+    """A fresh algebra with A's tables, so that nothing is cached on it."""
+    return FiniteAlgebra(A.n, A.labels, A.signature, A.tables, name=A.name, validate=False)
+
+
+def center_unliftable(cl, t):
+    """The old scan: the first member of the factor center of [θ_t, ∇]
+    that no α ∨ θ_t, α in FC(A), reaches."""
+    gm = cl.gen_masks
+    images = {gm[a] | gm[t] for a in factor_congruences(cl).members}
+    return next((b for b in factor_congruences(cl, t).members if gm[b] not in images), None)
+
+
+def test_the_one_pass_factor_lifting_is_the_center_scan():
+    algebras = [fixture(name) for name in FIXTURE_NAMES] + sweep() + random_generic_algebras()
+    verdicts = set()
+    for A in map(cold, algebras):
+        cl = all_congruences(A)
+        if not cl.is_distributive():
+            with pytest.raises(NotDistributive):
+                lifting._unliftable(cl, cl.index_of_nabla, factor_congruences)
+            continue
+        got = [lifting._unliftable(cl, t, factor_congruences) for t in range(len(cl))]
+        # each verdict was decided by the one pass: only Δ's center is built
+        assert [t for t in range(len(cl)) if factor.centers_cached(cl, t)] == [cl.index_of_delta], A.name
+        assert got == [center_unliftable(cl, t) for t in range(len(cl))], A.name
+        verdicts.update(b is None for b in got)
+    assert verdicts == {True, False}
+
+
+def test_fc_equal_to_b_with_cblp_gives_fclp():
+    algebras = [fixture(name) for name in FIXTURE_NAMES] + sweep()
+    fired = 0
+    for A in algebras:
+        cl = all_congruences(A)
+        loop = lifting._algebra_lifting(cold(A), factor_congruences)
+        if len(factor_congruences(cl).members) == len(boolean_center(cl).members) and lifting._components_topped(cl):
+            fired += 1
+            assert loop == (True, None, None), A.name
+        assert algebra_fclp(cold(A)) == loop, A.name
+    assert (fired, len(algebras)) == (132, 241)
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: chain(8), lambda: direct_product([fixture("L2")] * 5)], ids=["C8", "L2^5"]
+)
+def test_a_cold_fclp_builds_no_center_but_deltas(build, monkeypatch):
+    calls = []
+    centers = factor._interval_centers
+    monkeypatch.setattr(factor, "_interval_centers", lambda cl, t: calls.append(t) or centers(cl, t))
+    for A, decide in ((build(), algebra_fclp), (build(), lambda A: lifting._algebra_lifting(A, factor_congruences))):
+        calls.clear()
+        assert decide(A) == (True, None, None)
+        assert set(calls) == {all_congruences(A).index_of_delta}
+
+
+@pytest.mark.parametrize("name", ["L2x3cube", "X", "H"])
+def test_a_cold_lifting_report_builds_each_center_once(name, monkeypatch):
+    A = cold(fixture(name))
+    built = []
+    centers = factor._interval_centers
+
+    def counted(cl, t):
+        if not factor.centers_cached(cl, t):
+            built.append(t)
+        return centers(cl, t)
+
+    monkeypatch.setattr(factor, "_interval_centers", counted)
+    passes = count_calls(monkeypatch, lifting, ["_first_unreached_factor"])
+    lifting_report(A)
+    assert built == list(range(len(all_congruences(A))))
+    # each verdict reads its center, so ↑θ is scanned once per θ
+    assert passes == {"_first_unreached_factor": 0}

@@ -8,7 +8,8 @@ found congruence under Mal'cev joins with every other one.  On an algebra
 with a lattice reduct and more operations the enumeration closes one pair
 (j₊, j) per join-irreducible j; the oracle closes every cover pair.  On a
 pure lattice it closes nothing: Con(L) is read off the dependency relation
-on J(L), and the closure enumeration it replaced is the oracle.  The
+on J(L), and the closure enumeration it replaced is the oracle; the masks
+it hands to ConLattice are checked against the seed scan.  The
 generator-mask order of Con(A) is checked against partition refinement and
 the O(k³) cover scan, and the closure that walks a symmetric table once
 against the two-sided closure.
@@ -185,12 +186,12 @@ def test_the_dependency_relation_matches_the_closure_enumeration():
     algebras = dependency_algebras()
     assert len(algebras) == 225 + 3 * 15 + 2
     for A in algebras:
-        parts, seeds = congruences._enumerate_partitions(A)
+        parts, seeds, masks = congruences._enumerate_partitions(A)
         want_parts, want_seeds = closure_enumeration(A)
         assert set(parts) == set(want_parts) and len(parts) == len(want_parts), A.name
         assert seeds == want_seeds, A.name
         # the same partitions, in the same index order, under the same masks
-        got, want = congruences.ConLattice(A, parts, seeds), congruences.ConLattice(A, want_parts, want_seeds)
+        got, want = congruences.ConLattice(A, parts, seeds, masks), congruences.ConLattice(A, want_parts, want_seeds)
         assert [c.block_of for c in got.elements] == [c.block_of for c in want.elements], A.name
         assert got.gen_masks == want.gen_masks, A.name
 
@@ -210,6 +211,48 @@ def test_pure_lattices_need_no_closure_and_no_join(monkeypatch):
         B = lattice_reduct(L, "bounded-lattice")
         assert B.signature.kind == "bounded-lattice"
         assert congruences._enumerate_partitions(B) == want, L.name
+
+
+def con_fields(cl):
+    return [c.block_of for c in cl.elements], cl.blocks, cl.gen_masks, cl._up_masks, cl._down_masks
+
+
+def test_the_lattice_path_masks_are_the_seed_scan():
+    # ConLattice takes the lattice path's down-sets of J-classes as its
+    # masks; the seed scan it skips is the oracle
+    algebras = sweep() + [fixture(name) for name in FIXTURE_NAMES] + [direct_product([fixture("L2")] * 5)]
+    lattice_path = 0
+    for A in algebras:
+        parts, seeds, masks = congruences._enumerate_partitions(A)
+        if masks is None:
+            continue
+        lattice_path += 1
+        got = congruences.ConLattice(A, parts, seeds, masks)
+        assert con_fields(got) == con_fields(congruences.ConLattice(A, parts, seeds)), A.name
+    assert lattice_path == 225 + 15 + 1
+
+
+class Unscanned(tuple):
+    """Seed pairs that refuse to be walked."""
+
+    def __iter__(self):
+        raise AssertionError("the seeds were scanned")
+
+
+def test_a_cold_pure_lattice_skips_the_seed_scan(monkeypatch):
+    lattice_partitions = congruences._lattice_partitions
+
+    def unscanned(A):
+        parts, seeds, masks = lattice_partitions(A)
+        return parts, Unscanned(seeds), masks
+
+    monkeypatch.setattr(congruences, "_lattice_partitions", unscanned)
+    for A, count in [(chain(8), 128), (direct_product([fixture("L2")] * 5), 32), (fixture("L2x3cube"), 8)]:
+        assert len(all_congruences(A)) == count, A.name
+    # without the masks, the seeds are scanned
+    C3 = chain(3)
+    with pytest.raises(AssertionError, match="scanned"):
+        congruences.ConLattice(C3, *unscanned(C3)[:2])
 
 
 def c3_with_a_reversal():
@@ -352,7 +395,7 @@ def test_render_dot_draws_the_cover_edges():
 
 def test_each_generator_is_kept_with_one_seed_pair():
     for A in [fixture(name) for name in FIXTURE_NAMES] + [xor_algebra(), chain(8)]:
-        parts, seeds = congruences._enumerate_partitions(A)
+        parts, seeds, _ = congruences._enumerate_partitions(A)
         gens = [congruences._close(A, [pair]) for pair in seeds]
         assert len(set(gens)) == len(gens), A.name
         cl = all_congruences(A)
