@@ -196,18 +196,13 @@ class FiniteAlgebra:
         return cover_pairs(*self.order_masks())
 
     def join_irreducible_pairs(self) -> list[tuple[int, int]]:
-        """(j₊, j) for each join-irreducible j, where j₊ = ⋁{x : x < j}: j is
-        join-irreducible iff some x < j and j₊ ≠ j, and then j₊ ≺ j."""
-        join, meet = self.tables["join"], self.tables["meet"]
-        pairs = []
-        for j in range(self.n):
-            lower = None
-            for x in range(self.n):
-                if x != j and meet[x][j] == x:
-                    lower = x if lower is None else join[lower][x]
-            if lower is not None and lower != j:
-                pairs.append((lower, j))
-        return pairs
+        """(j₊, j) for each join-irreducible j, in increasing j: j is
+        join-irreducible iff it has exactly one lower cover, and that cover
+        is j₊ = ⋁{x : x < j}."""
+        lower: dict[int, int] = {}
+        for a, b in self.covers():
+            lower[b] = -1 if b in lower else a
+        return [(a, j) for j, a in lower.items() if a >= 0]
 
     def is_distributive_lattice(self) -> bool:
         """A finite lattice is distributive iff every join-irreducible j is
@@ -855,25 +850,6 @@ def are_isomorphic(A: FiniteAlgebra, B: FiniteAlgebra) -> bool:
 # -- partitions -------------------------------------------------------------
 
 
-def canonicalize(parent_of) -> tuple[int, ...]:
-    """Canonical partition form: block_of[e] = minimum element of e's block."""
-    n = len(parent_of)
-    rep = {}
-    out = [0] * n
-
-    def root(e):
-        while parent_of[e] != e:
-            e = parent_of[e]
-        return e
-
-    for e in range(n):
-        r = root(e)
-        if r not in rep:
-            rep[r] = e
-        out[e] = rep[r]
-    return tuple(out)
-
-
 def partition_blocks(block_of) -> list[list[int]]:
     blocks: dict[int, list[int]] = {}
     for e, r in enumerate(block_of):
@@ -886,15 +862,16 @@ def partition_refines(p, q) -> bool:
     return all(q[e] == q[p[e]] for e in range(len(p)))
 
 
+def kernel(keys) -> tuple[int, ...]:
+    """The canonical partition of x ↦ keys[x]: each x joins the block of
+    the least element with the same key."""
+    first: dict = {}
+    return tuple(map(first.setdefault, keys, itertools.count()))
+
+
 def meet_partitions(p, q) -> tuple[int, ...]:
     """Common refinement of two partitions (their meet)."""
-    n = len(p)
-    first: dict[tuple[int, int], int] = {}
-    out = [0] * n
-    for e in range(n):
-        key = (p[e], q[e])
-        out[e] = first.setdefault(key, e)
-    return tuple(out)
+    return kernel(zip(p, q))
 
 
 def join_partitions(p, q) -> tuple[int, ...]:

@@ -1,14 +1,29 @@
 """Congruence generation, enumeration and classification.
 
 A congruence is stored as a canonical partition (minimum-representative
-array) tied to its parent algebra.  Principal (and finitely generated)
-congruences come from a union-find with queue-driven compatibility
-propagation: whenever two classes merge via the pair (x, y), every operation
-is applied to x and y against all argument completions and the results are
-merged too, until no queue entries remain.  Joins need no propagation: Con(A)
-is a sublattice of Eq(A), so the join of two congruences is the join of their
-partitions, and Con(A) is enumerated by joining with the principal
-generators alone.  A pure lattice needs neither (below).
+array) tied to its parent algebra.  Every partition is built one of two
+ways, and both give canonical form by construction: algebra.merge_pairs
+merges pairs by a union-find whose roots are block minima, and
+algebra.kernel maps each element to the least element with the same key.
+Congruence's constructor checks the form, as the guard.
+
+Principal (and finitely generated) congruences come from a closure in
+rounds.  Each round merges the pending pairs into the partition p, giving
+q.  Each block of p that q absorbs into a block with a smaller minimum
+gives the pair (q[y], y) for its old least member y, and the images of
+those pairs under every operation, one argument position at a time, are
+the next round's pending pairs; the closure stops when a round absorbs
+nothing.  Those pairs and p generate q, so the result is generated by the
+pairs of all rounds, and the images of each of them lie in it.  An
+equivalence is compatible once the images of a generating set of its
+pairs lie inside it: a related pair is joined by a path of generating
+pairs, whose images are joined by a path inside it.  Every pair merged is
+forced by the seeds, so the result is their Cg.
+
+Joins need no closure: Con(A) is a sublattice of Eq(A), so the join of two
+congruences is the join of their partitions, and Con(A) is enumerated by
+joining with the principal generators alone.  A pure lattice needs neither
+(below).
 
 On an algebra with a lattice reduct (join and meet among its operations)
 the generators are Cg(j₊, j) for the join-irreducible elements j, where
@@ -92,7 +107,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from collections import deque
 from functools import total_ordering
 
 from .algebra import (
@@ -100,10 +114,10 @@ from .algebra import (
     FiniteAlgebra,
     _bits,
     block_masks,
-    canonicalize,
     cover_pairs,
     delta_partition,
     join_partitions,
+    kernel,
     meet_partitions,
     merge_pairs,
     nabla_partition,
@@ -207,71 +221,41 @@ def nabla(A: FiniteAlgebra) -> Congruence:
 def compatibility_violation(A: FiniteAlgebra, block_of):
     """First instance (opname, result_a, result_b) breaking compatibility,
     or None.  Checked one argument position at a time, which suffices by
-    composing substitutions.  The verdict compares each element with its
-    block's least member only, as relatedness is transitive; the scan of
-    every related pair runs only on a failure, to name the first one."""
-    if _compatible(A, block_of):
+    composing substitutions, and for each operation in signature order on
+    the pairs (r, e), r the least member of e's block, in increasing (r, e).
+    That names the violation the scan of every related pair (a, b) in
+    increasing order names first: if (a, b) breaks f, so does (r, a) or
+    (r, b), and both come before (a, b) unless a = r.  A binary table is
+    compared on the rows of _operations, so a symmetric one is compared
+    once."""
+    moved = sorted((r, e) for e, r in enumerate(block_of) if r != e)
+    if not moved:
         return None
-    n = A.n
-    related = [
-        (a, b) for a in range(n) for b in range(n) if a != b and block_of[a] == block_of[b]
-    ]
-    for fname, arity in A.signature.operations:
-        if arity == 0:
-            continue
-        for a, b in related:
-            if arity == 1:
-                t = A.tables[fname]
-                if block_of[t[a]] != block_of[t[b]]:
-                    return (fname, t[a], t[b])
-            elif arity == 2:
-                t = A.tables[fname]
-                ta, tb = t[a], t[b]
-                for z in range(n):
-                    if block_of[ta[z]] != block_of[tb[z]]:
-                        return (fname, ta[z], tb[z])
-                    if block_of[t[z][a]] != block_of[t[z][b]]:
-                        return (fname, t[z][a], t[z][b])
-            else:
+    n, block = A.n, block_of.__getitem__
+    for fname, arity, t, rows in _operations(A):
+        if arity == 1:
+            for r, e in moved:
+                if block_of[t[r]] != block_of[t[e]]:
+                    return (fname, t[r], t[e])
+        elif arity == 2:
+            images = {}
+            for r, e in moved:
+                want = images.get(r)
+                if want is None:
+                    want = images[r] = list(map(block, rows[r]))
+                got = list(map(block, rows[e]))
+                if got != want:
+                    z = next(z for z, (u, v) in enumerate(zip(want, got)) if u != v)
+                    return (fname, rows[r][z], rows[e][z])
+        else:
+            for r, e in moved:
                 for rest in itertools.product(range(n), repeat=arity - 1):
                     for i in range(arity):
-                        ra = A.op(fname, *rest[:i], a, *rest[i:])
-                        rb = A.op(fname, *rest[:i], b, *rest[i:])
-                        if block_of[ra] != block_of[rb]:
-                            return (fname, ra, rb)
-    return None
-
-
-def _compatible(A: FiniteAlgebra, block_of) -> bool:
-    """Whether every operation, in each argument position, sends each
-    element and its block's least member into one block.  A binary table is
-    walked by rows through _binary_rows, so a symmetric one is walked once."""
-    moved = [(r, e) for e, r in enumerate(block_of) if r != e]
-    if not moved:
-        return True
-    block = block_of.__getitem__
-    for fname, arity in A.signature.operations:
-        if arity == 1:
-            t = A.tables[fname]
-            if any(block_of[t[r]] != block_of[t[e]] for r, e in moved):
-                return False
-        elif arity >= 3:
-            for rest in itertools.product(range(A.n), repeat=arity - 1):
-                for i in range(arity):
-                    for r, e in moved:
                         fr = A.op(fname, *rest[:i], r, *rest[i:])
                         fe = A.op(fname, *rest[:i], e, *rest[i:])
                         if block_of[fr] != block_of[fe]:
-                            return False
-    for t in _binary_rows(A):
-        images = {}
-        for r, e in moved:
-            want = images.get(r)
-            if want is None:
-                want = images[r] = list(map(block, t[r]))
-            if list(map(block, t[e])) != want:
-                return False
-    return True
+                            return (fname, fr, fe)
+    return None
 
 
 def parse_congruence(A: FiniteAlgebra, text: str) -> Congruence:
@@ -292,70 +276,60 @@ def parse_congruence(A: FiniteAlgebra, text: str) -> Congruence:
     missing = [A.labels[e] for e in range(A.n) if seen[e] == -1]
     if missing:
         raise InvalidCongruence(f"elements not covered: {', '.join(missing)}")
-    return Congruence(A, canonicalize(seen), check=True)
+    return Congruence(A, seen, check=True)
 
 
 # -- Mal'cev closure --------------------------------------------------------
 
 
 def _close(A: FiniteAlgebra, seed_pairs) -> tuple[int, ...]:
-    n = A.n
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    queue = deque()
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            if rx > ry:
-                rx, ry = ry, rx
-            parent[ry] = rx
-            queue.append((rx, ry))
-
-    for a, b in seed_pairs:
-        union(a, b)
-    unary = [A.tables[f] for f, ar in A.signature.operations if ar == 1]
-    binary = _binary_rows(A)
-    higher = [(f, ar) for f, ar in A.signature.operations if ar >= 3]
-    while queue:
-        x, y = queue.popleft()
-        for t in unary:
-            union(t[x], t[y])
-        for t in binary:
-            for a, b in zip(t[x], t[y]):
-                if a != b:
-                    union(a, b)
-        for fname, arity in higher:
-            for rest in itertools.product(range(n), repeat=arity - 1):
-                for i in range(arity):
-                    union(
-                        A.op(fname, *rest[:i], x, *rest[i:]),
-                        A.op(fname, *rest[:i], y, *rest[i:]),
-                    )
-    return canonicalize(parent)
+    """Cg of the seed pairs, in rounds (module doc)."""
+    n, ops = A.n, _operations(A)
+    p, pending = delta_partition(n), seed_pairs
+    while True:
+        q = merge_pairs(p, pending)
+        moved = [(q[y], y) for y, r in enumerate(p) if r == y and q[y] != y]
+        if not moved:
+            return q
+        pending = []
+        for fname, arity, t, rows in ops:
+            if arity == 1:
+                pending += [(t[x], t[y]) for x, y in moved]
+            elif arity == 2:
+                for x, y in moved:
+                    pending += zip(rows[x], rows[y])
+            else:
+                for x, y in moved:
+                    for rest in itertools.product(range(n), repeat=arity - 1):
+                        for i in range(arity):
+                            pending.append(
+                                (
+                                    A.op(fname, *rest[:i], x, *rest[i:]),
+                                    A.op(fname, *rest[:i], y, *rest[i:]),
+                                )
+                            )
+        p = q
 
 
-def _binary_rows(A: FiniteAlgebra) -> list:
-    """Each binary table, and its transpose unless the two are equal: x θ y
-    must give t[x][z] θ t[y][z] on the rows of both.  A symmetric table,
-    such as join or meet, is its own transpose and is walked once.  Decided
-    from the tables, once per algebra."""
-    rows = A._cache.get("binary_rows")
-    if rows is None:
-        rows = []
+def _operations(A: FiniteAlgebra) -> list:
+    """(name, arity, table, rows) for each operation of positive arity, in
+    signature order.  x θ y must give t[x][z] θ t[y][z] and t[z][x] θ t[z][y]
+    for every z, so rows[x] of a binary table t lists t[x][z], t[z][x] for
+    z = 0, 1, ...; when t is symmetric, as join and meet are, the two are
+    equal, and rows is t itself, walked once.  For any other arity rows is
+    the table.  Decided from the tables, once per algebra."""
+    ops = A._cache.get("operations")
+    if ops is None:
+        ops = []
         for f, arity in A.signature.operations:
-            if arity == 2:
-                t = A.tables[f]
-                tt = tuple(zip(*t))
-                rows += [t] if tt == t else [t, tt]
-        A._cache["binary_rows"] = rows
-    return rows
+            if arity:
+                t = rows = A.tables[f]
+                cols = tuple(zip(*t)) if arity == 2 else t
+                if cols != t:
+                    rows = tuple(tuple(v for pair in zip(row, col) for v in pair) for row, col in zip(t, cols))
+                ops.append((f, arity, t, rows))
+        A._cache["operations"] = ops
+    return ops
 
 
 def principal_congruence(A: FiniteAlgebra, a: int, b: int) -> Congruence:
@@ -752,11 +726,7 @@ def _all_partitions(n):
 
     def gen(i, max_used):
         if i == n:
-            reps = {}
-            out = [0] * n
-            for e in range(n):
-                out[e] = reps.setdefault(rgs[e], e)
-            yield tuple(out)
+            yield kernel(rgs)
             return
         for v in range(max_used + 2):
             rgs[i] = v

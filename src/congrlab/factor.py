@@ -28,7 +28,6 @@ from itertools import combinations_with_replacement, product
 from .algebra import (
     FiniteAlgebra,
     block_masks,
-    canonicalize,
     direct_product,
     join_partitions,
     ordinal_sum_with_maps,
@@ -228,7 +227,9 @@ def product_congruence(P: FiniteAlgebra, factors, thetas) -> Congruence:
         tup = product_decode(idx, sizes, radix)
         rep = sum(t.block_of[e] * r for t, e, r in zip(thetas, tup, radix))
         block_of.append(rep)
-    return Congruence(P, canonicalize(block_of))
+    # the encoding is monotone in each coordinate, so rep is the least
+    # member of idx's block
+    return Congruence(P, block_of)
 
 
 def _glued_image(parts: list[ConLattice], whole: ConLattice, glue) -> dict | None:

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import FiniteAlgebra, _bits, canonicalize
+from .algebra import FiniteAlgebra, _bits, kernel
 from .congruences import (
     ConLattice,
     Congruence,
@@ -138,12 +138,11 @@ def u_map(A: FiniteAlgebra, theta: Congruence, alpha: Congruence, Q: QuotientRes
     if Q is None:
         Q = quotient(A, theta)
     lifted = join(alpha, theta)
-    k = Q.quotient.n
-    reps = sorted(Q.index_in_quotient, key=Q.index_in_quotient.get)
-    parent = list(range(k))
-    for i in range(k):
-        parent[i] = Q.index_in_quotient[Q.projection[lifted.block_of[reps[i]]]]
-    return Congruence(Q.quotient, canonicalize(parent))
+    # the reps are sorted, and the least member of an (α ∨ θ)-block is the
+    # least member of one of its θ-blocks, so this is canonical
+    index = Q.index_in_quotient
+    reps = sorted(index, key=index.get)
+    return Congruence(Q.quotient, [index[Q.projection[lifted.block_of[r]]] for r in reps])
 
 
 def s_inverse(A: FiniteAlgebra, theta: Congruence, beta: Congruence, Q: QuotientResult | None = None) -> Congruence:
@@ -152,12 +151,7 @@ def s_inverse(A: FiniteAlgebra, theta: Congruence, beta: Congruence, Q: Quotient
         Q = quotient(A, theta)
     if beta.algebra != Q.quotient:
         raise ParentMismatch("congruence does not belong to the quotient")
-    first: dict[int, int] = {}
-    parent = [0] * A.n
-    for e in range(A.n):
-        key = beta.block_of[Q.project(e)]
-        parent[e] = first.setdefault(key, e)
-    return Congruence(A, canonicalize(parent))
+    return Congruence(A, kernel(beta.block_of[Q.project(e)] for e in range(A.n)))
 
 
 @dataclass

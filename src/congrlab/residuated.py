@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .algebra import FiniteAlgebra, _bits, delta_partition, lattice_from_order, lattice_reduct
+from .algebra import FiniteAlgebra, _bits, delta_partition, kernel, lattice_from_order, lattice_reduct
 from .congruences import Congruence, all_congruences
 from .errors import (
     AmbiguousComplement,
@@ -224,7 +224,7 @@ def filter_congruence(A: FiniteAlgebra, F) -> Congruence:
     meet_t = A.tables["meet"]
     m = functools.reduce(lambda a, b: meet_t[a][b], F)
     by = A.tables["times"] if A.signature.kind == "residuated" else meet_t
-    return Congruence(A, _kernel(by[m]), check=True)
+    return Congruence(A, kernel(by[m]), check=True)
 
 
 def ideal_congruence(A: FiniteAlgebra, I) -> Congruence:
@@ -245,14 +245,7 @@ def ideal_congruence(A: FiniteAlgebra, I) -> Congruence:
         raise NotAnIdeal(f"{sorted(A.labels[e] for e in I)} is not an ideal")
     join = A.tables["join"]
     m = functools.reduce(lambda a, b: join[a][b], I)
-    return Congruence(A, _kernel(join[m]), check=True)
-
-
-def _kernel(image) -> tuple[int, ...]:
-    """The canonical partition of x -> image[x]: each x joins the block of
-    the least element with the same image."""
-    first: dict[int, int] = {}
-    return tuple(first.setdefault(v, x) for x, v in enumerate(image))
+    return Congruence(A, kernel(join[m]), check=True)
 
 
 def filt_blp_failure(A: FiniteAlgebra) -> Congruence | None:

@@ -11,8 +11,9 @@ pure lattice it closes nothing: Con(L) is read off the dependency relation
 on J(L), and the closure enumeration it replaced is the oracle; the masks
 it hands to ConLattice are checked against the seed scan.  The
 generator-mask order of Con(A) is checked against partition refinement and
-the O(k³) cover scan, and the closure that walks a symmetric table once
-against the two-sided closure.
+the O(k³) cover scan, the closure in rounds that walks a symmetric table
+once against the queue-driven two-sided closure, and J(L) read off the
+covers against the O(n²) scan of every element's strict down-set.
 """
 
 import itertools
@@ -26,7 +27,6 @@ from congrlab.algebra import (
     FiniteAlgebra,
     Signature,
     build_from_spec,
-    canonicalize,
     delta_partition,
     direct_product,
     dual,
@@ -102,11 +102,29 @@ def lattice_algebras():
     )
 
 
+def join_irreducible_scan(A):
+    """(j₊, j) for each join-irreducible j as they were found: j₊ is the
+    join of every x < j, and j is join-irreducible iff some x < j and
+    j₊ ≠ j."""
+    join, meet = A.tables["join"], A.tables["meet"]
+    pairs = []
+    for j in range(A.n):
+        lower = None
+        for x in range(A.n):
+            if x != j and meet[x][j] == x:
+                lower = x if lower is None else join[lower][x]
+        if lower is not None and lower != j:
+            pairs.append((lower, j))
+    return pairs
+
+
 def test_join_irreducible_pairs_give_the_cover_pairs_generators():
     algebras = lattice_algebras()
-    assert len(algebras) == 243
+    algebras += [dual(fixture(name)) for name in FIXTURE_NAMES if fixture(name).signature.kind != "residuated"]
+    assert len(algebras) == 243 + 15
     for A in algebras:
         pairs = A.join_irreducible_pairs()
+        assert pairs == join_irreducible_scan(A), A.name
         assert set(pairs) <= set(A.covers()), A.name
         from_pairs = {congruences._close(A, [p]) for p in pairs}
         assert from_pairs == {congruences._close(A, [p]) for p in A.covers()}, A.name
@@ -438,9 +456,28 @@ def test_cold_large_reports_refine_no_partitions(monkeypatch, capsys):
 # -- closures on symmetric tables ------------------------------------------------
 
 
-def two_sided_close(A, a, b):
-    """The closure as it was: both argument positions of every binary
-    table, commutative or not."""
+def canonicalize(parent_of) -> tuple[int, ...]:
+    """Canonical partition form: block_of[e] = minimum element of e's block."""
+    n = len(parent_of)
+    rep = {}
+    out = [0] * n
+
+    def root(e):
+        while parent_of[e] != e:
+            e = parent_of[e]
+        return e
+
+    for e in range(n):
+        r = root(e)
+        if r not in rep:
+            rep[r] = e
+        out[e] = rep[r]
+    return tuple(out)
+
+
+def two_sided_close(A, seeds):
+    """The closure as it was: a union-find with a queue, on both argument
+    positions of every binary table, commutative or not."""
     n = A.n
     parent = list(range(n))
 
@@ -460,7 +497,8 @@ def two_sided_close(A, a, b):
             parent[ry] = rx
             queue.append((rx, ry))
 
-    union(a, b)
+    for a, b in seeds:
+        union(a, b)
     ops = [(f, ar) for f, ar in A.signature.operations if ar >= 1]
     while queue:
         x, y = queue.popleft()
@@ -501,19 +539,35 @@ def left_zero_with_shift():
     )
 
 
+def walked_twice(A):
+    """For each binary table, whether its rows hold its columns too."""
+    return [len(rows[0]) == 2 * A.n for _, arity, _, rows in congruences._operations(A) if arity == 2]
+
+
 def test_closure_walks_symmetric_tables_once_and_others_twice():
+    from test_join_irreducible_masks import random_generic_algebras
+    from test_residuated import RESIDUATED_CHAINS, residuated_chain
+
     fixtures_ = [fixture(name) for name in FIXTURE_NAMES]
     algebras = fixtures_ + [generic_copy(A) for A in fixtures_]
     algebras += [xor_algebra(), subtraction_mod(6), left_zero_with_shift()]
-    assert any(len(congruences._binary_rows(A)) > sum(ar == 2 for _, ar in A.signature.operations) for A in algebras)
+    algebras += random_generic_algebras()
+    algebras += [build_from_spec(residuated_chain(n, t)) for t, n in RESIDUATED_CHAINS]
+    flags = {f for A in algebras for f in walked_twice(A)}
+    assert flags == {True, False}
+    rng = random.Random(16)
     for A in algebras:
         for a in range(A.n):
             for b in range(a + 1, A.n):
-                assert congruences._close(A, [(a, b)]) == two_sided_close(A, a, b), (A.name, a, b)
+                assert congruences._close(A, [(a, b)]) == two_sided_close(A, [(a, b)]), (A.name, a, b)
+        for size in (2, 3):
+            for _ in range(10):
+                seeds = [(rng.randrange(A.n), rng.randrange(A.n)) for _ in range(size)]
+                assert cg_generated(A, seeds).block_of == two_sided_close(A, seeds), (A.name, seeds)
 
 
 def test_symmetry_is_read_from_the_table_not_the_name():
     # a table named "join" that is not commutative keeps both positions
     A = FiniteAlgebra(3, "abc", Signature((("join", 2),)), {"join": [[x] * 3 for x in range(3)]})
-    assert len(congruences._binary_rows(A)) == 2
-    assert len(congruences._binary_rows(fixture("L3"))) == 2  # join and meet, once each
+    assert walked_twice(A) == [True]
+    assert walked_twice(fixture("L3")) == [False, False]  # join and meet, once each
