@@ -8,7 +8,9 @@ operation here is a pure function.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -207,6 +209,8 @@ class FiniteAlgebra:
     def is_distributive_lattice(self) -> bool:
         """A finite lattice is distributive iff every join-irreducible j is
         join-prime: j ≤ a∨b forces j ≤ a or j ≤ b (Davey & Priestley, ch. 10).
+        That holds iff j ≰ ⋁{x : j ≰ x}, as any a, b breaking it lie in that
+        join, and a join-prime j lies below none of its finitely many terms.
         Cached on the algebra."""
         self.require_lattice()
         hit = self._cache.get("distributive")
@@ -215,8 +219,8 @@ class FiniteAlgebra:
             hit = True
             for _, j in self.join_irreducible_pairs():
                 mj = meet[j]
-                outside = [x for x in range(self.n) if mj[x] != j]
-                if any(mj[join[a][b]] == j for a in outside for b in outside):
+                joined = functools.reduce(lambda a, b: join[a][b], (x for x in range(self.n) if mj[x] != j))
+                if mj[joined] == j:
                     hit = False
                     break
             self._cache["distributive"] = hit
@@ -776,71 +780,53 @@ def sublattice(L: FiniteAlgebra, subset, name=None) -> FiniteAlgebra:
 
 def find_isomorphism(A: FiniteAlgebra, B: FiniteAlgebra):
     """A bijection carrier(A) -> carrier(B) commuting with all operations,
-    or None.  Brute-force backtracking; intended for desk-scale carriers."""
+    or None.  Backtracking over A's elements in index order, for desk-scale
+    carriers.  Each entry f(args) = v of A's tables is put in the bucket of
+    max(v, *args), the last of its elements to be mapped, and a bucket is
+    checked against B's tables when its element is mapped.  So a complete
+    mapping has had every entry checked, and commutes with every operation.
+    An image is tried only if it is a value of each operation as often as
+    the element is, which every isomorphism preserves."""
     if A.n != B.n or A.signature.operations != B.signature.operations:
         return None
-    n = A.n
-    binary = [f for f, ar in A.signature.operations if ar == 2]
-    consts = [f for f, ar in A.signature.operations if ar == 0]
-    unary = [f for f, ar in A.signature.operations if ar == 1]
+    n, ops = A.n, A.signature.operations
 
-    def profile(X):
-        out = []
-        for e in range(X.n):
-            row = []
-            for f in binary:
-                t = X.tables[f]
-                row.append(sum(t[e][x] == e for x in range(X.n)))
-            out.append(tuple(row))
-        return out
+    def entries(X):
+        return [(f, args, X.op(f, *args)) for f, arity in ops for args in itertools.product(range(n), repeat=arity)]
 
-    pa, pb = profile(A), profile(B)
-    mapping = [-1] * n
-    used = [False] * n
+    def profile(listed):
+        count = Counter((f, v) for f, _, v in listed)
+        return [tuple(count[f, e] for f, _ in ops) for e in range(n)]
 
-    def consistent(e, img):
-        for f in consts:
-            if A.tables[f] == e and B.tables[f] != img:
+    entries_a = entries(A)
+    pa, pb = profile(entries_a), profile(entries(B))
+    buckets = [[] for _ in range(n)]
+    for f, args, v in entries_a:
+        buckets[max(v, *args)].append((B.tables[f], args, v))
+    mapping, used = [-1] * n, [False] * n
+
+    def fits(e):
+        for t, args, v in buckets[e]:
+            for a in args:
+                t = t[mapping[a]]
+            if t != mapping[v]:
                 return False
-            if B.tables[f] == img and A.tables[f] != e:
-                return False
-        for f in unary:
-            fe = A.op(f, e)
-            if mapping[fe] != -1 and B.op(f, img) != mapping[fe]:
-                return False
-        for f in binary:
-            ta, tb = A.tables[f], B.tables[f]
-            for x in range(n):
-                mx = mapping[x]
-                if mx == -1 and x != e:
-                    continue
-                mx = img if x == e else mx
-                for u, v, mu, mv in ((e, x, img, mx), (x, e, mx, img)):
-                    r = ta[u][v]
-                    mr = mapping[r] if r != e else img
-                    if mapping[r] != -1 or r == e:
-                        if tb[mu][mv] != mr:
-                            return False
         return True
 
     def extend(e):
         if e == n:
             return True
         for img in range(n):
-            if used[img] or pa[e] != pb[img]:
-                continue
-            mapping[e] = img
-            if consistent(e, img):
-                used[img] = True
-                if extend(e + 1):
-                    return True
-                used[img] = False
-            mapping[e] = -1
+            if not used[img] and pa[e] == pb[img]:
+                mapping[e] = img
+                if fits(e):
+                    used[img] = True
+                    if extend(e + 1):
+                        return True
+                    used[img] = False
         return False
 
-    if extend(0):
-        return list(mapping)
-    return None
+    return mapping if extend(0) else None
 
 
 def are_isomorphic(A: FiniteAlgebra, B: FiniteAlgebra) -> bool:

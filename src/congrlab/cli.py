@@ -306,15 +306,9 @@ def _check(A: FiniteAlgebra, args) -> int:
         if theta is not None:
             print(f"failing congruence: {theta.block_string()}")
         return 0 if theta is None else 1
-    if prop == "fc-normal":
-        ok, info = is_fc_normal(A)
-        print(f"fc-normal: {yn(ok)}")
-        if not ok:
-            print(f"failing pair: {info[0]} / {info[1]}")
-        return 0 if ok else 1
-    if prop == "b-normal":
-        ok, info = is_b_normal(A)
-        print(f"b-normal: {yn(ok)}")
+    if prop in ("fc-normal", "b-normal"):
+        ok, info = (is_fc_normal if prop == "fc-normal" else is_b_normal)(A)
+        print(f"{prop}: {yn(ok)}")
         if not ok:
             print(f"failing pair: {info[0]} / {info[1]}")
         return 0 if ok else 1

@@ -225,36 +225,23 @@ def compatibility_violation(A: FiniteAlgebra, block_of):
     the pairs (r, e), r the least member of e's block, in increasing (r, e).
     That names the violation the scan of every related pair (a, b) in
     increasing order names first: if (a, b) breaks f, so does (r, a) or
-    (r, b), and both come before (a, b) unless a = r.  A binary table is
-    compared on the rows of _operations, so a symmetric one is compared
-    once."""
+    (r, b), and both come before (a, b) unless a = r.  Every operation is
+    compared on its rows of _operations, which list the one-position images
+    in that scan's order, so a symmetric binary table is compared once."""
     moved = sorted((r, e) for e, r in enumerate(block_of) if r != e)
     if not moved:
         return None
-    n, block = A.n, block_of.__getitem__
-    for fname, arity, t, rows in _operations(A):
-        if arity == 1:
-            for r, e in moved:
-                if block_of[t[r]] != block_of[t[e]]:
-                    return (fname, t[r], t[e])
-        elif arity == 2:
-            images = {}
-            for r, e in moved:
-                want = images.get(r)
-                if want is None:
-                    want = images[r] = list(map(block, rows[r]))
-                got = list(map(block, rows[e]))
-                if got != want:
-                    z = next(z for z, (u, v) in enumerate(zip(want, got)) if u != v)
-                    return (fname, rows[r][z], rows[e][z])
-        else:
-            for r, e in moved:
-                for rest in itertools.product(range(n), repeat=arity - 1):
-                    for i in range(arity):
-                        fr = A.op(fname, *rest[:i], r, *rest[i:])
-                        fe = A.op(fname, *rest[:i], e, *rest[i:])
-                        if block_of[fr] != block_of[fe]:
-                            return (fname, fr, fe)
+    block = block_of.__getitem__
+    for fname, rows in _operations(A):
+        images = {}
+        for r, e in moved:
+            want = images.get(r)
+            if want is None:
+                want = images[r] = list(map(block, rows[r]))
+            got = list(map(block, rows[e]))
+            if got != want:
+                z = next(z for z, (u, v) in enumerate(zip(want, got)) if u != v)
+                return (fname, rows[r][z], rows[e][z])
     return None
 
 
@@ -284,50 +271,52 @@ def parse_congruence(A: FiniteAlgebra, text: str) -> Congruence:
 
 def _close(A: FiniteAlgebra, seed_pairs) -> tuple[int, ...]:
     """Cg of the seed pairs, in rounds (module doc)."""
-    n, ops = A.n, _operations(A)
-    p, pending = delta_partition(n), seed_pairs
+    ops = _operations(A)
+    p, pending = delta_partition(A.n), seed_pairs
     while True:
         q = merge_pairs(p, pending)
         moved = [(q[y], y) for y, r in enumerate(p) if r == y and q[y] != y]
         if not moved:
             return q
         pending = []
-        for fname, arity, t, rows in ops:
-            if arity == 1:
-                pending += [(t[x], t[y]) for x, y in moved]
-            elif arity == 2:
-                for x, y in moved:
-                    pending += zip(rows[x], rows[y])
-            else:
-                for x, y in moved:
-                    for rest in itertools.product(range(n), repeat=arity - 1):
-                        for i in range(arity):
-                            pending.append(
-                                (
-                                    A.op(fname, *rest[:i], x, *rest[i:]),
-                                    A.op(fname, *rest[:i], y, *rest[i:]),
-                                )
-                            )
+        for _, rows in ops:
+            for x, y in moved:
+                pending += zip(rows[x], rows[y])
         p = q
 
 
 def _operations(A: FiniteAlgebra) -> list:
-    """(name, arity, table, rows) for each operation of positive arity, in
-    signature order.  x θ y must give t[x][z] θ t[y][z] and t[z][x] θ t[z][y]
-    for every z, so rows[x] of a binary table t lists t[x][z], t[z][x] for
-    z = 0, 1, ...; when t is symmetric, as join and meet are, the two are
-    equal, and rows is t itself, walked once.  For any other arity rows is
-    the table.  Decided from the tables, once per algebra."""
+    """(name, rows) for each operation f of positive arity, in signature
+    order.  rows[x] lists the values of f with x in one argument position:
+    for each tuple rest of the other arguments, in increasing order, and
+    each position i, f(rest[:i] + (x,) + rest[i:]).  x θ y must give
+    rows[x][z] θ rows[y][z] for every z, and those are all the one-position
+    images of (x, y), in the order the scan of every related pair takes
+    them.  So a unary table gives (t[x],), and a binary one t[x][z], t[z][x]
+    for z = 0, 1, ...; when a binary t is symmetric, as join and meet are,
+    the two are equal, and rows is t itself, walked once.  Decided from the
+    tables, once per algebra."""
     ops = A._cache.get("operations")
     if ops is None:
-        ops = []
+        ops, n = [], A.n
         for f, arity in A.signature.operations:
-            if arity:
-                t = rows = A.tables[f]
-                cols = tuple(zip(*t)) if arity == 2 else t
-                if cols != t:
-                    rows = tuple(tuple(v for pair in zip(row, col) for v in pair) for row, col in zip(t, cols))
-                ops.append((f, arity, t, rows))
+            if not arity:
+                continue
+            rows = t = A.tables[f]
+            if arity != 2 or tuple(zip(*t)) != t:
+                flat = t
+                for _ in range(arity - 1):
+                    flat = [v for row in flat for v in row]
+                # f(args) is flat[Σ args[i]·w[i]]; each (rest, i) gives the
+                # index with 0 at position i, and x adds x·w[i]
+                w = [n ** (arity - 1 - i) for i in range(arity)]
+                spots = [
+                    (sum(a * wa for a, wa in zip(rest[:i] + (0,) + rest[i:], w)), w[i])
+                    for rest in itertools.product(range(n), repeat=arity - 1)
+                    for i in range(arity)
+                ]
+                rows = tuple(tuple(flat[o + x * wi] for o, wi in spots) for x in range(n))
+            ops.append((f, rows))
         A._cache["operations"] = ops
     return ops
 
@@ -401,11 +390,6 @@ class Relation:
     def is_full(self) -> bool:
         full = (1 << self.n) - 1
         return all(r == full for r in self.rows)
-
-    def pairs(self):
-        for a, r in enumerate(self.rows):
-            for b in _bits(r):
-                yield (a, b)
 
 
 def relation_of(theta: Congruence) -> Relation:

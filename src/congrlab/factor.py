@@ -415,26 +415,14 @@ def factorize(A: FiniteAlgebra, alphas: list[Congruence]):
     for q in quotients:
         total *= q.quotient.n
     images = {tuple(q.projection[e] for q in quotients) for e in range(A.n)}
-    ok = total == A.n and len(images) == A.n
-    if ok:
-        for fname, arity in A.signature.operations:
-            if arity != 2:
-                continue
-            for a in range(A.n):
-                for b in range(A.n):
-                    r = A.op(fname, a, b)
-                    for q in quotients:
-                        qa, qb = q.projection[a], q.projection[b]
-                        ra = q.quotient.op(
-                            fname, q.index_in_quotient[qa], q.index_in_quotient[qb]
-                        )
-                        if q.index_in_quotient[q.projection[r]] != ra:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
+    ok = (
+        total == A.n
+        and len(images) == A.n
+        and all(
+            q.project(A.op(f, *args)) == q.quotient.op(f, *map(q.project, args))
+            for f, arity in A.signature.operations
+            for args in product(range(A.n), repeat=arity)
+            for q in quotients
+        )
+    )
     return quotients, ok

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from congrlab.algebra import (
     direct_product,
     dual,
     emit_spec,
+    find_isomorphism,
     lattice_from_order,
     lattice_reduct,
     order_matrix,
@@ -543,14 +545,28 @@ def test_explicit_tables_name_the_first_entry_off_the_order():
     assert isinstance(err, NotALattice) and err.pair == ("y", "z")
 
 
+def join_prime_pair_scan(L):
+    """Distributivity as it was decided: no join-irreducible j lies below
+    a∨b for a pair a, b of elements not above it."""
+    join, meet = L.tables["join"], L.tables["meet"]
+    for _, j in L.join_irreducible_pairs():
+        outside = [x for x in range(L.n) if meet[j][x] != j]
+        if any(meet[j][join[a][b]] == j for a in outside for b in outside):
+            return False
+    return True
+
+
 def test_distributivity_by_join_primes_agrees_with_the_triple_scan():
     from test_partition_join import lattice_algebras
 
+    lattices = lattice_algebras()
+    lattices += [dual(L) for L in lattices if L.signature.kind != "residuated"]
     verdicts = set()
-    for L in lattice_algebras():
+    for L in lattices:
         L._cache.pop("distributive", None)
         join, meet, ks = L.tables["join"], L.tables["meet"], range(L.n)
         scan = all(meet[a][join[b][c]] == join[meet[a][b]][meet[a][c]] for a in ks for b in ks for c in ks)
+        assert join_prime_pair_scan(L) == scan, L.name
         assert L.is_distributive_lattice() == scan, L.name
         assert L._cache["distributive"] == scan
         verdicts.add(scan)
@@ -604,3 +620,53 @@ def test_covers_of_a_relabelled_chain():
     at = {label: e for e, label in enumerate(L.labels)}
     want = sorted(((at[f"c{i}"], at[f"c{i + 1}"]) for i in range(511)), key=lambda p: p[1])
     assert L.covers() == want
+
+
+# -- isomorphism ------------------------------------------------------------
+
+
+def entries(A):
+    """Every (f, args) of A's tables, nullary operations included."""
+    return [(f, args) for f, arity in A.signature.operations for args in itertools.product(range(A.n), repeat=arity)]
+
+
+def commutes(A, B, m):
+    return all(m[A.op(f, *args)] == B.op(f, *(m[a] for a in args)) for f, args in entries(A))
+
+
+def brute_force_isomorphism(A, B):
+    """The first permutation of the carrier that commutes with every
+    operation, or None."""
+    if A.n != B.n or A.signature.operations != B.signature.operations:
+        return None
+    return next((m for m in itertools.permutations(range(A.n)) if commutes(A, B, m)), None)
+
+
+def test_isomorphism_is_the_permutation_search():
+    from test_congruences import middle_algebra, skewed_algebra
+    from test_join_irreducible_masks import random_generic_algebras
+    from test_partition_join import relabelled
+
+    generic = random_generic_algebras()
+    pairs = [(A, B) for A in generic for B in generic if A.n == B.n and A.signature == B.signature]
+    assert len(pairs) == 1004
+    for A in (skewed_algebra(), middle_algebra()):
+        pairs += [(A, relabelled(A, 17)), (relabelled(A, 17), A)]
+    m = FiniteAlgebra(3, "abc", Signature((("m", 2),)), {"m": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]})
+    m2 = FiniteAlgebra(3, "abc", Signature((("m", 2),)), {"m": [[2, 0, 0], [0, 0, 0], [0, 0, 0]]})
+    f = FiniteAlgebra(3, "abc", Signature((("f", 1),)), {"f": [1, 2, 2]})
+    f2 = FiniteAlgebra(3, "abc", Signature((("f", 1),)), {"f": [2, 2, 2]})
+    first = [[[x] * 2 for _ in range(2)] for x in range(2)]
+    last = [[[0, 1]] * 2] * 2
+    p = FiniteAlgebra(2, "ab", Signature((("p", 3),)), {"p": first})
+    p2 = FiniteAlgebra(2, "ab", Signature((("p", 3),)), {"p": last})
+    pairs += [(m, m2), (f, f2), (p, p2)]
+    found = {True: 0, False: 0}
+    for A, B in pairs:
+        got, want = find_isomorphism(A, B), brute_force_isomorphism(A, B)
+        assert (got is None) == (want is None), (A.name, B.name)
+        if got is not None:
+            assert sorted(got) == list(range(A.n)) and commutes(A, B, got), (A.name, B.name)
+        found[got is not None] += 1
+    assert find_isomorphism(m, m2) == [0, 2, 1]
+    assert found[True] > 80 and found[False] > 80

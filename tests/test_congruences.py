@@ -185,6 +185,23 @@ def middle_algebra():
     return FiniteAlgebra(4, "0123", Signature((("q", 3),)), {"q": [[[g[y]] * 4 for y in range(4)]] * 4}, name="Q4")
 
 
+def quaternary_algebra():
+    """q(x, y, z, w) = x - y + z·w on Z4 beside a unary g: an operation of
+    arity four, each of whose argument positions acts differently."""
+    n, g = 4, [1, 0, 3, 3]
+    q = [[[[(x - y + z * w) % n for w in range(n)] for z in range(n)] for y in range(n)] for x in range(n)]
+    return FiniteAlgebra(n, "0123", Signature((("g", 1), ("q", 4))), {"g": g, "q": q}, name="Q4x")
+
+
+def pointed_algebra():
+    """A constant c among a unary h and a binary x·y = max(x, h(y)), which
+    is not symmetric."""
+    n, h = 5, [1, 0, 3, 3, 2]
+    dot = [[max(x, h[y]) for y in range(n)] for x in range(n)]
+    sig = Signature((("c", 0), ("h", 1), ("dot", 2)))
+    return FiniteAlgebra(n, "01234", sig, {"c": 2, "h": h, "dot": dot}, name="P5c")
+
+
 def test_compatibility_is_the_pair_scan():
     from test_join_irreducible_masks import random_generic_algebras
     from test_partition_join import generic_copy
@@ -192,6 +209,7 @@ def test_compatibility_is_the_pair_scan():
     small = [fixture(name) for name in FIXTURE_NAMES if fixture(name).n <= 7]
     algebras = small + [generic_copy(A) for A in small] + random_generic_algebras()
     algebras += [xor_algebra(), skewed_algebra(), right_algebra(), middle_algebra()]
+    algebras += [quaternary_algebra(), pointed_algebra()]
     found = {True: 0, False: 0}
     for A in algebras:
         labels = A.labels
@@ -212,7 +230,7 @@ def test_compatibility_is_the_pair_scan():
             assert msg == want, (A.name, p)
             found[want is None] += 1
     # the congruences, and the partitions that name a violation
-    assert found == {True: 504, False: 5913}
+    assert found == {True: 514, False: 5970}
 
 
 def test_constructor_requires_canonical_form():

@@ -48,7 +48,7 @@ from congrlab.fixtures import FIXTURE_NAMES, fixture, fixture_spec
 from congrlab.report import build_report, render_dot
 
 from sweep import sweep
-from test_congruences import xor_algebra
+from test_congruences import pointed_algebra, quaternary_algebra, xor_algebra
 
 
 def chain(n):
@@ -179,15 +179,18 @@ def closure_enumeration(A):
 
 
 def relabelled(A, seed):
-    """An isomorphic copy of a lattice with its carrier shuffled."""
+    """An isomorphic copy of an algebra with its carrier shuffled."""
     n = A.n
     new = list(range(n))
     random.Random(seed).shuffle(new)  # element e becomes new[e]
     old = sorted(range(n), key=new.__getitem__)
-    tables = {}
-    for f, arity in A.signature.operations:
-        t = A.tables[f]
-        tables[f] = new[t] if arity == 0 else [[new[t[old[x]][old[y]]] for y in range(n)] for x in range(n)]
+
+    def table(f, arity, args=()):
+        if len(args) == arity:
+            return new[A.op(f, *(old[x] for x in args))]
+        return [table(f, arity, args + (x,)) for x in range(n)]
+
+    tables = {f: table(f, arity) for f, arity in A.signature.operations}
     labels = [A.labels[e] for e in old]
     return FiniteAlgebra(n, labels, A.signature, tables, name=f"{A.name}~{seed}")
 
@@ -541,7 +544,7 @@ def left_zero_with_shift():
 
 def walked_twice(A):
     """For each binary table, whether its rows hold its columns too."""
-    return [len(rows[0]) == 2 * A.n for _, arity, _, rows in congruences._operations(A) if arity == 2]
+    return [len(rows[0]) == 2 * A.n for f, rows in congruences._operations(A) if A.signature.arity(f) == 2]
 
 
 def test_closure_walks_symmetric_tables_once_and_others_twice():
@@ -551,7 +554,7 @@ def test_closure_walks_symmetric_tables_once_and_others_twice():
     fixtures_ = [fixture(name) for name in FIXTURE_NAMES]
     algebras = fixtures_ + [generic_copy(A) for A in fixtures_]
     algebras += [xor_algebra(), subtraction_mod(6), left_zero_with_shift()]
-    algebras += random_generic_algebras()
+    algebras += [quaternary_algebra(), pointed_algebra()] + random_generic_algebras()
     algebras += [build_from_spec(residuated_chain(n, t)) for t, n in RESIDUATED_CHAINS]
     flags = {f for A in algebras for f in walked_twice(A)}
     assert flags == {True, False}
