@@ -786,23 +786,24 @@ def find_isomorphism(A: FiniteAlgebra, B: FiniteAlgebra):
     checked against B's tables when its element is mapped.  So a complete
     mapping has had every entry checked, and commutes with every operation.
     An image is tried only if it is a value of each operation as often as
-    the element is, which every isomorphism preserves."""
+    the element is, which every isomorphism preserves; so A and B whose
+    counts differ as multisets are refused before any search."""
     if A.n != B.n or A.signature.operations != B.signature.operations:
         return None
     n, ops = A.n, A.signature.operations
 
-    def entries(X):
-        return [(f, args, X.op(f, *args)) for f, arity in ops for args in itertools.product(range(n), repeat=arity)]
+    def profile(X):
+        counts = [Counter(flat_table(X.tables[f], arity)) for f, arity in ops]
+        return [tuple(c[e] for c in counts) for e in range(n)]
 
-    def profile(listed):
-        count = Counter((f, v) for f, _, v in listed)
-        return [tuple(count[f, e] for f, _ in ops) for e in range(n)]
-
-    entries_a = entries(A)
-    pa, pb = profile(entries_a), profile(entries(B))
+    pa, pb = profile(A), profile(B)
+    if sorted(pa) != sorted(pb):
+        return None
     buckets = [[] for _ in range(n)]
-    for f, args, v in entries_a:
-        buckets[max(v, *args)].append((B.tables[f], args, v))
+    for f, arity in ops:
+        tb = B.tables[f]
+        for args, v in zip(itertools.product(range(n), repeat=arity), flat_table(A.tables[f], arity)):
+            buckets[max((v, *args))].append((tb, args, v))
     mapping, used = [-1] * n, [False] * n
 
     def fits(e):
@@ -827,6 +828,15 @@ def find_isomorphism(A: FiniteAlgebra, B: FiniteAlgebra):
         return False
 
     return mapping if extend(0) else None
+
+
+def flat_table(t, arity: int) -> list:
+    """The values of an operation table of this arity, its argument tuples
+    in lexicographic order; a constant gives [t]."""
+    flat = [t]
+    for _ in range(arity):
+        flat = [v for row in flat for v in row]
+    return flat
 
 
 def are_isomorphic(A: FiniteAlgebra, B: FiniteAlgebra) -> bool:

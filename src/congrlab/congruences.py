@@ -116,6 +116,7 @@ from .algebra import (
     block_masks,
     cover_pairs,
     delta_partition,
+    flat_table,
     join_partitions,
     kernel,
     meet_partitions,
@@ -304,9 +305,7 @@ def _operations(A: FiniteAlgebra) -> list:
                 continue
             rows = t = A.tables[f]
             if arity != 2 or tuple(zip(*t)) != t:
-                flat = t
-                for _ in range(arity - 1):
-                    flat = [v for row in flat for v in row]
+                flat = flat_table(t, arity)
                 # f(args) is flat[Σ args[i]·w[i]]; each (rest, i) gives the
                 # index with 0 at position i, and x adds x·w[i]
                 w = [n ** (arity - 1 - i) for i in range(arity)]

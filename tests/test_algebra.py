@@ -643,15 +643,19 @@ def brute_force_isomorphism(A, B):
 
 
 def test_isomorphism_is_the_permutation_search():
-    from test_congruences import middle_algebra, skewed_algebra
+    from test_congruences import middle_algebra, pointed_algebra, skewed_algebra
     from test_join_irreducible_masks import random_generic_algebras
     from test_partition_join import relabelled
 
     generic = random_generic_algebras()
     pairs = [(A, B) for A in generic for B in generic if A.n == B.n and A.signature == B.signature]
     assert len(pairs) == 1004
-    for A in (skewed_algebra(), middle_algebra()):
+    pointed = pointed_algebra()
+    for A in (skewed_algebra(), middle_algebra(), pointed, fixture("R0")):
         pairs += [(A, relabelled(A, 17)), (relabelled(A, 17), A)]
+    # the same h and dot, but a constant no automorphism moves c onto
+    moved = FiniteAlgebra(pointed.n, pointed.labels, pointed.signature, {**pointed.tables, "c": 3})
+    pairs += [(pointed, moved), (moved, relabelled(pointed, 17))]
     m = FiniteAlgebra(3, "abc", Signature((("m", 2),)), {"m": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]})
     m2 = FiniteAlgebra(3, "abc", Signature((("m", 2),)), {"m": [[2, 0, 0], [0, 0, 0], [0, 0, 0]]})
     f = FiniteAlgebra(3, "abc", Signature((("f", 1),)), {"f": [1, 2, 2]})
@@ -669,4 +673,11 @@ def test_isomorphism_is_the_permutation_search():
             assert sorted(got) == list(range(A.n)) and commutes(A, B, got), (A.name, B.name)
         found[got is not None] += 1
     assert find_isomorphism(m, m2) == [0, 2, 1]
+    # constants are entries too: a relabelled copy maps its constants along,
+    # and a constant with no image is refused
+    for A in (pointed, fixture("R0")):
+        B = relabelled(A, 17)
+        got = find_isomorphism(A, B)
+        assert got is not None and all(got[A.tables[f]] == B.tables[f] for f, arity in A.signature.operations if not arity)
+    assert find_isomorphism(pointed, moved) is None and find_isomorphism(moved, relabelled(pointed, 17)) is None
     assert found[True] > 80 and found[False] > 80
