@@ -99,7 +99,12 @@ the other.
 Con(A)'s masks and block counts answer the two questions asked of
 compositions most often without composing: θ∘φ = ∇ iff
 |A/(θ∧φ)| = |A/θ|·|A/φ|, and Con(A) is permutable iff its join-irreducibles
-pairwise permute.
+pairwise permute.  θ and φ permute iff θ∘φ = θ∨φ, that is iff in each block
+B of θ∨φ every θ-block meets every φ-block.  The blocks of θ∧φ are the
+non-empty meets of a θ-block with a φ-block, and those two lie in one B.
+So with a_B and b_B the numbers of θ- and φ-blocks inside B, θ and φ
+permute iff Σ_B a_B·b_B = |A/(θ∧φ)|: one pass over A, counting each block
+at its least member.
 """
 
 from __future__ import annotations
@@ -107,6 +112,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+from collections import Counter
 from functools import total_ordering
 
 from .algebra import (
@@ -203,12 +209,24 @@ class Congruence:
 
     def block_string(self, over: "Congruence | None" = None) -> str:
         """Blocks as "a,b|c".  With over = θ ≤ self, render self/θ in the
-        labels of A/θ: each θ-block is one element, its members joined by "+"."""
+        labels of A/θ: each θ-block is one element, its members joined by "+".
+        A block's first member is its least, so the blocks come out grouped
+        in one pass, in the order of partition_blocks."""
         labels = self.algebra.labels
         if over is None:
-            return "|".join(",".join(labels[e] for e in blk) for blk in self.blocks())
-        name = {blk[0]: "+".join(labels[e] for e in blk) for blk in over.blocks()}
-        return "|".join(",".join(name[e] for e in blk if e in name) for blk in self.blocks())
+            return "|".join(map(",".join, _grouped(self.block_of, labels).values()))
+        # A/θ's element for each θ-block, at the block's least member
+        name = {r: "+".join(blk) for r, blk in _grouped(over.block_of, labels).items()}
+        blocks = _grouped(self.block_of, map(name.get, range(len(labels))))
+        return "|".join(",".join(x for x in blk if x is not None) for blk in blocks.values())
+
+
+def _grouped(block_of, names) -> dict:
+    """names[e] grouped by block_of[e], in order of first appearance."""
+    blocks: dict = {}
+    for r, x in zip(block_of, names):
+        blocks.setdefault(r, []).append(x)
+    return blocks
 
 
 def delta(A: FiniteAlgebra) -> Congruence:
@@ -557,16 +575,26 @@ class ConLattice:
         meets every θ_j-block, i.e. iff |A/(θ_i∧θ_j)| = |A/θ_i|·|A/θ_j|."""
         return self.blocks[self.meet(i, j)] == self.blocks[i] * self.blocks[j]
 
+    def permutes(self, i: int, j: int) -> bool:
+        """θ_i∘θ_j = θ_j∘θ_i, without composing: Σ_B a_B·b_B = |A/(θ_i∧θ_j)|
+        over the blocks B of θ_i∨θ_j (module doc).  Each θ-block is counted
+        at its least member."""
+        join_of = self.elements[self.join(i, j)].block_of
+        a, b = (
+            Counter(join_of[r] for e, r in enumerate(self.elements[x].block_of) if r == e) for x in (i, j)
+        )
+        return sum(a[B] * b[B] for B in a) == self.blocks[self.meet(i, j)]
+
     def is_permutable(self) -> bool:
         """Whether all congruences pairwise permute, tested on the
         join-irreducibles alone: if α, β, γ pairwise permute then
         α∨β = α∘β permutes with γ, so pairwise permuting join-irreducibles
         make every join of them, i.e. every congruence, permute."""
         if "permutable" not in self._cache:
-            els, above = self.elements, self._above
+            above = self._above
             ji = sorted(_lowest_bit(above[g]) for g in _bits(self.gen_masks[self.index_of_nabla]))
             self._cache["permutable"] = all(
-                permutes(els[i], els[j]) for x, i in enumerate(ji) for j in ji[x + 1 :]
+                self.permutes(i, j) for x, i in enumerate(ji) for j in ji[x + 1 :]
             )
         return self._cache["permutable"]
 

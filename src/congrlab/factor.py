@@ -31,8 +31,6 @@ from .algebra import (
     direct_product,
     join_partitions,
     ordinal_sum_with_maps,
-    product_decode,
-    product_radix,
 )
 from .congruences import (
     ConLattice,
@@ -212,49 +210,60 @@ def crt_direct_check(A: FiniteAlgebra, omega, k_max: int = 2):
 def product_congruence(P: FiniteAlgebra, factors, thetas) -> Congruence:
     """theta_1 x ... x theta_k on the product carrier: tuples related iff
     componentwise related.  P must use the standard mixed-radix encoding."""
-    sizes = [F.n for F in factors]
     total = 1
-    for s in sizes:
-        total *= s
+    for F in factors:
+        total *= F.n
     if P.n != total:
         raise EncodingMismatch("product carrier size does not match the factors")
     for F, t in zip(factors, thetas):
         if t.algebra != F:
             raise ParentMismatch("congruence does not belong to its factor")
-    radix = product_radix(sizes)
-    block_of = []
-    for idx in range(total):
-        tup = product_decode(idx, sizes, radix)
-        rep = sum(t.block_of[e] * r for t, e, r in zip(thetas, tup, radix))
-        block_of.append(rep)
-    # the encoding is monotone in each coordinate, so rep is the least
-    # member of idx's block
+    # (a, b) is a·n_B + b in the mixed radix, so its block is
+    # rep(a)·n_B + rep(b); fold factor by factor, as direct_product folds the
+    # tables.  The encoding is monotone in each coordinate, so that is the
+    # least member of the block
+    block_of = [0]
+    for F, t in zip(factors, thetas):
+        block_of = [r * F.n + s for r in block_of for s in t.block_of]
     return Congruence(P, block_of)
 
 
 def _glued_image(parts: list[ConLattice], whole: ConLattice, glue) -> dict | None:
     """Map each tuple of congruence indices of the parts to the index of
-    the congruence that glue makes of those congruences, if that is a
-    bijection onto Con of the whole that preserves the bounds, joins and
-    meets (of tuples, taken componentwise); None otherwise."""
+    the congruence that glue makes of those congruences, if that is an
+    isomorphism of bounded lattices from the product of the parts (ordered,
+    joined and met componentwise) onto Con of the whole; None otherwise.
+
+    A bijection is checked on cover pairs alone.  In a finite order ≤ is the
+    reflexive-transitive closure of the cover relation, so a map that keeps
+    each cover pair in order is monotone.  A bijection that is monotone both
+    ways is an order isomorphism, and an order isomorphism between lattices
+    preserves joins, meets and bounds, which are defined by the order.  The
+    covers of a tuple are the tuple with one coordinate stepped up one cover
+    of its part, so the forward check costs one comparison per tuple and
+    upper cover of each of its coordinates."""
     tuples = list(product(*[range(len(c)) for c in parts]))
     if len(tuples) != len(whole):
         return None
     image = {tup: whole.index(glue([c.elements[i] for c, i in zip(parts, tup)])) for tup in tuples}
     if len(set(image.values())) != len(whole):
         return None
-    if image[tuple(c.index_of_delta for c in parts)] != whole.index_of_delta:
-        return None
-    if image[tuple(c.index_of_nabla for c in parts)] != whole.index_of_nabla:
-        return None
-    for t1 in tuples:
-        for t2 in tuples:
-            jt = tuple(c.join(a, b) for c, a, b in zip(parts, t1, t2))
-            mt = tuple(c.meet(a, b) for c, a, b in zip(parts, t1, t2))
-            if image[jt] != whole.join(image[t1], image[t2]):
-                return None
-            if image[mt] != whole.meet(image[t1], image[t2]):
-                return None
+    uppers = []
+    for c in parts:
+        up = [[] for _ in range(len(c))]
+        for a, b in c.covers():
+            up[a].append(b)
+        uppers.append(up)
+    leq = whole.leq
+    for tup, v in image.items():
+        for x, up in enumerate(uppers):
+            for b in up[tup[x]]:
+                if not leq(v, image[tup[:x] + (b,) + tup[x + 1 :]]):
+                    return None
+    preimage = {v: tup for tup, v in image.items()}
+    for a, b in whole.covers():
+        if not all(c.leq(x, y) for c, x, y in zip(parts, preimage[a], preimage[b])):
+            return None
     return image
 
 

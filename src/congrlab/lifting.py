@@ -40,7 +40,13 @@ connected component of J's comparability graph.
 4. For fc-normality, let T_i be the set of j with θ_i ∨ θ_j = ∇.  A factor
    congruence α is a witness for (i, j) iff α ∈ T_i and j ∈ T_α', so the j
    with a witness are the union of T_α' over the factor α in T_i.  Only
-   the other j in T_i can fail, and only they are tested for θ_i∘θ_j = ∇.
+   the other j in T_i, the untested ones, can fail.  C_i, the set of j with
+   θ_i∘θ_j = ∇, is an up-set: θ_j ≤ θ_k gives θ_i∘θ_j ⊆ θ_i∘θ_k.  So some
+   untested j lies in C_i iff some maximal untested j does, and only those
+   are tested.  The highest index left is maximal, as index order extends
+   the order; each one tested drops its down-set.  Only when one of them
+   is in C_i are the untested j scanned in index order, for the first
+   failing pair.
 5. θ has the factor property iff every factor member of [θ, ∇] has an
    image D_α ∪ D_θ, α ∈ FC(A), as its mask.  So the first one without is
    found in one pass over ↑θ, with no center of [θ, ∇] built: a member of
@@ -350,24 +356,24 @@ def is_fc_normal(A: FiniteAlgebra):
     The trigger builds no composition: phi∘psi is full iff every phi-block
     meets every psi-block, i.e. iff |A/(phi∧psi)| = |A/phi|·|A/psi|, and
     then phi v psi is full too.  So only the pairs joining to ∇ that have
-    no witness are tried (module doc, 4)."""
+    no witness are tried, and of those only the maximal ones (module doc,
+    4)."""
     cl = all_congruences(A)
     fc = factor_congruences(cl)
     joins = _trigger_masks(cl)
-    gm, blocks, at = cl.gen_masks, cl.blocks, cl._at
     members = sum(1 << a for a in fc.members)
     for i, m in enumerate(joins):
         witnessed = 0
         for a in _bits(m & members):
             witnessed |= joins[fc.complement[a]]
-        untested = m & ~witnessed
-        if not untested:
-            continue
-        mi, bi = gm[i], blocks[i]
-        for j in _bits(untested):
-            # θ_i∘θ_j = ∇ (ConLattice.composes_to_nabla); the meet's mask is the AND
-            if blocks[at[mi & gm[j]]] == bi * blocks[j]:
+        untested = rest = m & ~witnessed
+        while rest:
+            # the highest index left is maximal in untested (module doc, 4)
+            j = rest.bit_length() - 1
+            if cl.composes_to_nabla(i, j):
+                j = next(j for j in _bits(untested) if cl.composes_to_nabla(i, j))
                 return False, (cl.elements[i].block_string(), cl.elements[j].block_string())
+            rest &= ~cl._down_masks[j]
     return True, None
 
 

@@ -2,8 +2,9 @@
 against the slow paths they replace.
 
 ConLattice decides θ_i∘θ_j = ∇ by |A/(θ_i∧θ_j)| = |A/θ_i|·|A/θ_j|,
-permutability on the join-irreducibles alone, meets and joins from the
-order's bitmasks, and lifting_report's columns on lattice indices.  The old
+permutability on the join-irreducibles alone, each pair by the block counts
+Σ_B a_B·b_B = |A/(θ_i∧θ_j)| over the blocks B of θ_i∨θ_j, meets and joins
+from the order's bitmasks, and lifting_report's columns on lattice indices.  The old
 ways live on here as oracles: composing the relations, comparing both
 compositions of every pair, the partition meet and join, and the rendered
 evidence of has_fclp / has_cblp.
@@ -13,7 +14,7 @@ import pytest
 
 from congrlab import congruences
 from congrlab.algebra import direct_product, join_partitions, meet_partitions
-from congrlab.congruences import Congruence, all_congruences, compose, permutes
+from congrlab.congruences import ConLattice, Congruence, all_congruences, compose, permutes
 from congrlab.factor import is_factor_pair
 from congrlab.fixtures import FIXTURE_NAMES, fixture
 from congrlab.lifting import algebra_cblp, algebra_fclp, has_cblp, has_fclp, lifting_report
@@ -21,6 +22,7 @@ from congrlab.report import build_report
 
 from sweep import sweep
 from test_congruences import xor_algebra
+from test_join_irreducible_masks import random_generic_algebras
 from test_partition_join import chain, generic_copy
 
 
@@ -78,20 +80,36 @@ def test_block_counts_match_compositions_on_the_sweep():
 
 
 @pytest.mark.parametrize(
-    "build,calls",
+    "build,pairs",
     [
         # the full-composition and all-pairs permutability scans composed
-        # 16640, 2016 and 636 times
-        (lambda: chain(8), 2),  # the first pair of atoms does not permute
-        (lambda: direct_product([fixture("L2")] * 5), 20),  # 5 atoms, both ways
-        (lambda: direct_product([fixture("T"), fixture("E")]), 6),
+        # 16640, 2016 and 636 times, and the composing pair test 2, 20 and 6
+        (lambda: chain(8), 1),  # the first pair of atoms does not permute
+        (lambda: direct_product([fixture("L2")] * 5), 10),  # 5 atoms, both ways
+        (lambda: direct_product([fixture("T"), fixture("E")]), 3),
     ],
     ids=["C8", "L2^5", "TxE"],
 )
-def test_a_report_composes_only_to_test_permutability(build, calls, monkeypatch):
+def test_a_report_composes_no_relation(build, pairs, monkeypatch):
     A = build()
-    made = []
-    original = congruences.compose
+    made, tested = [], []
+    original, pair_test = congruences.compose, ConLattice.permutes
     monkeypatch.setattr(congruences, "compose", lambda *args: made.append(1) or original(*args))
+    monkeypatch.setattr(ConLattice, "permutes", lambda *args: tested.append(1) or pair_test(*args))
     build_report(A)
-    assert len(made) == calls
+    assert (len(made), len(tested)) == (0, pairs)
+
+
+def test_permutability_by_block_counts_is_composition():
+    # every pair of congruences of the fixtures, the sweep and the random
+    # generic algebras, against both compositions
+    both = set()
+    for A in [fixture(name) for name in FIXTURE_NAMES] + sweep() + random_generic_algebras():
+        cl = all_congruences(A)
+        els = cl.elements
+        for i, a in enumerate(els):
+            for j in range(i + 1, len(els)):
+                want = permutes(a, els[j])
+                assert cl.permutes(i, j) == want, (A.name, a.block_string(), els[j].block_string())
+                both.add(want)
+    assert both == {True, False}
