@@ -38,7 +38,6 @@ from .congruences import (
     all_congruences,
     join as con_join,
     meet as con_meet,
-    permutes,
     principal_congruence,
 )
 from .errors import (
@@ -152,8 +151,7 @@ def crt_characterization(A: FiniteAlgebra, omega) -> bool:
             for c in idxs:
                 if meet(a, join(b, c)) != join(meet(a, b), meet(a, c)):
                     return False
-    els = cl.elements
-    return all(permutes(els[i], els[j]) for x, i in enumerate(idxs) for j in idxs[x + 1 :])
+    return all(cl.permutes(i, j) for x, i in enumerate(idxs) for j in idxs[x + 1 :])
 
 
 def crt_direct_check(A: FiniteAlgebra, omega, k_max: int = 2):

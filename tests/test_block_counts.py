@@ -15,7 +15,7 @@ import pytest
 from congrlab import congruences
 from congrlab.algebra import direct_product, join_partitions, meet_partitions
 from congrlab.congruences import ConLattice, Congruence, all_congruences, compose, permutes
-from congrlab.factor import is_factor_pair
+from congrlab.factor import crt_characterization, is_factor_pair
 from congrlab.fixtures import FIXTURE_NAMES, fixture
 from congrlab.lifting import algebra_cblp, algebra_fclp, has_cblp, has_fclp, lifting_report
 from congrlab.report import build_report
@@ -98,6 +98,22 @@ def test_a_report_composes_no_relation(build, pairs, monkeypatch):
     monkeypatch.setattr(ConLattice, "permutes", lambda *args: tested.append(1) or pair_test(*args))
     build_report(A)
     assert (len(made), len(tested)) == (0, pairs)
+
+
+def test_crt_characterization_composes_no_relation(monkeypatch):
+    # the full family of each fixture and of TxE, against distributivity and
+    # the composing pair test; CRT holds for some and fails for others
+    algebras = [fixture(name) for name in FIXTURE_NAMES] + [direct_product([fixture("T"), fixture("E")])]
+    want = []
+    for A in algebras:
+        cl = all_congruences(A)
+        els = cl.elements
+        want.append(cl.is_distributive() and all(permutes(a, b) for i, a in enumerate(els) for b in els[i + 1 :]))
+    assert set(want) == {True, False}
+    made = []
+    monkeypatch.setattr(congruences, "compose", lambda *args: made.append(1))
+    assert [crt_characterization(A, all_congruences(A).elements) for A in algebras] == want
+    assert made == []
 
 
 def test_permutability_by_block_counts_is_composition():
