@@ -200,11 +200,11 @@ class FiniteAlgebra:
     def join_irreducible_pairs(self) -> list[tuple[int, int]]:
         """(j₊, j) for each join-irreducible j, in increasing j: j is
         join-irreducible iff it has exactly one lower cover, and that cover
-        is j₊ = ⋁{x : x < j}."""
-        lower: dict[int, int] = {}
-        for a, b in self.covers():
-            lower[b] = -1 if b in lower else a
-        return [(a, j) for j, a in lower.items() if a >= 0]
+        is j₊ = ⋁{x : x < j}.  That holds iff ↓j ∖ {j} is some ↓m, as every
+        x < j lies below a lower cover of j; then m = j₊."""
+        down = self.order_masks()[1]
+        at = {d: m for m, d in enumerate(down)}
+        return [(at[d & ~(1 << j)], j) for j, d in enumerate(down) if d & ~(1 << j) in at]
 
     def is_distributive_lattice(self) -> bool:
         """A finite lattice is distributive iff every join-irreducible j is

@@ -443,8 +443,9 @@ class ConLattice:
     blocks[i] = |A/θ_i|.  gen_masks[i] has bit g set iff the g-th generator
     is join-irreducible in Con(A) and lies below θ_i: θ_i's mask over
     J(Con A), which orders Con(A) and gives its meets and joins (module doc).
-    The closure path reads gen_masks off the seeds; the lattice path hands
-    over its down-sets of J-classes, which are those masks.
+    seeds[g] is a pair (a, b) with Cg(a, b) the g-th generator.  The closure
+    path reads gen_masks off the seeds; the lattice path hands over its
+    down-sets of J-classes, which are those masks.
     """
 
     __slots__ = (
@@ -452,6 +453,7 @@ class ConLattice:
         "elements",
         "blocks",
         "gen_masks",
+        "seeds",
         "index_of_delta",
         "index_of_nabla",
         "_index",
@@ -468,6 +470,7 @@ class ConLattice:
         generators below partitions[x], as the lattice path builds it; else
         it is read off the seeds."""
         self.algebra = algebra
+        self.seeds = seeds
         counts = [len(set(p)) for p in partitions]
         order = sorted(range(len(partitions)), key=lambda x: (-counts[x], partitions[x]))
         self.elements = [Congruence(algebra, partitions[x]) for x in order]
@@ -603,14 +606,19 @@ def _lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+def is_pure_lattice(A: FiniteAlgebra) -> bool:
+    """A lattice whose operations besides join and meet are constants, which
+    constrain no congruence.  Read from the signature, not the kind: a
+    lattice-kind spec may carry another operation, and that can shrink Con."""
+    return A.is_lattice and all(f in ("join", "meet") or ar == 0 for f, ar in A.signature.operations)
+
+
 def _enumerate_partitions(A: FiniteAlgebra) -> tuple:
     """Con(A)'s partitions, one seed pair (a, b) per distinct generator
     Cg(a, b), and on a pure lattice each partition's set of generators
     below it (None on the closure path)."""
     n = A.n
-    # read from the signature, not the kind: a lattice-kind spec may carry
-    # another operation, and that can shrink Con
-    if A.is_lattice and all(f in ("join", "meet") or ar == 0 for f, ar in A.signature.operations):
+    if is_pure_lattice(A):
         return _lattice_partitions(A)
     if A.is_lattice:
         # Cg(a, b) over cover pairs generates Con, and each cover pair gives
@@ -767,11 +775,13 @@ def maximal_congruences(A: FiniteAlgebra) -> list[Congruence]:
     cl = all_congruences(A)
     if len(cl) == 1:
         raise TrivialAlgebra("the one-element algebra has no maximal congruence")
+    return [cl.elements[i] for i in maximal_indices(cl)]
+
+
+def maximal_indices(cl: ConLattice) -> list[int]:
+    """The indices of the maximal congruences: θ_i ≠ ∇ with ↑θ_i = {θ_i, ∇}."""
     nb = cl.index_of_nabla
-    # θ_i is maximal iff ↑θ_i is {θ_i, ∇}
-    return [
-        cl.elements[i] for i, up in enumerate(cl._up_masks) if up == 1 << i | 1 << nb and i != nb
-    ]
+    return [i for i, up in enumerate(cl._up_masks) if up == 1 << i | 1 << nb and i != nb]
 
 
 def prime_congruences(A: FiniteAlgebra) -> list[Congruence]:
@@ -780,17 +790,22 @@ def prime_congruences(A: FiniteAlgebra) -> list[Congruence]:
     j ≰ θ, so that meet's mask is the AND of the masks of those j.  On ∇ the
     family is empty and its meet is ∇ itself, so ∇ is never prime."""
     cl = all_congruences(A)
+    return [cl.elements[i] for i in prime_indices(cl)]
+
+
+def prime_indices(cl: ConLattice) -> list[int]:
+    """The indices of the prime congruences (see prime_congruences)."""
     gm, nabla = cl.gen_masks, cl.gen_masks[cl.index_of_nabla]
     # the join-irreducible g is θ_e for e the lowest index above g
     ji = [(g, gm[_lowest_bit(cl._above[g])]) for g in _bits(nabla)]
     out = []
-    for theta, m in zip(cl.elements, gm):
+    for i, m in enumerate(gm):
         below = nabla
         for g, mj in ji:
             if not m >> g & 1:
                 below &= mj
         if below & ~m:
-            out.append(theta)
+            out.append(i)
     return out
 
 

@@ -297,12 +297,18 @@ def osum_congruence(L, M, phi: Congruence, psi: Congruence, S=None) -> Congruenc
         S = S_built
     elif S.tables != S_built.tables or S.n != S_built.n:
         raise EncodingMismatch("given sum does not match ordinal_sum(L, M)")
-    # each part embedded as a parent forest over S: its other elements are roots
+    return _glue(S, map_l, map_m, phi, psi)
+
+
+def _glue(S, map_l, map_m, phi: Congruence, psi: Congruence) -> Congruence:
+    """phi and psi glued on the sum S, into which map_l and map_m embed the
+    summands: each part is a parent forest over S whose other elements are
+    roots, and the glued partition is their join."""
     lower, upper = list(range(S.n)), list(range(S.n))
-    for e in range(L.n):
-        lower[map_l[e]] = map_l[phi.block_of[e]]
-    for e in range(M.n):
-        upper[map_m[e]] = map_m[psi.block_of[e]]
+    for e, r in enumerate(phi.block_of):
+        lower[map_l[e]] = map_l[r]
+    for e, r in enumerate(psi.block_of):
+        upper[map_m[e]] = map_m[r]
     return Congruence(S, join_partitions(lower, upper), check=True)
 
 
@@ -313,9 +319,9 @@ def osum_con_iso_check(L, M) -> bool:
     Deliberately silent about factor congruences: gluing factor congruences
     of the parts need not produce the factor congruences of the sum (the X
     fixture is a counterexample, surfaced by osum_fc_comparison)."""
-    S, _, _ = ordinal_sum_with_maps(L, M)
+    S, map_l, map_m = ordinal_sum_with_maps(L, M)
     cll, clm, cls_ = all_congruences(L), all_congruences(M), all_congruences(S)
-    image = _glued_image([cll, clm], cls_, lambda thetas: osum_congruence(L, M, *thetas, S=S))
+    image = _glued_image([cll, clm], cls_, lambda thetas: _glue(S, map_l, map_m, *thetas))
     return image is not None and _center_image([cll, clm], image, boolean_center) == set(
         boolean_center(cls_).members
     )
@@ -325,15 +331,11 @@ def osum_fc_comparison(L, M) -> dict:
     """Compare {phi glued with psi : both factor congruences} against the
     factor congruences of the sum.  The two sets can differ — that is the
     point of this function, so it reports rather than asserts."""
-    S, _, _ = ordinal_sum_with_maps(L, M)
+    S, map_l, map_m = ordinal_sum_with_maps(L, M)
     cls_ = all_congruences(S)
     fl = factor_congruences(all_congruences(L)).congruences()
     fm = factor_congruences(all_congruences(M)).congruences()
-    glued = {
-        cls_.index(osum_congruence(L, M, phi, psi, S=S))
-        for phi in fl
-        for psi in fm
-    }
+    glued = {cls_.index(_glue(S, map_l, map_m, phi, psi)) for phi in fl for psi in fm}
     actual = set(factor_congruences(cls_).members)
     return {
         "sum": S,

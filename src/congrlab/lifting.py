@@ -55,6 +55,39 @@ connected component of J's comparability graph.
    Every θ has the factor property when |FC(A)| = |B(A)| and every θ has
    the Boolean one: FC(A) ⊆ B(A) gives FC(A) = B(A), and u then maps it
    onto B(A/θ) ⊇ FC(A/θ).
+6. A distributive pure lattice L is decided on P = J(L), with no interval
+   scanned.  L is the down-sets of P, x ↦ J(x) = ↓x ∩ P, and j₊ ≺ j adds j.
+   (a) Con(L) is Boolean, and θ ↦ S_θ = {j ∈ P : j₊ θ j} is a bijection
+       onto the subsets of P.  D* is trivial: j D k needs j ≤ k∨x and
+       j ≰ k₊∨x, but j is join-prime, so j ≤ x, which is excluded, or
+       j < k, which puts j below k₊.  So the classes of D* are single j,
+       every subset of them is a down-set, and on the lattice path each
+       generator bit is one j, read through its seed (j₊, j): S_θ is θ's
+       generator mask.
+   (b) L/θ ≅ O(P ∖ S_θ), where P ∖ S_θ carries the order induced from P.
+       D ↦ D ∖ S is a lattice map from O(P) onto O(P ∖ S), as it keeps
+       unions and intersections and a down-set E of P ∖ S is ↓E ∖ S.  It
+       identifies j₊ with j iff j ∈ S, so by (a) its kernel is θ for
+       S = S_θ.
+   (c) The factor congruences of a bounded lattice are those of its central
+       elements, and in a distributive lattice the central elements are
+       the complemented ones.  The complemented down-sets of a poset Q are
+       the unions of the components of Q's comparability graph, as in 1.
+       So |FC(L/θ)| = 2^c, for the c components of P ∖ S_θ, and
+       |B(L/θ)| = |↑θ|, as Con(L/θ) is Boolean.  Every θ has the Boolean
+       property: J(Con L) is an antichain, so each component is one point,
+       its own greatest element (2).
+   (d) α ∈ FC(L) is θ_W for a union W of components of P, as O(P) is
+       O(W) × O(P ∖ W) iff W is one, and by (b) u(α) = α ∨ θ is
+       W ∖ S_θ in O(P ∖ S_θ).  So θ has the factor property iff every
+       component of P meets P ∖ S_θ in a connected set or not at all: the
+       argument of 2, with P in place of J(Con A).
+   (e) Every S ⊆ P is some S_θ, so L has the factor property iff every
+       component of P is a chain.  The traces of a chain are chains, hence
+       connected; and two incomparable x, y in a component C are cut apart
+       by S = C ∖ {x, y}.
+   The first θ without the factor property, and the target its interval
+   fails to reach, are still found on [θ, ∇], for that θ alone.
 
 The normality checks return (True, None) or (False, the first failing
 pair in index order).  Every verdict and its evidence is the one the scans
@@ -74,9 +107,12 @@ from .congruences import (
     is_arithmetical,
     is_congruence_distributive,
     is_congruence_permutable,
+    is_pure_lattice,
     join,
     maximal_congruences,
+    maximal_indices,
     prime_congruences,
+    prime_indices,
 )
 from .errors import ParentMismatch, TrivialAlgebra
 from .factor import boolean_center, centers_cached, factor_congruences, require_distributive
@@ -187,7 +223,7 @@ def _unliftable(cl: ConLattice, t: int, members_of) -> int | None:
     5).  Cached on the lattice, as a report asks for each verdict twice."""
     key = ("unliftable", members_of, t)
     if key not in cl._cache:
-        if members_of is boolean_center and _traces_connected(cl, t):
+        if members_of is boolean_center and _traces_connected(*_j_order(cl)[1:], cl.gen_masks[t]):
             cl._cache[key] = None
         elif members_of is factor_congruences and not centers_cached(cl, t):
             cl._cache[key] = _first_unreached_factor(cl, t)
@@ -226,13 +262,36 @@ def _j_order(cl: ConLattice) -> tuple[list[int], list[int], list[int]]:
         for h in js:
             for g in _bits(down[h]):
                 near[g] |= 1 << h
-        components, rest = [], gm[cl.index_of_nabla]
-        while rest:
-            c = _reach(near, rest & -rest, rest)
-            components.append(c)
-            rest &= ~c
-        hit = cl._cache["j_order"] = down, near, components
+        hit = cl._cache["j_order"] = down, near, _components(near, gm[cl.index_of_nabla])
     return hit
+
+
+def _lattice_order(cl: ConLattice) -> tuple[list[int], list[int]] | None:
+    """On a distributive pure lattice L, P = J(L) as masks over the
+    generator bits, cached on the lattice: near[g] = the members comparable
+    to g, and the connected components.  Generator g is Cg(j₊, j) for the j
+    of its seed (module doc, 6).  None on every other algebra; Con(L) of a
+    distributive L is Boolean on its generators (6a), so a Con of another
+    size is told without testing L."""
+    if "lattice_order" not in cl._cache:
+        A, hit = cl.algebra, None
+        if is_pure_lattice(A) and len(cl) == 1 << len(cl.seeds) and A.is_distributive_lattice():
+            up, down = A.order_masks()
+            js = [j for _, j in cl.seeds]
+            near = [sum(1 << h for h, k in enumerate(js) if (up[j] | down[j]) >> k & 1) for j in js]
+            hit = near, _components(near, cl.gen_masks[cl.index_of_nabla])
+        cl._cache["lattice_order"] = hit
+    return cl._cache["lattice_order"]
+
+
+def _components(near: list[int], within: int) -> list[int]:
+    """The connected components of the members of within."""
+    components = []
+    while within:
+        c = _reach(near, within & -within, within)
+        components.append(c)
+        within &= ~c
+    return components
 
 
 def _reach(near: list[int], seed: int, within: int) -> int:
@@ -247,11 +306,10 @@ def _reach(near: list[int], seed: int, within: int) -> int:
     return reached
 
 
-def _traces_connected(cl: ConLattice, t: int) -> bool:
-    """Whether every component of J meets J ∖ D_t in a connected set or
-    not at all: θ_t's Boolean lifting (module doc, 2)."""
-    _, near, components = _j_order(cl)
-    dt = cl.gen_masks[t]
+def _traces_connected(near: list[int], components: list[int], dt: int) -> bool:
+    """Whether every component meets the complement of dt in a connected
+    set or not at all: on J(Con A), θ_t's Boolean lifting (module doc, 2),
+    and on P = J(L), its factor lifting (module doc, 6)."""
     for c in components:
         trace = c & ~dt
         if trace and _reach(near, trace & -trace, trace) != trace:
@@ -306,11 +364,21 @@ def algebra_fclp(A: FiniteAlgebra) -> tuple[bool, LiftEvidence | None, Congruenc
     """Conjunction of has_fclp over all congruences; stops at the first
     failure and returns its evidence and the failing congruence.  It holds
     without a walk over the θ when FC(A) = B(A) and every θ has the Boolean
-    lifting (module doc, 5)."""
+    lifting (module doc, 5).  A distributive pure lattice is decided on
+    P = J(L): it holds iff every component of P is a chain, and the first
+    failing θ is the first whose traces on P are not all connected; only
+    that θ's evidence is read off its interval (module doc, 6)."""
     cl = all_congruences(A)
-    if len(factor_congruences(cl).members) == len(boolean_center(cl).members) and _components_topped(cl):
+    order = _lattice_order(cl)
+    if order is None:
+        if len(factor_congruences(cl).members) == len(boolean_center(cl).members) and _components_topped(cl):
+            return True, None, None
+        return _algebra_lifting(A, factor_congruences)
+    near, components = order
+    if all(near[g] & c == c for c in components for g in _bits(c)):
         return True, None, None
-    return _algebra_lifting(A, factor_congruences)
+    theta = next(cl.elements[t] for t, dt in enumerate(cl.gen_masks) if not _traces_connected(near, components, dt))
+    return False, _has_lifting(A, theta, factor_congruences)[1], theta
 
 
 def algebra_cblp(A: FiniteAlgebra) -> tuple[bool, LiftEvidence | None, Congruence | None]:
@@ -456,30 +524,36 @@ def lifting_report(A: FiniteAlgebra, name: str | None = None) -> LiftingReport:
     cl = all_congruences(A)
     bc = boolean_center(cl)
     fc = factor_congruences(cl)
-    try:
-        maxes = set(c.block_of for c in maximal_congruences(A))
-    except TrivialAlgebra:
-        maxes = set()
-    primes = set(c.block_of for c in prime_congruences(A))
+    maxes, primes = set(maximal_indices(cl)), set(prime_indices(cl))
+    order, topped = _lattice_order(cl), _components_topped(cl)
+    nabla = cl.gen_masks[cl.index_of_nabla]
     rows = []
     for t, theta in enumerate(cl.elements):
-        # the centers of [θ_t, ∇] first, so that the verdicts read them
-        bc_t, fc_t = boolean_center(cl, t), factor_congruences(cl, t)
-        row = {"congruence": theta.block_string(), "blocks": theta.num_blocks}
-        for prop, members_of in (("fclp", factor_congruences), ("cblp", boolean_center)):
-            bad = _unliftable(cl, t, members_of)
+        if order is None:
+            # the centers of [θ_t, ∇] first, so that the verdict reads them
+            center_size = len(boolean_center(cl, t).members)
+            fc_size = len(factor_congruences(cl, t).members)
+            fclp = _unliftable(cl, t, factor_congruences)
+        else:
+            # Con(L/θ_t) is Boolean, and FC(L/θ_t) is 2^c for the c
+            # components of P ∖ S_t (module doc, 6)
+            near, components = order
+            dt = cl.gen_masks[t]
+            center_size, fc_size = cl.up_size(t), 1 << len(_components(near, nabla & ~dt))
+            fclp = None if _traces_connected(near, components, dt) else _unliftable(cl, t, factor_congruences)
+        cblp = None if topped else _unliftable(cl, t, boolean_center)
+        row = {"congruence": theta.block_string(), "blocks": cl.blocks[t]}
+        for prop, bad in (("fclp", fclp), ("cblp", cblp)):
             row[prop] = bad is None
-            row[f"{prop}_unliftable"] = (
-                None if bad is None else cl.elements[bad].block_string(over=theta)
-            )
+            row[f"{prop}_unliftable"] = None if bad is None else cl.elements[bad].block_string(over=theta)
         row.update(
             {
-                "quotient_size": theta.num_blocks,
+                "quotient_size": cl.blocks[t],
                 "quotient_con_size": cl.up_size(t),
-                "quotient_center_size": len(bc_t.members),
-                "quotient_fc_size": len(fc_t.members),
-                "maximal": theta.block_of in maxes,
-                "prime": theta.block_of in primes,
+                "quotient_center_size": center_size,
+                "quotient_fc_size": fc_size,
+                "maximal": t in maxes,
+                "prime": t in primes,
             }
         )
         rows.append(row)

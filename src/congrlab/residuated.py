@@ -6,6 +6,18 @@ representatives, so the classes of r and s are complements in A/theta iff
 (r v s) theta 1 and (r ^ s) theta 0: BLP needs no quotient.  A's own center
 is that scan at Delta, run once per algebra and kept on A._cache.
 
+(f) continues (a)-(e) of item 6 in the lifting module doc, which read the
+congruence side of a distributive lattice off J(L).  When A's lattice
+reduct is distributive, BLP at theta tests only the classes that hold no
+member of A's center, each against the others.
+A/theta is distributive, so a class has at most one complement, and the
+projection keeps complements: the class of a center member c has the class
+of c' as its complement.  So a class with a complement holds a center
+member iff its complement does, and BLP fails at theta iff two classes
+that hold no center member are complements.  A lattice whose reduct is
+not distributive keeps the scan of every class, which raises
+AmbiguousComplement on a class with two complements.
+
 Every filter F of a finite lattice is principal: m = ^F lies in F, so
 F = [m).  In a residuated lattice m*m is in F and m*m <= m*1 = m, so m is
 idempotent.  The filters are therefore the n principal filters, and the
@@ -107,8 +119,26 @@ def has_blp(A: FiniteAlgebra, theta: Congruence) -> bool:
     if theta.is_delta():
         element_boolean_center(A)
         return True
-    complemented = _complements(A, theta.block_of)
-    return _center_reaches(theta.block_of, complemented, element_boolean_center(A))
+    return _blp_at(A, theta.block_of)
+
+
+def _blp_at(A: FiniteAlgebra, block_of, center: ElementBooleanCenter | None = None) -> bool:
+    """BLP at the congruence block_of, given A's center or reading it.  On a
+    distributive reduct only the classes that hold no member of the center
+    are tested, each against the others (module doc).  Any other lattice
+    scans every class first, so that an ambiguous complement in the
+    quotient is the one raised."""
+    if not A.is_distributive_lattice():
+        complemented = _complements(A, block_of)
+        return _center_reaches(block_of, complemented, center or element_boolean_center(A))
+    center = center or element_boolean_center(A)
+    reached = {block_of[a] for a in center.members}
+    rest = [r for r, b in enumerate(block_of) if r == b and r not in reached]
+    join, meet = A.tables["join"], A.tables["meet"]
+    top, bot = block_of[A.top()], block_of[A.bottom()]
+    return not any(
+        block_of[join[r][s]] == top and block_of[meet[r][s]] == bot for x, r in enumerate(rest) for s in rest[x:]
+    )
 
 
 def _center_reaches(block_of, complemented, center: ElementBooleanCenter) -> bool:
@@ -124,9 +154,7 @@ def algebra_blp(A: FiniteAlgebra):
     thetas = all_congruences(A).elements
     center = element_boolean_center(A)
     for theta in thetas:
-        if theta.is_delta():
-            continue
-        if not _center_reaches(theta.block_of, _complements(A, theta.block_of), center):
+        if not theta.is_delta() and not _blp_at(A, theta.block_of, center):
             return False, theta
     return True, None
 

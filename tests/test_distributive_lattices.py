@@ -1,0 +1,228 @@
+"""Distributive lattices decided on P = J(L).
+
+A finite distributive lattice L is the lattice of down-sets of P, Con(L) is
+Boolean on P, and each quotient L/θ is the down-sets of P ∖ S_θ.  The report
+rows, FCLP and BLP read the factor side off P; the interval route of
+`factor._interval_centers`, `lifting._first_unreached_factor` and
+`lifting._algebra_lifting`, and the full complement scan of BLP, are the
+oracles.  The `report --format json` digests were taken before
+the J(L) route existed.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from congrlab import lifting, residuated
+from congrlab.algebra import build_from_spec, dual
+from congrlab.cli import main
+from congrlab.congruences import all_congruences
+from congrlab.factor import boolean_center, factor_congruences
+
+from sweep import sweep
+from test_join_irreducible_masks import center_unliftable, cold
+from test_residuated import RESIDUATED_CHAINS, residuated_chain
+
+# -- specs ----------------------------------------------------------------------
+
+
+def chain_spec(n):
+    labels = [f"c{i}" for i in range(n)]
+    return {"name": f"C{n}", "kind": "lattice", "elements": labels,
+            "cover": [[labels[i], labels[i + 1]] for i in range(n - 1)]}
+
+
+def down_set_spec(name, size, less):
+    """O(Q) for the poset Q on 0..size-1 whose strict order is the set less
+    of pairs (a, b), a < b, closed under transitivity: the down-sets of Q,
+    ordered by inclusion, one element added per cover."""
+    below = [sum(1 << a for a, b in less if b == x) for x in range(size)]
+    sets = [m for m in range(1 << size) if all(below[x] & ~m == 0 for x in range(size) if m >> x & 1)]
+    label = {m: "{" + ",".join(str(x) for x in range(size) if m >> x & 1) + "}" for m in sets}
+    cover = [[label[m], label[m | 1 << x]] for m in sets for x in range(size) if (m | 1 << x) in label and not m >> x & 1]
+    return {"name": name, "kind": "lattice", "elements": [label[m] for m in sets], "cover": cover}
+
+
+def boolean_spec(k):
+    """L2^k, the down-sets of a k-element antichain."""
+    return down_set_spec(f"L2^{k}", k, [])
+
+
+def product_spec(a, b):
+    elems = [f"{x}:{y}" for x in a["elements"] for y in b["elements"]]
+    cover = [[f"{lo}:{y}", f"{hi}:{y}"] for lo, hi in a["cover"] for y in b["elements"]]
+    cover += [[f"{x}:{lo}", f"{x}:{hi}"] for x in a["elements"] for lo, hi in b["cover"]]
+    return {"name": f"{a['name']}x{b['name']}", "kind": "lattice", "elements": elems, "cover": cover}
+
+
+# ∨ has one minimal element below two maximal ones, ∧ the reverse, and N is
+# a < c > b < d; each one's down-set lattice fails FCLP
+VEE = down_set_spec("O(V)", 3, [(0, 1), (0, 2)])
+WEDGE = down_set_spec("O(W)", 3, [(0, 2), (1, 2)])
+N_SHAPE = down_set_spec("O(N)", 4, [(0, 2), (1, 2), (1, 3)])
+
+
+# -- byte identity ----------------------------------------------------------------
+
+# sha256 of `congrlab report --format json --file <spec>`, taken before the
+# J(L) route; the goldens hold few distributive lattices
+REPORT_DIGESTS = {
+    "C7": "b4177be987952003cbcb87f5dca3b9839b5973f66180cd5da45d29d15e1b4962",
+    "C8": "0ad4cf73c984c0f26fe5cfe17089a6e9602e2292c4c95a168cc35cb8cab30bbd",
+    "C9": "c8bbdbb28b67fb66cdb9a9f1782e221281479486c8fbd98243b78669536598eb",
+    "C10": "81bded3b271af098ec04c6a316bd10bf85498439128fa84131298f27f8a6a82b",
+    "C11": "586c4c20a5edc6a7b8dca3162d047697bb1402a6743aad4ea3dd014500425d4c",
+    "C12": "6a79d232c0102df71e8c01cec41cf0ca433ad63d60a703bedcaf46074dee84d3",
+    "L2^4": "6928d10fcc41d7816f9fdb0e6177665372ea266c0336ea373ece9a01694cdae4",
+    "L2^5": "1aebc162f39d6281a619329b666c81f8c6d01779ab10e65018dae275eb4df20e",
+    "L2^6": "ed2d5d166a661efc19267e99428e0aae2ba21ced4ea7bae4e5f93742bd6f6026",
+    "L2^7": "bea5d0f2b8ca680417559b8b5adecc4ac2c857b43977e8371957c85bde079912",
+    "C3xC4": "0bf3383c9b1e66eb5d605b907f7e0d29c4b3c0ffb7a5f6bff3c7675bc322b4cc",
+    "O(N)": "5d106972610e9dfd608a1d0cf182f314e10a173ec6b7cb2f806429fa1c316316",
+}
+
+
+def report_inputs():
+    specs = [chain_spec(n) for n in range(7, 13)] + [boolean_spec(k) for k in range(4, 8)]
+    return specs + [product_spec(chain_spec(3), chain_spec(4)), N_SHAPE]
+
+
+@pytest.mark.parametrize("spec", report_inputs(), ids=lambda s: s["name"])
+def test_report_json_is_byte_identical(spec, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["report", "--file", str(path), "--format", "json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == REPORT_DIGESTS[spec["name"]]
+
+
+# -- the J(L) route against the interval route ------------------------------------
+
+
+def distributive_lattices():
+    """The sweep's distributive lattices and their duals, C1–C12, L2^1–L2^6,
+    three products of chains, and the down-set lattices that fail FCLP."""
+    found = [L for L in sweep() if L.is_distributive_lattice()]
+    found += [dual(L) for L in found]
+    specs = [chain_spec(n) for n in range(1, 13)] + [boolean_spec(k) for k in range(1, 7)]
+    specs += [product_spec(chain_spec(3), chain_spec(4)), product_spec(chain_spec(2), chain_spec(5))]
+    specs += [product_spec(boolean_spec(2), chain_spec(3))]
+    specs += [VEE, WEDGE, N_SHAPE, product_spec(WEDGE, chain_spec(2))]
+    return found + [build_from_spec(spec) for spec in specs]
+
+
+def interval_columns(A):
+    """The columns the J(L) route fills, read off each interval [θ, ∇]."""
+    cl = all_congruences(A)
+    rows = []
+    for t, theta in enumerate(cl.elements):
+        bad = center_unliftable(cl, t)
+        rows.append(
+            {
+                "fclp": bad is None,
+                "fclp_unliftable": None if bad is None else cl.elements[bad].block_string(over=theta),
+                "cblp": lifting._unliftable(cl, t, boolean_center) is None,
+                "quotient_center_size": len(boolean_center(cl, t).members),
+                "quotient_fc_size": len(factor_congruences(cl, t).members),
+            }
+        )
+    return rows
+
+
+def test_report_rows_match_the_interval_route():
+    algebras = distributive_lattices()
+    assert len(algebras) == 2 * 29 + 25
+    failing = 0
+    for A in algebras:
+        rows = lifting.lifting_report(A).per_congruence
+        assert lifting._lattice_order(all_congruences(A)) is not None, A.name
+        want = interval_columns(cold(A))
+        assert [{key: row[key] for key in want[0]} for row in rows] == want, A.name
+        failing += sum(not row["fclp"] for row in rows)
+    assert failing > 0
+
+
+def test_algebra_fclp_matches_the_interval_walk():
+    verdicts = []
+    for A in distributive_lattices():
+        got = lifting.algebra_fclp(cold(A))
+        assert got == lifting._algebra_lifting(cold(A), factor_congruences), A.name
+        verdicts.append(got[0])
+    # O(∨), O(∧), O(N) and O(∧)×C2 fail, each with a component that is no chain
+    assert verdicts.count(False) >= 4 and True in verdicts
+
+
+@pytest.mark.parametrize("spec", [VEE, WEDGE, N_SHAPE], ids=lambda s: s["name"])
+def test_a_component_that_is_no_chain_fails_fclp(spec):
+    # P = Q itself here: ∧ has a greatest element, yet FCLP fails
+    A = build_from_spec(spec)
+    near, components = lifting._lattice_order(all_congruences(A))
+    assert len(components) == 1
+    assert lifting.algebra_fclp(A)[0] is False
+
+
+# -- BLP on the unreached classes ---------------------------------------------------
+
+
+def scan_blp(A, theta):
+    """has_blp by the full scan: every complemented class holds a center member."""
+    complemented = residuated._complements(A, theta.block_of)
+    return residuated._center_reaches(theta.block_of, complemented, residuated.element_boolean_center(A))
+
+
+def blp_algebras():
+    chains = [build_from_spec(residuated_chain(n, t)) for t, n in RESIDUATED_CHAINS]
+    return distributive_lattices() + chains
+
+
+def test_pruned_blp_matches_the_full_scan():
+    thetas, verdicts = 0, set()
+    for A in blp_algebras():
+        walk = None
+        for theta in all_congruences(A).elements:
+            got = residuated.has_blp(A, theta)
+            assert got == scan_blp(A, theta), (A.name, theta.block_string())
+            if not got and walk is None:
+                walk = theta
+            verdicts.add(got)
+            thetas += 1
+        assert residuated.algebra_blp(cold(A)) == (walk is None, walk), A.name
+    assert verdicts == {True, False} and thetas > 5000
+
+
+class Reads:
+    """A binary table that records the (row, column) of each entry read."""
+
+    def __init__(self, table, seen):
+        self.table, self.seen = table, seen
+
+    def __getitem__(self, r):
+        row, seen = self.table[r], self.seen
+
+        class Row:
+            def __getitem__(self, s):
+                seen.add((r, s))
+                return row[s]
+
+        return Row()
+
+
+def test_pruned_blp_reads_only_pairs_of_unreached_classes():
+    spec = dict(chain_spec(8), kind="bounded-lattice")
+    A = build_from_spec(spec)
+    center = residuated.element_boolean_center(A)
+    assert A.is_distributive_lattice() and len(center.members) == 2
+    seen = set()
+    tables = dict(A.tables, join=Reads(A.tables["join"], seen), meet=Reads(A.tables["meet"], seen))
+    thetas = all_congruences(A).elements
+    object.__setattr__(A, "tables", tables)
+    read = 0
+    for theta in thetas:
+        seen.clear()
+        residuated.has_blp(A, theta)
+        block_of = theta.block_of
+        unreached = {r for r, b in enumerate(block_of) if r == b} - {block_of[a] for a in center.members}
+        assert {x for pair in seen for x in pair} <= unreached, theta.block_string()
+        read += len(seen)
+    assert read > 0

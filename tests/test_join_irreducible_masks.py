@@ -207,7 +207,8 @@ def test_generic_copies_report_as_the_lattices_do():
 
 
 def test_a_cold_report_decides_each_lifting_verdict_once(monkeypatch):
-    A = chain(8)
+    # T is not distributive, so its rows take the interval route
+    A = cold(fixture("T"))
     calls = []
     images = lifting._images
     monkeypatch.setattr(
@@ -216,10 +217,33 @@ def test_a_cold_report_decides_each_lifting_verdict_once(monkeypatch):
     build_report(A)
     # lifting_report, then blp_equivalence_check, ask for the verdict of each
     # (property, θ); it is decided once, and only the factor lifting builds
-    # images.  A chain has both properties, so no evidence is rendered.
+    # images.  T has both properties, so no evidence is rendered.
     assert len(calls) == len(set(calls)) == len(all_congruences(A))
     assert {members_of for _, members_of in calls} == {factor_congruences}
     assert lifting.algebra_fclp(A)[0] and lifting.algebra_cblp(A)[0]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: chain(8), lambda: direct_product([fixture("L2")] * 5), lambda: cold(fixture("L2x3cube"))],
+    ids=["C8", "L2^5", "L2x3cube"],
+)
+def test_a_cold_report_on_a_distributive_lattice_builds_only_deltas_center(build, monkeypatch):
+    A = build()
+    built = []
+    centers = factor._interval_centers
+
+    def counted(cl, t):
+        if not factor.centers_cached(cl, t):
+            built.append(t)
+        return centers(cl, t)
+
+    monkeypatch.setattr(factor, "_interval_centers", counted)
+    counts = count_calls(monkeypatch, lifting, ["_images", "_first_unreached_factor"])
+    build_report(A)
+    # every row is read off J(L); Δ's center gives the flags
+    assert built == [all_congruences(A).index_of_delta]
+    assert counts == {"_images": 0, "_first_unreached_factor": 0}
 
 
 def test_a_cold_report_lists_the_trigger_pairs_once(monkeypatch):
@@ -361,20 +385,34 @@ def test_fc_equal_to_b_with_cblp_gives_fclp():
 
 
 @pytest.mark.parametrize(
-    "build", [lambda: chain(8), lambda: direct_product([fixture("L2")] * 5)], ids=["C8", "L2^5"]
+    "build,deltas",
+    [
+        # distributive lattices: algebra_fclp reads J(L) and builds no center
+        (lambda: chain(8), False),
+        (lambda: direct_product([fixture("L2")] * 5), False),
+        # T is not distributive: algebra_fclp walks the θ like the oracle
+        (lambda: cold(fixture("T")), True),
+    ],
+    ids=["C8", "L2^5", "T"],
 )
-def test_a_cold_fclp_builds_no_center_but_deltas(build, monkeypatch):
+def test_a_cold_fclp_builds_no_center_but_deltas(build, deltas, monkeypatch):
     calls = []
     centers = factor._interval_centers
     monkeypatch.setattr(factor, "_interval_centers", lambda cl, t: calls.append(t) or centers(cl, t))
-    for A, decide in ((build(), algebra_fclp), (build(), lambda A: lifting._algebra_lifting(A, factor_congruences))):
-        calls.clear()
-        assert decide(A) == (True, None, None)
-        assert set(calls) == {all_congruences(A).index_of_delta}
+    A = build()
+    assert algebra_fclp(A) == (True, None, None)
+    assert set(calls) == ({all_congruences(A).index_of_delta} if deltas else set())
+    # the interval walk, the oracle, builds Δ's center alone
+    B = build()
+    calls.clear()
+    assert lifting._algebra_lifting(B, factor_congruences) == (True, None, None)
+    assert set(calls) == {all_congruences(B).index_of_delta}
 
 
-@pytest.mark.parametrize("name", ["L2x3cube", "X", "H"])
-def test_a_cold_lifting_report_builds_each_center_once(name, monkeypatch):
+@pytest.mark.parametrize(
+    "name,interval", [("L2x3cube", False), ("X", True), ("H", True)], ids=["L2x3cube", "X", "H"]
+)
+def test_a_cold_lifting_report_builds_each_center_once(name, interval, monkeypatch):
     A = cold(fixture(name))
     built = []
     centers = factor._interval_centers
@@ -385,8 +423,16 @@ def test_a_cold_lifting_report_builds_each_center_once(name, monkeypatch):
         return centers(cl, t)
 
     monkeypatch.setattr(factor, "_interval_centers", counted)
-    passes = count_calls(monkeypatch, lifting, ["_first_unreached_factor"])
+    passes = count_calls(monkeypatch, lifting, ["_first_unreached_factor", "_images"])
     lifting_report(A)
-    assert built == list(range(len(all_congruences(A))))
-    # each verdict reads its center, so ↑θ is scanned once per θ
-    assert passes == {"_first_unreached_factor": 0}
+    cl = all_congruences(A)
+    if interval:
+        # X and H are not distributive: each verdict reads its center, so
+        # ↑θ is scanned once per θ
+        assert built == list(range(len(cl)))
+        assert passes["_first_unreached_factor"] == 0
+    else:
+        # L2x3cube is distributive: the rows are read off J(L), and only
+        # Δ's center is built
+        assert built == [cl.index_of_delta]
+        assert passes == {"_first_unreached_factor": 0, "_images": 0}
