@@ -461,8 +461,9 @@ def build_from_spec(spec: dict) -> FiniteAlgebra:
     """Build a FiniteAlgebra from an on-disk spec (parsed JSON).
 
     Two shapes are accepted: a cover relation ("cover": [[lo, hi], ...]) from
-    which join/meet are synthesized, or explicit "operations" tables (nested
-    lists of labels) with optional "constants".
+    which join/meet are synthesized, with the "times" and "implies" tables of
+    the residuated kind and no other table, or explicit "operations" tables
+    (nested lists of labels) with optional "constants".
     """
     if not isinstance(spec, dict):
         raise TableError("algebra spec must be a JSON object")
@@ -485,12 +486,15 @@ def build_from_spec(spec: dict) -> FiniteAlgebra:
 
     if "cover" in spec:
         up = _close_cover(_spec_field(spec, "cover", list), labels, index)
+        taken = ("times", "implies") if kind == "residuated" else ()
+        stray = sorted(set(operations).difference(taken)) + sorted(_spec_field(spec, "constants", dict))
+        if stray:
+            raise TableError(f"cover spec of kind {kind!r} carries tables it cannot use: {', '.join(stray)}")
         extra = {}
-        if kind == "residuated":
-            for opname in ("times", "implies"):
-                if opname not in operations:
-                    raise TableError(f"residuated spec requires a {opname!r} table")
-                extra[opname] = _table_from_labels(operations[opname], 2, index, opname)
+        for opname in taken:
+            if opname not in operations:
+                raise TableError(f"residuated spec requires a {opname!r} table")
+            extra[opname] = _table_from_labels(operations[opname], 2, index, opname)
         return _lattice_from_up_sets(up, labels, kind, name, extra)
 
     if "operations" not in spec:
@@ -575,19 +579,9 @@ def _table_from_labels(raw, arity, index, fname):
 def emit_spec(algebra: FiniteAlgebra) -> dict:
     """Inverse of build_from_spec, as explicit operation tables."""
     labels = algebra.labels
-
-    def unfreeze(t, arity):
-        if arity == 0:
-            return labels[t]
-        return [unfreeze(x, arity - 1) for x in t]
-
-    ops = {}
-    consts = {}
+    ops, consts = {}, {}
     for fname, arity in algebra.signature.operations:
-        if arity == 0:
-            consts[fname] = labels[algebra.tables[fname]]
-        else:
-            ops[fname] = unfreeze(algebra.tables[fname], arity)
+        (ops if arity else consts)[fname] = map_table(algebra.tables[fname], arity, range(algebra.n), labels)
     kind = algebra.signature.kind
     out = {
         "name": algebra.name,
@@ -670,36 +664,15 @@ def direct_product(algebras: list[FiniteAlgebra], name=None) -> FiniteAlgebra:
         labels.append("(" + ",".join(A.labels[e] for A, e in zip(algebras, tup)) + ")")
     tables = {}
     for fname, arity in sig.operations:
-        if arity == 0:
-            tables[fname] = product_encode([A.tables[fname] for A in algebras], radix)
-        elif arity == 2:
-            # (a, b) is a·n_B + b in the mixed radix, so the table of A×B has
-            # t[(a, b)][(c, d)] = tA[a][c]·n_B + tB[b][d]; fold factor by factor
-            t = algebras[0].tables[fname]
-            for B in algebras[1:]:
-                tb, nb = B.tables[fname], B.n
-                scaled = [[x * nb for x in row] for row in t]
-                t = [[x + y for x in sa for y in rb] for sa in scaled for rb in tb]
-            tables[fname] = t
-        else:
-            tables[fname] = _product_table(algebras, fname, arity, sizes, radix, total)
+        t, n = algebras[0].tables[fname], algebras[0].n
+        for B in algebras[1:]:
+            t = product_table(t, n, B.tables[fname], B.n, arity)
+            n *= B.n
+        tables[fname] = t
     if name is None:
         parts = [A.name or "?" for A in algebras]
         name = "x".join(parts)
     return FiniteAlgebra(total, labels, sig, tables, name=name, validate=False)
-
-
-def _product_table(algebras, fname, arity, sizes, radix, total):
-    def build(args):
-        if len(args) == arity:
-            tups = [product_decode(i, sizes, radix) for i in args]
-            res = [
-                A.op(fname, *[t[k] for t in tups]) for k, A in enumerate(algebras)
-            ]
-            return product_encode(res, radix)
-        return tuple(build(args + [i]) for i in range(total))
-
-    return build([])
 
 
 def ordinal_sum(L: FiniteAlgebra, M: FiniteAlgebra, name=None) -> FiniteAlgebra:
@@ -764,15 +737,9 @@ def sublattice(L: FiniteAlgebra, subset, name=None) -> FiniteAlgebra:
                 raise NotClosed(L.labels[a], L.labels[b], "join")
             if meet[a][b] not in pos:
                 raise NotClosed(L.labels[a], L.labels[b], "meet")
-    k = len(sub)
-    tables = {
-        "join": [[pos[join[a][b]] for b in sub] for a in sub],
-        "meet": [[pos[meet[a][b]] for b in sub] for a in sub],
-    }
-    kind = "lattice"
-    sig = lattice_signature(kind)
+    tables = {"join": map_table(join, 2, sub, pos), "meet": map_table(meet, 2, sub, pos)}
     labels = [L.labels[e] for e in sub]
-    return FiniteAlgebra(k, labels, sig, tables, name=name, validate=False)
+    return FiniteAlgebra(len(sub), labels, lattice_signature(), tables, name=name, validate=False)
 
 
 # -- isomorphism ------------------------------------------------------------
@@ -839,18 +806,33 @@ def flat_table(t, arity: int) -> list:
     return flat
 
 
+def map_table(t, arity: int, keys, value) -> list:
+    """The table t of this arity restricted to the argument tuples over
+    keys, in keys' order, each entry v replaced by value[v]; a constant
+    gives value[t]."""
+    if arity > 1:
+        return [map_table(t[k], arity - 1, keys, value) for k in keys]
+    return [value[t[k]] for k in keys] if arity else value[t]
+
+
+def product_table(ta, na: int, tb, nb: int, arity: int):
+    """An operation's table on A×B from its tables ta on A and tb on B,
+    where (a, b) is a·nb + b: f((a⃗, b⃗)) = f_A(a⃗)·nb + f_B(b⃗).  ta's
+    values are scaled once, and the fold only adds tb's."""
+
+    def fold(sa, sb, arity):
+        if arity > 1:
+            return [fold(x, y, arity - 1) for x in sa for y in sb]
+        return [x + y for x in sa for y in sb] if arity else sa + sb
+
+    return fold(map_table(ta, arity, range(na), list(range(0, na * nb, nb))), tb, arity)
+
+
 def are_isomorphic(A: FiniteAlgebra, B: FiniteAlgebra) -> bool:
     return find_isomorphism(A, B) is not None
 
 
 # -- partitions -------------------------------------------------------------
-
-
-def partition_blocks(block_of) -> list[list[int]]:
-    blocks: dict[int, list[int]] = {}
-    for e, r in enumerate(block_of):
-        blocks.setdefault(r, []).append(e)
-    return [blocks[r] for r in sorted(blocks)]
 
 
 def partition_refines(p, q) -> bool:

@@ -128,7 +128,6 @@ from .algebra import (
     meet_partitions,
     merge_pairs,
     nabla_partition,
-    partition_blocks,
     partition_refines,
 )
 from .errors import (
@@ -190,9 +189,6 @@ class Congruence:
     def contains(self, a: int, b: int) -> bool:
         return self.block_of[a] == self.block_of[b]
 
-    def blocks(self) -> list[list[int]]:
-        return partition_blocks(self.block_of)
-
     def masks(self) -> tuple[int, ...]:
         if self._masks is None:
             self._masks = block_masks(self.block_of)
@@ -209,14 +205,13 @@ class Congruence:
 
     def block_string(self, over: "Congruence | None" = None) -> str:
         """Blocks as "a,b|c".  With over = θ ≤ self, render self/θ in the
-        labels of A/θ: each θ-block is one element, its members joined by "+".
-        A block's first member is its least, so the blocks come out grouped
-        in one pass, in the order of partition_blocks."""
+        labels of A/θ (see class_labels).  A block's first member is its
+        least, so the blocks come out grouped in one pass, in the order of
+        their least members."""
         labels = self.algebra.labels
         if over is None:
             return "|".join(map(",".join, _grouped(self.block_of, labels).values()))
-        # A/θ's element for each θ-block, at the block's least member
-        name = {r: "+".join(blk) for r, blk in _grouped(over.block_of, labels).items()}
+        name = class_labels(over.block_of, labels)
         blocks = _grouped(self.block_of, map(name.get, range(len(labels))))
         return "|".join(",".join(x for x in blk if x is not None) for blk in blocks.values())
 
@@ -227,6 +222,13 @@ def _grouped(block_of, names) -> dict:
     for r, x in zip(block_of, names):
         blocks.setdefault(r, []).append(x)
     return blocks
+
+
+def class_labels(block_of, labels) -> dict:
+    """The label of each element of A/θ, keyed by its block's
+    representative in block_of: the block's member labels, in index order,
+    joined by "+"."""
+    return {r: "+".join(blk) for r, blk in _grouped(block_of, labels).items()}
 
 
 def delta(A: FiniteAlgebra) -> Congruence:

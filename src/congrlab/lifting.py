@@ -98,12 +98,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import FiniteAlgebra, _bits, kernel
+from .algebra import FiniteAlgebra, _bits, kernel, map_table
 from .congruences import (
     ConLattice,
     Congruence,
     _lowest_bit,
     all_congruences,
+    class_labels,
     is_arithmetical,
     is_congruence_distributive,
     is_congruence_permutable,
@@ -143,33 +144,12 @@ def quotient(A: FiniteAlgebra, theta: Congruence) -> QuotientResult:
     stay readable in reports."""
     if theta.algebra != A:
         raise ParentMismatch("congruence does not belong to the algebra")
-    reps = sorted(set(theta.block_of))
-    index = {r: i for i, r in enumerate(reps)}
-    k = len(reps)
-    labels = []
-    for r in reps:
-        labels.append("+".join(A.labels[e] for e in range(A.n) if theta.block_of[e] == r))
-    tables = {}
-    for fname, arity in A.signature.operations:
-        if arity == 0:
-            tables[fname] = index[theta.block_of[A.tables[fname]]]
-        elif arity == 1:
-            t = A.tables[fname]
-            tables[fname] = [index[theta.block_of[t[r]]] for r in reps]
-        elif arity == 2:
-            t = A.tables[fname]
-            tables[fname] = [
-                [index[theta.block_of[t[a][b]]] for b in reps] for a in reps
-            ]
-        else:
-            def build(args, fname=fname, arity=arity):
-                if len(args) == arity:
-                    return index[theta.block_of[A.op(fname, *args)]]
-                return tuple(build(args + [r]) for r in reps)
-
-            tables[fname] = build([])
+    names = class_labels(theta.block_of, A.labels)
+    index = {r: i for i, r in enumerate(names)}
+    value = [index[r] for r in theta.block_of]
+    tables = {f: map_table(A.tables[f], arity, names, value) for f, arity in A.signature.operations}
     name = f"{A.name}/{theta.block_string()}" if A.name else None
-    Q = FiniteAlgebra(k, labels, A.signature, tables, name=name, validate=False)
+    Q = FiniteAlgebra(len(names), names.values(), A.signature, tables, name=name, validate=False)
     return QuotientResult(Q, theta.block_of, theta, index)
 
 

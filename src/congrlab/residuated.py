@@ -45,7 +45,7 @@ import functools
 from dataclasses import dataclass
 
 from .algebra import FiniteAlgebra, _bits, delta_partition, kernel, lattice_from_order, lattice_reduct
-from .congruences import Congruence, all_congruences
+from .congruences import Congruence, all_congruences, class_labels
 from .errors import (
     AmbiguousComplement,
     KindError,
@@ -78,16 +78,14 @@ def _complements(A: FiniteAlgebra, block_of) -> dict[int, int]:
     top, bot = block_of[A.top()], block_of[A.bottom()]
     reps = sorted(set(block_of))
 
-    def label(r):
-        return "+".join(A.labels[e] for e in range(A.n) if block_of[e] == r)
-
     complement = {}
     for r in reps:
         comps = [
             s for s in reps if block_of[join[r][s]] == top and block_of[meet_t[r][s]] == bot
         ]
         if len(comps) > 1:
-            raise AmbiguousComplement(label(r), [label(s) for s in comps])
+            label = class_labels(block_of, A.labels)
+            raise AmbiguousComplement(label[r], [label[s] for s in comps])
         if comps:
             complement[r] = comps[0]
     return complement

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -80,6 +81,31 @@ def test_cover_cycle_is_rejected():
         build_from_spec(
             {"kind": "lattice", "elements": ["a", "b"], "cover": [["a", "b"], ["b", "a"]]}
         )
+
+
+def test_a_cover_spec_carries_no_tables_it_cannot_use():
+    # C3 with a cyclic f has only Δ and ∇; read from the cover alone it had four
+    from congrlab.congruences import all_congruences
+
+    elements, cover, f = ["0", "m", "1"], [["0", "m"], ["m", "1"]], ["m", "1", "0"]
+    square = [[elements[max(a, b)] for b in range(3)] for a in range(3)]
+    lattice = {"join": square, "meet": [[elements[min(a, b)] for b in range(3)] for a in range(3)]}
+    A = build_from_spec({"kind": "lattice", "elements": elements, "operations": {**lattice, "f": f}})
+    assert len(all_congruences(A).elements) == 2
+    times = fixture_spec("R0")["operations"]["times"]
+    for kind, extra, stray in [
+        ("lattice", {"operations": {"f": f}}, "f"),
+        ("lattice", {"operations": lattice}, "join, meet"),
+        ("bounded-lattice", {"constants": {"top": "1"}}, "top"),
+        ("lattice", {"operations": {"times": square, "implies": square}}, "implies, times"),
+    ]:
+        with pytest.raises(TableError, match=f"kind '{kind}' carries tables it cannot use: {stray}$"):
+            build_from_spec({"kind": kind, "elements": elements, "cover": cover, **extra})
+    for key, extra in [("operations", {"f": times}), ("constants", {"bot": "0"})]:
+        spec = fixture_spec("R0")
+        spec[key] = {**spec.get(key, {}), **extra}
+        with pytest.raises(TableError, match=f"kind 'residuated' carries tables it cannot use: {next(iter(extra))}$"):
+            build_from_spec(spec)
 
 
 def test_non_total_table_is_rejected():
@@ -250,19 +276,34 @@ def test_product_projection_recovers_factors():
                 assert r[i] == A.op("join", ta[i], tb[i])
 
 
+def componentwise_table(factors, fname, arity):
+    """A product's table one entry at a time: decode each argument, apply
+    the operation in every factor, and encode the results."""
+    sizes = [A.n for A in factors]
+    radix = product_radix(sizes)
+    total = math.prod(sizes)
+
+    def build(args):
+        if len(args) == arity:
+            tups = [product_decode(i, sizes, radix) for i in args]
+            return product_encode([A.op(fname, *[t[k] for t in tups]) for k, A in enumerate(factors)], radix)
+        return tuple(build(args + [i]) for i in range(total))
+
+    return build([])
+
+
 def test_product_tables_fold_to_the_encoded_componentwise_tables():
-    # each entry of the binary tables, encoded from its decoded components
-    for factors in ([fixture("T"), fixture("E")], [fixture("L2")] * 5, [fixture("L3"), fixture("L2x2")]):
+    from test_congruences import middle_algebra, pointed_algebra, quaternary_algebra
+
+    products = [[fixture("T"), fixture("E")], [fixture("L2")] * 5, [fixture("L3"), fixture("L2x2")]]
+    products += [[A, A] for A in (pointed_algebra(), middle_algebra(), quaternary_algebra())]
+    arities = set()
+    for factors in products:
         P = direct_product(factors)
-        sizes = [A.n for A in factors]
-        radix = product_radix(sizes)
-        tups = [product_decode(i, sizes, radix) for i in range(P.n)]
-        for f in ("join", "meet"):
-            want = [
-                [product_encode([A.tables[f][x][y] for A, x, y in zip(factors, s, t)], radix) for t in tups]
-                for s in tups
-            ]
-            assert [list(row) for row in P.tables[f]] == want, (P.name, f)
+        for f, arity in P.signature.operations:
+            assert P.tables[f] == componentwise_table(factors, f, arity), (P.name, f)
+            arities.add(arity)
+    assert arities == {0, 1, 2, 3, 4}
 
 
 def test_product_of_t_and_e_has_42_elements():

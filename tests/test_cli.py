@@ -202,6 +202,8 @@ MALFORMED_SPECS = {
     "operations-not-an-object": '{"elements": ["0", "1"], "operations": [["0"]]}',
     "not-utf8": b"\xff\xfe",
     "name-not-a-string": '{"name": ["x"], "kind": "lattice", "elements": ["0", "1"], "cover": [["0", "1"]]}',
+    "cover-with-operations": '{"elements": ["0", "1"], "cover": [["0", "1"]], "operations": {"f": ["1", "0"]}}',
+    "cover-with-constants": '{"elements": ["0", "1"], "cover": [["0", "1"]], "constants": {"c": "0"}}',
 }
 
 

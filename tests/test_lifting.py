@@ -2,8 +2,8 @@ from pathlib import Path
 
 import pytest
 
-from congrlab.algebra import are_isomorphic, dual
-from congrlab.congruences import all_congruences, delta, nabla, parse_congruence
+from congrlab.algebra import are_isomorphic, direct_product, dual
+from congrlab.congruences import Congruence, all_congruences, delta, nabla, parse_congruence
 from congrlab.errors import ParentMismatch
 from congrlab.factor import boolean_center, factor_congruences
 from congrlab.fixtures import FIXTURE_NAMES, fixture
@@ -33,10 +33,51 @@ def test_quotient_of_s_by_the_bottom_collapse_is_the_diamond():
     assert are_isomorphic(Q.quotient, fixture("D"))
 
 
+def small_generic_algebras():
+    """Algebras with operations of arity 0 to 4."""
+    from test_congruences import middle_algebra, pointed_algebra, quaternary_algebra
+
+    return [pointed_algebra(), middle_algebra(), quaternary_algebra()]
+
+
+def induced_table(A, theta, fname, arity):
+    """A/θ's table one entry at a time: each tuple of block
+    representatives, sent to the block index of its value."""
+    reps = sorted(set(theta.block_of))
+    index = {r: i for i, r in enumerate(reps)}
+
+    def build(args):
+        if len(args) == arity:
+            return index[theta.block_of[A.op(fname, *args)]]
+        return tuple(build(args + [r]) for r in reps)
+
+    return build([])
+
+
 def test_quotient_by_the_diagonal_is_the_algebra_itself():
-    for name in ("L3", "P", "R0"):
-        A = fixture(name)
+    small = small_generic_algebras()
+    for A in [fixture(name) for name in ("L3", "P", "R0")] + small + [direct_product([A, A]) for A in small]:
         assert quotient(A, delta(A)).quotient == A
+
+
+def test_quotient_tables_are_the_induced_operations():
+    # one non-trivial θ on each: the first of A's own, where it has one, and
+    # the kernel of the first projection on A×A, which leaves A itself
+    seen = set()
+    for A in small_generic_algebras():
+        cases = [(A, th) for th in all_congruences(A).elements if not th.is_delta() and not th.is_nabla()][:1]
+        square = direct_product([A, A])
+        first = Congruence(square, [e - e % A.n for e in range(square.n)], check=True)
+        cases.append((square, first))
+        for B, theta in cases:
+            Q = quotient(B, theta).quotient
+            reps = sorted(set(theta.block_of))
+            assert Q.labels == tuple("+".join(B.labels[e] for e in range(B.n) if theta.block_of[e] == r) for r in reps)
+            for f, arity in B.signature.operations:
+                assert Q.tables[f] == induced_table(B, theta, f, arity), (B.name, theta, f)
+                seen.add(arity)
+        assert quotient(square, first).quotient.tables == A.tables
+    assert seen == {0, 1, 2, 3, 4}
 
 
 def test_quotient_by_the_full_congruence_is_trivial():
