@@ -540,14 +540,6 @@ class ConLattice:
         """θ_i ∧ θ_j: its mask is the intersection of theirs."""
         return self._at[self.gen_masks[i] & self.gen_masks[j]]
 
-    def relative_complement(self, i: int, t: int) -> int | None:
-        """In a distributive Con(A), the complement of θ_i ≥ θ_t in
-        [θ_t, ∇], or None.  In masks, a complement of I in [T, J] meets I in
-        T and joins it to J, so it can only be T ∪ (J ∖ I), and it is one iff
-        that is some θ's mask."""
-        gm = self.gen_masks
-        return self._at.get(gm[t] | gm[self.index_of_nabla] & ~gm[i])
-
     def leq(self, i: int, j: int) -> bool:
         """θ_i ≤ θ_j: every generator below θ_i is below θ_j."""
         return self.gen_masks[i] & ~self.gen_masks[j] == 0

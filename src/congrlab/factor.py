@@ -12,11 +12,26 @@ and (β/θ)∘(γ/θ) is full on A/θ iff β∘γ is full on A.  No composition 
 built: β∘γ is full iff every β-block meets every γ-block, i.e. iff
 |A/(β∧γ)| = |A/β|·|A/γ|, read off the block counts of Con(A).
 
-Con(A) must be distributive.  By Birkhoff duality θ is then the set J(θ) of
-join-irreducibles below it, and the complement of β relative to θ is the
-one candidate J(θ) ∪ (J ∖ J(β)), if that is some γ's set
-(ConLattice.relative_complement).  So each β in [θ, ∇] costs one lookup,
-and as β ∧ γ = θ, β is a factor member iff |A/θ| = |A/β|·|A/γ|.
+Con(A) must be distributive.  By Birkhoff duality θ ↦ D_θ, the set of
+join-irreducibles J = J(Con A) below θ (its mask), is then an isomorphism
+onto the down-sets of J, with unions as joins, intersections as meets and
+J as ∇ (Davey & Priestley, ch. 5 and 10).  A component of a set of
+join-irreducibles is a connected component of the comparability graph of
+J restricted to it.  The Boolean members of [θ_t, ∇] are listed, with no
+scan of ↑θ_t, as follows.  Let R = J ∖ D_t, an up-set of J.
+
+1. The members of [θ_t, ∇] are the D_t ∪ E, E a down-set of R.  A down-set
+   of J holding D_t is D_t ∪ E with E ⊆ R, and D_t ∪ E is a down-set iff E
+   is one within R: y < x ∈ E with y ∉ D_t puts y in R.
+2. D_t ∪ E and D_t ∪ F are complements in [θ_t, ∇] iff E ∩ F = ∅ and
+   E ∪ F = R, so F can only be R ∖ E.  R ∖ E is a down-set of R iff E is
+   also an up-set of R, i.e. iff no comparable pair in R has one end in E
+   and the other outside it, i.e. iff E is a union of components of R.
+3. So the Boolean members are D_t ∪ U for the 2^c unions U of the c
+   components of R, the complement of D_t ∪ U is D_t ∪ (R ∖ U), and
+   |B(A/θ_t)| = 2^c.  Each is a down-set of J, hence some θ's mask, found by
+   one lookup.  As their meet is θ_t, such a pair is a factor pair iff
+   |A/θ_t| = |A/β|·|A/γ|.
 """
 
 from __future__ import annotations
@@ -24,9 +39,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations_with_replacement, product
+from math import comb
 
 from .algebra import (
     FiniteAlgebra,
+    _bits,
     block_masks,
     direct_product,
     join_partitions,
@@ -35,6 +52,7 @@ from .algebra import (
 from .congruences import (
     ConLattice,
     Congruence,
+    _lowest_bit,
     all_congruences,
     join as con_join,
     meet as con_meet,
@@ -51,6 +69,8 @@ from .errors import (
 from .residuated import element_boolean_center
 
 CRT_K_MAX = 3
+# target tuples the direct CRT check may walk: L2^4's 3.4 M take about 3.5 s
+CRT_TUPLE_CAP = 5_000_000
 
 
 @dataclass
@@ -78,41 +98,82 @@ def factor_congruences(cl: ConLattice, t: int = 0) -> Center:
     return _interval_centers(cl, t)[1]
 
 
-def require_distributive(cl: ConLattice) -> None:
-    """Raise NotDistributive unless Con(A) is distributive, which every
-    center, and every question read off J(Con A), presumes."""
-    if not cl.is_distributive():
-        raise NotDistributive(
-            "congruence lattice is not distributive; complements would be ambiguous"
-        )
-
-
-def centers_cached(cl: ConLattice, t: int) -> bool:
-    """Whether both centers of [t, ∇] are already cached on the lattice."""
-    return ("center", t) in cl._cache
-
-
 def _interval_centers(cl: ConLattice, t: int) -> tuple[Center, Center]:
-    """Both centers of [t, ∇], one relative-complement lookup per element,
-    cached on the lattice.  Requires Con(A) distributive, so that every
-    interval is and complements are unique."""
+    """Both centers of [t, ∇] from one listing, cached on the lattice."""
+    hit = cl._cache.get(("center", t))
+    if hit is None:
+        bc, fc = map(dict, _complemented(cl, t))
+        hit = cl._cache[("center", t)] = Center(cl, list(bc), bc), Center(cl, list(fc), fc)
+    return hit
+
+
+def center_members(cl: ConLattice, t: int, factor: bool) -> list[int]:
+    """The members of factor_congruences(cl, t) if factor, else of
+    boolean_center(cl, t): read off the centers if they are cached, else
+    listed without building a Center."""
     hit = cl._cache.get(("center", t))
     if hit is not None:
-        return hit
-    require_distributive(cl)
-    bc, fc = Center(cl, [], {}), Center(cl, [], {})
-    blocks = cl.blocks
-    for i in cl.up_set(t):
-        j = cl.relative_complement(i, t)
-        if j is not None:
-            bc.members.append(i)
-            bc.complement[i] = j
-            # θ_i ∧ θ_j = θ_t, so θ_i∘θ_j = ∇ iff |A/θ_t| = |A/θ_i|·|A/θ_j|
-            if blocks[i] * blocks[j] == blocks[t]:
-                fc.members.append(i)
-                fc.complement[i] = j
-    hit = cl._cache[("center", t)] = (bc, fc)
+        return hit[factor].members
+    return [i for i, _ in _complemented(cl, t)[factor]]
+
+
+def _complemented(cl: ConLattice, t: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Each Boolean member of [t, ∇] with its complement relative to t, in
+    index order, and the factor pairs among them: D_t ∪ U for each union U
+    of components of R = J ∖ D_t, with D_t ∪ (R ∖ U) (module doc, 3).
+    Requires Con(A) distributive."""
+    at, gm, blocks = cl._at, cl.gen_masks, cl.blocks
+    rest = gm[cl.index_of_nabla] & ~gm[t]
+    masks = [gm[t]]
+    for c in _components(_j_order(cl)[1], rest):
+        masks += [m | c for m in masks]
+    pairs = sorted([(at[m], at[m ^ rest]) for m in masks])
+    # θ_i ∧ θ_j = θ_t, so θ_i∘θ_j = ∇ iff |A/θ_t| = |A/θ_i|·|A/θ_j|
+    return pairs, [(i, j) for i, j in pairs if blocks[i] * blocks[j] == blocks[t]]
+
+
+def _j_order(cl: ConLattice) -> tuple[list[int], list[int], list[int]]:
+    """J(Con A) as masks over the generator bits, cached on the lattice:
+    down[g] = ↓g, near[g] = the members comparable to g, and the connected
+    components.  g's own congruence is the lowest index above it, and its
+    mask is ↓g.  Every center, and every question read off J, presumes
+    Con(A) distributive, so NotDistributive is raised here otherwise."""
+    hit = cl._cache.get("j_order")
+    if hit is None:
+        if not cl.is_distributive():
+            raise NotDistributive("congruence lattice is not distributive; complements would be ambiguous")
+        gm, js = cl.gen_masks, _bits(cl.gen_masks[cl.index_of_nabla])
+        down = [0] * len(cl._above)
+        for g in js:
+            down[g] = gm[_lowest_bit(cl._above[g])]
+        near = down[:]
+        for h in js:
+            for g in _bits(down[h]):
+                near[g] |= 1 << h
+        hit = cl._cache["j_order"] = down, near, _components(near, gm[cl.index_of_nabla])
     return hit
+
+
+def _components(near: list[int], within: int) -> list[int]:
+    """The connected components of the members of within."""
+    components = []
+    while within:
+        c = _reach(near, within & -within, within)
+        components.append(c)
+        within &= ~c
+    return components
+
+
+def _reach(near: list[int], seed: int, within: int) -> int:
+    """The members of within that a path inside within joins to seed."""
+    reached = frontier = seed
+    while frontier:
+        step = 0
+        for g in _bits(frontier):
+            step |= near[g]
+        frontier = step & within & ~reached
+        reached |= frontier
+    return reached
 
 
 def is_factor_pair(A: FiniteAlgebra, phi: Congruence, psi: Congruence) -> bool:
@@ -163,6 +224,10 @@ def crt_direct_check(A: FiniteAlgebra, omega, k_max: int = 2):
     cl = all_congruences(A)
     idxs = _omega_indices(cl, omega)
     n = A.n
+    # C(|Ω|+k−1, k) multisets of congruences, each with n^k target tuples
+    tuples = sum(comb(len(idxs) + k - 1, k) * n**k for k in range(2, k_max + 1))
+    if tuples > CRT_TUPLE_CAP:
+        raise SizeCap(f"direct CRT check would walk {tuples} target tuples; capped at {CRT_TUPLE_CAP}")
     masks = {i: cl.elements[i].masks() for i in idxs}
     join_masks = {}
     for i in idxs:

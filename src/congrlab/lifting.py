@@ -48,10 +48,12 @@ connected component of J's comparability graph.
    is in C_i are the untested j scanned in index order, for the first
    failing pair.
 5. θ has the factor property iff every factor member of [θ, ∇] has an
-   image D_α ∪ D_θ, α ∈ FC(A), as its mask.  So the first one without is
-   found in one pass over ↑θ, with no center of [θ, ∇] built: a member of
-   ↑θ whose mask is an image is skipped, and only the others are tested for
-   a relative complement with the block-count product of a factor pair.
+   image D_α ∪ D_θ, α ∈ FC(A), as its mask.  One routine decides both
+   properties: a θ whose traces are connected passes, on J for the Boolean
+   one (2) and on P = J(L) for the factor one (6).  Any other θ lists the
+   members of [θ, ∇] off the components of J ∖ D_θ (`factor` module doc),
+   or reads the centers a report has cached, and the first whose mask is
+   no image is the evidence.  A verdict caches no center.
    Every θ has the factor property when |FC(A)| = |B(A)| and every θ has
    the Boolean one: FC(A) ⊆ B(A) gives FC(A) = B(A), and u then maps it
    onto B(A/θ) ⊇ FC(A/θ).
@@ -87,7 +89,7 @@ connected component of J's comparability graph.
        connected; and two incomparable x, y in a component C are cut apart
        by S = C ∖ {x, y}.
    The first θ without the factor property, and the target its interval
-   fails to reach, are still found on [θ, ∇], for that θ alone.
+   fails to reach, are still found on [θ, ∇], for that θ alone (5).
 
 The normality checks return (True, None) or (False, the first failing
 pair in index order).  Every verdict and its evidence is the one the scans
@@ -102,7 +104,6 @@ from .algebra import FiniteAlgebra, _bits, kernel, map_table
 from .congruences import (
     ConLattice,
     Congruence,
-    _lowest_bit,
     all_congruences,
     class_labels,
     is_arithmetical,
@@ -116,7 +117,7 @@ from .congruences import (
     prime_indices,
 )
 from .errors import ParentMismatch, TrivialAlgebra
-from .factor import boolean_center, centers_cached, factor_congruences, require_distributive
+from .factor import _components, _j_order, _reach, boolean_center, center_members, factor_congruences
 
 
 @dataclass
@@ -196,54 +197,19 @@ def _images(cl: ConLattice, t: int, members_of) -> dict[int, int]:
 
 def _unliftable(cl: ConLattice, t: int, members_of) -> int | None:
     """The first member of members_of(cl, t), the center of [θ_t, ∇] ≅
-    Con(A/θ_t), that no u(α) reaches; None if θ_t has the lifting.  For
-    Boolean congruences a passing θ_t is told by its traces (module doc, 2)
-    and builds no images.  For factor congruences, unless the center of
-    [θ_t, ∇] is already cached, one pass over ↑θ_t builds none (module doc,
-    5).  Cached on the lattice, as a report asks for each verdict twice."""
+    Con(A/θ_t), that no u(α) reaches; None if θ_t has the lifting (module
+    doc, 5).  Cached on the lattice, as a report asks for each verdict
+    twice."""
     key = ("unliftable", members_of, t)
     if key not in cl._cache:
-        if members_of is boolean_center and _traces_connected(*_j_order(cl)[1:], cl.gen_masks[t]):
-            cl._cache[key] = None
-        elif members_of is factor_congruences and not centers_cached(cl, t):
-            cl._cache[key] = _first_unreached_factor(cl, t)
-        else:
+        order = _j_order(cl)[1:] if members_of is boolean_center else _lattice_order(cl)
+        bad = None
+        if order is None or not _traces_connected(*order, cl.gen_masks[t]):
             images, gm = _images(cl, t, members_of), cl.gen_masks
-            cl._cache[key] = next((b for b in members_of(cl, t).members if gm[b] not in images), None)
+            members = center_members(cl, t, members_of is factor_congruences)
+            bad = next((b for b in members if gm[b] not in images), None)
+        cl._cache[key] = bad
     return cl._cache[key]
-
-
-def _first_unreached_factor(cl: ConLattice, t: int) -> int | None:
-    """The first member of factor_congruences(cl, t) whose mask is no
-    image, found in one pass over ↑θ_t: only a θ_i that no u(α) reaches is
-    tested for a relative complement θ_j with |A/θ_t| = |A/θ_i|·|A/θ_j|."""
-    images, gm, blocks = _images(cl, t, factor_congruences), cl.gen_masks, cl.blocks
-    for i in _bits(cl._up_masks[t]):
-        if gm[i] not in images:
-            j = cl.relative_complement(i, t)
-            if j is not None and blocks[i] * blocks[j] == blocks[t]:
-                return i
-    return None
-
-
-def _j_order(cl: ConLattice) -> tuple[list[int], list[int], list[int]]:
-    """J(Con A) as masks over the generator bits, cached on the lattice:
-    down[g] = ↓g, near[g] = the members comparable to g, and the connected
-    components.  g's own congruence is the lowest index above it, and its
-    mask is ↓g."""
-    hit = cl._cache.get("j_order")
-    if hit is None:
-        require_distributive(cl)
-        gm, js = cl.gen_masks, _bits(cl.gen_masks[cl.index_of_nabla])
-        down = [0] * len(cl._above)
-        for g in js:
-            down[g] = gm[_lowest_bit(cl._above[g])]
-        near = down[:]
-        for h in js:
-            for g in _bits(down[h]):
-                near[g] |= 1 << h
-        hit = cl._cache["j_order"] = down, near, _components(near, gm[cl.index_of_nabla])
-    return hit
 
 
 def _lattice_order(cl: ConLattice) -> tuple[list[int], list[int]] | None:
@@ -262,28 +228,6 @@ def _lattice_order(cl: ConLattice) -> tuple[list[int], list[int]] | None:
             hit = near, _components(near, cl.gen_masks[cl.index_of_nabla])
         cl._cache["lattice_order"] = hit
     return cl._cache["lattice_order"]
-
-
-def _components(near: list[int], within: int) -> list[int]:
-    """The connected components of the members of within."""
-    components = []
-    while within:
-        c = _reach(near, within & -within, within)
-        components.append(c)
-        within &= ~c
-    return components
-
-
-def _reach(near: list[int], seed: int, within: int) -> int:
-    """The members of within that a path inside within joins to seed."""
-    reached = frontier = seed
-    while frontier:
-        step = 0
-        for g in _bits(frontier):
-            step |= near[g]
-        frontier = step & within & ~reached
-        reached |= frontier
-    return reached
 
 
 def _traces_connected(near: list[int], components: list[int], dt: int) -> bool:
@@ -305,7 +249,7 @@ def _has_lifting(A, theta, members_of) -> tuple[bool, LiftEvidence]:
     t = cl.index(theta)
     images = _images(cl, t, members_of)
     ev = LiftEvidence()
-    for b in members_of(cl, t).members:
+    for b in center_members(cl, t, members_of is factor_congruences):
         target = cl.elements[b].block_string(over=theta)
         hit = images.get(cl.gen_masks[b])
         if hit is None:
@@ -344,21 +288,16 @@ def algebra_fclp(A: FiniteAlgebra) -> tuple[bool, LiftEvidence | None, Congruenc
     """Conjunction of has_fclp over all congruences; stops at the first
     failure and returns its evidence and the failing congruence.  It holds
     without a walk over the θ when FC(A) = B(A) and every θ has the Boolean
-    lifting (module doc, 5).  A distributive pure lattice is decided on
-    P = J(L): it holds iff every component of P is a chain, and the first
-    failing θ is the first whose traces on P are not all connected; only
-    that θ's evidence is read off its interval (module doc, 6)."""
+    lifting (module doc, 5), and on a distributive pure lattice when every
+    component of P = J(L) is a chain (module doc, 6)."""
     cl = all_congruences(A)
     order = _lattice_order(cl)
     if order is None:
-        if len(factor_congruences(cl).members) == len(boolean_center(cl).members) and _components_topped(cl):
-            return True, None, None
-        return _algebra_lifting(A, factor_congruences)
-    near, components = order
-    if all(near[g] & c == c for c in components for g in _bits(c)):
-        return True, None, None
-    theta = next(cl.elements[t] for t, dt in enumerate(cl.gen_masks) if not _traces_connected(near, components, dt))
-    return False, _has_lifting(A, theta, factor_congruences)[1], theta
+        holds = len(factor_congruences(cl).members) == len(boolean_center(cl).members) and _components_topped(cl)
+    else:
+        near, components = order
+        holds = all(near[g] & c == c for c in components for g in _bits(c))
+    return (True, None, None) if holds else _algebra_lifting(A, factor_congruences)
 
 
 def algebra_cblp(A: FiniteAlgebra) -> tuple[bool, LiftEvidence | None, Congruence | None]:
@@ -513,14 +452,11 @@ def lifting_report(A: FiniteAlgebra, name: str | None = None) -> LiftingReport:
             # the centers of [θ_t, ∇] first, so that the verdict reads them
             center_size = len(boolean_center(cl, t).members)
             fc_size = len(factor_congruences(cl, t).members)
-            fclp = _unliftable(cl, t, factor_congruences)
         else:
             # Con(L/θ_t) is Boolean, and FC(L/θ_t) is 2^c for the c
             # components of P ∖ S_t (module doc, 6)
-            near, components = order
-            dt = cl.gen_masks[t]
-            center_size, fc_size = cl.up_size(t), 1 << len(_components(near, nabla & ~dt))
-            fclp = None if _traces_connected(near, components, dt) else _unliftable(cl, t, factor_congruences)
+            center_size, fc_size = cl.up_size(t), 1 << len(_components(order[0], nabla & ~cl.gen_masks[t]))
+        fclp = _unliftable(cl, t, factor_congruences)
         cblp = None if topped else _unliftable(cl, t, boolean_center)
         row = {"congruence": theta.block_string(), "blocks": cl.blocks[t]}
         for prop, bad in (("fclp", fclp), ("cblp", cblp)):

@@ -1,9 +1,10 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
 
-from congrlab.algebra import build_from_spec, emit_spec
+from congrlab.algebra import build_from_spec, direct_product, emit_spec
 from congrlab.cli import main
 from congrlab.fixtures import FIXTURE_NAMES, fixture
 
@@ -78,6 +79,18 @@ def test_check_crt(capsys):
     code, out, _ = run(capsys, "check", "crt", "--fixture", "L3")
     assert code == 0
     assert "characterization yes, direct yes" in out
+
+
+def test_check_crt_refuses_too_many_target_tuples(capsys, tmp_path):
+    # L2^5 has 32 factor congruences, so the triples alone give
+    # C(34, 3)·32³ target tuples; the count is refused before the walk
+    path = tmp_path / "L2^5.json"
+    path.write_text(json.dumps(emit_spec(direct_product([fixture("L2")] * 5))))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", "crt", "--file", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "error: direct CRT check would walk 196624384 target tuples; capped at 5000000\n"
 
 
 # -- listings ---------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 A finite distributive lattice L is the lattice of down-sets of P, Con(L) is
 Boolean on P, and each quotient L/θ is the down-sets of P ∖ S_θ.  The report
-rows, FCLP and BLP read the factor side off P; the interval route of
-`factor._interval_centers`, `lifting._first_unreached_factor` and
-`lifting._algebra_lifting`, and the full complement scan of BLP, are the
-oracles.  The `report --format json` digests were taken before
-the J(L) route existed.
+rows, FCLP and BLP read the factor side off P; the interval route, which
+reads each [θ, ∇] off the centers of `factor._interval_centers` and the
+center scan of `center_unliftable`, and the full complement scan of BLP, are
+the oracles.  The `report --format json` digests of distributive lattices
+were taken before the J(L) route existed, and those of the pentagon and the
+diamond with a chain on top before the centers of each interval were listed
+off the components of J(Con A) ∖ D_θ.
 """
 
 import hashlib
@@ -19,6 +21,7 @@ from congrlab.algebra import build_from_spec, dual
 from congrlab.cli import main
 from congrlab.congruences import all_congruences
 from congrlab.factor import boolean_center, factor_congruences
+from congrlab.fixtures import fixture_spec
 
 from sweep import sweep
 from test_join_irreducible_masks import center_unliftable, cold
@@ -88,13 +91,40 @@ def report_inputs():
     return specs + [product_spec(chain_spec(3), chain_spec(4)), N_SHAPE]
 
 
-@pytest.mark.parametrize("spec", report_inputs(), ids=lambda s: s["name"])
-def test_report_json_is_byte_identical(spec, tmp_path, capsys):
+def report_digest(spec, tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     assert main(["report", "--file", str(path), "--format", "json"]) == 0
-    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == REPORT_DIGESTS[spec["name"]]
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("spec", report_inputs(), ids=lambda s: s["name"])
+def test_report_json_is_byte_identical(spec, tmp_path, capsys):
+    assert report_digest(spec, tmp_path, capsys) == REPORT_DIGESTS[spec["name"]]
+
+
+def chain_on_top_spec(base, k):
+    """The fixture base with a k-chain stacked on its top, as a cover spec:
+    base⊕Ck, whose Con is Con(base) × Con(Ck)."""
+    spec = fixture_spec(base)
+    labels = ["1"] + [f"c{i}" for i in range(1, k)]
+    cover = spec["cover"] + [[labels[i], labels[i + 1]] for i in range(k - 1)]
+    return {"name": f"{base}+C{k}", "kind": "lattice", "elements": spec["elements"] + labels[1:], "cover": cover}
+
+
+# the same digests of two lattices that are not distributive, so that every
+# row takes the interval route: the pentagon and the diamond with a 10-chain
+# on top (|Con| = 2560 and 1024)
+INTERVAL_REPORT_DIGESTS = {
+    "P+C10": "5ec8fe7077225a134df1128e7d7647a11cc47824cd5bd0538f23b149d1cae262",
+    "D+C10": "f0aa0f976a7c65077ad7ccf57fe1f0e1cc52a63626854f6933ababa2b3532c37",
+}
+
+
+@pytest.mark.parametrize("base", ["P", "D"])
+def test_interval_report_json_is_byte_identical(base, tmp_path, capsys):
+    spec = chain_on_top_spec(base, 10)
+    assert report_digest(spec, tmp_path, capsys) == INTERVAL_REPORT_DIGESTS[spec["name"]]
 
 
 # -- the J(L) route against the interval route ------------------------------------

@@ -1,5 +1,6 @@
 import pytest
 
+from congrlab import factor
 from congrlab.algebra import (
     are_isomorphic,
     build_from_spec,
@@ -166,6 +167,17 @@ def test_trivial_family_is_solvable():
 def test_direct_check_k_cap():
     with pytest.raises(SizeCap):
         crt_direct_check(fixture("L3"), all_congruences(fixture("L3")).elements, k_max=4)
+
+
+def test_direct_check_counts_its_target_tuples_before_the_walk(monkeypatch):
+    # L2^4: 16 factor congruences, C(17, 2)·16² pairs and C(18, 3)·16³
+    # triples of targets, under the cap, so the CLI still answers on it
+    A = direct_product([fixture("L2")] * 4)
+    fc = factor_congruences(all_congruences(A)).congruences()
+    assert 136 * 16**2 + 816 * 16**3 == 3377152 <= factor.CRT_TUPLE_CAP
+    monkeypatch.setattr(factor, "CRT_TUPLE_CAP", 3377151)
+    with pytest.raises(SizeCap, match="walk 3377152 target tuples"):
+        crt_direct_check(A, fc, k_max=3)
 
 
 def test_family_must_be_congruences_of_the_algebra():

@@ -2,14 +2,15 @@
 
 ConLattice keeps, for each θ, the set of join-irreducible generators below
 it.  Meets are intersections, joins are unions where the union is a mask,
-relative complements are one lookup, and the Boolean lifting and both
-normality checks are read off the components of J(Con A).  The factor
-lifting at θ takes one pass over ↑θ.  The old ways live on here as oracles:
-on k×k join and meet tables built from partition joins and meets, the pair
-scan for relative complements, the normality loops and the triple scan for
-distributivity; on the masks, the images scan for the Boolean lifting, the
-center scan for the factor lifting, the per-θ loop for FCLP of A and the
-witness bitsets for normality.
+the centers of [θ, ∇] are listed off the components of J ∖ D_θ, and the
+Boolean lifting and both normality checks are read off the components of
+J(Con A).  The old ways live on here as oracles: on k×k join and meet
+tables built from partition joins and meets, the pair scan for relative
+complements, the normality loops and the triple scan for distributivity;
+on the masks, the scan of ↑θ for relative complements, the one-pass factor
+lifting over ↑θ, the images scan for the Boolean lifting, the center scan
+for the factor lifting, the per-θ loop for FCLP of A and the witness
+bitsets for normality.
 """
 
 import random
@@ -17,10 +18,19 @@ import random
 import pytest
 
 from congrlab import factor, lifting
-from congrlab.algebra import FiniteAlgebra, Signature, _bits, direct_product, join_partitions, meet_partitions
+from congrlab.algebra import (
+    FiniteAlgebra,
+    Signature,
+    _bits,
+    build_from_spec,
+    direct_product,
+    join_partitions,
+    meet_partitions,
+    ordinal_sum,
+)
 from congrlab.congruences import Congruence, all_congruences
 from congrlab.errors import NotDistributive
-from congrlab.factor import boolean_center, factor_congruences
+from congrlab.factor import boolean_center, center_members, factor_congruences
 from congrlab.fixtures import FIXTURE_NAMES, fixture
 from congrlab.lifting import algebra_cblp, algebra_fclp, has_cblp, is_b_normal, is_fc_normal, lifting_report
 from congrlab.report import build_report
@@ -28,6 +38,7 @@ from congrlab.report import build_report
 from sweep import sweep
 from test_congruences import xor_algebra
 from test_partition_join import chain, count_calls, generic_copy, lattice_algebras
+from test_residuated import RESIDUATED_CHAINS, residuated_chain
 
 
 def partition_tables(cl):
@@ -157,6 +168,85 @@ def test_interval_centers_are_the_pair_scan():
             assert (got_fc.members, got_fc.complement) == fc, (A.name, t)
 
 
+def relative_complement(cl, i, t):
+    """The old ConLattice.relative_complement: a complement of I in [T, J]
+    meets I in T and joins it to J, so it can only be T ∪ (J ∖ I), and it is
+    one iff that is some θ's mask."""
+    gm = cl.gen_masks
+    return cl._at.get(gm[t] | gm[cl.index_of_nabla] & ~gm[i])
+
+
+def up_set_centers(cl, t):
+    """The old listing of both centers of [θ_t, ∇]: one relative
+    complement lookup per member of ↑θ_t, as member -> complement."""
+    bc, fc = {}, {}
+    for i in cl.up_set(t):
+        j = relative_complement(cl, i, t)
+        if j is not None:
+            bc[i] = j
+            if cl.blocks[i] * cl.blocks[j] == cl.blocks[t]:
+                fc[i] = j
+    return bc, fc
+
+
+def one_pass_unreached_factor(cl, t):
+    """The old one-pass factor lifting: the first member of ↑θ_t whose mask
+    is no image D_α ∪ D_t, α in FC(A), and that has a relative complement
+    θ_j with |A/θ_t| = |A/θ_i|·|A/θ_j|."""
+    gm, blocks = cl.gen_masks, cl.blocks
+    images = {gm[a] | gm[t] for a in factor_congruences(cl).members}
+    for i in cl.up_set(t):
+        if gm[i] not in images:
+            j = relative_complement(cl, i, t)
+            if j is not None and blocks[i] * blocks[j] == blocks[t]:
+                return i
+    return None
+
+
+def pentagon_sums():
+    """P⊕C2 to P⊕C6: the pentagon with a chain on top, whose Con is
+    Con(P) × Con(Ck), distributive, while the lattice is not."""
+    return [ordinal_sum(fixture("P"), chain(k), name=f"P+C{k}") for k in range(2, 7)]
+
+
+def up_set_algebras():
+    """mask_algebras(), the random generic algebras, the residuated chains
+    with n ≤ 8 and P⊕C2 to P⊕C6."""
+    chains = [build_from_spec(residuated_chain(n, t)) for t, n in RESIDUATED_CHAINS]
+    return mask_algebras() + random_generic_algebras() + chains + pentagon_sums()
+
+
+def test_the_components_list_what_the_up_set_scan_finds():
+    thetas, verdicts, interval = 0, set(), 0
+    for A in map(cold, up_set_algebras()):
+        cl = all_congruences(A)
+        if not cl.is_distributive():
+            for members_of in (boolean_center, factor_congruences):
+                with pytest.raises(NotDistributive):
+                    lifting._unliftable(cl, cl.index_of_nabla, members_of)
+            continue
+        interval += lifting._lattice_order(cl) is None
+        near, nabla = factor._j_order(cl)[1], cl.gen_masks[cl.index_of_nabla]
+        for t in range(len(cl)):
+            bc, fc = up_set_centers(cl, t)
+            want = one_pass_unreached_factor(cl, t)
+            # the verdicts and members, listed with no center of [θ_t, ∇] built
+            got = lifting._unliftable(cl, t, factor_congruences), lifting._unliftable(cl, t, boolean_center)
+            assert (center_members(cl, t, False), center_members(cl, t, True)) == (list(bc), list(fc)), (A.name, t)
+            assert ("center", t) not in cl._cache or t == cl.index_of_delta, (A.name, t)
+            assert got == (want, images_unliftable(cl, t)), (A.name, t)
+            # the centers, and the factor verdict read off them
+            got_bc, got_fc = boolean_center(cl, t), factor_congruences(cl, t)
+            assert (got_bc.members, got_bc.complement) == (list(bc), bc), (A.name, t)
+            assert (got_fc.members, got_fc.complement) == (list(fc), fc), (A.name, t)
+            assert len(bc) == 1 << len(factor._components(near, nabla & ~cl.gen_masks[t])), (A.name, t)
+            del cl._cache[("unliftable", factor_congruences, t)]
+            assert lifting._unliftable(cl, t, factor_congruences) == want, (A.name, t)
+            verdicts.add(want is None)
+            thetas += 1
+    assert verdicts == {True, False} and thetas > 3000 and interval > 100, (verdicts, thetas, interval)
+
+
 # -- normality ------------------------------------------------------------------
 
 
@@ -230,20 +320,14 @@ def test_a_cold_report_decides_each_lifting_verdict_once(monkeypatch):
 )
 def test_a_cold_report_on_a_distributive_lattice_builds_only_deltas_center(build, monkeypatch):
     A = build()
-    built = []
-    centers = factor._interval_centers
-
-    def counted(cl, t):
-        if not factor.centers_cached(cl, t):
-            built.append(t)
-        return centers(cl, t)
-
-    monkeypatch.setattr(factor, "_interval_centers", counted)
-    counts = count_calls(monkeypatch, lifting, ["_images", "_first_unreached_factor"])
+    listed = count_listings(monkeypatch)
+    counts = count_calls(monkeypatch, lifting, ["_images"])
     build_report(A)
-    # every row is read off J(L); Δ's center gives the flags
-    assert built == [all_congruences(A).index_of_delta]
-    assert counts == {"_images": 0, "_first_unreached_factor": 0}
+    # every row is read off J(L); Δ's center gives the flags, and it is the
+    # one interval listed
+    cl = all_congruences(A)
+    assert listings_on(cl, listed) == cached_centers(cl) == [cl.index_of_delta]
+    assert counts == {"_images": 0}
 
 
 def test_a_cold_report_lists_the_trigger_pairs_once(monkeypatch):
@@ -338,12 +422,29 @@ def test_cold_cblp_and_b_normality_build_no_images_centers_or_pairs(build, monke
     assert counts == {"_joins_to_nabla": 0}
 
 
-# -- the factor lifting in one pass ------------------------------------------------
+# -- the factor lifting on the listed members ------------------------------------
 
 
 def cold(A):
     """A fresh algebra with A's tables, so that nothing is cached on it."""
     return FiniteAlgebra(A.n, A.labels, A.signature, A.tables, name=A.name, validate=False)
+
+
+def cached_centers(cl):
+    """The t whose centers of [θ_t, ∇] are cached on the lattice."""
+    return [t for t in range(len(cl)) if ("center", t) in cl._cache]
+
+
+def count_listings(monkeypatch):
+    """The (cl, t) of each listing of the Boolean members of [θ_t, ∇] in
+    cl, in order."""
+    listed, listing = [], factor._complemented
+    monkeypatch.setattr(factor, "_complemented", lambda cl, t: listed.append((cl, t)) or listing(cl, t))
+    return listed
+
+
+def listings_on(cl, listed):
+    return [t for c, t in listed if c is cl]
 
 
 def center_unliftable(cl, t):
@@ -364,8 +465,9 @@ def test_the_one_pass_factor_lifting_is_the_center_scan():
                 lifting._unliftable(cl, cl.index_of_nabla, factor_congruences)
             continue
         got = [lifting._unliftable(cl, t, factor_congruences) for t in range(len(cl))]
-        # each verdict was decided by the one pass: only Δ's center is built
-        assert [t for t in range(len(cl)) if factor.centers_cached(cl, t)] == [cl.index_of_delta], A.name
+        # no verdict caches a center but Δ's, whose images it reads
+        assert set(cached_centers(cl)) <= {cl.index_of_delta}, A.name
+        assert got == [one_pass_unreached_factor(cl, t) for t in range(len(cl))], A.name
         assert got == [center_unliftable(cl, t) for t in range(len(cl))], A.name
         verdicts.update(b is None for b in got)
     assert verdicts == {True, False}
@@ -390,7 +492,8 @@ def test_fc_equal_to_b_with_cblp_gives_fclp():
         # distributive lattices: algebra_fclp reads J(L) and builds no center
         (lambda: chain(8), False),
         (lambda: direct_product([fixture("L2")] * 5), False),
-        # T is not distributive: algebra_fclp walks the θ like the oracle
+        # T is not distributive: algebra_fclp walks the θ, and each verdict
+        # lists its interval's members with no center built
         (lambda: cold(fixture("T")), True),
     ],
     ids=["C8", "L2^5", "T"],
@@ -399,40 +502,46 @@ def test_a_cold_fclp_builds_no_center_but_deltas(build, deltas, monkeypatch):
     calls = []
     centers = factor._interval_centers
     monkeypatch.setattr(factor, "_interval_centers", lambda cl, t: calls.append(t) or centers(cl, t))
-    A = build()
-    assert algebra_fclp(A) == (True, None, None)
-    assert set(calls) == ({all_congruences(A).index_of_delta} if deltas else set())
-    # the interval walk, the oracle, builds Δ's center alone
-    B = build()
-    calls.clear()
-    assert lifting._algebra_lifting(B, factor_congruences) == (True, None, None)
-    assert set(calls) == {all_congruences(B).index_of_delta}
+    for walk in (algebra_fclp, lambda A: lifting._algebra_lifting(A, factor_congruences)):
+        A = build()
+        calls.clear()
+        assert walk(A) == (True, None, None)
+        # on a distributive lattice the walk, too, passes each θ on its
+        # traces on J(L), so no center is built, not even Δ's
+        cl = all_congruences(A)
+        assert set(calls) == set(cached_centers(cl)) == ({cl.index_of_delta} if deltas else set())
+
+
+def test_a_cold_fclp_on_a_pentagon_sum_caches_no_center_but_deltas(monkeypatch):
+    # P⊕C10 is no distributive lattice, so each θ lists its interval
+    A = ordinal_sum(fixture("P"), chain(10))
+    listed = count_listings(monkeypatch)
+    ok, evidence, theta = algebra_fclp(A)
+    cl = all_congruences(A)
+    assert not ok and evidence.unliftable is not None
+    assert cached_centers(cl) == [cl.index_of_delta]
+    # Δ's center, then one listing per θ up to the failing one, whose
+    # evidence lists it once more
+    t = cl.index(theta)
+    assert listings_on(cl, listed) == [cl.index_of_delta, *range(1, t + 1), t]
 
 
 @pytest.mark.parametrize(
     "name,interval", [("L2x3cube", False), ("X", True), ("H", True)], ids=["L2x3cube", "X", "H"]
 )
 def test_a_cold_lifting_report_builds_each_center_once(name, interval, monkeypatch):
-    A = cold(fixture(name))
-    built = []
-    centers = factor._interval_centers
-
-    def counted(cl, t):
-        if not factor.centers_cached(cl, t):
-            built.append(t)
-        return centers(cl, t)
-
-    monkeypatch.setattr(factor, "_interval_centers", counted)
-    passes = count_calls(monkeypatch, lifting, ["_first_unreached_factor", "_images"])
-    lifting_report(A)
-    cl = all_congruences(A)
-    if interval:
-        # X and H are not distributive: each verdict reads its center, so
-        # ↑θ is scanned once per θ
-        assert built == list(range(len(cl)))
-        assert passes["_first_unreached_factor"] == 0
-    else:
-        # L2x3cube is distributive: the rows are read off J(L), and only
-        # Δ's center is built
-        assert built == [cl.index_of_delta]
-        assert passes == {"_first_unreached_factor": 0, "_images": 0}
+    for report in (lifting_report, build_report):
+        A = cold(fixture(name))
+        listed = count_listings(monkeypatch)
+        images = count_calls(monkeypatch, lifting, ["_images"])
+        report(A)
+        cl = all_congruences(A)
+        if interval:
+            # X and H are no distributive lattices: each row lists its
+            # interval once, for its centers, and the verdicts read them
+            assert listings_on(cl, listed) == cached_centers(cl) == list(range(len(cl)))
+        else:
+            # L2x3cube is one: the rows are read off J(L), and only Δ's
+            # center is built
+            assert listings_on(cl, listed) == cached_centers(cl) == [cl.index_of_delta]
+            assert images == {"_images": 0}
