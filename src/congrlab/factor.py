@@ -66,7 +66,6 @@ from .errors import (
     PreconditionFailed,
     SizeCap,
 )
-from .residuated import element_boolean_center
 
 CRT_K_MAX = 3
 # target tuples the direct CRT check may walk: L2^4's 3.4 M take about 3.5 s
@@ -421,6 +420,8 @@ def bdl_fc_isomorphism(L: FiniteAlgebra):
     a Boolean isomorphism onto the factor congruences.
 
     Returns (mapping element-index -> Congruence, verified flag)."""
+    from .residuated import element_boolean_center  # residuated reads lifting, which reads this module
+
     L.require_lattice()
     if not L.is_distributive_lattice():
         raise NotDistributive("the element-level map needs a distributive lattice")

@@ -37,6 +37,11 @@ connected component of J's comparability graph.
    D_ψ ⊇ J ∖ D_φ, so φ⁺ is the least such ψ.  A Boolean α = W, α' = J ∖ W,
    has φ ∨ α = ψ ∨ α' = ∇ iff J ∖ D_φ ⊆ W ⊆ D_ψ, and the least such W is V;
    so (φ, ψ) has a witness iff V ⊆ D_ψ, and every ψ has one iff φ⁺ does.
+   So A is b-normal iff every component of J has a greatest element, as
+   every θ has the Boolean property (2).  If a component C has a top t and
+   meets J ∖ D_φ, then t ∉ D_φ, as D_φ is a down-set, so C ⊆ ↓t ⊆ φ⁺.  If C
+   has two maximal m ≠ m', the down-set D_φ = J ∖ {m} puts m' in V but not
+   in φ⁺ = ↓m.  Only a failure loops over the φ, for the first one.
 4. For fc-normality, let T_i be the set of j with θ_i ∨ θ_j = ∇.  A factor
    congruence α is a witness for (i, j) iff α ∈ T_i and j ∈ T_α', so the j
    with a witness are the union of T_α' over the factor α in T_i.  Only
@@ -63,9 +68,10 @@ connected component of J's comparability graph.
        onto the subsets of P.  D* is trivial: j D k needs j ≤ k∨x and
        j ≰ k₊∨x, but j is join-prime, so j ≤ x, which is excluded, or
        j < k, which puts j below k₊.  So the classes of D* are single j,
-       every subset of them is a down-set, and on the lattice path each
-       generator bit is one j, read through its seed (j₊, j): S_θ is θ's
-       generator mask.
+       every subset of them is a down-set, and on the lattice path the
+       h-th generator is Cg(j₊, j) for the h-th member j of P, in
+       increasing j: S_θ is θ's generator mask.  So P and S_θ are read off
+       L itself, with no Con(L).
    (b) L/θ ≅ O(P ∖ S_θ), where P ∖ S_θ carries the order induced from P.
        D ↦ D ∖ S is a lattice map from O(P) onto O(P ∖ S), as it keeps
        unions and intersections and a down-set E of P ∖ S is ↓E ∖ S.  It
@@ -88,8 +94,21 @@ connected component of J's comparability graph.
        component of P is a chain.  The traces of a chain are chains, hence
        connected; and two incomparable x, y in a component C are cut apart
        by S = C ∖ {x, y}.
+   (f) L is fc-normal iff every component of P is a chain, that is iff L
+       has the factor property (e).  By (b), x φ y iff x ∖ S_φ = y ∖ S_φ.
+       Let X = P ∖ S_φ and Y = P ∖ S_ψ.  Then φ∘ψ = ∇ iff no member of X
+       is comparable with a member of Y.  (0, 1) ∈ φ∘ψ needs a down-set z
+       with z ∩ X = ∅ and Y ⊆ z, so ↓Y misses X, and (1, 0) ∈ φ∘ψ gives
+       ↓X ∩ Y = ∅ likewise.  Conversely, for any x and y, the down-set
+       z = ↓(x ∩ X) ∪ ↓(y ∩ Y) has x φ z ψ y.  A witness α is θ_W for a
+       union W of components (d), and S_θ takes joins to unions (a), so
+       φ ∨ α = ∇ iff X ⊆ W, and ψ ∨ α' = ∇ iff W ∩ Y = ∅.  Such a W exists
+       iff no component meets both X and Y.  In a chain any two members
+       are comparable, so no component meets both.  Two incomparable x, y
+       in one component give X = {x}, Y = {y}: φ∘ψ = ∇ with no witness.
    The first θ without the factor property, and the target its interval
-   fails to reach, are still found on [θ, ∇], for that θ alone (5).
+   fails to reach, are still found on [θ, ∇], for that θ alone (5).  Only
+   a failure of (f) walks the pairs of 4, for the first failing one.
 
 The normality checks return (True, None) or (False, the first failing
 pair in index order).  Every verdict and its evidence is the one the scans
@@ -202,7 +221,7 @@ def _unliftable(cl: ConLattice, t: int, members_of) -> int | None:
     twice."""
     key = ("unliftable", members_of, t)
     if key not in cl._cache:
-        order = _j_order(cl)[1:] if members_of is boolean_center else _lattice_order(cl)
+        order = _j_order(cl)[1:] if members_of is boolean_center else _lattice_order(cl.algebra)
         bad = None
         if order is None or not _traces_connected(*order, cl.gen_masks[t]):
             images, gm = _images(cl, t, members_of), cl.gen_masks
@@ -212,22 +231,27 @@ def _unliftable(cl: ConLattice, t: int, members_of) -> int | None:
     return cl._cache[key]
 
 
-def _lattice_order(cl: ConLattice) -> tuple[list[int], list[int]] | None:
+def _lattice_order(A: FiniteAlgebra) -> tuple[list[int], list[int]] | None:
     """On a distributive pure lattice L, P = J(L) as masks over the
-    generator bits, cached on the lattice: near[g] = the members comparable
-    to g, and the connected components.  Generator g is Cg(j₊, j) for the j
-    of its seed (module doc, 6).  None on every other algebra; Con(L) of a
-    distributive L is Boolean on its generators (6a), so a Con of another
-    size is told without testing L."""
-    if "lattice_order" not in cl._cache:
-        A, hit = cl.algebra, None
-        if is_pure_lattice(A) and len(cl) == 1 << len(cl.seeds) and A.is_distributive_lattice():
+    generator bits, read off L and cached on it: near[h] = the members
+    comparable to the h-th join-irreducible, and the connected components.
+    Bit h is Cg(j₊, j) for the h-th pair of A.join_irreducible_pairs()
+    (module doc, 6a).  None on every other algebra."""
+    if "lattice_order" not in A._cache:
+        hit = None
+        if is_pure_lattice(A) and A.is_distributive_lattice():
             up, down = A.order_masks()
-            js = [j for _, j in cl.seeds]
+            js = [j for _, j in A.join_irreducible_pairs()]
             near = [sum(1 << h for h, k in enumerate(js) if (up[j] | down[j]) >> k & 1) for j in js]
-            hit = near, _components(near, cl.gen_masks[cl.index_of_nabla])
-        cl._cache["lattice_order"] = hit
-    return cl._cache["lattice_order"]
+            hit = near, _components(near, (1 << len(js)) - 1)
+        A._cache["lattice_order"] = hit
+    return A._cache["lattice_order"]
+
+
+def _chains(near: list[int], components: list[int]) -> bool:
+    """Whether every component of P = J(L) is a chain: FCLP (module doc,
+    6e), fc-normality (6f) and BLP of a distributive pure lattice."""
+    return all(near[g] & c == c for c in components for g in _bits(c))
 
 
 def _traces_connected(near: list[int], components: list[int], dt: int) -> bool:
@@ -291,12 +315,11 @@ def algebra_fclp(A: FiniteAlgebra) -> tuple[bool, LiftEvidence | None, Congruenc
     lifting (module doc, 5), and on a distributive pure lattice when every
     component of P = J(L) is a chain (module doc, 6)."""
     cl = all_congruences(A)
-    order = _lattice_order(cl)
+    order = _lattice_order(A)
     if order is None:
         holds = len(factor_congruences(cl).members) == len(boolean_center(cl).members) and _components_topped(cl)
     else:
-        near, components = order
-        holds = all(near[g] & c == c for c in components for g in _bits(c))
+        holds = _chains(*order)
     return (True, None, None) if holds else _algebra_lifting(A, factor_congruences)
 
 
@@ -344,8 +367,18 @@ def is_fc_normal(A: FiniteAlgebra):
     meets every psi-block, i.e. iff |A/(phi∧psi)| = |A/phi|·|A/psi|, and
     then phi v psi is full too.  So only the pairs joining to ∇ that have
     no witness are tried, and of those only the maximal ones (module doc,
-    4)."""
+    4).  A distributive pure lattice whose components of P = J(L) are
+    chains is fc-normal with no pair tried (module doc, 6f)."""
     cl = all_congruences(A)
+    order = _lattice_order(A)
+    if order is not None and _chains(*order):
+        return True, None
+    return _fc_normal_walk(cl)
+
+
+def _fc_normal_walk(cl: ConLattice):
+    """is_fc_normal by the walk over each φ's maximal untested pairs
+    (module doc, 4)."""
     fc = factor_congruences(cl)
     joins = _trigger_masks(cl)
     members = sum(1 << a for a in fc.members)
@@ -370,10 +403,18 @@ def is_b_normal(A: FiniteAlgebra):
     phi v alpha = psi v beta = the full congruence; the same return shape.
 
     beta may be taken to be the complement of alpha: alpha ^ beta =
-    diagonal puts beta below the complement, and join is monotone.  Decided
-    per phi on J(Con A) (module doc, 3); the pairs joining to ∇ are listed
-    only to name the first psi of a failing phi."""
+    diagonal puts beta below the complement, and join is monotone.  It holds
+    iff every component of J(Con A) has a greatest element; only a failure
+    is decided per phi, for the first failing one (module doc, 3).  The
+    pairs joining to ∇ are listed only to name the first psi of that phi."""
     cl = all_congruences(A)
+    if _components_topped(cl):
+        return True, None
+    return _b_normal_walk(cl)
+
+
+def _b_normal_walk(cl: ConLattice):
+    """is_b_normal by the loop over the φ (module doc, 3)."""
     down, _, components = _j_order(cl)
     gm = cl.gen_masks
     nabla = gm[cl.index_of_nabla]
@@ -444,7 +485,7 @@ def lifting_report(A: FiniteAlgebra, name: str | None = None) -> LiftingReport:
     bc = boolean_center(cl)
     fc = factor_congruences(cl)
     maxes, primes = set(maximal_indices(cl)), set(prime_indices(cl))
-    order, topped = _lattice_order(cl), _components_topped(cl)
+    order, topped = _lattice_order(A), _components_topped(cl)
     nabla = cl.gen_masks[cl.index_of_nabla]
     rows = []
     for t, theta in enumerate(cl.elements):

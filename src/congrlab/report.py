@@ -7,6 +7,7 @@ against these renderings.
 
 from __future__ import annotations
 
+import functools
 import json
 
 from .algebra import FiniteAlgebra, ordinal_sum
@@ -23,7 +24,53 @@ def yn(v) -> str:
 
 
 def dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """json.dumps(obj, sort_keys=True, indent=2) + "\n", byte for byte, with
+    each container of scalars encoded in one call of the C encoder.  An
+    encoder with the item separator ",\n" and the next level's indent, and
+    no indent of its own, lays such a container out as indent=2 does,
+    bar its brackets.  A list of such dicts, like the report rows, is one
+    call too: within a row each separator is followed by a key, which
+    begins with '"', so the separators followed by "{" are the row
+    boundaries, and encoded JSON holds no raw newline besides the
+    separators.  The pure-Python encoder, where the C one is missing, gives
+    the same bytes."""
+    return _indented(obj, 0) + "\n"
+
+
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+@functools.cache
+def _encoder(depth: int) -> json.JSONEncoder:
+    """Sorted keys, one item per line at the given depth of indent."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": "))
+
+
+def _indented(obj, depth: int) -> str:
+    """obj as json.dumps(sort_keys=True, indent=2) lays it out at depth."""
+    if isinstance(obj, dict):
+        items, brackets = obj.values(), "{}"
+    elif isinstance(obj, (list, tuple)):
+        items, brackets = obj, "[]"
+    else:
+        return _encoder(0).encode(obj)
+    if not obj:
+        return brackets
+    outer, inner = "  " * depth, "  " * (depth + 1)
+    if _SCALARS.issuperset(map(type, items)):
+        body = _encoder(depth + 1).encode(obj)[1:-1]
+    elif brackets == "[]" and all(type(x) is dict and x and _SCALARS.issuperset(map(type, x.values())) for x in obj):
+        rows = "  " * (depth + 2)
+        body = _encoder(depth + 2).encode(obj)[2:-2].replace(f"}},\n{rows}{{", f"\n{inner}}},\n{inner}{{\n{rows}")
+        body = f"{{\n{rows}{body}\n{inner}}}"
+    elif brackets == "[]":
+        body = f",\n{inner}".join(_indented(x, depth + 1) for x in obj)
+    else:
+        # a key as the encoder writes it, read off a one-item dict
+        body = f",\n{inner}".join(
+            _encoder(0).encode({k: 0})[1:-4] + ": " + _indented(v, depth + 1) for k, v in sorted(obj.items())
+        )
+    return f"{brackets[0]}\n{inner}{body}\n{outer}{brackets[1]}"
 
 
 def summary_counts(A: FiniteAlgebra) -> tuple[int, int, int]:

@@ -7,9 +7,17 @@ representatives, so the classes of r and s are complements in A/theta iff
 is that scan at Delta, run once per algebra and kept on A._cache.
 
 (f) continues (a)-(e) of item 6 in the lifting module doc, which read the
-congruence side of a distributive lattice off J(L).  When A's lattice
-reduct is distributive, BLP at theta tests only the classes that hold no
-member of A's center, each against the others.
+congruence side of a distributive lattice off P = J(L).  On a distributive
+pure lattice L, BLP at theta holds iff the factor lifting does, and is read
+off P with no class scanned.  The complemented elements of L are the
+unions W of components of P (6c), and (6b) sends each to W ∖ S_theta in
+L/theta ≅ O(P ∖ S_theta), whose complemented elements are the unions of
+components of P ∖ S_theta.  Those are the images of the factor congruences
+in (6d), so BLP at theta is the trace test there, and BLP at every theta
+is FCLP: every component of P is a chain (6e).
+Any other algebra whose lattice reduct is distributive, the residuated
+kind among them, tests at theta only the classes that hold no member of
+A's center, each against the others.
 A/theta is distributive, so a class has at most one complement, and the
 projection keeps complements: the class of a center member c has the class
 of c' as its complement.  So a class with a complement holds a center
@@ -55,6 +63,7 @@ from .errors import (
     ParentMismatch,
     SizeCap,
 )
+from .lifting import _chains, _lattice_order, _traces_connected, algebra_cblp, algebra_fclp
 
 FILTER_CAP = 12
 
@@ -110,10 +119,18 @@ def element_boolean_center(A: FiniteAlgebra) -> ElementBooleanCenter:
 
 def has_blp(A: FiniteAlgebra, theta: Congruence) -> bool:
     """Every complemented element of A/theta has a complemented element of A
-    in its class.  Decided on A's tables: no quotient is built.  At Δ the
-    scan is A's own center, which holds it; an ambiguous complement raises."""
+    in its class.  Decided on A's tables: no quotient is built.  On a
+    distributive pure lattice it is the trace test on P = J(L) (module doc,
+    f).  At Δ the scan is A's own center, which holds it; an ambiguous
+    complement raises."""
     if theta.algebra != A:
         raise ParentMismatch("congruence does not belong to the algebra")
+    order = _lattice_order(A)
+    if order is not None:
+        # S_θ: the j with j₊ θ j, as bits in the order of P (lifting module doc, 6a)
+        block_of = theta.block_of
+        pairs = enumerate(A.join_irreducible_pairs())
+        return _traces_connected(*order, sum(1 << h for h, (a, j) in pairs if block_of[a] == block_of[j]))
     if theta.is_delta():
         element_boolean_center(A)
         return True
@@ -147,10 +164,15 @@ def _center_reaches(block_of, complemented, center: ElementBooleanCenter) -> boo
 
 def algebra_blp(A: FiniteAlgebra):
     """Conjunction of has_blp over all congruences; returns (ok, first
-    failing congruence or None).  A's center is computed once, first, as
-    has_blp at Δ would, so an ambiguous complement raises the same message."""
+    failing congruence or None).  On a distributive pure lattice it holds
+    iff every component of P = J(L) is a chain (module doc, f); only a
+    failure walks the θ.  A's center is computed once, first, as has_blp
+    at Δ would, so an ambiguous complement raises the same message."""
     thetas = all_congruences(A).elements
     center = element_boolean_center(A)
+    order = _lattice_order(A)
+    if order is not None and _chains(*order):
+        return True, None
     for theta in thetas:
         if not theta.is_delta() and not _blp_at(A, theta.block_of, center):
             return False, theta
@@ -324,8 +346,6 @@ def blp_equivalence_check(A: FiniteAlgebra) -> dict:
     """Compute BLP / CBLP / FCLP together and check the expected pattern for
     the kind: all three agree on a residuated lattice; on a bounded
     distributive lattice, BLP = FCLP while CBLP always holds."""
-    from .lifting import algebra_cblp, algebra_fclp
-
     blp, _ = algebra_blp(A)
     cblp = algebra_cblp(A)[0]
     fclp = algebra_fclp(A)[0]

@@ -238,11 +238,14 @@ def test_a_chain_tests_one_pair_per_coatom_above(n, tests, monkeypatch):
     # Con(C_n) is the Boolean lattice on n - 1 atoms, and only ∇ is a factor
     # congruence with a complement that witnesses.  For θ with k atoms below
     # it, k < n - 1, the untested ψ are those above its complement, bar ∇,
-    # and their maximal members are the k coatoms above it.  The trigger
-    # loop tested 2^k - 1 of them: 1932 and 19171 pairs.
+    # and their maximal members are the k coatoms above it.  The walk tests
+    # those; the trigger loop tested 2^k - 1 of them: 1932 and 19171 pairs.
+    # is_fc_normal tests none, as P = J(C_n) is one chain (lifting module
+    # doc, 6f).
     A = chain(n)
     calls = []
     trigger = ConLattice.composes_to_nabla
     monkeypatch.setattr(ConLattice, "composes_to_nabla", lambda *args: calls.append(1) or trigger(*args))
-    assert is_fc_normal(A) == (True, None)
+    assert is_fc_normal(A) == (True, None) and calls == []
+    assert lifting._fc_normal_walk(all_congruences(A)) == (True, None)
     assert len(calls) == tests == (n - 1) * (2 ** (n - 2) - 1)

@@ -225,7 +225,7 @@ def test_the_components_list_what_the_up_set_scan_finds():
                 with pytest.raises(NotDistributive):
                     lifting._unliftable(cl, cl.index_of_nabla, members_of)
             continue
-        interval += lifting._lattice_order(cl) is None
+        interval += lifting._lattice_order(A) is None
         near, nabla = factor._j_order(cl)[1], cl.gen_masks[cl.index_of_nabla]
         for t in range(len(cl)):
             bc, fc = up_set_centers(cl, t)
@@ -331,12 +331,17 @@ def test_a_cold_report_on_a_distributive_lattice_builds_only_deltas_center(build
 
 
 def test_a_cold_report_lists_the_trigger_pairs_once(monkeypatch):
-    A = chain(8)
     calls = []
     listing = lifting._joins_to_nabla
     monkeypatch.setattr(lifting, "_joins_to_nabla", lambda cl: calls.append(cl) or listing(cl))
+    # C8 is fc-normal by the chain P = J(C8), and b-normal by the components
+    # of J(Con A), so it needs no listing
+    build_report(chain(8))
+    assert calls == []
+    # L2⊕L2x2 is distributive, but its P is a V: only its fc-normality walk
+    # reads the listing, once
+    A = cold(fixture("L2osumL2x2"))
     build_report(A)
-    # is_fc_normal reads the listing; a b-normal algebra needs none
     assert calls == [all_congruences(A)]
 
 
