@@ -475,6 +475,10 @@ def build_from_spec(spec: dict) -> FiniteAlgebra:
     labels = [str(x) for x in _spec_field(spec, "elements", list)]
     if not labels:
         raise TableError("spec has no elements")
+    # a label must read back from the block syntax "a,b|c" of con and quotient --by
+    bad = next((lab for lab in labels if not lab or lab != lab.strip() or "," in lab or "|" in lab), None)
+    if bad is not None:
+        raise TableError(f"element label {bad!r} is empty, has surrounding whitespace, or holds ',' or '|'")
     if len(set(labels)) != len(labels):
         raise TableError("element labels are not distinct")
     n = len(labels)
@@ -661,7 +665,7 @@ def direct_product(algebras: list[FiniteAlgebra], name=None) -> FiniteAlgebra:
     labels = []
     for idx in range(total):
         tup = product_decode(idx, sizes, radix)
-        labels.append("(" + ",".join(A.labels[e] for A, e in zip(algebras, tup)) + ")")
+        labels.append("(" + ";".join(A.labels[e] for A, e in zip(algebras, tup)) + ")")
     tables = {}
     for fname, arity in sig.operations:
         t, n = algebras[0].tables[fname], algebras[0].n

@@ -124,9 +124,10 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    def verb(name, help):
+    def verb(name, help, formats=True):
         p = sub.add_parser(name, help=help)
-        p.add_argument("--format", choices=("table", "json", "dot"), default="table")
+        if formats:
+            p.add_argument("--format", choices=("table", "json", "dot"), default="table")
         p.add_argument("--out", help="write output to a file instead of stdout")
         return p
 
@@ -147,7 +148,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_max_size(p)
     p = verb("dual", "order-dual of a lattice")
     _add_input_args(p)
-    p = verb("check", "decide a property (exit 0 holds / 1 fails)")
+    p = verb("check", "decide a property (exit 0 holds / 1 fails)", formats=False)
     p.add_argument("property", choices=CHECK_PROPERTIES)
     _add_input_args(p)
     p = verb("report", "full lifting/classification report")
@@ -155,7 +156,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = verb("fixture", "show a named fixture")
     p.add_argument("name", choices=FIXTURE_NAMES)
     p.add_argument("--emit-spec", action="store_true", help="print the full table spec")
-    p = verb("dot", "Hasse diagram of the algebra itself (DOT)")
+    p = verb("dot", "Hasse diagram of the algebra itself (DOT)", formats=False)
     _add_input_args(p)
     p = sub.add_parser("regen-goldens", help="recompute all golden files")
     p.add_argument("--out", default="goldens", help="golden directory")
@@ -252,8 +253,9 @@ def run(args) -> int:
         _emit(_algebra_output(dual(A), args.format), args.out)
         return 0
     if verb == "check":
-        A = _load(args)
-        return _check(A, args)
+        code, lines = _check(_load(args), args.property)
+        _emit("".join(line + "\n" for line in lines), args.out)
+        return code
     if verb == "report":
         A = _load(args)
         doc = build_report(A, name=args.fixture or A.name)
@@ -280,58 +282,54 @@ def run(args) -> int:
     raise CongrlabError(f"unknown verb {verb!r}")
 
 
-def _check(A: FiniteAlgebra, args) -> int:
-    prop = args.property
+def _check(A: FiniteAlgebra, prop: str) -> tuple[int, list[str]]:
+    """The exit code of check prop on A, and the lines it prints."""
     if prop in ("fclp", "cblp"):
         f_ok, f_ev, f_theta = algebra_fclp(A)
         c_ok, c_ev, c_theta = algebra_cblp(A)
-        print(f"FCLP: {yn(f_ok)}; CBLP: {yn(c_ok)}")
+        lines = [f"FCLP: {yn(f_ok)}; CBLP: {yn(c_ok)}"]
         ok, ev, theta = (f_ok, f_ev, f_theta) if prop == "fclp" else (c_ok, c_ev, c_theta)
         if not ok:
-            print(
-                f"failing congruence: {theta.block_string()} "
-                f"(cannot reach {ev.unliftable})"
-            )
-        return 0 if ok else 1
+            lines.append(f"failing congruence: {theta.block_string()} (cannot reach {ev.unliftable})")
+        return 0 if ok else 1, lines
     if prop == "blp":
         ok, theta = algebra_blp(A)
-        print(f"BLP: {yn(ok)}")
+        lines = [f"BLP: {yn(ok)}"]
         if not ok:
-            print(f"failing congruence: {theta.block_string()}")
-        return 0 if ok else 1
+            lines.append(f"failing congruence: {theta.block_string()}")
+        return 0 if ok else 1, lines
     if prop in ("filt-blp", "id-blp"):
         name, failure = ("Filt-BLP", filt_blp_failure) if prop == "filt-blp" else ("Id-BLP", id_blp_failure)
         theta = failure(A)
-        print(f"{name}: {yn(theta is None)}")
+        lines = [f"{name}: {yn(theta is None)}"]
         if theta is not None:
-            print(f"failing congruence: {theta.block_string()}")
-        return 0 if theta is None else 1
+            lines.append(f"failing congruence: {theta.block_string()}")
+        return 0 if theta is None else 1, lines
     if prop in ("fc-normal", "b-normal"):
         ok, info = (is_fc_normal if prop == "fc-normal" else is_b_normal)(A)
-        print(f"{prop}: {yn(ok)}")
+        lines = [f"{prop}: {yn(ok)}"]
         if not ok:
-            print(f"failing pair: {info[0]} / {info[1]}")
-        return 0 if ok else 1
+            lines.append(f"failing pair: {info[0]} / {info[1]}")
+        return 0 if ok else 1, lines
     if prop == "arithmetical":
         d = is_congruence_distributive(A)
         p = is_congruence_permutable(A)
-        print(f"congruence-distributive: {yn(d)}; congruence-permutable: {yn(p)}")
-        return 0 if d and p else 1
+        return 0 if d and p else 1, [f"congruence-distributive: {yn(d)}; congruence-permutable: {yn(p)}"]
     if prop == "crt":
         cl = all_congruences(A)
         fc = factor_congruences(cl).congruences()
         char = crt_characterization(A, fc)
         direct, witness = crt_direct_check(A, fc, k_max=3)
-        print(f"CRT (factor congruences): characterization {yn(char)}, direct {yn(direct)}")
+        lines = [f"CRT (factor congruences): characterization {yn(char)}, direct {yn(direct)}"]
         if witness:
             thetas, targets = witness
-            print(
+            lines.append(
                 "counterexample: "
                 + "; ".join(t.block_string() for t in thetas)
                 + " with targets "
                 + ", ".join(targets)
             )
-        return 0 if char and direct else 1
+        return 0 if char and direct else 1, lines
     raise CongrlabError(f"unknown property {prop!r}")
 
 

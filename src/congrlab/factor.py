@@ -106,16 +106,6 @@ def _interval_centers(cl: ConLattice, t: int) -> tuple[Center, Center]:
     return hit
 
 
-def center_members(cl: ConLattice, t: int, factor: bool) -> list[int]:
-    """The members of factor_congruences(cl, t) if factor, else of
-    boolean_center(cl, t): read off the centers if they are cached, else
-    listed without building a Center."""
-    hit = cl._cache.get(("center", t))
-    if hit is not None:
-        return hit[factor].members
-    return [i for i, _ in _complemented(cl, t)[factor]]
-
-
 def _complemented(cl: ConLattice, t: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """Each Boolean member of [t, ∇] with its complement relative to t, in
     index order, and the factor pairs among them: D_t ∪ U for each union U

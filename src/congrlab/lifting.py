@@ -53,12 +53,18 @@ connected component of J's comparability graph.
    is in C_i are the untested j scanned in index order, for the first
    failing pair.
 5. θ has the factor property iff every factor member of [θ, ∇] has an
-   image D_α ∪ D_θ, α ∈ FC(A), as its mask.  One routine decides both
-   properties: a θ whose traces are connected passes, on J for the Boolean
-   one (2) and on P = J(L) for the factor one (6).  Any other θ lists the
-   members of [θ, ∇] off the components of J ∖ D_θ (`factor` module doc),
-   or reads the centers a report has cached, and the first whose mask is
-   no image is the evidence.  A verdict caches no center.
+   image D_α ∪ D_θ, α ∈ FC(A), as its mask.  One routine answers each
+   property at θ, and caches the size of the center of [θ, ∇] and its
+   first member, in index order, that no u(α) reaches.  Each of the c
+   components of J ∖ D_θ lies in one component of J, so c is at least the
+   number m of components of J that meet J ∖ D_θ, and c = m iff every
+   non-empty trace is connected.  So |B(A/θ)| = 2^c (`factor` module doc,
+   3), and θ has the Boolean property iff c = m (2); if every component of
+   J has a top, c = m with no search.  On P and P ∖ S_θ the same counts
+   give |FC(L/θ)| and the factor property of a distributive pure lattice
+   (6).  Elsewhere one listing of [θ, ∇] off the components of J ∖ D_θ
+   (`factor` module doc) gives |FC(A/θ)|, each member looked up among the
+   images.  Only a θ without the property lists members for its evidence.
    Every θ has the factor property when |FC(A)| = |B(A)| and every θ has
    the Boolean one: FC(A) ⊆ B(A) gives FC(A) = B(A), and u then maps it
    onto B(A/θ) ⊇ FC(A/θ).
@@ -136,7 +142,7 @@ from .congruences import (
     prime_indices,
 )
 from .errors import ParentMismatch, TrivialAlgebra
-from .factor import _components, _j_order, _reach, boolean_center, center_members, factor_congruences
+from .factor import _complemented, _components, _j_order, boolean_center, factor_congruences
 
 
 @dataclass
@@ -205,30 +211,36 @@ class LiftEvidence:
     unliftable: str | None = None
 
 
-def _images(cl: ConLattice, t: int, members_of) -> dict[int, int]:
-    """The mask of u(α) = α ∨ θ_t for each α in members_of(cl), mapped to
-    its first α.  A center exists only on a distributive Con(A), where the
-    mask of a join is the union of the masks."""
+def _images(cl: ConLattice, t: int, factor: bool) -> dict[int, int]:
+    """The mask of u(α) = α ∨ θ_t for each α in FC(A) if factor, else in
+    B(A), mapped to its first α.  A center exists only on a distributive
+    Con(A), where the mask of a join is the union of the masks."""
     gm, mt = cl.gen_masks, cl.gen_masks[t]
+    members = (factor_congruences if factor else boolean_center)(cl).members
     # read backwards, so that each image keeps its first α
-    return {gm[a] | mt: a for a in reversed(members_of(cl).members)}
+    return {gm[a] | mt: a for a in reversed(members)}
 
 
-def _unliftable(cl: ConLattice, t: int, members_of) -> int | None:
-    """The first member of members_of(cl, t), the center of [θ_t, ∇] ≅
-    Con(A/θ_t), that no u(α) reaches; None if θ_t has the lifting (module
-    doc, 5).  Cached on the lattice, as a report asks for each verdict
-    twice."""
-    key = ("unliftable", members_of, t)
-    if key not in cl._cache:
-        order = _j_order(cl)[1:] if members_of is boolean_center else _lattice_order(cl.algebra)
-        bad = None
-        if order is None or not _traces_connected(*order, cl.gen_masks[t]):
-            images, gm = _images(cl, t, members_of), cl.gen_masks
-            members = center_members(cl, t, members_of is factor_congruences)
-            bad = next((b for b in members if gm[b] not in images), None)
-        cl._cache[key] = bad
-    return cl._cache[key]
+def _lifting(cl: ConLattice, t: int, factor: bool) -> tuple[int, int | None]:
+    """The size of the center of [θ_t, ∇] ≅ Con(A/θ_t), FC(A/θ_t) if factor
+    and B(A/θ_t) otherwise, and the first member of it that no u(α)
+    reaches, None if θ_t has the lifting (module doc, 5).  Cached on the
+    lattice, as a report asks for each verdict twice."""
+    cache = cl._cache.get(("lifting", factor))
+    if cache is None:
+        cache = cl._cache["lifting", factor] = [None] * len(cl)
+    if cache[t] is None:
+        order = _lattice_order(cl.algebra) if factor else _j_order(cl)[1:]
+        if order is None:
+            listed = _complemented(cl, t)[1]
+            size = len(listed)
+        else:
+            rest = cl.gen_masks[cl.index_of_nabla] & ~cl.gen_masks[t]
+            c, met = _trace_counts(*order, rest, not factor and _components_topped(cl))
+            size, listed = 1 << c, [] if c == met else _complemented(cl, t)[factor]
+        images = _images(cl, t, factor) if listed else {}
+        cache[t] = size, next((b for b, _ in listed if cl.gen_masks[b] not in images), None)
+    return cache[t]
 
 
 def _lattice_order(A: FiniteAlgebra) -> tuple[list[int], list[int]] | None:
@@ -254,26 +266,24 @@ def _chains(near: list[int], components: list[int]) -> bool:
     return all(near[g] & c == c for c in components for g in _bits(c))
 
 
-def _traces_connected(near: list[int], components: list[int], dt: int) -> bool:
-    """Whether every component meets the complement of dt in a connected
-    set or not at all: on J(Con A), θ_t's Boolean lifting (module doc, 2),
-    and on P = J(L), its factor lifting (module doc, 6)."""
-    for c in components:
-        trace = c & ~dt
-        if trace and _reach(near, trace & -trace, trace) != trace:
-            return False
-    return True
+def _trace_counts(near: list[int], components: list[int], rest: int, topped: bool = False) -> tuple[int, int]:
+    """c, the number of components of rest, and m, the number of components
+    that meet it.  c = m on J(Con A) is θ's Boolean lifting, and on P = J(L)
+    its factor lifting; topped, when every component has a top, gives c = m
+    with no search (module doc, 5)."""
+    met = sum(1 for c in components if c & rest)
+    return (met if topped else len(_components(near, rest))), met
 
 
-def _has_lifting(A, theta, members_of) -> tuple[bool, LiftEvidence]:
+def _has_lifting(A, theta, factor: bool) -> tuple[bool, LiftEvidence]:
     """The lifting with its evidence, targets rendered in the labels of A/θ."""
     if theta.algebra != A:
         raise ParentMismatch("congruence does not belong to the algebra")
     cl = all_congruences(A)
     t = cl.index(theta)
-    images = _images(cl, t, members_of)
+    images = _images(cl, t, factor)
     ev = LiftEvidence()
-    for b in center_members(cl, t, members_of is factor_congruences):
+    for b, _ in _complemented(cl, t)[factor]:
         target = cl.elements[b].block_string(over=theta)
         hit = images.get(cl.gen_masks[b])
         if hit is None:
@@ -285,27 +295,30 @@ def _has_lifting(A, theta, members_of) -> tuple[bool, LiftEvidence]:
 
 def has_fclp(A: FiniteAlgebra, theta: Congruence) -> tuple[bool, LiftEvidence]:
     """Does every factor congruence of A/theta arise from one of A?"""
-    return _has_lifting(A, theta, factor_congruences)
+    return _has_lifting(A, theta, True)
 
 
 def has_cblp(A: FiniteAlgebra, theta: Congruence) -> tuple[bool, LiftEvidence]:
     """Does every Boolean congruence of A/theta arise from one of A?"""
-    return _has_lifting(A, theta, boolean_center)
+    return _has_lifting(A, theta, False)
 
 
-def _algebra_lifting(A, members_of):
+def _algebra_lifting(A, factor: bool):
     cl = all_congruences(A)
     for t, theta in enumerate(cl.elements):
-        if _unliftable(cl, t, members_of) is not None:
-            return False, _has_lifting(A, theta, members_of)[1], theta
+        if _lifting(cl, t, factor)[1] is not None:
+            return False, _has_lifting(A, theta, factor)[1], theta
     return True, None, None
 
 
 def _components_topped(cl: ConLattice) -> bool:
     """Whether every component of J(Con A) has a greatest element, that is
-    whether every θ has the Boolean lifting (module doc, 2)."""
-    down, _, components = _j_order(cl)
-    return all(any(down[g] == c for g in _bits(c)) for c in components)
+    whether every θ has the Boolean lifting (module doc, 2).  Cached on the
+    lattice."""
+    if "topped" not in cl._cache:
+        down, _, components = _j_order(cl)
+        cl._cache["topped"] = all(any(down[g] == c for g in _bits(c)) for c in components)
+    return cl._cache["topped"]
 
 
 def algebra_fclp(A: FiniteAlgebra) -> tuple[bool, LiftEvidence | None, Congruence | None]:
@@ -320,7 +333,7 @@ def algebra_fclp(A: FiniteAlgebra) -> tuple[bool, LiftEvidence | None, Congruenc
         holds = len(factor_congruences(cl).members) == len(boolean_center(cl).members) and _components_topped(cl)
     else:
         holds = _chains(*order)
-    return (True, None, None) if holds else _algebra_lifting(A, factor_congruences)
+    return (True, None, None) if holds else _algebra_lifting(A, True)
 
 
 def algebra_cblp(A: FiniteAlgebra) -> tuple[bool, LiftEvidence | None, Congruence | None]:
@@ -329,7 +342,7 @@ def algebra_cblp(A: FiniteAlgebra) -> tuple[bool, LiftEvidence | None, Congruenc
     the θ for the first one without the lifting."""
     if _components_topped(all_congruences(A)):
         return True, None, None
-    return _algebra_lifting(A, boolean_center)
+    return _algebra_lifting(A, False)
 
 
 # -- normality conditions ---------------------------------------------------
@@ -485,20 +498,9 @@ def lifting_report(A: FiniteAlgebra, name: str | None = None) -> LiftingReport:
     bc = boolean_center(cl)
     fc = factor_congruences(cl)
     maxes, primes = set(maximal_indices(cl)), set(prime_indices(cl))
-    order, topped = _lattice_order(A), _components_topped(cl)
-    nabla = cl.gen_masks[cl.index_of_nabla]
     rows = []
     for t, theta in enumerate(cl.elements):
-        if order is None:
-            # the centers of [θ_t, ∇] first, so that the verdict reads them
-            center_size = len(boolean_center(cl, t).members)
-            fc_size = len(factor_congruences(cl, t).members)
-        else:
-            # Con(L/θ_t) is Boolean, and FC(L/θ_t) is 2^c for the c
-            # components of P ∖ S_t (module doc, 6)
-            center_size, fc_size = cl.up_size(t), 1 << len(_components(order[0], nabla & ~cl.gen_masks[t]))
-        fclp = _unliftable(cl, t, factor_congruences)
-        cblp = None if topped else _unliftable(cl, t, boolean_center)
+        (fc_size, fclp), (center_size, cblp) = _lifting(cl, t, True), _lifting(cl, t, False)
         row = {"congruence": theta.block_string(), "blocks": cl.blocks[t]}
         for prop, bad in (("fclp", fclp), ("cblp", cblp)):
             row[prop] = bad is None
@@ -515,7 +517,6 @@ def lifting_report(A: FiniteAlgebra, name: str | None = None) -> LiftingReport:
         )
         rows.append(row)
     fcn, _ = is_fc_normal(A)
-    bn, _ = is_b_normal(A)
     flags = {
         "con_size": len(cl),
         "center_size": len(bc.members),
@@ -523,7 +524,8 @@ def lifting_report(A: FiniteAlgebra, name: str | None = None) -> LiftingReport:
         "fclp": all(row["fclp"] for row in rows),
         "cblp": all(row["cblp"] for row in rows),
         "fc_normal": fcn,
-        "b_normal": bn,
+        # b-normal iff every component of J(Con A) has a top (module doc, 3)
+        "b_normal": _components_topped(cl),
         "distributive": is_congruence_distributive(A),
         "permutable": is_congruence_permutable(A),
         "arithmetical": is_arithmetical(A),

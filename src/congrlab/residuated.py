@@ -63,7 +63,7 @@ from .errors import (
     ParentMismatch,
     SizeCap,
 )
-from .lifting import _chains, _lattice_order, _traces_connected, algebra_cblp, algebra_fclp
+from .lifting import _chains, _lattice_order, _trace_counts, algebra_cblp, algebra_fclp
 
 FILTER_CAP = 12
 
@@ -127,10 +127,12 @@ def has_blp(A: FiniteAlgebra, theta: Congruence) -> bool:
         raise ParentMismatch("congruence does not belong to the algebra")
     order = _lattice_order(A)
     if order is not None:
-        # S_θ: the j with j₊ θ j, as bits in the order of P (lifting module doc, 6a)
+        # P ∖ S_θ: the j with j₊ and j in two θ-classes, as bits in the order
+        # of P (lifting module doc, 6a)
         block_of = theta.block_of
-        pairs = enumerate(A.join_irreducible_pairs())
-        return _traces_connected(*order, sum(1 << h for h, (a, j) in pairs if block_of[a] == block_of[j]))
+        rest = sum(1 << h for h, (a, j) in enumerate(A.join_irreducible_pairs()) if block_of[a] != block_of[j])
+        c, met = _trace_counts(*order, rest)
+        return c == met
     if theta.is_delta():
         element_boolean_center(A)
         return True

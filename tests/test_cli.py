@@ -26,6 +26,21 @@ def test_check_fclp_on_h(capsys):
     assert "FCLP: yes; CBLP: no" in out
 
 
+def test_check_writes_its_lines_to_out(capsys, tmp_path):
+    path = tmp_path / "F"
+    assert run(capsys, "check", "fclp", "--fixture", "H", "--out", str(path)) == (0, "", "")
+    assert path.read_text() == "FCLP: yes; CBLP: no\n"
+
+
+@pytest.mark.parametrize("argv", [["check", "fclp", "--fixture", "H"], ["dot", "--fixture", "P"]])
+def test_verbs_that_print_one_format_refuse_format(capsys, argv):
+    # check prints its verdict lines and dot prints DOT, whatever was asked
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
+
 def test_check_cblp_on_h_fails_with_evidence(capsys):
     code, out, _ = run(capsys, "check", "cblp", "--fixture", "H")
     assert code == 1
@@ -217,6 +232,12 @@ MALFORMED_SPECS = {
     "name-not-a-string": '{"name": ["x"], "kind": "lattice", "elements": ["0", "1"], "cover": [["0", "1"]]}',
     "cover-with-operations": '{"elements": ["0", "1"], "cover": [["0", "1"]], "operations": {"f": ["1", "0"]}}',
     "cover-with-constants": '{"elements": ["0", "1"], "cover": [["0", "1"]], "constants": {"c": "0"}}',
+    # labels that the block syntax "a,b|c" of con and quotient --by cannot read back
+    "label-with-comma": '{"kind": "lattice", "elements": ["a,b", "c", "d"], "cover": [["a,b", "c"], ["c", "d"]]}',
+    "label-with-bar": '{"elements": ["a|b", "c"], "cover": [["a|b", "c"]]}',
+    "empty-label": '{"elements": ["", "c"], "cover": [["", "c"]]}',
+    "label-with-leading-space": '{"elements": [" a", "c"], "cover": [[" a", "c"]]}',
+    "label-with-trailing-space": '{"elements": ["a", "c\\t"], "operations": {"f": ["a", "c\\t"]}}',
 }
 
 
@@ -230,6 +251,17 @@ def test_malformed_spec_exits_2_with_one_error_line(tmp_path, capsys, verb, name
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_a_quotient_spec_reads_back(tmp_path, capsys):
+    # quotient labels join their class with "+", which the block syntax keeps
+    code, out, _ = run(capsys, "quotient", "--fixture", "L3", "--by", "0,m|1", "--format", "json")
+    assert code == 0 and json.loads(out)["elements"] == ["0+m", "1"]
+    spec = tmp_path / "q.json"
+    spec.write_text(out)
+    assert run(capsys, "quotient", "--file", str(spec), "--by", "0+m,1") == (
+        0, "algebra: L3/0,m|1/0+m,1 (1 elements, kind lattice)\nelements: 0+m+1\ncovers: \n", ""
+    )
 
 
 def test_max_size_is_checked_before_the_spec_is_built(tmp_path, capsys):

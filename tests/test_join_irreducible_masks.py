@@ -30,7 +30,7 @@ from congrlab.algebra import (
 )
 from congrlab.congruences import Congruence, all_congruences
 from congrlab.errors import NotDistributive
-from congrlab.factor import boolean_center, center_members, factor_congruences
+from congrlab.factor import boolean_center, factor_congruences
 from congrlab.fixtures import FIXTURE_NAMES, fixture
 from congrlab.lifting import algebra_cblp, algebra_fclp, has_cblp, is_b_normal, is_fc_normal, lifting_report
 from congrlab.report import build_report
@@ -221,27 +221,26 @@ def test_the_components_list_what_the_up_set_scan_finds():
     for A in map(cold, up_set_algebras()):
         cl = all_congruences(A)
         if not cl.is_distributive():
-            for members_of in (boolean_center, factor_congruences):
+            for factor_side in (True, False):
                 with pytest.raises(NotDistributive):
-                    lifting._unliftable(cl, cl.index_of_nabla, members_of)
+                    lifting._lifting(cl, cl.index_of_nabla, factor_side)
             continue
         interval += lifting._lattice_order(A) is None
         near, nabla = factor._j_order(cl)[1], cl.gen_masks[cl.index_of_nabla]
         for t in range(len(cl)):
             bc, fc = up_set_centers(cl, t)
             want = one_pass_unreached_factor(cl, t)
-            # the verdicts and members, listed with no center of [θ_t, ∇] built
-            got = lifting._unliftable(cl, t, factor_congruences), lifting._unliftable(cl, t, boolean_center)
-            assert (center_members(cl, t, False), center_members(cl, t, True)) == (list(bc), list(fc)), (A.name, t)
+            # each center's size and first unreached member, with no center
+            # of [θ_t, ∇] built
+            got = lifting._lifting(cl, t, True), lifting._lifting(cl, t, False)
             assert ("center", t) not in cl._cache or t == cl.index_of_delta, (A.name, t)
-            assert got == (want, images_unliftable(cl, t)), (A.name, t)
-            # the centers, and the factor verdict read off them
+            assert got == ((len(fc), want), (len(bc), images_unliftable(cl, t))), (A.name, t)
+            # the listing, and the centers built from it
+            assert [dict(pairs) for pairs in factor._complemented(cl, t)] == [bc, fc], (A.name, t)
             got_bc, got_fc = boolean_center(cl, t), factor_congruences(cl, t)
             assert (got_bc.members, got_bc.complement) == (list(bc), bc), (A.name, t)
             assert (got_fc.members, got_fc.complement) == (list(fc), fc), (A.name, t)
             assert len(bc) == 1 << len(factor._components(near, nabla & ~cl.gen_masks[t])), (A.name, t)
-            del cl._cache[("unliftable", factor_congruences, t)]
-            assert lifting._unliftable(cl, t, factor_congruences) == want, (A.name, t)
             verdicts.add(want is None)
             thetas += 1
     assert verdicts == {True, False} and thetas > 3000 and interval > 100, (verdicts, thetas, interval)
@@ -302,14 +301,14 @@ def test_a_cold_report_decides_each_lifting_verdict_once(monkeypatch):
     calls = []
     images = lifting._images
     monkeypatch.setattr(
-        lifting, "_images", lambda cl, t, members_of: calls.append((t, members_of)) or images(cl, t, members_of)
+        lifting, "_images", lambda cl, t, factor_side: calls.append((t, factor_side)) or images(cl, t, factor_side)
     )
     build_report(A)
     # lifting_report, then blp_equivalence_check, ask for the verdict of each
     # (property, θ); it is decided once, and only the factor lifting builds
     # images.  T has both properties, so no evidence is rendered.
     assert len(calls) == len(set(calls)) == len(all_congruences(A))
-    assert {members_of for _, members_of in calls} == {factor_congruences}
+    assert {factor_side for _, factor_side in calls} == {True}
     assert lifting.algebra_fclp(A)[0] and lifting.algebra_cblp(A)[0]
 
 
@@ -395,10 +394,10 @@ def test_the_components_decide_as_the_images_and_bitsets_do():
                 with pytest.raises(NotDistributive):
                     check(A)
             with pytest.raises(NotDistributive):
-                lifting._unliftable(cl, cl.index_of_nabla, boolean_center)
+                lifting._lifting(cl, cl.index_of_nabla, False)
             continue
         for t in range(len(cl)):
-            assert lifting._unliftable(cl, t, boolean_center) == images_unliftable(cl, t), (A.name, t)
+            assert lifting._lifting(cl, t, False)[1] == images_unliftable(cl, t), (A.name, t)
         want = images_algebra_cblp(A)
         assert algebra_cblp(A) == want, A.name
         fcn = bitset_normality(cl, factor_congruences(cl), cl.composes_to_nabla)
@@ -417,7 +416,7 @@ def test_cold_cblp_and_b_normality_build_no_images_centers_or_pairs(build, monke
     A = build()
     calls = []
     images, centers = lifting._images, factor._interval_centers
-    monkeypatch.setattr(lifting, "_images", lambda cl, t, members_of: calls.append(t) or images(cl, t, members_of))
+    monkeypatch.setattr(lifting, "_images", lambda cl, t, factor_side: calls.append(t) or images(cl, t, factor_side))
     monkeypatch.setattr(factor, "_interval_centers", lambda cl, t: calls.append(t) or centers(cl, t))
     assert algebra_cblp(A) == (True, None, None)
     assert set(calls) <= {all_congruences(A).index_of_delta}
@@ -444,7 +443,8 @@ def count_listings(monkeypatch):
     """The (cl, t) of each listing of the Boolean members of [θ_t, ∇] in
     cl, in order."""
     listed, listing = [], factor._complemented
-    monkeypatch.setattr(factor, "_complemented", lambda cl, t: listed.append((cl, t)) or listing(cl, t))
+    for module in (factor, lifting):
+        monkeypatch.setattr(module, "_complemented", lambda cl, t: listed.append((cl, t)) or listing(cl, t))
     return listed
 
 
@@ -467,9 +467,9 @@ def test_the_one_pass_factor_lifting_is_the_center_scan():
         cl = all_congruences(A)
         if not cl.is_distributive():
             with pytest.raises(NotDistributive):
-                lifting._unliftable(cl, cl.index_of_nabla, factor_congruences)
+                lifting._lifting(cl, cl.index_of_nabla, True)
             continue
-        got = [lifting._unliftable(cl, t, factor_congruences) for t in range(len(cl))]
+        got = [lifting._lifting(cl, t, True)[1] for t in range(len(cl))]
         # no verdict caches a center but Δ's, whose images it reads
         assert set(cached_centers(cl)) <= {cl.index_of_delta}, A.name
         assert got == [one_pass_unreached_factor(cl, t) for t in range(len(cl))], A.name
@@ -483,7 +483,7 @@ def test_fc_equal_to_b_with_cblp_gives_fclp():
     fired = 0
     for A in algebras:
         cl = all_congruences(A)
-        loop = lifting._algebra_lifting(cold(A), factor_congruences)
+        loop = lifting._algebra_lifting(cold(A), True)
         if len(factor_congruences(cl).members) == len(boolean_center(cl).members) and lifting._components_topped(cl):
             fired += 1
             assert loop == (True, None, None), A.name
@@ -507,7 +507,7 @@ def test_a_cold_fclp_builds_no_center_but_deltas(build, deltas, monkeypatch):
     calls = []
     centers = factor._interval_centers
     monkeypatch.setattr(factor, "_interval_centers", lambda cl, t: calls.append(t) or centers(cl, t))
-    for walk in (algebra_fclp, lambda A: lifting._algebra_lifting(A, factor_congruences)):
+    for walk in (algebra_fclp, lambda A: lifting._algebra_lifting(A, True)):
         A = build()
         calls.clear()
         assert walk(A) == (True, None, None)
@@ -525,28 +525,34 @@ def test_a_cold_fclp_on_a_pentagon_sum_caches_no_center_but_deltas(monkeypatch):
     cl = all_congruences(A)
     assert not ok and evidence.unliftable is not None
     assert cached_centers(cl) == [cl.index_of_delta]
-    # Δ's center, then one listing per θ up to the failing one, whose
-    # evidence lists it once more
+    # Δ's center, then one listing per θ, Δ's own verdict included, up to
+    # the failing one, whose evidence lists it once more
     t = cl.index(theta)
-    assert listings_on(cl, listed) == [cl.index_of_delta, *range(1, t + 1), t]
+    assert listings_on(cl, listed) == [cl.index_of_delta, *range(t + 1), t]
 
 
 @pytest.mark.parametrize(
     "name,interval", [("L2x3cube", False), ("X", True), ("H", True)], ids=["L2x3cube", "X", "H"]
 )
-def test_a_cold_lifting_report_builds_each_center_once(name, interval, monkeypatch):
+def test_a_cold_lifting_report_builds_no_center_but_deltas(name, interval, monkeypatch):
     for report in (lifting_report, build_report):
         A = cold(fixture(name))
         listed = count_listings(monkeypatch)
         images = count_calls(monkeypatch, lifting, ["_images"])
         report(A)
         cl = all_congruences(A)
+        listings = listings_on(cl, listed)
+        assert cached_centers(cl) == [cl.index_of_delta]
         if interval:
-            # X and H are no distributive lattices: each row lists its
-            # interval once, for its centers, and the verdicts read them
-            assert listings_on(cl, listed) == cached_centers(cl) == list(range(len(cl)))
+            # X and H are no distributive lattices: after Δ's center, each
+            # row lists its interval once for the factor column, and once
+            # more for the evidence of a θ without the Boolean lifting
+            want = [cl.index_of_delta]
+            for t, row in enumerate(lifting_report(A).per_congruence):
+                want += [t] if row["cblp"] else [t, t]
+            assert listings == want
         else:
             # L2x3cube is one: the rows are read off J(L), and only Δ's
-            # center is built
-            assert listings_on(cl, listed) == cached_centers(cl) == [cl.index_of_delta]
+            # center is listed
+            assert listings == [cl.index_of_delta]
             assert images == {"_images": 0}
