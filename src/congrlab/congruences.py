@@ -51,6 +51,14 @@ as Con(L) is distributive its members are the down-sets S of the classes.
 The class of a cover a ≺ b is that of a minimal j ≤ b with j ≰ a, as
 Cg(a, b) = Cg(j₊, j).
 
+So Con(L) is built in two steps.  The J step, lattice_classes, finds the
+covers of L, D*, the classes with a seed pair (j₊, j) each and the classes
+strictly below each one, and the covers of each class, and caches them on
+A.  It builds no partition and can be called alone: J(Con L) and its order
+are read off it with no Con(L), and so are the verdicts that depend on that
+order alone (`lifting` module doc).  The enumeration then lists the
+down-sets from that cache.
+
 The partition of ⋁S is the union-find over the covers whose class is in S.
 Each of those covers lies in ⋁S, and every (j₊, j) with j's class in S is
 one of them.  Conversely let a ⋁S b.  Then a ⋁S a∧b ⋁S b, so take a < b.
@@ -61,8 +69,9 @@ in S.  Each down-set is a smaller one plus one class, and its partition is
 the smaller one's with that class's covers merged.  The down-sets are
 counted against CON_CAP before any partition is built.  Each class is one
 generator Cg(j₊, j), so S is also ⋁S's mask over J(Con L) (below): the
-lattice path hands its down-sets to ConLattice as the masks, and no seed
-pair is looked up in any partition.
+lattice path hands its down-sets to ConLattice as the masks, no seed pair
+is looked up in any partition, and no generator is tested for join
+irreducibility (below).
 
 Con(A) is held as masks over its join-irreducibles J(Con A), for every
 algebra.  Cg(a, b) ≤ θ iff a θ b, so the set of distinct generators below θ
@@ -469,8 +478,9 @@ class ConLattice:
     def __init__(self, algebra: FiniteAlgebra, partitions, seeds, masks=None):
         """partitions are all of Con(A), each a join of the generators
         Cg(a, b) with (a, b) in seeds.  masks[x], when given, is the set of
-        generators below partitions[x], as the lattice path builds it; else
-        it is read off the seeds."""
+        generators below partitions[x], each join-irreducible, as the
+        lattice path builds it; else it is read off the seeds, and the
+        join-irreducible generators are found."""
         self.algebra = algebra
         self.seeds = seeds
         counts = [len(set(p)) for p in partitions]
@@ -480,7 +490,8 @@ class ConLattice:
         self._cache = {}
         k = len(self.elements)
         self.blocks = [counts[x] for x in order]
-        if masks is None:
+        lattice_path = masks is not None
+        if not lattice_path:
             # Cg(a, b) ≤ θ iff a θ b
             masks = [
                 sum(1 << g for g, (a, b) in enumerate(seeds) if c.block_of[a] == c.block_of[b])
@@ -505,15 +516,19 @@ class ConLattice:
                     down &= ~h
             self._up_masks.append(up)
             self._down_masks.append(down)
-        # generator g is the lowest index above g, as index order extends the
-        # order; it is join-irreducible iff its strict down-set has a top
-        downs, jbits = self._down_masks, 0
-        for g, h in enumerate(above):
-            e = _lowest_bit(h)
-            below = downs[e] & ~(1 << e)
-            if below and downs[below.bit_length() - 1] == below:
-                jbits |= 1 << g
-        self.gen_masks = [m & jbits for m in masks]
+        if lattice_path:
+            # each class generator is join-irreducible (module doc)
+            self.gen_masks = masks
+        else:
+            # generator g is the lowest index above g, as index order extends
+            # the order; it is join-irreducible iff its strict down-set has a top
+            downs, jbits = self._down_masks, 0
+            for g, h in enumerate(above):
+                e = _lowest_bit(h)
+                below = downs[e] & ~(1 << e)
+                if below and downs[below.bit_length() - 1] == below:
+                    jbits |= 1 << g
+            self.gen_masks = [m & jbits for m in masks]
         self._at = {m: i for i, m in enumerate(self.gen_masks)}
         self.index_of_delta = self._index[delta_partition(algebra.n)]
         self.index_of_nabla = self._index[nabla_partition(algebra.n)]
@@ -626,9 +641,18 @@ def _enumerate_partitions(A: FiniteAlgebra) -> tuple:
     return _close_under_joins(n, gens), tuple(gens.values()), None
 
 
-def _lattice_partitions(A: FiniteAlgebra) -> tuple:
-    """_enumerate_partitions on a pure lattice, by the dependency relation
-    on J(L) (module doc)."""
+def lattice_classes(A: FiniteAlgebra) -> tuple:
+    """The J step of a pure lattice L: J(Con L) as the classes of D* on
+    J(L), read off L with no partition built (module doc).  Returns
+    (seeds, under, covers): seeds[c] = (j₊, j) for the least j of class c,
+    so that Cg(j₊, j) is class c's congruence; under[c], the mask of the
+    classes strictly below c; and covers[c], the cover pairs a ≺ b of L
+    whose Cg is class c's.  Cached on A.  It can be called alone: J(Con L)
+    and its order need no Con(L), and the enumeration of Con(L) reads this
+    cache instead of recomputing it."""
+    hit = A._cache.get("lattice_classes")
+    if hit is not None:
+        return hit
     n, join = A.n, A.tables["join"]
     up, down = A.order_masks()
     covers = cover_pairs(up, down)
@@ -665,12 +689,29 @@ def _lattice_partitions(A: FiniteAlgebra) -> tuple:
     cls = {j: class_of[b] for j, b in below.items()}
     under = []  # the classes strictly below each class
     for c, (_, j) in enumerate(seeds):
-        under.append(functools.reduce(operator.or_, (1 << cls[k] for k in _bits(below[j]))) & ~(1 << c))
+        acc = 0
+        for k in _bits(below[j]):
+            acc |= 1 << cls[k]
+        under.append(acc & ~(1 << c))
     class_covers = [[] for _ in seeds]
     for a, b in covers:
+        # step down inside J(b) ∖ J(a) to a minimal member
         cand = jd[b] & ~jd[a]
-        j = next(j for j in _bits(cand) if jd[j] & cand == 1 << j)  # minimal
+        j = cand.bit_length() - 1
+        lower_j = jd[j] & cand & ~(1 << j)
+        while lower_j:
+            j = lower_j.bit_length() - 1
+            lower_j = jd[j] & cand & ~(1 << j)
         class_covers[cls[j]].append((a, b))
+    hit = A._cache["lattice_classes"] = tuple(seeds), under, class_covers
+    return hit
+
+
+def _lattice_partitions(A: FiniteAlgebra) -> tuple:
+    """_enumerate_partitions on a pure lattice: the down-sets of the classes
+    of lattice_classes(A), each partition a union-find over the covers of
+    its classes (module doc)."""
+    seeds, under, class_covers = lattice_classes(A)
     # each down-set is an earlier one plus a class c, where the classes come
     # in an order that puts c after every class below it
     made, sets = [], [0]
@@ -681,12 +722,12 @@ def _lattice_partitions(A: FiniteAlgebra) -> tuple:
                 made.append((i, c))
         if len(sets) > CON_CAP:
             raise SizeCap(f"congruence count exceeds cap {CON_CAP}")
-    parts = [delta_partition(n)]
+    parts = [delta_partition(A.n)]
     for i, c in made:
         parts.append(merge_pairs(parts[i], class_covers[c]))
     # class c is the generator of seeds[c], so sets[x] is the set of
     # generators below parts[x]
-    return tuple(parts), tuple(seeds), sets
+    return tuple(parts), seeds, sets
 
 
 def _close_under_joins(n: int, gens: dict) -> tuple:

@@ -42,11 +42,13 @@ from itertools import combinations_with_replacement, product
 from math import comb
 
 from .algebra import (
+    CON_CAP,
     FiniteAlgebra,
     _bits,
-    block_masks,
+    delta_partition,
     direct_product,
     join_partitions,
+    merge_pairs,
     ordinal_sum_with_maps,
 )
 from .congruences import (
@@ -54,6 +56,8 @@ from .congruences import (
     Congruence,
     _lowest_bit,
     all_congruences,
+    is_pure_lattice,
+    lattice_classes,
     join as con_join,
     meet as con_meet,
     principal_congruence,
@@ -113,33 +117,81 @@ def _complemented(cl: ConLattice, t: int) -> tuple[list[tuple[int, int]], list[t
     Requires Con(A) distributive."""
     at, gm, blocks = cl._at, cl.gen_masks, cl.blocks
     rest = gm[cl.index_of_nabla] & ~gm[t]
+    _, near, components, tops = _j_order(cl.algebra)
+    # with a top in each component C of J, a non-empty trace C ∩ R holds it,
+    # as R is an up-set, and lies below it: the traces are R's components
+    traces = _components(near, rest) if tops is None else [c & rest for c in components if c & rest]
     masks = [gm[t]]
-    for c in _components(_j_order(cl)[1], rest):
+    for c in traces:
         masks += [m | c for m in masks]
     pairs = sorted([(at[m], at[m ^ rest]) for m in masks])
     # θ_i ∧ θ_j = θ_t, so θ_i∘θ_j = ∇ iff |A/θ_t| = |A/θ_i|·|A/θ_j|
     return pairs, [(i, j) for i, j in pairs if blocks[i] * blocks[j] == blocks[t]]
 
 
-def _j_order(cl: ConLattice) -> tuple[list[int], list[int], list[int]]:
-    """J(Con A) as masks over the generator bits, cached on the lattice:
-    down[g] = ↓g, near[g] = the members comparable to g, and the connected
-    components.  g's own congruence is the lowest index above it, and its
-    mask is ↓g.  Every center, and every question read off J, presumes
-    Con(A) distributive, so NotDistributive is raised here otherwise."""
-    hit = cl._cache.get("j_order")
+def _j_order(A: FiniteAlgebra) -> tuple[list[int], list[int], list[int], int | None]:
+    """J(Con A) as masks over the generator bits, cached on A: down[g] = ↓g,
+    near[g] = the members comparable to g, the connected components, and
+    the mask of their greatest elements when every component has one, else
+    None.  On a pure lattice it is read off lattice_classes(A), with no
+    Con(A): class g is generator g, and ↓g is g with the classes under it.
+    On any other algebra g's own congruence is the lowest index of Con(A)
+    above it, and its mask is ↓g.  Every center, and every question read
+    off J, presumes Con(A) distributive, as a lattice's always is, so
+    NotDistributive is raised here otherwise."""
+    hit = A._cache.get("j_order")
     if hit is None:
-        if not cl.is_distributive():
-            raise NotDistributive("congruence lattice is not distributive; complements would be ambiguous")
-        gm, js = cl.gen_masks, _bits(cl.gen_masks[cl.index_of_nabla])
-        down = [0] * len(cl._above)
-        for g in js:
-            down[g] = gm[_lowest_bit(cl._above[g])]
+        if is_pure_lattice(A):
+            down = [u | 1 << g for g, u in enumerate(lattice_classes(A)[1])]
+            js = range(len(down))
+        else:
+            cl = all_congruences(A)
+            if not cl.is_distributive():
+                raise NotDistributive("congruence lattice is not distributive; complements would be ambiguous")
+            gm, js = cl.gen_masks, _bits(cl.gen_masks[cl.index_of_nabla])
+            down = [0] * len(cl._above)
+            for g in js:
+                down[g] = gm[_lowest_bit(cl._above[g])]
         near = down[:]
         for h in js:
             for g in _bits(down[h]):
                 near[g] |= 1 << h
-        hit = cl._cache["j_order"] = down, near, _components(near, gm[cl.index_of_nabla])
+        components = _components(near, sum(1 << g for g in js))
+        # g is the top of its component iff ↓g is all of it
+        whole = set(components)
+        tops = sum(1 << g for g in js if down[g] in whole)
+        topped = tops.bit_count() == len(components)
+        hit = A._cache["j_order"] = down, near, components, (tops if topped else None)
+    return hit
+
+
+def _center_is_factor(A: FiniteAlgebra) -> bool:
+    """Whether every Boolean congruence of A is a factor congruence, that is
+    |FC(A)| = |B(A)|.  Requires Con(A) distributive.  On a pure lattice it
+    is decided with no Con(A): B(A) is the θ_U for the 2^c unions U of the
+    c components of J(Con A) (module doc, 3, at θ = Δ), each θ_U's partition
+    merges the covers of the classes in U (lattice_classes), and θ_U has
+    the factor complement θ_{J∖U} iff |A/θ_U|·|A/θ_{J∖U}| = |A|.  As
+    B(A) ⊆ Con(A), more than CON_CAP unions is past the cap.  Cached on A."""
+    hit = A._cache.get("center_is_factor")
+    if hit is None:
+        if is_pure_lattice(A):
+            components = _j_order(A)[2]
+            if 1 << len(components) > CON_CAP:
+                raise SizeCap(f"congruence count exceeds cap {CON_CAP}")
+            class_covers = lattice_classes(A)[2]
+            parts = [delta_partition(A.n)]
+            for c in components:
+                pairs = [p for g in _bits(c) for p in class_covers[g]]
+                parts += [merge_pairs(p, pairs) for p in parts]
+            # the x-th union is made of the components at the set bits of x,
+            # so its complement is the (2^c - 1 - x)-th
+            blocks = [sum(r == e for e, r in enumerate(p)) for p in parts]
+            hit = all(b * blocks[-1 - x] == A.n for x, b in enumerate(blocks))
+        else:
+            cl = all_congruences(A)
+            hit = len(factor_congruences(cl).members) == len(boolean_center(cl).members)
+        A._cache["center_is_factor"] = hit
     return hit
 
 

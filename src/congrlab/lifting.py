@@ -16,7 +16,11 @@ J = J(Con A).  A center exists only on a distributive Con(A), and then
 θ ↦ D_θ, the set of members of J below θ (its mask), is an isomorphism onto
 the down-sets of J, with unions as joins and intersections as meets, and
 J itself as ∇ (Davey & Priestley, ch. 5 and 10).  A component is a
-connected component of J's comparability graph.
+connected component of J's comparability graph.  On a pure lattice J and
+its order come from the J step of `congruences` (lattice_classes), with no
+Con(L); every criterion below that reads J or P = J(L) alone then decides
+before Con(L) is enumerated, and only a failure enumerates it, for the
+evidence.
 
 1. The Boolean elements are the unions of components.  D has a complement
    iff J ∖ D is a down-set too, that is iff no comparable pair has one end
@@ -52,6 +56,16 @@ connected component of J's comparability graph.
    the order; each one tested drops its down-set.  Only when one of them
    is in C_i are the untested j scanned in index order, for the first
    failing pair.
+   No pair is tried when every component of J has a greatest element and
+   FC(A) = B(A): A is then fc-normal.  Let φ∘ψ = ∇.  Then φ ∨ ψ = ∇, as
+   φ∘ψ ⊆ φ ∨ ψ.  A is b-normal (3), so some Boolean α, with complement α',
+   has φ ∨ α = ψ ∨ α' = ∇.  As FC(A) = B(A), α is a factor congruence.  Its
+   factor complement is a complement of α in Con(A), and complements are
+   unique in the distributive Con(A), so it is α', and α is a witness for
+   (φ, ψ).  On a pure lattice FC(L) = B(L) is read off J with no Con(L):
+   B(L) is the θ_U for the unions U of components of J (`factor` module
+   doc, 3), each θ_U a union-find over the covers of the classes in U, and
+   (θ_U, θ_{J∖U}) is a factor pair iff |L/θ_U|·|L/θ_{J∖U}| = |L|.
 5. θ has the factor property iff every factor member of [θ, ∇] has an
    image D_α ∪ D_θ, α ∈ FC(A), as its mask.  One routine answers each
    property at θ, and caches the size of the center of [θ, ∇] and its
@@ -142,7 +156,7 @@ from .congruences import (
     prime_indices,
 )
 from .errors import ParentMismatch, TrivialAlgebra
-from .factor import _complemented, _components, _j_order, boolean_center, factor_congruences
+from .factor import _center_is_factor, _complemented, _components, _j_order, boolean_center, factor_congruences
 
 
 @dataclass
@@ -230,13 +244,13 @@ def _lifting(cl: ConLattice, t: int, factor: bool) -> tuple[int, int | None]:
     if cache is None:
         cache = cl._cache["lifting", factor] = [None] * len(cl)
     if cache[t] is None:
-        order = _lattice_order(cl.algebra) if factor else _j_order(cl)[1:]
+        order = _lattice_order(cl.algebra) if factor else _j_order(cl.algebra)[1:]
         if order is None:
             listed = _complemented(cl, t)[1]
             size = len(listed)
         else:
             rest = cl.gen_masks[cl.index_of_nabla] & ~cl.gen_masks[t]
-            c, met = _trace_counts(*order, rest, not factor and _components_topped(cl))
+            c, met = _trace_counts(rest, *order)
             size, listed = 1 << c, [] if c == met else _complemented(cl, t)[factor]
         images = _images(cl, t, factor) if listed else {}
         cache[t] = size, next((b for b, _ in listed if cl.gen_masks[b] not in images), None)
@@ -266,13 +280,17 @@ def _chains(near: list[int], components: list[int]) -> bool:
     return all(near[g] & c == c for c in components for g in _bits(c))
 
 
-def _trace_counts(near: list[int], components: list[int], rest: int, topped: bool = False) -> tuple[int, int]:
+def _trace_counts(rest: int, near: list[int], components: list[int], tops: int | None = None) -> tuple[int, int]:
     """c, the number of components of rest, and m, the number of components
     that meet it.  c = m on J(Con A) is θ's Boolean lifting, and on P = J(L)
-    its factor lifting; topped, when every component has a top, gives c = m
-    with no search (module doc, 5)."""
+    its factor lifting.  tops, the mask of the components' greatest elements
+    when every component has one, gives c = m with no search: rest is an
+    up-set, so a component meets it iff its top lies in it (module doc, 5)."""
+    if tops is not None:
+        met = (tops & rest).bit_count()
+        return met, met
     met = sum(1 for c in components if c & rest)
-    return (met if topped else len(_components(near, rest))), met
+    return len(_components(near, rest)), met
 
 
 def _has_lifting(A, theta, factor: bool) -> tuple[bool, LiftEvidence]:
@@ -311,14 +329,23 @@ def _algebra_lifting(A, factor: bool):
     return True, None, None
 
 
-def _components_topped(cl: ConLattice) -> bool:
+def _components_topped(A: FiniteAlgebra) -> bool:
     """Whether every component of J(Con A) has a greatest element, that is
-    whether every θ has the Boolean lifting (module doc, 2).  Cached on the
-    lattice."""
-    if "topped" not in cl._cache:
-        down, _, components = _j_order(cl)
-        cl._cache["topped"] = all(any(down[g] == c for g in _bits(c)) for c in components)
-    return cl._cache["topped"]
+    whether every θ has the Boolean lifting (module doc, 2).  On a pure
+    lattice it is read off J(Con L) with no Con(L)."""
+    return _j_order(A)[3] is not None
+
+
+def _factor_criterion(A: FiniteAlgebra) -> bool:
+    """The criterion that gives both FCLP and fc-normality with no walk: on
+    a distributive pure lattice, every component of P = J(L) is a chain,
+    which is also necessary (module doc, 6e and 6f); on any other algebra,
+    every component of J(Con A) has a top and FC(A) = B(A) (module doc, 4
+    and 5).  On a pure lattice no Con(L) is built."""
+    order = _lattice_order(A)
+    if order is not None:
+        return _chains(*order)
+    return _components_topped(A) and _center_is_factor(A)
 
 
 def algebra_fclp(A: FiniteAlgebra) -> tuple[bool, LiftEvidence | None, Congruence | None]:
@@ -326,21 +353,17 @@ def algebra_fclp(A: FiniteAlgebra) -> tuple[bool, LiftEvidence | None, Congruenc
     failure and returns its evidence and the failing congruence.  It holds
     without a walk over the θ when FC(A) = B(A) and every θ has the Boolean
     lifting (module doc, 5), and on a distributive pure lattice when every
-    component of P = J(L) is a chain (module doc, 6)."""
-    cl = all_congruences(A)
-    order = _lattice_order(A)
-    if order is None:
-        holds = len(factor_congruences(cl).members) == len(boolean_center(cl).members) and _components_topped(cl)
-    else:
-        holds = _chains(*order)
-    return (True, None, None) if holds else _algebra_lifting(A, True)
+    component of P = J(L) is a chain (module doc, 6).  Con(A) is enumerated
+    only when that criterion fails."""
+    return (True, None, None) if _factor_criterion(A) else _algebra_lifting(A, True)
 
 
 def algebra_cblp(A: FiniteAlgebra) -> tuple[bool, LiftEvidence | None, Congruence | None]:
     """The same conjunction for has_cblp.  It holds iff every component of
     J(Con A) has a greatest element (module doc, 2); only a failure walks
-    the θ for the first one without the lifting."""
-    if _components_topped(all_congruences(A)):
+    the θ for the first one without the lifting, and a pure lattice
+    enumerates Con(L) only then."""
+    if _components_topped(A):
         return True, None, None
     return _algebra_lifting(A, False)
 
@@ -380,13 +403,13 @@ def is_fc_normal(A: FiniteAlgebra):
     meets every psi-block, i.e. iff |A/(phi∧psi)| = |A/phi|·|A/psi|, and
     then phi v psi is full too.  So only the pairs joining to ∇ that have
     no witness are tried, and of those only the maximal ones (module doc,
-    4).  A distributive pure lattice whose components of P = J(L) are
-    chains is fc-normal with no pair tried (module doc, 6f)."""
-    cl = all_congruences(A)
-    order = _lattice_order(A)
-    if order is not None and _chains(*order):
+    4).  It holds with no pair tried when every component of J(Con A) has a
+    top and FC(A) = B(A) (module doc, 4), and on a distributive pure lattice
+    iff every component of P = J(L) is a chain (module doc, 6f); a pure
+    lattice enumerates Con(L) only when that criterion fails."""
+    if _factor_criterion(A):
         return True, None
-    return _fc_normal_walk(cl)
+    return _fc_normal_walk(all_congruences(A))
 
 
 def _fc_normal_walk(cl: ConLattice):
@@ -419,16 +442,16 @@ def is_b_normal(A: FiniteAlgebra):
     diagonal puts beta below the complement, and join is monotone.  It holds
     iff every component of J(Con A) has a greatest element; only a failure
     is decided per phi, for the first failing one (module doc, 3).  The
-    pairs joining to ∇ are listed only to name the first psi of that phi."""
-    cl = all_congruences(A)
-    if _components_topped(cl):
+    pairs joining to ∇ are listed only to name the first psi of that phi.
+    A pure lattice enumerates Con(L) only for a failure."""
+    if _components_topped(A):
         return True, None
-    return _b_normal_walk(cl)
+    return _b_normal_walk(all_congruences(A))
 
 
 def _b_normal_walk(cl: ConLattice):
     """is_b_normal by the loop over the φ (module doc, 3)."""
-    down, _, components = _j_order(cl)
+    down, _, components, _ = _j_order(cl.algebra)
     gm = cl.gen_masks
     nabla = gm[cl.index_of_nabla]
     for i, m in enumerate(gm):
@@ -525,7 +548,7 @@ def lifting_report(A: FiniteAlgebra, name: str | None = None) -> LiftingReport:
         "cblp": all(row["cblp"] for row in rows),
         "fc_normal": fcn,
         # b-normal iff every component of J(Con A) has a top (module doc, 3)
-        "b_normal": _components_topped(cl),
+        "b_normal": _components_topped(A),
         "distributive": is_congruence_distributive(A),
         "permutable": is_congruence_permutable(A),
         "arithmetical": is_arithmetical(A),

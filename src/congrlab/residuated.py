@@ -131,7 +131,7 @@ def has_blp(A: FiniteAlgebra, theta: Congruence) -> bool:
         # of P (lifting module doc, 6a)
         block_of = theta.block_of
         rest = sum(1 << h for h, (a, j) in enumerate(A.join_irreducible_pairs()) if block_of[a] != block_of[j])
-        c, met = _trace_counts(*order, rest)
+        c, met = _trace_counts(rest, *order)
         return c == met
     if theta.is_delta():
         element_boolean_center(A)

@@ -226,7 +226,7 @@ def test_the_components_list_what_the_up_set_scan_finds():
                     lifting._lifting(cl, cl.index_of_nabla, factor_side)
             continue
         interval += lifting._lattice_order(A) is None
-        near, nabla = factor._j_order(cl)[1], cl.gen_masks[cl.index_of_nabla]
+        near, nabla = factor._j_order(A)[1], cl.gen_masks[cl.index_of_nabla]
         for t in range(len(cl)):
             bc, fc = up_set_centers(cl, t)
             want = one_pass_unreached_factor(cl, t)
@@ -484,7 +484,7 @@ def test_fc_equal_to_b_with_cblp_gives_fclp():
     for A in algebras:
         cl = all_congruences(A)
         loop = lifting._algebra_lifting(cold(A), True)
-        if len(factor_congruences(cl).members) == len(boolean_center(cl).members) and lifting._components_topped(cl):
+        if len(factor_congruences(cl).members) == len(boolean_center(cl).members) and lifting._components_topped(A):
             fired += 1
             assert loop == (True, None, None), A.name
         assert algebra_fclp(cold(A)) == loop, A.name

@@ -111,7 +111,7 @@ def test_b_normality_enters_no_loop_where_every_component_is_topped(monkeypatch)
     topped = 0
     for A in map(cold, criteria_algebras()):
         cl = all_congruences(A)
-        if cl.is_distributive() and lifting._components_topped(cl):
+        if cl.is_distributive() and lifting._components_topped(A):
             assert is_b_normal(A) == (True, None), A.name
             topped += 1
     assert counts == {"_b_normal_walk": 0} and topped > 100
