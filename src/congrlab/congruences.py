@@ -647,7 +647,8 @@ def lattice_classes(A: FiniteAlgebra) -> tuple:
     (seeds, under, covers): seeds[c] = (j₊, j) for the least j of class c,
     so that Cg(j₊, j) is class c's congruence; under[c], the mask of the
     classes strictly below c; and covers[c], the cover pairs a ≺ b of L
-    whose Cg is class c's.  Cached on A.  It can be called alone: J(Con L)
+    whose Cg is class c's.  Cached on A, as tuples, so that no caller can
+    change the cache through them.  It can be called alone: J(Con L)
     and its order need no Con(L), and the enumeration of Con(L) reads this
     cache instead of recomputing it."""
     hit = A._cache.get("lattice_classes")
@@ -689,21 +690,16 @@ def lattice_classes(A: FiniteAlgebra) -> tuple:
     cls = {j: class_of[b] for j, b in below.items()}
     under = []  # the classes strictly below each class
     for c, (_, j) in enumerate(seeds):
-        acc = 0
-        for k in _bits(below[j]):
-            acc |= 1 << cls[k]
-        under.append(acc & ~(1 << c))
+        under.append(functools.reduce(operator.or_, (1 << cls[k] for k in _bits(below[j]))) & ~(1 << c))
     class_covers = [[] for _ in seeds]
     for a, b in covers:
         # step down inside J(b) ∖ J(a) to a minimal member
         cand = jd[b] & ~jd[a]
         j = cand.bit_length() - 1
-        lower_j = jd[j] & cand & ~(1 << j)
-        while lower_j:
-            j = lower_j.bit_length() - 1
-            lower_j = jd[j] & cand & ~(1 << j)
+        while jd[j] & cand != 1 << j:
+            j = (jd[j] & cand & ~(1 << j)).bit_length() - 1
         class_covers[cls[j]].append((a, b))
-    hit = A._cache["lattice_classes"] = tuple(seeds), under, class_covers
+    hit = A._cache["lattice_classes"] = tuple(seeds), tuple(under), tuple(map(tuple, class_covers))
     return hit
 
 

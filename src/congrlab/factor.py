@@ -117,12 +117,9 @@ def _complemented(cl: ConLattice, t: int) -> tuple[list[tuple[int, int]], list[t
     Requires Con(A) distributive."""
     at, gm, blocks = cl._at, cl.gen_masks, cl.blocks
     rest = gm[cl.index_of_nabla] & ~gm[t]
-    _, near, components, tops = _j_order(cl.algebra)
-    # with a top in each component C of J, a non-empty trace C ∩ R holds it,
-    # as R is an up-set, and lies below it: the traces are R's components
-    traces = _components(near, rest) if tops is None else [c & rest for c in components if c & rest]
+    near = _j_order(cl.algebra)[1]
     masks = [gm[t]]
-    for c in traces:
+    for c in _components(near, rest):
         masks += [m | c for m in masks]
     pairs = sorted([(at[m], at[m ^ rest]) for m in masks])
     # θ_i ∧ θ_j = θ_t, so θ_i∘θ_j = ∇ iff |A/θ_t| = |A/θ_i|·|A/θ_j|

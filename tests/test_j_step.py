@@ -64,6 +64,7 @@ def test_the_j_step_gives_the_verdicts_of_the_enumerated_path():
         fresh, enumerated = cold(A), cold(A)
         down, _, components, tops = factor._j_order(fresh)
         assert fresh._con is None, A.name
+        assert all(type(x) is tuple for x in congruences.lattice_classes(fresh)), A.name
         cl = all_congruences(enumerated)
         assert down == con_down_sets(cl), A.name
         topped = all(any(down[g] == c for g in _bits(c)) for c in components)
