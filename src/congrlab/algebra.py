@@ -33,6 +33,23 @@ RESIDUATED_CAP = 128
 KINDS = ("generic", "lattice", "bounded-lattice", "residuated")
 
 
+def cached(fn):
+    """fn(X, *args), computed once per object X and arguments and kept in
+    X._cache under fn's name, with the arguments when there are any: the
+    one memo of every fact derived from an algebra or its congruence
+    lattice.  A raised exception is not kept, so each call raises it anew."""
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def memo(X, *args):
+        key, cache = (name, *args) if args else name, X._cache
+        if key not in cache:
+            cache[key] = fn(X, *args)
+        return cache[key]
+
+    return memo
+
+
 @dataclass(frozen=True)
 class Signature:
     """Operation descriptors (name, arity) plus a kind tag."""
@@ -85,7 +102,7 @@ class FiniteAlgebra:
     algebras are equal iff they agree table-for-table and label-for-label.
     """
 
-    __slots__ = ("n", "labels", "signature", "tables", "name", "_hash", "_con", "_cache")
+    __slots__ = ("n", "labels", "signature", "tables", "name", "_hash", "_cache")
 
     def __init__(self, n, labels, signature, tables, name=None, validate=True):
         if n < 1:
@@ -101,8 +118,7 @@ class FiniteAlgebra:
         object.__setattr__(self, "tables", _freeze_tables(tables))
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_con", None)  # Con(A), set by all_congruences
-        object.__setattr__(self, "_cache", {})  # facts derived from the tables
+        object.__setattr__(self, "_cache", {})  # facts derived from the tables, kept by cached
         if validate:
             self._validate()
 
@@ -183,15 +199,13 @@ class FiniteAlgebra:
             e = join[e][x]
         return e
 
+    @cached
     def order_masks(self) -> tuple[list[int], list[int]]:
         """The bitmasks of ↑a and ↓a for each a: b ∈ ↑a iff a∧b = a, and
-        b ∈ ↓a iff a∨b = a.  Cached on the algebra; the lattice check of a
-        build leaves them there."""
+        b ∈ ↓a iff a∨b = a.  The lattice check of a build leaves them in
+        the cache."""
         self.require_lattice()
-        hit = self._cache.get("order_masks")
-        if hit is None:
-            hit = self._cache["order_masks"] = _up_masks(self.tables["meet"]), _up_masks(self.tables["join"])
-        return hit
+        return _up_masks(self.tables["meet"]), _up_masks(self.tables["join"])
 
     def covers(self) -> list[tuple[int, int]]:
         """Cover pairs (a, b) with a covered by b, ordered by b, then a."""
@@ -206,25 +220,20 @@ class FiniteAlgebra:
         at = {d: m for m, d in enumerate(down)}
         return [(at[d & ~(1 << j)], j) for j, d in enumerate(down) if d & ~(1 << j) in at]
 
+    @cached
     def is_distributive_lattice(self) -> bool:
         """A finite lattice is distributive iff every join-irreducible j is
         join-prime: j ≤ a∨b forces j ≤ a or j ≤ b (Davey & Priestley, ch. 10).
         That holds iff j ≰ ⋁{x : j ≰ x}, as any a, b breaking it lie in that
-        join, and a join-prime j lies below none of its finitely many terms.
-        Cached on the algebra."""
+        join, and a join-prime j lies below none of its finitely many terms."""
         self.require_lattice()
-        hit = self._cache.get("distributive")
-        if hit is None:
-            join, meet = self.tables["join"], self.tables["meet"]
-            hit = True
-            for _, j in self.join_irreducible_pairs():
-                mj = meet[j]
-                joined = functools.reduce(lambda a, b: join[a][b], (x for x in range(self.n) if mj[x] != j))
-                if mj[joined] == j:
-                    hit = False
-                    break
-            self._cache["distributive"] = hit
-        return hit
+        join, meet = self.tables["join"], self.tables["meet"]
+        for _, j in self.join_irreducible_pairs():
+            mj = meet[j]
+            joined = functools.reduce(lambda a, b: join[a][b], (x for x in range(self.n) if mj[x] != j))
+            if mj[joined] == j:
+                return False
+        return True
 
     # -- validation ---------------------------------------------------------
 

@@ -22,7 +22,7 @@ from .congruences import (
     is_congruence_permutable,
     parse_congruence,
 )
-from .errors import CongrlabError
+from .errors import CongrlabError, SizeCap
 from .factor import (
     boolean_center,
     crt_characterization,
@@ -285,10 +285,17 @@ def run(args) -> int:
 def _check(A: FiniteAlgebra, prop: str) -> tuple[int, list[str]]:
     """The exit code of check prop on A, and the lines it prints."""
     if prop in ("fclp", "cblp"):
-        f_ok, f_ev, f_theta = algebra_fclp(A)
-        c_ok, c_ev, c_theta = algebra_cblp(A)
-        lines = [f"FCLP: {yn(f_ok)}; CBLP: {yn(c_ok)}"]
-        ok, ev, theta = (f_ok, f_ev, f_theta) if prop == "fclp" else (c_ok, c_ev, c_theta)
+        # the checked property alone sets the exit code and the evidence; the
+        # other one is printed beside it, or n/a when it is past a cap
+        decide = {"fclp": algebra_fclp, "cblp": algebra_cblp}
+        ok, ev, theta = decide[prop](A)
+        shown = {prop: yn(ok)}
+        other = "cblp" if prop == "fclp" else "fclp"
+        try:
+            shown[other] = yn(decide[other](A)[0])
+        except SizeCap:
+            shown[other] = "n/a"
+        lines = [f"FCLP: {shown['fclp']}; CBLP: {shown['cblp']}"]
         if not ok:
             lines.append(f"failing congruence: {theta.block_string()} (cannot reach {ev.unliftable})")
         return 0 if ok else 1, lines

@@ -53,8 +53,8 @@ Cg(a, b) = Cg(j₊, j).
 
 So Con(L) is built in two steps.  The J step, lattice_classes, finds the
 covers of L, D*, the classes with a seed pair (j₊, j) each and the classes
-strictly below each one, and the covers of each class, and caches them on
-A.  It builds no partition and can be called alone: J(Con L) and its order
+strictly below each one, and the covers of each class, and memoizes them
+on A.  It builds no partition and can be called alone: J(Con L) and its order
 are read off it with no Con(L), and so are the verdicts that depend on that
 order alone (`lifting` module doc).  The enumeration then lists the
 down-sets from that cache.
@@ -69,9 +69,8 @@ in S.  Each down-set is a smaller one plus one class, and its partition is
 the smaller one's with that class's covers merged.  The down-sets are
 counted against CON_CAP before any partition is built.  Each class is one
 generator Cg(j₊, j), so S is also ⋁S's mask over J(Con L) (below): the
-lattice path hands its down-sets to ConLattice as the masks, no seed pair
-is looked up in any partition, and no generator is tested for join
-irreducibility (below).
+lattice path hands its down-sets to ConLattice as the masks, and no seed
+pair is looked up in any partition.
 
 Con(A) is held as masks over its join-irreducibles J(Con A), for every
 algebra.  Cg(a, b) ≤ θ iff a θ b, so the set of distinct generators below θ
@@ -129,6 +128,7 @@ from .algebra import (
     FiniteAlgebra,
     _bits,
     block_masks,
+    cached,
     cover_pairs,
     delta_partition,
     flat_table,
@@ -315,6 +315,7 @@ def _close(A: FiniteAlgebra, seed_pairs) -> tuple[int, ...]:
         p = q
 
 
+@cached
 def _operations(A: FiniteAlgebra) -> list:
     """(name, rows) for each operation f of positive arity, in signature
     order.  rows[x] lists the values of f with x in one argument position:
@@ -325,27 +326,24 @@ def _operations(A: FiniteAlgebra) -> list:
     them.  So a unary table gives (t[x],), and a binary one t[x][z], t[z][x]
     for z = 0, 1, ...; when a binary t is symmetric, as join and meet are,
     the two are equal, and rows is t itself, walked once.  Decided from the
-    tables, once per algebra."""
-    ops = A._cache.get("operations")
-    if ops is None:
-        ops, n = [], A.n
-        for f, arity in A.signature.operations:
-            if not arity:
-                continue
-            rows = t = A.tables[f]
-            if arity != 2 or tuple(zip(*t)) != t:
-                flat = flat_table(t, arity)
-                # f(args) is flat[Σ args[i]·w[i]]; each (rest, i) gives the
-                # index with 0 at position i, and x adds x·w[i]
-                w = [n ** (arity - 1 - i) for i in range(arity)]
-                spots = [
-                    (sum(a * wa for a, wa in zip(rest[:i] + (0,) + rest[i:], w)), w[i])
-                    for rest in itertools.product(range(n), repeat=arity - 1)
-                    for i in range(arity)
-                ]
-                rows = tuple(tuple(flat[o + x * wi] for o, wi in spots) for x in range(n))
-            ops.append((f, rows))
-        A._cache["operations"] = ops
+    tables."""
+    ops, n = [], A.n
+    for f, arity in A.signature.operations:
+        if not arity:
+            continue
+        rows = t = A.tables[f]
+        if arity != 2 or tuple(zip(*t)) != t:
+            flat = flat_table(t, arity)
+            # f(args) is flat[Σ args[i]·w[i]]; each (rest, i) gives the
+            # index with 0 at position i, and x adds x·w[i]
+            w = [n ** (arity - 1 - i) for i in range(arity)]
+            spots = [
+                (sum(a * wa for a, wa in zip(rest[:i] + (0,) + rest[i:], w)), w[i])
+                for rest in itertools.product(range(n), repeat=arity - 1)
+                for i in range(arity)
+            ]
+            rows = tuple(tuple(flat[o + x * wi] for o, wi in spots) for x in range(n))
+        ops.append((f, rows))
     return ops
 
 
@@ -455,8 +453,8 @@ class ConLattice:
     is join-irreducible in Con(A) and lies below θ_i: θ_i's mask over
     J(Con A), which orders Con(A) and gives its meets and joins (module doc).
     seeds[g] is a pair (a, b) with Cg(a, b) the g-th generator.  The closure
-    path reads gen_masks off the seeds; the lattice path hands over its
-    down-sets of J-classes, which are those masks.
+    path reads the generators below each θ off the seeds; the lattice path
+    hands over its down-sets of J-classes, which are those sets.
     """
 
     __slots__ = (
@@ -478,9 +476,9 @@ class ConLattice:
     def __init__(self, algebra: FiniteAlgebra, partitions, seeds, masks=None):
         """partitions are all of Con(A), each a join of the generators
         Cg(a, b) with (a, b) in seeds.  masks[x], when given, is the set of
-        generators below partitions[x], each join-irreducible, as the
-        lattice path builds it; else it is read off the seeds, and the
-        join-irreducible generators are found."""
+        generators below partitions[x], as the lattice path builds it; else
+        it is read off the seeds.  The join-irreducible generators are then
+        found."""
         self.algebra = algebra
         self.seeds = seeds
         counts = [len(set(p)) for p in partitions]
@@ -490,8 +488,7 @@ class ConLattice:
         self._cache = {}
         k = len(self.elements)
         self.blocks = [counts[x] for x in order]
-        lattice_path = masks is not None
-        if not lattice_path:
+        if masks is None:
             # Cg(a, b) ≤ θ iff a θ b
             masks = [
                 sum(1 << g for g, (a, b) in enumerate(seeds) if c.block_of[a] == c.block_of[b])
@@ -516,19 +513,15 @@ class ConLattice:
                     down &= ~h
             self._up_masks.append(up)
             self._down_masks.append(down)
-        if lattice_path:
-            # each class generator is join-irreducible (module doc)
-            self.gen_masks = masks
-        else:
-            # generator g is the lowest index above g, as index order extends
-            # the order; it is join-irreducible iff its strict down-set has a top
-            downs, jbits = self._down_masks, 0
-            for g, h in enumerate(above):
-                e = _lowest_bit(h)
-                below = downs[e] & ~(1 << e)
-                if below and downs[below.bit_length() - 1] == below:
-                    jbits |= 1 << g
-            self.gen_masks = [m & jbits for m in masks]
+        # generator g is the lowest index above g, as index order extends the
+        # order; it is join-irreducible iff its strict down-set has a top
+        downs, jbits = self._down_masks, 0
+        for g, h in enumerate(above):
+            e = _lowest_bit(h)
+            below = downs[e] & ~(1 << e)
+            if below and downs[below.bit_length() - 1] == below:
+                jbits |= 1 << g
+        self.gen_masks = [m & jbits for m in masks]
         self._at = {m: i for i, m in enumerate(self.gen_masks)}
         self.index_of_delta = self._index[delta_partition(algebra.n)]
         self.index_of_nabla = self._index[nabla_partition(algebra.n)]
@@ -570,17 +563,16 @@ class ConLattice:
         """Pairs (i, j) with θ_i ≺ θ_j, in index order."""
         return sorted(cover_pairs(self._up_masks, self._down_masks))
 
+    @cached
     def is_distributive(self) -> bool:
-        if "distributive" not in self._cache:
-            # each join-irreducible g must be join-prime: the θ not above g
-            # have a join not above g iff their masks' union is a mask
-            # (Davey & Priestley, ch. 10)
-            gm = self.gen_masks
-            self._cache["distributive"] = all(
-                functools.reduce(operator.or_, (m for m in gm if not m >> g & 1), 0) in self._at
-                for g in _bits(gm[self.index_of_nabla])
-            )
-        return self._cache["distributive"]
+        # each join-irreducible g must be join-prime: the θ not above g have
+        # a join not above g iff their masks' union is a mask (Davey &
+        # Priestley, ch. 10)
+        gm = self.gen_masks
+        return all(
+            functools.reduce(operator.or_, (m for m in gm if not m >> g & 1), 0) in self._at
+            for g in _bits(gm[self.index_of_nabla])
+        )
 
     def composes_to_nabla(self, i: int, j: int) -> bool:
         """θ_i∘θ_j = ∇, without composing: that holds iff every θ_i-block
@@ -597,18 +589,14 @@ class ConLattice:
         )
         return sum(a[B] * b[B] for B in a) == self.blocks[self.meet(i, j)]
 
+    @cached
     def is_permutable(self) -> bool:
         """Whether all congruences pairwise permute, tested on the
         join-irreducibles alone: if α, β, γ pairwise permute then
         α∨β = α∘β permutes with γ, so pairwise permuting join-irreducibles
         make every join of them, i.e. every congruence, permute."""
-        if "permutable" not in self._cache:
-            above = self._above
-            ji = sorted(_lowest_bit(above[g]) for g in _bits(self.gen_masks[self.index_of_nabla]))
-            self._cache["permutable"] = all(
-                self.permutes(i, j) for x, i in enumerate(ji) for j in ji[x + 1 :]
-            )
-        return self._cache["permutable"]
+        ji = sorted(_lowest_bit(self._above[g]) for g in _bits(self.gen_masks[self.index_of_nabla]))
+        return all(self.permutes(i, j) for x, i in enumerate(ji) for j in ji[x + 1 :])
 
 
 def _lowest_bit(mask: int) -> int:
@@ -641,19 +629,17 @@ def _enumerate_partitions(A: FiniteAlgebra) -> tuple:
     return _close_under_joins(n, gens), tuple(gens.values()), None
 
 
+@cached
 def lattice_classes(A: FiniteAlgebra) -> tuple:
     """The J step of a pure lattice L: J(Con L) as the classes of D* on
     J(L), read off L with no partition built (module doc).  Returns
     (seeds, under, covers): seeds[c] = (j₊, j) for the least j of class c,
     so that Cg(j₊, j) is class c's congruence; under[c], the mask of the
     classes strictly below c; and covers[c], the cover pairs a ≺ b of L
-    whose Cg is class c's.  Cached on A, as tuples, so that no caller can
-    change the cache through them.  It can be called alone: J(Con L)
+    whose Cg is class c's.  Memoized on A, as tuples, so that no caller
+    can change the memo through them.  It can be called alone: J(Con L)
     and its order need no Con(L), and the enumeration of Con(L) reads this
-    cache instead of recomputing it."""
-    hit = A._cache.get("lattice_classes")
-    if hit is not None:
-        return hit
+    memo instead of recomputing it."""
     n, join = A.n, A.tables["join"]
     up, down = A.order_masks()
     covers = cover_pairs(up, down)
@@ -699,8 +685,7 @@ def lattice_classes(A: FiniteAlgebra) -> tuple:
         while jd[j] & cand != 1 << j:
             j = (jd[j] & cand & ~(1 << j)).bit_length() - 1
         class_covers[cls[j]].append((a, b))
-    hit = A._cache["lattice_classes"] = tuple(seeds), tuple(under), tuple(map(tuple, class_covers))
-    return hit
+    return tuple(seeds), tuple(under), tuple(map(tuple, class_covers))
 
 
 def _lattice_partitions(A: FiniteAlgebra) -> tuple:
@@ -747,13 +732,12 @@ def _close_under_joins(n: int, gens: dict) -> tuple:
     return tuple(found)
 
 
+@cached
 def all_congruences(A: FiniteAlgebra) -> ConLattice:
     """Enumerate Con(A): on a pure lattice from the dependency relation on
     J(L), else by closing the principal congruences under join (module doc).
-    The lattice is kept on A, so it lives exactly as long as A does."""
-    if A._con is None:
-        object.__setattr__(A, "_con", ConLattice(A, *_enumerate_partitions(A)))
-    return A._con
+    Memoized on A, so the lattice lives exactly as long as A does."""
+    return ConLattice(A, *_enumerate_partitions(A))
 
 
 def brute_force_congruences(A: FiniteAlgebra) -> list[Congruence]:

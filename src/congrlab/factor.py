@@ -45,6 +45,7 @@ from .algebra import (
     CON_CAP,
     FiniteAlgebra,
     _bits,
+    cached,
     delta_partition,
     direct_product,
     join_partitions,
@@ -101,13 +102,11 @@ def factor_congruences(cl: ConLattice, t: int = 0) -> Center:
     return _interval_centers(cl, t)[1]
 
 
+@cached
 def _interval_centers(cl: ConLattice, t: int) -> tuple[Center, Center]:
-    """Both centers of [t, ∇] from one listing, cached on the lattice."""
-    hit = cl._cache.get(("center", t))
-    if hit is None:
-        bc, fc = map(dict, _complemented(cl, t))
-        hit = cl._cache[("center", t)] = Center(cl, list(bc), bc), Center(cl, list(fc), fc)
-    return hit
+    """Both centers of [t, ∇] from one listing, memoized on the lattice."""
+    bc, fc = map(dict, _complemented(cl, t))
+    return Center(cl, list(bc), bc), Center(cl, list(fc), fc)
 
 
 def _complemented(cl: ConLattice, t: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
@@ -126,8 +125,9 @@ def _complemented(cl: ConLattice, t: int) -> tuple[list[tuple[int, int]], list[t
     return pairs, [(i, j) for i, j in pairs if blocks[i] * blocks[j] == blocks[t]]
 
 
+@cached
 def _j_order(A: FiniteAlgebra) -> tuple[list[int], list[int], list[int], int | None]:
-    """J(Con A) as masks over the generator bits, cached on A: down[g] = ↓g,
+    """J(Con A) as masks over the generator bits, memoized on A: down[g] = ↓g,
     near[g] = the members comparable to g, the connected components, and
     the mask of their greatest elements when every component has one, else
     None.  On a pure lattice it is read off lattice_classes(A), with no
@@ -136,32 +136,29 @@ def _j_order(A: FiniteAlgebra) -> tuple[list[int], list[int], list[int], int | N
     above it, and its mask is ↓g.  Every center, and every question read
     off J, presumes Con(A) distributive, as a lattice's always is, so
     NotDistributive is raised here otherwise."""
-    hit = A._cache.get("j_order")
-    if hit is None:
-        if is_pure_lattice(A):
-            down = [u | 1 << g for g, u in enumerate(lattice_classes(A)[1])]
-            js = range(len(down))
-        else:
-            cl = all_congruences(A)
-            if not cl.is_distributive():
-                raise NotDistributive("congruence lattice is not distributive; complements would be ambiguous")
-            gm, js = cl.gen_masks, _bits(cl.gen_masks[cl.index_of_nabla])
-            down = [0] * len(cl._above)
-            for g in js:
-                down[g] = gm[_lowest_bit(cl._above[g])]
-        near = down[:]
-        for h in js:
-            for g in _bits(down[h]):
-                near[g] |= 1 << h
-        components = _components(near, sum(1 << g for g in js))
-        # g is the top of its component iff ↓g is all of it
-        whole = set(components)
-        tops = sum(1 << g for g in js if down[g] in whole)
-        topped = tops.bit_count() == len(components)
-        hit = A._cache["j_order"] = down, near, components, (tops if topped else None)
-    return hit
+    if is_pure_lattice(A):
+        down = [u | 1 << g for g, u in enumerate(lattice_classes(A)[1])]
+        js = range(len(down))
+    else:
+        cl = all_congruences(A)
+        if not cl.is_distributive():
+            raise NotDistributive("congruence lattice is not distributive; complements would be ambiguous")
+        gm, js = cl.gen_masks, _bits(cl.gen_masks[cl.index_of_nabla])
+        down = [0] * len(cl._above)
+        for g in js:
+            down[g] = gm[_lowest_bit(cl._above[g])]
+    near = down[:]
+    for h in js:
+        for g in _bits(down[h]):
+            near[g] |= 1 << h
+    components = _components(near, sum(1 << g for g in js))
+    # g is the top of its component iff ↓g is all of it
+    whole = set(components)
+    tops = sum(1 << g for g in js if down[g] in whole)
+    return down, near, components, (tops if tops.bit_count() == len(components) else None)
 
 
+@cached
 def _center_is_factor(A: FiniteAlgebra) -> bool:
     """Whether every Boolean congruence of A is a factor congruence, that is
     |FC(A)| = |B(A)|.  Requires Con(A) distributive.  On a pure lattice it
@@ -169,27 +166,23 @@ def _center_is_factor(A: FiniteAlgebra) -> bool:
     c components of J(Con A) (module doc, 3, at θ = Δ), each θ_U's partition
     merges the covers of the classes in U (lattice_classes), and θ_U has
     the factor complement θ_{J∖U} iff |A/θ_U|·|A/θ_{J∖U}| = |A|.  As
-    B(A) ⊆ Con(A), more than CON_CAP unions is past the cap.  Cached on A."""
-    hit = A._cache.get("center_is_factor")
-    if hit is None:
-        if is_pure_lattice(A):
-            components = _j_order(A)[2]
-            if 1 << len(components) > CON_CAP:
-                raise SizeCap(f"congruence count exceeds cap {CON_CAP}")
-            class_covers = lattice_classes(A)[2]
-            parts = [delta_partition(A.n)]
-            for c in components:
-                pairs = [p for g in _bits(c) for p in class_covers[g]]
-                parts += [merge_pairs(p, pairs) for p in parts]
-            # the x-th union is made of the components at the set bits of x,
-            # so its complement is the (2^c - 1 - x)-th
-            blocks = [sum(r == e for e, r in enumerate(p)) for p in parts]
-            hit = all(b * blocks[-1 - x] == A.n for x, b in enumerate(blocks))
-        else:
-            cl = all_congruences(A)
-            hit = len(factor_congruences(cl).members) == len(boolean_center(cl).members)
-        A._cache["center_is_factor"] = hit
-    return hit
+    B(A) ⊆ Con(A), more than CON_CAP unions is past the cap.  Memoized on
+    A."""
+    if not is_pure_lattice(A):
+        cl = all_congruences(A)
+        return len(factor_congruences(cl).members) == len(boolean_center(cl).members)
+    components = _j_order(A)[2]
+    if 1 << len(components) > CON_CAP:
+        raise SizeCap(f"congruence count exceeds cap {CON_CAP}")
+    class_covers = lattice_classes(A)[2]
+    parts = [delta_partition(A.n)]
+    for c in components:
+        pairs = [p for g in _bits(c) for p in class_covers[g]]
+        parts += [merge_pairs(p, pairs) for p in parts]
+    # the x-th union is made of the components at the set bits of x, so its
+    # complement is the (2^c - 1 - x)-th
+    blocks = [sum(r == e for e, r in enumerate(p)) for p in parts]
+    return all(b * blocks[-1 - x] == A.n for x, b in enumerate(blocks))
 
 
 def _components(near: list[int], within: int) -> list[int]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 from importlib import resources
 
@@ -37,8 +38,6 @@ OSUM_PARTS = {
     "L2osumL2x2": ("L2", "L2x2"),
 }
 
-_CACHE: dict[str, FiniteAlgebra] = {}
-
 
 def fixture_spec(name: str) -> dict:
     """The raw on-disk spec for a named fixture."""
@@ -50,9 +49,7 @@ def fixture_spec(name: str) -> dict:
     return json.loads(path.read_text())
 
 
+@functools.cache
 def fixture(name: str) -> FiniteAlgebra:
     """Build (and memoize) a named fixture algebra."""
-    hit = _CACHE.get(name)
-    if hit is None:
-        hit = _CACHE[name] = build_from_spec(fixture_spec(name))
-    return hit
+    return build_from_spec(fixture_spec(name))

@@ -139,7 +139,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import FiniteAlgebra, _bits, kernel, map_table
+from .algebra import FiniteAlgebra, _bits, cached, kernel, map_table
 from .congruences import (
     ConLattice,
     Congruence,
@@ -257,21 +257,19 @@ def _lifting(cl: ConLattice, t: int, factor: bool) -> tuple[int, int | None]:
     return cache[t]
 
 
+@cached
 def _lattice_order(A: FiniteAlgebra) -> tuple[list[int], list[int]] | None:
     """On a distributive pure lattice L, P = J(L) as masks over the
-    generator bits, read off L and cached on it: near[h] = the members
+    generator bits, read off L and memoized on it: near[h] = the members
     comparable to the h-th join-irreducible, and the connected components.
     Bit h is Cg(j₊, j) for the h-th pair of A.join_irreducible_pairs()
     (module doc, 6a).  None on every other algebra."""
-    if "lattice_order" not in A._cache:
-        hit = None
-        if is_pure_lattice(A) and A.is_distributive_lattice():
-            up, down = A.order_masks()
-            js = [j for _, j in A.join_irreducible_pairs()]
-            near = [sum(1 << h for h, k in enumerate(js) if (up[j] | down[j]) >> k & 1) for j in js]
-            hit = near, _components(near, (1 << len(js)) - 1)
-        A._cache["lattice_order"] = hit
-    return A._cache["lattice_order"]
+    if not (is_pure_lattice(A) and A.is_distributive_lattice()):
+        return None
+    up, down = A.order_masks()
+    js = [j for _, j in A.join_irreducible_pairs()]
+    near = [sum(1 << h for h, k in enumerate(js) if (up[j] | down[j]) >> k & 1) for j in js]
+    return near, _components(near, (1 << len(js)) - 1)
 
 
 def _chains(near: list[int], components: list[int]) -> bool:
@@ -371,10 +369,11 @@ def algebra_cblp(A: FiniteAlgebra) -> tuple[bool, LiftEvidence | None, Congruenc
 # -- normality conditions ---------------------------------------------------
 
 
+@cached
 def _joins_to_nabla(cl: ConLattice) -> list[int]:
     """Bit j of entry i is set iff θ_i ∨ θ_j = ∇.  In a distributive Con(A)
     that holds iff mask_j holds J(Con A) ∖ mask_i, so entry i is the AND of
-    the up-sets of the generators outside mask_i."""
+    the up-sets of the generators outside mask_i.  Memoized on the lattice."""
     gm, full = cl.gen_masks, (1 << len(cl)) - 1
     nabla = gm[cl.index_of_nabla]
     out = []
@@ -384,13 +383,6 @@ def _joins_to_nabla(cl: ConLattice) -> list[int]:
             up &= cl._above[g]
         out.append(up)
     return out
-
-
-def _trigger_masks(cl: ConLattice) -> list[int]:
-    """_joins_to_nabla, listed once per lattice."""
-    if "joins_to_nabla" not in cl._cache:
-        cl._cache["joins_to_nabla"] = _joins_to_nabla(cl)
-    return cl._cache["joins_to_nabla"]
 
 
 def is_fc_normal(A: FiniteAlgebra):
@@ -416,7 +408,7 @@ def _fc_normal_walk(cl: ConLattice):
     """is_fc_normal by the walk over each φ's maximal untested pairs
     (module doc, 4)."""
     fc = factor_congruences(cl)
-    joins = _trigger_masks(cl)
+    joins = _joins_to_nabla(cl)
     members = sum(1 << a for a in fc.members)
     for i, m in enumerate(joins):
         witnessed = 0
@@ -462,7 +454,7 @@ def _b_normal_walk(cl: ConLattice):
             if c & rest:
                 v |= c
         if v & ~plus:
-            j = next(j for j in _bits(_trigger_masks(cl)[i]) if v & ~gm[j])
+            j = next(j for j in _bits(_joins_to_nabla(cl)[i]) if v & ~gm[j])
             return False, (cl.elements[i].block_string(), cl.elements[j].block_string())
     return True, None
 

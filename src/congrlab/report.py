@@ -11,7 +11,7 @@ import functools
 import json
 
 from .algebra import FiniteAlgebra, ordinal_sum
-from .congruences import ConLattice, all_congruences
+from .congruences import all_congruences
 from .errors import AmbiguousComplement
 from .factor import boolean_center, factor_congruences, osum_fc_comparison
 from .fixtures import OSUM_PARTS, fixture
@@ -108,8 +108,7 @@ def congruence_rows(A: FiniteAlgebra) -> list[dict]:
     return rows
 
 
-def render_con_table(A: FiniteAlgebra, rows=None) -> str:
-    rows = rows if rows is not None else congruence_rows(A)
+def render_con_table(A: FiniteAlgebra, rows) -> str:
     width = max(len(r["congruence"]) for r in rows)
     out = [f"algebra: {A.name or '(unnamed)'} ({A.n} elements)"]
     out.append(counts_line(A))
@@ -125,10 +124,10 @@ def render_con_table(A: FiniteAlgebra, rows=None) -> str:
 # -- DOT --------------------------------------------------------------------
 
 
-def render_dot(A: FiniteAlgebra, cl: ConLattice | None = None) -> str:
+def render_dot(A: FiniteAlgebra) -> str:
     """Hasse diagram of the congruence lattice.  Boolean congruences are
     double-circled, factor congruences filled."""
-    cl = cl or all_congruences(A)
+    cl = all_congruences(A)
     bc = set(boolean_center(cl).members)
     fc = set(factor_congruences(cl).members)
     lines = [

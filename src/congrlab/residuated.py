@@ -4,7 +4,7 @@ finite reticulation of a residuated lattice.
 Everything is decided on A's own tables.  A/theta joins and meets class
 representatives, so the classes of r and s are complements in A/theta iff
 (r v s) theta 1 and (r ^ s) theta 0: BLP needs no quotient.  A's own center
-is that scan at Delta, run once per algebra and kept on A._cache.
+is that scan at Delta, memoized on A.
 
 (f) continues (a)-(e) of item 6 in the lifting module doc, which read the
 congruence side of a distributive lattice off P = J(L).  On a distributive
@@ -14,7 +14,8 @@ unions W of components of P (6c), and (6b) sends each to W ∖ S_theta in
 L/theta ≅ O(P ∖ S_theta), whose complemented elements are the unions of
 components of P ∖ S_theta.  Those are the images of the factor congruences
 in (6d), so BLP at theta is the trace test there, and BLP at every theta
-is FCLP: every component of P is a chain (6e).
+is FCLP, failing first at the same theta: every component of P is a chain
+(6e).
 Any other algebra whose lattice reduct is distributive, the residuated
 kind among them, tests at theta only the classes that hold no member of
 A's center, each against the others.
@@ -52,7 +53,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .algebra import FiniteAlgebra, _bits, delta_partition, kernel, lattice_from_order, lattice_reduct
+from .algebra import FiniteAlgebra, _bits, cached, delta_partition, kernel, lattice_from_order, lattice_reduct
 from .congruences import Congruence, all_congruences, class_labels
 from .errors import (
     AmbiguousComplement,
@@ -63,7 +64,7 @@ from .errors import (
     ParentMismatch,
     SizeCap,
 )
-from .lifting import _chains, _lattice_order, _trace_counts, algebra_cblp, algebra_fclp
+from .lifting import _lattice_order, _trace_counts, algebra_cblp, algebra_fclp
 
 FILTER_CAP = 12
 
@@ -100,21 +101,12 @@ def _complements(A: FiniteAlgebra, block_of) -> dict[int, int]:
     return complement
 
 
+@cached
 def element_boolean_center(A: FiniteAlgebra) -> ElementBooleanCenter:
-    """The complemented elements of A: the complement scan at Δ, run once
-    per algebra and cached on it.  An ambiguous complement is cached too, and
-    raised again on every call."""
-    hit = A._cache.get("element_center")
-    if hit is None:
-        try:
-            complement = _complements(A, delta_partition(A.n))
-            hit = ElementBooleanCenter(A, list(complement), complement)
-        except AmbiguousComplement as exc:
-            hit = exc
-        A._cache["element_center"] = hit
-    if isinstance(hit, AmbiguousComplement):
-        raise AmbiguousComplement(hit.element, hit.complements)
-    return hit
+    """The complemented elements of A: the complement scan at Δ, memoized on
+    A.  An ambiguous complement raises on every call."""
+    complement = _complements(A, delta_partition(A.n))
+    return ElementBooleanCenter(A, list(complement), complement)
 
 
 def has_blp(A: FiniteAlgebra, theta: Congruence) -> bool:
@@ -139,17 +131,15 @@ def has_blp(A: FiniteAlgebra, theta: Congruence) -> bool:
     return _blp_at(A, theta.block_of)
 
 
-def _blp_at(A: FiniteAlgebra, block_of, center: ElementBooleanCenter | None = None) -> bool:
-    """BLP at the congruence block_of, given A's center or reading it.  On a
-    distributive reduct only the classes that hold no member of the center
-    are tested, each against the others (module doc).  Any other lattice
-    scans every class first, so that an ambiguous complement in the
-    quotient is the one raised."""
+def _blp_at(A: FiniteAlgebra, block_of) -> bool:
+    """BLP at the congruence block_of.  On a distributive reduct only the
+    classes that hold no member of A's center are tested, each against the
+    others (module doc).  Any other lattice scans every class first, so that
+    an ambiguous complement in the quotient is the one raised."""
     if not A.is_distributive_lattice():
         complemented = _complements(A, block_of)
-        return _center_reaches(block_of, complemented, center or element_boolean_center(A))
-    center = center or element_boolean_center(A)
-    reached = {block_of[a] for a in center.members}
+        return _center_reaches(block_of, complemented, element_boolean_center(A))
+    reached = {block_of[a] for a in element_boolean_center(A).members}
     rest = [r for r, b in enumerate(block_of) if r == b and r not in reached]
     join, meet = A.tables["join"], A.tables["meet"]
     top, bot = block_of[A.top()], block_of[A.bottom()]
@@ -166,17 +156,18 @@ def _center_reaches(block_of, complemented, center: ElementBooleanCenter) -> boo
 
 def algebra_blp(A: FiniteAlgebra):
     """Conjunction of has_blp over all congruences; returns (ok, first
-    failing congruence or None).  On a distributive pure lattice it holds
-    iff every component of P = J(L) is a chain (module doc, f); only a
-    failure walks the θ.  A's center is computed once, first, as has_blp
-    at Δ would, so an ambiguous complement raises the same message."""
+    failing congruence or None).  On a distributive pure lattice it is
+    algebra_fclp's verdict and failing θ (module doc, f), so it answers past
+    the congruence cap whenever FCLP does.  Elsewhere A's center is computed
+    first, as has_blp at Δ would, so an ambiguous complement raises the
+    same message."""
+    if _lattice_order(A) is not None:
+        ok, _, theta = algebra_fclp(A)
+        return ok, theta
     thetas = all_congruences(A).elements
-    center = element_boolean_center(A)
-    order = _lattice_order(A)
-    if order is not None and _chains(*order):
-        return True, None
+    element_boolean_center(A)
     for theta in thetas:
-        if not theta.is_delta() and not _blp_at(A, theta.block_of, center):
+        if not theta.is_delta() and not _blp_at(A, theta.block_of):
             return False, theta
     return True, None
 

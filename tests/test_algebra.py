@@ -604,12 +604,12 @@ def test_distributivity_by_join_primes_agrees_with_the_triple_scan():
     lattices += [dual(L) for L in lattices if L.signature.kind != "residuated"]
     verdicts = set()
     for L in lattices:
-        L._cache.pop("distributive", None)
+        L._cache.pop("is_distributive_lattice", None)
         join, meet, ks = L.tables["join"], L.tables["meet"], range(L.n)
         scan = all(meet[a][join[b][c]] == join[meet[a][b]][meet[a][c]] for a in ks for b in ks for c in ks)
         assert join_prime_pair_scan(L) == scan, L.name
         assert L.is_distributive_lattice() == scan, L.name
-        assert L._cache["distributive"] == scan
+        assert L._cache["is_distributive_lattice"] == scan
         verdicts.add(scan)
     assert verdicts == {True, False}
 

@@ -168,7 +168,7 @@ def test_a_bijection_with_a_monotone_inverse_only_is_rejected():
 def untested(cl, i):
     """The j with θ_i ∨ θ_j = ∇ that no factor congruence witnesses."""
     fc = factor_congruences(cl)
-    joins = lifting._trigger_masks(cl)
+    joins = lifting._joins_to_nabla(cl)
     witnessed = 0
     for a in fc.members:
         if joins[i] >> a & 1:

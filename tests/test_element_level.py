@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from congrlab import residuated
+from congrlab import lifting, residuated
 from congrlab.algebra import build_from_spec, direct_product
 from congrlab.congruences import all_congruences
 from congrlab.errors import AmbiguousComplement
@@ -39,6 +39,7 @@ from congrlab.residuated import (
 )
 
 from sweep import sweep
+from test_join_irreducible_masks import cold
 from test_partition_join import chain
 from test_residuated import RESIDUATED_CHAINS, residuated_chain
 
@@ -113,17 +114,28 @@ def has_blp_loop(A):
     return True, None
 
 
-def test_algebra_blp_is_the_has_blp_loop_with_one_center(monkeypatch):
-    calls = []
-    center = residuated.element_boolean_center
+def count_scans(monkeypatch):
+    """The partition of each complement scan, in order."""
+    scans = []
+    complements = residuated._complements
     monkeypatch.setattr(
-        residuated, "element_boolean_center", lambda A: calls.append(A) or center(A)
+        residuated, "_complements", lambda B, block_of: scans.append(tuple(block_of)) or complements(B, block_of)
     )
+    return scans
+
+
+def test_algebra_blp_is_the_has_blp_loop_with_one_center(monkeypatch):
+    scans = count_scans(monkeypatch)
     for A in ALGEBRAS:
         want = outcome(has_blp_loop, A)
-        calls.clear()
-        assert outcome(algebra_blp, A) == want, A.name
-        assert len(calls) == 1, A.name
+        B = cold(A)
+        scans.clear()
+        assert outcome(algebra_blp, B) == want, A.name
+        # A's center is scanned once, first, unless BLP is read off
+        # P = J(L), which scans no class at all
+        delta = tuple(range(A.n))
+        assert scans.count(delta) == (lifting._lattice_order(B) is None), A.name
+        assert not scans or scans[0] == delta, A.name
 
 
 def test_filters_and_ideals_are_the_principal_ones():
@@ -227,11 +239,7 @@ def test_filter_and_ideal_congruences_are_the_kernels():
 @pytest.mark.parametrize("build", [lambda: chain(8), lambda: build_from_spec(fixture_spec("L2x3cube"))], ids=["C8", "L2x3cube"])
 def test_a_cold_report_scans_the_center_once_and_builds_no_reduct(build, monkeypatch):
     A = build()
-    scans = []
-    complements = residuated._complements
-    monkeypatch.setattr(
-        residuated, "_complements", lambda B, block_of: scans.append(tuple(block_of)) or complements(B, block_of)
-    )
+    scans = count_scans(monkeypatch)
 
     def no_algebra(*args, **kwargs):
         raise AssertionError("a dual or a lattice reduct was built")
@@ -242,7 +250,10 @@ def test_a_cold_report_scans_the_center_once_and_builds_no_reduct(build, monkeyp
                 monkeypatch.setattr(module, f, no_algebra)
     doc = build_report(A)
     assert doc["filt_blp"] and doc["id_blp"]
-    assert scans.count(tuple(range(A.n))) == 1
+    # a distributive pure lattice reads BLP, Filt-BLP and Id-BLP off
+    # P = J(L), so its center is never scanned
+    assert lifting._lattice_order(A) is not None
+    assert scans == []
 
 
 def test_a_residuated_filter_congruence_is_the_product_kernel():

@@ -63,7 +63,7 @@ def test_the_j_step_gives_the_verdicts_of_the_enumerated_path():
         assert congruences.is_pure_lattice(A), A.name
         fresh, enumerated = cold(A), cold(A)
         down, _, components, tops = factor._j_order(fresh)
-        assert fresh._con is None, A.name
+        assert "all_congruences" not in fresh._cache, A.name
         assert all(type(x) is tuple for x in congruences.lattice_classes(fresh)), A.name
         cl = all_congruences(enumerated)
         assert down == con_down_sets(cl), A.name
@@ -140,6 +140,8 @@ def refuse_partitions(monkeypatch):
         ("cblp", "FCLP: yes; CBLP: yes"),
         ("fc-normal", "fc-normal: yes"),
         ("b-normal", "b-normal: yes"),
+        # BLP of a distributive pure lattice is its FCLP
+        ("blp", "BLP: yes"),
     ],
 )
 def test_checks_past_the_cap_answer_from_j(prop, line, tmp_path, monkeypatch, capsys):
@@ -182,8 +184,12 @@ def test_a_failing_criterion_past_the_cap_still_exits_at_the_cap(build, tmp_path
     path.write_text(json.dumps(spec))
     refuse_partitions(monkeypatch)
     capsys.readouterr()
-    assert main(["check", "fclp", "--file", str(path)]) == 2
-    assert capsys.readouterr() == ("", "error: congruence count exceeds cap 20000\n")
-    # b-normality reads the tops of J(Con L) alone
+    for prop in ("fclp", "blp"):
+        assert main(["check", prop, "--file", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: congruence count exceeds cap 20000\n")
+    # b-normality and CBLP read the tops of J(Con L) alone; the FCLP shown
+    # beside CBLP is past the cap
     assert main(["check", "b-normal", "--file", str(path)]) == 0
     assert capsys.readouterr() == ("b-normal: yes\n", "")
+    assert main(["check", "cblp", "--file", str(path)]) == 0
+    assert capsys.readouterr() == ("FCLP: n/a; CBLP: yes\n", "")

@@ -233,7 +233,7 @@ def test_the_components_list_what_the_up_set_scan_finds():
             # each center's size and first unreached member, with no center
             # of [θ_t, ∇] built
             got = lifting._lifting(cl, t, True), lifting._lifting(cl, t, False)
-            assert ("center", t) not in cl._cache or t == cl.index_of_delta, (A.name, t)
+            assert ("_interval_centers", t) not in cl._cache or t == cl.index_of_delta, (A.name, t)
             assert got == ((len(fc), want), (len(bc), images_unliftable(cl, t))), (A.name, t)
             # the listing, and the centers built from it
             assert [dict(pairs) for pairs in factor._complemented(cl, t)] == [bc, fc], (A.name, t)
@@ -436,7 +436,7 @@ def cold(A):
 
 def cached_centers(cl):
     """The t whose centers of [θ_t, ∇] are cached on the lattice."""
-    return [t for t in range(len(cl)) if ("center", t) in cl._cache]
+    return [t for t in range(len(cl)) if ("_interval_centers", t) in cl._cache]
 
 
 def count_listings(monkeypatch):

@@ -42,10 +42,10 @@ def criteria_algebras():
 
 def blp_walk(A):
     """The old algebra_blp: _blp_at at every θ but Δ, with A's center read
-    once, first."""
-    center = residuated.element_boolean_center(A)
+    first."""
+    residuated.element_boolean_center(A)
     for theta in all_congruences(A).elements:
-        if not theta.is_delta() and not residuated._blp_at(A, theta.block_of, center):
+        if not theta.is_delta() and not residuated._blp_at(A, theta.block_of):
             return False, theta
     return True, None
 

@@ -446,7 +446,7 @@ def test_cold_large_reports_refine_no_partitions(monkeypatch, capsys):
     for module in (congruences, factor):
         tallies.append(count_calls(monkeypatch, module, [n for n in names if hasattr(module, n)]))
     for op in large_report_operations():
-        monkeypatch.setattr(fixtures, "_CACHE", {})
+        fixtures.fixture.cache_clear()
         op()
     capsys.readouterr()
     counts = dict.fromkeys(names, 0)
