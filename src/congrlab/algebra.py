@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     KindError,

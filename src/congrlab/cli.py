@@ -24,15 +24,14 @@ from .congruences import (
 )
 from .errors import CongrlabError, SizeCap
 from .factor import (
-    boolean_center,
     crt_characterization,
     crt_direct_check,
     factor_congruences,
     osum_fc_comparison,
     product_con_iso_check,
 )
-from .fixtures import FIXTURE_NAMES, fixture, fixture_spec
-from .lifting import algebra_cblp, algebra_fclp, is_b_normal, is_fc_normal, quotient
+from .fixtures import FIXTURE_NAMES, fixture
+from .lifting import _lifting_failure, algebra_cblp, algebra_fclp, is_b_normal, is_fc_normal, quotient
 from .report import (
     build_report,
     congruence_rows,
@@ -186,18 +185,10 @@ def _algebra_output(A, fmt):
 
 def run(args) -> int:
     verb = args.verb
-    if verb == "con":
+    if verb in ("con", "center", "fc"):
         A = _load(args)
-        _emit(_listing(A, congruence_rows(A), args.format), args.out)
-        return 0
-    if verb in ("center", "fc"):
-        A = _load(args)
-        cl = all_congruences(A)
-        members = set(
-            (boolean_center(cl) if verb == "center" else factor_congruences(cl)).members
-        )
-        rows = [r for r in congruence_rows(A) if r["index"] in members]
-        _emit(_listing(A, rows, args.format), args.out)
+        member = {"center": "boolean", "fc": "factor"}.get(verb)
+        _emit(_listing(A, [r for r in congruence_rows(A) if member is None or r[member]], args.format), args.out)
         return 0
     if verb == "quotient":
         A = _load(args)
@@ -287,26 +278,22 @@ def _check(A: FiniteAlgebra, prop: str) -> tuple[int, list[str]]:
     if prop in ("fclp", "cblp"):
         # the checked property alone sets the exit code and the evidence; the
         # other one is printed beside it, or n/a when it is past a cap
-        decide = {"fclp": algebra_fclp, "cblp": algebra_cblp}
-        ok, ev, theta = decide[prop](A)
-        shown = {prop: yn(ok)}
-        other = "cblp" if prop == "fclp" else "fclp"
+        ok, ev, theta = (algebra_fclp if prop == "fclp" else algebra_cblp)(A)
         try:
-            shown[other] = yn(decide[other](A)[0])
+            other = yn(_lifting_failure(A, prop == "cblp") is None)
         except SizeCap:
-            shown[other] = "n/a"
-        lines = [f"FCLP: {shown['fclp']}; CBLP: {shown['cblp']}"]
+            other = "n/a"
+        fclp, cblp = (yn(ok), other) if prop == "fclp" else (other, yn(ok))
+        lines = [f"FCLP: {fclp}; CBLP: {cblp}"]
         if not ok:
             lines.append(f"failing congruence: {theta.block_string()} (cannot reach {ev.unliftable})")
         return 0 if ok else 1, lines
-    if prop == "blp":
-        ok, theta = algebra_blp(A)
-        lines = [f"BLP: {yn(ok)}"]
-        if not ok:
-            lines.append(f"failing congruence: {theta.block_string()}")
-        return 0 if ok else 1, lines
-    if prop in ("filt-blp", "id-blp"):
-        name, failure = ("Filt-BLP", filt_blp_failure) if prop == "filt-blp" else ("Id-BLP", id_blp_failure)
+    if prop in ("blp", "filt-blp", "id-blp"):
+        name, failure = {
+            "blp": ("BLP", lambda A: algebra_blp(A)[1]),
+            "filt-blp": ("Filt-BLP", filt_blp_failure),
+            "id-blp": ("Id-BLP", id_blp_failure),
+        }[prop]
         theta = failure(A)
         lines = [f"{name}: {yn(theta is None)}"]
         if theta is not None:

@@ -122,6 +122,7 @@ import itertools
 import operator
 from collections import Counter
 from functools import total_ordering
+from types import MappingProxyType
 
 from .algebra import (
     CON_CAP,
@@ -153,12 +154,12 @@ BRUTE_FORCE_CAP = 9
 class Congruence:
     """A canonical partition of an algebra's carrier, verified compatible."""
 
-    __slots__ = ("algebra", "block_of", "_masks")
+    __slots__ = ("algebra", "block_of", "_masks", "_labels")
 
     def __init__(self, algebra: FiniteAlgebra, block_of, check=False):
         self.algebra = algebra
         self.block_of = tuple(block_of)
-        self._masks = None
+        self._masks = self._labels = None
         if len(self.block_of) != algebra.n:
             raise InvalidCongruence("partition length does not match the carrier")
         for e, r in enumerate(self.block_of):
@@ -203,6 +204,15 @@ class Congruence:
             self._masks = block_masks(self.block_of)
         return self._masks
 
+    def class_labels(self) -> MappingProxyType:
+        """The label of each element of A/θ, keyed by its block's
+        representative: the block's member labels, in index order, joined
+        by "+".  Built once per congruence, and read-only."""
+        if self._labels is None:
+            blocks = _grouped(self.block_of, self.algebra.labels)
+            self._labels = MappingProxyType({r: "+".join(blk) for r, blk in blocks.items()})
+        return self._labels
+
     def refines(self, other: "Congruence") -> bool:
         return partition_refines(self.block_of, other.block_of)
 
@@ -214,13 +224,13 @@ class Congruence:
 
     def block_string(self, over: "Congruence | None" = None) -> str:
         """Blocks as "a,b|c".  With over = θ ≤ self, render self/θ in the
-        labels of A/θ (see class_labels).  A block's first member is its
+        labels of A/θ, θ.class_labels().  A block's first member is its
         least, so the blocks come out grouped in one pass, in the order of
         their least members."""
         labels = self.algebra.labels
         if over is None:
             return "|".join(map(",".join, _grouped(self.block_of, labels).values()))
-        name = class_labels(over.block_of, labels)
+        name = over.class_labels()
         blocks = _grouped(self.block_of, map(name.get, range(len(labels))))
         return "|".join(",".join(x for x in blk if x is not None) for blk in blocks.values())
 
@@ -231,13 +241,6 @@ def _grouped(block_of, names) -> dict:
     for r, x in zip(block_of, names):
         blocks.setdefault(r, []).append(x)
     return blocks
-
-
-def class_labels(block_of, labels) -> dict:
-    """The label of each element of A/θ, keyed by its block's
-    representative in block_of: the block's member labels, in index order,
-    joined by "+"."""
-    return {r: "+".join(blk) for r, blk in _grouped(block_of, labels).items()}
 
 
 def delta(A: FiniteAlgebra) -> Congruence:

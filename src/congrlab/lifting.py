@@ -6,10 +6,11 @@ of A/theta is surjective; the algebra has the property when every theta
 does.  The same scheme with Boolean congruences instead of factor
 congruences gives the second property.  Both are decided inside Con(A):
 by the correspondence theorem Con(A/theta) is the interval [theta, ∇], so
-u(alpha) is alpha v theta and no quotient is built.  For factor congruences
-every candidate witness is tried, and failures name the target congruence
-that cannot be reached.  Each (property, theta) verdict is decided once per
-lattice and cached.
+u(alpha) is alpha v theta and no quotient is built.  Each (property, theta)
+verdict is decided once per lattice and cached as two integers (5), and the
+walks over theta return the index of the first failure.  Evidence is
+rendered only where it is printed or returned, in the class labels of
+A/theta, built once per theta.
 
 The Boolean property and both normality checks are read off the order of
 J = J(Con A).  A center exists only on a distributive Con(A), and then
@@ -144,18 +145,15 @@ from .congruences import (
     ConLattice,
     Congruence,
     all_congruences,
-    class_labels,
     is_arithmetical,
     is_congruence_distributive,
     is_congruence_permutable,
     is_pure_lattice,
     join,
-    maximal_congruences,
     maximal_indices,
-    prime_congruences,
     prime_indices,
 )
-from .errors import ParentMismatch, TrivialAlgebra
+from .errors import ParentMismatch
 from .factor import _center_is_factor, _complemented, _components, _j_order, boolean_center, factor_congruences
 
 
@@ -184,7 +182,7 @@ def quotient(A: FiniteAlgebra, theta: Congruence) -> QuotientResult:
     stay readable in reports."""
     if theta.algebra != A:
         raise ParentMismatch("congruence does not belong to the algebra")
-    names = class_labels(theta.block_of, A.labels)
+    names = theta.class_labels()
     index = {r: i for i, r in enumerate(names)}
     value = [index[r] for r in theta.block_of]
     tables = {f: map_table(A.tables[f], arity, names, value) for f, arity in A.signature.operations}
@@ -319,12 +317,26 @@ def has_cblp(A: FiniteAlgebra, theta: Congruence) -> tuple[bool, LiftEvidence]:
     return _has_lifting(A, theta, False)
 
 
-def _algebra_lifting(A, factor: bool):
+def _lifting_walk(A: FiniteAlgebra, factor: bool) -> int | None:
+    """The index in Con(A) of the first θ without the lifting, or None."""
     cl = all_congruences(A)
-    for t, theta in enumerate(cl.elements):
-        if _lifting(cl, t, factor)[1] is not None:
-            return False, _has_lifting(A, theta, factor)[1], theta
-    return True, None, None
+    return next((t for t in range(len(cl)) if _lifting(cl, t, factor)[1] is not None), None)
+
+
+def _lifting_failure(A: FiniteAlgebra, factor: bool) -> int | None:
+    """_lifting_walk after the property's criterion: Con(A) is enumerated
+    only when the criterion fails."""
+    criterion = _factor_criterion if factor else _components_topped
+    return None if criterion(A) else _lifting_walk(A, factor)
+
+
+def _algebra_lifting(A, factor: bool):
+    """The walk without the criterion; only the failing θ renders evidence."""
+    t = _lifting_walk(A, factor)
+    if t is None:
+        return True, None, None
+    theta = all_congruences(A).elements[t]
+    return False, _has_lifting(A, theta, factor)[1], theta
 
 
 def _components_topped(A: FiniteAlgebra) -> bool:
@@ -467,28 +479,25 @@ def check_special_congruences(A: FiniteAlgebra) -> dict:
     properties) and that a unique maximal congruence forces both properties
     algebra-wide.  Violations indicate implementation bugs, not properties
     of the input; the report says so."""
-    violations = []
-    try:
-        maxes = maximal_congruences(A)
-    except TrivialAlgebra:
-        maxes = []
-    primes = prime_congruences(A)
-    for label, group in (("maximal", maxes), ("prime", primes)):
-        for theta in group:
-            for prop, check in (("fclp", has_fclp), ("cblp", has_cblp)):
-                ok, ev = check(A, theta)
-                if not ok:
+    cl = all_congruences(A)
+    maxes, violations = maximal_indices(cl), []
+    for label, group in (("maximal", maxes), ("prime", prime_indices(cl))):
+        for t in group:
+            theta = cl.elements[t]
+            for prop, factor in (("fclp", True), ("cblp", False)):
+                bad = _lifting(cl, t, factor)[1]
+                if bad is not None:
                     violations.append(
                         f"{label} congruence {theta.block_string()} fails {prop}: "
-                        f"cannot reach {ev.unliftable}"
+                        f"cannot reach {cl.elements[bad].block_string(over=theta)}"
                     )
     if len(maxes) == 1:
-        for prop, check in (("fclp", algebra_fclp), ("cblp", algebra_cblp)):
-            ok, ev, theta = check(A)
-            if not ok:
+        for prop, factor in (("fclp", True), ("cblp", False)):
+            t = _lifting_failure(A, factor)
+            if t is not None:
                 violations.append(
                     f"algebra with a unique maximal congruence fails {prop} "
-                    f"at {theta.block_string()}"
+                    f"at {cl.elements[t].block_string()}"
                 )
     return {
         "ok": not violations,

@@ -54,7 +54,7 @@ import functools
 from dataclasses import dataclass
 
 from .algebra import FiniteAlgebra, _bits, cached, delta_partition, kernel, lattice_from_order, lattice_reduct
-from .congruences import Congruence, all_congruences, class_labels
+from .congruences import Congruence, all_congruences
 from .errors import (
     AmbiguousComplement,
     KindError,
@@ -64,7 +64,7 @@ from .errors import (
     ParentMismatch,
     SizeCap,
 )
-from .lifting import _lattice_order, _trace_counts, algebra_cblp, algebra_fclp
+from .lifting import _lattice_order, _lifting_failure, _trace_counts
 
 FILTER_CAP = 12
 
@@ -94,7 +94,7 @@ def _complements(A: FiniteAlgebra, block_of) -> dict[int, int]:
             s for s in reps if block_of[join[r][s]] == top and block_of[meet_t[r][s]] == bot
         ]
         if len(comps) > 1:
-            label = class_labels(block_of, A.labels)
+            label = Congruence(A, block_of).class_labels()
             raise AmbiguousComplement(label[r], [label[s] for s in comps])
         if comps:
             complement[r] = comps[0]
@@ -157,13 +157,13 @@ def _center_reaches(block_of, complemented, center: ElementBooleanCenter) -> boo
 def algebra_blp(A: FiniteAlgebra):
     """Conjunction of has_blp over all congruences; returns (ok, first
     failing congruence or None).  On a distributive pure lattice it is
-    algebra_fclp's verdict and failing θ (module doc, f), so it answers past
-    the congruence cap whenever FCLP does.  Elsewhere A's center is computed
-    first, as has_blp at Δ would, so an ambiguous complement raises the
-    same message."""
+    FCLP's verdict and failing θ, read as an index (module doc, f), so it
+    answers past the congruence cap whenever FCLP does.  Elsewhere A's
+    center is computed first, as has_blp at Δ would, so an ambiguous
+    complement raises the same message."""
     if _lattice_order(A) is not None:
-        ok, _, theta = algebra_fclp(A)
-        return ok, theta
+        t = _lifting_failure(A, True)
+        return (True, None) if t is None else (False, all_congruences(A).elements[t])
     thetas = all_congruences(A).elements
     element_boolean_center(A)
     for theta in thetas:
@@ -340,8 +340,8 @@ def blp_equivalence_check(A: FiniteAlgebra) -> dict:
     the kind: all three agree on a residuated lattice; on a bounded
     distributive lattice, BLP = FCLP while CBLP always holds."""
     blp, _ = algebra_blp(A)
-    cblp = algebra_cblp(A)[0]
-    fclp = algebra_fclp(A)[0]
+    cblp = _lifting_failure(A, False) is None
+    fclp = _lifting_failure(A, True) is None
     if A.signature.kind == "residuated":
         consistent = blp == cblp == fclp
     elif A.is_lattice and A.is_distributive_lattice():

@@ -1,12 +1,16 @@
+import hashlib
 import json
 import time
 from pathlib import Path
 
 import pytest
 
+from congrlab import cli
 from congrlab.algebra import build_from_spec, direct_product, emit_spec
 from congrlab.cli import main
 from congrlab.fixtures import FIXTURE_NAMES, fixture
+from sweep import sweep
+from test_join_irreducible_masks import cold
 
 REPO_GOLDENS = Path(__file__).resolve().parent.parent / "goldens"
 
@@ -397,3 +401,27 @@ def test_the_cached_parser_answers_as_a_fresh_one(tmp_path, capsys, monkeypatch)
     monkeypatch.setattr(cli, "make_parser", cli.make_parser.__wrapped__)
     assert cached == answers()
     assert [r[0] for r in cached if isinstance(r, tuple)] == [0, 0, 0, 0, 0, 1, 2, 0, 2, 0, 0, 0, 0, 0, 2, 0]
+
+
+# -- the sweep's output, pinned ---------------------------------------------------
+
+# sha256 over the exit code, stdout and stderr of every verb below on the 225
+# sweep lattices and the 16 fixtures, each freshly built, taken before the
+# lifting verdicts were read as indices
+SWEEP_DIGEST = "00825b77636ef86055b9bd50fb48431823890de02c98c7bcb6d5ef74d7921761"
+SWEEP_VERBS = [
+    *(["check", prop] for prop in ("fclp", "cblp", "blp", "filt-blp", "id-blp", "fc-normal", "b-normal")),
+    *([verb, "--format", fmt] for verb in ("report", "center", "fc") for fmt in ("table", "json")),
+]
+
+
+def test_the_sweep_prints_the_pinned_bytes(capsys, monkeypatch):
+    digest = hashlib.sha256()
+    for A in sweep() + [fixture(name) for name in FIXTURE_NAMES]:
+        fresh = cold(A)
+        monkeypatch.setattr(cli, "_load", lambda args: fresh)
+        for argv in SWEEP_VERBS:
+            code = main([*argv, "--file", "-"])
+            out, err = capsys.readouterr()
+            digest.update(f"{code}\0{out}\0{err}\0".encode())
+    assert digest.hexdigest() == SWEEP_DIGEST

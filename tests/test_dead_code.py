@@ -1,8 +1,11 @@
-"""Every module-level private name in the package is used.
+"""Every module-level private name in the package is used, and so is
+every name a module imports.
 
 A private helper (`_x`, not a dunder) that nothing in `src/` refers to is
 dead code: it is either left over from a path that was replaced, or it is
-only reached from the tests, which should then test the public path.
+only reached from the tests, which should then test the public path.  An
+import that its module never reads is left over the same way; a package
+`__init__` re-exports what it lists in `__all__`.
 """
 
 import ast
@@ -51,3 +54,30 @@ def test_every_private_name_is_referenced_outside_its_definition():
                 orphans.append(f"{module}:{name}")
     assert defined > 20
     assert orphans == []
+
+
+def imported_names(tree):
+    """(bound name, line) of each name an import statement binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0], node.lineno
+
+
+def exported_names(tree):
+    """The strings listed in the module's __all__."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            yield from ast.literal_eval(node.value)
+
+
+def test_every_import_is_read_by_its_module():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        read.update(exported_names(tree))
+        unused += [f"{path.name}:{line}:{name}" for name, line in imported_names(tree) if name not in read]
+    assert unused == []

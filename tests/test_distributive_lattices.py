@@ -17,15 +17,17 @@ import json
 
 import pytest
 
-from congrlab import lifting, residuated
+from congrlab import cli, congruences, lifting, residuated
 from congrlab.algebra import build_from_spec, dual
 from congrlab.cli import main
 from congrlab.congruences import all_congruences
 from congrlab.factor import boolean_center, factor_congruences
-from congrlab.fixtures import fixture_spec
+from congrlab.fixtures import fixture, fixture_spec
+from congrlab.report import build_report
 
 from sweep import sweep
 from test_join_irreducible_masks import center_unliftable, cold, images_unliftable
+from test_partition_join import count_calls
 from test_residuated import RESIDUATED_CHAINS, residuated_chain
 
 # -- specs ----------------------------------------------------------------------
@@ -197,6 +199,40 @@ def test_a_component_that_is_no_chain_fails_fclp(spec):
     near, components = lifting._lattice_order(A)
     assert len(components) == 1
     assert lifting.algebra_fclp(A)[0] is False
+
+
+# -- verdicts as indices, evidence rendered where it is printed ---------------------
+
+
+@pytest.mark.parametrize(
+    "build",
+    [*(lambda s=s: build_from_spec(s) for s in (VEE, WEDGE, N_SHAPE)), lambda: cold(fixture("L2osumL2x2"))],
+    ids=["O(V)", "O(W)", "O(N)", "L2osumL2x2"],
+)
+def test_a_report_renders_no_lifting_evidence(build, monkeypatch):
+    # each one fails FCLP; the rows name their targets off the index walk,
+    # and BLP, CBLP and FCLP are read as verdicts, so no witness is rendered
+    counts = count_calls(monkeypatch, lifting, ["_has_lifting"])
+    assert build_report(build())["flags"]["fclp"] is False
+    assert counts == {"_has_lifting": 0}
+
+
+@pytest.mark.parametrize(
+    "prop,build,code,evidence,labels",
+    [("fclp", lambda: cold(fixture("P")), 1, 1, 1), ("cblp", lambda: build_from_spec(VEE), 0, 0, 0)],
+    ids=["fclp-P", "cblp-O(V)"],
+)
+def test_check_renders_evidence_for_its_own_failure_alone(prop, build, code, evidence, labels, monkeypatch, capsys):
+    # the other property's column reads a verdict, so only a failure of the
+    # checked property renders evidence, and the failing θ's class labels
+    # are built once (each build wraps them read-only)
+    A = build()
+    monkeypatch.setattr(cli, "_load", lambda args: A)
+    renders = count_calls(monkeypatch, lifting, ["_has_lifting"])
+    builds = count_calls(monkeypatch, congruences, ["MappingProxyType"])
+    assert main(["check", prop, "--file", "-"]) == code
+    assert "FCLP: no" in capsys.readouterr().out
+    assert (renders["_has_lifting"], builds["MappingProxyType"]) == (evidence, labels)
 
 
 # -- BLP on the unreached classes ---------------------------------------------------

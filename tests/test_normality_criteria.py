@@ -98,12 +98,12 @@ def test_blp_criterion_gives_the_walks_verdict_and_evidence():
 def test_a_distributive_lattice_walks_no_theta_where_the_criteria_hold(build, monkeypatch):
     A = cold(build())
     counts = count_calls(monkeypatch, lifting, ["_joins_to_nabla", "_b_normal_walk"])
-    counts |= count_calls(monkeypatch, residuated, ["_blp_at"])
+    blp_counts = count_calls(monkeypatch, residuated, ["_blp_at"])
     assert is_fc_normal(A) == is_b_normal(A) == (True, None)
     assert residuated.algebra_blp(A) == (True, None)
     assert all(residuated.has_blp(A, theta) for theta in all_congruences(A).elements)
     assert residuated.has_filt_blp(A) and residuated.has_id_blp(A)
-    assert counts == {"_joins_to_nabla": 0, "_b_normal_walk": 0, "_blp_at": 0}
+    assert counts == {"_joins_to_nabla": 0, "_b_normal_walk": 0} and blp_counts == {"_blp_at": 0}
 
 
 def test_b_normality_enters_no_loop_where_every_component_is_topped(monkeypatch):
