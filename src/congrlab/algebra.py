@@ -26,8 +26,8 @@ from .errors import (
 # Size caps: everything downstream is exponential-ish, so fail loudly.
 CARRIER_CAP = 4096
 CON_CAP = 20000
-# The residuation check scans all n³ triples: a 128-element Gödel chain
-# builds in about 1.7 s (README, Limits).
+# The residuation check compares n² pairs of table rows of n entries: a
+# 128-element Gödel chain builds in about 0.4 s (README, Limits).
 RESIDUATED_CAP = 128
 
 KINDS = ("generic", "lattice", "bounded-lattice", "residuated")
@@ -237,7 +237,10 @@ class FiniteAlgebra:
 
     # -- validation ---------------------------------------------------------
 
-    def _validate(self, lattice_axioms=True):
+    def _validate(self, from_order=False):
+        """The tables match the signature, are total and in range, and obey
+        the kind's axioms.  from_order: join, meet and the bounds were
+        derived from a lattice order, so only the other tables are checked."""
         n = self.n
         ops = dict(self.signature.operations)
         if set(ops) != set(self.tables):
@@ -245,8 +248,9 @@ class FiniteAlgebra:
                 f"tables {sorted(self.tables)} do not match signature {sorted(ops)}"
             )
         for fname, arity in self.signature.operations:
-            _check_table(self.tables[fname], arity, n, fname)
-        if self.signature.is_lattice and lattice_axioms:
+            if not (from_order and fname in _ORDER_TABLES):
+                _check_table(self.tables[fname], arity, n, fname)
+        if self.signature.is_lattice and not from_order:
             self._validate_lattice_axioms()
         if self.signature.kind == "residuated":
             self._validate_residuation()
@@ -264,7 +268,7 @@ class FiniteAlgebra:
             ("meet", meet, glb, "greatest lower bound"),
         ):
             for a in range(n):
-                if list(given[a]) != want[a]:
+                if given[a] != want[a]:
                     b = next(b for b in range(n) if given[a][b] != want[a][b])
                     raise TableError(
                         f"{oname} of ({labels[a]}, {labels[b]}) is not their {what} in meet's order"
@@ -280,32 +284,44 @@ class FiniteAlgebra:
         self._cache["order_masks"] = up, down
 
     def _validate_residuation(self):
+        """top is a unit for times, which is commutative and associative,
+        and a·b ≤ c iff a ≤ b → c.  Each (a, b) compares whole rows over c;
+        only a failing pair is scanned, for the first failing c."""
         n = self.n
         if n > RESIDUATED_CAP:
             raise SizeCap(f"residuated carrier size {n} exceeds cap {RESIDUATED_CAP}")
-        times, implies = self.tables["times"], self.tables["implies"]
-        top = self.tables["top"]
+        times, implies, top = self.tables["times"], self.tables["implies"], self.tables["top"]
+        # le[x][c] says x ≤ c
+        le = [tuple([m == x for m in row]) for x, row in enumerate(self.tables["meet"])]
         for a in range(n):
-            if times[a][top] != a:
+            ta, la = times[a], le[a]
+            if ta[top] != a:
                 raise TableError(f"top is not a unit for times at {self.labels[a]}")
             for b in range(n):
-                if times[a][b] != times[b][a]:
+                ab = ta[b]
+                if ab != times[b][a]:
                     raise TableError(
                         f"times not commutative at ({self.labels[a]}, {self.labels[b]})"
                     )
+                tb, ib, tab, lab = times[b], implies[b], times[ab], le[ab]
+                # (a·b)·c = a·(b·c), and a·b ≤ c iff a ≤ b → c, for every c
+                if tab == tuple(map(ta.__getitem__, tb)) and lab == tuple(map(la.__getitem__, ib)):
+                    continue
                 for c in range(n):
-                    if times[times[a][b]][c] != times[a][times[b][c]]:
+                    if tab[c] != ta[tb[c]]:
                         raise TableError(
                             f"times not associative at "
                             f"({self.labels[a]}, {self.labels[b]}, {self.labels[c]})"
                         )
-                    if (self.leq(times[a][b], c)) != (self.leq(a, implies[b][c])):
+                    if lab[c] != la[ib[c]]:
                         raise ResiduationViolation(
                             self.labels[a], self.labels[b], self.labels[c]
                         )
 
 
 _INT_TYPES = frozenset((int, bool))
+# the tables a lattice order determines (_lattice_from_up_sets)
+_ORDER_TABLES = frozenset(("join", "meet", "bot", "top"))
 
 
 def _int_row(row) -> bool:
@@ -356,8 +372,9 @@ def lattice_from_order(leq, labels, kind="lattice", name=None, extra_tables=None
 
 def _lattice_from_up_sets(up, labels, kind, name, extra_tables):
     """lattice_from_order on the up-set bitmasks of the order.  The tables
-    are a lattice's by construction, so they are not checked again; bot and
-    top are the elements whose up-sets are everything and themselves."""
+    are a lattice's by construction, so they are not checked again: only
+    the extra tables, the signature and residuation are.  bot and top are
+    the elements whose up-sets are everything and themselves."""
     n = len(up)
     labels = tuple(str(x) for x in labels)
     join, meet, down = _order_operations(up, labels)
@@ -370,12 +387,12 @@ def _lattice_from_up_sets(up, labels, kind, name, extra_tables):
             raise TableError("extra_tables may not replace the tables derived from the order")
         tables.update(extra_tables)
     A = FiniteAlgebra(n, labels, lattice_signature(kind), tables, name=name, validate=False)
-    A._validate(lattice_axioms=False)
+    A._validate(from_order=True)
     A._cache["order_masks"] = up, down
     return A
 
 
-def _order_operations(up, labels) -> tuple[list[list[int]], list[list[int]], list[int]]:
+def _order_operations(up, labels) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[int]]:
     """The join and meet tables of the order whose up-sets are the bitmasks
     up, and its down-set bitmasks: the one path by which every input is
     decided to be a lattice.
@@ -401,8 +418,8 @@ def _order_operations(up, labels) -> tuple[list[list[int]], list[list[int]], lis
     join, meet = [], []
     for a in range(n):
         ua, da = up[a], down[a]
-        join.append([by_up.get(ua & u, -1) for u in up])
-        meet.append([by_down.get(da & d, -1) for d in down])
+        join.append(tuple([by_up.get(ua & u, -1) for u in up]))
+        meet.append(tuple([by_down.get(da & d, -1) for d in down]))
         if -1 in join[a] or -1 in meet[a]:
             # a pair (b, a) with b < a would have failed at row b
             b = min(row.index(-1) for row in (join[a], meet[a]) if -1 in row)

@@ -31,7 +31,7 @@ from .factor import (
     product_con_iso_check,
 )
 from .fixtures import FIXTURE_NAMES, fixture
-from .lifting import _lifting_failure, algebra_cblp, algebra_fclp, is_b_normal, is_fc_normal, quotient
+from .lifting import _lifting, _lifting_failure, is_b_normal, is_fc_normal, quotient
 from .report import (
     build_report,
     congruence_rows,
@@ -278,16 +278,20 @@ def _check(A: FiniteAlgebra, prop: str) -> tuple[int, list[str]]:
     if prop in ("fclp", "cblp"):
         # the checked property alone sets the exit code and the evidence; the
         # other one is printed beside it, or n/a when it is past a cap
-        ok, ev, theta = (algebra_fclp if prop == "fclp" else algebra_cblp)(A)
+        factor = prop == "fclp"
+        t = _lifting_failure(A, factor)
         try:
-            other = yn(_lifting_failure(A, prop == "cblp") is None)
+            other = yn(_lifting_failure(A, not factor) is None)
         except SizeCap:
             other = "n/a"
-        fclp, cblp = (yn(ok), other) if prop == "fclp" else (other, yn(ok))
+        fclp, cblp = (yn(t is None), other) if factor else (other, yn(t is None))
         lines = [f"FCLP: {fclp}; CBLP: {cblp}"]
-        if not ok:
-            lines.append(f"failing congruence: {theta.block_string()} (cannot reach {ev.unliftable})")
-        return 0 if ok else 1, lines
+        if t is not None:
+            cl = all_congruences(A)
+            theta = cl.elements[t]
+            target = cl.elements[_lifting(cl, t, factor)[1]].block_string(over=theta)
+            lines.append(f"failing congruence: {theta.block_string()} (cannot reach {target})")
+        return 0 if t is None else 1, lines
     if prop in ("blp", "filt-blp", "id-blp"):
         name, failure = {
             "blp": ("BLP", lambda A: algebra_blp(A)[1]),

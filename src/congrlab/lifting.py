@@ -264,8 +264,13 @@ def _lattice_order(A: FiniteAlgebra) -> tuple[list[int], list[int]] | None:
     (module doc, 6a).  None on every other algebra."""
     if not (is_pure_lattice(A) and A.is_distributive_lattice()):
         return None
-    up, down = A.order_masks()
-    js = [j for _, j in A.join_irreducible_pairs()]
+    return _p_order(A)
+
+
+def _p_order(L: FiniteAlgebra) -> tuple[list[int], list[int]]:
+    """_lattice_order on any lattice, unchecked and not memoized."""
+    up, down = L.order_masks()
+    js = [j for _, j in L.join_irreducible_pairs()]
     near = [sum(1 << h for h, k in enumerate(js) if (up[j] | down[j]) >> k & 1) for j in js]
     return near, _components(near, (1 << len(js)) - 1)
 

@@ -27,6 +27,28 @@ that hold no center member are complements.  A lattice whose reduct is
 not distributive keeps the scan of every class, which raises
 AmbiguousComplement on a class with two complements.
 
+(g) On a distributive pure lattice L, Filt-BLP holds iff every component
+of P has a least element, and Id-BLP iff every component has a greatest
+element; no filter or ideal congruence is built.  The congruence of the
+filter [m) has S_theta = {j in P : j ≰ m}: if j ≰ m then j^m < j, so
+j^m ≤ j₊ and j₊^m = j^m; if j ≤ m it separates j₊ from j.  So
+P ∖ S_theta = J(m), a down-set of P, and every down-set of P is some J(m).
+By (f) BLP at theta is the trace test of (6d).  A component with a least
+element puts it in every down-set that meets the component, and the trace
+is connected; a component without one has two minimal elements, and the
+down-set they form leaves a disconnected trace.  Dually, the congruence
+of the ideal (m] has P ∖ S_theta = P ∖ J(m), an up-set: j ≤ j₊ v m would
+force j ≤ m, as j is join-prime.  Every up-set of P is such a P ∖ J(m),
+and the same argument runs with greatest elements.
+
+(h) For the residuated kind the filters are the [e) with e idempotent, and
+their congruences ker(e·-) are all of Con(A), as congruences correspond to
+deductive filters (Galatos, Jipsen, Kowalski & Ono, Residuated Lattices,
+2007).  So Filt-BLP is BLP, read as such when the lattice reduct is
+distributive.  The ideal congruences are taken on the bounded-lattice
+reduct, so Id-BLP is read by (g) off A's join and meet, which are the
+reduct's, with no reduct built.
+
 Every filter F of a finite lattice is principal: m = ^F lies in F, so
 F = [m).  In a residuated lattice m*m is in F and m*m <= m*1 = m, so m is
 idempotent.  The filters are therefore the n principal filters, and the
@@ -64,7 +86,7 @@ from .errors import (
     ParentMismatch,
     SizeCap,
 )
-from .lifting import _lattice_order, _lifting_failure, _trace_counts
+from .lifting import _lattice_order, _lifting_failure, _p_order, _trace_counts
 
 FILTER_CAP = 12
 
@@ -225,19 +247,21 @@ def principal_filter(A: FiniteAlgebra, x: int) -> frozenset:
 
 def filters(A: FiniteAlgebra) -> FilterSet:
     """All filters, smallest first: the n principal filters (module doc)."""
-    A.require_lattice()
-    if A.n > FILTER_CAP:
-        raise SizeCap(f"filter enumeration capped at carrier size {FILTER_CAP}")
+    _require_enumerable(A, "filter")
     found = _smallest_first(principal_filter(A, x) for x in range(A.n))
     return FilterSet(A, found, [True] * len(found))
 
 
 def ideals(A: FiniteAlgebra) -> list[frozenset]:
     """All ideals, smallest first: the n principal ideals (module doc)."""
+    _require_enumerable(A, "ideal")
+    return _smallest_first(frozenset(_bits(d)) for d in A.order_masks()[1])
+
+
+def _require_enumerable(A: FiniteAlgebra, what: str):
     A.require_lattice()
     if A.n > FILTER_CAP:
-        raise SizeCap(f"ideal enumeration capped at carrier size {FILTER_CAP}")
-    return _smallest_first(frozenset(_bits(d)) for d in A.order_masks()[1])
+        raise SizeCap(f"{what} enumeration capped at carrier size {FILTER_CAP}")
 
 
 def _smallest_first(sets) -> list[frozenset]:
@@ -291,13 +315,20 @@ def ideal_congruence(A: FiniteAlgebra, I) -> Congruence:
 
 def filt_blp_failure(A: FiniteAlgebra) -> Congruence | None:
     """The first filter congruence, in filters(A) order, whose quotient
-    fails BLP, or None if Filt-BLP holds."""
+    fails BLP, or None if Filt-BLP holds.  The filters are walked only when
+    the criterion of has_filt_blp fails or none applies."""
+    if _filt_criterion(A):
+        return None
     return _first_failure(A, (filter_congruence(A, F) for F in filters(A).filters))
 
 
 def id_blp_failure(A: FiniteAlgebra) -> Congruence | None:
     """The first ideal congruence, in ideals(A) order, whose quotient fails
-    BLP, or None if Id-BLP holds.  Residuated kind: on the lattice reduct."""
+    BLP, or None if Id-BLP holds.  Residuated kind: on the lattice reduct.
+    The ideals are walked only when the criterion of has_id_blp fails or
+    none applies."""
+    if _id_criterion(A):
+        return None
     L = lattice_reduct(A, "bounded-lattice") if A.signature.kind == "residuated" else A
     return _first_failure(L, (ideal_congruence(L, I) for I in ideals(L)))
 
@@ -307,11 +338,57 @@ def _first_failure(A: FiniteAlgebra, thetas) -> Congruence | None:
 
 
 def has_filt_blp(A: FiniteAlgebra) -> bool:
-    return filt_blp_failure(A) is None
+    """BLP at every filter congruence: every component of P = J(L) has a
+    least element on a distributive pure lattice (module doc, g), and BLP
+    on the residuated kind with a distributive reduct (h); elsewhere the
+    walk of filt_blp_failure."""
+    ok = _filt_criterion(A)
+    return filt_blp_failure(A) is None if ok is None else ok
 
 
 def has_id_blp(A: FiniteAlgebra) -> bool:
-    return id_blp_failure(A) is None
+    """BLP at every ideal congruence: every component of P = J(L) has a
+    greatest element on a distributive pure lattice or reduct (module doc,
+    g and h); elsewhere the walk of id_blp_failure."""
+    ok = _id_criterion(A)
+    return id_blp_failure(A) is None if ok is None else ok
+
+
+def _filt_criterion(A: FiniteAlgebra) -> bool | None:
+    """Filt-BLP by (g) or (h) of the module doc, or None where neither
+    applies.  The kind and the cap are checked first, as filters(A) does."""
+    _require_enumerable(A, "filter")
+    if A.signature.kind == "residuated" and A.is_distributive_lattice():
+        return algebra_blp(A)[0]
+    return _components_bounded(A, 0)
+
+
+def _id_criterion(A: FiniteAlgebra) -> bool | None:
+    """Id-BLP by (g) and (h) of the module doc, or None where neither
+    applies.  The kind and the cap are checked first, as ideals(A) does (a
+    residuated A has its reduct's carrier)."""
+    _require_enumerable(A, "ideal")
+    return _components_bounded(A, 1)
+
+
+def _components_bounded(A: FiniteAlgebra, side: int) -> bool | None:
+    """Whether every component of P = J(L) has a least element (side 0) or
+    a greatest one (side 1), read off L's up-set or down-set masks (module
+    doc, g), where L is a distributive pure lattice or the lattice reduct of
+    the residuated kind, read off A's own tables.  None elsewhere."""
+    order = _lattice_order(A)
+    if order is None and A.signature.kind == "residuated" and A.is_distributive_lattice():
+        order = _p_order(A)
+    if order is None:
+        return None
+    masks = A.order_masks()[side]
+    js = [j for _, j in A.join_irreducible_pairs()]
+    for c in order[1]:
+        members = [js[h] for h in _bits(c)]
+        mask = sum(1 << j for j in members)
+        if not any(masks[j] & mask == mask for j in members):
+            return False
+    return True
 
 
 # -- reticulation -----------------------------------------------------------

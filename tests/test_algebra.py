@@ -196,6 +196,67 @@ def test_residuation_violation_names_the_triple():
         build_from_spec(spec)
 
 
+def residuation_scan(labels, meet, times, implies, top):
+    """The entry-by-entry scan the row check replaces: the message of the
+    first law that times and implies break, or None."""
+    n, leq = len(labels), lambda x, y: meet[x][y] == x
+    for a in range(n):
+        if times[a][top] != a:
+            return f"top is not a unit for times at {labels[a]}"
+        for b in range(n):
+            if times[a][b] != times[b][a]:
+                return f"times not commutative at ({labels[a]}, {labels[b]})"
+            for c in range(n):
+                if times[times[a][b]][c] != times[a][times[b][c]]:
+                    return f"times not associative at ({labels[a]}, {labels[b]}, {labels[c]})"
+                if leq(times[a][b], c) != leq(a, implies[b][c]):
+                    return str(ResiduationViolation(labels[a], labels[b], labels[c]))
+    return None
+
+
+def test_the_residuation_check_names_what_the_scan_names():
+    from test_residuated import residuated_chain
+
+    rng = random.Random(27)
+    # cover specs and explicit tables, so both build paths run the check
+    bases = [residuated_chain(n, t) for t in ("godel", "lukasiewicz", "drastic") for n in (3, 4, 6)]
+    bases += [fixture_spec("R0"), emit_spec(fixture("R0"))]
+    seen = set()
+    for _ in range(600):
+        spec = rng.choice(bases)
+        A = build_from_spec(spec)
+        labels, index = spec["elements"], {lab: i for i, lab in enumerate(spec["elements"])}
+        ops = {f: [row[:] for row in spec["operations"][f]] for f in ("times", "implies")}
+        for _ in range(rng.choice((1, 2))):
+            row = ops[rng.choice(("times", "implies"))][rng.randrange(A.n)]
+            row[rng.randrange(A.n)] = rng.choice(labels)
+        table = {f: [[index[x] for x in row] for row in t] for f, t in ops.items()}
+        want = residuation_scan(labels, A.tables["meet"], table["times"], table["implies"], A.top())
+        try:
+            build_from_spec(dict(spec, operations=dict(spec["operations"], **ops)))
+            got = None
+        except (TableError, ResiduationViolation) as err:
+            got = str(err)
+        assert got == want, (spec["name"], ops)
+        seen.add(want.split(" at ")[0].split(" on ")[0] if want else None)
+    laws = {"top is not a unit for times", "times not commutative", "times not associative", "residuation law fails"}
+    assert seen == laws | {None}
+
+
+@pytest.mark.parametrize("name,checked", [("X", set()), ("R0", {"times", "implies"})])
+def test_a_cover_build_checks_only_the_tables_it_did_not_derive(name, checked, monkeypatch):
+    # join, meet and the bounds come from the order, a lattice's by construction
+    seen, original = set(), algebra._check_table
+
+    def check(table, arity, n, fname):
+        seen.add(fname)
+        return original(table, arity, n, fname)
+
+    monkeypatch.setattr(algebra, "_check_table", check)
+    build_from_spec(fixture_spec(name))
+    assert seen == checked
+
+
 def test_unknown_fixture():
     with pytest.raises(UnknownFixture):
         fixture_spec("nosuch")

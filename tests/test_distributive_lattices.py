@@ -18,16 +18,18 @@ import json
 import pytest
 
 from congrlab import cli, congruences, lifting, residuated
-from congrlab.algebra import build_from_spec, dual
+from congrlab.algebra import build_from_spec, dual, lattice_reduct
 from congrlab.cli import main
-from congrlab.congruences import all_congruences
+from congrlab.congruences import Congruence, all_congruences
+from congrlab.errors import CongrlabError
 from congrlab.factor import boolean_center, factor_congruences
-from congrlab.fixtures import fixture, fixture_spec
+from congrlab.fixtures import FIXTURE_NAMES, fixture, fixture_spec
 from congrlab.report import build_report
+from congrlab.residuated import FILTER_CAP
 
 from sweep import sweep
 from test_join_irreducible_masks import center_unliftable, cold, images_unliftable
-from test_partition_join import count_calls
+from test_partition_join import c3_with_a_reversal, count_calls
 from test_residuated import RESIDUATED_CHAINS, residuated_chain
 
 # -- specs ----------------------------------------------------------------------
@@ -219,13 +221,14 @@ def test_a_report_renders_no_lifting_evidence(build, monkeypatch):
 
 @pytest.mark.parametrize(
     "prop,build,code,evidence,labels",
-    [("fclp", lambda: cold(fixture("P")), 1, 1, 1), ("cblp", lambda: build_from_spec(VEE), 0, 0, 0)],
+    [("fclp", lambda: cold(fixture("P")), 1, 0, 1), ("cblp", lambda: build_from_spec(VEE), 0, 0, 0)],
     ids=["fclp-P", "cblp-O(V)"],
 )
 def test_check_renders_evidence_for_its_own_failure_alone(prop, build, code, evidence, labels, monkeypatch, capsys):
-    # the other property's column reads a verdict, so only a failure of the
-    # checked property renders evidence, and the failing θ's class labels
-    # are built once (each build wraps them read-only)
+    # the other property's column reads a verdict, and the checked
+    # property's failure prints the target off the index walk, so no
+    # LiftEvidence is built and the failing θ's class labels are built once
+    # (each build wraps them read-only)
     A = build()
     monkeypatch.setattr(cli, "_load", lambda args: A)
     renders = count_calls(monkeypatch, lifting, ["_has_lifting"])
@@ -305,3 +308,137 @@ def test_pruned_blp_reads_only_pairs_of_unreached_classes():
             read += len(seen)
         reads[A.name] = read
     assert reads["C8"] == 0 < reads["godel8"]
+
+
+# -- Filt-BLP and Id-BLP read off P ---------------------------------------------------
+
+
+def residuated_product(A, B):
+    """A × B of two residuated algebras, componentwise, as explicit tables:
+    direct_product refuses the residuated kind."""
+    pairs = [(x, y) for x in range(A.n) for y in range(B.n)]
+    labels = [f"{A.labels[x]}:{B.labels[y]}" for x, y in pairs]
+
+    def table(f):
+        a, b = A.tables[f], B.tables[f]
+        return [[labels[a[x][u] * B.n + b[y][v]] for u, v in pairs] for x, y in pairs]
+
+    return build_from_spec(
+        {
+            "name": f"{A.name}x{B.name}",
+            "kind": "residuated",
+            "elements": labels,
+            "operations": {f: table(f) for f in ("join", "meet", "times", "implies")},
+            "constants": {"bot": labels[A.bottom() * B.n + B.bottom()], "top": labels[A.top() * B.n + B.top()]},
+        }
+    )
+
+
+def heyting(L):
+    """The Heyting algebra of a distributive lattice L: the product is the
+    meet, and a → b is the join of every z with z ∧ a ≤ b."""
+    join, meet, down = L.tables["join"], L.tables["meet"], L.order_masks()[1]
+    implies = [[L.bottom()] * L.n for _ in range(L.n)]
+    for a in range(L.n):
+        for b in range(L.n):
+            for z in range(L.n):
+                if down[b] >> meet[z][a] & 1:
+                    implies[a][b] = join[implies[a][b]][z]
+    table = lambda t: [[L.labels[e] for e in row] for row in t]
+    return build_from_spec(
+        {
+            "name": f"H({L.name})",
+            "kind": "residuated",
+            "elements": list(L.labels),
+            "operations": {"join": table(join), "meet": table(meet), "times": table(meet), "implies": table(implies)},
+            "constants": {"bot": L.labels[L.bottom()], "top": L.labels[L.top()]},
+        }
+    )
+
+
+def residuated_inputs():
+    """The residuated chains, R0, their products of at most 12 elements,
+    and the Heyting algebras of the sweep's distributive lattices."""
+    base = [build_from_spec(residuated_chain(n, t)) for t, n in RESIDUATED_CHAINS] + [fixture("R0")]
+    products = [
+        residuated_product(A, B) for i, A in enumerate(base) for B in base[i:] if A.n * B.n <= FILTER_CAP
+    ]
+    return base + products + [heyting(L) for L in sweep() if L.is_distributive_lattice()]
+
+
+def criteria_inputs():
+    """Lattices of every kind the two verdicts meet, errors included: the
+    sweep, the fixtures and their bounded-lattice reducts, the distributive
+    lattices above (some past FILTER_CAP), a generic algebra, a lattice with
+    an extra operation, and the residuated inputs."""
+    found = sweep() + [fixture(name) for name in FIXTURE_NAMES]
+    found += [lattice_reduct(A, "bounded-lattice") for A in found[-len(FIXTURE_NAMES) :] if A.is_lattice]
+    generic = build_from_spec({"kind": "algebra", "elements": ["a", "b"], "operations": {"f": [["a", "b"], ["b", "a"]]}})
+    return found + distributive_lattices() + [generic, c3_with_a_reversal()] + residuated_inputs()
+
+
+def walk_filters(A):
+    """The first filter congruence without BLP, by the walk over every one."""
+    return residuated._first_failure(A, (residuated.filter_congruence(A, F) for F in residuated.filters(A).filters))
+
+
+def walk_ideals(A):
+    """The first ideal congruence without BLP, by the walk over every one."""
+    L = lattice_reduct(A, "bounded-lattice") if A.signature.kind == "residuated" else A
+    return residuated._first_failure(L, (residuated.ideal_congruence(L, I) for I in residuated.ideals(L)))
+
+
+def outcome(f, A):
+    """f(A) on a cold copy of A, a congruence as its blocks, or the error raised."""
+    try:
+        got = f(cold(A))
+    except CongrlabError as exc:
+        return type(exc).__name__, str(exc)
+    return got.block_string() if isinstance(got, Congruence) else got
+
+
+def test_filt_and_id_blp_criteria_match_the_walks():
+    verdicts = {}
+    for A in criteria_inputs():
+        for has, failure, walk in (
+            (residuated.has_filt_blp, residuated.filt_blp_failure, walk_filters),
+            (residuated.has_id_blp, residuated.id_blp_failure, walk_ideals),
+        ):
+            want = outcome(walk, A)
+            assert outcome(failure, A) == want, (A.name, has.__name__)
+            verdict = want if isinstance(want, tuple) else want is None
+            assert outcome(has, A) == verdict, (A.name, has.__name__)
+            verdicts.setdefault(has.__name__, set()).add(verdict if isinstance(verdict, bool) else verdict[0])
+    errors = {"NotDistributive", "SizeCap", "KindError", "InvalidCongruence"}
+    assert verdicts["has_filt_blp"] == verdicts["has_id_blp"] == {True, False} | errors
+
+
+def test_the_filter_congruences_of_a_residuated_algebra_are_all_of_con():
+    # congruences correspond to deductive filters (residuated module doc, h)
+    inputs = residuated_inputs()
+    for A in inputs:
+        thetas = {residuated.filter_congruence(A, F) for F in residuated.filters(A).filters}
+        assert thetas == set(all_congruences(A).elements), A.name
+    assert len(inputs) > 100
+
+
+@pytest.mark.parametrize("name", ["L2x3cube", "L2timesL3", "R0"])
+def test_a_report_builds_no_filter_or_ideal_congruence(name, monkeypatch):
+    counts = count_calls(monkeypatch, residuated, ["filter_congruence", "ideal_congruence"])
+    doc = build_report(cold(fixture(name)), name=name)
+    assert doc["filt_blp"] is True and doc["id_blp"] is (name != "R0")
+    assert counts == {"filter_congruence": 0, "ideal_congruence": 0}
+
+
+def test_check_filt_blp_builds_no_filter_congruence(monkeypatch, capsys):
+    counts = count_calls(monkeypatch, residuated, ["filter_congruence"])
+    assert main(["check", "filt-blp", "--fixture", "L2x3cube"]) == 0
+    assert capsys.readouterr().out == "Filt-BLP: yes\n"
+    assert counts == {"filter_congruence": 0}
+
+
+def test_check_id_blp_walks_the_ideals_for_a_failure(monkeypatch, capsys):
+    counts = count_calls(monkeypatch, residuated, ["ideal_congruence"])
+    assert main(["check", "id-blp", "--fixture", "R0"]) == 1
+    assert capsys.readouterr().out == "Id-BLP: no\nfailing congruence: 0,c|a|b|1\n"
+    assert counts["ideal_congruence"] > 0
