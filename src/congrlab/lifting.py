@@ -67,19 +67,46 @@ evidence.
    B(L) is the θ_U for the unions U of components of J (`factor` module
    doc, 3), each θ_U a union-find over the covers of the classes in U, and
    (θ_U, θ_{J∖U}) is a factor pair iff |L/θ_U|·|L/θ_{J∖U}| = |L|.
-5. θ has the factor property iff every factor member of [θ, ∇] has an
-   image D_α ∪ D_θ, α ∈ FC(A), as its mask.  One routine answers each
-   property at θ, and caches the size of the center of [θ, ∇] and its
-   first member, in index order, that no u(α) reaches.  Each of the c
-   components of J ∖ D_θ lies in one component of J, so c is at least the
-   number m of components of J that meet J ∖ D_θ, and c = m iff every
-   non-empty trace is connected.  So |B(A/θ)| = 2^c (`factor` module doc,
-   3), and θ has the Boolean property iff c = m (2); if every component of
-   J has a top, c = m with no search.  On P and P ∖ S_θ the same counts
-   give |FC(L/θ)| and the factor property of a distributive pure lattice
-   (6).  Elsewhere one listing of [θ, ∇] off the components of J ∖ D_θ
-   (`factor` module doc) gives |FC(A/θ)|, each member looked up among the
-   images.  Only a θ without the property lists members for its evidence.
+5. One count decides both properties at θ.  Call FC(A) or B(A) A's
+   center, the same center of [θ, ∇] θ's, and R = J ∖ D_θ.
+   (a) A's center is a Boolean sublattice of Con(A).  B(A) is one in any
+       distributive lattice.  For FC(A), let (α, α') be a factor pair, so
+       A ≅ B × C.  Every θ is (θ ∨ α) ∧ (θ ∨ α'), by distributivity, so it
+       is a product θ₁ × θ₂, and composition and meet are taken
+       componentwise.  So a factor pair (β, β') splits into factor pairs
+       (β₁, β₁') on B and (β₂, β₂') on C, and α ∧ β = Δ_B × β₂ has the
+       factor complement ∇_B × β₂'.  Complements are unique, so FC(A) is
+       also closed under ∨, by De Morgan.  Its atoms, the least members
+       above Δ, partition J, and each member is the union of the atoms
+       below it.  They are the components of J on the Boolean side (1),
+       and the components of P for FC(L) of a distributive pure lattice
+       (6d).  Elsewhere a member above Δ is an atom iff its meet with each
+       member is Δ or itself.
+   (b) u(α) = α ∨ θ is a lattice map, by distributivity, and it maps a
+       complemented pair to a complemented pair of [θ, ∇]:
+       (α ∨ θ) ∧ (α' ∨ θ) = (α ∧ α') ∨ θ = θ.  It keeps factor pairs, as
+       (α ∨ θ)∘(α' ∨ θ) ⊇ α∘α' = ∇.  So u maps A's center into θ's, and on
+       masks an atom X goes to D_θ ∪ (X ∩ R), its trace X ∩ R joined to
+       D_θ.
+   (c) The verdict.  Let m be the number of atoms whose trace is not empty.
+       The traces are disjoint, so the 2^m unions of them give 2^m
+       distinct images, and these are all of them.  They lie in θ's
+       center, so u is onto iff θ's center has 2^m members.  Its size is
+       2^c for the c components of R on the Boolean side (`factor` module
+       doc, 3) and for the c components of P ∖ S_θ on the factor side of a
+       distributive pure lattice (6c); elsewhere one listing of [θ, ∇] off
+       the components of R (`factor` module doc) gives |FC(A/θ)|.  Each
+       component of R lies in one trace, so c ≥ m, and c = m iff every
+       non-empty trace is connected (2); if every component of J has a
+       top, c = m with no search.
+   (d) The evidence.  A member D_θ ∪ V of θ's center is u(α), for α the
+       union of some atoms, iff every trace lies inside V or misses it, an
+       O(#atoms) test per member.  The α that reach it are then the unions
+       that hold every atom whose trace meets V, and no other atom with a
+       non-empty trace.  The least of them, the union of those atoms, is
+       found by one lookup of its mask, and it is the first in index order,
+       as index order extends ≤.  Only a θ without the property lists
+       members for its evidence.
    Every θ has the factor property when |FC(A)| = |B(A)| and every θ has
    the Boolean one: FC(A) ⊆ B(A) gives FC(A) = B(A), and u then maps it
    onto B(A/θ) ⊇ FC(A/θ).
@@ -223,36 +250,58 @@ class LiftEvidence:
     unliftable: str | None = None
 
 
-def _images(cl: ConLattice, t: int, factor: bool) -> dict[int, int]:
-    """The mask of u(α) = α ∨ θ_t for each α in FC(A) if factor, else in
-    B(A), mapped to its first α.  A center exists only on a distributive
-    Con(A), where the mask of a join is the union of the masks."""
-    gm, mt = cl.gen_masks, cl.gen_masks[t]
-    members = (factor_congruences if factor else boolean_center)(cl).members
-    # read backwards, so that each image keeps its first α
-    return {gm[a] | mt: a for a in reversed(members)}
-
-
 def _lifting(cl: ConLattice, t: int, factor: bool) -> tuple[int, int | None]:
     """The size of the center of [θ_t, ∇] ≅ Con(A/θ_t), FC(A/θ_t) if factor
     and B(A/θ_t) otherwise, and the first member of it that no u(α)
-    reaches, None if θ_t has the lifting (module doc, 5).  Cached on the
-    lattice, as a report asks for each verdict twice."""
+    reaches, None if θ_t has the lifting: iff the size is 2^m, for the m
+    atoms of A's center that meet J ∖ D_t (module doc, 5).  [θ_t, ∇] is
+    listed at most once.  Cached on the lattice, as a report asks for each
+    verdict twice."""
     cache = cl._cache.get(("lifting", factor))
     if cache is None:
         cache = cl._cache["lifting", factor] = [None] * len(cl)
     if cache[t] is None:
-        order = _lattice_order(cl.algebra) if factor else _j_order(cl.algebra)[1:]
-        if order is None:
-            listed = _complemented(cl, t)[1]
-            size = len(listed)
-        else:
-            rest = cl.gen_masks[cl.index_of_nabla] & ~cl.gen_masks[t]
-            c, met = _trace_counts(rest, *order)
-            size, listed = 1 << c, [] if c == met else _complemented(cl, t)[factor]
-        images = _images(cl, t, factor) if listed else {}
-        cache[t] = size, next((b for b, _ in listed if cl.gen_masks[b] not in images), None)
+        near, atoms, tops = _side(cl.algebra, factor)
+        rest = cl.gen_masks[cl.index_of_nabla] & ~cl.gen_masks[t]
+        listed = [] if near is not None else _complemented(cl, t)[1]
+        size = len(listed) or 1 << _trace_count(rest, near, tops)
+        # every θ has the lifting when each component of J has a top (module doc, 2)
+        lifts = tops is not None or size == 1 << sum(1 for x in atoms if x & rest)
+        cache[t] = size, None if lifts else next(
+            b for b, _ in listed or _complemented(cl, t)[factor] if _reached(atoms, rest, cl.gen_masks[b]) is None
+        )
     return cache[t]
+
+
+@cached
+def _side(A: FiniteAlgebra, factor: bool) -> tuple[list[int] | None, list[int], int | None]:
+    """(near, atoms, tops) of one property, FC(A) if factor and B(A)
+    otherwise: the atoms of A's center as masks over the generator bits,
+    and the near and tops with which _trace_count counts the center of
+    [θ, ∇], on J(Con A) for B(A/θ) and on P = J(L) for FC(L/θ); near is
+    None where only a listing of [θ, ∇] counts it (module doc, 5).
+    Memoized on A."""
+    if not factor:
+        return _j_order(A)[1:]
+    order = _lattice_order(A)
+    if order is not None:
+        return (*order, None)
+    cl = all_congruences(A)
+    masks = [cl.gen_masks[a] for a in factor_congruences(cl).members]
+    # FC(A) is closed under ∧, so a member above Δ is an atom iff its meet
+    # with each member is Δ or itself (module doc, 5a)
+    return None, [m for m in masks if m and all(n & m in (0, m) for n in masks)], None
+
+
+def _reached(atoms: list[int], rest: int, mask: int) -> int | None:
+    """The mask of the least α in A's center whose u(α) has the given mask,
+    or None if no u(α) has it; rest is J ∖ D_θ.  It is reached iff each
+    trace X ∩ rest of an atom X lies inside the mask or misses it, and the
+    least α is the union of the atoms whose trace meets it (module doc, 5)."""
+    v = mask & rest
+    if any(x & v not in (0, x & rest) for x in atoms):
+        return None
+    return sum(x for x in atoms if x & v)
 
 
 @cached
@@ -281,17 +330,13 @@ def _chains(near: list[int], components: list[int]) -> bool:
     return all(near[g] & c == c for c in components for g in _bits(c))
 
 
-def _trace_counts(rest: int, near: list[int], components: list[int], tops: int | None = None) -> tuple[int, int]:
-    """c, the number of components of rest, and m, the number of components
-    that meet it.  c = m on J(Con A) is θ's Boolean lifting, and on P = J(L)
-    its factor lifting.  tops, the mask of the components' greatest elements
-    when every component has one, gives c = m with no search: rest is an
-    up-set, so a component meets it iff its top lies in it (module doc, 5)."""
-    if tops is not None:
-        met = (tops & rest).bit_count()
-        return met, met
-    met = sum(1 for c in components if c & rest)
-    return len(_components(near, rest)), met
+def _trace_count(rest: int, near: list[int], tops: int | None = None) -> int:
+    """c, the number of components of rest: the center of [θ, ∇] has 2^c
+    members, B(A/θ) on J(Con A) and FC(L/θ) on P = J(L).  tops, the mask of
+    the components' greatest elements when every component has one, gives
+    c with no search: rest is an up-set, so a component meets it iff its
+    top lies in it, and its trace is then below that top (module doc, 5)."""
+    return len(_components(near, rest)) if tops is None else (tops & rest).bit_count()
 
 
 def _has_lifting(A, theta, factor: bool) -> tuple[bool, LiftEvidence]:
@@ -300,15 +345,16 @@ def _has_lifting(A, theta, factor: bool) -> tuple[bool, LiftEvidence]:
         raise ParentMismatch("congruence does not belong to the algebra")
     cl = all_congruences(A)
     t = cl.index(theta)
-    images = _images(cl, t, factor)
+    atoms = _side(A, factor)[1]
+    rest = cl.gen_masks[cl.index_of_nabla] & ~cl.gen_masks[t]
     ev = LiftEvidence()
     for b, _ in _complemented(cl, t)[factor]:
         target = cl.elements[b].block_string(over=theta)
-        hit = images.get(cl.gen_masks[b])
-        if hit is None:
+        source = _reached(atoms, rest, cl.gen_masks[b])
+        if source is None:
             ev.unliftable = target
             return False, ev
-        ev.witnesses.append((target, cl.elements[hit].block_string()))
+        ev.witnesses.append((target, cl.elements[cl._at[source]].block_string()))
     return True, ev
 
 
@@ -378,9 +424,7 @@ def algebra_cblp(A: FiniteAlgebra) -> tuple[bool, LiftEvidence | None, Congruenc
     J(Con A) has a greatest element (module doc, 2); only a failure walks
     the θ for the first one without the lifting, and a pure lattice
     enumerates Con(L) only then."""
-    if _components_topped(A):
-        return True, None, None
-    return _algebra_lifting(A, False)
+    return (True, None, None) if _components_topped(A) else _algebra_lifting(A, False)
 
 
 # -- normality conditions ---------------------------------------------------
@@ -464,12 +508,12 @@ def _b_normal_walk(cl: ConLattice):
     gm = cl.gen_masks
     nabla = gm[cl.index_of_nabla]
     for i, m in enumerate(gm):
-        rest, plus, v = nabla & ~m, 0, 0
+        rest, plus = nabla & ~m, 0
         for g in _bits(rest):
             plus |= down[g]
-        for c in components:
-            if c & rest:
-                v |= c
+        # V, the least Boolean α with θ_i ∨ α = ∇, is the least α that u
+        # takes to ∇ in [θ_i, ∇] (5d)
+        v = _reached(components, rest, nabla)
         if v & ~plus:
             j = next(j for j in _bits(_joins_to_nabla(cl)[i]) if v & ~gm[j])
             return False, (cl.elements[i].block_string(), cl.elements[j].block_string())
@@ -545,14 +589,13 @@ def lifting_report(A: FiniteAlgebra, name: str | None = None) -> LiftingReport:
             }
         )
         rows.append(row)
-    fcn, _ = is_fc_normal(A)
     flags = {
         "con_size": len(cl),
         "center_size": len(bc.members),
         "fc_size": len(fc.members),
         "fclp": all(row["fclp"] for row in rows),
         "cblp": all(row["cblp"] for row in rows),
-        "fc_normal": fcn,
+        "fc_normal": is_fc_normal(A)[0],
         # b-normal iff every component of J(Con A) has a top (module doc, 3)
         "b_normal": _components_topped(A),
         "distributive": is_congruence_distributive(A),

@@ -86,7 +86,7 @@ from .errors import (
     ParentMismatch,
     SizeCap,
 )
-from .lifting import _lattice_order, _lifting_failure, _p_order, _trace_counts
+from .lifting import _lattice_order, _lifting_failure, _p_order, _trace_count
 
 FILTER_CAP = 12
 
@@ -145,8 +145,8 @@ def has_blp(A: FiniteAlgebra, theta: Congruence) -> bool:
         # of P (lifting module doc, 6a)
         block_of = theta.block_of
         rest = sum(1 << h for h, (a, j) in enumerate(A.join_irreducible_pairs()) if block_of[a] != block_of[j])
-        c, met = _trace_counts(rest, *order)
-        return c == met
+        near, components = order
+        return _trace_count(rest, near) == sum(1 for c in components if c & rest)
     if theta.is_delta():
         element_boolean_center(A)
         return True
@@ -176,13 +176,15 @@ def _center_reaches(block_of, complemented, center: ElementBooleanCenter) -> boo
     return all(r in images for r in complemented)
 
 
+@cached
 def algebra_blp(A: FiniteAlgebra):
     """Conjunction of has_blp over all congruences; returns (ok, first
     failing congruence or None).  On a distributive pure lattice it is
     FCLP's verdict and failing θ, read as an index (module doc, f), so it
     answers past the congruence cap whenever FCLP does.  Elsewhere A's
     center is computed first, as has_blp at Δ would, so an ambiguous
-    complement raises the same message."""
+    complement raises the same message, on every call.  Memoized on A, as
+    a report asks for it twice: once itself, once for Filt-BLP (h)."""
     if _lattice_order(A) is not None:
         t = _lifting_failure(A, True)
         return (True, None) if t is None else (False, all_congruences(A).elements[t])
@@ -425,9 +427,4 @@ def blp_equivalence_check(A: FiniteAlgebra) -> dict:
         consistent = (blp == fclp) and cblp
     else:
         consistent = True  # no equivalence promised for other kinds
-    return {
-        "blp": blp,
-        "cblp": cblp,
-        "fclp": fclp,
-        "consistent": consistent,
-    }
+    return {"blp": blp, "cblp": cblp, "fclp": fclp, "consistent": consistent}

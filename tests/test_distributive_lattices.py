@@ -430,6 +430,16 @@ def test_a_report_builds_no_filter_or_ideal_congruence(name, monkeypatch):
     assert counts == {"filter_congruence": 0, "ideal_congruence": 0}
 
 
+def test_a_residuated_report_decides_blp_once(monkeypatch):
+    # the report's BLP, and its Filt-BLP, which is BLP on the residuated
+    # kind, read one memoized walk: one _blp_at per θ above Δ
+    A = cold(fixture("R0"))
+    counts = count_calls(monkeypatch, residuated, ["_blp_at"])
+    doc = build_report(A)
+    assert doc["blp"] is doc["filt_blp"] is True
+    assert len(all_congruences(A)) - 1 == counts["_blp_at"] == 4
+
+
 def test_check_filt_blp_builds_no_filter_congruence(monkeypatch, capsys):
     counts = count_calls(monkeypatch, residuated, ["filter_congruence"])
     assert main(["check", "filt-blp", "--fixture", "L2x3cube"]) == 0

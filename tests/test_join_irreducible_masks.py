@@ -298,17 +298,16 @@ def test_generic_copies_report_as_the_lattices_do():
 def test_a_cold_report_decides_each_lifting_verdict_once(monkeypatch):
     # T is not distributive, so its rows take the interval route
     A = cold(fixture("T"))
-    calls = []
-    images = lifting._images
-    monkeypatch.setattr(
-        lifting, "_images", lambda cl, t, factor_side: calls.append((t, factor_side)) or images(cl, t, factor_side)
-    )
+    listed = count_listings(monkeypatch)
+    counts = count_calls(monkeypatch, lifting, ["_trace_count", "_reached"])
     build_report(A)
     # lifting_report, then blp_equivalence_check, ask for the verdict of each
-    # (property, θ); it is decided once, and only the factor lifting builds
-    # images.  T has both properties, so no evidence is rendered.
-    assert len(calls) == len(set(calls)) == len(all_congruences(A))
-    assert {factor_side for _, factor_side in calls} == {True}
+    # (property, θ); it is decided once: after Δ's center, each factor
+    # verdict lists its interval, and each Boolean one counts its traces.
+    # T has both properties, so no member is tested for a reach.
+    cl = all_congruences(A)
+    assert listings_on(cl, listed) == [cl.index_of_delta, *range(len(cl))]
+    assert counts == {"_trace_count": len(cl), "_reached": 0}
     assert lifting.algebra_fclp(A)[0] and lifting.algebra_cblp(A)[0]
 
 
@@ -320,13 +319,13 @@ def test_a_cold_report_decides_each_lifting_verdict_once(monkeypatch):
 def test_a_cold_report_on_a_distributive_lattice_builds_only_deltas_center(build, monkeypatch):
     A = build()
     listed = count_listings(monkeypatch)
-    counts = count_calls(monkeypatch, lifting, ["_images"])
+    counts = count_calls(monkeypatch, lifting, ["_reached"])
     build_report(A)
     # every row is read off J(L); Δ's center gives the flags, and it is the
-    # one interval listed
+    # one interval listed, with no member tested for a reach
     cl = all_congruences(A)
     assert listings_on(cl, listed) == cached_centers(cl) == [cl.index_of_delta]
-    assert counts == {"_images": 0}
+    assert counts == {"_reached": 0}
 
 
 def test_a_cold_report_lists_the_trigger_pairs_once(monkeypatch):
@@ -415,11 +414,11 @@ def test_the_components_decide_as_the_images_and_bitsets_do():
 def test_cold_cblp_and_b_normality_build_no_images_centers_or_pairs(build, monkeypatch):
     A = build()
     calls = []
-    images, centers = lifting._images, factor._interval_centers
-    monkeypatch.setattr(lifting, "_images", lambda cl, t, factor_side: calls.append(t) or images(cl, t, factor_side))
+    centers = factor._interval_centers
     monkeypatch.setattr(factor, "_interval_centers", lambda cl, t: calls.append(t) or centers(cl, t))
+    reached = count_calls(monkeypatch, lifting, ["_reached"])
     assert algebra_cblp(A) == (True, None, None)
-    assert set(calls) <= {all_congruences(A).index_of_delta}
+    assert set(calls) <= {all_congruences(A).index_of_delta} and reached == {"_reached": 0}
     B = build()
     counts = count_calls(monkeypatch, lifting, ["_joins_to_nabla"])
     assert is_b_normal(B) == (True, None)
@@ -450,6 +449,14 @@ def count_listings(monkeypatch):
 
 def listings_on(cl, listed):
     return [t for c, t in listed if c is cl]
+
+
+def count_reach_tests(monkeypatch):
+    """The J ∖ D_θ of each test of a member of [θ, ∇] for an image of u, in
+    order."""
+    rests, reached = [], lifting._reached
+    monkeypatch.setattr(lifting, "_reached", lambda atoms, rest, mask: rests.append(rest) or reached(atoms, rest, mask))
+    return rests
 
 
 def center_unliftable(cl, t):
@@ -538,21 +545,26 @@ def test_a_cold_lifting_report_builds_no_center_but_deltas(name, interval, monke
     for report in (lifting_report, build_report):
         A = cold(fixture(name))
         listed = count_listings(monkeypatch)
-        images = count_calls(monkeypatch, lifting, ["_images"])
+        rests = count_reach_tests(monkeypatch)
         report(A)
         cl = all_congruences(A)
         listings = listings_on(cl, listed)
         assert cached_centers(cl) == [cl.index_of_delta]
+        # a member is tested for a reach only in the interval of a θ
+        # without one of the properties
+        rows = lifting_report(A).per_congruence
+        nabla = cl.gen_masks[cl.index_of_nabla]
+        failing = {nabla & ~cl.gen_masks[t] for t, row in enumerate(rows) if not (row["fclp"] and row["cblp"])}
+        assert set(rests) == failing and bool(failing) == (name != "L2x3cube")
         if interval:
             # X and H are no distributive lattices: after Δ's center, each
             # row lists its interval once for the factor column, and once
             # more for the evidence of a θ without the Boolean lifting
             want = [cl.index_of_delta]
-            for t, row in enumerate(lifting_report(A).per_congruence):
+            for t, row in enumerate(rows):
                 want += [t] if row["cblp"] else [t, t]
             assert listings == want
         else:
             # L2x3cube is one: the rows are read off J(L), and only Δ's
             # center is listed
             assert listings == [cl.index_of_delta]
-            assert images == {"_images": 0}

@@ -45,8 +45,10 @@ MEMOIZED = {
     "_j_order",
     "_center_is_factor",
     "_lattice_order",
+    "_side",
     "_joins_to_nabla",
     "element_boolean_center",
+    "algebra_blp",
 }
 
 
