@@ -6,11 +6,14 @@ of A/theta is surjective; the algebra has the property when every theta
 does.  The same scheme with Boolean congruences instead of factor
 congruences gives the second property.  Both are decided inside Con(A):
 by the correspondence theorem Con(A/theta) is the interval [theta, ∇], so
-u(alpha) is alpha v theta and no quotient is built.  Each (property, theta)
-verdict is decided once per lattice and cached as two integers (5), and the
-walks over theta return the index of the first failure.  Evidence is
-rendered only where it is printed or returned, in the class labels of
-A/theta, built once per theta.
+u(alpha) is alpha v theta and no quotient is built.  One rule gives each
+(property, theta) verdict and its evidence: theta lifts iff no atom of A's
+center has a trace that holds two atoms of theta's, and the first target
+not reached is the least one such atom joined to theta (5).  Each verdict
+is decided once per lattice and cached as two integers, and the walks over
+theta return the index of the first failure.  Evidence is rendered only
+where it is printed or returned, in the class labels of A/theta, built
+once per theta.
 
 The Boolean property and both normality checks are read off the order of
 J = J(Con A).  A center exists only on a distributive Con(A), and then
@@ -67,8 +70,8 @@ evidence.
    B(L) is the θ_U for the unions U of components of J (`factor` module
    doc, 3), each θ_U a union-find over the covers of the classes in U, and
    (θ_U, θ_{J∖U}) is a factor pair iff |L/θ_U|·|L/θ_{J∖U}| = |L|.
-5. One count decides both properties at θ.  Call FC(A) or B(A) A's
-   center, the same center of [θ, ∇] θ's, and R = J ∖ D_θ.
+5. One rule decides both properties at θ and gives the evidence.  Call
+   FC(A) or B(A) A's center, the same center of [θ, ∇] θ's, and R = J ∖ D_θ.
    (a) A's center is a Boolean sublattice of Con(A).  B(A) is one in any
        distributive lattice.  For FC(A), let (α, α') be a factor pair, so
        A ≅ B × C.  Every θ is (θ ∨ α) ∧ (θ ∨ α'), by distributivity, so it
@@ -80,33 +83,46 @@ evidence.
        above Δ, partition J, and each member is the union of the atoms
        below it.  They are the components of J on the Boolean side (1),
        and the components of P for FC(L) of a distributive pure lattice
-       (6d).  Elsewhere a member above Δ is an atom iff its meet with each
-       member is Δ or itself.
+       (6d).  Elsewhere one pass over the listing of FC(A) finds them (d).
    (b) u(α) = α ∨ θ is a lattice map, by distributivity, and it maps a
        complemented pair to a complemented pair of [θ, ∇]:
        (α ∨ θ) ∧ (α' ∨ θ) = (α ∧ α') ∨ θ = θ.  It keeps factor pairs, as
        (α ∨ θ)∘(α' ∨ θ) ⊇ α∘α' = ∇.  So u maps A's center into θ's, and on
        masks an atom X goes to D_θ ∪ (X ∩ R), its trace X ∩ R joined to
        D_θ.
-   (c) The verdict.  Let m be the number of atoms whose trace is not empty.
-       The traces are disjoint, so the 2^m unions of them give 2^m
-       distinct images, and these are all of them.  They lie in θ's
-       center, so u is onto iff θ's center has 2^m members.  Its size is
-       2^c for the c components of R on the Boolean side (`factor` module
-       doc, 3) and for the c components of P ∖ S_θ on the factor side of a
-       distributive pure lattice (6c); elsewhere one listing of [θ, ∇] off
-       the components of R (`factor` module doc) gives |FC(A/θ)|.  Each
-       component of R lies in one trace, so c ≥ m, and c = m iff every
-       non-empty trace is connected (2); if every component of J has a
-       top, c = m with no search.
-   (d) The evidence.  A member D_θ ∪ V of θ's center is u(α), for α the
-       union of some atoms, iff every trace lies inside V or misses it, an
-       O(#atoms) test per member.  The α that reach it are then the unions
-       that hold every atom whose trace meets V, and no other atom with a
-       non-empty trace.  The least of them, the union of those atoms, is
-       found by one lookup of its mask, and it is the first in index order,
-       as index order extends ≤.  Only a θ without the property lists
-       members for its evidence.
+   (c) The verdict.  [θ, ∇] is distributive, so θ's center is Boolean, by
+       (a) applied to A/θ: its members are the 2^k unions of its k atoms,
+       and the atoms, less D_θ, partition R.  They are the components of R
+       on the Boolean side (1) and the components of P ∖ S_θ on the factor
+       side of a distributive pure lattice (6c); elsewhere they are read
+       off the one listing of [θ, ∇] that gives |FC(A/θ)| (d).  u(X) lies
+       in θ's center (b), so each trace X ∩ R is a union of θ's atoms.
+       Call a trace cut when it holds two or more of them.  The images of
+       u are the unions of the traces, and the m non-empty traces are
+       disjoint, so there are 2^m images.  The traces are disjoint unions
+       of the k atoms, so 2^m = 2^k iff no trace is cut: θ has the
+       property iff each of its atoms is a whole trace.  When every
+       component of J has a top, no trace is cut (2), and no atom of θ's
+       is needed: the size is 2^c for the c tops in R.
+   (d) The evidence.  A member D_θ ∪ V of θ's center is u(α), for α a
+       union of atoms, iff every trace lies inside V or misses it.  The α
+       that reach it then hold every atom whose trace meets V, and the
+       least of them, the union of those atoms, is found by one lookup of
+       its mask; it is the first in index order, as index order extends
+       ≤.  Suppose D_θ ∪ V is not reached.  Then some trace meets V and
+       also leaves it, so it holds an atom F ⊆ V of θ's and another atom
+       outside V.  That trace is cut, and D_θ ∪ F ≤ D_θ ∪ V is not reached
+       either.  Conversely D_θ ∪ F is not reached for any atom F in a cut
+       trace, and only D_θ lies below it.  So the minimal members not
+       reached are exactly the D_θ ∪ F with F in a cut trace, and as index
+       order extends ≤, the first member not reached is the least of
+       these: one lookup per such F, and no member is listed.
+       The atoms of a Boolean lattice of masks with bottom 0, taken in an
+       order that extends inclusion (index order does), are the nonzero
+       members that miss every atom taken before them.  A member that is
+       not an atom holds strictly smaller atoms, and those come first; an
+       atom misses every other atom.  One such pass over a listing of
+       [θ, ∇] gives θ's atoms, and over FC(A) gives A's.
    Every θ has the factor property when |FC(A)| = |B(A)| and every θ has
    the Boolean one: FC(A) ⊆ B(A) gives FC(A) = B(A), and u then maps it
    onto B(A/θ) ⊇ FC(A/θ).
@@ -154,9 +170,10 @@ evidence.
        iff no component meets both X and Y.  In a chain any two members
        are comparable, so no component meets both.  Two incomparable x, y
        in one component give X = {x}, Y = {y}: φ∘ψ = ∇ with no witness.
-   The first θ without the factor property, and the target its interval
-   fails to reach, are still found on [θ, ∇], for that θ alone (5).  Only
-   a failure of (f) walks the pairs of 4, for the first failing one.
+   The first θ without the factor property, and the target it fails to
+   reach, are read off the components of P ∖ S_θ in Con(L), with no
+   interval listed (5d).  Only a failure of (f) walks the pairs of 4, for
+   the first failing one.
 
 The normality checks return (True, None) or (False, the first failing
 pair in index order).  Every verdict and its evidence is the one the scans
@@ -253,33 +270,44 @@ class LiftEvidence:
 def _lifting(cl: ConLattice, t: int, factor: bool) -> tuple[int, int | None]:
     """The size of the center of [θ_t, ∇] ≅ Con(A/θ_t), FC(A/θ_t) if factor
     and B(A/θ_t) otherwise, and the first member of it that no u(α)
-    reaches, None if θ_t has the lifting: iff the size is 2^m, for the m
-    atoms of A's center that meet J ∖ D_t (module doc, 5).  [θ_t, ∇] is
-    listed at most once.  Cached on the lattice, as a report asks for each
-    verdict twice."""
+    reaches, None if θ_t has the lifting.  θ_t lifts iff no trace of an
+    atom of A's center is cut, that is iff its center has 2^m members for
+    the m non-empty traces; the first member not reached is the least
+    D_t ∪ F over θ_t's atoms F in cut traces (module doc, 5c and 5d).
+    [θ_t, ∇] is listed at most once, and only where _side gives no order
+    whose components of J ∖ D_t are θ_t's atoms.  Cached on the lattice, as
+    a report asks for each verdict twice."""
+    # a dense list, not algebra.cached: a memo keyed by θ made the first
+    # calls about 25% slower (the 128 θ of C8, both sides)
     cache = cl._cache.get(("lifting", factor))
     if cache is None:
         cache = cl._cache["lifting", factor] = [None] * len(cl)
     if cache[t] is None:
         near, atoms, tops = _side(cl.algebra, factor)
-        rest = cl.gen_masks[cl.index_of_nabla] & ~cl.gen_masks[t]
+        gm = cl.gen_masks
+        rest = gm[cl.index_of_nabla] & ~gm[t]
         listed = [] if near is not None else _complemented(cl, t)[1]
-        size = len(listed) or 1 << _trace_count(rest, near, tops)
-        # every θ has the lifting when each component of J has a top (module doc, 2)
-        lifts = tops is not None or size == 1 << sum(1 for x in atoms if x & rest)
-        cache[t] = size, None if lifts else next(
-            b for b, _ in listed or _complemented(cl, t)[factor] if _reached(atoms, rest, cl.gen_masks[b]) is None
-        )
+        # with tops, rest meets each component of J in one component or not
+        # at all, so no trace is cut (module doc, 2)
+        size = len(listed) or 1 << (len(_components(near, rest)) if tops is None else (tops & rest).bit_count())
+        bad = None
+        # the 2^k members are the 2^m images iff no trace is cut (module doc, 5c)
+        if tops is None and size != 1 << sum(1 for x in atoms if x & rest):
+            ours = _atoms([gm[b] & rest for b, _ in listed]) if listed else _components(near, rest)
+            # an atom of θ_t's center lies in one trace, cut iff it is not all of it
+            bad = min(cl._at[gm[t] | f] for f in ours if all(x & rest != f for x in atoms))
+        cache[t] = size, bad
     return cache[t]
 
 
 @cached
 def _side(A: FiniteAlgebra, factor: bool) -> tuple[list[int] | None, list[int], int | None]:
     """(near, atoms, tops) of one property, FC(A) if factor and B(A)
-    otherwise: the atoms of A's center as masks over the generator bits,
-    and the near and tops with which _trace_count counts the center of
-    [θ, ∇], on J(Con A) for B(A/θ) and on P = J(L) for FC(L/θ); near is
-    None where only a listing of [θ, ∇] counts it (module doc, 5).
+    otherwise: the atoms of A's center as masks over the generator bits;
+    the order whose components of J ∖ D_θ are the atoms of θ's center, on
+    J(Con A) for B(A/θ) and on P = J(L) for FC(L/θ), or None where they
+    are read off a listing of [θ, ∇]; and the mask of the tops of J's
+    components when every component has one, else None (module doc, 5).
     Memoized on A."""
     if not factor:
         return _j_order(A)[1:]
@@ -287,21 +315,18 @@ def _side(A: FiniteAlgebra, factor: bool) -> tuple[list[int] | None, list[int], 
     if order is not None:
         return (*order, None)
     cl = all_congruences(A)
-    masks = [cl.gen_masks[a] for a in factor_congruences(cl).members]
-    # FC(A) is closed under ∧, so a member above Δ is an atom iff its meet
-    # with each member is Δ or itself (module doc, 5a)
-    return None, [m for m in masks if m and all(n & m in (0, m) for n in masks)], None
+    return None, _atoms([cl.gen_masks[a] for a in factor_congruences(cl).members]), None
 
 
-def _reached(atoms: list[int], rest: int, mask: int) -> int | None:
-    """The mask of the least α in A's center whose u(α) has the given mask,
-    or None if no u(α) has it; rest is J ∖ D_θ.  It is reached iff each
-    trace X ∩ rest of an atom X lies inside the mask or misses it, and the
-    least α is the union of the atoms whose trace meets it (module doc, 5)."""
-    v = mask & rest
-    if any(x & v not in (0, x & rest) for x in atoms):
-        return None
-    return sum(x for x in atoms if x & v)
+def _atoms(masks: list[int]) -> list[int]:
+    """The atoms of a Boolean lattice of masks whose bottom is 0, listed in
+    an order that extends inclusion, as index order does: the nonzero
+    masks that miss every atom before them (module doc, 5d)."""
+    atoms = []
+    for m in masks:
+        if m and not m & sum(atoms):
+            atoms.append(m)
+    return atoms
 
 
 @cached
@@ -330,30 +355,23 @@ def _chains(near: list[int], components: list[int]) -> bool:
     return all(near[g] & c == c for c in components for g in _bits(c))
 
 
-def _trace_count(rest: int, near: list[int], tops: int | None = None) -> int:
-    """c, the number of components of rest: the center of [θ, ∇] has 2^c
-    members, B(A/θ) on J(Con A) and FC(L/θ) on P = J(L).  tops, the mask of
-    the components' greatest elements when every component has one, gives
-    c with no search: rest is an up-set, so a component meets it iff its
-    top lies in it, and its trace is then below that top (module doc, 5)."""
-    return len(_components(near, rest)) if tops is None else (tops & rest).bit_count()
-
-
 def _has_lifting(A, theta, factor: bool) -> tuple[bool, LiftEvidence]:
-    """The lifting with its evidence, targets rendered in the labels of A/θ."""
+    """The lifting with its evidence, targets rendered in the labels of A/θ:
+    each member before the first one not reached, with its least source,
+    the union of the atoms whose trace meets it (module doc, 5d)."""
     if theta.algebra != A:
         raise ParentMismatch("congruence does not belong to the algebra")
     cl = all_congruences(A)
     t = cl.index(theta)
-    atoms = _side(A, factor)[1]
+    bad, atoms = _lifting(cl, t, factor)[1], _side(A, factor)[1]
     rest = cl.gen_masks[cl.index_of_nabla] & ~cl.gen_masks[t]
     ev = LiftEvidence()
     for b, _ in _complemented(cl, t)[factor]:
         target = cl.elements[b].block_string(over=theta)
-        source = _reached(atoms, rest, cl.gen_masks[b])
-        if source is None:
+        if b == bad:
             ev.unliftable = target
             return False, ev
+        source = sum(x for x in atoms if x & rest & cl.gen_masks[b])
         ev.witnesses.append((target, cl.elements[cl._at[source]].block_string()))
     return True, ev
 
@@ -368,22 +386,19 @@ def has_cblp(A: FiniteAlgebra, theta: Congruence) -> tuple[bool, LiftEvidence]:
     return _has_lifting(A, theta, False)
 
 
-def _lifting_walk(A: FiniteAlgebra, factor: bool) -> int | None:
-    """The index in Con(A) of the first θ without the lifting, or None."""
+def _lifting_failure(A: FiniteAlgebra, factor: bool) -> int | None:
+    """The index in Con(A) of the first θ without the lifting, or None.
+    The property's criterion runs first, and Con(A) is enumerated only when
+    it fails."""
+    if (_factor_criterion if factor else _components_topped)(A):
+        return None
     cl = all_congruences(A)
     return next((t for t in range(len(cl)) if _lifting(cl, t, factor)[1] is not None), None)
 
 
-def _lifting_failure(A: FiniteAlgebra, factor: bool) -> int | None:
-    """_lifting_walk after the property's criterion: Con(A) is enumerated
-    only when the criterion fails."""
-    criterion = _factor_criterion if factor else _components_topped
-    return None if criterion(A) else _lifting_walk(A, factor)
-
-
 def _algebra_lifting(A, factor: bool):
-    """The walk without the criterion; only the failing θ renders evidence."""
-    t = _lifting_walk(A, factor)
+    """The walk with its criterion; only the failing θ renders evidence."""
+    t = _lifting_failure(A, factor)
     if t is None:
         return True, None, None
     theta = all_congruences(A).elements[t]
@@ -416,7 +431,7 @@ def algebra_fclp(A: FiniteAlgebra) -> tuple[bool, LiftEvidence | None, Congruenc
     lifting (module doc, 5), and on a distributive pure lattice when every
     component of P = J(L) is a chain (module doc, 6).  Con(A) is enumerated
     only when that criterion fails."""
-    return (True, None, None) if _factor_criterion(A) else _algebra_lifting(A, True)
+    return _algebra_lifting(A, True)
 
 
 def algebra_cblp(A: FiniteAlgebra) -> tuple[bool, LiftEvidence | None, Congruence | None]:
@@ -424,7 +439,7 @@ def algebra_cblp(A: FiniteAlgebra) -> tuple[bool, LiftEvidence | None, Congruenc
     J(Con A) has a greatest element (module doc, 2); only a failure walks
     the θ for the first one without the lifting, and a pure lattice
     enumerates Con(L) only then."""
-    return (True, None, None) if _components_topped(A) else _algebra_lifting(A, False)
+    return _algebra_lifting(A, False)
 
 
 # -- normality conditions ---------------------------------------------------
@@ -512,8 +527,8 @@ def _b_normal_walk(cl: ConLattice):
         for g in _bits(rest):
             plus |= down[g]
         # V, the least Boolean α with θ_i ∨ α = ∇, is the least α that u
-        # takes to ∇ in [θ_i, ∇] (5d)
-        v = _reached(components, rest, nabla)
+        # takes to ∇ in [θ_i, ∇]: the components that meet rest (5d)
+        v = sum(c for c in components if c & rest)
         if v & ~plus:
             j = next(j for j in _bits(_joins_to_nabla(cl)[i]) if v & ~gm[j])
             return False, (cl.elements[i].block_string(), cl.elements[j].block_string())

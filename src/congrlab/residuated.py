@@ -86,7 +86,8 @@ from .errors import (
     ParentMismatch,
     SizeCap,
 )
-from .lifting import _lattice_order, _lifting_failure, _p_order, _trace_count
+from .factor import _components
+from .lifting import _lattice_order, _lifting_failure, _p_order
 
 FILTER_CAP = 12
 
@@ -146,7 +147,7 @@ def has_blp(A: FiniteAlgebra, theta: Congruence) -> bool:
         block_of = theta.block_of
         rest = sum(1 << h for h, (a, j) in enumerate(A.join_irreducible_pairs()) if block_of[a] != block_of[j])
         near, components = order
-        return _trace_count(rest, near) == sum(1 for c in components if c & rest)
+        return len(_components(near, rest)) == sum(1 for c in components if c & rest)
     if theta.is_delta():
         element_boolean_center(A)
         return True

@@ -1,12 +1,13 @@
-"""Both liftings at θ by one count, against the image lookup it replaced.
+"""Both liftings at θ by their cut traces, against the image lookup.
 
 u(α) = α ∨ θ maps A's center, FC(A) or B(A), onto a Boolean subalgebra of
-the center of [θ, ∇] with 2^m members, m the number of atoms of A's center
-that meet J ∖ D_θ; so θ has the lifting iff the center of [θ, ∇] has 2^m
-members, and a member is reached iff every atom's trace lies inside it or
-misses it (lifting module doc, 5).  The oracle here is the old lookup: the
-masks of u(α) for every α in A's center, each mapped to its first α.
-"""
+the center of [θ, ∇].  Each trace X ∩ (J ∖ D_θ) of an atom X of A's center
+is a union of atoms of θ's center, and it is cut when it holds two or
+more; θ has the lifting iff no trace is cut, that is iff the center of
+[θ, ∇] has 2^m members for the m non-empty traces, and the first member
+not reached is the least D_θ ∪ F over θ's atoms F in cut traces (lifting
+module doc, 5).  The oracle here is the old lookup: the masks of u(α) for
+every α in A's center, each mapped to its first α."""
 
 import pytest
 

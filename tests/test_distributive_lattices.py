@@ -28,7 +28,7 @@ from congrlab.report import build_report
 from congrlab.residuated import FILTER_CAP
 
 from sweep import sweep
-from test_join_irreducible_masks import center_unliftable, cold, images_unliftable
+from test_join_irreducible_masks import center_unliftable, cold, images_unliftable, lifting_walk
 from test_partition_join import c3_with_a_reversal, count_calls
 from test_residuated import RESIDUATED_CHAINS, residuated_chain
 
@@ -188,7 +188,7 @@ def test_algebra_fclp_matches_the_interval_walk():
     verdicts = []
     for A in distributive_lattices():
         got = lifting.algebra_fclp(cold(A))
-        assert got == lifting._algebra_lifting(cold(A), True), A.name
+        assert got == lifting_walk(cold(A), True), A.name
         verdicts.append(got[0])
     # O(∨), O(∧), O(N) and O(∧)×C2 fail, each with a component that is no chain
     assert verdicts.count(False) >= 4 and True in verdicts

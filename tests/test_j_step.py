@@ -20,7 +20,7 @@ from congrlab.lifting import algebra_cblp, algebra_fclp, is_b_normal, is_fc_norm
 
 from sweep import sweep
 from test_distributive_lattices import chain_spec, down_set_spec
-from test_join_irreducible_masks import cold
+from test_join_irreducible_masks import cold, lifting_walk
 from test_normality_criteria import criteria_algebras
 from test_partition_join import chain, count_calls
 
@@ -42,8 +42,8 @@ def walks(A):
     """The four verdicts by the walks over Con(A), with their evidence."""
     cl = all_congruences(A)
     return (
-        lifting._algebra_lifting(A, True),
-        lifting._algebra_lifting(A, False),
+        lifting_walk(A, True),
+        lifting_walk(A, False),
         lifting._fc_normal_walk(cl),
         lifting._b_normal_walk(cl),
     )

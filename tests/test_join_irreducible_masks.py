@@ -299,15 +299,17 @@ def test_a_cold_report_decides_each_lifting_verdict_once(monkeypatch):
     # T is not distributive, so its rows take the interval route
     A = cold(fixture("T"))
     listed = count_listings(monkeypatch)
-    counts = count_calls(monkeypatch, lifting, ["_trace_count", "_reached"])
+    counts = count_calls(monkeypatch, lifting, ["_atoms", "_components"])
     build_report(A)
     # lifting_report, then blp_equivalence_check, ask for the verdict of each
-    # (property, θ); it is decided once: after Δ's center, each factor
-    # verdict lists its interval, and each Boolean one counts its traces.
-    # T has both properties, so no member is tested for a reach.
+    # (property, θ); it is decided once: after Δ's center, whose atoms are
+    # read once, each factor verdict lists its interval and counts it.
+    # Each component of T's J has a top, so each Boolean verdict counts the
+    # tops left, with no component searched for.  T has both properties,
+    # so no θ reads its own atoms for a target.
     cl = all_congruences(A)
     assert listings_on(cl, listed) == [cl.index_of_delta, *range(len(cl))]
-    assert counts == {"_trace_count": len(cl), "_reached": 0}
+    assert counts == {"_atoms": 1, "_components": 0}
     assert lifting.algebra_fclp(A)[0] and lifting.algebra_cblp(A)[0]
 
 
@@ -319,13 +321,13 @@ def test_a_cold_report_decides_each_lifting_verdict_once(monkeypatch):
 def test_a_cold_report_on_a_distributive_lattice_builds_only_deltas_center(build, monkeypatch):
     A = build()
     listed = count_listings(monkeypatch)
-    counts = count_calls(monkeypatch, lifting, ["_reached"])
+    counts = count_calls(monkeypatch, lifting, ["_atoms"])
     build_report(A)
     # every row is read off J(L); Δ's center gives the flags, and it is the
-    # one interval listed, with no member tested for a reach
+    # one interval listed, with no atom read off a listing
     cl = all_congruences(A)
     assert listings_on(cl, listed) == cached_centers(cl) == [cl.index_of_delta]
-    assert counts == {"_reached": 0}
+    assert counts == {"_atoms": 0}
 
 
 def test_a_cold_report_lists_the_trigger_pairs_once(monkeypatch):
@@ -416,9 +418,10 @@ def test_cold_cblp_and_b_normality_build_no_images_centers_or_pairs(build, monke
     calls = []
     centers = factor._interval_centers
     monkeypatch.setattr(factor, "_interval_centers", lambda cl, t: calls.append(t) or centers(cl, t))
-    reached = count_calls(monkeypatch, lifting, ["_reached"])
+    listed = count_listings(monkeypatch)
     assert algebra_cblp(A) == (True, None, None)
-    assert set(calls) <= {all_congruences(A).index_of_delta} and reached == {"_reached": 0}
+    # the tops of J's components decide it: no interval is listed, not even Δ's
+    assert calls == listed == []
     B = build()
     counts = count_calls(monkeypatch, lifting, ["_joins_to_nabla"])
     assert is_b_normal(B) == (True, None)
@@ -431,6 +434,17 @@ def test_cold_cblp_and_b_normality_build_no_images_centers_or_pairs(build, monke
 def cold(A):
     """A fresh algebra with A's tables, so that nothing is cached on it."""
     return FiniteAlgebra(A.n, A.labels, A.signature, A.tables, name=A.name, validate=False)
+
+
+def lifting_walk(A, factor_side):
+    """algebra_fclp or algebra_cblp without its criterion: the verdict of
+    every θ in turn, from lifting._lifting, up to the first failure, whose
+    evidence has_fclp or has_cblp gives."""
+    cl = all_congruences(A)
+    t = next((t for t in range(len(cl)) if lifting._lifting(cl, t, factor_side)[1] is not None), None)
+    if t is None:
+        return True, None, None
+    return False, lifting._has_lifting(A, cl.elements[t], factor_side)[1], cl.elements[t]
 
 
 def cached_centers(cl):
@@ -449,14 +463,6 @@ def count_listings(monkeypatch):
 
 def listings_on(cl, listed):
     return [t for c, t in listed if c is cl]
-
-
-def count_reach_tests(monkeypatch):
-    """The J ∖ D_θ of each test of a member of [θ, ∇] for an image of u, in
-    order."""
-    rests, reached = [], lifting._reached
-    monkeypatch.setattr(lifting, "_reached", lambda atoms, rest, mask: rests.append(rest) or reached(atoms, rest, mask))
-    return rests
 
 
 def center_unliftable(cl, t):
@@ -490,7 +496,7 @@ def test_fc_equal_to_b_with_cblp_gives_fclp():
     fired = 0
     for A in algebras:
         cl = all_congruences(A)
-        loop = lifting._algebra_lifting(cold(A), True)
+        loop = lifting_walk(cold(A), True)
         if len(factor_congruences(cl).members) == len(boolean_center(cl).members) and lifting._components_topped(A):
             fired += 1
             assert loop == (True, None, None), A.name
@@ -514,7 +520,7 @@ def test_a_cold_fclp_builds_no_center_but_deltas(build, deltas, monkeypatch):
     calls = []
     centers = factor._interval_centers
     monkeypatch.setattr(factor, "_interval_centers", lambda cl, t: calls.append(t) or centers(cl, t))
-    for walk in (algebra_fclp, lambda A: lifting._algebra_lifting(A, True)):
+    for walk in (algebra_fclp, lambda A: lifting_walk(A, True)):
         A = build()
         calls.clear()
         assert walk(A) == (True, None, None)
@@ -545,26 +551,39 @@ def test_a_cold_lifting_report_builds_no_center_but_deltas(name, interval, monke
     for report in (lifting_report, build_report):
         A = cold(fixture(name))
         listed = count_listings(monkeypatch)
-        rests = count_reach_tests(monkeypatch)
+        counts = count_calls(monkeypatch, lifting, ["_atoms"])
         report(A)
         cl = all_congruences(A)
         listings = listings_on(cl, listed)
         assert cached_centers(cl) == [cl.index_of_delta]
-        # a member is tested for a reach only in the interval of a θ
-        # without one of the properties
+        # the target a θ without one of the properties fails to reach is
+        # read off its cut traces, so such a row lists no more than others
         rows = lifting_report(A).per_congruence
-        nabla = cl.gen_masks[cl.index_of_nabla]
-        failing = {nabla & ~cl.gen_masks[t] for t, row in enumerate(rows) if not (row["fclp"] and row["cblp"])}
-        assert set(rests) == failing and bool(failing) == (name != "L2x3cube")
+        failing = [t for t, row in enumerate(rows) if not (row["fclp"] and row["cblp"])]
+        assert bool(failing) == (name != "L2x3cube")
         if interval:
             # X and H are no distributive lattices: after Δ's center, each
-            # row lists its interval once for the factor column, and once
-            # more for the evidence of a θ without the Boolean lifting
-            want = [cl.index_of_delta]
-            for t, row in enumerate(rows):
-                want += [t] if row["cblp"] else [t, t]
-            assert listings == want
+            # row lists its interval once, for the factor column, and a row
+            # without the factor lifting reads its atoms off that listing
+            assert listings == [cl.index_of_delta, *range(len(cl))]
+            assert counts == {"_atoms": 1 + sum(not row["fclp"] for row in rows)}
         else:
             # L2x3cube is one: the rows are read off J(L), and only Δ's
             # center is listed
             assert listings == [cl.index_of_delta]
+            assert counts == {"_atoms": 0}
+
+
+@pytest.mark.parametrize("base", ["H", "P"])
+def test_a_cold_report_on_a_sum_with_c6_lists_each_interval_once(base, monkeypatch):
+    # H⊕C6 and P⊕C6 have 160 θ, 32 of them without the Boolean lifting.
+    # After Δ's center each row lists its interval once, 161 listings in
+    # all, where a second listing for each of the 32 once made 193.
+    A = ordinal_sum(fixture(base), chain(6))
+    listed = count_listings(monkeypatch)
+    build_report(A)
+    cl = all_congruences(A)
+    rows = lifting_report(A).per_congruence
+    assert (len(cl), sum(not row["cblp"] for row in rows)) == (160, 32)
+    assert listings_on(cl, listed) == [cl.index_of_delta, *range(len(cl))]
+    assert len(listed) == 161

@@ -2,9 +2,9 @@ from pathlib import Path
 
 import pytest
 
-from congrlab.algebra import are_isomorphic, direct_product, dual
+from congrlab.algebra import are_isomorphic, direct_product, dual, ordinal_sum
 from congrlab.congruences import Congruence, all_congruences, delta, nabla, parse_congruence
-from congrlab.errors import ParentMismatch
+from congrlab.errors import NotDistributive, ParentMismatch
 from congrlab.factor import boolean_center, factor_congruences
 from congrlab.fixtures import FIXTURE_NAMES, fixture
 from congrlab.lifting import (
@@ -20,6 +20,11 @@ from congrlab.lifting import (
     s_inverse,
     u_map,
 )
+
+from sweep import sweep
+from test_distributive_lattices import residuated_inputs
+from test_join_irreducible_masks import random_generic_algebras
+from test_partition_join import chain
 
 
 # -- quotients --------------------------------------------------------------
@@ -292,6 +297,25 @@ def test_special_congruences_always_lift():
     for name in ("L1", "P", "D", "X", "H"):
         result = check_special_congruences(fixture(name))
         assert result["ok"], result["violations"]
+
+
+def test_special_congruences_always_lift_on_the_sweep_and_beyond():
+    # the sweep, P, H and X with a 2-, 4- and 6-chain on top, the random
+    # generic algebras and the residuated inputs; those whose Con is not
+    # distributive have no center, and their count is pinned so that the
+    # population cannot shrink unseen
+    sums = [ordinal_sum(fixture(b), chain(k), name=f"{b}+C{k}") for b in "PHX" for k in (2, 4, 6)]
+    algebras = sweep() + sums + random_generic_algebras() + residuated_inputs()
+    checked = skipped = 0
+    for A in algebras:
+        try:
+            result = check_special_congruences(A)
+        except NotDistributive:
+            skipped += 1
+            continue
+        assert result["ok"], (A.name, result["violations"])
+        checked += 1
+    assert (len(algebras), checked, skipped) == (425, 407, 18)
 
 
 def test_arithmetical_algebras_have_matching_per_congruence_verdicts():

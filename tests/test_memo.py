@@ -3,7 +3,10 @@
 algebra.cached keeps fn(X, *args) in X._cache under fn's name.  Nothing
 else in the package reads or writes a _cache, bar the two lattice builds
 that seed order_masks and the per-θ table of lifting._lifting, and a cold
-copy of an algebra computes its own facts.
+copy of an algebra computes its own facts.  That table is a dense list per
+property, not algebra.cached keyed by θ: the memo made the first calls
+about 25% slower, a median of 510 µs against 403 µs for the 128 θ of C8
+on both sides (40 interleaved cold rounds in one process).
 """
 
 import ast
