@@ -358,20 +358,22 @@ def _chains(near: list[int], components: list[int]) -> bool:
 def _has_lifting(A, theta, factor: bool) -> tuple[bool, LiftEvidence]:
     """The lifting with its evidence, targets rendered in the labels of A/θ:
     each member before the first one not reached, with its least source,
-    the union of the atoms whose trace meets it (module doc, 5d)."""
+    the union of the atoms whose trace meets it (module doc, 5d).  A member
+    is reached iff the traces of its source are all of it, so [θ, ∇] is
+    listed once, for the targets."""
     if theta.algebra != A:
         raise ParentMismatch("congruence does not belong to the algebra")
     cl = all_congruences(A)
     t = cl.index(theta)
-    bad, atoms = _lifting(cl, t, factor)[1], _side(A, factor)[1]
+    atoms = _side(A, factor)[1]
     rest = cl.gen_masks[cl.index_of_nabla] & ~cl.gen_masks[t]
     ev = LiftEvidence()
     for b, _ in _complemented(cl, t)[factor]:
         target = cl.elements[b].block_string(over=theta)
-        if b == bad:
+        source = sum(x for x in atoms if x & rest & cl.gen_masks[b])
+        if source & rest != cl.gen_masks[b] & rest:
             ev.unliftable = target
             return False, ev
-        source = sum(x for x in atoms if x & rest & cl.gen_masks[b])
         ev.witnesses.append((target, cl.elements[cl._at[source]].block_string()))
     return True, ev
 

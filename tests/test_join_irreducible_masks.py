@@ -299,17 +299,19 @@ def test_a_cold_report_decides_each_lifting_verdict_once(monkeypatch):
     # T is not distributive, so its rows take the interval route
     A = cold(fixture("T"))
     listed = count_listings(monkeypatch)
-    counts = count_calls(monkeypatch, lifting, ["_atoms", "_components"])
+    counts = count_calls(monkeypatch, lifting, ["_side", "_atoms", "_components"])
     build_report(A)
-    # lifting_report, then blp_equivalence_check, ask for the verdict of each
-    # (property, θ); it is decided once: after Δ's center, whose atoms are
-    # read once, each factor verdict lists its interval and counts it.
-    # Each component of T's J has a top, so each Boolean verdict counts the
-    # tops left, with no component searched for.  T has both properties,
-    # so no θ reads its own atoms for a target.
+    # the report asks for the verdict of each (property, θ), and the walks
+    # without a criterion ask for each once more; each is decided once, and
+    # each decision reads its side once: after Δ's center, whose atoms are
+    # read once, each factor verdict lists its interval and counts it.  Each
+    # component of T's J has a top, so each Boolean verdict counts the tops
+    # left, with no component searched for.  T has both properties, so no θ
+    # reads its own atoms for a target.
+    assert lifting_walk(A, True)[0] and lifting_walk(A, False)[0]
     cl = all_congruences(A)
     assert listings_on(cl, listed) == [cl.index_of_delta, *range(len(cl))]
-    assert counts == {"_atoms": 1, "_components": 0}
+    assert counts == {"_side": 2 * len(cl), "_atoms": 1, "_components": 0}
     assert lifting.algebra_fclp(A)[0] and lifting.algebra_cblp(A)[0]
 
 
@@ -545,13 +547,23 @@ def test_a_cold_fclp_on_a_pentagon_sum_caches_no_center_but_deltas(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name,interval", [("L2x3cube", False), ("X", True), ("H", True)], ids=["L2x3cube", "X", "H"]
+    "build,interval",
+    [
+        (lambda: cold(fixture("L2x3cube")), False),
+        (lambda: cold(fixture("X")), True),
+        (lambda: cold(fixture("H")), True),
+        (lambda: ordinal_sum(fixture("H"), chain(6)), True),
+        (lambda: ordinal_sum(fixture("P"), chain(6)), True),
+    ],
+    ids=["L2x3cube", "X", "H", "HosumC6", "PosumC6"],
 )
-def test_a_cold_lifting_report_builds_no_center_but_deltas(name, interval, monkeypatch):
+def test_a_cold_lifting_report_builds_no_center_but_deltas(build, interval, monkeypatch):
     for report in (lifting_report, build_report):
-        A = cold(fixture(name))
+        A = build()
         listed = count_listings(monkeypatch)
         counts = count_calls(monkeypatch, lifting, ["_atoms"])
+        rests, components = [], factor._components
+        monkeypatch.setattr(lifting, "_components", lambda near, rest: rests.append(rest) or components(near, rest))
         report(A)
         cl = all_congruences(A)
         listings = listings_on(cl, listed)
@@ -560,30 +572,41 @@ def test_a_cold_lifting_report_builds_no_center_but_deltas(name, interval, monke
         # read off its cut traces, so such a row lists no more than others
         rows = lifting_report(A).per_congruence
         failing = [t for t, row in enumerate(rows) if not (row["fclp"] and row["cblp"])]
-        assert bool(failing) == (name != "L2x3cube")
+        assert bool(failing) == (A.name != "L2x3cube")
         if interval:
-            # X and H are no distributive lattices: after Δ's center, each
-            # row lists its interval once, for the factor column, and a row
-            # without the factor lifting reads its atoms off that listing
+            # these are no distributive lattices: after Δ's center, each row
+            # lists its interval once, for the factor column, and a row
+            # without the factor lifting reads its atoms off that listing.
+            # Where some θ lacks the Boolean lifting, J has a component with
+            # no top: each Boolean verdict counts the components of its
+            # R = J ∖ D_θ, and only a failing one takes them again, as its
+            # atoms
             assert listings == [cl.index_of_delta, *range(len(cl))]
             assert counts == {"_atoms": 1 + sum(not row["fclp"] for row in rows)}
+            nabla = cl.gen_masks[cl.index_of_nabla]
+            rest = [nabla & ~m for m in cl.gen_masks]
+            boolean = [] if all(row["cblp"] for row in rows) else rest
+            assert sorted(rests) == sorted(boolean + [rest[t] for t, row in enumerate(rows) if not row["cblp"]])
         else:
             # L2x3cube is one: the rows are read off J(L), and only Δ's
             # center is listed
             assert listings == [cl.index_of_delta]
             assert counts == {"_atoms": 0}
+        if A.name.endswith("C6"):
+            # 160 θ, 32 of them without the Boolean lifting: 161 listings in
+            # all, where a second listing for each of the 32 once made 193
+            assert (len(cl), sum(not row["cblp"] for row in rows)) == (160, 32)
+            assert len(listed) == 161
 
 
-@pytest.mark.parametrize("base", ["H", "P"])
-def test_a_cold_report_on_a_sum_with_c6_lists_each_interval_once(base, monkeypatch):
-    # H⊕C6 and P⊕C6 have 160 θ, 32 of them without the Boolean lifting.
-    # After Δ's center each row lists its interval once, 161 listings in
-    # all, where a second listing for each of the 32 once made 193.
-    A = ordinal_sum(fixture(base), chain(6))
+@pytest.mark.parametrize("name", ["X", "H"])
+def test_a_cold_has_lifting_lists_its_interval_once(name, monkeypatch):
+    # has_fclp and has_cblp read each target's reach off the source they
+    # render, so each θ lists its interval once a side, after Δ's center
+    A = cold(fixture(name))
     listed = count_listings(monkeypatch)
-    build_report(A)
     cl = all_congruences(A)
-    rows = lifting_report(A).per_congruence
-    assert (len(cl), sum(not row["cblp"] for row in rows)) == (160, 32)
-    assert listings_on(cl, listed) == [cl.index_of_delta, *range(len(cl))]
-    assert len(listed) == 161
+    for has in (lifting.has_fclp, has_cblp):
+        for theta in cl.elements:
+            has(A, theta)
+    assert listings_on(cl, listed) == [cl.index_of_delta, *range(len(cl)), *range(len(cl))]
