@@ -599,10 +599,18 @@ def _table_arity(raw, fname):
 
 
 def _table_from_labels(raw, arity, index, fname):
+    """The table of labels raw as indices, a row of labels mapped in one
+    call.  A row that does not map is walked entry by entry, to name its
+    first bad entry."""
     if arity == 0:
         return _label_index(raw, index, f"table for {fname}")
     if not isinstance(raw, list) or len(raw) != len(index):
         raise TableError(f"table for {fname} is not total")
+    if arity == 1:
+        try:  # index holds only str keys: any other entry raises
+            return tuple(map(index.__getitem__, raw))
+        except (KeyError, TypeError):
+            pass
     return tuple(_table_from_labels(row, arity - 1, index, fname) for row in raw)
 
 

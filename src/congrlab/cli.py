@@ -59,16 +59,6 @@ CHECK_PROPERTIES = (
 )
 
 
-def _add_input_args(p):
-    p.add_argument("--fixture", help="named example algebra")
-    p.add_argument("--file", help="path to an algebra spec (JSON)")
-    _add_max_size(p)
-
-
-def _add_max_size(p):
-    p.add_argument("--max-size", type=int, default=None, help="refuse larger inputs")
-
-
 def _read_spec(path: str, max_size: int | None = None) -> dict:
     """Parse a spec file, refusing it before anything is built when it lists
     more than max_size elements."""
@@ -95,7 +85,7 @@ def _load(args) -> FiniteAlgebra:
         A = fixture(args.fixture)
         _check_size(A.n, args.max_size)
         return A
-    return build_from_spec(_read_spec(args.file, args.max_size))
+    return _load_file(args.file, args.max_size)
 
 
 def _load_operand(name_or_path: str, max_size: int | None) -> FiniteAlgebra:
@@ -103,7 +93,16 @@ def _load_operand(name_or_path: str, max_size: int | None) -> FiniteAlgebra:
         A = fixture(name_or_path)
         _check_size(A.n, max_size)
         return A
-    return build_from_spec(_read_spec(name_or_path, max_size))
+    return _load_file(name_or_path, max_size)
+
+
+def _load_file(path: str, max_size: int | None) -> FiniteAlgebra:
+    """The algebra of a spec file.  A spec nested too deeply for the JSON
+    reader or for the table builder is an input error, not a traceback."""
+    try:
+        return build_from_spec(_read_spec(path, max_size))
+    except RecursionError:
+        raise CongrlabError(f"{path} is nested too deeply") from None
 
 
 def _emit(text: str, out):
@@ -113,53 +112,136 @@ def _emit(text: str, out):
         sys.stdout.write(text)
 
 
+# An option is (flag, kind, default, help): kind is str, int, a tuple of
+# choices, or bool for a store-true flag, and a REQUIRED default makes the
+# option required.  A verb is (help, positional, options), its positional
+# None or (dest, shape, help), the shape a tuple of choices for one value,
+# "+" for one or more values, or 2 for exactly two.
+REQUIRED = ...
+FORMAT = ("--format", ("table", "json", "dot"), "table", None)
+OUT = ("--out", str, None, "write output to a file instead of stdout")
+MAX_SIZE = ("--max-size", int, None, "refuse larger inputs")
+INPUT = (
+    ("--fixture", str, None, "named example algebra"),
+    ("--file", str, None, "path to an algebra spec (JSON)"),
+    MAX_SIZE,
+)
+OPERANDS = "fixture names or spec files"
+VERBS = {
+    "con": ("list the congruence lattice", None, (FORMAT, OUT, *INPUT)),
+    "center": ("list the Boolean congruences", None, (FORMAT, OUT, *INPUT)),
+    "fc": ("list the factor congruences", None, (FORMAT, OUT, *INPUT)),
+    "quotient": (
+        "compute a quotient algebra",
+        None,
+        (FORMAT, OUT, *INPUT, ("--by", str, REQUIRED, 'congruence as blocks, e.g. "0,m|1"')),
+    ),
+    "product": ("direct product of algebras", ("operands", "+", OPERANDS), (FORMAT, OUT, MAX_SIZE)),
+    "osum": ("ordinal sum of two lattices", ("operands", 2, OPERANDS), (FORMAT, OUT, MAX_SIZE)),
+    "dual": ("order-dual of a lattice", None, (FORMAT, OUT, *INPUT)),
+    "check": ("decide a property (exit 0 holds / 1 fails)", ("property", CHECK_PROPERTIES, None), (OUT, *INPUT)),
+    "report": ("full lifting/classification report", None, (FORMAT, OUT, *INPUT)),
+    "fixture": (
+        "show a named fixture",
+        ("name", FIXTURE_NAMES, None),
+        (FORMAT, OUT, ("--emit-spec", bool, False, "print the full table spec")),
+    ),
+    "dot": ("Hasse diagram of the algebra itself (DOT)", None, (OUT, *INPUT)),
+    "regen-goldens": ("recompute all golden files", None, (("--out", str, "goldens", "golden directory"),)),
+}
+# the kind of each option of each verb, by flag, for _parse
+_KINDS = {verb: {flag: kind for flag, kind, _, _ in options} for verb, (_, _, options) in VERBS.items()}
+
+
 @functools.cache
 def make_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parse_args leaves it unchanged."""
+    """The parser of VERBS, built once per process: parse_args leaves it
+    unchanged.  main asks it only for what _parse declines: help, usage and
+    errors, and the argv shapes that _parse does not read."""
     ap = argparse.ArgumentParser(
         prog="congrlab",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = ap.add_subparsers(dest="verb", required=True)
-
-    def verb(name, help, formats=True):
+    for name, (help, positional, options) in VERBS.items():
         p = sub.add_parser(name, help=help)
-        if formats:
-            p.add_argument("--format", choices=("table", "json", "dot"), default="table")
-        p.add_argument("--out", help="write output to a file instead of stdout")
-        return p
-
-    p = verb("con", "list the congruence lattice")
-    _add_input_args(p)
-    p = verb("center", "list the Boolean congruences")
-    _add_input_args(p)
-    p = verb("fc", "list the factor congruences")
-    _add_input_args(p)
-    p = verb("quotient", "compute a quotient algebra")
-    _add_input_args(p)
-    p.add_argument("--by", required=True, help='congruence as blocks, e.g. "0,m|1"')
-    p = verb("product", "direct product of algebras")
-    p.add_argument("operands", nargs="+", help="fixture names or spec files")
-    _add_max_size(p)
-    p = verb("osum", "ordinal sum of two lattices")
-    p.add_argument("operands", nargs=2, help="fixture names or spec files")
-    _add_max_size(p)
-    p = verb("dual", "order-dual of a lattice")
-    _add_input_args(p)
-    p = verb("check", "decide a property (exit 0 holds / 1 fails)", formats=False)
-    p.add_argument("property", choices=CHECK_PROPERTIES)
-    _add_input_args(p)
-    p = verb("report", "full lifting/classification report")
-    _add_input_args(p)
-    p = verb("fixture", "show a named fixture")
-    p.add_argument("name", choices=FIXTURE_NAMES)
-    p.add_argument("--emit-spec", action="store_true", help="print the full table spec")
-    p = verb("dot", "Hasse diagram of the algebra itself (DOT)", formats=False)
-    _add_input_args(p)
-    p = sub.add_parser("regen-goldens", help="recompute all golden files")
-    p.add_argument("--out", default="goldens", help="golden directory")
+        if positional:
+            dest, shape, what = positional
+            if isinstance(shape, tuple):
+                p.add_argument(dest, choices=shape, help=what)
+            else:
+                p.add_argument(dest, nargs=shape, help=what)
+        for flag, kind, default, what in options:
+            if kind is bool:
+                p.add_argument(flag, action="store_true", help=what)
+            elif default is REQUIRED:
+                p.add_argument(flag, required=True, help=what)
+            else:
+                choices = kind if isinstance(kind, tuple) else None
+                p.add_argument(flag, type=int if kind is int else None, choices=choices, default=default, help=what)
     return ap
+
+
+def _parse(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace make_parser().parse_args(argv) returns, read off VERBS
+    with no parser built, for an argv of the plain shape: the verb, its
+    positionals in one run, then options of the verb, each by its exact
+    name and at most once, each value present and not starting with "-",
+    --max-size in ASCII digits.  None for any other argv (help, an
+    abbreviation, --opt=value, a repeated option, --, a negative number, an
+    unknown verb or choice, a missing required option), which the parser
+    then reads or refuses in its own words."""
+    if not argv or argv[0] not in VERBS:
+        return None
+    verb = argv[0]
+    _, positional, options = VERBS[verb]
+    kinds = _KINDS[verb]
+    end = 1
+    while end < len(argv) and not argv[end].startswith("-"):
+        end += 1
+    values = argv[1:end]
+    args = {"verb": verb}
+    if positional is None:
+        if values:
+            return None
+    else:
+        dest, shape, _ = positional
+        if isinstance(shape, tuple):
+            if len(values) != 1 or values[0] not in shape:
+                return None
+            args[dest] = values[0]
+        elif not values or shape != "+" and len(values) != shape:
+            return None
+        else:
+            args[dest] = values
+    given = {}
+    i = end
+    while i < len(argv):
+        flag = argv[i]
+        if flag not in kinds or flag in given:
+            return None
+        kind = kinds[flag]
+        if kind is bool:
+            given[flag] = True
+            i += 1
+            continue
+        if i + 1 == len(argv) or argv[i + 1].startswith("-"):
+            return None
+        value = argv[i + 1]
+        if kind is int:
+            if not (value.isascii() and value.isdigit()):
+                return None
+            value = int(value)
+        elif isinstance(kind, tuple) and value not in kind:
+            return None
+        given[flag] = value
+        i += 2
+    for flag, _, default, _ in options:
+        if flag not in given and default is REQUIRED:
+            return None
+        args[flag[2:].replace("-", "_")] = given.get(flag, default)
+    return argparse.Namespace(**args)
 
 
 def _listing(A, rows, fmt):
@@ -349,7 +431,10 @@ def regen_goldens(out_dir: str) -> int:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse(argv)
+    if args is None:
+        args = make_parser().parse_args(argv)
     try:
         return run(args)
     except CongrlabError as exc:

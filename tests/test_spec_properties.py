@@ -6,19 +6,27 @@ and may carry a name, which may be stray JSON; it may then have one node
 replaced by stray JSON or deleted: a wrong kind, a short row, an unknown
 label, a list where a label belongs.  build_from_spec must build it or raise
 CongrlabError, and `congrlab con --file` and `congrlab report --file` must
-exit 0 or 2, with exactly one `error:` line when it is 2.
+exit 0 or 2, with exactly one `error:` line when it is 2.  A spec nested
+too deeply to read or build exits 2 the same way.
+
+The table builder maps a row of labels in one call; the routine that walked
+every entry is kept here as the oracle, and the two agree, error messages
+included, on every table of these specs and of the algebras the other tests
+build.
 """
 
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congrlab.algebra import build_from_spec
+from congrlab import algebra
+from congrlab.algebra import build_from_spec, emit_spec
 from congrlab.cli import main
-from congrlab.errors import CongrlabError
+from congrlab.errors import CongrlabError, TableError
 
 LABELS = st.sampled_from(["0", "1", "2", "a"])
 STRAY = st.recursive(
@@ -100,3 +108,92 @@ def test_con_on_a_random_spec_exits_0_or_2(tmp_path):
                 assert err.getvalue().count("\n") == 1, (verb, spec)
 
     check()
+
+
+# -- a spec nested too deeply ------------------------------------------------------
+
+
+def nested(depth):
+    """A one-element generic spec whose table f nests depth deep."""
+    table = "0"
+    for _ in range(depth):
+        table = [table]
+    return json.dumps({"kind": "algebra", "elements": ["0"], "operations": {"f": table}})
+
+
+@pytest.mark.parametrize("verb", ["con", "product"])
+@pytest.mark.parametrize(
+    "text", ["[" * 100_000 + "]" * 100_000, nested(600)], ids=["100000 brackets", "table nested 600 deep"]
+)
+def test_a_spec_nested_too_deeply_exits_2_with_one_error_line(tmp_path, capsys, verb, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    argv = ["product", "L2", str(path)] if verb == "product" else [verb, "--file", str(path)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {path} is nested too deeply\n")
+
+
+def test_a_table_nested_400_deep_builds(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(nested(400))
+    assert main(["con", "--file", str(path)]) == 0
+    assert "|Con|=1" in capsys.readouterr().out
+
+
+# -- the table builder against the entry-by-entry walk ------------------------------------
+
+
+def walk_table(raw, arity, index, fname):
+    """The table of labels raw as indices, walked entry by entry."""
+    if arity == 0:
+        return algebra._label_index(raw, index, f"table for {fname}")
+    if not isinstance(raw, list) or len(raw) != len(index):
+        raise TableError(f"table for {fname} is not total")
+    return tuple(walk_table(row, arity - 1, index, fname) for row in raw)
+
+
+def built(routine, raw, arity, index):
+    try:
+        return routine(raw, arity, index, "f")
+    except TableError as exc:
+        return str(exc)
+
+
+def assert_tables_agree(spec):
+    """Each table of spec is built by both routines alike, at the arity the
+    builder reads off it and at one less and one more."""
+    if not isinstance(spec, dict) or not isinstance(spec.get("elements"), list):
+        return
+    index = {str(lab): i for i, lab in enumerate(spec["elements"])}
+    operations = spec.get("operations")
+    for raw in operations.values() if isinstance(operations, dict) else ():
+        try:
+            arity = algebra._table_arity(raw, "f")
+        except TableError:
+            continue
+        for a in {max(arity - 1, 0), arity, arity + 1}:
+            assert built(algebra._table_from_labels, raw, a, index) == built(walk_table, raw, a, index), (raw, a)
+
+
+def test_tables_build_as_the_walk_builds_them():
+    from test_cli import MALFORMED_SPECS
+    from test_distributive_lattices import residuated_inputs
+    from test_join_irreducible_masks import random_generic_algebras
+
+    for A in residuated_inputs() + random_generic_algebras():
+        assert_tables_agree(emit_spec(A))
+    for table in ([0, "1"], ["0", ["1"]], [True, None], [["0", "1"], ["1", 1]], [["0", "1"], "1"], [["0"], ["1", "0"]]):
+        assert_tables_agree({"elements": ["0", "1"], "operations": {"f": table}})
+    for text in MALFORMED_SPECS.values():
+        try:
+            spec = json.loads(text)
+        except ValueError:  # not JSON, or not UTF-8
+            continue
+        assert_tables_agree(spec)
+
+
+@BOUNDED
+@given(specs())
+def test_random_tables_build_as_the_walk_builds_them(spec):
+    assert_tables_agree(spec)
