@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .errors import (
     KindError,
+    NestedTooDeeply,
     NotALattice,
     NotClosed,
     ResiduationViolation,
@@ -221,19 +222,42 @@ class FiniteAlgebra:
         return [(at[d & ~(1 << j)], j) for j, d in enumerate(down) if d & ~(1 << j) in at]
 
     @cached
+    def join_dependency(self) -> tuple[tuple[int, int, int], ...]:
+        """(j₊, j, {k : k D* j}) for each join-irreducible j, in increasing j,
+        the set as a bitmask over the elements: Freese's dependency relation
+        D on J(L) and its reflexive-transitive closure D* (`congruences`
+        module doc).  Read off the order masks and the join table, with no
+        cover found: J(L) as in join_irreducible_pairs, and M(L) dually, m
+        being meet-irreducible iff ↑m ∖ {m} is some ↑x.  k D j is tested at
+        the meet-irreducible m with j₊ ≤ m and j ≰ m, as k ≤ j∨m and k ≰ m,
+        and D* comes from Warshall's algorithm on the rows.  Memoized, as
+        tuples."""
+        up, down = self.order_masks()
+        join, ups = self.tables["join"], set(up)
+        pairs = self.join_irreducible_pairs()
+        meet_irreducible = sum(1 << m for m, u in enumerate(up) if u & ~(1 << m) in ups)
+        js = sum(1 << j for _, j in pairs)
+        jd = [d & js for d in down]  # J(L) ∩ ↓x
+        below = {}
+        for jp, j in pairs:
+            acc, row = 1 << j, join[j]
+            for m in _bits(up[jp] & ~up[j] & meet_irreducible):
+                acc |= jd[row[m]] & ~jd[m]
+            below[j] = acc
+        for i, bi in below.items():
+            if bi & (bi - 1):
+                bit = 1 << i
+                for k, bk in below.items():
+                    if bk & bit:
+                        below[k] = bk | bi
+        return tuple((jp, j, below[j]) for jp, j in pairs)
+
+    @cached
     def is_distributive_lattice(self) -> bool:
-        """A finite lattice is distributive iff every join-irreducible j is
-        join-prime: j ≤ a∨b forces j ≤ a or j ≤ b (Davey & Priestley, ch. 10).
-        That holds iff j ≰ ⋁{x : j ≰ x}, as any a, b breaking it lie in that
-        join, and a join-prime j lies below none of its finitely many terms."""
-        self.require_lattice()
-        join, meet = self.tables["join"], self.tables["meet"]
-        for _, j in self.join_irreducible_pairs():
-            mj = meet[j]
-            joined = functools.reduce(lambda a, b: join[a][b], (x for x in range(self.n) if mj[x] != j))
-            if mj[joined] == j:
-                return False
-        return True
+        """A finite lattice is distributive iff Freese's D is empty, that is
+        iff every j is alone under D* (`congruences` module doc).  On an
+        algebra with other operations this is its lattice reduct's answer."""
+        return all(below == 1 << j for _, j, below in self.join_dependency())
 
     # -- validation ---------------------------------------------------------
 
@@ -489,8 +513,16 @@ def build_from_spec(spec: dict) -> FiniteAlgebra:
     Two shapes are accepted: a cover relation ("cover": [[lo, hi], ...]) from
     which join/meet are synthesized, with the "times" and "implies" tables of
     the residuated kind and no other table, or explicit "operations" tables
-    (nested lists of labels) with optional "constants".
+    (nested lists of labels) with optional "constants".  A table nested too
+    deeply for the builder's recursion raises NestedTooDeeply.
     """
+    try:
+        return _build_from_spec(spec)
+    except RecursionError:
+        raise NestedTooDeeply("spec tables are nested too deeply") from None
+
+
+def _build_from_spec(spec):
     if not isinstance(spec, dict):
         raise TableError("algebra spec must be a JSON object")
     kind = spec.get("kind", "algebra")

@@ -22,7 +22,7 @@ from .congruences import (
     is_congruence_permutable,
     parse_congruence,
 )
-from .errors import CongrlabError, SizeCap
+from .errors import CongrlabError, NestedTooDeeply, SizeCap
 from .factor import (
     crt_characterization,
     crt_direct_check,
@@ -101,7 +101,7 @@ def _load_file(path: str, max_size: int | None) -> FiniteAlgebra:
     reader or for the table builder is an input error, not a traceback."""
     try:
         return build_from_spec(_read_spec(path, max_size))
-    except RecursionError:
+    except (RecursionError, NestedTooDeeply):
         raise CongrlabError(f"{path} is nested too deeply") from None
 
 

@@ -51,13 +51,31 @@ as Con(L) is distributive its members are the down-sets S of the classes.
 The class of a cover a ≺ b is that of a minimal j ≤ b with j ≰ a, as
 Cg(a, b) = Cg(j₊, j).
 
-So Con(L) is built in two steps.  The J step, lattice_classes, finds the
-covers of L, D*, the classes with a seed pair (j₊, j) each and the classes
-strictly below each one, and the covers of each class, and memoizes them
-on A.  It builds no partition and can be called alone: J(Con L) and its order
-are read off it with no Con(L), and so are the verdicts that depend on that
-order alone (`lifting` module doc).  The enumeration then lists the
-down-sets from that cache.
+D is empty iff L is distributive.  If L is distributive, every j is
+join-prime, so j ≤ k∨x gives j ≤ x, which j ≰ k₊∨x excludes, or j ≤ k,
+and then j ≠ k puts j below k₊: no j D k.  If L is not distributive, some
+j ∈ J(L) is not join-prime (Davey & Priestley, ch. 10), so j ≤ ⋁K for a
+finite K ⊆ J(L) with j ≰ k for each k ∈ K (each element is the join of the
+join-irreducibles below it).  Take such a K with ↓K ∩ J(L) least in size,
+and then K least, so K is an antichain, and take any k ∈ K (K ≠ ∅, as j is
+not the bottom) and x = ⋁(K ∖ {k}).  Then j ≤ k∨x and j ≠ k.  Were
+j ≤ k₊∨x, the join-irreducibles below k₊ with K ∖ {k} would be such a set
+that leaves out k, so its down-set would be smaller.  So j D k.  Hence
+L is distributive iff every j is alone under D*, a class with no class
+below it.
+
+So Con(L) is built in two steps.  The J step reads J(L), each j₊ and the
+meet-irreducibles M(L) off L's order masks (j ∈ J(L) iff ↓j ∖ {j} is some
+↓m, and then m = j₊; dually for M(L)), then D and D*
+(FiniteAlgebra.join_dependency, which also decides distributivity as
+above), then the classes with a seed pair (j₊, j) each and the classes
+strictly below each one (join_classes).  It finds no cover of L and builds
+no partition: J(Con L) and its order are read off it with no Con(L), and so
+are the verdicts that depend on that order alone (`lifting` module doc).
+L's covers, and the covers of each class, are found only where a
+partition is built, by lattice_classes, a memo of its own: the enumeration
+lists the down-sets from it, and FC(L) = B(L) reads it when J(Con L) has
+two components or more (`factor._center_is_factor`).
 
 The partition of ⋁S is the union-find over the covers whose class is in S.
 Each of those covers lies in ⋁S, and every (j₊, j) with j's class in S is
@@ -633,62 +651,47 @@ def _enumerate_partitions(A: FiniteAlgebra) -> tuple:
 
 
 @cached
-def lattice_classes(A: FiniteAlgebra) -> tuple:
+def join_classes(A: FiniteAlgebra) -> tuple:
     """The J step of a pure lattice L: J(Con L) as the classes of D* on
-    J(L), read off L with no partition built (module doc).  Returns
-    (seeds, under, covers): seeds[c] = (j₊, j) for the least j of class c,
-    so that Cg(j₊, j) is class c's congruence; under[c], the mask of the
-    classes strictly below c; and covers[c], the cover pairs a ≺ b of L
-    whose Cg is class c's.  Memoized on A, as tuples, so that no caller
-    can change the memo through them.  It can be called alone: J(Con L)
-    and its order need no Con(L), and the enumeration of Con(L) reads this
-    memo instead of recomputing it."""
-    n, join = A.n, A.tables["join"]
-    up, down = A.order_masks()
-    covers = cover_pairs(up, down)
-    n_lower, n_upper, lower = [0] * n, [0] * n, {}
-    for a, b in covers:
-        n_lower[b] += 1
-        n_upper[a] += 1
-        lower[b] = a
-    lower = {j: a for j, a in lower.items() if n_lower[j] == 1}  # j ∈ J(L) -> j₊
-    meet_irreducible = sum(1 << m for m in range(n) if n_upper[m] == 1)
-    join_irreducible = sum(1 << j for j in lower)
-    jd = [d & join_irreducible for d in down]  # J(L) ∩ ↓x
-    # below[k] = {j : j D* k}, starting from k and the j with j D k for a
-    # meet-irreducible m with k₊ ≤ m, k ≰ m, j ≤ k∨m and j ≰ m; then Warshall
-    below = {}
-    for k, kp in lower.items():
-        acc, row = 1 << k, join[k]
-        for m in _bits(up[kp] & ~up[k] & meet_irreducible):
-            acc |= jd[row[m]] & ~jd[m]
-        below[k] = acc
-    for i, bi in below.items():
-        if bi & (bi - 1):
-            bit = 1 << i
-            for k, bk in below.items():
-                if bk & bit:
-                    below[k] = bk | bi
+    J(L), read off L's dependency pass with no cover and no partition
+    (module doc).  Returns (seeds, under, classes): seeds[c] = (j₊, j) for
+    the least j of class c, so that Cg(j₊, j) is class c's congruence;
+    under[c], the mask of the classes strictly below c; and classes[x],
+    the class of x for x ∈ J(L), else None.  Memoized on A, as tuples, so
+    that no caller can change the memo through them."""
     # j, k share a class iff their below-sets are equal; the classes are
     # numbered by their least members, which are the seeds' j
-    class_of, seeds = {}, []
-    for j in sorted(below):
-        if below[j] not in class_of:
-            class_of[below[j]] = len(seeds)
-            seeds.append((lower[j], j))
-    cls = {j: class_of[b] for j, b in below.items()}
+    class_of, seeds, cls = {}, [], [None] * A.n
+    for jp, j, below in A.join_dependency():
+        c = cls[j] = class_of.setdefault(below, len(seeds))
+        if c == len(seeds):
+            seeds.append((jp, j))
     under = []  # the classes strictly below each class
-    for c, (_, j) in enumerate(seeds):
-        under.append(functools.reduce(operator.or_, (1 << cls[k] for k in _bits(below[j]))) & ~(1 << c))
+    for below, c in class_of.items():
+        u = 0
+        for k in _bits(below):
+            u |= 1 << cls[k]
+        under.append(u & ~(1 << c))
+    return tuple(seeds), tuple(under), tuple(cls)
+
+
+@cached
+def lattice_classes(A: FiniteAlgebra) -> tuple:
+    """join_classes(A) with the covers of L: (seeds, under, covers), where
+    covers[c] lists the cover pairs a ≺ b of L whose Cg is class c's (module
+    doc).  Read only where a partition is built.  Memoized on A, as
+    tuples."""
+    seeds, under, cls = join_classes(A)
+    up, down = A.order_masks()
     class_covers = [[] for _ in seeds]
-    for a, b in covers:
-        # step down inside J(b) ∖ J(a) to a minimal member
-        cand = jd[b] & ~jd[a]
+    for a, b in cover_pairs(up, down):
+        # step down inside ↓b ∖ ↓a to a minimal member, which is in J(L)
+        cand = down[b] & ~down[a]
         j = cand.bit_length() - 1
-        while jd[j] & cand != 1 << j:
-            j = (jd[j] & cand & ~(1 << j)).bit_length() - 1
+        while down[j] & cand != 1 << j:
+            j = (down[j] & cand & ~(1 << j)).bit_length() - 1
         class_covers[cls[j]].append((a, b))
-    return tuple(seeds), tuple(under), tuple(map(tuple, class_covers))
+    return seeds, under, tuple(map(tuple, class_covers))
 
 
 def _lattice_partitions(A: FiniteAlgebra) -> tuple:

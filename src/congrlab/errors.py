@@ -22,6 +22,10 @@ class TableError(CongrlabError):
     """An operation table is non-total or has an out-of-range entry."""
 
 
+class NestedTooDeeply(TableError):
+    """A spec's tables nest deeper than the table builder can recurse."""
+
+
 class ResiduationViolation(CongrlabError):
     """A triple (a, b, c) violating  a*b <= c  iff  a <= b -> c."""
 

@@ -58,6 +58,7 @@ from .congruences import (
     _lowest_bit,
     all_congruences,
     is_pure_lattice,
+    join_classes,
     lattice_classes,
     join as con_join,
     meet as con_meet,
@@ -130,14 +131,15 @@ def _j_order(A: FiniteAlgebra) -> tuple[list[int], list[int], list[int], int | N
     """J(Con A) as masks over the generator bits, memoized on A: down[g] = ↓g,
     near[g] = the members comparable to g, the connected components, and
     the mask of their greatest elements when every component has one, else
-    None.  On a pure lattice it is read off lattice_classes(A), with no
-    Con(A): class g is generator g, and ↓g is g with the classes under it.
+    None.  On a pure lattice it is read off join_classes(A), with no Con(A)
+    and no cover of A: class g is generator g, and ↓g is g with the classes
+    under it.
     On any other algebra g's own congruence is the lowest index of Con(A)
     above it, and its mask is ↓g.  Every center, and every question read
     off J, presumes Con(A) distributive, as a lattice's always is, so
     NotDistributive is raised here otherwise."""
     if is_pure_lattice(A):
-        down = [u | 1 << g for g, u in enumerate(lattice_classes(A)[1])]
+        down = [u | 1 << g for g, u in enumerate(join_classes(A)[1])]
         js = range(len(down))
     else:
         cl = all_congruences(A)
@@ -161,28 +163,32 @@ def _j_order(A: FiniteAlgebra) -> tuple[list[int], list[int], list[int], int | N
 @cached
 def _center_is_factor(A: FiniteAlgebra) -> bool:
     """Whether every Boolean congruence of A is a factor congruence, that is
-    |FC(A)| = |B(A)|.  Requires Con(A) distributive.  On a pure lattice it
-    is decided with no Con(A): B(A) is the θ_U for the 2^c unions U of the
-    c components of J(Con A) (module doc, 3, at θ = Δ), each θ_U's partition
-    merges the covers of the classes in U (lattice_classes), and θ_U has
-    the factor complement θ_{J∖U} iff |A/θ_U|·|A/θ_{J∖U}| = |A|.  As
-    B(A) ⊆ Con(A), more than CON_CAP unions is past the cap.  Memoized on
-    A."""
+    FC(A) = B(A).  Requires Con(A) distributive.  On a pure lattice it is
+    decided with no Con(A).  FC(A) is a Boolean sublattice of B(A)
+    (`lifting` module doc, 5a), and the atoms of B(A) are the θ_C for the
+    c components C of J(Con A) (module doc, 3, at θ = Δ).  So FC(A) = B(A)
+    iff each θ_C is a factor congruence, and its factor complement can only
+    be its complement θ_{J∖C}: iff |A/θ_C|·|A/θ_{J∖C}| = |A| for each C.
+    With c ≤ 1, B(A) ⊆ {Δ, ∇} and no partition is built; else each of the
+    2c partitions merges the covers of its classes (lattice_classes).  As
+    B(A) ⊆ Con(A), 2^c past CON_CAP is past the cap.  Memoized on A."""
     if not is_pure_lattice(A):
         cl = all_congruences(A)
         return len(factor_congruences(cl).members) == len(boolean_center(cl).members)
     components = _j_order(A)[2]
     if 1 << len(components) > CON_CAP:
         raise SizeCap(f"congruence count exceeds cap {CON_CAP}")
+    if len(components) < 2:
+        return True
     class_covers = lattice_classes(A)[2]
-    parts = [delta_partition(A.n)]
-    for c in components:
-        pairs = [p for g in _bits(c) for p in class_covers[g]]
-        parts += [merge_pairs(p, pairs) for p in parts]
-    # the x-th union is made of the components at the set bits of x, so its
-    # complement is the (2^c - 1 - x)-th
-    blocks = [sum(r == e for e, r in enumerate(p)) for p in parts]
-    return all(b * blocks[-1 - x] == A.n for x, b in enumerate(blocks))
+    delta = delta_partition(A.n)
+
+    def blocks(mask):
+        p = merge_pairs(delta, [pair for g in _bits(mask) for pair in class_covers[g]])
+        return sum(r == e for e, r in enumerate(p))
+
+    full = sum(components)
+    return all(blocks(c) * blocks(full & ~c) == A.n for c in components)
 
 
 def _components(near: list[int], within: int) -> list[int]:

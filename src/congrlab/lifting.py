@@ -21,8 +21,8 @@ J = J(Con A).  A center exists only on a distributive Con(A), and then
 the down-sets of J, with unions as joins and intersections as meets, and
 J itself as ∇ (Davey & Priestley, ch. 5 and 10).  A component is a
 connected component of J's comparability graph.  On a pure lattice J and
-its order come from the J step of `congruences` (lattice_classes), with no
-Con(L); every criterion below that reads J or P = J(L) alone then decides
+its order come from the J step of `congruences` (join_classes), with no
+Con(L) and no cover of L; every criterion below that reads J or P = J(L) alone then decides
 before Con(L) is enumerated, and only a failure enumerates it, for the
 evidence.
 
@@ -66,10 +66,13 @@ evidence.
    has φ ∨ α = ψ ∨ α' = ∇.  As FC(A) = B(A), α is a factor congruence.  Its
    factor complement is a complement of α in Con(A), and complements are
    unique in the distributive Con(A), so it is α', and α is a witness for
-   (φ, ψ).  On a pure lattice FC(L) = B(L) is read off J with no Con(L):
-   B(L) is the θ_U for the unions U of components of J (`factor` module
-   doc, 3), each θ_U a union-find over the covers of the classes in U, and
-   (θ_U, θ_{J∖U}) is a factor pair iff |L/θ_U|·|L/θ_{J∖U}| = |L|.
+   (φ, ψ).  On a pure lattice FC(L) = B(L) is checked on the c components
+   of J, with no Con(L).  The θ_C for the components C are the atoms of
+   B(L) (`factor` module doc, 3), and FC(L) is a Boolean sublattice of
+   B(L) (5a), so FC(L) = B(L) iff each (θ_C, θ_{J∖C}) is a factor pair,
+   that is iff |L/θ_C|·|L/θ_{J∖C}| = |L|: 2c partitions, each a union-find
+   over the covers of its classes, and none when c ≤ 1, as B(L) is then
+   {Δ, ∇} or {Δ}.
 5. One rule decides both properties at θ and gives the evidence.  Call
    FC(A) or B(A) A's center, the same center of [θ, ∇] θ's, and R = J ∖ D_θ.
    (a) A's center is a Boolean sublattice of Con(A).  B(A) is one in any
@@ -344,7 +347,7 @@ def _lattice_order(A: FiniteAlgebra) -> tuple[list[int], list[int]] | None:
 def _p_order(L: FiniteAlgebra) -> tuple[list[int], list[int]]:
     """_lattice_order on any lattice, unchecked and not memoized."""
     up, down = L.order_masks()
-    js = [j for _, j in L.join_irreducible_pairs()]
+    js = [j for _, j, _ in L.join_dependency()]
     near = [sum(1 << h for h, k in enumerate(js) if (up[j] | down[j]) >> k & 1) for j in js]
     return near, _components(near, (1 << len(js)) - 1)
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from congrlab import factor, lifting, residuated
-from congrlab.congruences import all_congruences, lattice_classes
+from congrlab.congruences import all_congruences, join_classes, lattice_classes
 from congrlab.errors import AmbiguousComplement, NotDistributive
 from congrlab.fixtures import fixture
 
@@ -38,10 +38,12 @@ ALLOWED = {
 
 MEMOIZED = {
     "order_masks",
+    "join_dependency",
     "is_distributive_lattice",
     "_operations",
     "is_distributive",
     "is_permutable",
+    "join_classes",
     "lattice_classes",
     "all_congruences",
     "_interval_centers",
@@ -113,6 +115,7 @@ def test_a_cold_copy_computes_its_own_facts_once(name):
     # each fact as plain data, so that B's can be compared with A's
     facts = {
         "order_masks": lambda X: X.order_masks(),
+        "join_dependency": lambda X: X.join_dependency(),
         "is_distributive_lattice": lambda X: X.is_distributive_lattice(),
         "_j_order": factor._j_order,
         "_center_is_factor": factor._center_is_factor,
@@ -121,6 +124,7 @@ def test_a_cold_copy_computes_its_own_facts_once(name):
         "_interval_centers": lambda X: factor._interval_centers(all_congruences(X), 0)[1].complement,
     }
     if lifting.is_pure_lattice(B):
+        facts["join_classes"] = join_classes
         facts["lattice_classes"] = lattice_classes
     if B.is_distributive_lattice():  # else a complement is ambiguous
         facts["element_boolean_center"] = lambda X: residuated.element_boolean_center(X).complement

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from congrlab import algebra
 from congrlab.algebra import build_from_spec, emit_spec
 from congrlab.cli import main
-from congrlab.errors import CongrlabError, TableError
+from congrlab.errors import CongrlabError, NestedTooDeeply, TableError
 
 LABELS = st.sampled_from(["0", "1", "2", "a"])
 STRAY = st.recursive(
@@ -113,12 +113,16 @@ def test_con_on_a_random_spec_exits_0_or_2(tmp_path):
 # -- a spec nested too deeply ------------------------------------------------------
 
 
-def nested(depth):
+def nested_spec(depth):
     """A one-element generic spec whose table f nests depth deep."""
     table = "0"
     for _ in range(depth):
         table = [table]
-    return json.dumps({"kind": "algebra", "elements": ["0"], "operations": {"f": table}})
+    return {"kind": "algebra", "elements": ["0"], "operations": {"f": table}}
+
+
+def nested(depth):
+    return json.dumps(nested_spec(depth))
 
 
 @pytest.mark.parametrize("verb", ["con", "product"])
@@ -139,6 +143,16 @@ def test_a_table_nested_400_deep_builds(tmp_path, capsys):
     path.write_text(nested(400))
     assert main(["con", "--file", str(path)]) == 0
     assert "|Con|=1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("depth", [600, 2000])
+def test_build_from_spec_refuses_a_table_nested_too_deeply(depth):
+    # a library caller gets a TableError, not the builder's RecursionError
+    with pytest.raises(NestedTooDeeply) as info:
+        build_from_spec(nested_spec(depth))
+    assert isinstance(info.value, TableError)
+    assert str(info.value) == "spec tables are nested too deeply"
+    assert build_from_spec(nested_spec(400)).n == 1
 
 
 # -- the table builder against the entry-by-entry walk ------------------------------------
