@@ -31,7 +31,7 @@ from .factor import (
     product_con_iso_check,
 )
 from .fixtures import FIXTURE_NAMES, fixture
-from .lifting import _lifting, _lifting_failure, is_b_normal, is_fc_normal, quotient
+from .lifting import _holds, _lifting, _lifting_failure, is_b_normal, is_fc_normal, quotient
 from .report import (
     build_report,
     congruence_rows,
@@ -363,7 +363,7 @@ def _check(A: FiniteAlgebra, prop: str) -> tuple[int, list[str]]:
         factor = prop == "fclp"
         t = _lifting_failure(A, factor)
         try:
-            other = yn(_lifting_failure(A, not factor) is None)
+            other = yn(_holds(A, not factor))
         except SizeCap:
             other = "n/a"
         fclp, cblp = (yn(t is None), other) if factor else (other, yn(t is None))

@@ -13,7 +13,10 @@ not reached is the least one such atom joined to theta (5).  Each verdict
 is decided once per lattice and cached as two integers, and the walks over
 theta return the index of the first failure.  Evidence is rendered only
 where it is printed or returned, in the class labels of A/theta, built
-once per theta.
+once per theta.  The algebra-level checks return a Verdict: the verdict at
+the call, and the evidence on its first read.  Each property is then one
+yes/no: fc-normality is FCLP and b-normality is CBLP (4 and 3), and Con(A)
+is enumerated for a verdict only where no criterion below decides it.
 
 The Boolean property and both normality checks are read off the order of
 J = J(Con A).  A center exists only on a distributive Con(A), and then
@@ -50,29 +53,38 @@ evidence.
    meets J ∖ D_φ, then t ∉ D_φ, as D_φ is a down-set, so C ⊆ ↓t ⊆ φ⁺.  If C
    has two maximal m ≠ m', the down-set D_φ = J ∖ {m} puts m' in V but not
    in φ⁺ = ↓m.  Only a failure loops over the φ, for the first one.
-4. For fc-normality, let T_i be the set of j with θ_i ∨ θ_j = ∇.  A factor
-   congruence α is a witness for (i, j) iff α ∈ T_i and j ∈ T_α', so the j
-   with a witness are the union of T_α' over the factor α in T_i.  Only
-   the other j in T_i, the untested ones, can fail.  C_i, the set of j with
+4. A is fc-normal iff it has the factor property, so only a failure tries
+   pairs, for the first failing one.  A factor congruence α, with factor
+   complement α', is a witness for (φ, ψ) when φ ∨ α = ψ ∨ α' = ∇.
+   The factor property gives fc-normality.  Let φ∘ψ = ∇ and θ = φ ∧ ψ.
+   Then (φ, ψ) is a factor pair of [θ, ∇], that is of A/θ, so the factor
+   property at θ gives an α with α ∨ θ = φ.  u keeps complements (5b),
+   and complements in [θ, ∇] are unique, so α' ∨ θ = ψ.  Then α' is a
+   witness: φ ∨ α' ⊇ α ∨ α' = ∇, and ψ ∨ α ⊇ α' ∨ α = ∇.
+   fc-normality gives the factor property.  Let θ fail.  By 5(c) some trace
+   X ∩ R is cut: it holds an atom F of θ's center and at least one other.
+   Then ψ = D_θ ∪ F and φ = D_θ ∪ (R ∖ F) are a factor pair of A/θ, so
+   φ∘ψ = ∇.  A witness α = W is a union of A's atoms.  φ ∨ α = ∇ needs
+   D_φ ∪ W = J, so W ⊇ F, and W ⊇ X as F ⊆ X.  ψ ∨ α' = ∇ needs
+   D_ψ ∪ (J ∖ W) = J, so W ∩ R ⊆ F.  But X ∩ R ⊋ F, so there is no witness.
+   The first failing pair: let T_i be the set of j with θ_i ∨ θ_j = ∇.
+   α is a witness for (i, j) iff α ∈ T_i and j ∈ T_α', so the j with a
+   witness are the union of T_α' over the factor α in T_i.  Only the other
+   j in T_i, the untested ones, can fail.  C_i, the set of j with
    θ_i∘θ_j = ∇, is an up-set: θ_j ≤ θ_k gives θ_i∘θ_j ⊆ θ_i∘θ_k.  So some
    untested j lies in C_i iff some maximal untested j does, and only those
    are tested.  The highest index left is maximal, as index order extends
    the order; each one tested drops its down-set.  Only when one of them
    is in C_i are the untested j scanned in index order, for the first
    failing pair.
-   No pair is tried when every component of J has a greatest element and
-   FC(A) = B(A): A is then fc-normal.  Let φ∘ψ = ∇.  Then φ ∨ ψ = ∇, as
-   φ∘ψ ⊆ φ ∨ ψ.  A is b-normal (3), so some Boolean α, with complement α',
-   has φ ∨ α = ψ ∨ α' = ∇.  As FC(A) = B(A), α is a factor congruence.  Its
-   factor complement is a complement of α in Con(A), and complements are
-   unique in the distributive Con(A), so it is α', and α is a witness for
-   (φ, ψ).  On a pure lattice FC(L) = B(L) is checked on the c components
-   of J, with no Con(L).  The θ_C for the components C are the atoms of
-   B(L) (`factor` module doc, 3), and FC(L) is a Boolean sublattice of
-   B(L) (5a), so FC(L) = B(L) iff each (θ_C, θ_{J∖C}) is a factor pair,
-   that is iff |L/θ_C|·|L/θ_{J∖C}| = |L|: 2c partitions, each a union-find
-   over the covers of its classes, and none when c ≤ 1, as B(L) is then
-   {Δ, ∇} or {Δ}.
+   On a pure lattice FC(L) = B(L), which the criterion of the factor
+   property reads (5, end), is checked on the c components of J, with no
+   Con(L).  The θ_C for the components C are the atoms of B(L) (`factor`
+   module doc, 3), and FC(L) is a Boolean sublattice of B(L) (5a), so
+   FC(L) = B(L) iff each (θ_C, θ_{J∖C}) is a factor pair, that is iff
+   |L/θ_C|·|L/θ_{J∖C}| = |L|: 2c partitions, each a union-find over the
+   covers of its classes, and none when c ≤ 1, as B(L) is then {Δ, ∇} or
+   {Δ}.
 5. One rule decides both properties at θ and gives the evidence.  Call
    FC(A) or B(A) A's center, the same center of [θ, ∇] θ's, and R = J ∖ D_θ.
    (a) A's center is a Boolean sublattice of Con(A).  B(A) is one in any
@@ -161,30 +173,20 @@ evidence.
        component of P is a chain.  The traces of a chain are chains, hence
        connected; and two incomparable x, y in a component C are cut apart
        by S = C ∖ {x, y}.
-   (f) L is fc-normal iff every component of P is a chain, that is iff L
-       has the factor property (e).  By (b), x φ y iff x ∖ S_φ = y ∖ S_φ.
-       Let X = P ∖ S_φ and Y = P ∖ S_ψ.  Then φ∘ψ = ∇ iff no member of X
-       is comparable with a member of Y.  (0, 1) ∈ φ∘ψ needs a down-set z
-       with z ∩ X = ∅ and Y ⊆ z, so ↓Y misses X, and (1, 0) ∈ φ∘ψ gives
-       ↓X ∩ Y = ∅ likewise.  Conversely, for any x and y, the down-set
-       z = ↓(x ∩ X) ∪ ↓(y ∩ Y) has x φ z ψ y.  A witness α is θ_W for a
-       union W of components (d), and S_θ takes joins to unions (a), so
-       φ ∨ α = ∇ iff X ⊆ W, and ψ ∨ α' = ∇ iff W ∩ Y = ∅.  Such a W exists
-       iff no component meets both X and Y.  In a chain any two members
-       are comparable, so no component meets both.  Two incomparable x, y
-       in one component give X = {x}, Y = {y}: φ∘ψ = ∇ with no witness.
+   (f) L is fc-normal iff every component of P is a chain, by 4 and (e).
    The first θ without the factor property, and the target it fails to
    reach, are read off the components of P ∖ S_θ in Con(L), with no
-   interval listed (5d).  Only a failure of (f) walks the pairs of 4, for
-   the first failing one.
+   interval listed (5d), and the first failing pair by the walk of 4.
 
-The normality checks return (True, None) or (False, the first failing
-pair in index order).  Every verdict and its evidence is the one the scans
-replaced here gave; the tests keep those scans as oracles.
+The normality checks read (True, None) or (False, the first failing pair
+in index order).  Every verdict and its evidence is the one the scans
+replaced here gave; the tests keep those scans, and the checks that built
+their evidence with the verdict, as oracles.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .algebra import FiniteAlgebra, _bits, cached, kernel, map_table
@@ -268,6 +270,42 @@ class LiftEvidence:
 
     witnesses: list[tuple[str, str]] = field(default_factory=list)
     unliftable: str | None = None
+
+
+class Verdict(Sequence):
+    """A check's result as a read-only sequence: the verdict at the call,
+    and the evidence on its first read.  Index 0 is the verdict, decided
+    when the check is called.  Any other index, unpacking, iteration, ==,
+    hash and repr read the whole tuple, verdict first, which evidence()
+    computes once and which is then kept."""
+
+    __slots__ = ("_ok", "_evidence", "_full")
+
+    def __init__(self, ok: bool, evidence):
+        self._ok, self._evidence, self._full = ok, evidence, None
+
+    def _tuple(self) -> tuple:
+        if self._full is None:
+            self._full, self._evidence = self._evidence(), None
+        return self._full
+
+    def __getitem__(self, i):
+        return self._ok if i == 0 else self._tuple()[i]
+
+    def __len__(self) -> int:
+        return len(self._tuple())
+
+    def __iter__(self):
+        return iter(self._tuple())
+
+    def __eq__(self, other):
+        return self._tuple() == (other._tuple() if isinstance(other, Verdict) else other)
+
+    def __hash__(self):
+        return hash(self._tuple())
+
+    def __repr__(self) -> str:
+        return repr(self._tuple())
 
 
 def _lifting(cl: ConLattice, t: int, factor: bool) -> tuple[int, int | None]:
@@ -354,7 +392,7 @@ def _p_order(L: FiniteAlgebra) -> tuple[list[int], list[int]]:
 
 def _chains(near: list[int], components: list[int]) -> bool:
     """Whether every component of P = J(L) is a chain: FCLP (module doc,
-    6e), fc-normality (6f) and BLP of a distributive pure lattice."""
+    6e), and so fc-normality (6f) and BLP, of a distributive pure lattice."""
     return all(near[g] & c == c for c in components for g in _bits(c))
 
 
@@ -401,13 +439,31 @@ def _lifting_failure(A: FiniteAlgebra, factor: bool) -> int | None:
     return next((t for t in range(len(cl)) if _lifting(cl, t, factor)[1] is not None), None)
 
 
-def _algebra_lifting(A, factor: bool):
-    """The walk with its criterion; only the failing θ renders evidence."""
-    t = _lifting_failure(A, factor)
-    if t is None:
-        return True, None, None
-    theta = all_congruences(A).elements[t]
-    return False, _has_lifting(A, theta, factor)[1], theta
+def _holds(A: FiniteAlgebra, factor: bool) -> bool:
+    """Whether A has FCLP if factor, else CBLP: also its fc-normality, else
+    its b-normality (module doc, 4 and 3).  CBLP is "every component of J
+    has a top" (2).  FCLP holds when its criterion does, fails when it
+    fails on a distributive pure lattice, where it is an iff (6e), and is
+    the walk over Con(A) anywhere else."""
+    if not factor:
+        return _components_topped(A)
+    if _factor_criterion(A):
+        return True
+    return _lattice_order(A) is None and _lifting_failure(A, True) is None
+
+
+def _algebra_lifting(A, factor: bool) -> Verdict:
+    """The verdict, with the walk's first failing θ as the evidence; only
+    that θ renders evidence."""
+
+    def evidence():
+        t = _lifting_failure(A, factor)
+        if t is None:
+            return True, None, None
+        theta = all_congruences(A).elements[t]
+        return False, _has_lifting(A, theta, factor)[1], theta
+
+    return Verdict(_holds(A, factor), evidence)
 
 
 def _components_topped(A: FiniteAlgebra) -> bool:
@@ -418,32 +474,35 @@ def _components_topped(A: FiniteAlgebra) -> bool:
 
 
 def _factor_criterion(A: FiniteAlgebra) -> bool:
-    """The criterion that gives both FCLP and fc-normality with no walk: on
+    """The criterion that gives FCLP, and so fc-normality, with no walk: on
     a distributive pure lattice, every component of P = J(L) is a chain,
-    which is also necessary (module doc, 6e and 6f); on any other algebra,
-    every component of J(Con A) has a top and FC(A) = B(A) (module doc, 4
-    and 5).  On a pure lattice no Con(L) is built."""
+    which is also necessary (module doc, 6e); on any other algebra,
+    every component of J(Con A) has a top and FC(A) = B(A) (module doc, 5,
+    end, and 4 on FC(L) = B(L)).  On a pure lattice no Con(L) is built."""
     order = _lattice_order(A)
     if order is not None:
         return _chains(*order)
     return _components_topped(A) and _center_is_factor(A)
 
 
-def algebra_fclp(A: FiniteAlgebra) -> tuple[bool, LiftEvidence | None, Congruence | None]:
-    """Conjunction of has_fclp over all congruences; stops at the first
-    failure and returns its evidence and the failing congruence.  It holds
-    without a walk over the θ when FC(A) = B(A) and every θ has the Boolean
-    lifting (module doc, 5), and on a distributive pure lattice when every
-    component of P = J(L) is a chain (module doc, 6).  Con(A) is enumerated
-    only when that criterion fails."""
+def algebra_fclp(A: FiniteAlgebra) -> Verdict:
+    """Conjunction of has_fclp over all congruences: (ok, evidence, θ),
+    with the evidence and the congruence of the first failure, or
+    (True, None, None).  It holds without a walk over the θ when
+    FC(A) = B(A) and every θ has the Boolean lifting (module doc, 5), and
+    on a distributive pure lattice iff every component of P = J(L) is a
+    chain (module doc, 6e).  The verdict is decided at the call, and Con(A)
+    is enumerated for it only when neither criterion decides; the evidence
+    is computed on its first read (Verdict)."""
     return _algebra_lifting(A, True)
 
 
-def algebra_cblp(A: FiniteAlgebra) -> tuple[bool, LiftEvidence | None, Congruence | None]:
+def algebra_cblp(A: FiniteAlgebra) -> Verdict:
     """The same conjunction for has_cblp.  It holds iff every component of
-    J(Con A) has a greatest element (module doc, 2); only a failure walks
-    the θ for the first one without the lifting, and a pure lattice
-    enumerates Con(L) only then."""
+    J(Con A) has a greatest element (module doc, 2), so a pure lattice
+    builds no Con(L) for the verdict.  The verdict is decided at the call,
+    and the evidence, the walk over the θ for the first failure, on its
+    first read (Verdict)."""
     return _algebra_lifting(A, False)
 
 
@@ -466,23 +525,29 @@ def _joins_to_nabla(cl: ConLattice) -> list[int]:
     return out
 
 
-def is_fc_normal(A: FiniteAlgebra):
+def is_fc_normal(A: FiniteAlgebra) -> Verdict:
     """For every pair with compose(phi, psi) the full relation, a factor
     congruence alpha must exist with phi v alpha = psi v (complement of
-    alpha) = the full congruence.  Returns (True, None) or (False, the
-    first failing pair of block strings).
+    alpha) = the full congruence.  Reads (True, None) or (False, the first
+    failing pair of block strings).
 
-    The trigger builds no composition: phi∘psi is full iff every phi-block
-    meets every psi-block, i.e. iff |A/(phi∧psi)| = |A/phi|·|A/psi|, and
-    then phi v psi is full too.  So only the pairs joining to ∇ that have
-    no witness are tried, and of those only the maximal ones (module doc,
-    4).  It holds with no pair tried when every component of J(Con A) has a
-    top and FC(A) = B(A) (module doc, 4), and on a distributive pure lattice
-    iff every component of P = J(L) is a chain (module doc, 6f); a pure
-    lattice enumerates Con(L) only when that criterion fails."""
-    if _factor_criterion(A):
-        return True, None
-    return _fc_normal_walk(all_congruences(A))
+    fc-normality is FCLP (module doc, 4), so the verdict is algebra_fclp's,
+    decided at the call, and no pair is tried for it.  The evidence is
+    computed on its first read (Verdict): the trigger builds no
+    composition, as phi∘psi is full iff every phi-block meets every
+    psi-block, i.e. iff |A/(phi∧psi)| = |A/phi|·|A/psi|, and then phi v psi
+    is full too.  So only the pairs joining to ∇ that have no witness are
+    tried, and of those only the maximal ones (module doc, 4)."""
+    return _normality(A, True)
+
+
+def _normality(A: FiniteAlgebra, factor: bool) -> Verdict:
+    """fc-normality if factor, else b-normality: the verdict of FCLP or
+    CBLP, with the first failing pair, from the walk over Con(A), as the
+    evidence of a failure."""
+    ok = _holds(A, factor)
+    walk = _fc_normal_walk if factor else _b_normal_walk
+    return Verdict(ok, lambda: (True, None) if ok else walk(all_congruences(A)))
 
 
 def _fc_normal_walk(cl: ConLattice):
@@ -513,13 +578,12 @@ def is_b_normal(A: FiniteAlgebra):
 
     beta may be taken to be the complement of alpha: alpha ^ beta =
     diagonal puts beta below the complement, and join is monotone.  It holds
-    iff every component of J(Con A) has a greatest element; only a failure
-    is decided per phi, for the first failing one (module doc, 3).  The
-    pairs joining to ∇ are listed only to name the first psi of that phi.
-    A pure lattice enumerates Con(L) only for a failure."""
-    if _components_topped(A):
-        return True, None
-    return _b_normal_walk(all_congruences(A))
+    iff every component of J(Con A) has a greatest element, which is CBLP
+    (module doc, 3), so a pure lattice builds no Con(L) for the verdict.
+    The verdict is decided at the call, and the evidence on its first read
+    (Verdict): the walk over the phi for the first failing one, where the
+    pairs joining to ∇ are listed only to name the first psi of that phi."""
+    return _normality(A, False)
 
 
 def _b_normal_walk(cl: ConLattice):
@@ -562,8 +626,8 @@ def check_special_congruences(A: FiniteAlgebra) -> dict:
                     )
     if len(maxes) == 1:
         for prop, factor in (("fclp", True), ("cblp", False)):
-            t = _lifting_failure(A, factor)
-            if t is not None:
+            if not _holds(A, factor):
+                t = _lifting_failure(A, factor)
                 violations.append(
                     f"algebra with a unique maximal congruence fails {prop} "
                     f"at {cl.elements[t].block_string()}"
@@ -609,15 +673,16 @@ def lifting_report(A: FiniteAlgebra, name: str | None = None) -> LiftingReport:
             }
         )
         rows.append(row)
+    fclp, cblp = all(row["fclp"] for row in rows), all(row["cblp"] for row in rows)
     flags = {
         "con_size": len(cl),
         "center_size": len(bc.members),
         "fc_size": len(fc.members),
-        "fclp": all(row["fclp"] for row in rows),
-        "cblp": all(row["cblp"] for row in rows),
-        "fc_normal": is_fc_normal(A)[0],
-        # b-normal iff every component of J(Con A) has a top (module doc, 3)
-        "b_normal": _components_topped(A),
+        "fclp": fclp,
+        "cblp": cblp,
+        # fc-normality is FCLP and b-normality CBLP (module doc, 4 and 3)
+        "fc_normal": fclp,
+        "b_normal": cblp,
         "distributive": is_congruence_distributive(A),
         "permutable": is_congruence_permutable(A),
         "arithmetical": is_arithmetical(A),

@@ -87,7 +87,7 @@ from .errors import (
     SizeCap,
 )
 from .factor import _components
-from .lifting import _lattice_order, _lifting_failure, _p_order
+from .lifting import Verdict, _holds, _lattice_order, _lifting_failure, _p_order
 
 FILTER_CAP = 12
 
@@ -178,23 +178,27 @@ def _center_reaches(block_of, complemented, center: ElementBooleanCenter) -> boo
 
 
 @cached
-def algebra_blp(A: FiniteAlgebra):
-    """Conjunction of has_blp over all congruences; returns (ok, first
+def algebra_blp(A: FiniteAlgebra) -> Verdict:
+    """Conjunction of has_blp over all congruences; reads (ok, first
     failing congruence or None).  On a distributive pure lattice it is
-    FCLP's verdict and failing θ, read as an index (module doc, f), so it
-    answers past the congruence cap whenever FCLP does.  Elsewhere A's
-    center is computed first, as has_blp at Δ would, so an ambiguous
-    complement raises the same message, on every call.  Memoized on A, as
-    a report asks for it twice: once itself, once for Filt-BLP (h)."""
+    FCLP's verdict, decided at the call, with FCLP's failing θ, read as an
+    index on the first read of the evidence (module doc, f; Verdict), so
+    it answers past the congruence cap whenever FCLP does.  Elsewhere the
+    walk gives both at the call, and A's center is computed first, as
+    has_blp at Δ would, so an ambiguous complement raises the same
+    message, on every call.  Memoized on A, as a report asks for it twice:
+    once itself, once for Filt-BLP (h)."""
     if _lattice_order(A) is not None:
-        t = _lifting_failure(A, True)
-        return (True, None) if t is None else (False, all_congruences(A).elements[t])
+
+        def evidence():
+            t = _lifting_failure(A, True)
+            return (True, None) if t is None else (False, all_congruences(A).elements[t])
+
+        return Verdict(_holds(A, True), evidence)
     thetas = all_congruences(A).elements
     element_boolean_center(A)
-    for theta in thetas:
-        if not theta.is_delta() and not _blp_at(A, theta.block_of):
-            return False, theta
-    return True, None
+    theta = next((theta for theta in thetas if not theta.is_delta() and not _blp_at(A, theta.block_of)), None)
+    return Verdict(theta is None, lambda: (theta is None, theta))
 
 
 # -- filters and ideals -----------------------------------------------------
@@ -419,9 +423,7 @@ def blp_equivalence_check(A: FiniteAlgebra) -> dict:
     """Compute BLP / CBLP / FCLP together and check the expected pattern for
     the kind: all three agree on a residuated lattice; on a bounded
     distributive lattice, BLP = FCLP while CBLP always holds."""
-    blp, _ = algebra_blp(A)
-    cblp = _lifting_failure(A, False) is None
-    fclp = _lifting_failure(A, True) is None
+    blp, cblp, fclp = algebra_blp(A)[0], _holds(A, False), _holds(A, True)
     if A.signature.kind == "residuated":
         consistent = blp == cblp == fclp
     elif A.is_lattice and A.is_distributive_lattice():

@@ -2,7 +2,9 @@
 
 The J step (congruences.lattice_classes) gives J(Con L) and its order with
 no partition built; the four verdicts decide by their criteria on it, and
-Con(L) is enumerated only when a criterion fails.  The oracles are the
+Con(L) is enumerated for a verdict only when a lattice that is not
+distributive fails the criterion of FCLP, and otherwise only for a
+failure's evidence.  The oracles are the
 enumerated path: J(Con L)'s order read off the masks of Con(L), and the
 walks over Con(L) that the criteria skip, which give every verdict with its
 evidence.
@@ -76,26 +78,30 @@ def test_the_j_step_gives_the_verdicts_of_the_enumerated_path():
     assert held == {(f, c, f, c) for f in (True, False) for c in (True, False)}
 
 
-def test_134_sweep_lattices_decide_without_enumerating(monkeypatch):
-    def refuse(A):
-        raise AssertionError("Con(L) was enumerated")
-
-    monkeypatch.setattr(congruences, "_enumerate_partitions", refuse)
+def test_151_sweep_lattices_decide_without_enumerating(monkeypatch):
+    # each verdict is one yes/no: CBLP and b-normality are "J is topped",
+    # fc-normality is FCLP (lifting module doc, 4), and FCLP enumerates
+    # Con(L) only on a lattice that is not distributive and fails its
+    # criterion; no verdict walks the θ or the pairs
+    enumerated, listing = [], congruences._enumerate_partitions
+    monkeypatch.setattr(congruences, "_enumerate_partitions", lambda A: enumerated.append(A) or listing(A))
+    counts = count_calls(monkeypatch, lifting, ["_has_lifting", "_fc_normal_walk", "_b_normal_walk"])
     decided = {True: 0, False: 0}
     for A in map(cold, sweep()):
-        try:
-            assert all(v[0] for v in verdicts(A)), A.name
-        except AssertionError as exc:
-            if "enumerated" not in str(exc):
-                raise
-            continue
-        decided[A.is_distributive_lattice()] += 1
-    assert decided == {False: 122, True: 12}
+        [v[0] for v in verdicts(A)]
+        if enumerated and enumerated[-1] is A:
+            assert not A.is_distributive_lattice() and not lifting._factor_criterion(A), A.name
+        else:
+            decided[A.is_distributive_lattice()] += 1
+    assert len(enumerated) == 74
+    # every distributive lattice is decided on P = J(L), failing or not
+    assert decided == {False: 122, True: 29}
+    assert counts == {"_has_lifting": 0, "_fc_normal_walk": 0, "_b_normal_walk": 0}
 
 
 def test_topped_with_fc_equal_to_b_is_fc_normal_with_no_pair_tried(monkeypatch):
-    # lifting module doc, 4: b-normality gives a Boolean witness, and it is
-    # a factor congruence with its complement as the factor complement
+    # lifting module doc, 5 (end) and 4: every θ then has the factor
+    # property, which is fc-normality
     counts = count_calls(monkeypatch, lifting, ["_joins_to_nabla"])
     fired = 0
     for A in criteria_algebras():
@@ -175,8 +181,12 @@ def diamond_under_a_chain():
     return spec
 
 
-@pytest.mark.parametrize("build", [square_on_a_chain, diamond_under_a_chain], ids=["C14+L2x2", "D+C16"])
-def test_a_failing_criterion_past_the_cap_still_exits_at_the_cap(build, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "build,fclp",
+    [(square_on_a_chain, "no"), (diamond_under_a_chain, "n/a")],
+    ids=["C14+L2x2", "D+C16"],
+)
+def test_a_failing_criterion_past_the_cap_still_exits_at_the_cap(build, fclp, tmp_path, monkeypatch, capsys):
     from congrlab.cli import main
 
     spec = build()
@@ -187,9 +197,10 @@ def test_a_failing_criterion_past_the_cap_still_exits_at_the_cap(build, tmp_path
     for prop in ("fclp", "blp"):
         assert main(["check", prop, "--file", str(path)]) == 2
         assert capsys.readouterr() == ("", "error: congruence count exceeds cap 20000\n")
-    # b-normality and CBLP read the tops of J(Con L) alone; the FCLP shown
-    # beside CBLP is past the cap
+    # b-normality and CBLP read the tops of J(Con L) alone.  The FCLP verdict
+    # shown beside CBLP is read off P = J(L) on the distributive C14+L2x2,
+    # and is past the cap on D+C16, whose FC = B test has 2^16 members
     assert main(["check", "b-normal", "--file", str(path)]) == 0
     assert capsys.readouterr() == ("b-normal: yes\n", "")
     assert main(["check", "cblp", "--file", str(path)]) == 0
-    assert capsys.readouterr() == ("FCLP: n/a; CBLP: yes\n", "")
+    assert capsys.readouterr() == (f"FCLP: {fclp}; CBLP: yes\n", "")

@@ -332,19 +332,27 @@ def test_a_cold_report_on_a_distributive_lattice_builds_only_deltas_center(build
     assert counts == {"_atoms": 0}
 
 
-def test_a_cold_report_lists_the_trigger_pairs_once(monkeypatch):
-    calls = []
-    listing = lifting._joins_to_nabla
-    monkeypatch.setattr(lifting, "_joins_to_nabla", lambda cl: calls.append(cl) or listing(cl))
-    # C8 is fc-normal by the chain P = J(C8), and b-normal by the components
-    # of J(Con A), so it needs no listing
-    build_report(chain(8))
-    assert calls == []
-    # L2⊕L2x2 is distributive, but its P is a V: only its fc-normality walk
-    # reads the listing, once
-    A = cold(fixture("L2osumL2x2"))
-    build_report(A)
-    assert calls == [all_congruences(A)]
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: chain(8),
+        lambda: cold(fixture("L2osumL2x2")),
+        lambda: cold(fixture("T")),
+        lambda: cold(fixture("P")),
+        lambda: ordinal_sum(fixture("H"), chain(6)),
+        lambda: ordinal_sum(fixture("P"), chain(6)),
+    ],
+    ids=["C8", "L2osumL2x2", "T", "P", "H+C6", "P+C6"],
+)
+def test_a_cold_report_makes_no_pair_walk(build, monkeypatch):
+    # a report's fc_normal and b_normal flags are its fclp and cblp flags
+    # (lifting module doc, 4 and 3), so no pair is listed or walked, even
+    # where a normality fails (L2⊕L2x2, P, H⊕C6 and P⊕C6)
+    names = ["_joins_to_nabla", "_fc_normal_walk", "_b_normal_walk"]
+    counts = count_calls(monkeypatch, lifting, names)
+    flags = build_report(build())["flags"]
+    assert (flags["fc_normal"], flags["b_normal"]) == (flags["fclp"], flags["cblp"])
+    assert counts == dict.fromkeys(names, 0)
 
 
 # -- the Boolean lifting and normality on the components of J(Con A) -------------
