@@ -497,13 +497,6 @@ def cover_pairs(ups, downs) -> list[tuple[int, int]]:
     return out
 
 
-def order_matrix(algebra: FiniteAlgebra) -> list[list[bool]]:
-    algebra.require_lattice()
-    n = algebra.n
-    meet = algebra.tables["meet"]
-    return [[meet[a][b] == a for b in range(n)] for a in range(n)]
-
-
 # -- AlgebraSpec ------------------------------------------------------------
 
 
@@ -703,10 +696,6 @@ def product_radix(sizes: list[int]) -> list[int]:
     return radix
 
 
-def product_encode(tup, radix):
-    return sum(e * r for e, r in zip(tup, radix))
-
-
 def product_decode(idx, sizes, radix):
     return tuple((idx // r) % s for s, r in zip(sizes, radix))
 
@@ -896,10 +885,6 @@ def product_table(ta, na: int, tb, nb: int, arity: int):
         return [x + y for x in sa for y in sb] if arity else sa + sb
 
     return fold(map_table(ta, arity, range(na), list(range(0, na * nb, nb))), tb, arity)
-
-
-def are_isomorphic(A: FiniteAlgebra, B: FiniteAlgebra) -> bool:
-    return find_isomorphism(A, B) is not None
 
 
 # -- partitions -------------------------------------------------------------

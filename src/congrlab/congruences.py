@@ -439,10 +439,6 @@ class Relation:
         return all(r == full for r in self.rows)
 
 
-def relation_of(theta: Congruence) -> Relation:
-    return Relation(theta.algebra.n, theta.masks())
-
-
 def compose(phi: Congruence, psi: Congruence) -> Relation:
     """The relation phi o psi: apply psi first, then phi (see module doc)."""
     _require_same_parent(phi, psi)
@@ -828,19 +824,3 @@ def prime_indices(cl: ConLattice) -> list[int]:
         if below & ~m:
             out.append(i)
     return out
-
-
-def radical(A: FiniteAlgebra) -> Congruence:
-    """Intersection of the maximal congruences."""
-    return functools.reduce(meet, maximal_congruences(A))
-
-
-def is_local(A: FiniteAlgebra) -> bool:
-    """Exactly one maximal congruence."""
-    return len(maximal_congruences(A)) == 1
-
-
-def is_semilocal(A: FiniteAlgebra) -> bool:
-    """Finitely many maximal congruences — always true at finite scale, but
-    exposed so property names line up with the reports."""
-    return len(maximal_congruences(A)) >= 1

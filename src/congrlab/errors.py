@@ -63,7 +63,7 @@ class ParentMismatch(CongrlabError):
 
 
 class TrivialAlgebra(CongrlabError):
-    """Maximal congruences / radical are undefined for the one-element algebra."""
+    """Maximal congruences are undefined for the one-element algebra."""
 
 
 class NotDistributive(CongrlabError):
@@ -76,10 +76,6 @@ class NotASublattice(CongrlabError):
 
 class EncodingMismatch(CongrlabError):
     """Product congruence factors do not match the product's mixed-radix encoding."""
-
-
-class PreconditionFailed(CongrlabError):
-    """A verified precondition broke; the message names which one."""
 
 
 class AmbiguousComplement(CongrlabError):

@@ -37,7 +37,6 @@ scan of ↑θ_t, as follows.  Let R = J ∖ D_t, an up-set of J.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations_with_replacement, product
 from math import comb
 
@@ -60,16 +59,12 @@ from .congruences import (
     is_pure_lattice,
     join_classes,
     lattice_classes,
-    join as con_join,
-    meet as con_meet,
-    principal_congruence,
 )
 from .errors import (
     EncodingMismatch,
     NotASublattice,
     NotDistributive,
     ParentMismatch,
-    PreconditionFailed,
     SizeCap,
 )
 
@@ -211,14 +206,6 @@ def _reach(near: list[int], seed: int, within: int) -> int:
         frontier = step & within & ~reached
         reached |= frontier
     return reached
-
-
-def is_factor_pair(A: FiniteAlgebra, phi: Congruence, psi: Congruence) -> bool:
-    """(phi, psi) decomposes A: meet diagonal and composition full.  With the
-    meet Δ, the composition is full iff |A/phi|·|A/psi| = |A|."""
-    if phi.algebra != A or psi.algebra != A:
-        raise ParentMismatch("congruences do not belong to the given algebra")
-    return con_meet(phi, psi).is_delta() and phi.num_blocks * psi.num_blocks == A.n
 
 
 # -- CRT --------------------------------------------------------------------
@@ -389,19 +376,6 @@ def product_con_iso_check(As: list[FiniteAlgebra], P: FiniteAlgebra | None = Non
     )
 
 
-def osum_congruence(L, M, phi: Congruence, psi: Congruence, S=None) -> Congruence:
-    """Glue phi (on L) and psi (on M) into a congruence of the ordinal sum:
-    the class of the shared element is the union of its two classes."""
-    if phi.algebra != L or psi.algebra != M:
-        raise ParentMismatch("congruences do not match the summands")
-    S_built, map_l, map_m = ordinal_sum_with_maps(L, M)
-    if S is None:
-        S = S_built
-    elif S.tables != S_built.tables or S.n != S_built.n:
-        raise EncodingMismatch("given sum does not match ordinal_sum(L, M)")
-    return _glue(S, map_l, map_m, phi, psi)
-
-
 def _glue(S, map_l, map_m, phi: Congruence, psi: Congruence) -> Congruence:
     """phi and psi glued on the sum S, into which map_l and map_m embed the
     summands: each part is a parent forest over S whose other elements are
@@ -447,95 +421,3 @@ def osum_fc_comparison(L, M) -> dict:
         "glued": sorted(cls_.elements[i].block_string() for i in glued),
         "fc": sorted(cls_.elements[i].block_string() for i in actual),
     }
-
-
-# -- the element-to-congruence isomorphism for bounded distributive lattices
-
-
-def bdl_fc_isomorphism(L: FiniteAlgebra):
-    """For a bounded distributive lattice: map each complemented element a
-    to the principal congruence collapsing a with bottom, and verify this is
-    a Boolean isomorphism onto the factor congruences.
-
-    Returns (mapping element-index -> Congruence, verified flag)."""
-    from .residuated import element_boolean_center  # residuated reads lifting, which reads this module
-
-    L.require_lattice()
-    if not L.is_distributive_lattice():
-        raise NotDistributive("the element-level map needs a distributive lattice")
-    bot, top = L.bottom(), L.top()
-    join_t, meet_t = L.tables["join"], L.tables["meet"]
-    comp = element_boolean_center(L).complement
-    mapping = {a: principal_congruence(L, a, bot) for a in comp}
-    cl = all_congruences(L)
-    fc = factor_congruences(cl)
-    ok = {cl.index(c) for c in mapping.values()} == set(fc.members)
-    ok = ok and len(set(mapping.values())) == len(mapping)
-    for a in comp:
-        for b in comp:
-            if not ok:
-                break
-            ia, ib = cl.index(mapping[a]), cl.index(mapping[b])
-            ok = (
-                cl.join(ia, ib) == cl.index(mapping[join_t[a][b]])
-                and cl.meet(ia, ib) == cl.index(mapping[meet_t[a][b]])
-            )
-    if ok:
-        for a in comp:
-            if cl.index(mapping[comp[a]]) != fc.complement[cl.index(mapping[a])]:
-                ok = False
-                break
-        ok = ok and mapping[bot].is_delta() and mapping[top].is_nabla()
-    return mapping, ok
-
-
-# -- factorization through factor congruences -------------------------------
-
-
-def factorize(A: FiniteAlgebra, alphas: list[Congruence]):
-    """Split A as a direct product of the quotients A/alpha_i.
-
-    Every alpha_i must be a factor congruence, their intersection the
-    diagonal, and each pair must join to the full congruence; each condition
-    is verified and the first violation is reported."""
-    from .lifting import quotient
-
-    cl = all_congruences(A)
-    fc = factor_congruences(cl)
-    fc_set = set(fc.members)
-    for a in alphas:
-        if a.algebra != A:
-            raise ParentMismatch("congruence does not belong to the algebra")
-        if cl.index(a) not in fc_set:
-            raise PreconditionFailed(
-                f"{a.block_string()} is not a factor congruence"
-            )
-    if not reduce(con_meet, alphas).is_delta():
-        raise PreconditionFailed(
-            "the congruences do not intersect to the diagonal"
-        )
-    for i in range(len(alphas)):
-        for j in range(i + 1, len(alphas)):
-            if not con_join(alphas[i], alphas[j]).is_nabla():
-                raise PreconditionFailed(
-                    f"{alphas[i].block_string()} and {alphas[j].block_string()} "
-                    "do not join to the full congruence"
-                )
-    quotients = [quotient(A, a) for a in alphas]
-    # the canonical map a |-> (a/alpha_1, ..., a/alpha_n) must be a bijective
-    # morphism onto the product of the quotients
-    total = 1
-    for q in quotients:
-        total *= q.quotient.n
-    images = {tuple(q.projection[e] for q in quotients) for e in range(A.n)}
-    ok = (
-        total == A.n
-        and len(images) == A.n
-        and all(
-            q.project(A.op(f, *args)) == q.quotient.op(f, *map(q.project, args))
-            for f, arity in A.signature.operations
-            for args in product(range(A.n), repeat=arity)
-            for q in quotients
-        )
-    )
-    return quotients, ok

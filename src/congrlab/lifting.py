@@ -240,12 +240,11 @@ def quotient(A: FiniteAlgebra, theta: Congruence) -> QuotientResult:
     return QuotientResult(Q, theta.block_of, theta, index)
 
 
-def u_map(A: FiniteAlgebra, theta: Congruence, alpha: Congruence, Q: QuotientResult | None = None) -> Congruence:
+def u_map(A: FiniteAlgebra, theta: Congruence, alpha: Congruence) -> Congruence:
     """Transport alpha to the quotient: join with theta, then project."""
     if alpha.algebra != A or theta.algebra != A:
         raise ParentMismatch("congruences do not belong to the algebra")
-    if Q is None:
-        Q = quotient(A, theta)
+    Q = quotient(A, theta)
     lifted = join(alpha, theta)
     # the reps are sorted, and the least member of an (α ∨ θ)-block is the
     # least member of one of its θ-blocks, so this is canonical
@@ -254,10 +253,9 @@ def u_map(A: FiniteAlgebra, theta: Congruence, alpha: Congruence, Q: QuotientRes
     return Congruence(Q.quotient, [index[Q.projection[lifted.block_of[r]]] for r in reps])
 
 
-def s_inverse(A: FiniteAlgebra, theta: Congruence, beta: Congruence, Q: QuotientResult | None = None) -> Congruence:
+def s_inverse(A: FiniteAlgebra, theta: Congruence, beta: Congruence) -> Congruence:
     """Pull a quotient congruence back through the projection."""
-    if Q is None:
-        Q = quotient(A, theta)
+    Q = quotient(A, theta)
     if beta.algebra != Q.quotient:
         raise ParentMismatch("congruence does not belong to the quotient")
     return Congruence(A, kernel(beta.block_of[Q.project(e)] for e in range(A.n)))
@@ -602,41 +600,6 @@ def _b_normal_walk(cl: ConLattice):
             j = next(j for j in _bits(_joins_to_nabla(cl)[i]) if v & ~gm[j])
             return False, (cl.elements[i].block_string(), cl.elements[j].block_string())
     return True, None
-
-
-# -- theorem validator ------------------------------------------------------
-
-
-def check_special_congruences(A: FiniteAlgebra) -> dict:
-    """Validate that maximal and prime congruences always lift (both
-    properties) and that a unique maximal congruence forces both properties
-    algebra-wide.  Violations indicate implementation bugs, not properties
-    of the input; the report says so."""
-    cl = all_congruences(A)
-    maxes, violations = maximal_indices(cl), []
-    for label, group in (("maximal", maxes), ("prime", prime_indices(cl))):
-        for t in group:
-            theta = cl.elements[t]
-            for prop, factor in (("fclp", True), ("cblp", False)):
-                bad = _lifting(cl, t, factor)[1]
-                if bad is not None:
-                    violations.append(
-                        f"{label} congruence {theta.block_string()} fails {prop}: "
-                        f"cannot reach {cl.elements[bad].block_string(over=theta)}"
-                    )
-    if len(maxes) == 1:
-        for prop, factor in (("fclp", True), ("cblp", False)):
-            if not _holds(A, factor):
-                t = _lifting_failure(A, factor)
-                violations.append(
-                    f"algebra with a unique maximal congruence fails {prop} "
-                    f"at {cl.elements[t].block_string()}"
-                )
-    return {
-        "ok": not violations,
-        "violations": violations,
-        "note": "theorem validator: any violation indicates an implementation bug",
-    }
 
 
 # -- report assembly --------------------------------------------------------

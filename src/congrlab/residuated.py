@@ -204,16 +204,6 @@ def algebra_blp(A: FiniteAlgebra) -> Verdict:
 # -- filters and ideals -----------------------------------------------------
 
 
-@dataclass
-class FilterSet:
-    """The filters of A.  principal[i] says filters[i] is principal, which is
-    always True: every filter of a finite lattice is (see filters)."""
-
-    algebra: FiniteAlgebra
-    filters: list[frozenset]
-    principal: list[bool]
-
-
 def is_filter(A: FiniteAlgebra, F) -> bool:
     """Non-empty, upward closed, meet-closed; for the residuated kind also
     closed under the product operation."""
@@ -252,11 +242,10 @@ def principal_filter(A: FiniteAlgebra, x: int) -> frozenset:
     return frozenset(_bits(mask))
 
 
-def filters(A: FiniteAlgebra) -> FilterSet:
+def filters(A: FiniteAlgebra) -> list[frozenset]:
     """All filters, smallest first: the n principal filters (module doc)."""
     _require_enumerable(A, "filter")
-    found = _smallest_first(principal_filter(A, x) for x in range(A.n))
-    return FilterSet(A, found, [True] * len(found))
+    return _smallest_first(principal_filter(A, x) for x in range(A.n))
 
 
 def ideals(A: FiniteAlgebra) -> list[frozenset]:
@@ -273,12 +262,6 @@ def _require_enumerable(A: FiniteAlgebra, what: str):
 
 def _smallest_first(sets) -> list[frozenset]:
     return sorted(set(sets), key=lambda S: (len(S), sorted(S)))
-
-
-def maximal_filters(A: FiniteAlgebra) -> list[frozenset]:
-    """Proper filters not contained in a larger proper filter."""
-    fs = [F for F in filters(A).filters if len(F) < A.n]
-    return [F for F in fs if not any(F < G for G in fs)]
 
 
 def filter_congruence(A: FiniteAlgebra, F) -> Congruence:
@@ -326,7 +309,7 @@ def filt_blp_failure(A: FiniteAlgebra) -> Congruence | None:
     the criterion of has_filt_blp fails or none applies."""
     if _filt_criterion(A):
         return None
-    return _first_failure(A, (filter_congruence(A, F) for F in filters(A).filters))
+    return _first_failure(A, (filter_congruence(A, F) for F in filters(A)))
 
 
 def id_blp_failure(A: FiniteAlgebra) -> Congruence | None:

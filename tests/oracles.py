@@ -1,0 +1,137 @@
+"""Reference implementations that the tests hold the library to.
+
+Each function states one fact of the theory directly, the slow way, so
+that a test can compare it with the path the calculator takes, or check
+it on the fixtures: the radical of A, the maximal filters, the glued
+congruence of an ordinal sum, the isomorphism from the complemented
+elements of a bounded distributive lattice onto its factor congruences,
+and the splitting of A into the quotients by a family of factor
+congruences.
+"""
+
+from functools import reduce
+from itertools import product
+
+from congrlab.algebra import FiniteAlgebra, ordinal_sum_with_maps
+from congrlab.congruences import (
+    Congruence,
+    all_congruences,
+    join,
+    maximal_congruences,
+    meet,
+    principal_congruence,
+)
+from congrlab.errors import CongrlabError, EncodingMismatch, NotDistributive, ParentMismatch
+from congrlab.factor import _glue, factor_congruences
+from congrlab.lifting import quotient
+from congrlab.residuated import element_boolean_center, filters
+
+
+class PreconditionFailed(CongrlabError):
+    """A verified precondition broke; the message names which one."""
+
+
+def product_encode(tup, radix):
+    """The index of a tuple in the mixed radix: sum e_i * radix[i]."""
+    return sum(e * r for e, r in zip(tup, radix))
+
+
+def radical(A: FiniteAlgebra) -> Congruence:
+    """Intersection of the maximal congruences."""
+    return reduce(meet, maximal_congruences(A))
+
+
+def maximal_filters(A: FiniteAlgebra) -> list[frozenset]:
+    """Proper filters not contained in a larger proper filter."""
+    fs = [F for F in filters(A) if len(F) < A.n]
+    return [F for F in fs if not any(F < G for G in fs)]
+
+
+def osum_congruence(L, M, phi: Congruence, psi: Congruence, S=None) -> Congruence:
+    """Glue phi (on L) and psi (on M) into a congruence of the ordinal sum:
+    the class of the shared element is the union of its two classes."""
+    if phi.algebra != L or psi.algebra != M:
+        raise ParentMismatch("congruences do not match the summands")
+    S_built, map_l, map_m = ordinal_sum_with_maps(L, M)
+    if S is None:
+        S = S_built
+    elif S.tables != S_built.tables or S.n != S_built.n:
+        raise EncodingMismatch("given sum does not match ordinal_sum(L, M)")
+    return _glue(S, map_l, map_m, phi, psi)
+
+
+def bdl_fc_isomorphism(L: FiniteAlgebra):
+    """For a bounded distributive lattice: map each complemented element a
+    to the principal congruence collapsing a with bottom, and verify this is
+    a Boolean isomorphism onto the factor congruences.
+
+    Returns (mapping element-index -> Congruence, verified flag)."""
+    L.require_lattice()
+    if not L.is_distributive_lattice():
+        raise NotDistributive("the element-level map needs a distributive lattice")
+    bot, top = L.bottom(), L.top()
+    join_t, meet_t = L.tables["join"], L.tables["meet"]
+    comp = element_boolean_center(L).complement
+    mapping = {a: principal_congruence(L, a, bot) for a in comp}
+    cl = all_congruences(L)
+    fc = factor_congruences(cl)
+    ok = {cl.index(c) for c in mapping.values()} == set(fc.members)
+    ok = ok and len(set(mapping.values())) == len(mapping)
+    for a in comp:
+        for b in comp:
+            if not ok:
+                break
+            ia, ib = cl.index(mapping[a]), cl.index(mapping[b])
+            ok = (
+                cl.join(ia, ib) == cl.index(mapping[join_t[a][b]])
+                and cl.meet(ia, ib) == cl.index(mapping[meet_t[a][b]])
+            )
+    if ok:
+        for a in comp:
+            if cl.index(mapping[comp[a]]) != fc.complement[cl.index(mapping[a])]:
+                ok = False
+                break
+        ok = ok and mapping[bot].is_delta() and mapping[top].is_nabla()
+    return mapping, ok
+
+
+def factorize(A: FiniteAlgebra, alphas: list[Congruence]):
+    """Split A as a direct product of the quotients A/alpha_i.
+
+    Every alpha_i must be a factor congruence, their intersection the
+    diagonal, and each pair must join to the full congruence; each condition
+    is verified and the first violation is reported."""
+    cl = all_congruences(A)
+    fc_set = set(factor_congruences(cl).members)
+    for a in alphas:
+        if a.algebra != A:
+            raise ParentMismatch("congruence does not belong to the algebra")
+        if cl.index(a) not in fc_set:
+            raise PreconditionFailed(f"{a.block_string()} is not a factor congruence")
+    if not reduce(meet, alphas).is_delta():
+        raise PreconditionFailed("the congruences do not intersect to the diagonal")
+    for i in range(len(alphas)):
+        for j in range(i + 1, len(alphas)):
+            if not join(alphas[i], alphas[j]).is_nabla():
+                raise PreconditionFailed(
+                    f"{alphas[i].block_string()} and {alphas[j].block_string()} "
+                    "do not join to the full congruence"
+                )
+    quotients = [quotient(A, a) for a in alphas]
+    # the canonical map a |-> (a/alpha_1, ..., a/alpha_n) must be a bijective
+    # morphism onto the product of the quotients
+    total = 1
+    for q in quotients:
+        total *= q.quotient.n
+    images = {tuple(q.projection[e] for q in quotients) for e in range(A.n)}
+    ok = (
+        total == A.n
+        and len(images) == A.n
+        and all(
+            q.project(A.op(f, *args)) == q.quotient.op(f, *map(q.project, args))
+            for f, arity in A.signature.operations
+            for args in product(range(A.n), repeat=arity)
+            for q in quotients
+        )
+    )
+    return quotients, ok

@@ -15,7 +15,7 @@ import itertools
 import random
 from functools import lru_cache
 
-from congrlab.algebra import FiniteAlgebra, are_isomorphic, lattice_from_order
+from congrlab.algebra import FiniteAlgebra, find_isomorphism, lattice_from_order
 from congrlab.errors import NotALattice
 
 # lattices on 1..6 elements, counted up to isomorphism
@@ -100,7 +100,7 @@ def small_lattices() -> list[FiniteAlgebra]:
                 candidates.append(L)
         kept: list[FiniteAlgebra] = []
         for L in candidates:
-            if not any(are_isomorphic(L, K) for K in kept):
+            if not any(find_isomorphism(L, K) is not None for K in kept):
                 kept.append(L)
         found.extend(kept)
     by_size: dict[int, int] = {}

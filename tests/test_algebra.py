@@ -8,7 +8,6 @@ from congrlab import algebra
 from congrlab.algebra import (
     FiniteAlgebra,
     Signature,
-    are_isomorphic,
     build_from_spec,
     direct_product,
     dual,
@@ -16,10 +15,8 @@ from congrlab.algebra import (
     find_isomorphism,
     lattice_from_order,
     lattice_reduct,
-    order_matrix,
     ordinal_sum,
     product_decode,
-    product_encode,
     product_radix,
     sublattice,
 )
@@ -34,6 +31,8 @@ from congrlab.errors import (
     UnknownFixture,
 )
 from congrlab.fixtures import FIXTURE_NAMES, fixture, fixture_spec
+
+from oracles import product_encode
 
 
 def test_signature_rejects_duplicate_names():
@@ -277,7 +276,7 @@ def test_emit_spec_round_trip():
 
 
 def test_dual_of_chain_is_isomorphic_chain():
-    assert are_isomorphic(dual(fixture("L3")), fixture("L3"))
+    assert find_isomorphism(dual(fixture("L3")), fixture("L3")) is not None
 
 
 def test_dual_is_involution():
@@ -314,14 +313,14 @@ def test_dual_rejects_non_lattice():
 def test_product_l2_l3_matches_fixture():
     P = direct_product([fixture("L2"), fixture("L3")])
     assert P.n == 6
-    assert are_isomorphic(P, fixture("L2timesL3"))
+    assert find_isomorphism(P, fixture("L2timesL3")) is not None
 
 
 def test_unary_product_is_the_factor_relabelled():
     L = fixture("P")
     P = direct_product([L])
     assert P.n == L.n
-    assert are_isomorphic(P, L)
+    assert find_isomorphism(P, L) is not None
 
 
 def test_product_projection_recovers_factors():
@@ -391,11 +390,11 @@ def test_product_size_cap():
 
 def test_ordinal_sum_builds_the_stacked_fixtures():
     D, L2, L3, L2x2 = (fixture(n) for n in ("D", "L2", "L3", "L2x2"))
-    assert are_isomorphic(ordinal_sum(D, L2), fixture("S"))
-    assert are_isomorphic(ordinal_sum(D, L3), fixture("R"))
-    assert are_isomorphic(ordinal_sum(L2, ordinal_sum(D, L2)), fixture("T"))
-    assert are_isomorphic(ordinal_sum(L2x2, D), fixture("X"))
-    assert are_isomorphic(ordinal_sum(L2, L2x2), fixture("L2osumL2x2"))
+    assert find_isomorphism(ordinal_sum(D, L2), fixture("S")) is not None
+    assert find_isomorphism(ordinal_sum(D, L3), fixture("R")) is not None
+    assert find_isomorphism(ordinal_sum(L2, ordinal_sum(D, L2)), fixture("T")) is not None
+    assert find_isomorphism(ordinal_sum(L2x2, D), fixture("X")) is not None
+    assert find_isomorphism(ordinal_sum(L2, L2x2), fixture("L2osumL2x2")) is not None
 
 
 def test_ordinal_sum_restricts_to_the_parts():
@@ -406,7 +405,7 @@ def test_ordinal_sum_restricts_to_the_parts():
     assert low.tables["join"] == D.tables["join"]
     assert low.tables["meet"] == D.tables["meet"]
     high = sublattice(S, range(D.n - 1, S.n))
-    assert are_isomorphic(high, L3)
+    assert find_isomorphism(high, L3) is not None
 
 
 # -- sublattices ------------------------------------------------------------
@@ -415,7 +414,7 @@ def test_ordinal_sum_restricts_to_the_parts():
 def test_pentagon_inside_e():
     E = fixture("E")
     sub = sublattice(E, [E.index_of(s) for s in ("0", "a", "b", "d", "1")])
-    assert are_isomorphic(sub, fixture("P"))
+    assert find_isomorphism(sub, fixture("P")) is not None
 
 
 def test_full_carrier_sublattice():
@@ -425,7 +424,7 @@ def test_full_carrier_sublattice():
 
 def test_bounds_sublattice_of_chain():
     L3 = fixture("L3")
-    assert are_isomorphic(sublattice(L3, [0, 2]), fixture("L2"))
+    assert find_isomorphism(sublattice(L3, [0, 2]), fixture("L2")) is not None
 
 
 def test_sublattice_reports_violating_pair():
@@ -508,7 +507,7 @@ def test_lattice_from_order_agrees_with_the_bound_scan():
 
     from sweep import sweep
 
-    orders = [order_matrix(L) for L in sweep()]
+    orders = [[[bool(up >> b & 1) for b in range(L.n)] for up in L.order_masks()[0]] for L in sweep()]
     rng = random.Random(8)
     orders += [random_preorder(rng, rng.randint(1, 7)) for _ in range(3000)]
     outcomes = {"lattice": 0, "not antisymmetric": 0, "other": 0}

@@ -15,7 +15,7 @@ import pytest
 from congrlab import congruences
 from congrlab.algebra import direct_product, join_partitions, meet_partitions
 from congrlab.congruences import ConLattice, Congruence, all_congruences, compose, permutes
-from congrlab.factor import crt_characterization, is_factor_pair
+from congrlab.factor import crt_characterization
 from congrlab.fixtures import FIXTURE_NAMES, fixture
 from congrlab.lifting import algebra_cblp, algebra_fclp, has_cblp, has_fclp, lifting_report
 from congrlab.report import build_report
@@ -34,7 +34,6 @@ def assert_tables_match_compositions(A):
             where = (A.name, a.block_string(), b.block_string())
             full = compose(a, b).is_full()
             assert cl.composes_to_nabla(i, j) == full, where
-            assert is_factor_pair(A, a, b) == (full and els[cl.meet(i, j)].is_delta()), where
             meet = Congruence(A, meet_partitions(a.block_of, b.block_of))
             join = Congruence(A, join_partitions(a.block_of, b.block_of))
             assert (cl.meet(i, j), cl.join(i, j)) == (cl.index(meet), cl.index(join)), where

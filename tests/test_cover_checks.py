@@ -26,10 +26,11 @@ from congrlab.algebra import (
 )
 from congrlab.congruences import ConLattice, Congruence, all_congruences
 from congrlab.errors import NotDistributive
-from congrlab.factor import _glued_image, factor_congruences, osum_congruence, product_congruence
+from congrlab.factor import _glued_image, factor_congruences, product_congruence
 from congrlab.fixtures import FIXTURE_NAMES, fixture
 from congrlab.lifting import is_fc_normal
 
+from oracles import osum_congruence
 from sweep import sweep
 from test_join_irreducible_masks import random_generic_algebras
 from test_partition_join import chain

@@ -12,6 +12,7 @@ the filter or ideal congruence.
 """
 
 import sys
+from functools import reduce
 
 import pytest
 
@@ -36,6 +37,7 @@ from congrlab.residuated import (
     ideals,
     is_filter,
     is_ideal,
+    principal_filter,
 )
 
 from sweep import sweep
@@ -141,8 +143,9 @@ def test_algebra_blp_is_the_has_blp_loop_with_one_center(monkeypatch):
 def test_filters_and_ideals_are_the_principal_ones():
     for A in ALGEBRAS:
         fs = filters(A)
-        assert fs.filters == subset_scan(A, is_filter, A.top()), A.name
-        assert all(fs.principal)
+        assert fs == subset_scan(A, is_filter, A.top()), A.name
+        for F in fs:
+            assert F == principal_filter(A, reduce(lambda a, b: A.op("meet", a, b), F)), A.name
         assert ideals(A) == subset_scan(A, is_ideal, A.bottom()), A.name
 
 
@@ -222,7 +225,7 @@ def test_filter_and_ideal_congruences_are_the_kernels():
     counts = [0, 0]
     failures = {"filt": [], "id": []}
     for A in algebras:
-        fs, ids = filters(A).filters, ideals(A)
+        fs, ids = filters(A), ideals(A)
         counts[0] += len(fs)
         counts[1] += len(ids)
         filt = oracle_failure(A, fs, filter_congruence, matrix_filter_partition)
@@ -276,6 +279,6 @@ def test_a_residuated_filter_congruence_is_the_product_kernel():
             "constants": {"bot": "0", "top": "1"},
         }
     )
-    for F in filters(A).filters:
+    for F in filters(A):
         assert filter_congruence(A, F).block_of == matrix_filter_partition(A, F)
     assert filter_congruence(A, {2, 3}).block_string() == "0,a|m,1"

@@ -35,7 +35,7 @@ def quotient_has_lifting(A, theta, members_of):
     Q = quotient(A, theta)
     src = members_of(all_congruences(A)).congruences()
     tgt = members_of(all_congruences(Q.quotient)).congruences()
-    images = {alpha: u_map(A, theta, alpha, Q=Q) for alpha in src}
+    images = {alpha: u_map(A, theta, alpha) for alpha in src}
     ev = LiftEvidence()
     for beta in tgt:
         hit = next((a for a in src if images[a] == beta), None)
