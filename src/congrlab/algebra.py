@@ -31,7 +31,12 @@ CON_CAP = 20000
 # 128-element Gödel chain builds in about 0.4 s (README, Limits).
 RESIDUATED_CAP = 128
 
-KINDS = ("generic", "lattice", "bounded-lattice", "residuated")
+# The (name, arity) pairs each kind requires, in signature order: the one
+# statement of what a kind's algebra carries.
+KIND_OPERATIONS = {"generic": (), "lattice": (("join", 2), ("meet", 2))}
+KIND_OPERATIONS["bounded-lattice"] = KIND_OPERATIONS["lattice"] + (("bot", 0), ("top", 0))
+KIND_OPERATIONS["residuated"] = KIND_OPERATIONS["bounded-lattice"] + (("times", 2), ("implies", 2))
+KINDS = tuple(KIND_OPERATIONS)  # tested by ==, so an unhashable kind is merely unknown
 
 
 def cached(fn):
@@ -64,15 +69,8 @@ class Signature:
             raise TableError(f"duplicate operation names in signature: {names}")
         if self.kind not in KINDS:
             raise TableError(f"unknown kind {self.kind!r}")
-        required: list[tuple[str, int]] = []
-        if self.kind in ("lattice", "bounded-lattice", "residuated"):
-            required += [("join", 2), ("meet", 2)]
-        if self.kind in ("bounded-lattice", "residuated"):
-            required += [("bot", 0), ("top", 0)]
-        if self.kind == "residuated":
-            required += [("times", 2), ("implies", 2)]
         ops = dict(self.operations)
-        for name, arity in required:
+        for name, arity in KIND_OPERATIONS[self.kind]:
             if ops.get(name) != arity:
                 raise TableError(
                     f"kind {self.kind!r} requires operation {name!r} of arity {arity}"
@@ -83,16 +81,14 @@ class Signature:
 
     @property
     def is_lattice(self) -> bool:
-        return self.kind in ("lattice", "bounded-lattice", "residuated")
+        return bool(KIND_OPERATIONS[self.kind])  # every kind but generic has join and meet
 
 
 def lattice_signature(kind: str = "lattice") -> Signature:
-    ops: list[tuple[str, int]] = [("join", 2), ("meet", 2)]
-    if kind in ("bounded-lattice", "residuated"):
-        ops += [("bot", 0), ("top", 0)]
-    if kind == "residuated":
-        ops += [("times", 2), ("implies", 2)]
-    return Signature(tuple(ops), kind)
+    """The signature of a lattice of this kind.  A generic one, such as a
+    cover spec of kind "algebra" builds, still carries join and meet."""
+    ops = KIND_OPERATIONS[kind] if kind in KINDS else ()
+    return Signature(ops or KIND_OPERATIONS["lattice"], kind)
 
 
 class FiniteAlgebra:
@@ -345,7 +341,10 @@ class FiniteAlgebra:
 
 _INT_TYPES = frozenset((int, bool))
 # the tables a lattice order determines (_lattice_from_up_sets)
-_ORDER_TABLES = frozenset(("join", "meet", "bot", "top"))
+_ORDER_TABLES = frozenset(name for name, _ in KIND_OPERATIONS["bounded-lattice"])
+# an explicit spec's signature order: the kinds' operations first, as the
+# residuated kind, which requires them all, lists them; then the rest by name
+_SPEC_ORDER = {name: i for i, (name, _) in enumerate(KIND_OPERATIONS["residuated"])}
 
 
 def _int_row(row) -> bool:
@@ -402,15 +401,16 @@ def _lattice_from_up_sets(up, labels, kind, name, extra_tables):
     n = len(up)
     labels = tuple(str(x) for x in labels)
     join, meet, down = _order_operations(up, labels)
+    sig = lattice_signature(kind)
     tables = {"join": join, "meet": meet}
-    if kind in ("bounded-lattice", "residuated"):
+    if ("bot", 0) in sig.operations:
         tables["bot"] = up.index((1 << n) - 1)
         tables["top"] = next(a for a, m in enumerate(up) if m == 1 << a)
     if extra_tables:
         if set(extra_tables) & set(tables):
             raise TableError("extra_tables may not replace the tables derived from the order")
         tables.update(extra_tables)
-    A = FiniteAlgebra(n, labels, lattice_signature(kind), tables, name=name, validate=False)
+    A = FiniteAlgebra(n, labels, sig, tables, name=name, validate=False)
     A._validate(from_order=True)
     A._cache["order_masks"] = up, down
     return A
@@ -541,19 +541,19 @@ def _build_from_spec(spec):
 
     if "cover" in spec:
         up = _close_cover(_spec_field(spec, "cover", list), labels, index)
-        taken = ("times", "implies") if kind == "residuated" else ()
+        taken = {f: arity for f, arity in KIND_OPERATIONS[kind] if f not in _ORDER_TABLES}
         stray = sorted(set(operations).difference(taken)) + sorted(_spec_field(spec, "constants", dict))
         if stray:
             raise TableError(f"cover spec of kind {kind!r} carries tables it cannot use: {', '.join(stray)}")
         extra = {}
-        for opname in taken:
+        for opname, arity in taken.items():
             if opname not in operations:
-                raise TableError(f"residuated spec requires a {opname!r} table")
-            extra[opname] = _table_from_labels(operations[opname], 2, index, opname)
+                raise TableError(f"{kind} spec requires a {opname!r} table")
+            extra[opname] = _table_from_labels(operations[opname], arity, index, opname)
         return _lattice_from_up_sets(up, labels, kind, name, extra)
 
     if "operations" not in spec:
-        if n == 1:
+        if n == 1 and kind == "generic":
             return FiniteAlgebra(1, labels, Signature((), "generic"), {}, name=name)
         raise TableError("spec needs either a cover relation or operation tables")
 
@@ -566,8 +566,7 @@ def _build_from_spec(spec):
     for cname, lab in _spec_field(spec, "constants", dict).items():
         tables[cname] = _label_index(lab, index, f"constant {cname}")
         sig_ops.append((cname, 0))
-    order = {"join": 0, "meet": 1, "bot": 2, "top": 3, "times": 4, "implies": 5}
-    sig_ops.sort(key=lambda p: (order.get(p[0], 99), p[0]))
+    sig_ops.sort(key=lambda p: (_SPEC_ORDER.get(p[0], 99), p[0]))
     return FiniteAlgebra(n, labels, Signature(tuple(sig_ops), kind), tables, name=name)
 
 
@@ -745,20 +744,17 @@ def ordinal_sum(L: FiniteAlgebra, M: FiniteAlgebra, name=None) -> FiniteAlgebra:
 
 def ordinal_sum_with_maps(L, M, name=None):
     """ordinal_sum plus the two index embeddings (L-index -> sum-index,
-    M-index -> sum-index); top(L) and bot(M) map to the same index."""
+    M-index -> sum-index); top(L) and bot(M) map to the same index.  The
+    sum has L's kind: neither part may be residuated."""
     L.require_lattice()
     M.require_lattice()
     if L.signature.kind == "residuated" or M.signature.kind == "residuated":
         raise KindError("ordinal sums of residuated fixtures are out of scope")
-    top_l = L.top()
     bot_m = M.bottom()
     m_rest = [j for j in range(M.n) if j != bot_m]
-    to_sum = {}  # (side, idx) -> new index
-    for i in range(L.n):
-        to_sum[("L", i)] = i
-    to_sum[("M", bot_m)] = top_l
+    map_l, map_m = list(range(L.n)), [L.top()] * M.n
     for k, j in enumerate(m_rest):
-        to_sum[("M", j)] = L.n + k
+        map_m[j] = L.n + k
     n = L.n + M.n - 1
     labels = list(L.labels)
     for j in m_rest:
@@ -770,16 +766,10 @@ def ordinal_sum_with_maps(L, M, name=None):
     rest = (1 << n) - (1 << L.n)
     up = [m | rest for m in _up_masks(L.tables["meet"])]
     up_m = _up_masks(M.tables["meet"])
-    up += [sum(1 << to_sum[("M", b)] for b in _bits(up_m[j])) for j in m_rest]
-    kind = L.signature.kind
-    if M.signature.kind == "bounded-lattice":
-        kind = "bounded-lattice" if kind != "lattice" else "lattice"
+    up += [sum(1 << map_m[b] for b in _bits(up_m[j])) for j in m_rest]
     if name is None and L.name and M.name:
         name = f"{L.name}+{M.name}"
-    total = _lattice_from_up_sets(up, labels, kind, name, None)
-    map_l = [to_sum[("L", i)] for i in range(L.n)]
-    map_m = [to_sum[("M", j)] for j in range(M.n)]
-    return total, map_l, map_m
+    return _lattice_from_up_sets(up, labels, L.signature.kind, name, None), map_l, map_m
 
 
 def sublattice(L: FiniteAlgebra, subset, name=None) -> FiniteAlgebra:

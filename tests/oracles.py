@@ -16,19 +16,13 @@ from congrlab.algebra import FiniteAlgebra, ordinal_sum_with_maps
 from congrlab.congruences import (
     Congruence,
     all_congruences,
-    join,
     maximal_congruences,
     meet,
     principal_congruence,
 )
-from congrlab.errors import CongrlabError, EncodingMismatch, NotDistributive, ParentMismatch
 from congrlab.factor import _glue, factor_congruences
 from congrlab.lifting import quotient
 from congrlab.residuated import element_boolean_center, filters
-
-
-class PreconditionFailed(CongrlabError):
-    """A verified precondition broke; the message names which one."""
 
 
 def product_encode(tup, radix):
@@ -48,16 +42,11 @@ def maximal_filters(A: FiniteAlgebra) -> list[frozenset]:
 
 
 def osum_congruence(L, M, phi: Congruence, psi: Congruence, S=None) -> Congruence:
-    """Glue phi (on L) and psi (on M) into a congruence of the ordinal sum:
-    the class of the shared element is the union of its two classes."""
-    if phi.algebra != L or psi.algebra != M:
-        raise ParentMismatch("congruences do not match the summands")
+    """Glue phi (on L) and psi (on M) into a congruence of the ordinal sum
+    S, by default ordinal_sum(L, M): the class of the shared element is the
+    union of its two classes."""
     S_built, map_l, map_m = ordinal_sum_with_maps(L, M)
-    if S is None:
-        S = S_built
-    elif S.tables != S_built.tables or S.n != S_built.n:
-        raise EncodingMismatch("given sum does not match ordinal_sum(L, M)")
-    return _glue(S, map_l, map_m, phi, psi)
+    return _glue(S_built if S is None else S, map_l, map_m, phi, psi)
 
 
 def bdl_fc_isomorphism(L: FiniteAlgebra):
@@ -66,9 +55,6 @@ def bdl_fc_isomorphism(L: FiniteAlgebra):
     a Boolean isomorphism onto the factor congruences.
 
     Returns (mapping element-index -> Congruence, verified flag)."""
-    L.require_lattice()
-    if not L.is_distributive_lattice():
-        raise NotDistributive("the element-level map needs a distributive lattice")
     bot, top = L.bottom(), L.top()
     join_t, meet_t = L.tables["join"], L.tables["meet"]
     comp = element_boolean_center(L).complement
@@ -96,27 +82,9 @@ def bdl_fc_isomorphism(L: FiniteAlgebra):
 
 
 def factorize(A: FiniteAlgebra, alphas: list[Congruence]):
-    """Split A as a direct product of the quotients A/alpha_i.
-
-    Every alpha_i must be a factor congruence, their intersection the
-    diagonal, and each pair must join to the full congruence; each condition
-    is verified and the first violation is reported."""
-    cl = all_congruences(A)
-    fc_set = set(factor_congruences(cl).members)
-    for a in alphas:
-        if a.algebra != A:
-            raise ParentMismatch("congruence does not belong to the algebra")
-        if cl.index(a) not in fc_set:
-            raise PreconditionFailed(f"{a.block_string()} is not a factor congruence")
-    if not reduce(meet, alphas).is_delta():
-        raise PreconditionFailed("the congruences do not intersect to the diagonal")
-    for i in range(len(alphas)):
-        for j in range(i + 1, len(alphas)):
-            if not join(alphas[i], alphas[j]).is_nabla():
-                raise PreconditionFailed(
-                    f"{alphas[i].block_string()} and {alphas[j].block_string()} "
-                    "do not join to the full congruence"
-                )
+    """Split A as a direct product of the quotients A/alpha_i, for factor
+    congruences alpha_i of A that intersect to the diagonal and join
+    pairwise to the full congruence."""
     quotients = [quotient(A, a) for a in alphas]
     # the canonical map a |-> (a/alpha_1, ..., a/alpha_n) must be a bijective
     # morphism onto the product of the quotients

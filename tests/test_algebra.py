@@ -15,6 +15,7 @@ from congrlab.algebra import (
     find_isomorphism,
     lattice_from_order,
     lattice_reduct,
+    lattice_signature,
     ordinal_sum,
     product_decode,
     product_radix,
@@ -47,6 +48,48 @@ def test_signature_requires_lattice_operations():
         Signature((("join", 2), ("meet", 2)), kind="bounded-lattice")
 
 
+# the operations each kind requires, in signature order
+KIND_PAIRS = {
+    "lattice": [("join", 2), ("meet", 2)],
+    "bounded-lattice": [("join", 2), ("meet", 2), ("bot", 0), ("top", 0)],
+    "residuated": [("join", 2), ("meet", 2), ("bot", 0), ("top", 0), ("times", 2), ("implies", 2)],
+}
+
+
+@pytest.mark.parametrize("kind", ["generic", *KIND_PAIRS])
+def test_lattice_signature_lists_the_kinds_operations(kind):
+    # a generic lattice, as a cover spec of kind "algebra" builds, has join and meet
+    sig = lattice_signature(kind)
+    assert sig.kind == kind
+    assert list(sig.operations) == KIND_PAIRS.get(kind, KIND_PAIRS["lattice"])
+
+
+@pytest.mark.parametrize("kind", KIND_PAIRS)
+def test_a_signature_names_the_first_operation_its_kind_misses(kind):
+    pairs = KIND_PAIRS[kind]
+    for i, (name, arity) in enumerate(pairs):
+        # the pair left out alone, and left out with every pair after it
+        for given in (pairs[:i] + pairs[i + 1 :], pairs[:i]):
+            with pytest.raises(TableError, match=f"^kind '{kind}' requires operation '{name}' of arity {arity}$"):
+                Signature(tuple(given), kind)
+
+
+def test_an_explicit_spec_lists_the_kinds_operations_first():
+    spec = emit_spec(fixture("R0"))
+    assert list(build_from_spec(spec).signature.operations) == KIND_PAIRS["residuated"]
+    # whatever order the spec gives its tables in, and the other operations after them by name
+    spec["operations"] = dict(reversed(list(spec["operations"].items())), f=spec["operations"]["times"])
+    spec["constants"] = dict(reversed(list(spec["constants"].items())), c=spec["constants"]["top"])
+    assert list(build_from_spec(spec).signature.operations) == [*KIND_PAIRS["residuated"], ("c", 0), ("f", 2)]
+
+
+@pytest.mark.parametrize("kind", ["lattice", "bounded-lattice", "residuated"])
+def test_a_one_element_spec_without_tables_keeps_its_kind(kind):
+    # refused as a larger spec without tables is; "cover": [] writes the one-element lattice
+    with pytest.raises(TableError, match="^spec needs either a cover relation or operation tables$"):
+        build_from_spec({"kind": kind, "elements": ["a"]})
+
+
 def test_build_pentagon_from_cover():
     P = build_from_spec(
         {
@@ -64,7 +107,11 @@ def test_build_pentagon_from_cover():
 
 def test_one_element_spec_is_valid():
     A = build_from_spec({"name": "t", "kind": "lattice", "elements": ["*"], "cover": []})
-    assert A.n == 1 and A.is_lattice
+    assert A.n == 1 and A.signature == lattice_signature()
+    # only an algebra spec with one element needs no tables
+    for spec in ({"elements": ["*"]}, {"kind": "algebra", "elements": ["*"]}):
+        B = build_from_spec(spec)
+        assert B.n == 1 and B.signature == Signature(())
 
 
 def test_missing_top_reports_offending_pair():
@@ -105,6 +152,14 @@ def test_a_cover_spec_carries_no_tables_it_cannot_use():
         spec[key] = {**spec.get(key, {}), **extra}
         with pytest.raises(TableError, match=f"kind 'residuated' carries tables it cannot use: {next(iter(extra))}$"):
             build_from_spec(spec)
+
+
+@pytest.mark.parametrize("name", ["times", "implies"])
+def test_a_residuated_cover_spec_needs_both_of_its_tables(name):
+    spec = fixture_spec("R0")
+    del spec["operations"][name]
+    with pytest.raises(TableError, match=f"^residuated spec requires a '{name}' table$"):
+        build_from_spec(spec)
 
 
 def test_non_total_table_is_rejected():
@@ -395,6 +450,18 @@ def test_ordinal_sum_builds_the_stacked_fixtures():
     assert find_isomorphism(ordinal_sum(L2, ordinal_sum(D, L2)), fixture("T")) is not None
     assert find_isomorphism(ordinal_sum(L2x2, D), fixture("X")) is not None
     assert find_isomorphism(ordinal_sum(L2, L2x2), fixture("L2osumL2x2")) is not None
+
+
+def test_an_ordinal_sum_has_the_kind_of_its_lower_part():
+    D, L2 = fixture("D"), fixture("L2")
+    bounded = {L: lattice_reduct(L, "bounded-lattice") for L in (D, L2)}
+    for low, high, kind in [
+        (D, L2, "lattice"),
+        (D, bounded[L2], "lattice"),
+        (bounded[D], L2, "bounded-lattice"),
+        (bounded[D], bounded[L2], "bounded-lattice"),
+    ]:
+        assert ordinal_sum(low, high).signature.kind == kind
 
 
 def test_ordinal_sum_restricts_to_the_parts():

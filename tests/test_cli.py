@@ -242,6 +242,10 @@ MALFORMED_SPECS = {
     "empty-label": '{"elements": ["", "c"], "cover": [["", "c"]]}',
     "label-with-leading-space": '{"elements": [" a", "c"], "cover": [[" a", "c"]]}',
     "label-with-trailing-space": '{"elements": ["a", "c\\t"], "operations": {"f": ["a", "c\\t"]}}',
+    # a spec declared a lattice stays one, and a lattice needs its cover, "cover": [] at one element
+    "one-element-lattice-without-tables": '{"kind": "lattice", "elements": ["a"]}',
+    "one-element-bounded-lattice-without-tables": '{"kind": "bounded-lattice", "elements": ["a"]}',
+    "one-element-residuated-without-tables": '{"kind": "residuated", "elements": ["a"]}',
 }
 
 

@@ -10,6 +10,13 @@ names it for library callers, or when the benchmark's span table
 (`bench/spans.py`, `LAYERS`) wraps it; a name only the tests read belongs
 in `tests/oracles.py`.  An import that its module never reads is left over
 the same way; a package `__init__` re-exports what it lists in `__all__`.
+
+A line reads a module-level name in one of two ways: its own module loads
+the name where no parameter or local of an enclosing function, lambda or
+comprehension shadows it, or another module imports it with
+`from .module import name` (and the import test checks that the importer
+reads it).  An attribute such as `cl.elements`, or a local that happens to
+share the name, reads nothing.
 """
 
 import ast
@@ -37,17 +44,75 @@ def private_definitions(tree):
                 yield name, node.lineno, node.end_lineno
 
 
-def references(tree):
-    """(name, line) of each name the module reads, attribute it takes or
-    name it imports."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id, node.lineno
-        elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
-        elif isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                yield alias.name, node.lineno
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def split_scope(node):
+    """(children of node read in the enclosing scope, children read in
+    node's own).  A function's decorators, parameters' defaults and
+    annotations, and a comprehension's first iterable, are read outside;
+    a class body binds nothing its methods see, so it is read as if
+    outside too.  Any other node has no scope of its own."""
+    children = list(ast.iter_child_nodes(node))
+    if isinstance(node, COMPREHENSIONS):
+        first = node.generators[0]
+        return [first.iter], [c for c in children if c is not first] + [first.target, *first.ifs]
+    if isinstance(node, FUNCTIONS):
+        body = node.body if isinstance(node.body, list) else [node.body]
+        return [c for c in children if c not in body], body
+    return children, []
+
+
+def local_names(node):
+    """The names a function or lambda binds in its own scope: its
+    parameters and the names its body stores, defines, imports or catches,
+    less those it declares global; for a comprehension, its targets."""
+    if isinstance(node, COMPREHENSIONS):
+        return {n.id for g in node.generators for n in ast.walk(g.target) if isinstance(n, ast.Name)}
+    a = node.args
+    names = {p.arg for p in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg] if p}
+    declared_global, stack = set(), list(split_scope(node)[1])
+    while stack:
+        n = stack.pop()
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load):
+            names.add(n.id)
+        elif isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(n.name)
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0] for alias in n.names)
+        elif isinstance(n, ast.ExceptHandler) and n.name:
+            names.add(n.name)
+        elif isinstance(n, ast.Global):
+            declared_global.update(n.names)
+        # a nested function or comprehension binds in its own scope
+        stack += split_scope(n)[0] if isinstance(n, FUNCTIONS + COMPREHENSIONS) else ast.iter_child_nodes(n)
+    return names - declared_global
+
+
+def module_reads(node, shadowed=frozenset()):
+    """(name, line) of each Name load under node that reads a module-level
+    name: one that no enclosing scope's parameter or local shadows."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in shadowed:
+        yield node.id, node.lineno
+    outside, inside = split_scope(node)
+    for child in outside:
+        yield from module_reads(child, shadowed)
+    if inside:
+        shadowed = shadowed | local_names(node)
+    for child in inside:
+        yield from module_reads(child, shadowed)
+
+
+def relative_imports(trees):
+    """(module, name) of each `from .module import name` in the trees."""
+    return {
+        (node.module, alias.name)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
 
 
 def source_trees():
@@ -57,10 +122,11 @@ def source_trees():
 def unread(trees, definitions):
     """module:name of each definition (name, first line, last line) that no
     line of `src/` outside it reads."""
-    refs = [(module, name, line) for module, tree in trees.items() for name, line in references(tree)]
+    imported = relative_imports(trees)
     for module, tree in trees.items():
+        reads = list(module_reads(tree))
         for name, first, last in definitions(tree):
-            if not any(n == name and (m != module or not first <= line <= last) for m, n, line in refs):
+            if (module[:-3], name) not in imported and not any(n == name and not first <= line <= last for n, line in reads):
                 yield f"{module}:{name}"
 
 
