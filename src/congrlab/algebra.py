@@ -85,10 +85,8 @@ class Signature:
 
 
 def lattice_signature(kind: str = "lattice") -> Signature:
-    """The signature of a lattice of this kind.  A generic one, such as a
-    cover spec of kind "algebra" builds, still carries join and meet."""
-    ops = KIND_OPERATIONS[kind] if kind in KINDS else ()
-    return Signature(ops or KIND_OPERATIONS["lattice"], kind)
+    """The signature of a lattice of this kind: the operations it requires."""
+    return Signature(KIND_OPERATIONS[kind] if kind in KINDS else (), kind)
 
 
 class FiniteAlgebra:
@@ -520,7 +518,8 @@ def _build_from_spec(spec):
         raise TableError("algebra spec must be a JSON object")
     kind = spec.get("kind", "algebra")
     if kind == "algebra":
-        kind = "generic"
+        # a cover can only describe a lattice
+        kind = "lattice" if "cover" in spec else "generic"
     if kind not in KINDS:
         raise TableError(f"unknown kind {kind!r}")
     labels = [str(x) for x in _spec_field(spec, "elements", list)]

@@ -359,21 +359,22 @@ def _check(A: FiniteAlgebra, prop: str) -> tuple[int, list[str]]:
     """The exit code of check prop on A, and the lines it prints."""
     if prop in ("fclp", "cblp"):
         # the checked property alone sets the exit code and the evidence; the
-        # other one is printed beside it, or n/a when it is past a cap
+        # other one is printed beside it, or n/a when it is past a cap.  Only
+        # a failure walks Con(A), for its first failing θ
         factor = prop == "fclp"
-        t = _lifting_failure(A, factor)
+        ok = _holds(A, factor)
         try:
             other = yn(_holds(A, not factor))
         except SizeCap:
             other = "n/a"
-        fclp, cblp = (yn(t is None), other) if factor else (other, yn(t is None))
+        fclp, cblp = (yn(ok), other) if factor else (other, yn(ok))
         lines = [f"FCLP: {fclp}; CBLP: {cblp}"]
-        if t is not None:
-            cl = all_congruences(A)
+        if not ok:
+            cl, t = all_congruences(A), _lifting_failure(A, factor)
             theta = cl.elements[t]
             target = cl.elements[_lifting(cl, t, factor)[1]].block_string(over=theta)
             lines.append(f"failing congruence: {theta.block_string()} (cannot reach {target})")
-        return 0 if t is None else 1, lines
+        return 0 if ok else 1, lines
     if prop in ("blp", "filt-blp", "id-blp"):
         name, failure = {
             "blp": ("BLP", lambda A: algebra_blp(A)[1]),

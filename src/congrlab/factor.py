@@ -164,26 +164,55 @@ def _center_is_factor(A: FiniteAlgebra) -> bool:
     c components C of J(Con A) (module doc, 3, at θ = Δ).  So FC(A) = B(A)
     iff each θ_C is a factor congruence, and its factor complement can only
     be its complement θ_{J∖C}: iff |A/θ_C|·|A/θ_{J∖C}| = |A| for each C.
-    With c ≤ 1, B(A) ⊆ {Δ, ∇} and no partition is built; else each of the
-    2c partitions merges the covers of its classes (lattice_classes).  As
-    B(A) ⊆ Con(A), 2^c past CON_CAP is past the cap.  Memoized on A."""
-    if not is_pure_lattice(A):
-        cl = all_congruences(A)
-        return len(factor_congruences(cl).members) == len(boolean_center(cl).members)
+    With c ≤ 1, B(A) ⊆ {Δ, ∇} and nothing is counted; else 2c block counts
+    (_block_counter).  As B(A) ⊆ Con(A), 2^c past CON_CAP is past the cap.
+    Memoized on A."""
     components = _j_order(A)[2]
     if 1 << len(components) > CON_CAP:
         raise SizeCap(f"congruence count exceeds cap {CON_CAP}")
     if len(components) < 2:
         return True
+    blocks = _block_counter(A)
+    full = sum(components)
+    return all(blocks(c) * blocks(full & ~c) == A.n for c in components)
+
+
+def _block_counter(A: FiniteAlgebra):
+    """The function D ↦ |A/θ_D| on the masks of the down-sets D of
+    J(Con A), Con(A) distributive.  On a pure lattice each count is one
+    union-find over the covers of D's classes (lattice_classes), with no
+    Con(A); elsewhere it is read off the block counts of Con(A)."""
+    if not is_pure_lattice(A):
+        cl = all_congruences(A)
+        return lambda mask: cl.blocks[cl._at[mask]]
     class_covers = lattice_classes(A)[2]
     delta = delta_partition(A.n)
 
-    def blocks(mask):
-        p = merge_pairs(delta, [pair for g in _bits(mask) for pair in class_covers[g]])
-        return sum(r == e for e, r in enumerate(p))
+    return lambda mask: len(set(merge_pairs(delta, [pair for g in _bits(mask) for pair in class_covers[g]])))
 
-    full = sum(components)
-    return all(blocks(c) * blocks(full & ~c) == A.n for c in components)
+
+def _central_masks(L: FiniteAlgebra) -> set[int]:
+    """The masks over J(Con L) of the factor congruences of a pure lattice
+    L, read off its central elements, with no Con(L).  A factor congruence
+    of a bounded lattice is the kernel of x ↦ x∧z for a central element z
+    (Grätzer, *Lattice Theory: Foundation*).  Complements z, w with
+    x = (x∧z)∨(x∧w) = (x∨z)∧(x∨w) for every x make x ↦ (x∧z, x∧w) an
+    isomorphism onto [0, z] × [0, w]: one-to-one and order-reflecting by the
+    first identity, and onto, as the second at a ≤ z gives z∧(a∨w) = a, so
+    (a∨b)∧z = a for every b ≤ w, and likewise (a∨b)∧w = b.  A central z
+    and its complement pass, as they do in a product.  Class g, seeded by
+    (j₊, j), lies below the kernel iff j₊∧z = j∧z."""
+    join, meet = L.tables["join"], L.tables["meet"]
+    bot, top, n = L.bottom(), L.top(), L.n
+    seeds = join_classes(L)[0]
+    central = set()
+    for z in range(n):
+        for w in range(z + 1, n):
+            if meet[z][w] == bot and join[z][w] == top and all(
+                join[meet[x][z]][meet[x][w]] == x == meet[join[x][z]][join[x][w]] for x in range(n)
+            ):
+                central.update((z, w))
+    return {sum(1 << g for g, (jp, j) in enumerate(seeds) if meet[jp][z] == meet[j][z]) for z in central}
 
 
 def _components(near: list[int], within: int) -> list[int]:

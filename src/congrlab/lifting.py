@@ -15,8 +15,10 @@ theta return the index of the first failure.  Evidence is rendered only
 where it is printed or returned, in the class labels of A/theta, built
 once per theta.  The algebra-level checks return a Verdict: the verdict at
 the call, and the evidence on its first read.  Each property is then one
-yes/no: fc-normality is FCLP and b-normality is CBLP (4 and 3), and Con(A)
-is enumerated for a verdict only where no criterion below decides it.
+yes/no: fc-normality is FCLP and b-normality is CBLP (4 and 3), and no
+verdict walks the θ: where no criterion below decides FCLP, the pairs of
+maximal members of J do (7), and a pure lattice enumerates no Con(L) for
+any verdict.
 
 The Boolean property and both normality checks are read off the order of
 J = J(Con A).  A center exists only on a distributive Con(A), and then
@@ -27,7 +29,7 @@ connected component of J's comparability graph.  On a pure lattice J and
 its order come from the J step of `congruences` (join_classes), with no
 Con(L) and no cover of L; every criterion below that reads J or P = J(L) alone then decides
 before Con(L) is enumerated, and only a failure enumerates it, for the
-evidence.
+evidence.  Max J is the set of maximal members of J.
 
 1. The Boolean elements are the unions of components.  D has a complement
    iff J ∖ D is a down-set too, that is iff no comparable pair has one end
@@ -98,7 +100,9 @@ evidence.
        above Δ, partition J, and each member is the union of the atoms
        below it.  They are the components of J on the Boolean side (1),
        and the components of P for FC(L) of a distributive pure lattice
-       (6d).  Elsewhere one pass over the listing of FC(A) finds them (d).
+       (6d).  Elsewhere one pass over the listing of FC(A) finds them (d),
+       and for a verdict on any other pure lattice L's central elements
+       give them with no Con(L) (7).
    (b) u(α) = α ∨ θ is a lattice map, by distributivity, and it maps a
        complemented pair to a complemented pair of [θ, ∇]:
        (α ∨ θ) ∧ (α' ∨ θ) = (α ∧ α') ∨ θ = θ.  It keeps factor pairs, as
@@ -177,6 +181,28 @@ evidence.
    The first θ without the factor property, and the target it fails to
    reach, are read off the components of P ∖ S_θ in Con(L), with no
    interval listed (5d), and the first failing pair by the walk of 4.
+7. FCLP from pairs of coatoms.  For a ∈ Max J, J ∖ {a} is a down-set, and
+   ψ_a = θ_{J∖{a}} is a coatom of Con(A); every coatom is one.  A fails
+   FCLP iff some a ≠ b in Max J lie in one atom X of FC(A) and
+   |A/θ_{J∖{a,b}}| = |A/ψ_a|·|A/ψ_b|, that is iff ψ_a∘ψ_b = ∇, as
+   ψ_a ∧ ψ_b = θ_{J∖{a,b}} (`factor` module doc).  In words: two coatoms
+   that both miss one atom of FC(A) permute.
+   If.  Let θ = θ_{J∖{a,b}}, so R = {a, b}.  ψ_a and ψ_b meet in θ and
+   permute, so (ψ_b, ψ_a) is a factor pair of [θ, ∇], that is of A/θ, and
+   {a} and {b} are two atoms of θ's center.  Both lie in the one trace
+   X ∩ R = R, which is then cut, so θ fails (5c).
+   Only if.  Let θ fail, with a cut trace X ∩ R that holds atoms F ≠ F' of
+   θ's center.  F is a union of components of R, as FC(A/θ) ⊆ B(A/θ), so
+   it holds a maximal member a of R, and a ∈ Max J, as R is an up-set of
+   J; likewise some b ∈ F' ∩ Max J, and a ≠ b, as F and F' are disjoint.
+   Let θ' = θ_{J∖{a,b}} ≥ θ.  u from A/θ to A/θ' keeps factor pairs (5b),
+   and it sends the factor pair (D_θ ∪ F, D_θ ∪ (R ∖ F)) to (ψ_b, ψ_a), as
+   b ∉ F and a ∉ R ∖ F.  So ψ_a∘ψ_b = ∇, and a, b ∈ X, as F, F' ⊆ X.
+   So FCLP costs |Max J| block counts for the ψ_a and one per pair, and
+   FC(A)'s atoms are read only when some pair permutes.  Each count is one
+   union-find on a pure lattice (`factor._block_counter`), with FC(L)'s
+   atoms read off L's central elements (`factor._central_masks`), and no
+   Con(L) is built.
 
 The normality checks read (True, None) or (False, the first failing pair
 in index order).  Every verdict and its evidence is the one the scans
@@ -203,7 +229,16 @@ from .congruences import (
     prime_indices,
 )
 from .errors import ParentMismatch
-from .factor import _center_is_factor, _complemented, _components, _j_order, boolean_center, factor_congruences
+from .factor import (
+    _block_counter,
+    _center_is_factor,
+    _central_masks,
+    _complemented,
+    _components,
+    _j_order,
+    boolean_center,
+    factor_congruences,
+)
 
 
 @dataclass
@@ -428,11 +463,9 @@ def has_cblp(A: FiniteAlgebra, theta: Congruence) -> tuple[bool, LiftEvidence]:
 
 
 def _lifting_failure(A: FiniteAlgebra, factor: bool) -> int | None:
-    """The index in Con(A) of the first θ without the lifting, or None.
-    The property's criterion runs first, and Con(A) is enumerated only when
-    it fails."""
-    if (_factor_criterion if factor else _components_topped)(A):
-        return None
+    """The index in Con(A) of the first θ without the lifting, or None: the
+    walk over Con(A), run for the evidence of a failure, as no verdict
+    needs it."""
     cl = all_congruences(A)
     return next((t for t in range(len(cl)) if _lifting(cl, t, factor)[1] is not None), None)
 
@@ -442,26 +475,55 @@ def _holds(A: FiniteAlgebra, factor: bool) -> bool:
     its b-normality (module doc, 4 and 3).  CBLP is "every component of J
     has a top" (2).  FCLP holds when its criterion does, fails when it
     fails on a distributive pure lattice, where it is an iff (6e), and is
-    the walk over Con(A) anywhere else."""
+    the pair test of 7 anywhere else."""
     if not factor:
         return _components_topped(A)
     if _factor_criterion(A):
         return True
-    return _lattice_order(A) is None and _lifting_failure(A, True) is None
+    return _lattice_order(A) is None and _no_permuting_coatoms(A)
+
+
+@cached
+def _no_permuting_coatoms(A: FiniteAlgebra) -> bool:
+    """FCLP on a distributive Con(A): no two maximal members a ≠ b of J
+    lie in one atom of FC(A) with ψ_a∘ψ_b = ∇, that is with
+    |A/θ_{J∖{a,b}}| = |A/ψ_a|·|A/ψ_b| (module doc, 7).  The block counts
+    come first, and FC(A)'s atoms only when some pair permutes: on a pure
+    lattice off its central elements, with no Con(L).  Memoized on A, as
+    FCLP and fc-normality both ask it."""
+    down, near, components, _ = _j_order(A)
+    full = sum(components)
+    count = _block_counter(A)
+    # a is maximal iff nothing is comparable to it but what lies below it
+    maxes = [1 << a for a in _bits(full) if near[a] == down[a]]
+    psi = [count(full & ~a) for a in maxes]
+    pairs = [
+        a | b
+        for x, a in enumerate(maxes)
+        for y, b in enumerate(maxes[x + 1 :], x + 1)
+        if count(full & ~(a | b)) == psi[x] * psi[y]
+    ]
+    if not pairs:
+        return True
+    if is_pure_lattice(A):
+        atoms = _atoms(sorted(_central_masks(A), key=int.bit_count))
+    else:
+        atoms = _side(A, True)[1]
+    return not any(p & ~x == 0 for p in pairs for x in atoms)
 
 
 def _algebra_lifting(A, factor: bool) -> Verdict:
-    """The verdict, with the walk's first failing θ as the evidence; only
-    that θ renders evidence."""
+    """The verdict, with the walk's first failing θ as the evidence of a
+    failure; only that θ renders evidence."""
+    ok = _holds(A, factor)
 
     def evidence():
-        t = _lifting_failure(A, factor)
-        if t is None:
+        if ok:
             return True, None, None
-        theta = all_congruences(A).elements[t]
+        theta = all_congruences(A).elements[_lifting_failure(A, factor)]
         return False, _has_lifting(A, theta, factor)[1], theta
 
-    return Verdict(_holds(A, factor), evidence)
+    return Verdict(ok, evidence)
 
 
 def _components_topped(A: FiniteAlgebra) -> bool:
@@ -489,9 +551,11 @@ def algebra_fclp(A: FiniteAlgebra) -> Verdict:
     (True, None, None).  It holds without a walk over the θ when
     FC(A) = B(A) and every θ has the Boolean lifting (module doc, 5), and
     on a distributive pure lattice iff every component of P = J(L) is a
-    chain (module doc, 6e).  The verdict is decided at the call, and Con(A)
-    is enumerated for it only when neither criterion decides; the evidence
-    is computed on its first read (Verdict)."""
+    chain (module doc, 6e).  Where neither criterion decides, it fails iff
+    two permuting coatoms of Con(A) miss one atom of FC(A) (module doc, 7),
+    so a pure lattice enumerates no Con(L) for the verdict, which is
+    decided at the call; the evidence is computed on its first read
+    (Verdict)."""
     return _algebra_lifting(A, True)
 
 

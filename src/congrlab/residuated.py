@@ -189,12 +189,10 @@ def algebra_blp(A: FiniteAlgebra) -> Verdict:
     message, on every call.  Memoized on A, as a report asks for it twice:
     once itself, once for Filt-BLP (h)."""
     if _lattice_order(A) is not None:
-
-        def evidence():
-            t = _lifting_failure(A, True)
-            return (True, None) if t is None else (False, all_congruences(A).elements[t])
-
-        return Verdict(_holds(A, True), evidence)
+        ok = _holds(A, True)
+        return Verdict(
+            ok, lambda: (True, None) if ok else (False, all_congruences(A).elements[_lifting_failure(A, True)])
+        )
     thetas = all_congruences(A).elements
     element_boolean_center(A)
     theta = next((theta for theta in thetas if not theta.is_delta() and not _blp_at(A, theta.block_of)), None)

@@ -316,6 +316,20 @@ def test_file_input_works(tmp_path, capsys):
     assert code == 0 and "|Con|=5" in out
 
 
+@pytest.mark.parametrize("kind", [None, "algebra"])
+def test_a_cover_spec_of_kind_algebra_is_a_lattice(tmp_path, capsys, kind):
+    # a cover describes a lattice, so the square with no kind, or of kind
+    # algebra, prints what the same cover of kind lattice does
+    square = {"elements": ["0", "a", "b", "1"], "cover": [["0", "a"], ["0", "b"], ["a", "1"], ["b", "1"]]}
+    given, lattice = tmp_path / "given.json", tmp_path / "lattice.json"
+    given.write_text(json.dumps(square if kind is None else {"kind": kind, **square}))
+    lattice.write_text(json.dumps({"kind": "lattice", **square}))
+    for verb in ("dual", "report"):
+        got = run(capsys, verb, "--file", str(given))
+        assert got[0] == 0 and got == run(capsys, verb, "--file", str(lattice)), verb
+    assert "kind lattice" in run(capsys, "report", "--file", str(given))[1]
+
+
 def test_only_the_fixture_itself_gets_the_ordinal_sum_section(tmp_path, capsys):
     chain = tmp_path / "chain.json"
     chain.write_text(json.dumps({"name": "T", "kind": "lattice", "elements": ["0", "1"], "cover": [["0", "1"]]}))

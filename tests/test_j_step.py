@@ -1,10 +1,10 @@
 """A pure lattice's liftings and normality decided on J(Con L) before Con(L).
 
 The J step (congruences.lattice_classes) gives J(Con L) and its order with
-no partition built; the four verdicts decide by their criteria on it, and
-Con(L) is enumerated for a verdict only when a lattice that is not
-distributive fails the criterion of FCLP, and otherwise only for a
-failure's evidence.  The oracles are the
+no partition built; the four verdicts decide by their criteria on it, or,
+on a lattice that is not distributive and fails the criterion of FCLP, by
+the pairs of maximal members of J (lifting module doc, 7), and Con(L) is
+enumerated only for a failure's evidence.  The oracles are the
 enumerated path: J(Con L)'s order read off the masks of Con(L), and the
 walks over Con(L) that the criteria skip, which give every verdict with its
 evidence.
@@ -78,25 +78,28 @@ def test_the_j_step_gives_the_verdicts_of_the_enumerated_path():
     assert held == {(f, c, f, c) for f in (True, False) for c in (True, False)}
 
 
-def test_151_sweep_lattices_decide_without_enumerating(monkeypatch):
+def test_225_sweep_lattices_decide_without_enumerating(monkeypatch):
     # each verdict is one yes/no: CBLP and b-normality are "J is topped",
-    # fc-normality is FCLP (lifting module doc, 4), and FCLP enumerates
-    # Con(L) only on a lattice that is not distributive and fails its
-    # criterion; no verdict walks the θ or the pairs
+    # fc-normality is FCLP (lifting module doc, 4), and FCLP is its
+    # criterion or, on a lattice that is not distributive and fails it, the
+    # pair test of 7; no verdict enumerates Con(L) or walks the θ or the pairs
     enumerated, listing = [], congruences._enumerate_partitions
     monkeypatch.setattr(congruences, "_enumerate_partitions", lambda A: enumerated.append(A) or listing(A))
-    counts = count_calls(monkeypatch, lifting, ["_has_lifting", "_fc_normal_walk", "_b_normal_walk"])
+    paired, pair_test = [], lifting._no_permuting_coatoms
+    monkeypatch.setattr(lifting, "_no_permuting_coatoms", lambda A: paired.append(A) or pair_test(A))
+    counts = count_calls(monkeypatch, lifting, ["_lifting_failure", "_has_lifting", "_fc_normal_walk", "_b_normal_walk"])
     decided = {True: 0, False: 0}
     for A in map(cold, sweep()):
         [v[0] for v in verdicts(A)]
-        if enumerated and enumerated[-1] is A:
+        if paired and paired[-1] is A:
             assert not A.is_distributive_lattice() and not lifting._factor_criterion(A), A.name
-        else:
-            decided[A.is_distributive_lattice()] += 1
-    assert len(enumerated) == 74
+        decided[A.is_distributive_lattice()] += 1
+    assert len(enumerated) == 0
+    # 74 lattices reach the pair test, asked by FCLP and by fc-normality
+    assert len(set(map(id, paired))) == 74 and len(paired) == 2 * 74
     # every distributive lattice is decided on P = J(L), failing or not
-    assert decided == {False: 122, True: 29}
-    assert counts == {"_has_lifting": 0, "_fc_normal_walk": 0, "_b_normal_walk": 0}
+    assert decided == {False: 196, True: 29}
+    assert counts == {"_lifting_failure": 0, "_has_lifting": 0, "_fc_normal_walk": 0, "_b_normal_walk": 0}
 
 
 def test_topped_with_fc_equal_to_b_is_fc_normal_with_no_pair_tried(monkeypatch):

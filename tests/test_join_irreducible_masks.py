@@ -520,8 +520,9 @@ def test_fc_equal_to_b_with_cblp_gives_fclp():
         # distributive lattices: algebra_fclp reads J(L) and builds no center
         (lambda: chain(8), False),
         (lambda: direct_product([fixture("L2")] * 5), False),
-        # T is not distributive: algebra_fclp walks the θ, and each verdict
-        # lists its interval's members with no center built
+        # T is not distributive: the walk over the θ lists each interval's
+        # members with no center built but Δ's, and algebra_fclp, which
+        # reads the pairs of maximal members of J, builds none
         (lambda: cold(fixture("T")), True),
     ],
     ids=["C8", "L2^5", "T"],
@@ -530,14 +531,14 @@ def test_a_cold_fclp_builds_no_center_but_deltas(build, deltas, monkeypatch):
     calls = []
     centers = factor._interval_centers
     monkeypatch.setattr(factor, "_interval_centers", lambda cl, t: calls.append(t) or centers(cl, t))
-    for walk in (algebra_fclp, lambda A: lifting_walk(A, True)):
+    for walk, built in ((algebra_fclp, False), (lambda A: lifting_walk(A, True), deltas)):
         A = build()
         calls.clear()
         assert walk(A) == (True, None, None)
         # on a distributive lattice the walk, too, passes each θ on its
         # traces on J(L), so no center is built, not even Δ's
         cl = all_congruences(A)
-        assert set(calls) == set(cached_centers(cl)) == ({cl.index_of_delta} if deltas else set())
+        assert set(calls) == set(cached_centers(cl)) == ({cl.index_of_delta} if built else set())
 
 
 def test_a_cold_fclp_on_a_pentagon_sum_caches_no_center_but_deltas(monkeypatch):

@@ -51,6 +51,7 @@ MEMOIZED = {
     "_center_is_factor",
     "_lattice_order",
     "_side",
+    "_no_permuting_coatoms",
     "_joins_to_nabla",
     "element_boolean_center",
     "algebra_blp",
