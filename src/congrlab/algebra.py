@@ -221,22 +221,31 @@ class FiniteAlgebra:
         the set as a bitmask over the elements: Freese's dependency relation
         D on J(L) and its reflexive-transitive closure D* (`congruences`
         module doc).  Read off the order masks and the join table, with no
-        cover found: J(L) as in join_irreducible_pairs, and M(L) dually, m
-        being meet-irreducible iff ↑m ∖ {m} is some ↑x.  k D j is tested at
-        the meet-irreducible m with j₊ ≤ m and j ≰ m, as k ≤ j∨m and k ≰ m,
-        and D* comes from Warshall's algorithm on the rows.  Memoized, as
-        tuples."""
+        cover found: J(L) with each j₊ as in join_irreducible_pairs, and M(L)
+        dually, m being meet-irreducible iff ↑m ∖ {m} is some ↑x, both in one
+        pass over the masks.  k D j is tested at the meet-irreducible m with
+        j₊ ≤ m and j ≰ m, as k ≤ j∨m and k ≰ m, and D* comes from Warshall's
+        algorithm on the rows.  Memoized, as tuples."""
         up, down = self.order_masks()
-        join, ups = self.tables["join"], set(up)
-        pairs = self.join_irreducible_pairs()
-        meet_irreducible = sum(1 << m for m, u in enumerate(up) if u & ~(1 << m) in ups)
-        js = sum(1 << j for _, j in pairs)
+        join, ups, at = self.tables["join"], set(up), {d: x for x, d in enumerate(down)}
+        pairs, js, meet_irreducible = [], 0, 0
+        for x, (u, d) in enumerate(zip(up, down)):
+            bit = 1 << x
+            if u ^ bit in ups:
+                meet_irreducible |= bit
+            if d ^ bit in at:
+                pairs.append((at[d ^ bit], x))
+                js |= bit
         jd = [d & js for d in down]  # J(L) ∩ ↓x
         below = {}
         for jp, j in pairs:
             acc, row = 1 << j, join[j]
-            for m in _bits(up[jp] & ~up[j] & meet_irreducible):
+            ms = up[jp] & ~up[j] & meet_irreducible
+            while ms:
+                low = ms & -ms
+                m = low.bit_length() - 1
                 acc |= jd[row[m]] & ~jd[m]
+                ms ^= low
             below[j] = acc
         for i, bi in below.items():
             if bi & (bi - 1):

@@ -73,9 +73,10 @@ strictly below each one (join_classes).  It finds no cover of L and builds
 no partition: J(Con L) and its order are read off it with no Con(L), and so
 are the verdicts that depend on that order alone (`lifting` module doc).
 L's covers, and the covers of each class, are found only where a
-partition is built, by lattice_classes, a memo of its own: the enumeration
-lists the down-sets from it, and FC(L) = B(L) reads it when J(Con L) has
-two components or more (`factor._center_is_factor`).
+partition is built or blocks are counted, by lattice_classes, a memo of
+its own: the enumeration lists the down-sets from it, and the block counts
+of FC(L) = B(L) and of the coatom pairs read it
+(`factor._block_counter`).
 
 The partition of ⋁S is the union-find over the covers whose class is in S.
 Each of those covers lies in ⋁S, and every (j₊, j) with j's class in S is
@@ -665,8 +666,10 @@ def join_classes(A: FiniteAlgebra) -> tuple:
     under = []  # the classes strictly below each class
     for below, c in class_of.items():
         u = 0
-        for k in _bits(below):
-            u |= 1 << cls[k]
+        while below:
+            low = below & -below
+            u |= 1 << cls[low.bit_length() - 1]
+            below ^= low
         under.append(u & ~(1 << c))
     return tuple(seeds), tuple(under), tuple(cls)
 
@@ -675,8 +678,8 @@ def join_classes(A: FiniteAlgebra) -> tuple:
 def lattice_classes(A: FiniteAlgebra) -> tuple:
     """join_classes(A) with the covers of L: (seeds, under, covers), where
     covers[c] lists the cover pairs a ≺ b of L whose Cg is class c's (module
-    doc).  Read only where a partition is built.  Memoized on A, as
-    tuples."""
+    doc).  Read only where a partition is built or blocks are counted.
+    Memoized on A, as tuples."""
     seeds, under, cls = join_classes(A)
     up, down = A.order_masks()
     class_covers = [[] for _ in seeds]

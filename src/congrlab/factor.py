@@ -45,10 +45,8 @@ from .algebra import (
     FiniteAlgebra,
     _bits,
     cached,
-    delta_partition,
     direct_product,
     join_partitions,
-    merge_pairs,
     ordinal_sum_with_maps,
 )
 from .congruences import (
@@ -146,8 +144,11 @@ def _j_order(A: FiniteAlgebra) -> tuple[list[int], list[int], list[int], int | N
             down[g] = gm[_lowest_bit(cl._above[g])]
     near = down[:]
     for h in js:
-        for g in _bits(down[h]):
-            near[g] |= 1 << h
+        below = down[h]
+        while below:
+            low = below & -below
+            near[low.bit_length() - 1] |= 1 << h
+            below ^= low
     components = _components(near, sum(1 << g for g in js))
     # g is the top of its component iff ↓g is all of it
     whole = set(components)
@@ -165,8 +166,9 @@ def _center_is_factor(A: FiniteAlgebra) -> bool:
     iff each θ_C is a factor congruence, and its factor complement can only
     be its complement θ_{J∖C}: iff |A/θ_C|·|A/θ_{J∖C}| = |A| for each C.
     With c ≤ 1, B(A) ⊆ {Δ, ∇} and nothing is counted; else 2c block counts
-    (_block_counter).  As B(A) ⊆ Con(A), 2^c past CON_CAP is past the cap.
-    Memoized on A."""
+    (_block_counter), each on a pure lattice the union of the lower-cover
+    masks of its classes, with no partition.  As B(A) ⊆ Con(A), 2^c past
+    CON_CAP is past the cap.  Memoized on A."""
     components = _j_order(A)[2]
     if 1 << len(components) > CON_CAP:
         raise SizeCap(f"congruence count exceeds cap {CON_CAP}")
@@ -179,16 +181,38 @@ def _center_is_factor(A: FiniteAlgebra) -> bool:
 
 def _block_counter(A: FiniteAlgebra):
     """The function D ↦ |A/θ_D| on the masks of the down-sets D of
-    J(Con A), Con(A) distributive.  On a pure lattice each count is one
-    union-find over the covers of D's classes (lattice_classes), with no
-    Con(A); elsewhere it is read off the block counts of Con(A)."""
+    J(Con A), Con(A) distributive.  Off Con(A)'s block counts, except on a
+    pure lattice L, where |L/θ_D| = n − |⋃_{c∈D} E_c|, E_c the mask of the
+    x with a lower cover y ≺ x of class c (lattice_classes): no Con(L) and
+    no partition.  Each block of a lattice congruence θ is closed under ∧
+    (a θ b gives a∧b θ b∧b) and convex, so it has a least element, and x
+    is the least of its block iff no lower cover of x is collapsed: were
+    y θ x for some y < x, a lower cover z of x with y ≤ z has z θ x, by
+    convexity.  A cover y ≺ x is collapsed by θ_D iff Cg(y, x) ≤ θ_D.
+    Cg(y, x) is the join-irreducible of the cover's class, join-prime in
+    the distributive Con(L), so that holds iff its class is in the down-set
+    D.  So the x outside ⋃_{c∈D} E_c are the least elements of the blocks,
+    one per block."""
     if not is_pure_lattice(A):
         cl = all_congruences(A)
         return lambda mask: cl.blocks[cl._at[mask]]
-    class_covers = lattice_classes(A)[2]
-    delta = delta_partition(A.n)
+    n = A.n
+    upper_ends = []  # E_c for each class c
+    for covers in lattice_classes(A)[2]:
+        e = 0
+        for _, x in covers:
+            e |= 1 << x
+        upper_ends.append(e)
 
-    return lambda mask: len(set(merge_pairs(delta, [pair for g in _bits(mask) for pair in class_covers[g]])))
+    def count(mask: int) -> int:
+        collapsed = 0
+        while mask:
+            low = mask & -mask
+            collapsed |= upper_ends[low.bit_length() - 1]
+            mask ^= low
+        return n - collapsed.bit_count()
+
+    return count
 
 
 def _central_masks(L: FiniteAlgebra) -> set[int]:
@@ -230,8 +254,10 @@ def _reach(near: list[int], seed: int, within: int) -> int:
     reached = frontier = seed
     while frontier:
         step = 0
-        for g in _bits(frontier):
-            step |= near[g]
+        while frontier:
+            low = frontier & -frontier
+            step |= near[low.bit_length() - 1]
+            frontier ^= low
         frontier = step & within & ~reached
         reached |= frontier
     return reached

@@ -84,9 +84,11 @@ evidence.  Max J is the set of maximal members of J.
    Con(L).  The θ_C for the components C are the atoms of B(L) (`factor`
    module doc, 3), and FC(L) is a Boolean sublattice of B(L) (5a), so
    FC(L) = B(L) iff each (θ_C, θ_{J∖C}) is a factor pair, that is iff
-   |L/θ_C|·|L/θ_{J∖C}| = |L|: 2c partitions, each a union-find over the
-   covers of its classes, and none when c ≤ 1, as B(L) is then {Δ, ∇} or
-   {Δ}.
+   |L/θ_C|·|L/θ_{J∖C}| = |L|: 2c block counts and none when c ≤ 1, as
+   B(L) is then {Δ, ∇} or {Δ}.  Each count is n less the number of x with
+   a lower cover in one of the classes of the down-set, as the blocks are
+   counted by their least elements (`factor._block_counter`), and no
+   partition is built.
 5. One rule decides both properties at θ and gives the evidence.  Call
    FC(A) or B(A) A's center, the same center of [θ, ∇] θ's, and R = J ∖ D_θ.
    (a) A's center is a Boolean sublattice of Con(A).  B(A) is one in any
@@ -199,10 +201,13 @@ evidence.  Max J is the set of maximal members of J.
    and it sends the factor pair (D_θ ∪ F, D_θ ∪ (R ∖ F)) to (ψ_b, ψ_a), as
    b ∉ F and a ∉ R ∖ F.  So ψ_a∘ψ_b = ∇, and a, b ∈ X, as F, F' ⊆ X.
    So FCLP costs |Max J| block counts for the ψ_a and one per pair, and
-   FC(A)'s atoms are read only when some pair permutes.  Each count is one
-   union-find on a pure lattice (`factor._block_counter`), with FC(L)'s
-   atoms read off L's central elements (`factor._central_masks`), and no
-   Con(L) is built.
+   FC(A)'s atoms are read only when some pair permutes.  On a pure lattice
+   each count is |L/θ_D| = n − |⋃_{c∈D} E_c|, E_c the mask of the x with a
+   lower cover of class c: a block has a least element, x is one iff no
+   lower cover of x is collapsed, and a cover is collapsed by θ_D iff its
+   class, join-prime in Con(L), is in D (`factor._block_counter`).  FC(L)'s
+   atoms are read off L's central elements (`factor._central_masks`), and
+   no Con(L) and no partition is built.
 
 The normality checks read (True, None) or (False, the first failing pair
 in index order).  Every verdict and its evidence is the one the scans

@@ -5,17 +5,18 @@ that a test can compare it with the path the calculator takes, or check
 it on the fixtures: the radical of A, the maximal filters, the glued
 congruence of an ordinal sum, the isomorphism from the complemented
 elements of a bounded distributive lattice onto its factor congruences,
-and the splitting of A into the quotients by a family of factor
-congruences.
+the splitting of A into the quotients by a family of factor congruences,
+and the block counts of a pure lattice's congruences by union-find.
 """
 
 from functools import reduce
 from itertools import product
 
-from congrlab.algebra import FiniteAlgebra, ordinal_sum_with_maps
+from congrlab.algebra import FiniteAlgebra, _bits, delta_partition, merge_pairs, ordinal_sum_with_maps
 from congrlab.congruences import (
     Congruence,
     all_congruences,
+    lattice_classes,
     maximal_congruences,
     meet,
     principal_congruence,
@@ -103,3 +104,12 @@ def factorize(A: FiniteAlgebra, alphas: list[Congruence]):
         )
     )
     return quotients, ok
+
+
+def union_find_block_counter(L: FiniteAlgebra):
+    """D ↦ |L/θ_D| on the masks of the down-sets D of J(Con L), L a pure
+    lattice: θ_D's partition merged from Δ by one union-find over the
+    covers of D's classes, and its blocks counted."""
+    class_covers = lattice_classes(L)[2]
+    delta = delta_partition(L.n)
+    return lambda mask: len(set(merge_pairs(delta, [pair for g in _bits(mask) for pair in class_covers[g]])))

@@ -202,7 +202,6 @@ def test_a_criterion_decided_verdict_finds_no_cover_and_builds_no_partition(name
     counts = count_calls(monkeypatch, algebra, ["cover_pairs", "merge_pairs"])
     monkeypatch.setattr(congruences, "cover_pairs", algebra.cover_pairs)
     monkeypatch.setattr(congruences, "merge_pairs", algebra.merge_pairs)
-    monkeypatch.setattr(factor, "merge_pairs", algebra.merge_pairs)
     copies = [fixture(name)] + [relabelled(fixture(name), seed) for seed in range(3)]
     for A in copies:
         A = cold(A)

@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from congrlab import congruences, factor, lifting
+from congrlab import algebra, congruences, factor, lifting
 from congrlab.algebra import _bits, direct_product, emit_spec, lattice_reduct, ordinal_sum
 from congrlab.congruences import _lowest_bit, all_congruences
 from congrlab.fixtures import FIXTURE_NAMES, fixture
@@ -102,6 +102,19 @@ def test_225_sweep_lattices_decide_without_enumerating(monkeypatch):
     assert counts == {"_lifting_failure": 0, "_has_lifting": 0, "_fc_normal_walk": 0, "_b_normal_walk": 0}
 
 
+def test_the_sweep_verdicts_build_no_partition(monkeypatch):
+    # the block counts of FC(L) = B(L) and of the coatom pairs are read off
+    # lower-cover masks (factor._block_counter): no partition is merged
+    counts = count_calls(monkeypatch, algebra, ["merge_pairs"])
+    # and in each module of the verdict path that imports it by name
+    for module in (congruences, factor, lifting):
+        if hasattr(module, "merge_pairs"):
+            monkeypatch.setattr(module, "merge_pairs", algebra.merge_pairs)
+    for A in map(cold, sweep()):
+        [v[0] for v in verdicts(A)]
+    assert counts == {"merge_pairs": 0}
+
+
 def test_topped_with_fc_equal_to_b_is_fc_normal_with_no_pair_tried(monkeypatch):
     # lifting module doc, 5 (end) and 4: every θ then has the factor
     # property, which is fc-normality
@@ -120,8 +133,8 @@ def test_topped_with_fc_equal_to_b_is_fc_normal_with_no_pair_tried(monkeypatch):
 
 
 def test_the_boolean_members_built_from_the_j_step_are_the_center():
-    # on a pure lattice FC(L) = B(L) is decided from union-finds over the
-    # covers of the classes, and agrees with the centers listed on Con(L)
+    # on a pure lattice FC(L) = B(L) is decided from block counts read off
+    # lower-cover masks, and agrees with the centers listed on Con(L)
     checked = 0
     for A in sweep() + [fixture(name) for name in FIXTURE_NAMES if fixture(name).signature.kind == "lattice"]:
         cl = all_congruences(A)
@@ -139,7 +152,6 @@ def refuse_partitions(monkeypatch):
         raise AssertionError("a partition was built past the cap")
 
     monkeypatch.setattr(congruences, "merge_pairs", no_partition)
-    monkeypatch.setattr(factor, "merge_pairs", no_partition)
 
 
 @pytest.mark.parametrize(
