@@ -85,8 +85,14 @@ class Signature:
 
 
 def lattice_signature(kind: str = "lattice") -> Signature:
-    """The signature of a lattice of this kind: the operations it requires."""
-    return Signature(KIND_OPERATIONS[kind] if kind in KINDS else (), kind)
+    """The signature of a lattice of this kind: the operations it requires.
+    One frozen Signature per kind, built at import."""
+    if kind not in KINDS:
+        raise TableError(f"unknown kind {kind!r}")
+    return _KIND_SIGNATURES[kind]
+
+
+_KIND_SIGNATURES = {kind: Signature(ops, kind) for kind, ops in KIND_OPERATIONS.items()}
 
 
 class FiniteAlgebra:
@@ -99,23 +105,39 @@ class FiniteAlgebra:
 
     __slots__ = ("n", "labels", "signature", "tables", "name", "_hash", "_cache")
 
-    def __init__(self, n, labels, signature, tables, name=None, validate=True):
-        if n < 1:
-            raise TableError("carrier must be non-empty")
-        if n > CARRIER_CAP:
-            raise SizeCap(f"carrier size {n} exceeds cap {CARRIER_CAP}")
-        labels = tuple(str(x) for x in labels)
-        if len(labels) != n or len(set(labels)) != n:
-            raise TableError("need exactly n distinct element labels")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "tables", _freeze_tables(tables))
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_cache", {})  # facts derived from the tables, kept by cached
-        if validate:
-            self._validate()
+    def __new__(cls, n, labels, signature, tables, name=None):
+        """The public constructor: the labels and every table are checked,
+        the tables frozen, shaped and ranged against the signature, and the
+        kind's axioms proved.  congrlab's own constructions take _derived."""
+        labels = _carrier_labels(n, labels)
+        tables = _freeze_tables(tables)
+        ops = dict(signature.operations)
+        if set(ops) != set(tables):
+            raise TableError(
+                f"tables {sorted(tables)} do not match signature {sorted(ops)}"
+            )
+        for fname, arity in signature.operations:
+            _check_table(tables[fname], arity, n, fname)
+        return _with_axioms_checked(n, labels, signature, tables, name)
+
+    @classmethod
+    def _derived(cls, n, labels, signature, tables, name=None, order_masks=None):
+        """The private constructor, for an algebra congrlab derived itself:
+        labels a tuple of n distinct strings, and tables frozen, in range,
+        matching the signature and obeying the kind's axioms, by how they
+        were made.  None of that is checked again.  order_masks, when
+        given, are the (up, down) masks of order_masks(), kept as its memo:
+        the one seed of a memo outside cached."""
+        A = object.__new__(cls)
+        object.__setattr__(A, "n", n)
+        object.__setattr__(A, "labels", labels)
+        object.__setattr__(A, "signature", signature)
+        object.__setattr__(A, "tables", tables)
+        object.__setattr__(A, "name", name)
+        object.__setattr__(A, "_hash", None)
+        # facts derived from the tables, kept by cached
+        object.__setattr__(A, "_cache", {} if order_masks is None else {"order_masks": order_masks})
+        return A
 
     def __setattr__(self, *a):
         raise AttributeError("FiniteAlgebra is immutable")
@@ -264,52 +286,6 @@ class FiniteAlgebra:
 
     # -- validation ---------------------------------------------------------
 
-    def _validate(self, from_order=False):
-        """The tables match the signature, are total and in range, and obey
-        the kind's axioms.  from_order: join, meet and the bounds were
-        derived from a lattice order, so only the other tables are checked."""
-        n = self.n
-        ops = dict(self.signature.operations)
-        if set(ops) != set(self.tables):
-            raise TableError(
-                f"tables {sorted(self.tables)} do not match signature {sorted(ops)}"
-            )
-        for fname, arity in self.signature.operations:
-            if not (from_order and fname in _ORDER_TABLES):
-                _check_table(self.tables[fname], arity, n, fname)
-        if self.signature.is_lattice and not from_order:
-            self._validate_lattice_axioms()
-        if self.signature.kind == "residuated":
-            self._validate_residuation()
-
-    def _validate_lattice_axioms(self):
-        """join and meet are a lattice's operations iff they are the least
-        upper and greatest lower bounds of the order a ≤ b ⇔ a∧b = a
-        (Davey & Priestley, ch. 2): derive both from that order and compare."""
-        n, labels = self.n, self.labels
-        join, meet = self.tables["join"], self.tables["meet"]
-        up = _up_masks(meet)
-        lub, glb, down = _order_operations(up, labels)
-        for oname, given, want, what in (
-            ("join", join, lub, "least upper bound"),
-            ("meet", meet, glb, "greatest lower bound"),
-        ):
-            for a in range(n):
-                if given[a] != want[a]:
-                    b = next(b for b in range(n) if given[a][b] != want[a][b])
-                    raise TableError(
-                        f"{oname} of ({labels[a]}, {labels[b]}) is not their {what} in meet's order"
-                    )
-        if "bot" in self.tables:
-            b = self.tables["bot"]
-            if any(meet[b][x] != b for x in range(n)):
-                raise TableError("declared bot is not the least element")
-        if "top" in self.tables:
-            t = self.tables["top"]
-            if any(join[t][x] != t for x in range(n)):
-                raise TableError("declared top is not the greatest element")
-        self._cache["order_masks"] = up, down
-
     def _validate_residuation(self):
         """top is a unit for times, which is commutative and associative,
         and a·b ≤ c iff a ≤ b → c.  Each (a, b) compares whole rows over c;
@@ -346,8 +322,66 @@ class FiniteAlgebra:
                         )
 
 
+def _check_carrier(n):
+    """The carrier cap, checked before any table of n elements is built."""
+    if n > CARRIER_CAP:
+        raise SizeCap(f"carrier size {n} exceeds cap {CARRIER_CAP}")
+
+
+def _carrier_labels(n, labels) -> tuple[str, ...]:
+    """labels as a tuple of n distinct strings, n in 1..CARRIER_CAP."""
+    if n < 1:
+        raise TableError("carrier must be non-empty")
+    _check_carrier(n)
+    labels = tuple(str(x) for x in labels)
+    if len(labels) != n or len(set(labels)) != n:
+        raise TableError("need exactly n distinct element labels")
+    return labels
+
+
+def _with_axioms_checked(n, labels, signature, tables, name):
+    """The algebra on frozen tables that are in range and match the
+    signature, once its kind's axioms hold: join and meet are a lattice's
+    (_lattice_masks, whose masks the algebra keeps), and residuation."""
+    masks = _lattice_masks(labels, tables) if signature.is_lattice else None
+    A = FiniteAlgebra._derived(n, labels, signature, tables, name, masks)
+    if signature.kind == "residuated":
+        A._validate_residuation()
+    return A
+
+
+def _lattice_masks(labels, tables):
+    """The (up, down) masks of meet's order a ≤ b ⇔ a∧b = a, once join
+    and meet are proved a lattice's operations: they are iff they are the
+    least upper and greatest lower bounds of that order (Davey & Priestley,
+    ch. 2), so both are derived from it and compared, as are the bounds."""
+    join, meet = tables["join"], tables["meet"]
+    n = len(join)
+    up = _up_masks(meet)
+    lub, glb, down = _order_operations(up, labels)
+    for oname, given, want, what in (
+        ("join", join, lub, "least upper bound"),
+        ("meet", meet, glb, "greatest lower bound"),
+    ):
+        for a in range(n):
+            if given[a] != want[a]:
+                b = next(b for b in range(n) if given[a][b] != want[a][b])
+                raise TableError(
+                    f"{oname} of ({labels[a]}, {labels[b]}) is not their {what} in meet's order"
+                )
+    if "bot" in tables:
+        b = tables["bot"]
+        if any(meet[b][x] != b for x in range(n)):
+            raise TableError("declared bot is not the least element")
+    if "top" in tables:
+        t = tables["top"]
+        if any(join[t][x] != t for x in range(n)):
+            raise TableError("declared top is not the greatest element")
+    return up, down
+
+
 _INT_TYPES = frozenset((int, bool))
-# the tables a lattice order determines (_lattice_from_up_sets)
+# the tables a lattice order determines (_order_tables)
 _ORDER_TABLES = frozenset(name for name, _ in KIND_OPERATIONS["bounded-lattice"])
 # an explicit spec's signature order: the kinds' operations first, as the
 # residuated kind, which requires them all, lists them; then the rest by name
@@ -393,49 +427,55 @@ def lattice_from_order(leq, labels, kind="lattice", name=None, extra_tables=None
     Every pair must have a unique least upper bound and greatest lower bound;
     otherwise NotALattice names an offending pair.  ``leq[a][b]`` is truthy
     iff a <= b.  ``extra_tables`` holds the operations not derived from the
-    order.  See _order_operations for how join and meet are derived.
+    order.  See _lattice_tables for how join and meet are derived.
     """
     n = len(leq)
+    labels = _carrier_labels(n, labels)
     up = [sum(1 << c for c in range(n) if leq[a][c]) for a in range(n)]
-    return _lattice_from_up_sets(up, labels, kind, name, extra_tables)
-
-
-def _lattice_from_up_sets(up, labels, kind, name, extra_tables):
-    """lattice_from_order on the up-set bitmasks of the order.  The tables
-    are a lattice's by construction, so they are not checked again: only
-    the extra tables, the signature and residuation are.  bot and top are
-    the elements whose up-sets are everything and themselves."""
-    n = len(up)
-    labels = tuple(str(x) for x in labels)
     join, meet, down = _order_operations(up, labels)
     sig = lattice_signature(kind)
+    tables = _order_tables(sig, up, down, join, meet)
+    if extra_tables or set(tables) != set(dict(sig.operations)):
+        if extra_tables and set(extra_tables) & set(tables):
+            raise TableError("extra_tables may not replace the tables derived from the order")
+        # tables given beside the order are checked, as every table given is
+        return FiniteAlgebra(n, labels, sig, {**tables, **(extra_tables or {})}, name)
+    return FiniteAlgebra._derived(n, labels, sig, tables, name, (up, down))
+
+
+def _order_tables(sig, up, down, join, meet) -> dict:
+    """The tables of sig that a lattice order gives, from its masks and
+    the join and meet derived from them: bot and top, where sig has them,
+    are the elements whose up- and down-sets are everything."""
     tables = {"join": join, "meet": meet}
     if ("bot", 0) in sig.operations:
-        tables["bot"] = up.index((1 << n) - 1)
-        tables["top"] = next(a for a, m in enumerate(up) if m == 1 << a)
-    if extra_tables:
-        if set(extra_tables) & set(tables):
-            raise TableError("extra_tables may not replace the tables derived from the order")
-        tables.update(extra_tables)
-    A = FiniteAlgebra(n, labels, sig, tables, name=name, validate=False)
-    A._validate(from_order=True)
-    A._cache["order_masks"] = up, down
+        full = (1 << len(up)) - 1
+        tables["bot"], tables["top"] = up.index(full), down.index(full)
+    return tables
+
+
+def _order_lattice(labels, kind, name, up, down, extra):
+    """The lattice of kind on an order given by its up- and down-set masks,
+    which are reflexive and transitive by how they were made.  join and meet
+    are derived from them (_lattice_tables), a lattice's by construction, and
+    kept with the masks unchecked; extra holds the kind's other tables,
+    frozen and in range, for which only residuation is checked."""
+    join, meet = _lattice_tables(up, down, labels)
+    sig = lattice_signature(kind)
+    tables = _order_tables(sig, up, down, join, meet)
+    tables.update(extra)
+    A = FiniteAlgebra._derived(len(up), labels, sig, tables, name, (up, down))
+    if sig.kind == "residuated":
+        A._validate_residuation()
     return A
 
 
-def _order_operations(up, labels) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[int]]:
+def _order_operations(up, labels) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], list[int]]:
     """The join and meet tables of the order whose up-sets are the bitmasks
-    up, and its down-set bitmasks: the one path by which every input is
-    decided to be a lattice.
-
-    up is checked reflexive and transitive in O(n²); it is then
-    antisymmetric too, or two elements share an up-set and the lookup for
-    their join fails.  In a partial order, an element c with ↑c = ↑a ∩ ↑b
-    is the least upper bound of a and b, and dually for the meet, so join
-    and meet are the operations of the lattice the order is.  Otherwise
-    NotALattice names the first pair (a, b), a ≤ b in index order, without
-    a unique bound.
-    """
+    up, and its down-set bitmasks, for an order matrix or explicit join and
+    meet tables: up is checked reflexive and transitive in O(n²) first.
+    It is then antisymmetric too, or two elements share an up-set and
+    _lattice_tables fails on their join."""
     n = len(up)
     down = [0] * n
     for a, m in enumerate(up):
@@ -445,25 +485,41 @@ def _order_operations(up, labels) -> tuple[list[tuple[int, ...]], list[tuple[int
             if up[c] & ~m:
                 raise TableError(f"order is not transitive at ({labels[a]}, {labels[c]})")
             down[c] |= 1 << a
+    return *_lattice_tables(up, down, labels), down
+
+
+def _lattice_tables(up, down, labels) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The join and meet tables of the partial order whose up- and down-set
+    bitmasks are up and down: the one path by which every input is decided
+    to be a lattice.  An element c with ↑c = ↑a ∩ ↑b is the least upper
+    bound of a and b, and dually for the meet, so join and meet are the
+    operations of the lattice the order is.  Otherwise NotALattice names
+    the first pair (a, b), a ≤ b in index order, without a unique bound."""
     by_up, by_down = _element_of(up), _element_of(down)
-    join, meet = [], []
-    for a in range(n):
-        ua, da = up[a], down[a]
-        join.append(tuple([by_up.get(ua & u, -1) for u in up]))
-        meet.append(tuple([by_down.get(da & d, -1) for d in down]))
-        if -1 in join[a] or -1 in meet[a]:
+    try:
+        return (
+            tuple([tuple(map(by_up.__getitem__, map(ua.__and__, up))) for ua in up]),
+            tuple([tuple(map(by_down.__getitem__, map(da.__and__, down))) for da in down]),
+        )
+    except KeyError:  # not a lattice: find the pair, a row of both at a time
+        pass
+    for a, (ua, da) in enumerate(zip(up, down)):
+        join = [by_up.get(ua & u, -1) for u in up]
+        meet = [by_down.get(da & d, -1) for d in down]
+        if -1 in join or -1 in meet:
             # a pair (b, a) with b < a would have failed at row b
-            b = min(row.index(-1) for row in (join[a], meet[a]) if -1 in row)
-            what = "least upper bound" if join[a][b] < 0 else "greatest lower bound"
+            b = min(row.index(-1) for row in (join, meet) if -1 in row)
+            what = "least upper bound" if join[b] < 0 else "greatest lower bound"
             raise NotALattice(labels[a], labels[b], what)
-    return join, meet, down
 
 
 def _element_of(masks) -> dict[int, int]:
-    """mask -> the element carrying it, or -1 if two elements share it."""
-    out: dict[int, int] = {}
-    for e, m in enumerate(masks):
-        out[m] = -1 if m in out else e
+    """mask -> the element carrying it, for each mask no two elements share."""
+    out = dict(zip(masks, itertools.count()))
+    if len(out) < len(masks):
+        for m, k in Counter(masks).items():
+            if k > 1:
+                del out[m]
     return out
 
 
@@ -531,24 +587,26 @@ def _build_from_spec(spec):
         kind = "lattice" if "cover" in spec else "generic"
     if kind not in KINDS:
         raise TableError(f"unknown kind {kind!r}")
-    labels = [str(x) for x in _spec_field(spec, "elements", list)]
+    labels = tuple(map(str, _spec_field(spec, "elements", list)))
     if not labels:
         raise TableError("spec has no elements")
     # a label must read back from the block syntax "a,b|c" of con and quotient --by
-    bad = next((lab for lab in labels if not lab or lab != lab.strip() or "," in lab or "|" in lab), None)
-    if bad is not None:
+    text = "".join(labels)
+    if "," in text or "|" in text or "" in labels or tuple(map(str.strip, labels)) != labels:
+        bad = next(lab for lab in labels if not lab or lab != lab.strip() or "," in lab or "|" in lab)
         raise TableError(f"element label {bad!r} is empty, has surrounding whitespace, or holds ',' or '|'")
-    if len(set(labels)) != len(labels):
+    index = dict(zip(labels, itertools.count()))
+    if len(index) != len(labels):
         raise TableError("element labels are not distinct")
     n = len(labels)
-    index = {lab: i for i, lab in enumerate(labels)}
+    _check_carrier(n)
     name = spec.get("name")
     if name is not None and not isinstance(name, str):
         raise TableError("spec field 'name' must be a JSON string")
     operations = _spec_field(spec, "operations", dict)
 
     if "cover" in spec:
-        up = _close_cover(_spec_field(spec, "cover", list), labels, index)
+        up, down = _close_cover(_spec_field(spec, "cover", list), labels, index)
         taken = {f: arity for f, arity in KIND_OPERATIONS[kind] if f not in _ORDER_TABLES}
         stray = sorted(set(operations).difference(taken)) + sorted(_spec_field(spec, "constants", dict))
         if stray:
@@ -558,11 +616,11 @@ def _build_from_spec(spec):
             if opname not in operations:
                 raise TableError(f"{kind} spec requires a {opname!r} table")
             extra[opname] = _table_from_labels(operations[opname], arity, index, opname)
-        return _lattice_from_up_sets(up, labels, kind, name, extra)
+        return _order_lattice(labels, kind, name, up, down, extra)
 
     if "operations" not in spec:
         if n == 1 and kind == "generic":
-            return FiniteAlgebra(1, labels, Signature((), "generic"), {}, name=name)
+            return FiniteAlgebra._derived(1, labels, Signature((), "generic"), {}, name)
         raise TableError("spec needs either a cover relation or operation tables")
 
     tables = {}
@@ -575,7 +633,8 @@ def _build_from_spec(spec):
         tables[cname] = _label_index(lab, index, f"constant {cname}")
         sig_ops.append((cname, 0))
     sig_ops.sort(key=lambda p: (_SPEC_ORDER.get(p[0], 99), p[0]))
-    return FiniteAlgebra(n, labels, Signature(tuple(sig_ops), kind), tables, name=name)
+    # the label map builds frozen tables in range, matching the signature
+    return _with_axioms_checked(n, labels, Signature(tuple(sig_ops), kind), tables, name)
 
 
 def _spec_field(spec, key, shape):
@@ -593,30 +652,60 @@ def _label_index(lab, index, what):
 
 
 def _close_cover(cover, labels, index):
-    """The up-set bitmask of each element in the reflexive-transitive closure
-    of the cover pairs.  An element on a cycle reaches itself: the search
-    from it pops it, so no two elements can share an up-set."""
+    """The up- and down-set bitmasks of each element in the order the
+    cover pairs generate, their reflexive-transitive closure (Davey &
+    Priestley, ch. 1), in one topological pass (Kahn's algorithm): an
+    element is taken once every element below it by a pair is, and hands
+    its down-set on to those above it; then ↑a is a and the up-sets of the
+    elements above a by a pair, in reverse order.  Both are reflexive and
+    transitive by construction.  An element the pass never takes lies on
+    or above a cycle; the first one in index order that its own search
+    reaches again is named."""
     n = len(labels)
-    adj = [set() for _ in range(n)]
+    # a pair listed twice is counted, and counted off, twice
+    succ, waiting = [[] for _ in range(n)], [0] * n
     for pair in cover:
         if not isinstance(pair, list) or len(pair) != 2:
             raise TableError(f"bad cover pair {pair!r}")
         lo, hi = str(pair[0]), str(pair[1])
-        if lo not in index or hi not in index:
+        a, b = index.get(lo), index.get(hi)
+        if a is None or b is None:
             raise TableError(f"cover pair ({lo}, {hi}) uses unknown labels")
-        adj[index[lo]].add(index[hi])
-    up = []
-    for a in range(n):
-        seen, stack = 1 << a, list(adj[a])
-        while stack:
-            b = stack.pop()
-            if b == a:
+        succ[a].append(b)
+        waiting[b] += 1
+    down = [1 << a for a in range(n)]
+    order = [a for a in range(n) if not waiting[a]]
+    for a in order:
+        below = down[a]
+        for b in succ[a]:
+            down[b] |= below
+            waiting[b] -= 1
+            if not waiting[b]:
+                order.append(b)
+    if len(order) < n:
+        for a in range(n):
+            if waiting[a] and _reaches_itself(succ, a):
                 raise TableError(f"cover relation has a cycle through {labels[a]}")
-            if not seen >> b & 1:
-                seen |= 1 << b
-                stack.extend(adj[b])
-        up.append(seen)
-    return up
+    up = [0] * n
+    for a in reversed(order):
+        m = 1 << a
+        for b in succ[a]:
+            m |= up[b]
+        up[a] = m
+    return up, down
+
+
+def _reaches_itself(succ, a) -> bool:
+    """A path of one or more steps leads from a back to a."""
+    seen, stack = 1 << a, list(succ[a])
+    while stack:
+        b = stack.pop()
+        if b == a:
+            return True
+        if not seen >> b & 1:
+            seen |= 1 << b
+            stack.extend(succ[b])
+    return False
 
 
 def _table_arity(raw, fname):
@@ -649,9 +738,17 @@ def _table_from_labels(raw, arity, index, fname):
 def emit_spec(algebra: FiniteAlgebra) -> dict:
     """Inverse of build_from_spec, as explicit operation tables."""
     labels = algebra.labels
+
+    def listed(t, arity):
+        return [listed(row, arity - 1) for row in t] if arity > 1 else [labels[v] for v in t]
+
     ops, consts = {}, {}
     for fname, arity in algebra.signature.operations:
-        (ops if arity else consts)[fname] = map_table(algebra.tables[fname], arity, range(algebra.n), labels)
+        t = algebra.tables[fname]
+        if arity:
+            ops[fname] = listed(t, arity)
+        else:
+            consts[fname] = labels[t]
     kind = algebra.signature.kind
     out = {
         "name": algebra.name,
@@ -677,13 +774,12 @@ def lattice_reduct(A: FiniteAlgebra, kind: str = "lattice") -> FiniteAlgebra:
     if kind == "bounded-lattice":
         tables["bot"] = A.bottom()
         tables["top"] = A.top()
-    return FiniteAlgebra(
-        A.n, A.labels, lattice_signature(kind), tables, name=A.name, validate=False
-    )
+    return FiniteAlgebra._derived(A.n, A.labels, lattice_signature(kind), tables, A.name)
 
 
 def dual(L: FiniteAlgebra) -> FiniteAlgebra:
-    """Order-dual lattice: join and meet (and bot/top) swapped."""
+    """Order-dual lattice: join and meet (and bot/top) swapped, and with
+    them L's up- and down-set masks."""
     L.require_lattice()
     if L.signature.kind == "residuated":
         raise KindError("the dual of a residuated lattice is not residuated")
@@ -692,7 +788,8 @@ def dual(L: FiniteAlgebra) -> FiniteAlgebra:
     if "bot" in tables:
         tables["bot"], tables["top"] = L.tables["top"], L.tables["bot"]
     name = f"dual({L.name})" if L.name else None
-    return FiniteAlgebra(L.n, L.labels, L.signature, tables, name=name, validate=False)
+    up, down = L.order_masks()
+    return FiniteAlgebra._derived(L.n, L.labels, L.signature, tables, name, (down, up))
 
 
 def product_radix(sizes: list[int]) -> list[int]:
@@ -738,7 +835,7 @@ def direct_product(algebras: list[FiniteAlgebra], name=None) -> FiniteAlgebra:
     if name is None:
         parts = [A.name or "?" for A in algebras]
         name = "x".join(parts)
-    return FiniteAlgebra(total, labels, sig, tables, name=name, validate=False)
+    return FiniteAlgebra._derived(total, tuple(labels), sig, tables, name)
 
 
 def ordinal_sum(L: FiniteAlgebra, M: FiniteAlgebra, name=None) -> FiniteAlgebra:
@@ -760,10 +857,11 @@ def ordinal_sum_with_maps(L, M, name=None):
         raise KindError("ordinal sums of residuated fixtures are out of scope")
     bot_m = M.bottom()
     m_rest = [j for j in range(M.n) if j != bot_m]
+    n = L.n + M.n - 1
+    _check_carrier(n)
     map_l, map_m = list(range(L.n)), [L.top()] * M.n
     for k, j in enumerate(m_rest):
         map_m[j] = L.n + k
-    n = L.n + M.n - 1
     labels = list(L.labels)
     for j in m_rest:
         lab = M.labels[j]
@@ -771,13 +869,17 @@ def ordinal_sum_with_maps(L, M, name=None):
             lab += "'"
         labels.append(lab)
     # L keeps its indices and lies below the rest of M, which follows it
-    rest = (1 << n) - (1 << L.n)
-    up = [m | rest for m in _up_masks(L.tables["meet"])]
-    up_m = _up_masks(M.tables["meet"])
-    up += [sum(1 << map_m[b] for b in _bits(up_m[j])) for j in m_rest]
+    (up_l, down_l), (up_m, down_m) = L.order_masks(), M.order_masks()
+    rest, below = (1 << n) - (1 << L.n), (1 << L.n) - 1
+
+    def moved(m):
+        return sum(1 << map_m[b] for b in _bits(m))
+
+    up = [m | rest for m in up_l] + [moved(up_m[j]) for j in m_rest]
+    down = down_l + [below | moved(down_m[j]) for j in m_rest]
     if name is None and L.name and M.name:
         name = f"{L.name}+{M.name}"
-    return _lattice_from_up_sets(up, labels, L.signature.kind, name, None), map_l, map_m
+    return _order_lattice(tuple(labels), L.signature.kind, name, up, down, {}), map_l, map_m
 
 
 def sublattice(L: FiniteAlgebra, subset, name=None) -> FiniteAlgebra:
@@ -796,7 +898,7 @@ def sublattice(L: FiniteAlgebra, subset, name=None) -> FiniteAlgebra:
                 raise NotClosed(L.labels[a], L.labels[b], "meet")
     tables = {"join": map_table(join, 2, sub, pos), "meet": map_table(meet, 2, sub, pos)}
     labels = [L.labels[e] for e in sub]
-    return FiniteAlgebra(len(sub), labels, lattice_signature(), tables, name=name, validate=False)
+    return FiniteAlgebra._derived(len(sub), tuple(labels), lattice_signature(), tables, name)
 
 
 # -- isomorphism ------------------------------------------------------------
@@ -863,24 +965,24 @@ def flat_table(t, arity: int) -> list:
     return flat
 
 
-def map_table(t, arity: int, keys, value) -> list:
+def map_table(t, arity: int, keys, value) -> tuple:
     """The table t of this arity restricted to the argument tuples over
-    keys, in keys' order, each entry v replaced by value[v]; a constant
-    gives value[t]."""
+    keys, in keys' order, each entry v replaced by value[v], as nested
+    tuples; a constant gives value[t]."""
     if arity > 1:
-        return [map_table(t[k], arity - 1, keys, value) for k in keys]
-    return [value[t[k]] for k in keys] if arity else value[t]
+        return tuple([map_table(t[k], arity - 1, keys, value) for k in keys])
+    return tuple([value[t[k]] for k in keys]) if arity else value[t]
 
 
 def product_table(ta, na: int, tb, nb: int, arity: int):
     """An operation's table on A×B from its tables ta on A and tb on B,
-    where (a, b) is a·nb + b: f((a⃗, b⃗)) = f_A(a⃗)·nb + f_B(b⃗).  ta's
-    values are scaled once, and the fold only adds tb's."""
+    where (a, b) is a·nb + b: f((a⃗, b⃗)) = f_A(a⃗)·nb + f_B(b⃗), as nested
+    tuples.  ta's values are scaled once, and the fold only adds tb's."""
 
     def fold(sa, sb, arity):
         if arity > 1:
-            return [fold(x, y, arity - 1) for x in sa for y in sb]
-        return [x + y for x in sa for y in sb] if arity else sa + sb
+            return tuple([fold(x, y, arity - 1) for x in sa for y in sb])
+        return tuple([x + y for x in sa for y in sb]) if arity else sa + sb
 
     return fold(map_table(ta, arity, range(na), list(range(0, na * nb, nb))), tb, arity)
 

@@ -194,6 +194,17 @@ class Congruence:
                     f"although {algebra.labels[a]} ~ {algebra.labels[b]}"
                 )
 
+    @classmethod
+    def _canonical(cls, algebra: FiniteAlgebra, block_of: tuple):
+        """The private constructor, for a canonical partition tuple that
+        congrlab built itself: a ConLattice's members are made canonical,
+        each a kernel or a union-find that roots a block at its least
+        member, so nothing is checked again."""
+        c = object.__new__(cls)
+        c.algebra, c.block_of = algebra, block_of
+        c._masks = c._labels = None
+        return c
+
     # equality/order ignore the parent's identity beyond structure: congruences
     # of different algebras never meet in practice, and sorting must be cheap.
     def __eq__(self, other):
@@ -501,7 +512,7 @@ class ConLattice:
         self.seeds = seeds
         counts = [len(set(p)) for p in partitions]
         order = sorted(range(len(partitions)), key=lambda x: (-counts[x], partitions[x]))
-        self.elements = [Congruence(algebra, partitions[x]) for x in order]
+        self.elements = [Congruence._canonical(algebra, partitions[x]) for x in order]
         self._index = {c.block_of: i for i, c in enumerate(self.elements)}
         self._cache = {}
         k = len(self.elements)

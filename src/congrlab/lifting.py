@@ -276,7 +276,7 @@ def quotient(A: FiniteAlgebra, theta: Congruence) -> QuotientResult:
     value = [index[r] for r in theta.block_of]
     tables = {f: map_table(A.tables[f], arity, names, value) for f, arity in A.signature.operations}
     name = f"{A.name}/{theta.block_string()}" if A.name else None
-    Q = FiniteAlgebra(len(names), names.values(), A.signature, tables, name=name, validate=False)
+    Q = FiniteAlgebra._derived(len(names), tuple(names.values()), A.signature, tables, name)
     return QuotientResult(Q, theta.block_of, theta, index)
 
 

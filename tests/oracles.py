@@ -6,13 +6,15 @@ it on the fixtures: the radical of A, the maximal filters, the glued
 congruence of an ordinal sum, the isomorphism from the complemented
 elements of a bounded distributive lattice onto its factor congruences,
 the splitting of A into the quotients by a family of factor congruences,
-and the block counts of a pure lattice's congruences by union-find.
+the block counts of a pure lattice's congruences by union-find, and the
+order and tables of a cover relation by a search from every element.
 """
 
 from functools import reduce
 from itertools import product
 
 from congrlab.algebra import FiniteAlgebra, _bits, delta_partition, merge_pairs, ordinal_sum_with_maps
+from congrlab.errors import NotALattice, TableError
 from congrlab.congruences import (
     Congruence,
     all_congruences,
@@ -113,3 +115,66 @@ def union_find_block_counter(L: FiniteAlgebra):
     class_covers = lattice_classes(L)[2]
     delta = delta_partition(L.n)
     return lambda mask: len(set(merge_pairs(delta, [pair for g in _bits(mask) for pair in class_covers[g]])))
+
+
+def dfs_cover_closure(cover, labels):
+    """The up-set mask of each element in the reflexive-transitive closure
+    of the cover pairs over labels, by a search from every element, or the
+    TableError of a malformed pair or of a cycle: an element on a cycle
+    reaches itself, and the search from it pops it."""
+    index = {lab: i for i, lab in enumerate(labels)}
+    adj = [set() for _ in labels]
+    for pair in cover:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise TableError(f"bad cover pair {pair!r}")
+        lo, hi = str(pair[0]), str(pair[1])
+        if lo not in index or hi not in index:
+            raise TableError(f"cover pair ({lo}, {hi}) uses unknown labels")
+        adj[index[lo]].add(index[hi])
+    up = []
+    for a in range(len(labels)):
+        seen, stack = 1 << a, list(adj[a])
+        while stack:
+            b = stack.pop()
+            if b == a:
+                raise TableError(f"cover relation has a cycle through {labels[a]}")
+            if not seen >> b & 1:
+                seen |= 1 << b
+                stack.extend(adj[b])
+        up.append(seen)
+    return up
+
+
+def scanned_lattice(up, labels):
+    """(down, join, meet) of the order whose up-set masks are up: up is
+    scanned reflexive and transitive entry by entry, and each entry of join
+    and meet is the element whose up- (down-) set is the intersection of
+    two, or NotALattice names the first pair (a, b) in index order without
+    one, join before meet."""
+    n = len(up)
+    down = [0] * n
+    for a, m in enumerate(up):
+        if not m >> a & 1:
+            raise TableError(f"order is not reflexive at {labels[a]}")
+        for c in range(n):
+            if m >> c & 1:
+                if up[c] & ~m:
+                    raise TableError(f"order is not transitive at ({labels[a]}, {labels[c]})")
+                down[c] |= 1 << a
+
+    def element_of(masks):
+        out = {}
+        for e, m in enumerate(masks):
+            out[m] = -1 if m in out else e
+        return out
+
+    by_up, by_down = element_of(up), element_of(down)
+    join, meet = [], []
+    for a in range(n):
+        join.append(tuple(by_up.get(up[a] & u, -1) for u in up))
+        meet.append(tuple(by_down.get(down[a] & d, -1) for d in down))
+        for b in range(n):
+            for row, what in ((join[a], "least upper bound"), (meet[a], "greatest lower bound")):
+                if row[b] < 0:
+                    raise NotALattice(labels[a], labels[b], what)
+    return down, tuple(join), tuple(meet)

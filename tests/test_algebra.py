@@ -297,18 +297,33 @@ def test_the_residuation_check_names_what_the_scan_names():
     assert seen == laws | {None}
 
 
-@pytest.mark.parametrize("name,checked", [("X", set()), ("R0", {"times", "implies"})])
+@pytest.mark.parametrize(
+    "name,checked", [("X", {"join", "meet"}), ("R0", {"join", "meet", "bot", "top", "times", "implies"})]
+)
 def test_a_cover_build_checks_only_the_tables_it_did_not_derive(name, checked, monkeypatch):
-    # join, meet and the bounds come from the order, a lattice's by construction
-    seen, original = set(), algebra._check_table
+    # join, meet and the bounds come from the order, a lattice's by
+    # construction, and the label map builds times and implies frozen and in
+    # range: a spec build, of the cover or of explicit tables, freezes and
+    # range-checks none of them; a copy through the public constructor does
+    # all of them
+    seen, frozen = set(), []
+    check_table, freeze_tables = algebra._check_table, algebra._freeze_tables
 
     def check(table, arity, n, fname):
         seen.add(fname)
-        return original(table, arity, n, fname)
+        return check_table(table, arity, n, fname)
+
+    def freeze(tables):
+        frozen.append(set(tables))
+        return freeze_tables(tables)
 
     monkeypatch.setattr(algebra, "_check_table", check)
-    build_from_spec(fixture_spec(name))
-    assert seen == checked
+    monkeypatch.setattr(algebra, "_freeze_tables", freeze)
+    A = build_from_spec(fixture_spec(name))
+    assert build_from_spec(emit_spec(A)) == A
+    assert seen == set() and frozen == []
+    FiniteAlgebra(A.n, A.labels, A.signature, A.tables)
+    assert seen == checked and frozen == [checked]
 
 
 def test_unknown_fixture():

@@ -442,8 +442,9 @@ def test_cold_cblp_and_b_normality_build_no_images_centers_or_pairs(build, monke
 
 
 def cold(A):
-    """A fresh algebra with A's tables, so that nothing is cached on it."""
-    return FiniteAlgebra(A.n, A.labels, A.signature, A.tables, name=A.name, validate=False)
+    """A fresh algebra with A's tables, so that nothing is cached on it: the
+    private constructor, which seeds no order masks."""
+    return FiniteAlgebra._derived(A.n, A.labels, A.signature, A.tables, A.name)
 
 
 def lifting_walk(A, factor_side):
