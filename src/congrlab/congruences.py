@@ -75,8 +75,7 @@ are the verdicts that depend on that order alone (`lifting` module doc).
 L's covers, and the covers of each class, are found only where a
 partition is built or blocks are counted, by lattice_classes, a memo of
 its own: the enumeration lists the down-sets from it, and the block counts
-of FC(L) = B(L) and of the coatom pairs read it
-(`factor._block_counter`).
+of FC(L) = B(L) and of the coatom pairs read it (`factor.JSpace.count`).
 
 The partition of ⋁S is the union-find over the covers whose class is in S.
 Each of those covers lies in ⋁S, and every (j₊, j) with j's class in S is

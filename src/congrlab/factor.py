@@ -32,6 +32,9 @@ scan of ↑θ_t, as follows.  Let R = J ∖ D_t, an up-set of J.
    |B(A/θ_t)| = 2^c.  Each is a down-set of J, hence some θ's mask, found by
    one lookup.  As their meet is θ_t, such a pair is a factor pair iff
    |A/θ_t| = |A/β|·|A/γ|.
+
+J, P = J(L), the block counts and FC(A)'s atoms are one record per
+algebra, jspace(A), and every center and verdict reads them off it.
 """
 
 from __future__ import annotations
@@ -41,9 +44,7 @@ from itertools import combinations_with_replacement, product
 from math import comb
 
 from .algebra import (
-    CON_CAP,
     FiniteAlgebra,
-    _bits,
     cached,
     direct_product,
     join_partitions,
@@ -110,7 +111,7 @@ def _complemented(cl: ConLattice, t: int) -> tuple[list[tuple[int, int]], list[t
     Requires Con(A) distributive."""
     at, gm, blocks = cl._at, cl.gen_masks, cl.blocks
     rest = gm[cl.index_of_nabla] & ~gm[t]
-    near = _j_order(cl.algebra)[1]
+    near = jspace(cl.algebra).near
     masks = [gm[t]]
     for c in _components(near, rest):
         masks += [m | c for m in masks]
@@ -119,100 +120,188 @@ def _complemented(cl: ConLattice, t: int) -> tuple[list[tuple[int, int]], list[t
     return pairs, [(i, j) for i, j in pairs if blocks[i] * blocks[j] == blocks[t]]
 
 
-@cached
-def _j_order(A: FiniteAlgebra) -> tuple[list[int], list[int], list[int], int | None]:
-    """J(Con A) as masks over the generator bits, memoized on A: down[g] = ↓g,
-    near[g] = the members comparable to g, the connected components, and
-    the mask of their greatest elements when every component has one, else
-    None.  On a pure lattice it is read off join_classes(A), with no Con(A)
-    and no cover of A: class g is generator g, and ↓g is g with the classes
-    under it.
-    On any other algebra g's own congruence is the lowest index of Con(A)
-    above it, and its mask is ↓g.  Every center, and every question read
-    off J, presumes Con(A) distributive, as a lattice's always is, so
-    NotDistributive is raised here otherwise."""
-    if is_pure_lattice(A):
-        down = [u | 1 << g for g, u in enumerate(join_classes(A)[1])]
-        js = range(len(down))
-    else:
-        cl = all_congruences(A)
-        if not cl.is_distributive():
-            raise NotDistributive("congruence lattice is not distributive; complements would be ambiguous")
-        gm, js = cl.gen_masks, _bits(cl.gen_masks[cl.index_of_nabla])
-        down = [0] * len(cl._above)
-        for g in js:
-            down[g] = gm[_lowest_bit(cl._above[g])]
-    near = down[:]
-    for h in js:
-        below = down[h]
-        while below:
-            low = below & -below
-            near[low.bit_length() - 1] |= 1 << h
-            below ^= low
-    components = _components(near, sum(1 << g for g in js))
-    # g is the top of its component iff ↓g is all of it
-    whole = set(components)
-    tops = sum(1 << g for g in js if down[g] in whole)
-    return down, near, components, (tops if tops.bit_count() == len(components) else None)
+class _kept:
+    """A field computed on its first read and kept on the record: a
+    cached_property without the lock Python takes before 3.12, so a first
+    read costs 0.2 µs, not 0.58, of the 55 µs of a cold sweep lattice's
+    four verdicts (Python 3.11, a 2-vCPU Xeon guest)."""
+
+    def __init__(self, fn):
+        self.fn, self.name = fn, fn.__name__
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            return self
+        value = record.__dict__[self.name] = self.fn(record)
+        return value
 
 
-@cached
-def _center_is_factor(A: FiniteAlgebra) -> bool:
-    """Whether every Boolean congruence of A is a factor congruence, that is
-    FC(A) = B(A).  Requires Con(A) distributive.  On a pure lattice it is
-    decided with no Con(A).  FC(A) is a Boolean sublattice of B(A)
-    (`lifting` module doc, 5a), and the atoms of B(A) are the θ_C for the
-    c components C of J(Con A) (module doc, 3, at θ = Δ).  So FC(A) = B(A)
-    iff each θ_C is a factor congruence, and its factor complement can only
-    be its complement θ_{J∖C}: iff |A/θ_C|·|A/θ_{J∖C}| = |A| for each C.
-    With c ≤ 1, B(A) ⊆ {Δ, ∇} and nothing is counted; else 2c block counts
-    (_block_counter), each on a pure lattice the union of the lower-cover
-    masks of its classes, with no partition.  As B(A) ⊆ Con(A), 2^c past
-    CON_CAP is past the cap.  Memoized on A."""
-    components = _j_order(A)[2]
-    if 1 << len(components) > CON_CAP:
-        raise SizeCap(f"congruence count exceeds cap {CON_CAP}")
-    if len(components) < 2:
-        return True
-    blocks = _block_counter(A)
-    full = sum(components)
-    return all(blocks(c) * blocks(full & ~c) == A.n for c in components)
+class JSpace:
+    """J = J(Con A) of an algebra with a distributive Con(A), and what the
+    verdicts read off it, each computed once, on its first read, except J's
+    order (down, near, components, tops), which a pure lattice reads when
+    its record is made, as every reader but P's needs it and it costs no
+    cover.  A subclass per kind fills J, count, fc_atoms and p_order.
+
+    - down[g] = ↓g, a mask over the generator bits, 0 for g outside J;
+      near[g] = the members comparable to g; components, the connected
+      components; tops, the mask of their greatest elements when every
+      component has one, else None.
+    - count(D) = |A/θ_D| for the mask D of a down-set of J.
+    - fc_atoms: the atoms of FC(A) as masks (`lifting` module doc, 5a).
+    - p_order: (near, components) of P = J(L), over the same bits, on a
+      distributive pure lattice L (`lifting` module doc, 6a), else None."""
+
+    p_order = None
+
+    def __init__(self, A: FiniteAlgebra):
+        self.algebra = A
+
+    def _read_order(self, down: list[int]):
+        """Keep J's order, read off down."""
+        near = down[:]
+        for h, below in enumerate(down):
+            while below:
+                low = below & -below
+                near[low.bit_length() - 1] |= 1 << h
+                below ^= low
+        components = _components(near, sum(1 << g for g, d in enumerate(down) if d))
+        # g is the top of its component iff ↓g is all of it
+        whole = set(components)
+        tops = sum(1 << g for g, d in enumerate(down) if d in whole)
+        self.down, self.near, self.components = down, near, components
+        self.tops = tops if tops.bit_count() == len(whole) else None
+
+    @_kept
+    def center_is_factor(self) -> bool:
+        """Whether every Boolean congruence of A is a factor congruence,
+        that is FC(A) = B(A).  FC(A) is a Boolean sublattice of B(A)
+        (`lifting` module doc, 5a), and the atoms of B(A) are the θ_C for
+        the c components C of J (module doc, 3, at θ = Δ).  So FC(A) = B(A)
+        iff each θ_C is a factor congruence, and its factor complement can
+        only be its complement θ_{J∖C}: iff |A/θ_C|·|A/θ_{J∖C}| = |A| for
+        each C.  With c ≤ 1, B(A) ⊆ {Δ, ∇} and nothing is counted; else 2c
+        block counts, however many the 2^c Boolean congruences are."""
+        components = self.components
+        full = sum(components)
+        return len(components) < 2 or all(
+            self.count(c) * self.count(full & ~c) == self.algebra.n for c in components
+        )
+
+    def side(self, factor: bool) -> tuple[list[int] | None, list[int], int | None]:
+        """(near, atoms, tops) for FC(A) if factor, else B(A) (`lifting`
+        module doc, 5): the order whose components of J ∖ D_θ are θ's atoms
+        (J's for B, P's for FC(L)), None where a listing of [θ, ∇] gives
+        them; A's own atoms; and tops on the Boolean side, else None."""
+        if not factor:
+            return self.near, self.components, self.tops
+        if self.p_order is not None:
+            return (*self.p_order, None)
+        return None, self.fc_atoms, None
 
 
-def _block_counter(A: FiniteAlgebra):
-    """The function D ↦ |A/θ_D| on the masks of the down-sets D of
-    J(Con A), Con(A) distributive.  Off Con(A)'s block counts, except on a
-    pure lattice L, where |L/θ_D| = n − |⋃_{c∈D} E_c|, E_c the mask of the
-    x with a lower cover y ≺ x of class c (lattice_classes): no Con(L) and
-    no partition.  Each block of a lattice congruence θ is closed under ∧
-    (a θ b gives a∧b θ b∧b) and convex, so it has a least element, and x
-    is the least of its block iff no lower cover of x is collapsed: were
-    y θ x for some y < x, a lower cover z of x with y ≤ z has z θ x, by
-    convexity.  A cover y ≺ x is collapsed by θ_D iff Cg(y, x) ≤ θ_D.
-    Cg(y, x) is the join-irreducible of the cover's class, join-prime in
-    the distributive Con(L), so that holds iff its class is in the down-set
-    D.  So the x outside ⋃_{c∈D} E_c are the least elements of the blocks,
-    one per block."""
-    if not is_pure_lattice(A):
-        cl = all_congruences(A)
-        return lambda mask: cl.blocks[cl._at[mask]]
-    n = A.n
-    upper_ends = []  # E_c for each class c
-    for covers in lattice_classes(A)[2]:
-        e = 0
-        for _, x in covers:
-            e |= 1 << x
-        upper_ends.append(e)
+class _LatticeJSpace(JSpace):
+    """The record of a pure lattice L, read off its J step (`congruences`
+    module doc) with no Con(L): class g is generator g, and ↓g is g with
+    the classes under it.
 
-    def count(mask: int) -> int:
-        collapsed = 0
+    count(D) = n − |⋃_{c∈D} E_c|, E_c the mask of the x with a lower cover
+    y ≺ x of class c (lattice_classes): no partition.  Each block of a
+    lattice congruence θ is closed under ∧ (a θ b gives a∧b θ b∧b) and
+    convex, so it has a least element, and x is the least of its block iff
+    no lower cover of x is collapsed: were y θ x for some y < x, a lower
+    cover z of x with y ≤ z has z θ x, by convexity.  A cover y ≺ x is
+    collapsed by θ_D iff Cg(y, x) ≤ θ_D.  Cg(y, x) is the join-irreducible
+    of the cover's class, join-prime in the distributive Con(L), so that
+    holds iff its class is in the down-set D.  So the x outside
+    ⋃_{c∈D} E_c are the least elements of the blocks, one per block.
+    fc_atoms is read off L's central elements (_central_masks)."""
+
+    def __init__(self, L: FiniteAlgebra):
+        self.algebra = L
+        self._read_order([u | 1 << g for g, u in enumerate(join_classes(L)[1])])
+
+    @_kept
+    def _upper_ends(self) -> list[int]:
+        return [sum({1 << x for _, x in covers}) for covers in lattice_classes(self.algebra)[2]]
+
+    def count(self, mask: int) -> int:
+        upper_ends, collapsed = self._upper_ends, 0
         while mask:
             low = mask & -mask
             collapsed |= upper_ends[low.bit_length() - 1]
             mask ^= low
-        return n - collapsed.bit_count()
+        return self.algebra.n - collapsed.bit_count()
 
-    return count
+    @_kept
+    def fc_atoms(self) -> list[int]:
+        return _atoms(sorted(_central_masks(self.algebra), key=int.bit_count))
+
+    @_kept
+    def p_order(self) -> tuple[list[int], list[int]] | None:
+        return _p_order(self.algebra) if self.algebra.is_distributive_lattice() else None
+
+
+class _ConJSpace(JSpace):
+    """The record of any other algebra, read off Con(A): g's own congruence
+    is the lowest index of Con(A) above it, and its mask is ↓g; count reads
+    Con(A)'s block counts, and fc_atoms the listing of FC(A) at Δ.  A first
+    read of J raises NotDistributive unless Con(A) is distributive, as a
+    lattice's always is; p_order reads no Con(A)."""
+
+    @_kept
+    def _cl(self) -> ConLattice:
+        cl = all_congruences(self.algebra)
+        if not cl.is_distributive():
+            raise NotDistributive("congruence lattice is not distributive; complements would be ambiguous")
+        return cl
+
+    def __getattr__(self, name: str):
+        # J's order is read off Con(A) on its first read, so that p_order,
+        # None on this kind, enumerates nothing
+        if name not in ("down", "near", "components", "tops"):
+            raise AttributeError(name)
+        cl = self._cl
+        gm, nabla = cl.gen_masks, cl.gen_masks[cl.index_of_nabla]
+        self._read_order([gm[_lowest_bit(above)] if nabla >> g & 1 else 0 for g, above in enumerate(cl._above)])
+        return getattr(self, name)
+
+    def count(self, mask: int) -> int:
+        return self._cl.blocks[self._cl._at[mask]]
+
+    @_kept
+    def fc_atoms(self) -> list[int]:
+        cl = self._cl
+        return _atoms([cl.gen_masks[a] for a in factor_congruences(cl).members])
+
+
+@cached
+def jspace(A: FiniteAlgebra) -> JSpace:
+    """A's J(Con A) record, memoized on A, with its constructor picked by
+    kind: a pure lattice reads its J step, any other algebra Con(A)."""
+    return (_LatticeJSpace if is_pure_lattice(A) else _ConJSpace)(A)
+
+
+def _p_order(L: FiniteAlgebra) -> tuple[list[int], list[int]]:
+    """P = J(L) of a lattice, or of an algebra's lattice reduct, read off its
+    order: near[h] = the members comparable to the h-th join-irreducible j,
+    bit h being Cg(j₊, j) for the h-th pair of L.join_irreducible_pairs(),
+    and the components (`lifting` module doc, 6a)."""
+    up, down = L.order_masks()
+    js = [j for _, j, _ in L.join_dependency()]
+    near = [sum(1 << h for h, k in enumerate(js) if (up[j] | down[j]) >> k & 1) for j in js]
+    return near, _components(near, (1 << len(js)) - 1)
+
+
+def _atoms(masks: list[int]) -> list[int]:
+    """The atoms of a Boolean lattice of masks whose bottom is 0, listed in
+    an order that extends inclusion, as index order does: the nonzero
+    masks that miss every atom before them (`lifting` module doc, 5d)."""
+    atoms = []
+    for m in masks:
+        if m and not m & sum(atoms):
+            atoms.append(m)
+    return atoms
 
 
 def _central_masks(L: FiniteAlgebra) -> set[int]:

@@ -25,11 +25,14 @@ J = J(Con A).  A center exists only on a distributive Con(A), and then
 θ ↦ D_θ, the set of members of J below θ (its mask), is an isomorphism onto
 the down-sets of J, with unions as joins and intersections as meets, and
 J itself as ∇ (Davey & Priestley, ch. 5 and 10).  A component is a
-connected component of J's comparability graph.  On a pure lattice J and
-its order come from the J step of `congruences` (join_classes), with no
-Con(L) and no cover of L; every criterion below that reads J or P = J(L) alone then decides
-before Con(L) is enumerated, and only a failure enumerates it, for the
-evidence.  Max J is the set of maximal members of J.
+connected component of J's comparability graph.  Every verdict reads J,
+its order, P = J(L), the block counts and FC(A)'s atoms off one record per
+algebra, `factor.jspace(A)`, whose constructor is picked by kind.  On a
+pure lattice J and its order come from the J step of `congruences`
+(join_classes), with no Con(L) and no cover of L; every criterion below
+that reads J or P = J(L) alone then decides before Con(L) is enumerated,
+and only a failure enumerates it, for the evidence.  Max J is the set of
+maximal members of J.
 
 1. The Boolean elements are the unions of components.  D has a complement
    iff J ∖ D is a down-set too, that is iff no comparable pair has one end
@@ -79,16 +82,11 @@ evidence.  Max J is the set of maximal members of J.
    the order; each one tested drops its down-set.  Only when one of them
    is in C_i are the untested j scanned in index order, for the first
    failing pair.
-   On a pure lattice FC(L) = B(L), which the criterion of the factor
-   property reads (5, end), is checked on the c components of J, with no
-   Con(L).  The θ_C for the components C are the atoms of B(L) (`factor`
-   module doc, 3), and FC(L) is a Boolean sublattice of B(L) (5a), so
-   FC(L) = B(L) iff each (θ_C, θ_{J∖C}) is a factor pair, that is iff
-   |L/θ_C|·|L/θ_{J∖C}| = |L|: 2c block counts and none when c ≤ 1, as
-   B(L) is then {Δ, ∇} or {Δ}.  Each count is n less the number of x with
-   a lower cover in one of the classes of the down-set, as the blocks are
-   counted by their least elements (`factor._block_counter`), and no
-   partition is built.
+   FC(A) = B(A), which the criterion of the factor property reads (5,
+   end), is one factor pair per component of J: 2c block counts, however
+   many the 2^c members of B(A) are (`factor.JSpace.center_is_factor`),
+   each read on a pure lattice off its lower covers (`factor.JSpace.count`),
+   with no Con(L) and no partition.
 5. One rule decides both properties at θ and gives the evidence.  Call
    FC(A) or B(A) A's center, the same center of [θ, ∇] θ's, and R = J ∖ D_θ.
    (a) A's center is a Boolean sublattice of Con(A).  B(A) is one in any
@@ -102,9 +100,9 @@ evidence.  Max J is the set of maximal members of J.
        above Δ, partition J, and each member is the union of the atoms
        below it.  They are the components of J on the Boolean side (1),
        and the components of P for FC(L) of a distributive pure lattice
-       (6d).  Elsewhere one pass over the listing of FC(A) finds them (d),
-       and for a verdict on any other pure lattice L's central elements
-       give them with no Con(L) (7).
+       (6d).  On any other pure lattice L's central elements give them
+       with no Con(L) (7), and elsewhere one pass over the listing of
+       FC(A) finds them (d): the record's fc_atoms.
    (b) u(α) = α ∨ θ is a lattice map, by distributivity, and it maps a
        complemented pair to a complemented pair of [θ, ∇]:
        (α ∨ θ) ∧ (α' ∨ θ) = (α ∧ α') ∨ θ = θ.  It keeps factor pairs, as
@@ -202,12 +200,9 @@ evidence.  Max J is the set of maximal members of J.
    b ∉ F and a ∉ R ∖ F.  So ψ_a∘ψ_b = ∇, and a, b ∈ X, as F, F' ⊆ X.
    So FCLP costs |Max J| block counts for the ψ_a and one per pair, and
    FC(A)'s atoms are read only when some pair permutes.  On a pure lattice
-   each count is |L/θ_D| = n − |⋃_{c∈D} E_c|, E_c the mask of the x with a
-   lower cover of class c: a block has a least element, x is one iff no
-   lower cover of x is collapsed, and a cover is collapsed by θ_D iff its
-   class, join-prime in Con(L), is in D (`factor._block_counter`).  FC(L)'s
-   atoms are read off L's central elements (`factor._central_masks`), and
-   no Con(L) and no partition is built.
+   the counts are read off lower covers (`factor.JSpace.count`) and FC(L)'s
+   atoms off central elements (`factor.JSpace.fc_atoms`), with no Con(L)
+   and no partition.
 
 The normality checks read (True, None) or (False, the first failing pair
 in index order).  Every verdict and its evidence is the one the scans
@@ -228,22 +223,12 @@ from .congruences import (
     is_arithmetical,
     is_congruence_distributive,
     is_congruence_permutable,
-    is_pure_lattice,
     join,
     maximal_indices,
     prime_indices,
 )
 from .errors import ParentMismatch
-from .factor import (
-    _block_counter,
-    _center_is_factor,
-    _central_masks,
-    _complemented,
-    _components,
-    _j_order,
-    boolean_center,
-    factor_congruences,
-)
+from .factor import _atoms, _complemented, _components, boolean_center, factor_congruences, jspace
 
 
 @dataclass
@@ -353,7 +338,7 @@ def _lifting(cl: ConLattice, t: int, factor: bool) -> tuple[int, int | None]:
     atom of A's center is cut, that is iff its center has 2^m members for
     the m non-empty traces; the first member not reached is the least
     D_t ∪ F over θ_t's atoms F in cut traces (module doc, 5c and 5d).
-    [θ_t, ∇] is listed at most once, and only where _side gives no order
+    [θ_t, ∇] is listed at most once, and only where JSpace.side gives no order
     whose components of J ∖ D_t are θ_t's atoms.  Cached on the lattice, as
     a report asks for each verdict twice."""
     # a dense list, not algebra.cached: a memo keyed by θ made the first
@@ -362,7 +347,7 @@ def _lifting(cl: ConLattice, t: int, factor: bool) -> tuple[int, int | None]:
     if cache is None:
         cache = cl._cache["lifting", factor] = [None] * len(cl)
     if cache[t] is None:
-        near, atoms, tops = _side(cl.algebra, factor)
+        near, atoms, tops = jspace(cl.algebra).side(factor)
         gm = cl.gen_masks
         rest = gm[cl.index_of_nabla] & ~gm[t]
         listed = [] if near is not None else _complemented(cl, t)[1]
@@ -379,61 +364,6 @@ def _lifting(cl: ConLattice, t: int, factor: bool) -> tuple[int, int | None]:
     return cache[t]
 
 
-@cached
-def _side(A: FiniteAlgebra, factor: bool) -> tuple[list[int] | None, list[int], int | None]:
-    """(near, atoms, tops) of one property, FC(A) if factor and B(A)
-    otherwise: the atoms of A's center as masks over the generator bits;
-    the order whose components of J ∖ D_θ are the atoms of θ's center, on
-    J(Con A) for B(A/θ) and on P = J(L) for FC(L/θ), or None where they
-    are read off a listing of [θ, ∇]; and the mask of the tops of J's
-    components when every component has one, else None (module doc, 5).
-    Memoized on A."""
-    if not factor:
-        return _j_order(A)[1:]
-    order = _lattice_order(A)
-    if order is not None:
-        return (*order, None)
-    cl = all_congruences(A)
-    return None, _atoms([cl.gen_masks[a] for a in factor_congruences(cl).members]), None
-
-
-def _atoms(masks: list[int]) -> list[int]:
-    """The atoms of a Boolean lattice of masks whose bottom is 0, listed in
-    an order that extends inclusion, as index order does: the nonzero
-    masks that miss every atom before them (module doc, 5d)."""
-    atoms = []
-    for m in masks:
-        if m and not m & sum(atoms):
-            atoms.append(m)
-    return atoms
-
-
-@cached
-def _lattice_order(A: FiniteAlgebra) -> tuple[list[int], list[int]] | None:
-    """On a distributive pure lattice L, P = J(L) as masks over the
-    generator bits, read off L and memoized on it: near[h] = the members
-    comparable to the h-th join-irreducible, and the connected components.
-    Bit h is Cg(j₊, j) for the h-th pair of A.join_irreducible_pairs()
-    (module doc, 6a).  None on every other algebra."""
-    if not (is_pure_lattice(A) and A.is_distributive_lattice()):
-        return None
-    return _p_order(A)
-
-
-def _p_order(L: FiniteAlgebra) -> tuple[list[int], list[int]]:
-    """_lattice_order on any lattice, unchecked and not memoized."""
-    up, down = L.order_masks()
-    js = [j for _, j, _ in L.join_dependency()]
-    near = [sum(1 << h for h, k in enumerate(js) if (up[j] | down[j]) >> k & 1) for j in js]
-    return near, _components(near, (1 << len(js)) - 1)
-
-
-def _chains(near: list[int], components: list[int]) -> bool:
-    """Whether every component of P = J(L) is a chain: FCLP (module doc,
-    6e), and so fc-normality (6f) and BLP, of a distributive pure lattice."""
-    return all(near[g] & c == c for c in components for g in _bits(c))
-
-
 def _has_lifting(A, theta, factor: bool) -> tuple[bool, LiftEvidence]:
     """The lifting with its evidence, targets rendered in the labels of A/θ:
     each member before the first one not reached, with its least source,
@@ -444,7 +374,7 @@ def _has_lifting(A, theta, factor: bool) -> tuple[bool, LiftEvidence]:
         raise ParentMismatch("congruence does not belong to the algebra")
     cl = all_congruences(A)
     t = cl.index(theta)
-    atoms = _side(A, factor)[1]
+    atoms = jspace(A).side(factor)[1]
     rest = cl.gen_masks[cl.index_of_nabla] & ~cl.gen_masks[t]
     ev = LiftEvidence()
     for b, _ in _complemented(cl, t)[factor]:
@@ -482,10 +412,8 @@ def _holds(A: FiniteAlgebra, factor: bool) -> bool:
     fails on a distributive pure lattice, where it is an iff (6e), and is
     the pair test of 7 anywhere else."""
     if not factor:
-        return _components_topped(A)
-    if _factor_criterion(A):
-        return True
-    return _lattice_order(A) is None and _no_permuting_coatoms(A)
+        return jspace(A).tops is not None
+    return _factor_criterion(A) or (jspace(A).p_order is None and _no_permuting_coatoms(A))
 
 
 @cached
@@ -496,9 +424,8 @@ def _no_permuting_coatoms(A: FiniteAlgebra) -> bool:
     come first, and FC(A)'s atoms only when some pair permutes: on a pure
     lattice off its central elements, with no Con(L).  Memoized on A, as
     FCLP and fc-normality both ask it."""
-    down, near, components, _ = _j_order(A)
-    full = sum(components)
-    count = _block_counter(A)
+    J = jspace(A)
+    down, near, count, full = J.down, J.near, J.count, sum(J.components)
     # a is maximal iff nothing is comparable to it but what lies below it
     maxes = [1 << a for a in _bits(full) if near[a] == down[a]]
     psi = [count(full & ~a) for a in maxes]
@@ -508,13 +435,7 @@ def _no_permuting_coatoms(A: FiniteAlgebra) -> bool:
         for y, b in enumerate(maxes[x + 1 :], x + 1)
         if count(full & ~(a | b)) == psi[x] * psi[y]
     ]
-    if not pairs:
-        return True
-    if is_pure_lattice(A):
-        atoms = _atoms(sorted(_central_masks(A), key=int.bit_count))
-    else:
-        atoms = _side(A, True)[1]
-    return not any(p & ~x == 0 for p in pairs for x in atoms)
+    return not any(p & ~x == 0 for p in pairs for x in J.fc_atoms)
 
 
 def _algebra_lifting(A, factor: bool) -> Verdict:
@@ -531,23 +452,17 @@ def _algebra_lifting(A, factor: bool) -> Verdict:
     return Verdict(ok, evidence)
 
 
-def _components_topped(A: FiniteAlgebra) -> bool:
-    """Whether every component of J(Con A) has a greatest element, that is
-    whether every θ has the Boolean lifting (module doc, 2).  On a pure
-    lattice it is read off J(Con L) with no Con(L)."""
-    return _j_order(A)[3] is not None
-
-
 def _factor_criterion(A: FiniteAlgebra) -> bool:
     """The criterion that gives FCLP, and so fc-normality, with no walk: on
     a distributive pure lattice, every component of P = J(L) is a chain,
     which is also necessary (module doc, 6e); on any other algebra,
     every component of J(Con A) has a top and FC(A) = B(A) (module doc, 5,
     end, and 4 on FC(L) = B(L)).  On a pure lattice no Con(L) is built."""
-    order = _lattice_order(A)
-    if order is not None:
-        return _chains(*order)
-    return _components_topped(A) and _center_is_factor(A)
+    J = jspace(A)
+    if J.p_order is not None:
+        near, components = J.p_order
+        return all(near[g] & c == c for c in components for g in _bits(c))
+    return J.tops is not None and J.center_is_factor
 
 
 def algebra_fclp(A: FiniteAlgebra) -> Verdict:
@@ -655,8 +570,8 @@ def is_b_normal(A: FiniteAlgebra):
 
 def _b_normal_walk(cl: ConLattice):
     """is_b_normal by the loop over the φ (module doc, 3)."""
-    down, _, components, _ = _j_order(cl.algebra)
-    gm = cl.gen_masks
+    J = jspace(cl.algebra)
+    down, components, gm = J.down, J.components, cl.gen_masks
     nabla = gm[cl.index_of_nabla]
     for i, m in enumerate(gm):
         rest, plus = nabla & ~m, 0

@@ -47,7 +47,7 @@ deductive filters (Galatos, Jipsen, Kowalski & Ono, Residuated Lattices,
 2007).  So Filt-BLP is BLP, read as such when the lattice reduct is
 distributive.  The ideal congruences are taken on the bounded-lattice
 reduct, so Id-BLP is read by (g) off A's join and meet, which are the
-reduct's, with no reduct built.
+reduct's, with no reduct built: P is read off them (`factor._p_order`).
 
 Every filter F of a finite lattice is principal: m = ^F lies in F, so
 F = [m).  In a residuated lattice m*m is in F and m*m <= m*1 = m, so m is
@@ -86,8 +86,8 @@ from .errors import (
     ParentMismatch,
     SizeCap,
 )
-from .factor import _components
-from .lifting import Verdict, _holds, _lattice_order, _lifting_failure, _p_order
+from .factor import _components, _p_order, jspace
+from .lifting import Verdict, _holds, _lifting_failure
 
 FILTER_CAP = 12
 
@@ -140,7 +140,7 @@ def has_blp(A: FiniteAlgebra, theta: Congruence) -> bool:
     complement raises."""
     if theta.algebra != A:
         raise ParentMismatch("congruence does not belong to the algebra")
-    order = _lattice_order(A)
+    order = jspace(A).p_order
     if order is not None:
         # P ∖ S_θ: the j with j₊ and j in two θ-classes, as bits in the order
         # of P (lifting module doc, 6a)
@@ -188,7 +188,7 @@ def algebra_blp(A: FiniteAlgebra) -> Verdict:
     has_blp at Δ would, so an ambiguous complement raises the same
     message, on every call.  Memoized on A, as a report asks for it twice:
     once itself, once for Filt-BLP (h)."""
-    if _lattice_order(A) is not None:
+    if jspace(A).p_order is not None:
         ok = _holds(A, True)
         return Verdict(
             ok, lambda: (True, None) if ok else (False, all_congruences(A).elements[_lifting_failure(A, True)])
@@ -364,7 +364,7 @@ def _components_bounded(A: FiniteAlgebra, side: int) -> bool | None:
     a greatest one (side 1), read off L's up-set or down-set masks (module
     doc, g), where L is a distributive pure lattice or the lattice reduct of
     the residuated kind, read off A's own tables.  None elsewhere."""
-    order = _lattice_order(A)
+    order = jspace(A).p_order
     if order is None and A.signature.kind == "residuated" and A.is_distributive_lattice():
         order = _p_order(A)
     if order is None:

@@ -14,7 +14,7 @@ import pytest
 from congrlab import lifting
 from congrlab.algebra import build_from_spec, ordinal_sum
 from congrlab.congruences import all_congruences
-from congrlab.factor import boolean_center, factor_congruences
+from congrlab.factor import boolean_center, factor_congruences, jspace
 from congrlab.fixtures import fixture
 from congrlab.lifting import has_cblp, has_fclp
 
@@ -80,7 +80,7 @@ def test_the_centers_are_boolean_sublattices_whose_atoms_partition_j(kept):
         for factor_side in (True, False):
             masks = {cl.gen_masks[a] for a in center(cl, factor_side)}
             assert all(a | b in masks and a & b in masks for a in masks for b in masks), (A.name, factor_side)
-            atoms = lifting._side(A, factor_side)[1]
+            atoms = jspace(A).side(factor_side)[1]
             assert sorted(atoms) == sorted(m for m in masks if m and not any(n and n != m and n & m == n for n in masks))
             # the atoms are disjoint and cover J
             assert sum(atoms) == cl.gen_masks[cl.index_of_nabla] == sum(set(atoms)), (A.name, factor_side)

@@ -89,8 +89,8 @@ def test_the_central_elements_give_the_atoms_of_the_listed_fc():
     several = 0
     for L in lattices:
         cl = all_congruences(L)
-        listed = lifting._atoms([cl.gen_masks[a] for a in factor.factor_congruences(cl).members])
-        central = lifting._atoms(sorted(factor._central_masks(cold(L)), key=int.bit_count))
+        listed = factor._atoms([cl.gen_masks[a] for a in factor.factor_congruences(cl).members])
+        central = factor._atoms(sorted(factor._central_masks(cold(L)), key=int.bit_count))
         assert sorted(central) == sorted(listed), L.name
         several += len(listed) > 1
     assert several == 45 + 5

@@ -17,7 +17,7 @@ from collections import Counter
 
 import pytest
 
-from congrlab import algebra, congruences, factor, lifting
+from congrlab import algebra, congruences, lifting
 from congrlab.algebra import (
     _bits,
     cover_pairs,
@@ -29,6 +29,7 @@ from congrlab.algebra import (
     ordinal_sum,
 )
 from congrlab.congruences import is_pure_lattice
+from congrlab.factor import jspace
 from congrlab.fixtures import FIXTURE_NAMES, fixture
 
 from sweep import sweep
@@ -99,7 +100,7 @@ def all_boolean_center_is_factor(L):
     """FC(L) = B(L) as it was checked: every one of the 2^c Boolean
     congruences θ_U has the factor complement θ_{J∖U}, each θ_U a
     union-find over the covers of its classes."""
-    components = factor._j_order(L)[2]
+    components = jspace(L).components
     class_covers = covers_lattice_classes(L)[2]
     parts = [delta_partition(L.n)]
     for c in components:
@@ -171,9 +172,9 @@ def test_fc_equal_to_b_on_the_components_agrees_with_all_2_to_the_c():
     # keyed by the verdict and by whether J(Con L) has two components or more
     verdicts = Counter()
     for A in lattice_population():
-        got = factor._center_is_factor(cold(A))
+        got = jspace(cold(A)).center_is_factor
         assert got == all_boolean_center_is_factor(A), A.name
-        verdicts[got, len(factor._j_order(A)[2]) > 1] += 1
+        verdicts[got, len(jspace(A).components) > 1] += 1
     assert verdicts[True, False] > 300 and verdicts[True, True] > 50 and verdicts[False, True] > 500
 
 
@@ -215,8 +216,8 @@ def test_a_criterion_decided_verdict_finds_no_cover_and_builds_no_partition(name
             lifting.is_b_normal(A),
         )
         assert got == ((True, None, None), (True, None, None), (True, None), (True, None)), A.name
-        _, _, components, tops = factor._j_order(A)
-        assert not A.is_distributive_lattice() and len(components) == 1 and tops is not None, A.name
+        J = jspace(A)
+        assert not A.is_distributive_lattice() and len(J.components) == 1 and J.tops is not None, A.name
         assert "all_congruences" not in A._cache and "lattice_classes" not in A._cache, A.name
         # the join table is read by the dependency pass alone: no join is
         # folded for distributivity

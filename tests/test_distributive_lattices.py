@@ -22,7 +22,7 @@ from congrlab.algebra import build_from_spec, dual, lattice_reduct
 from congrlab.cli import main
 from congrlab.congruences import Congruence, all_congruences
 from congrlab.errors import CongrlabError
-from congrlab.factor import boolean_center, factor_congruences
+from congrlab.factor import boolean_center, factor_congruences, jspace
 from congrlab.fixtures import FIXTURE_NAMES, fixture, fixture_spec
 from congrlab.report import build_report
 from congrlab.residuated import FILTER_CAP
@@ -177,7 +177,7 @@ def test_report_rows_match_the_interval_route():
     failing = 0
     for A in algebras:
         rows = lifting.lifting_report(A).per_congruence
-        assert lifting._lattice_order(A) is not None, A.name
+        assert jspace(A).p_order is not None, A.name
         want = interval_columns(cold(A))
         assert [{key: row[key] for key in want[0]} for row in rows] == want, A.name
         failing += sum(not row["fclp"] for row in rows)
@@ -198,7 +198,7 @@ def test_algebra_fclp_matches_the_interval_walk():
 def test_a_component_that_is_no_chain_fails_fclp(spec):
     # P = Q itself here: ∧ has a greatest element, yet FCLP fails
     A = build_from_spec(spec)
-    near, components = lifting._lattice_order(A)
+    near, components = jspace(A).p_order
     assert len(components) == 1
     assert lifting.algebra_fclp(A)[0] is False
 
@@ -293,7 +293,7 @@ def test_pruned_blp_reads_only_pairs_of_unreached_classes():
     for A in (lattice, goedel):
         center = residuated.element_boolean_center(A)
         assert A.is_distributive_lattice() and len(center.members) == 2
-        lifting._lattice_order(A)  # L's order, read before the tables are watched
+        jspace(A).p_order  # L's order, read before the tables are watched
         seen = set()
         tables = dict(A.tables, join=Reads(A.tables["join"], seen), meet=Reads(A.tables["meet"], seen))
         thetas = all_congruences(A).elements

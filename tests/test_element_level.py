@@ -16,10 +16,11 @@ from functools import reduce
 
 import pytest
 
-from congrlab import lifting, residuated
+from congrlab import residuated
 from congrlab.algebra import build_from_spec, direct_product
 from congrlab.congruences import all_congruences
 from congrlab.errors import AmbiguousComplement
+from congrlab.factor import jspace
 from congrlab.fixtures import FIXTURE_NAMES, fixture, fixture_spec
 from congrlab.lifting import quotient
 from congrlab.report import build_report
@@ -136,7 +137,7 @@ def test_algebra_blp_is_the_has_blp_loop_with_one_center(monkeypatch):
         # A's center is scanned once, first, unless BLP is read off
         # P = J(L), which scans no class at all
         delta = tuple(range(A.n))
-        assert scans.count(delta) == (lifting._lattice_order(B) is None), A.name
+        assert scans.count(delta) == (jspace(B).p_order is None), A.name
         assert not scans or scans[0] == delta, A.name
 
 
@@ -255,7 +256,7 @@ def test_a_cold_report_scans_the_center_once_and_builds_no_reduct(build, monkeyp
     assert doc["filt_blp"] and doc["id_blp"]
     # a distributive pure lattice reads BLP, Filt-BLP and Id-BLP off
     # P = J(L), so its center is never scanned
-    assert lifting._lattice_order(A) is not None
+    assert jspace(A).p_order is not None
     assert scans == []
 
 

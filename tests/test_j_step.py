@@ -17,6 +17,7 @@ import pytest
 from congrlab import algebra, congruences, factor, lifting
 from congrlab.algebra import _bits, direct_product, emit_spec, lattice_reduct, ordinal_sum
 from congrlab.congruences import _lowest_bit, all_congruences
+from congrlab.factor import jspace
 from congrlab.fixtures import FIXTURE_NAMES, fixture
 from congrlab.lifting import algebra_cblp, algebra_fclp, is_b_normal, is_fc_normal
 
@@ -64,7 +65,8 @@ def test_the_j_step_gives_the_verdicts_of_the_enumerated_path():
     for A in algebras:
         assert congruences.is_pure_lattice(A), A.name
         fresh, enumerated = cold(A), cold(A)
-        down, _, components, tops = factor._j_order(fresh)
+        J = jspace(fresh)
+        down, components, tops = J.down, J.components, J.tops
         assert "all_congruences" not in fresh._cache, A.name
         assert all(type(x) is tuple for x in congruences.lattice_classes(fresh)), A.name
         cl = all_congruences(enumerated)
@@ -104,7 +106,7 @@ def test_225_sweep_lattices_decide_without_enumerating(monkeypatch):
 
 def test_the_sweep_verdicts_build_no_partition(monkeypatch):
     # the block counts of FC(L) = B(L) and of the coatom pairs are read off
-    # lower-cover masks (factor._block_counter): no partition is merged
+    # lower-cover masks (factor.JSpace.count): no partition is merged
     counts = count_calls(monkeypatch, algebra, ["merge_pairs"])
     # and in each module of the verdict path that imports it by name
     for module in (congruences, factor, lifting):
@@ -123,7 +125,7 @@ def test_topped_with_fc_equal_to_b_is_fc_normal_with_no_pair_tried(monkeypatch):
     for A in criteria_algebras():
         if not all_congruences(A).is_distributive():
             continue
-        if lifting._components_topped(A) and factor._center_is_factor(A):
+        if jspace(A).tops is not None and jspace(A).center_is_factor:
             fired += 1
             assert is_fc_normal(cold(A)) == (True, None), A.name
             assert counts == {"_joins_to_nabla": 0}, A.name
@@ -139,7 +141,7 @@ def test_the_boolean_members_built_from_the_j_step_are_the_center():
     for A in sweep() + [fixture(name) for name in FIXTURE_NAMES if fixture(name).signature.kind == "lattice"]:
         cl = all_congruences(A)
         want = len(factor.factor_congruences(cl).members) == len(factor.boolean_center(cl).members)
-        assert factor._center_is_factor(cold(A)) == want, A.name
+        assert jspace(cold(A)).center_is_factor == want, A.name
         checked += want
     assert checked > 100
 
@@ -187,21 +189,8 @@ def square_on_a_chain():
     return spec
 
 
-def diamond_under_a_chain():
-    """M3 with a 16-chain on top: 2·2^15 congruences, and J(Con L) has 16
-    one-point components, so its 2^16 Boolean congruences are past the cap
-    too."""
-    spec = emit_spec(ordinal_sum(fixture("D"), chain(16)))
-    spec["name"] = "D+C16"
-    return spec
-
-
-@pytest.mark.parametrize(
-    "build,fclp",
-    [(square_on_a_chain, "no"), (diamond_under_a_chain, "n/a")],
-    ids=["C14+L2x2", "D+C16"],
-)
-def test_a_failing_criterion_past_the_cap_still_exits_at_the_cap(build, fclp, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("build", [square_on_a_chain], ids=["C14+L2x2"])
+def test_a_failing_criterion_past_the_cap_still_exits_at_the_cap(build, tmp_path, monkeypatch, capsys):
     from congrlab.cli import main
 
     spec = build()
@@ -212,10 +201,43 @@ def test_a_failing_criterion_past_the_cap_still_exits_at_the_cap(build, fclp, tm
     for prop in ("fclp", "blp"):
         assert main(["check", prop, "--file", str(path)]) == 2
         assert capsys.readouterr() == ("", "error: congruence count exceeds cap 20000\n")
-    # b-normality and CBLP read the tops of J(Con L) alone.  The FCLP verdict
-    # shown beside CBLP is read off P = J(L) on the distributive C14+L2x2,
-    # and is past the cap on D+C16, whose FC = B test has 2^16 members
+    # b-normality and CBLP read the tops of J(Con L) alone, and the FCLP
+    # verdict shown beside CBLP is read off P = J(L)
     assert main(["check", "b-normal", "--file", str(path)]) == 0
     assert capsys.readouterr() == ("b-normal: yes\n", "")
     assert main(["check", "cblp", "--file", str(path)]) == 0
-    assert capsys.readouterr() == (f"FCLP: {fclp}; CBLP: yes\n", "")
+    assert capsys.readouterr() == ("FCLP: no; CBLP: yes\n", "")
+
+
+@pytest.mark.parametrize("base", ["D", "T"])
+def test_past_the_cap_fc_equal_to_b_is_2c_block_counts(base, tmp_path, monkeypatch, capsys):
+    # D⊕C16 has 2·2^15 congruences, and J(Con L) has 16 one-point
+    # components, so its 2^16 Boolean congruences are past the cap too;
+    # T⊕C16 likewise.  FC(L) = B(L) is two block counts per component, not a
+    # listing of the 2^c (factor.JSpace.center_is_factor): it fails, and the
+    # pairs of maximal members of J answer FCLP and fc-normality.  BLP, on a
+    # lattice that is not distributive, still walks the θ and exits at the cap
+    from congrlab.cli import main
+
+    path = tmp_path / "L.json"
+    path.write_text(json.dumps(emit_spec(ordinal_sum(fixture(base), chain(16)))))
+    refuse_partitions(monkeypatch)
+    capsys.readouterr()
+    for prop, line in (("fclp", "FCLP: yes; CBLP: yes"), ("cblp", "FCLP: yes; CBLP: yes"), ("fc-normal", "fc-normal: yes")):
+        assert main(["check", prop, "--file", str(path)]) == 0
+        assert capsys.readouterr() == (line + "\n", "")
+    assert main(["check", "blp", "--file", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: congruence count exceeds cap 20000\n")
+
+
+def test_a_chain_on_top_of_d_or_t_gives_the_walks_fclp():
+    # the same lattices within the cap: with a chain on top FC(L) = {Δ, ∇}
+    # is no B(L), and the verdicts are the walk's over every θ
+    for base in "DT":
+        for k in range(2, 11):
+            A = ordinal_sum(fixture(base), chain(k))
+            J = jspace(cold(A))
+            assert J.tops is not None and not J.center_is_factor, (base, k)
+            walk = lifting._lifting_failure(A, True) is None
+            assert algebra_fclp(cold(A))[0] == is_fc_normal(cold(A))[0] == walk, (base, k)
+            assert walk, (base, k)

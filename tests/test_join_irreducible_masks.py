@@ -30,7 +30,7 @@ from congrlab.algebra import (
 )
 from congrlab.congruences import Congruence, all_congruences
 from congrlab.errors import NotDistributive
-from congrlab.factor import boolean_center, factor_congruences
+from congrlab.factor import boolean_center, factor_congruences, jspace
 from congrlab.fixtures import FIXTURE_NAMES, fixture
 from congrlab.lifting import algebra_cblp, algebra_fclp, has_cblp, is_b_normal, is_fc_normal, lifting_report
 from congrlab.report import build_report
@@ -225,8 +225,8 @@ def test_the_components_list_what_the_up_set_scan_finds():
                 with pytest.raises(NotDistributive):
                     lifting._lifting(cl, cl.index_of_nabla, factor_side)
             continue
-        interval += lifting._lattice_order(A) is None
-        near, nabla = factor._j_order(A)[1], cl.gen_masks[cl.index_of_nabla]
+        interval += jspace(A).p_order is None
+        near, nabla = jspace(A).near, cl.gen_masks[cl.index_of_nabla]
         for t in range(len(cl)):
             bc, fc = up_set_centers(cl, t)
             want = one_pass_unreached_factor(cl, t)
@@ -299,19 +299,21 @@ def test_a_cold_report_decides_each_lifting_verdict_once(monkeypatch):
     # T is not distributive, so its rows take the interval route
     A = cold(fixture("T"))
     listed = count_listings(monkeypatch)
-    counts = count_calls(monkeypatch, lifting, ["_side", "_atoms", "_components"])
+    sides, atoms = count_calls(monkeypatch, factor.JSpace, ["side"]), count_atoms(monkeypatch)
+    components = count_calls(monkeypatch, lifting, ["_components"])
     build_report(A)
     # the report asks for the verdict of each (property, θ), and the walks
     # without a criterion ask for each once more; each is decided once, and
-    # each decision reads its side once: after Δ's center, whose atoms are
-    # read once, each factor verdict lists its interval and counts it.  Each
-    # component of T's J has a top, so each Boolean verdict counts the tops
-    # left, with no component searched for.  T has both properties, so no θ
-    # reads its own atoms for a target.
+    # each decision reads its side once: after Δ's center, listed for the
+    # flags, and A's atoms, read once off T's central elements, each factor
+    # verdict lists its interval and counts it.  Each component of T's J has
+    # a top, so each Boolean verdict counts the tops left, with no component
+    # searched for.  T has both properties, so no θ reads its own atoms for
+    # a target.
     assert lifting_walk(A, True)[0] and lifting_walk(A, False)[0]
     cl = all_congruences(A)
     assert listings_on(cl, listed) == [cl.index_of_delta, *range(len(cl))]
-    assert counts == {"_side": 2 * len(cl), "_atoms": 1, "_components": 0}
+    assert (sides, atoms, components) == ({"side": 2 * len(cl)}, {"_atoms": 1}, {"_components": 0})
     assert lifting.algebra_fclp(A)[0] and lifting.algebra_cblp(A)[0]
 
 
@@ -323,7 +325,7 @@ def test_a_cold_report_decides_each_lifting_verdict_once(monkeypatch):
 def test_a_cold_report_on_a_distributive_lattice_builds_only_deltas_center(build, monkeypatch):
     A = build()
     listed = count_listings(monkeypatch)
-    counts = count_calls(monkeypatch, lifting, ["_atoms"])
+    counts = count_atoms(monkeypatch)
     build_report(A)
     # every row is read off J(L); Δ's center gives the flags, and it is the
     # one interval listed, with no atom read off a listing
@@ -476,6 +478,14 @@ def listings_on(cl, listed):
     return [t for c, t in listed if c is cl]
 
 
+def count_atoms(monkeypatch):
+    """count_calls for _atoms, which both the J(Con A) record (A's own
+    atoms) and lifting (a θ's atoms) call."""
+    counts = count_calls(monkeypatch, factor, ["_atoms"])
+    monkeypatch.setattr(lifting, "_atoms", factor._atoms)
+    return counts
+
+
 def center_unliftable(cl, t):
     """The old scan: the first member of the factor center of [θ_t, ∇]
     that no α ∨ θ_t, α in FC(A), reaches."""
@@ -508,7 +518,7 @@ def test_fc_equal_to_b_with_cblp_gives_fclp():
     for A in algebras:
         cl = all_congruences(A)
         loop = lifting_walk(cold(A), True)
-        if len(factor_congruences(cl).members) == len(boolean_center(cl).members) and lifting._components_topped(A):
+        if len(factor_congruences(cl).members) == len(boolean_center(cl).members) and jspace(A).tops is not None:
             fired += 1
             assert loop == (True, None, None), A.name
         assert algebra_fclp(cold(A)) == loop, A.name
@@ -522,9 +532,10 @@ def test_fc_equal_to_b_with_cblp_gives_fclp():
         (lambda: chain(8), False),
         (lambda: direct_product([fixture("L2")] * 5), False),
         # T is not distributive: the walk over the θ lists each interval's
-        # members with no center built but Δ's, and algebra_fclp, which
-        # reads the pairs of maximal members of J, builds none
-        (lambda: cold(fixture("T")), True),
+        # members with no center built, as A's atoms are read off T's
+        # central elements, and algebra_fclp, which reads the pairs of
+        # maximal members of J, builds none either
+        (lambda: cold(fixture("T")), False),
     ],
     ids=["C8", "L2^5", "T"],
 )
@@ -542,18 +553,19 @@ def test_a_cold_fclp_builds_no_center_but_deltas(build, deltas, monkeypatch):
         assert set(calls) == set(cached_centers(cl)) == ({cl.index_of_delta} if built else set())
 
 
-def test_a_cold_fclp_on_a_pentagon_sum_caches_no_center_but_deltas(monkeypatch):
-    # P⊕C10 is no distributive lattice, so each θ lists its interval
+def test_a_cold_fclp_on_a_pentagon_sum_caches_no_center(monkeypatch):
+    # P⊕C10 is no distributive lattice, so each θ lists its interval; A's
+    # own atoms are read off its central elements, so Δ's center is not built
     A = ordinal_sum(fixture("P"), chain(10))
     listed = count_listings(monkeypatch)
     ok, evidence, theta = algebra_fclp(A)
     cl = all_congruences(A)
     assert not ok and evidence.unliftable is not None
-    assert cached_centers(cl) == [cl.index_of_delta]
-    # Δ's center, then one listing per θ, Δ's own verdict included, up to
-    # the failing one, whose evidence lists it once more
+    assert cached_centers(cl) == []
+    # one listing per θ, Δ's own verdict included, up to the failing one,
+    # whose evidence lists it once more
     t = cl.index(theta)
-    assert listings_on(cl, listed) == [cl.index_of_delta, *range(t + 1), t]
+    assert listings_on(cl, listed) == [*range(t + 1), t]
 
 
 @pytest.mark.parametrize(
@@ -571,7 +583,7 @@ def test_a_cold_lifting_report_builds_no_center_but_deltas(build, interval, monk
     for report in (lifting_report, build_report):
         A = build()
         listed = count_listings(monkeypatch)
-        counts = count_calls(monkeypatch, lifting, ["_atoms"])
+        counts = count_atoms(monkeypatch)
         rests, components = [], factor._components
         monkeypatch.setattr(lifting, "_components", lambda near, rest: rests.append(rest) or components(near, rest))
         report(A)
@@ -586,7 +598,8 @@ def test_a_cold_lifting_report_builds_no_center_but_deltas(build, interval, monk
         if interval:
             # these are no distributive lattices: after Δ's center, each row
             # lists its interval once, for the factor column, and a row
-            # without the factor lifting reads its atoms off that listing.
+            # without the factor lifting reads its atoms off that listing;
+            # A's own atoms are read once, off its central elements.
             # Where some θ lacks the Boolean lifting, J has a component with
             # no top: each Boolean verdict counts the components of its
             # R = J ∖ D_θ, and only a failing one takes them again, as its
@@ -612,11 +625,12 @@ def test_a_cold_lifting_report_builds_no_center_but_deltas(build, interval, monk
 @pytest.mark.parametrize("name", ["X", "H"])
 def test_a_cold_has_lifting_lists_its_interval_once(name, monkeypatch):
     # has_fclp and has_cblp read each target's reach off the source they
-    # render, so each θ lists its interval once a side, after Δ's center
+    # render, so each θ lists its interval once a side; A's own atoms are
+    # read off its central elements, with no listing of Δ's
     A = cold(fixture(name))
     listed = count_listings(monkeypatch)
     cl = all_congruences(A)
     for has in (lifting.has_fclp, has_cblp):
         for theta in cl.elements:
             has(A, theta)
-    assert listings_on(cl, listed) == [cl.index_of_delta, *range(len(cl)), *range(len(cl))]
+    assert listings_on(cl, listed) == [*range(len(cl)), *range(len(cl))]

@@ -1,7 +1,7 @@
 """A pure lattice's block counts from lower-cover masks, and the one-pass
 dependency pass, against the routines they replaced.
 
-On a pure lattice L, factor._block_counter counts |L/θ_D| as n less the
+On a pure lattice L, factor.jspace(L).count counts |L/θ_D| as n less the
 number of x with a lower cover whose class is in D, with no partition built
 (its docstring has the proof).  FiniteAlgebra.join_dependency reads J(L)
 with each j₊, and M(L), in one pass over the order masks.  The oracles are
@@ -14,7 +14,7 @@ import functools
 
 from congrlab.algebra import _bits, lattice_reduct
 from congrlab.congruences import all_congruences
-from congrlab.factor import _block_counter
+from congrlab.factor import jspace
 from congrlab.fixtures import FIXTURE_NAMES, fixture
 
 from oracles import union_find_block_counter
@@ -66,7 +66,7 @@ def test_lower_cover_counts_are_the_union_find_and_the_con_counts():
         thetas[name] = 0
         for L in lattices:
             cl = all_congruences(L)
-            count, oracle = _block_counter(cold(L)), union_find_block_counter(L)
+            count, oracle = jspace(cold(L)).count, union_find_block_counter(L)
             # on a pure lattice θ's mask is the down-set of its classes
             for t, mask in enumerate(cl.gen_masks):
                 assert count(mask) == oracle(mask) == cl.blocks[t], (name, L.name, t)

@@ -16,6 +16,7 @@ from congrlab import lifting, residuated
 from congrlab.algebra import build_from_spec, ordinal_sum
 from congrlab.congruences import all_congruences
 from congrlab.errors import AmbiguousComplement, NotDistributive
+from congrlab.factor import jspace
 from congrlab.fixtures import fixture
 from congrlab.lifting import is_b_normal, is_fc_normal
 
@@ -69,7 +70,7 @@ def test_normality_criteria_give_the_walks_verdicts_and_evidence():
         bn = outcome(lambda A: lifting._b_normal_walk(all_congruences(A)), A)
         assert (outcome(is_fc_normal, A), outcome(is_b_normal, A)) == (fcn, bn), A.name
         verdicts.add((verdict(fcn), verdict(bn)))
-        read_off_p += lifting._lattice_order(A) is not None
+        read_off_p += jspace(A).p_order is not None
     assert verdicts == {(v, w) for v in (True, False) for w in (True, False)} | {("NotDistributive",) * 2}
     assert read_off_p > 50
 
@@ -82,7 +83,7 @@ def test_blp_criterion_gives_the_walks_verdict_and_evidence():
         want = outcome(blp_walk, A)
         assert outcome(residuated.algebra_blp, A) == want, A.name
         verdicts.add(verdict(want))
-        if lifting._lattice_order(A) is not None:
+        if jspace(A).p_order is not None:
             # has_blp reads the trace test at each θ of a distributive pure lattice
             for theta in all_congruences(A).elements:
                 assert residuated.has_blp(A, theta) == (theta.is_delta() or residuated._blp_at(A, theta.block_of))
@@ -111,7 +112,7 @@ def test_b_normality_enters_no_loop_where_every_component_is_topped(monkeypatch)
     topped = 0
     for A in map(cold, criteria_algebras()):
         cl = all_congruences(A)
-        if cl.is_distributive() and lifting._components_topped(A):
+        if cl.is_distributive() and jspace(A).tops is not None:
             assert is_b_normal(A) == (True, None), A.name
             topped += 1
     assert counts == {"_b_normal_walk": 0} and topped > 100
@@ -122,7 +123,7 @@ def test_the_generators_of_a_distributive_lattice_are_its_join_irreducibles():
     # (lifting module doc, 6a)
     checked = 0
     for A in map(cold, criteria_algebras()):
-        if lifting._lattice_order(A) is not None:
+        if jspace(A).p_order is not None:
             cl = all_congruences(A)
             assert cl.seeds == tuple(A.join_irreducible_pairs()), A.name
             assert len(cl) == 1 << len(cl.seeds), A.name

@@ -16,6 +16,7 @@ from congrlab import lifting, residuated
 from congrlab.algebra import build_from_spec
 from congrlab.congruences import all_congruences
 from congrlab.errors import SizeCap
+from congrlab.factor import jspace
 from congrlab.fixtures import FIXTURE_NAMES, fixture
 from congrlab.lifting import Verdict, algebra_cblp, algebra_fclp, is_b_normal, is_fc_normal
 
@@ -44,7 +45,7 @@ def eager_fc_normal(A):
 
 def eager_b_normal(A):
     """is_b_normal by its criterion, then the walk over the φ."""
-    if lifting._components_topped(A):
+    if jspace(A).tops is not None:
         return True, None
     return lifting._b_normal_walk(all_congruences(A))
 
@@ -52,7 +53,7 @@ def eager_b_normal(A):
 def eager_blp(A):
     """algebra_blp with FCLP's failing θ found at the call on a distributive
     pure lattice, and the has_blp walk elsewhere."""
-    if lifting._lattice_order(A) is not None:
+    if jspace(A).p_order is not None:
         t = lifting._lifting_failure(A, True)
         return (True, None) if t is None else (False, all_congruences(A).elements[t])
     thetas = all_congruences(A).elements
