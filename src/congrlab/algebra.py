@@ -12,6 +12,7 @@ import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     KindError,
@@ -238,51 +239,11 @@ class FiniteAlgebra:
         return [(at[d & ~(1 << j)], j) for j, d in enumerate(down) if d & ~(1 << j) in at]
 
     @cached
-    def join_dependency(self) -> tuple[tuple[int, int, int], ...]:
-        """(j₊, j, {k : k D* j}) for each join-irreducible j, in increasing j,
-        the set as a bitmask over the elements: Freese's dependency relation
-        D on J(L) and its reflexive-transitive closure D* (`congruences`
-        module doc).  Read off the order masks and the join table, with no
-        cover found: J(L) with each j₊ as in join_irreducible_pairs, and M(L)
-        dually, m being meet-irreducible iff ↑m ∖ {m} is some ↑x, both in one
-        pass over the masks.  k D j is tested at the meet-irreducible m with
-        j₊ ≤ m and j ≰ m, as k ≤ j∨m and k ≰ m, and D* comes from Warshall's
-        algorithm on the rows.  Memoized, as tuples."""
-        up, down = self.order_masks()
-        join, ups, at = self.tables["join"], set(up), {d: x for x, d in enumerate(down)}
-        pairs, js, meet_irreducible = [], 0, 0
-        for x, (u, d) in enumerate(zip(up, down)):
-            bit = 1 << x
-            if u ^ bit in ups:
-                meet_irreducible |= bit
-            if d ^ bit in at:
-                pairs.append((at[d ^ bit], x))
-                js |= bit
-        jd = [d & js for d in down]  # J(L) ∩ ↓x
-        below = {}
-        for jp, j in pairs:
-            acc, row = 1 << j, join[j]
-            ms = up[jp] & ~up[j] & meet_irreducible
-            while ms:
-                low = ms & -ms
-                m = low.bit_length() - 1
-                acc |= jd[row[m]] & ~jd[m]
-                ms ^= low
-            below[j] = acc
-        for i, bi in below.items():
-            if bi & (bi - 1):
-                bit = 1 << i
-                for k, bk in below.items():
-                    if bk & bit:
-                        below[k] = bk | bi
-        return tuple((jp, j, below[j]) for jp, j in pairs)
-
-    @cached
     def is_distributive_lattice(self) -> bool:
-        """A finite lattice is distributive iff Freese's D is empty, that is
-        iff every j is alone under D* (`congruences` module doc).  On an
-        algebra with other operations this is its lattice reduct's answer."""
-        return all(below == 1 << j for _, j, below in self.join_dependency())
+        """A finite lattice is distributive iff Freese's D is empty
+        (`congruences` module doc), which join_classes reads.  On an algebra
+        with other operations this is its lattice reduct's answer."""
+        return join_classes(self).distributive
 
     # -- validation ---------------------------------------------------------
 
@@ -498,8 +459,8 @@ def _lattice_tables(up, down, labels) -> tuple[tuple[tuple[int, ...], ...], tupl
     by_up, by_down = _element_of(up), _element_of(down)
     try:
         return (
-            tuple([tuple(map(by_up.__getitem__, map(ua.__and__, up))) for ua in up]),
-            tuple([tuple(map(by_down.__getitem__, map(da.__and__, down))) for da in down]),
+            tuple([tuple([by_up[ua & u] for u in up]) for ua in up]),
+            tuple([tuple([by_down[da & d] for d in down]) for da in down]),
         )
     except KeyError:  # not a lattice: find the pair, a row of both at a time
         pass
@@ -558,6 +519,134 @@ def cover_pairs(ups, downs) -> list[tuple[int, int]]:
             rest &= ~downs[a]
         out += [(a, b) for a in sorted(lower)]
     return out
+
+
+# -- the J step -------------------------------------------------------------
+
+
+class JClasses(NamedTuple):
+    """J(Con L) of a lattice L, read off its order and join table
+    (join_classes).  pairs lists (j₊, j) for each j ∈ J(L), in increasing
+    j; seeds[c] is the pair of the least j of class c, so that Cg(j₊, j) is
+    class c's congruence; under[c] is the mask of the classes strictly
+    below c; classes[x], the class of x for x ∈ J(L), else None; down[c],
+    under[c] with c; near[c], the classes comparable to c; components, the
+    connected components; tops, the mask of their greatest elements when
+    every component has one, else None; and distributive, whether D is
+    empty.  The lists are shared by every reader and changed by none."""
+
+    pairs: tuple
+    seeds: tuple
+    under: tuple
+    classes: tuple
+    down: list
+    near: list
+    components: list
+    tops: int | None
+    distributive: bool
+
+
+@cached
+def join_classes(L: FiniteAlgebra) -> JClasses:
+    """The J step of a lattice L, or of an algebra's lattice reduct, in one
+    pass over its order masks and join table (`congruences` module doc).
+    k D j is tested at the m ∈ M(L) with j₊ ≤ m and j ≰ m, as k ≤ j∨m and
+    k ≰ m.  When D is empty, L is distributive and J(Con L) is an antichain
+    with one class per j.  Otherwise D* comes from Warshall's algorithm on
+    the rows {k : k D* j}, j and k share a class iff their rows are equal,
+    the classes are numbered by their least members, and J(Con L)'s order
+    is read off the classes' down-sets.  Memoized on L."""
+    up, down = L.order_masks()
+    join, ups, at = L.tables["join"], set(up), {d: x for x, d in enumerate(down)}
+    pairs, js, meet_irreducible = [], 0, 0
+    for x, (u, d) in enumerate(zip(up, down)):
+        bit = 1 << x
+        if u ^ bit in ups:
+            meet_irreducible |= bit
+        if d ^ bit in at:
+            pairs.append((at[d ^ bit], x))
+            js |= bit
+    jd = [d & js for d in down]  # J(L) ∩ ↓x
+    below, dependent = {}, False
+    for jp, j in pairs:
+        acc, row = 1 << j, join[j]
+        ms = up[jp] & ~up[j] & meet_irreducible
+        while ms:
+            low = ms & -ms
+            m = low.bit_length() - 1
+            acc |= jd[row[m]] & ~jd[m]
+            ms ^= low
+        below[j] = acc
+        if acc & (acc - 1):
+            dependent = True
+    classes = [None] * L.n
+    if not dependent:
+        # each j its own class, alone in its component and its top
+        points = []
+        for _, j in pairs:
+            classes[j] = len(points)
+            points.append(1 << classes[j])
+        pairs, full = tuple(pairs), (1 << len(points)) - 1
+        return JClasses(pairs, pairs, (0,) * len(points), tuple(classes), points, points, points, full, True)
+    for i, bi in below.items():
+        if bi & (bi - 1):
+            bit = 1 << i
+            for k, bk in below.items():
+                if bk & bit:
+                    below[k] = bk | bi
+    class_of, seeds = {}, []
+    for jp, j in pairs:
+        c = classes[j] = class_of.setdefault(below[j], len(seeds))
+        if c == len(seeds):
+            seeds.append((jp, j))
+    down = []
+    for members in class_of:
+        d = 0
+        while members:
+            low = members & -members
+            d |= 1 << classes[low.bit_length() - 1]
+            members ^= low
+        down.append(d)
+    under = tuple([d & ~(1 << c) for c, d in enumerate(down)])
+    order = _j_order(down, (1 << len(down)) - 1)
+    return JClasses(tuple(pairs), tuple(seeds), under, tuple(classes), down, *order, False)
+
+
+def _j_order(down: list[int], within: int) -> tuple[list[int], list[int], int | None]:
+    """(near, components, tops) of the order on the members of within whose
+    down-sets are down: near[g], the members comparable to g; the connected
+    components; and the mask of their greatest elements when every
+    component has one, else None."""
+    near = down[:]
+    for h, below in enumerate(down):
+        while below:
+            low = below & -below
+            near[low.bit_length() - 1] |= 1 << h
+            below ^= low
+    components, tops = _components(near, within), 0
+    for g, d in enumerate(down):
+        if d in components:  # g is the top of its component iff ↓g is all of it
+            tops |= 1 << g
+    return near, components, tops if tops.bit_count() == len(components) else None
+
+
+def _components(near: list[int], within: int) -> list[int]:
+    """The connected components of the members of within, each grown from
+    its lowest member one step of near at a time."""
+    components = []
+    while within:
+        reached = frontier = within & -within
+        while frontier:
+            step = 0
+            while frontier:
+                low = frontier & -frontier
+                step |= near[low.bit_length() - 1]
+                frontier ^= low
+            frontier = step & within & ~reached
+            reached |= frontier
+        components.append(reached)
+        within &= ~reached
+    return components
 
 
 # -- AlgebraSpec ------------------------------------------------------------
@@ -832,10 +921,24 @@ def direct_product(algebras: list[FiniteAlgebra], name=None) -> FiniteAlgebra:
             t = product_table(t, n, B.tables[fname], B.n, arity)
             n *= B.n
         tables[fname] = t
+    masks = None
+    if sig.is_lattice:
+        # the order masks, folded as the tables are, with no table scanned
+        masks = algebras[0].order_masks()
+        for B in algebras[1:]:
+            masks = tuple(_product_masks(ms, mb, B.n) for ms, mb in zip(masks, B.order_masks()))
     if name is None:
         parts = [A.name or "?" for A in algebras]
         name = "x".join(parts)
-    return FiniteAlgebra._derived(total, tuple(labels), sig, tables, name)
+    return FiniteAlgebra._derived(total, tuple(labels), sig, tables, name, masks)
+
+
+def _product_masks(ma: list[int], mb: list[int], nb: int) -> list[int]:
+    """The up- (or down-) set masks of A×B from A's and B's, where (a, b) is
+    a·nb + b: ↑(a, b) = ↑a × ↑b, B's mask placed at each a'·nb for a' ∈ ↑a,
+    which is a product of integers, as nb bits hold each copy."""
+    spread = [sum(1 << x * nb for x in _bits(m)) for m in ma]
+    return [s * m for s in spread for m in mb]
 
 
 def ordinal_sum(L: FiniteAlgebra, M: FiniteAlgebra, name=None) -> FiniteAlgebra:

@@ -64,18 +64,21 @@ that leaves out k, so its down-set would be smaller.  So j D k.  Hence
 L is distributive iff every j is alone under D*, a class with no class
 below it.
 
-So Con(L) is built in two steps.  The J step reads J(L), each j₊ and the
-meet-irreducibles M(L) off L's order masks (j ∈ J(L) iff ↓j ∖ {j} is some
-↓m, and then m = j₊; dually for M(L)), then D and D*
-(FiniteAlgebra.join_dependency, which also decides distributivity as
-above), then the classes with a seed pair (j₊, j) each and the classes
-strictly below each one (join_classes).  It finds no cover of L and builds
-no partition: J(Con L) and its order are read off it with no Con(L), and so
-are the verdicts that depend on that order alone (`lifting` module doc).
-L's covers, and the covers of each class, are found only where a
-partition is built or blocks are counted, by lattice_classes, a memo of
-its own: the enumeration lists the down-sets from it, and the block counts
-of FC(L) = B(L) and of the coatom pairs read it (`factor.JSpace.count`).
+So Con(L) is built in two steps.  The J step, algebra.join_classes, is one
+pass per lattice.  It reads J(L), each j₊ and the meet-irreducibles M(L)
+off L's order masks (j ∈ J(L) iff ↓j ∖ {j} is some ↓m, and then m = j₊;
+dually for M(L)), then D off the join table, which decides distributivity
+as above.  When D is empty J(Con L) is an antichain, one class per j, and
+nothing more is read.  Otherwise D* comes by Warshall's algorithm, then
+the classes with a seed pair (j₊, j) each and the classes below each one,
+and J(Con L)'s order: the classes comparable to each one, the components
+and their tops.  It finds no cover of L and builds no partition: J(Con L)
+and its order are read off it with no Con(L), and so are the verdicts that
+depend on that order alone (`lifting` module doc); the block counts of
+FC(L) = B(L) and of the coatom pairs are read off the join table
+(`factor.JSpace.count`).  L's covers, and the covers of each class, are
+found only where a partition is built, by lattice_classes, a memo of its
+own, from which the enumeration lists the down-sets.
 
 The partition of ⋁S is the union-find over the covers whose class is in S.
 Each of those covers lies in ⋁S, and every (j₊, j) with j's class in S is
@@ -151,6 +154,7 @@ from .algebra import (
     cover_pairs,
     delta_partition,
     flat_table,
+    join_classes,
     join_partitions,
     kernel,
     meet_partitions,
@@ -658,39 +662,13 @@ def _enumerate_partitions(A: FiniteAlgebra) -> tuple:
 
 
 @cached
-def join_classes(A: FiniteAlgebra) -> tuple:
-    """The J step of a pure lattice L: J(Con L) as the classes of D* on
-    J(L), read off L's dependency pass with no cover and no partition
-    (module doc).  Returns (seeds, under, classes): seeds[c] = (j₊, j) for
-    the least j of class c, so that Cg(j₊, j) is class c's congruence;
-    under[c], the mask of the classes strictly below c; and classes[x],
-    the class of x for x ∈ J(L), else None.  Memoized on A, as tuples, so
-    that no caller can change the memo through them."""
-    # j, k share a class iff their below-sets are equal; the classes are
-    # numbered by their least members, which are the seeds' j
-    class_of, seeds, cls = {}, [], [None] * A.n
-    for jp, j, below in A.join_dependency():
-        c = cls[j] = class_of.setdefault(below, len(seeds))
-        if c == len(seeds):
-            seeds.append((jp, j))
-    under = []  # the classes strictly below each class
-    for below, c in class_of.items():
-        u = 0
-        while below:
-            low = below & -below
-            u |= 1 << cls[low.bit_length() - 1]
-            below ^= low
-        under.append(u & ~(1 << c))
-    return tuple(seeds), tuple(under), tuple(cls)
-
-
-@cached
 def lattice_classes(A: FiniteAlgebra) -> tuple:
-    """join_classes(A) with the covers of L: (seeds, under, covers), where
-    covers[c] lists the cover pairs a ≺ b of L whose Cg is class c's (module
-    doc).  Read only where a partition is built or blocks are counted.
-    Memoized on A, as tuples."""
-    seeds, under, cls = join_classes(A)
+    """The J step's classes with the covers of L: (seeds, under, covers),
+    seeds and under as in join_classes(A), and covers[c] the cover pairs
+    a ≺ b of L whose Cg is class c's (module doc).  Read only where a
+    partition is built.  Memoized on A, as tuples."""
+    step = join_classes(A)
+    seeds, under, cls = step.seeds, step.under, step.classes
     up, down = A.order_masks()
     class_covers = [[] for _ in seeds]
     for a, b in cover_pairs(up, down):

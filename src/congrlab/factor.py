@@ -45,8 +45,12 @@ from math import comb
 
 from .algebra import (
     FiniteAlgebra,
+    _bits,
+    _components,
+    _j_order,
     cached,
     direct_product,
+    join_classes,
     join_partitions,
     ordinal_sum_with_maps,
 )
@@ -56,8 +60,6 @@ from .congruences import (
     _lowest_bit,
     all_congruences,
     is_pure_lattice,
-    join_classes,
-    lattice_classes,
 )
 from .errors import (
     EncodingMismatch,
@@ -157,21 +159,6 @@ class JSpace:
     def __init__(self, A: FiniteAlgebra):
         self.algebra = A
 
-    def _read_order(self, down: list[int]):
-        """Keep J's order, read off down."""
-        near = down[:]
-        for h, below in enumerate(down):
-            while below:
-                low = below & -below
-                near[low.bit_length() - 1] |= 1 << h
-                below ^= low
-        components = _components(near, sum(1 << g for g, d in enumerate(down) if d))
-        # g is the top of its component iff ↓g is all of it
-        whole = set(components)
-        tops = sum(1 << g for g, d in enumerate(down) if d in whole)
-        self.down, self.near, self.components = down, near, components
-        self.tops = tops if tops.bit_count() == len(whole) else None
-
     @_kept
     def center_is_factor(self) -> bool:
         """Whether every Boolean congruence of A is a factor congruence,
@@ -201,29 +188,46 @@ class JSpace:
 
 
 class _LatticeJSpace(JSpace):
-    """The record of a pure lattice L, read off its J step (`congruences`
-    module doc) with no Con(L): class g is generator g, and ↓g is g with
-    the classes under it.
+    """The record of a pure lattice L, read off its J step (join_classes)
+    with no Con(L): class g is generator g, and ↓g is g with the classes
+    under it.
 
     count(D) = n − |⋃_{c∈D} E_c|, E_c the mask of the x with a lower cover
-    y ≺ x of class c (lattice_classes): no partition.  Each block of a
-    lattice congruence θ is closed under ∧ (a θ b gives a∧b θ b∧b) and
-    convex, so it has a least element, and x is the least of its block iff
-    no lower cover of x is collapsed: were y θ x for some y < x, a lower
-    cover z of x with y ≤ z has z θ x, by convexity.  A cover y ≺ x is
+    y ≺ x of class c: no partition.  Each block of a lattice congruence θ
+    is closed under ∧ (a θ b gives a∧b θ b∧b) and convex, so it has a
+    least element, and x is the least of its block iff no lower cover of x
+    is collapsed: were y θ x for some y < x, a lower cover z of x with
+    y ≤ z has z θ x, by convexity.  A cover y ≺ x is
     collapsed by θ_D iff Cg(y, x) ≤ θ_D.  Cg(y, x) is the join-irreducible
     of the cover's class, join-prime in the distributive Con(L), so that
     holds iff its class is in the down-set D.  So the x outside
     ⋃_{c∈D} E_c are the least elements of the blocks, one per block.
-    fc_atoms is read off L's central elements (_central_masks)."""
+
+    E_c = {j∨y : j ∈ J(L) of class c, j₊ ≤ y, j ≰ y}, read off the join
+    table with no cover found.  A cover y ≺ x of class c has a minimal
+    j ≤ x with j ≰ y, of class c (`congruences` module doc), so j₊ ≤ y and
+    j∨y = x.  Conversely, for such j and y let x = j∨y and y' maximal in
+    [y, x) with j ≰ y'.  Every z ∈ (y', x] lies above j, hence above
+    y'∨j = x, so y' ≺ x, and j∧y' = j₊.  So (y', x) = (y'∨j₊, y'∨j) lies in
+    Cg(j₊, j), and (j₊, j) = (j∧y', j∧x) in Cg(y', x): the cover's class is
+    c.  fc_atoms is read off L's central elements (_central_masks)."""
 
     def __init__(self, L: FiniteAlgebra):
         self.algebra = L
-        self._read_order([u | 1 << g for g, u in enumerate(join_classes(L)[1])])
+        step = join_classes(L)
+        self.down, self.near, self.components, self.tops = step.down, step.near, step.components, step.tops
+        if not step.distributive:  # P = J(L) is read on a distributive L alone
+            self.p_order = None
 
     @_kept
     def _upper_ends(self) -> list[int]:
-        return [sum({1 << x for _, x in covers}) for covers in lattice_classes(self.algebra)[2]]
+        L = self.algebra
+        up, join, step = L.order_masks()[0], L.tables["join"], join_classes(L)
+        ends = [0] * len(step.seeds)
+        for jp, j in step.pairs:
+            row = join[j]
+            ends[step.classes[j]] |= sum({1 << row[y] for y in _bits(up[jp] & ~up[j])})
+        return ends
 
     def count(self, mask: int) -> int:
         upper_ends, collapsed = self._upper_ends, 0
@@ -239,7 +243,7 @@ class _LatticeJSpace(JSpace):
 
     @_kept
     def p_order(self) -> tuple[list[int], list[int]] | None:
-        return _p_order(self.algebra) if self.algebra.is_distributive_lattice() else None
+        return _p_order(self.algebra)
 
 
 class _ConJSpace(JSpace):
@@ -263,7 +267,8 @@ class _ConJSpace(JSpace):
             raise AttributeError(name)
         cl = self._cl
         gm, nabla = cl.gen_masks, cl.gen_masks[cl.index_of_nabla]
-        self._read_order([gm[_lowest_bit(above)] if nabla >> g & 1 else 0 for g, above in enumerate(cl._above)])
+        self.down = [gm[_lowest_bit(above)] if nabla >> g & 1 else 0 for g, above in enumerate(cl._above)]
+        self.near, self.components, self.tops = _j_order(self.down, nabla)
         return getattr(self, name)
 
     def count(self, mask: int) -> int:
@@ -283,12 +288,13 @@ def jspace(A: FiniteAlgebra) -> JSpace:
 
 
 def _p_order(L: FiniteAlgebra) -> tuple[list[int], list[int]]:
-    """P = J(L) of a lattice, or of an algebra's lattice reduct, read off its
-    order: near[h] = the members comparable to the h-th join-irreducible j,
-    bit h being Cg(j₊, j) for the h-th pair of L.join_irreducible_pairs(),
-    and the components (`lifting` module doc, 6a)."""
+    """P = J(L) of a distributive lattice, or of an algebra's distributive
+    lattice reduct, read off its order: near[h] = the members comparable to
+    the h-th join-irreducible j, bit h being Cg(j₊, j) for the h-th seed of
+    join_classes(L), each j being a class of its own, and the components
+    (`lifting` module doc, 6a)."""
     up, down = L.order_masks()
-    js = [j for _, j, _ in L.join_dependency()]
+    js = [j for _, j in join_classes(L).seeds]
     near = [sum(1 << h for h, k in enumerate(js) if (up[j] | down[j]) >> k & 1) for j in js]
     return near, _components(near, (1 << len(js)) - 1)
 
@@ -313,43 +319,24 @@ def _central_masks(L: FiniteAlgebra) -> set[int]:
     isomorphism onto [0, z] × [0, w]: one-to-one and order-reflecting by the
     first identity, and onto, as the second at a ≤ z gives z∧(a∨w) = a, so
     (a∨b)∧z = a for every b ≤ w, and likewise (a∨b)∧w = b.  A central z
-    and its complement pass, as they do in a product.  Class g, seeded by
-    (j₊, j), lies below the kernel iff j₊∧z = j∧z."""
+    and its complement pass, as they do in a product.  So |↓z|·|↓w| = n,
+    and only the w of that size are tried.  Class g, seeded by (j₊, j),
+    lies below the kernel iff j₊∧z = j∧z."""
     join, meet = L.tables["join"], L.tables["meet"]
     bot, top, n = L.bottom(), L.top(), L.n
-    seeds = join_classes(L)[0]
+    sizes = [d.bit_count() for d in L.order_masks()[1]]
+    of_size = {}
+    for w, size in enumerate(sizes):
+        of_size.setdefault(size, []).append(w)
     central = set()
-    for z in range(n):
-        for w in range(z + 1, n):
-            if meet[z][w] == bot and join[z][w] == top and all(
+    for z, size in enumerate(sizes):
+        for w in of_size.get(n // size, ()) if n % size == 0 else ():
+            if w > z and meet[z][w] == bot and join[z][w] == top and all(
                 join[meet[x][z]][meet[x][w]] == x == meet[join[x][z]][join[x][w]] for x in range(n)
             ):
                 central.update((z, w))
+    seeds = join_classes(L).seeds
     return {sum(1 << g for g, (jp, j) in enumerate(seeds) if meet[jp][z] == meet[j][z]) for z in central}
-
-
-def _components(near: list[int], within: int) -> list[int]:
-    """The connected components of the members of within."""
-    components = []
-    while within:
-        c = _reach(near, within & -within, within)
-        components.append(c)
-        within &= ~c
-    return components
-
-
-def _reach(near: list[int], seed: int, within: int) -> int:
-    """The members of within that a path inside within joins to seed."""
-    reached = frontier = seed
-    while frontier:
-        step = 0
-        while frontier:
-            low = frontier & -frontier
-            step |= near[low.bit_length() - 1]
-            frontier ^= low
-        frontier = step & within & ~reached
-        reached |= frontier
-    return reached
 
 
 # -- CRT --------------------------------------------------------------------

@@ -28,8 +28,8 @@ J itself as ∇ (Davey & Priestley, ch. 5 and 10).  A component is a
 connected component of J's comparability graph.  Every verdict reads J,
 its order, P = J(L), the block counts and FC(A)'s atoms off one record per
 algebra, `factor.jspace(A)`, whose constructor is picked by kind.  On a
-pure lattice J and its order come from the J step of `congruences`
-(join_classes), with no Con(L) and no cover of L; every criterion below
+pure lattice J and its order come from the J step, `algebra.join_classes`,
+one pass with no Con(L) and no cover of L; every criterion below
 that reads J or P = J(L) alone then decides before Con(L) is enumerated,
 and only a failure enumerates it, for the evidence.  Max J is the set of
 maximal members of J.
@@ -85,8 +85,8 @@ maximal members of J.
    FC(A) = B(A), which the criterion of the factor property reads (5,
    end), is one factor pair per component of J: 2c block counts, however
    many the 2^c members of B(A) are (`factor.JSpace.center_is_factor`),
-   each read on a pure lattice off its lower covers (`factor.JSpace.count`),
-   with no Con(L) and no partition.
+   each read on a pure lattice off its join table (`factor.JSpace.count`),
+   with no Con(L), no cover and no partition.
 5. One rule decides both properties at θ and gives the evidence.  Call
    FC(A) or B(A) A's center, the same center of [θ, ∇] θ's, and R = J ∖ D_θ.
    (a) A's center is a Boolean sublattice of Con(A).  B(A) is one in any
@@ -198,11 +198,13 @@ maximal members of J.
    Let θ' = θ_{J∖{a,b}} ≥ θ.  u from A/θ to A/θ' keeps factor pairs (5b),
    and it sends the factor pair (D_θ ∪ F, D_θ ∪ (R ∖ F)) to (ψ_b, ψ_a), as
    b ∉ F and a ∉ R ∖ F.  So ψ_a∘ψ_b = ∇, and a, b ∈ X, as F, F' ⊆ X.
-   So FCLP costs |Max J| block counts for the ψ_a and one per pair, and
-   FC(A)'s atoms are read only when some pair permutes.  On a pure lattice
-   the counts are read off lower covers (`factor.JSpace.count`) and FC(L)'s
-   atoms off central elements (`factor.JSpace.fc_atoms`), with no Con(L)
-   and no partition.
+   So FCLP costs |Max J| block counts for the ψ_a and one per pair.  A
+   component of J is an atom of B(A) (1), so it lies in one atom of
+   FC(A) ⊆ B(A) (5a): a permuting pair inside one component fails FCLP,
+   and FC(A)'s atoms are read only when every permuting pair spans two
+   components.  On a pure lattice the counts are read off the join table
+   (`factor.JSpace.count`) and FC(L)'s atoms off central elements
+   (`factor.JSpace.fc_atoms`), with no Con(L), no cover and no partition.
 
 The normality checks read (True, None) or (False, the first failing pair
 in index order).  Every verdict and its evidence is the one the scans
@@ -215,7 +217,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .algebra import FiniteAlgebra, _bits, cached, kernel, map_table
+from .algebra import FiniteAlgebra, _bits, _components, cached, kernel, map_table
 from .congruences import (
     ConLattice,
     Congruence,
@@ -228,7 +230,7 @@ from .congruences import (
     prime_indices,
 )
 from .errors import ParentMismatch
-from .factor import _atoms, _complemented, _components, boolean_center, factor_congruences, jspace
+from .factor import _atoms, _complemented, boolean_center, factor_congruences, jspace
 
 
 @dataclass
@@ -405,25 +407,28 @@ def _lifting_failure(A: FiniteAlgebra, factor: bool) -> int | None:
     return next((t for t in range(len(cl)) if _lifting(cl, t, factor)[1] is not None), None)
 
 
+@cached
 def _holds(A: FiniteAlgebra, factor: bool) -> bool:
     """Whether A has FCLP if factor, else CBLP: also its fc-normality, else
     its b-normality (module doc, 4 and 3).  CBLP is "every component of J
     has a top" (2).  FCLP holds when its criterion does, fails when it
     fails on a distributive pure lattice, where it is an iff (6e), and is
-    the pair test of 7 anywhere else."""
+    the pair test of 7 anywhere else.  Memoized on A and factor, as FCLP
+    and fc-normality both ask it, and so do CBLP and b-normality."""
     if not factor:
         return jspace(A).tops is not None
     return _factor_criterion(A) or (jspace(A).p_order is None and _no_permuting_coatoms(A))
 
 
-@cached
 def _no_permuting_coatoms(A: FiniteAlgebra) -> bool:
     """FCLP on a distributive Con(A): no two maximal members a ≠ b of J
     lie in one atom of FC(A) with ψ_a∘ψ_b = ∇, that is with
     |A/θ_{J∖{a,b}}| = |A/ψ_a|·|A/ψ_b| (module doc, 7).  The block counts
-    come first, and FC(A)'s atoms only when some pair permutes: on a pure
-    lattice off its central elements, with no Con(L).  Memoized on A, as
-    FCLP and fc-normality both ask it."""
+    come first.  A component of J, an atom of B(A), lies in one atom of
+    FC(A) ⊆ B(A) (module doc, 5a), so a permuting pair inside one fails
+    FCLP, and FC(A)'s atoms are read only when every permuting pair spans
+    two components: on a pure lattice off its central elements, with no
+    Con(L)."""
     J = jspace(A)
     down, near, count, full = J.down, J.near, J.count, sum(J.components)
     # a is maximal iff nothing is comparable to it but what lies below it
@@ -435,6 +440,8 @@ def _no_permuting_coatoms(A: FiniteAlgebra) -> bool:
         for y, b in enumerate(maxes[x + 1 :], x + 1)
         if count(full & ~(a | b)) == psi[x] * psi[y]
     ]
+    if any(p & ~c == 0 for p in pairs for c in J.components):
+        return False
     return not any(p & ~x == 0 for p in pairs for x in J.fc_atoms)
 
 
@@ -604,22 +611,24 @@ def lifting_report(A: FiniteAlgebra, name: str | None = None) -> LiftingReport:
     maxes, primes = set(maximal_indices(cl)), set(prime_indices(cl))
     rows = []
     for t, theta in enumerate(cl.elements):
-        (fc_size, fclp), (center_size, cblp) = _lifting(cl, t, True), _lifting(cl, t, False)
-        row = {"congruence": theta.block_string(), "blocks": cl.blocks[t]}
-        for prop, bad in (("fclp", fclp), ("cblp", cblp)):
-            row[prop] = bad is None
-            row[f"{prop}_unliftable"] = None if bad is None else cl.elements[bad].block_string(over=theta)
-        row.update(
+        (fc_size, fc_bad), (center_size, b_bad) = _lifting(cl, t, True), _lifting(cl, t, False)
+        # keys in sorted order, as dump_json writes them
+        rows.append(
             {
-                "quotient_size": cl.blocks[t],
-                "quotient_con_size": cl.up_size(t),
-                "quotient_center_size": center_size,
-                "quotient_fc_size": fc_size,
+                "blocks": cl.blocks[t],
+                "cblp": b_bad is None,
+                "cblp_unliftable": None if b_bad is None else cl.elements[b_bad].block_string(over=theta),
+                "congruence": theta.block_string(),
+                "fclp": fc_bad is None,
+                "fclp_unliftable": None if fc_bad is None else cl.elements[fc_bad].block_string(over=theta),
                 "maximal": t in maxes,
                 "prime": t in primes,
+                "quotient_center_size": center_size,
+                "quotient_con_size": cl.up_size(t),
+                "quotient_fc_size": fc_size,
+                "quotient_size": cl.blocks[t],
             }
         )
-        rows.append(row)
     fclp, cblp = all(row["fclp"] for row in rows), all(row["cblp"] for row in rows)
     flags = {
         "con_size": len(cl),

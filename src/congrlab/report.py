@@ -100,7 +100,7 @@ def congruence_rows(A: FiniteAlgebra) -> list[dict]:
             {
                 "index": i,
                 "congruence": theta.block_string(),
-                "blocks": theta.num_blocks,
+                "blocks": cl.blocks[i],
                 "boolean": i in bc,
                 "factor": i in fc,
             }

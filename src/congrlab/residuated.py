@@ -75,7 +75,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .algebra import FiniteAlgebra, _bits, cached, delta_partition, kernel, lattice_from_order, lattice_reduct
+from .algebra import FiniteAlgebra, _bits, _components, cached, delta_partition, kernel, lattice_from_order, lattice_reduct
 from .congruences import Congruence, all_congruences
 from .errors import (
     AmbiguousComplement,
@@ -86,7 +86,7 @@ from .errors import (
     ParentMismatch,
     SizeCap,
 )
-from .factor import _components, _p_order, jspace
+from .factor import _p_order, jspace
 from .lifting import Verdict, _holds, _lifting_failure
 
 FILTER_CAP = 12

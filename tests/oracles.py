@@ -6,8 +6,9 @@ it on the fixtures: the radical of A, the maximal filters, the glued
 congruence of an ordinal sum, the isomorphism from the complemented
 elements of a bounded distributive lattice onto its factor congruences,
 the splitting of A into the quotients by a family of factor congruences,
-the block counts of a pure lattice's congruences by union-find, and the
-order and tables of a cover relation by a search from every element.
+the block counts of a pure lattice's congruences by union-find, the order
+and tables of a cover relation by a search from every element, and the J
+step of a lattice in the three steps it once took.
 """
 
 from functools import reduce
@@ -178,3 +179,69 @@ def scanned_lattice(up, labels):
                 if row[b] < 0:
                     raise NotALattice(labels[a], labels[b], what)
     return down, tuple(join), tuple(meet)
+
+
+def join_dependency(L: FiniteAlgebra) -> tuple:
+    """(j₊, j, {k : k D* j}) for each join-irreducible j, in increasing j,
+    the set as a mask over the elements: Freese's D tested at the
+    meet-irreducible m with j₊ ≤ m and j ≰ m, as k ≤ j∨m and k ≰ m, and D*
+    by Warshall's algorithm on the rows, for every lattice, distributive
+    or not."""
+    up, down = L.order_masks()
+    join, ups, at = L.tables["join"], set(up), {d: x for x, d in enumerate(down)}
+    pairs = [(at[d & ~(1 << x)], x) for x, d in enumerate(down) if d & ~(1 << x) in at]
+    meet_irreducible = sum(1 << m for m, u in enumerate(up) if u & ~(1 << m) in ups)
+    js = sum(1 << j for _, j in pairs)
+    jd = [d & js for d in down]
+    below = {}
+    for jp, j in pairs:
+        acc = 1 << j
+        for m in _bits(up[jp] & ~up[j] & meet_irreducible):
+            acc |= jd[join[j][m]] & ~jd[m]
+        below[j] = acc
+    for i, bi in below.items():
+        if bi & (bi - 1):
+            for k, bk in below.items():
+                if bk >> i & 1:
+                    below[k] = bk | bi
+    return tuple((jp, j, below[j]) for jp, j in pairs)
+
+
+def j_step(L: FiniteAlgebra, dependency=None) -> dict:
+    """Each field of algebra.join_classes(L), from the dependency pass
+    (join_dependency(L) unless given): the classes of D* grouped by their
+    rows, numbered by their least members, with the classes strictly below
+    each; J(Con L)'s order read off the down-sets of the classes, its
+    components grown one comparability at a time; and distributivity as
+    "every row is j alone"."""
+    if dependency is None:
+        dependency = join_dependency(L)
+    class_of, seeds, classes = {}, [], [None] * L.n
+    for jp, j, below in dependency:
+        if below not in class_of:
+            class_of[below] = len(seeds)
+            seeds.append((jp, j))
+        classes[j] = class_of[below]
+    down = [sum({1 << classes[k] for k in _bits(below)}) for below in class_of]
+    near = [d | sum(1 << h for h, e in enumerate(down) if e >> g & 1) for g, d in enumerate(down)]
+    components, left = [], (1 << len(down)) - 1
+    while left:
+        grown, c = 0, left & -left
+        while grown != c:
+            grown = c
+            for g in _bits(grown):
+                c |= near[g]
+        components.append(c)
+        left &= ~c
+    tops = [g for c in components for g in _bits(c) if down[g] == c]
+    return {
+        "pairs": tuple((jp, j) for jp, j, _ in dependency),
+        "seeds": tuple(seeds),
+        "under": tuple(d & ~(1 << g) for g, d in enumerate(down)),
+        "classes": tuple(classes),
+        "down": down,
+        "near": near,
+        "components": components,
+        "tops": sum(1 << g for g in tops) if len(tops) == len(components) else None,
+        "distributive": all(below == 1 << j for _, j, below in dependency),
+    }

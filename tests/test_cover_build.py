@@ -204,8 +204,8 @@ def test_what_congrlab_derives_passes_every_check_of_the_public_constructor():
         if "order_masks" in B._cache:
             carried.add(what.split("(")[0] if "(" in what else what)
             assert B._cache["order_masks"] == (_up_masks(B.tables["meet"]), _up_masks(B.tables["join"])), what
-    # the spec build, dual and ordinal sum carry the masks they derived
-    assert {"P", "R0", "dual", "P+L3", "L2+P"} <= carried
+    # the spec build, dual, ordinal sum and product carry the masks they derived
+    assert {"P", "R0", "dual", "P+L3", "L2+P", "PxP", "L2xL3"} <= carried
 
 
 def test_every_member_of_con_is_a_congruence_checked_in_full():

@@ -1,10 +1,10 @@
 """The cover-free J step and distributivity as "D is empty", against the
 routines they replaced.
 
-FiniteAlgebra.join_dependency reads J(L), M(L), Freese's D and D* off the
-order masks and the join table, with no cover of L.  The J step
-(congruences.join_classes) reads J(Con L) off it; L's covers are found only
-where a partition is built (congruences.lattice_classes).  L is
+The J step (algebra.join_classes) reads J(L), M(L), Freese's D and D*, and
+J(Con L) off the order masks and the join table, with no cover of L, in one
+pass; L's covers are found only where a partition is built
+(congruences.lattice_classes).  L is
 distributive iff D is empty, and FC(L) = B(L) is checked on the components
 of J(Con L), one factor pair per component.  The oracles are the routines
 these replaced: the J step that found the covers of L first, the join-prime
@@ -141,7 +141,8 @@ def test_the_cover_free_j_step_agrees_with_the_covers_of_l():
         assert is_pure_lattice(A), A.name
         seeds, under, covers = want = covers_lattice_classes(A)
         fresh = cold(A)
-        j_seeds, j_under, cls = congruences.join_classes(fresh)
+        step = congruences.join_classes(fresh)
+        j_seeds, j_under, cls = step.seeds, step.under, step.classes
         assert "lattice_classes" not in fresh._cache, A.name
         assert (j_seeds, j_under) == (seeds, under), A.name
         # each j ∈ J(L) is in a class, and the least member of a class is its seed
@@ -162,7 +163,8 @@ def test_d_is_empty_exactly_on_the_join_prime_lattices():
         assert got == join_prime_fold(A), A.name
         if is_pure_lattice(A):
             # D is empty iff every j is its own class with nothing under it
-            seeds, under, _ = congruences.join_classes(fresh)
+            step = congruences.join_classes(fresh)
+            seeds, under = step.seeds, step.under
             assert got == (not any(under) and len(seeds) == len(A.join_irreducible_pairs())), A.name
         verdicts[got] += 1
     assert verdicts[True] > 300 and verdicts[False] > 300

@@ -76,28 +76,32 @@ VERDICTS = (lifting.algebra_fclp, lifting.algebra_cblp, lifting.is_fc_normal, li
 
 
 def test_the_record_computes_only_on_first_use(monkeypatch):
-    # what the record reads only when asked: the covers of L, its central
-    # elements and Con(L).  The counts on cold copies of the 225 sweep
-    # lattices are those from before the record: only the 74 lattices that
-    # reach the pair test of FCLP read covers, the 46 of them with a
-    # permuting pair read the central elements, and no verdict enumerates
-    # Con(L)
+    # what the record reads only when asked: the block counts, the covers
+    # of L, its central elements and Con(L).  On cold copies of the 225
+    # sweep lattices only the 74 that reach the pair test of FCLP, or count
+    # FC(L) = B(L), read block counts, and those read no cover: the counts
+    # come off the join table.  The 46 with a permuting pair have one inside
+    # a component of J, so none reads the central elements, and no verdict
+    # enumerates Con(L)
     covers = count_calls(monkeypatch, algebra, ["cover_pairs"])
     monkeypatch.setattr(congruences, "cover_pairs", algebra.cover_pairs)
     central = count_calls(monkeypatch, factor, ["_central_masks"])
     enumerated = count_calls(monkeypatch, congruences, ["_enumerate_partitions"])
 
     def work(checks):
-        """The calls that the checks make on a cold copy of each sweep lattice."""
+        """The calls that the checks make on a cold copy of each sweep
+        lattice, and the number of records that count blocks."""
         before = covers["cover_pairs"], central["_central_masks"], enumerated["_enumerate_partitions"]
+        counted = 0
         for A in map(cold, sweep()):
             [check(A)[0] for check in checks]
+            counted += "_upper_ends" in vars(factor.jspace(A))
         after = covers["cover_pairs"], central["_central_masks"], enumerated["_enumerate_partitions"]
-        return tuple(y - x for x, y in zip(before, after))
+        return (*(y - x for x, y in zip(before, after)), counted)
 
-    assert [work([check]) for check in VERDICTS] == [(74, 46, 0), (0, 0, 0), (74, 46, 0), (0, 0, 0)]
+    assert [work([check]) for check in VERDICTS] == [(0, 0, 0, 74), (0, 0, 0, 0), (0, 0, 0, 74), (0, 0, 0, 0)]
     # all four on one cold copy share the record's work
-    assert work(VERDICTS) == (74, 46, 0)
+    assert work(VERDICTS) == (0, 0, 0, 74)
 
 
 def test_a_record_of_any_other_algebra_reads_no_con_for_p():

@@ -3,21 +3,22 @@ dependency pass, against the routines they replaced.
 
 On a pure lattice L, factor.jspace(L).count counts |L/θ_D| as n less the
 number of x with a lower cover whose class is in D, with no partition built
-(its docstring has the proof).  FiniteAlgebra.join_dependency reads J(L)
-with each j₊, and M(L), in one pass over the order masks.  The oracles are
+(its docstring has the proof).  The J step, algebra.join_classes, reads
+J(L) with each j₊, and M(L), in one pass over the order masks.  The oracles are
 the union-find over the covers of D's classes
 (oracles.union_find_block_counter), the block counts of Con(L), and the
-dependency pass as it was, with J(L) and M(L) read in two passes.
+J step as it was (oracles.j_step) on the dependency pass as it was before
+that, with J(L) and M(L) read in two passes.
 """
 
 import functools
 
-from congrlab.algebra import _bits, lattice_reduct
+from congrlab.algebra import _bits, join_classes, lattice_reduct
 from congrlab.congruences import all_congruences
 from congrlab.factor import jspace
 from congrlab.fixtures import FIXTURE_NAMES, fixture
 
-from oracles import union_find_block_counter
+from oracles import j_step, union_find_block_counter
 from sweep import sweep
 from test_coatom_pairs import ordinal_sums, products
 from test_join_irreducible_masks import cold
@@ -36,7 +37,7 @@ def populations():
 
 
 def two_pass_join_dependency(L):
-    """FiniteAlgebra.join_dependency as it was: J(L) with each j₊ from
+    """The dependency pass as it was: J(L) with each j₊ from
     join_irreducible_pairs, M(L) in a second pass over the up-masks, then D
     and D* as the library reads them."""
     up, down = L.order_masks()
@@ -83,4 +84,4 @@ def test_lower_cover_counts_are_the_union_find_and_the_con_counts():
 def test_the_one_pass_dependency_pass_is_the_two_pass_one():
     for name, lattices in populations().items():
         for L in lattices:
-            assert cold(L).join_dependency() == two_pass_join_dependency(L), (name, L.name)
+            assert join_classes(cold(L))._asdict() == j_step(L, two_pass_join_dependency(L)), (name, L.name)

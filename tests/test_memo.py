@@ -19,7 +19,8 @@ from pathlib import Path
 import pytest
 
 from congrlab import factor, lifting, residuated
-from congrlab.congruences import all_congruences, is_pure_lattice, join_classes, lattice_classes
+from congrlab.algebra import join_classes
+from congrlab.congruences import all_congruences, is_pure_lattice, lattice_classes
 from congrlab.errors import AmbiguousComplement, NotDistributive
 from congrlab.fixtures import fixture
 
@@ -40,17 +41,16 @@ ALLOWED = {
 
 MEMOIZED = {
     "order_masks",
-    "join_dependency",
+    "join_classes",
     "is_distributive_lattice",
     "_operations",
     "is_distributive",
     "is_permutable",
-    "join_classes",
     "lattice_classes",
     "all_congruences",
     "_interval_centers",
     "jspace",
-    "_no_permuting_coatoms",
+    "_holds",
     "_joins_to_nabla",
     "element_boolean_center",
     "algebra_blp",
@@ -117,16 +117,16 @@ def test_a_cold_copy_computes_its_own_facts_once(name):
     # each fact as plain data, so that B's can be compared with A's
     facts = {
         "order_masks": lambda X: X.order_masks(),
-        "join_dependency": lambda X: X.join_dependency(),
+        "join_classes": join_classes,
         "is_distributive_lattice": lambda X: X.is_distributive_lattice(),
         "jspace.down": lambda X: factor.jspace(X).down,
         "jspace.components": lambda X: factor.jspace(X).components,
         "jspace.p_order": lambda X: factor.jspace(X).p_order,
+        "_holds": lambda X: lifting._holds(X, True),
         "_joins_to_nabla": lambda X: lifting._joins_to_nabla(all_congruences(X)),
         "_interval_centers": lambda X: factor._interval_centers(all_congruences(X), 0)[1].complement,
     }
     if is_pure_lattice(B):
-        facts["join_classes"] = join_classes
         facts["lattice_classes"] = lattice_classes
     if B.is_distributive_lattice():  # else a complement is ambiguous
         facts["element_boolean_center"] = lambda X: residuated.element_boolean_center(X).complement
