@@ -88,10 +88,30 @@ chain from a to b lies in ⋁S.  Its Cg is join-irreducible, hence join-prime
 in the distributive Con(L), so it lies below a member of S and its class is
 in S.  Each down-set is a smaller one plus one class, and its partition is
 the smaller one's with that class's covers merged.  The down-sets are
-counted against CON_CAP before any partition is built.  Each class is one
-generator Cg(j₊, j), so S is also ⋁S's mask over J(Con L) (below): the
-lattice path hands its down-sets to ConLattice as the masks, and no seed
-pair is looked up in any partition.
+counted against CON_CAP before any partition is built.
+
+The lattice path hands ConLattice each down-set S = D ∪ {c} as D's index
+and the class c, and ConLattice reads Con(L)'s order off those steps, with
+no seed pair looked up in any partition, by three identities.  Class c is
+the generator Cg(j₊, j) of its seed pair, and above(c) is the set of θ
+that hold it.
+
+1. Every class is join-irreducible in Con(L), so S is ⋁S's mask over
+   J(Con L) (below) as it stands.  S ↦ ⋁S is an isomorphism from the
+   down-sets of the classes onto Con(L), and Cg(j₊, j) is ⋁↓c.  A down-set
+   T ⊊ ↓c misses c, as c ∈ T gives ↓c ⊆ T, so T ⊆ ↓c ∖ {c}, itself a
+   down-set: ↓c ≠ ∅ has one lower cover.
+2. ↑θ_{D∪{c}} = ↑θ_D ∩ above(c).  φ ≥ θ_S iff every class of S lies below
+   φ, so ↑θ_S is the meet of above(g) over g ∈ S.  One AND per congruence.
+3. Con(A) is distributive for every A with a lattice reduct L (its join
+   and meet), so no join-prime test runs on such an A.  Con(A) and Con(L)
+   are sublattices of Eq(A) (below), and Con(A) ⊆ Con(L), so Con(A) is a
+   sublattice of Con(L), which is distributive (Funayama & Nakayama, Proc.
+   Imp. Acad. Tokyo 18, 1942), and so is each sublattice of a distributive
+   lattice.
+
+↓θ, which only the covers of Con(A) and the fc-normal walk read, is made
+on its first read.
 
 Con(A) is held as masks over its join-irreducibles J(Con A), for every
 algebra.  Cg(a, b) ≤ θ iff a θ b, so the set of distinct generators below θ
@@ -110,8 +130,9 @@ below it have a greatest element):
 
 Each question about the order then has one test, on every algebra: Con(A)
 is distributive iff every j ∈ J is join-prime, i.e. iff the union of the
-masks without j is a mask; θ ≠ ∇ is prime iff the meet of the j ≰ θ is
-not below θ; θ ≺ φ iff ↑θ ∩ ↓φ = {θ, φ}, read off the up- and down-masks.
+masks without j is a mask (3 above answers it with a lattice reduct);
+θ ≠ ∇ is prime iff the meet of the j ≰ θ is not below θ; θ ≺ φ iff
+↑θ ∩ ↓φ = {θ, φ}, read off the up- and down-masks.
 
 On a lattice no generator is dropped: each Cg(j₊, j) is generated by a
 prime quotient j₊ ≺ j, and such a congruence is join-irreducible.
@@ -202,7 +223,8 @@ class Congruence:
         """The private constructor, for a canonical partition tuple that
         congrlab built itself: a ConLattice's members are made canonical,
         each a kernel or a union-find that roots a block at its least
-        member, so nothing is checked again."""
+        member, and so is a product congruence's fold, so nothing is
+        checked again."""
         c = object.__new__(cls)
         c.algebra, c.block_of = algebra, block_of
         c._masks = c._labels = None
@@ -484,9 +506,24 @@ class ConLattice:
     blocks[i] = |A/θ_i|.  gen_masks[i] has bit g set iff the g-th generator
     is join-irreducible in Con(A) and lies below θ_i: θ_i's mask over
     J(Con A), which orders Con(A) and gives its meets and joins (module doc).
-    seeds[g] is a pair (a, b) with Cg(a, b) the g-th generator.  The closure
-    path reads the generators below each θ off the seeds; the lattice path
-    hands over its down-sets of J-classes, which are those sets.
+    seeds[g] is a pair (a, b) with Cg(a, b) the g-th generator.  _above[g]
+    is the set of indices of the θ above generator g, and ↑θ_i and ↓θ_i are
+    index masks.
+
+    The closure path reads the generators below each θ off the seeds, and
+    finds the join-irreducible ones.  The lattice path is handed each
+    down-set D ∪ {c} of J(Con L) as D's index and the class c, and reads
+    the rest off those steps by three identities (module doc, 1–3):
+
+    - every class is join-irreducible, as ↓c ∖ {c} is the one down-set
+      that ↓c covers: gen_masks are the down-sets, and none is searched for;
+    - ↑θ_{D∪{c}} = ↑θ_D ∩ _above[c], as ↑θ_S is the meet of _above[g] over
+      g ∈ S: one AND per congruence;
+    - Con(A) is distributive when A has a lattice reduct, as it is a
+      sublattice of the reduct's Con, which is distributive (Funayama &
+      Nakayama): is_distributive folds nothing there.
+
+    ↓θ is made on its first read (_down_masks).
     """
 
     __slots__ = (
@@ -501,16 +538,16 @@ class ConLattice:
         "_at",
         "_above",
         "_up_masks",
-        "_down_masks",
+        "_downs",
         "_cache",
     )
 
-    def __init__(self, algebra: FiniteAlgebra, partitions, seeds, masks=None):
+    def __init__(self, algebra: FiniteAlgebra, partitions, seeds, steps=None):
         """partitions are all of Con(A), each a join of the generators
-        Cg(a, b) with (a, b) in seeds.  masks[x], when given, is the set of
-        generators below partitions[x], as the lattice path builds it; else
-        it is read off the seeds.  The join-irreducible generators are then
-        found."""
+        Cg(a, b) with (a, b) in seeds.  steps is None on the closure path.
+        On the lattice path partitions[0] is Δ, and steps[x - 1] = (i, c)
+        makes partitions[x] = θ_{D∪{c}} for D the down-set of classes of
+        partitions[i], class c being the generator of seeds[c] (class doc)."""
         self.algebra = algebra
         self.seeds = seeds
         counts = [len(set(p)) for p in partitions]
@@ -518,45 +555,67 @@ class ConLattice:
         self.elements = [Congruence._canonical(algebra, partitions[x]) for x in order]
         self._index = {c.block_of: i for i, c in enumerate(self.elements)}
         self._cache = {}
-        k = len(self.elements)
         self.blocks = [counts[x] for x in order]
-        if masks is None:
+        full = (1 << len(order)) - 1
+        if steps is None:
             # Cg(a, b) ≤ θ iff a θ b
             masks = [
                 sum(1 << g for g, (a, b) in enumerate(seeds) if c.block_of[a] == c.block_of[b])
                 for c in self.elements
             ]
-        else:
-            masks = [masks[x] for x in order]
-        # above[g]: the indices of the θ above generator g.  θ_i ≤ θ_j iff
-        # every g below θ_i is below θ_j, so ↑θ_i is the meet of above[g] over
-        # g in mask_i, and ↓θ_j that of the complements over g not in mask_j.
-        full = (1 << k) - 1
-        self._above = above = [
-            sum(1 << i for i, m in enumerate(masks) if m >> g & 1) for g in range(len(seeds))
-        ]
-        self._up_masks, self._down_masks = [], []
-        for m in masks:
-            up = down = full
+            self._above = above = _transpose(masks, len(seeds))
+            # θ_i ≤ θ_j iff every g below θ_i is below θ_j, so ↑θ_i is the
+            # meet of above[g] over g in mask_i, and ↓θ_j that of the
+            # complements over g not in mask_j
+            self._up_masks, self._downs = [], []
+            for m in masks:
+                up = down = full
+                for g, h in enumerate(above):
+                    if m >> g & 1:
+                        up &= h
+                    else:
+                        down &= ~h
+                self._up_masks.append(up)
+                self._downs.append(down)
+            # generator g is the lowest index above g, as index order extends
+            # the order; it is join-irreducible iff its strict down-set has a
+            # top
+            downs, jbits = self._downs, 0
             for g, h in enumerate(above):
-                if m >> g & 1:
-                    up &= h
-                else:
-                    down &= ~h
-            self._up_masks.append(up)
-            self._down_masks.append(down)
-        # generator g is the lowest index above g, as index order extends the
-        # order; it is join-irreducible iff its strict down-set has a top
-        downs, jbits = self._down_masks, 0
-        for g, h in enumerate(above):
-            e = _lowest_bit(h)
-            below = downs[e] & ~(1 << e)
-            if below and downs[below.bit_length() - 1] == below:
-                jbits |= 1 << g
-        self.gen_masks = [m & jbits for m in masks]
+                e = _lowest_bit(h)
+                below = downs[e] & ~(1 << e)
+                if below and downs[below.bit_length() - 1] == below:
+                    jbits |= 1 << g
+            self.gen_masks = [m & jbits for m in masks]
+        else:
+            sets, ups = [0], [full]
+            for i, c in steps:
+                sets.append(sets[i] | 1 << c)
+            self.gen_masks = [sets[x] for x in order]
+            self._above = above = _transpose(self.gen_masks, len(seeds))
+            for i, c in steps:
+                ups.append(ups[i] & above[c])
+            self._up_masks = [ups[x] for x in order]
+            self._downs = None
         self._at = {m: i for i, m in enumerate(self.gen_masks)}
         self.index_of_delta = self._index[delta_partition(algebra.n)]
         self.index_of_nabla = self._index[nabla_partition(algebra.n)]
+
+    @property
+    def _down_masks(self) -> list[int]:
+        """↓θ_i for each i, made on first read: θ_j ≤ θ_i iff no
+        join-irreducible generator outside mask_i lies below θ_j, so ↓θ_i is
+        the meet of the complements of above[g] over those g."""
+        if self._downs is None:
+            full, above = (1 << len(self)) - 1, self._above
+            nabla = self.gen_masks[self.index_of_nabla]
+            self._downs = downs = []
+            for m in self.gen_masks:
+                down = full
+                for g in _bits(nabla & ~m):
+                    down &= ~above[g]
+                downs.append(down)
+        return self._downs
 
     def __len__(self):
         return len(self.elements)
@@ -597,9 +656,12 @@ class ConLattice:
 
     @cached
     def is_distributive(self) -> bool:
-        # each join-irreducible g must be join-prime: the θ not above g have
-        # a join not above g iff their masks' union is a mask (Davey &
-        # Priestley, ch. 10)
+        """True on an algebra with a lattice reduct (class doc).  Elsewhere
+        each join-irreducible g must be join-prime: the θ not above g have a
+        join not above g iff their masks' union is a mask (Davey &
+        Priestley, ch. 10)."""
+        if self.algebra.is_lattice:
+            return True
         gm = self.gen_masks
         return all(
             functools.reduce(operator.or_, (m for m in gm if not m >> g & 1), 0) in self._at
@@ -635,6 +697,15 @@ def _lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+def _transpose(rows: list[int], width: int) -> list[int]:
+    """The columns of a bit matrix: bit i of out[g] is bit g of rows[i].
+    The rows are written out as width binary digits each, the last row
+    first, so column g is every width-th digit from the (width − 1 − g)-th:
+    one string slice a column, with no loop over the rows per column."""
+    digits = "".join([format(r, f"0{width}b") for r in reversed(rows)])
+    return [int(digits[width - 1 - g :: width], 2) for g in range(width)]
+
+
 def is_pure_lattice(A: FiniteAlgebra) -> bool:
     """A lattice whose operations besides join and meet are constants, which
     constrain no congruence.  Read from the signature, not the kind: a
@@ -644,8 +715,8 @@ def is_pure_lattice(A: FiniteAlgebra) -> bool:
 
 def _enumerate_partitions(A: FiniteAlgebra) -> tuple:
     """Con(A)'s partitions, one seed pair (a, b) per distinct generator
-    Cg(a, b), and on a pure lattice each partition's set of generators
-    below it (None on the closure path)."""
+    Cg(a, b), and on a pure lattice the step (parent, class) that made each
+    partition but Δ (None on the closure path): ConLattice's arguments."""
     n = A.n
     if is_pure_lattice(A):
         return _lattice_partitions(A)
@@ -684,7 +755,8 @@ def lattice_classes(A: FiniteAlgebra) -> tuple:
 def _lattice_partitions(A: FiniteAlgebra) -> tuple:
     """_enumerate_partitions on a pure lattice: the down-sets of the classes
     of lattice_classes(A), each partition a union-find over the covers of
-    its classes (module doc)."""
+    its classes (module doc), and each down-set's step: (i, c) for the
+    earlier down-set i that it extends by the class c."""
     seeds, under, class_covers = lattice_classes(A)
     # each down-set is an earlier one plus a class c, where the classes come
     # in an order that puts c after every class below it
@@ -699,9 +771,7 @@ def _lattice_partitions(A: FiniteAlgebra) -> tuple:
     parts = [delta_partition(A.n)]
     for i, c in made:
         parts.append(merge_pairs(parts[i], class_covers[c]))
-    # class c is the generator of seeds[c], so sets[x] is the set of
-    # generators below parts[x]
-    return tuple(parts), seeds, sets
+    return tuple(parts), seeds, made
 
 
 def _close_under_joins(n: int, gens: dict) -> tuple:

@@ -439,11 +439,11 @@ def product_congruence(P: FiniteAlgebra, factors, thetas) -> Congruence:
     # (a, b) is a·n_B + b in the mixed radix, so its block is
     # rep(a)·n_B + rep(b); fold factor by factor, as direct_product folds the
     # tables.  The encoding is monotone in each coordinate, so that is the
-    # least member of the block
+    # least member of the block: canonical, with nothing to check
     block_of = [0]
     for F, t in zip(factors, thetas):
         block_of = [r * F.n + s for r in block_of for s in t.block_of]
-    return Congruence(P, block_of)
+    return Congruence._canonical(P, tuple(block_of))
 
 
 def _glued_image(parts: list[ConLattice], whole: ConLattice, glue) -> dict | None:

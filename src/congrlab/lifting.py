@@ -9,11 +9,13 @@ by the correspondence theorem Con(A/theta) is the interval [theta, ∇], so
 u(alpha) is alpha v theta and no quotient is built.  One rule gives each
 (property, theta) verdict and its evidence: theta lifts iff no atom of A's
 center has a trace that holds two atoms of theta's, and the first target
-not reached is the least one such atom joined to theta (5).  Each verdict
-is decided once per lattice and cached as two integers, and the walks over
-theta return the index of the first failure.  Evidence is rendered only
-where it is printed or returned, in the class labels of A/theta, built
-once per theta.  The algebra-level checks return a Verdict: the verdict at
+not reached is the least one such atom joined to theta (5).  Each
+property's verdicts are decided in one pass over the theta in index order,
+into a column of pairs of integers kept on the lattice; a report fills
+both columns whole, and a walk for the first failure fills its column only
+that far and returns its index.  Evidence is rendered only where it is
+printed or returned, in the class labels of A/theta, built once per
+theta.  The algebra-level checks return a Verdict: the verdict at
 the call, and the evidence on its first read.  Each property is then one
 yes/no: fc-normality is FCLP and b-normality is CBLP (4 and 3), and no
 verdict walks the θ: where no criterion below decides FCLP, the pairs of
@@ -336,34 +338,57 @@ class Verdict(Sequence):
 def _lifting(cl: ConLattice, t: int, factor: bool) -> tuple[int, int | None]:
     """The size of the center of [θ_t, ∇] ≅ Con(A/θ_t), FC(A/θ_t) if factor
     and B(A/θ_t) otherwise, and the first member of it that no u(α)
-    reaches, None if θ_t has the lifting.  θ_t lifts iff no trace of an
+    reaches, None if θ_t has the lifting: entry t of the side's column,
+    filled up to t first (_column)."""
+    return _column(cl, factor, t + 1)[t]
+
+
+@cached
+def _lifting_column(cl: ConLattice, factor: bool) -> list:
+    """_lifting's entries for one side, in index order, as far as _column
+    has filled them: a list kept on the lattice, as a report reads each
+    verdict twice."""
+    return []
+
+
+def _column(cl: ConLattice, factor: bool, stop: int, to_failure: bool = False) -> list:
+    """The side's column, filled in index order up to entry stop, or
+    through its first failure if to_failure.  θ_t lifts iff no trace of an
     atom of A's center is cut, that is iff its center has 2^m members for
     the m non-empty traces; the first member not reached is the least
     D_t ∪ F over θ_t's atoms F in cut traces (module doc, 5c and 5d).
-    [θ_t, ∇] is listed at most once, and only where JSpace.side gives no order
-    whose components of J ∖ D_t are θ_t's atoms.  Cached on the lattice, as
-    a report asks for each verdict twice."""
-    # a dense list, not algebra.cached: a memo keyed by θ made the first
-    # calls about 25% slower (the 128 θ of C8, both sides)
-    cache = cl._cache.get(("lifting", factor))
-    if cache is None:
-        cache = cl._cache["lifting", factor] = [None] * len(cl)
-    if cache[t] is None:
-        near, atoms, tops = jspace(cl.algebra).side(factor)
-        gm = cl.gen_masks
-        rest = gm[cl.index_of_nabla] & ~gm[t]
-        listed = [] if near is not None else _complemented(cl, t)[1]
-        # with tops, rest meets each component of J in one component or not
-        # at all, so no trace is cut (module doc, 2)
-        size = len(listed) or 1 << (len(_components(near, rest)) if tops is None else (tops & rest).bit_count())
+    [θ_t, ∇] is listed at most once, and only where JSpace.side gives no
+    order whose components of J ∖ D_t are θ_t's atoms; where it gives one,
+    the components counted for the size are the atoms of a failing θ_t."""
+    column = _lifting_column(cl, factor)
+    if len(column) >= stop or to_failure and any(bad is not None for _, bad in column):
+        return column
+    near, atoms, tops = jspace(cl.algebra).side(factor)
+    gm, at = cl.gen_masks, cl._at
+    nabla = gm[cl.index_of_nabla]
+    for t in range(len(column), stop):
+        rest = nabla & ~gm[t]
+        if near is None:
+            listed = _complemented(cl, t)[1]
+            size = len(listed)
+        elif tops is None:
+            ours = _components(near, rest)
+            size = 1 << len(ours)
+        else:
+            # rest meets each component of J in one component or not at
+            # all, so no trace is cut (module doc, 2)
+            size = 1 << (tops & rest).bit_count()
         bad = None
         # the 2^k members are the 2^m images iff no trace is cut (module doc, 5c)
         if tops is None and size != 1 << sum(1 for x in atoms if x & rest):
-            ours = _atoms([gm[b] & rest for b, _ in listed]) if listed else _components(near, rest)
+            if near is None:
+                ours = _atoms([gm[b] & rest for b, _ in listed])
             # an atom of θ_t's center lies in one trace, cut iff it is not all of it
-            bad = min(cl._at[gm[t] | f] for f in ours if all(x & rest != f for x in atoms))
-        cache[t] = size, bad
-    return cache[t]
+            bad = min(at[gm[t] | f] for f in ours if all(x & rest != f for x in atoms))
+        column.append((size, bad))
+        if to_failure and bad is not None:
+            break
+    return column
 
 
 def _has_lifting(A, theta, factor: bool) -> tuple[bool, LiftEvidence]:
@@ -402,9 +427,10 @@ def has_cblp(A: FiniteAlgebra, theta: Congruence) -> tuple[bool, LiftEvidence]:
 def _lifting_failure(A: FiniteAlgebra, factor: bool) -> int | None:
     """The index in Con(A) of the first θ without the lifting, or None: the
     walk over Con(A), run for the evidence of a failure, as no verdict
-    needs it."""
+    needs it.  The column is filled only through that θ."""
     cl = all_congruences(A)
-    return next((t for t in range(len(cl)) if _lifting(cl, t, factor)[1] is not None), None)
+    column = _column(cl, factor, len(cl), to_failure=True)
+    return next((t for t, (_, bad) in enumerate(column) if bad is not None), None)
 
 
 @cached
@@ -610,8 +636,9 @@ def lifting_report(A: FiniteAlgebra, name: str | None = None) -> LiftingReport:
     fc = factor_congruences(cl)
     maxes, primes = set(maximal_indices(cl)), set(prime_indices(cl))
     rows = []
+    fc_column, b_column = _column(cl, True, len(cl)), _column(cl, False, len(cl))
     for t, theta in enumerate(cl.elements):
-        (fc_size, fc_bad), (center_size, b_bad) = _lifting(cl, t, True), _lifting(cl, t, False)
+        (fc_size, fc_bad), (center_size, b_bad) = fc_column[t], b_column[t]
         # keys in sorted order, as dump_json writes them
         rows.append(
             {

@@ -7,14 +7,27 @@ congruence of an ordinal sum, the isomorphism from the complemented
 elements of a bounded distributive lattice onto its factor congruences,
 the splitting of A into the quotients by a family of factor congruences,
 the block counts of a pure lattice's congruences by union-find, the order
-and tables of a cover relation by a search from every element, and the J
-step of a lattice in the three steps it once took.
+and tables of a cover relation by a search from every element, the J
+step of a lattice in the three steps it once took, ConLattice's fields by
+the seed scan and per-generator loops it once ran on every algebra, the
+join-prime fold for distributivity, and the lifting verdict of one θ as it
+was decided before the verdicts came in columns.
 """
 
+import operator
 from functools import reduce
 from itertools import product
 
-from congrlab.algebra import FiniteAlgebra, _bits, delta_partition, merge_pairs, ordinal_sum_with_maps
+from congrlab.algebra import (
+    FiniteAlgebra,
+    _bits,
+    _components,
+    cover_pairs,
+    delta_partition,
+    merge_pairs,
+    nabla_partition,
+    ordinal_sum_with_maps,
+)
 from congrlab.errors import NotALattice, TableError
 from congrlab.congruences import (
     Congruence,
@@ -24,7 +37,7 @@ from congrlab.congruences import (
     meet,
     principal_congruence,
 )
-from congrlab.factor import _glue, factor_congruences
+from congrlab.factor import _atoms, _complemented, _glue, factor_congruences, jspace
 from congrlab.lifting import quotient
 from congrlab.residuated import element_boolean_center, filters
 
@@ -245,3 +258,78 @@ def j_step(L: FiniteAlgebra, dependency=None) -> dict:
         "tops": sum(1 << g for g in tops) if len(tops) == len(components) else None,
         "distributive": all(below == 1 << j for _, j, below in dependency),
     }
+
+
+def seed_scan(A: FiniteAlgebra, partitions, seeds) -> dict:
+    """ConLattice's fields as its constructor read them on every algebra:
+    the partitions sorted by block count descending, then by partition; the
+    generators below each θ by a scan of the seeds (Cg(a, b) ≤ θ iff a θ
+    b); the θ above each generator by a scan of the masks; ↑θ and ↓θ by a
+    loop over every generator; and the join-irreducible generators, those
+    whose own congruence, the lowest index above them, has a strict
+    down-set with a top."""
+    counts = [len(set(p)) for p in partitions]
+    order = sorted(range(len(partitions)), key=lambda x: (-counts[x], partitions[x]))
+    parts = [partitions[x] for x in order]
+    k, full = len(parts), (1 << len(parts)) - 1
+    masks = [sum(1 << g for g, (a, b) in enumerate(seeds) if p[a] == p[b]) for p in parts]
+    above = [sum(1 << i for i, m in enumerate(masks) if m >> g & 1) for g in range(len(seeds))]
+    ups, downs = [], []
+    for m in masks:
+        up = down = full
+        for g, h in enumerate(above):
+            if m >> g & 1:
+                up &= h
+            else:
+                down &= ~h
+        ups.append(up)
+        downs.append(down)
+    jbits = 0
+    for g, h in enumerate(above):
+        e = (h & -h).bit_length() - 1
+        below = downs[e] & ~(1 << e)
+        if below and downs[below.bit_length() - 1] == below:
+            jbits |= 1 << g
+    gen_masks = [m & jbits for m in masks]
+    return {
+        "partitions": parts,
+        "blocks": [counts[x] for x in order],
+        "seeds": seeds,
+        "gen_masks": gen_masks,
+        "above": above,
+        "up": ups,
+        "down": downs,
+        "covers": sorted(cover_pairs(ups, downs)),
+        "at": {m: i for i, m in enumerate(gen_masks)},
+        "delta": parts.index(delta_partition(A.n)),
+        "nabla": parts.index(nabla_partition(A.n)),
+        "size": k,
+    }
+
+
+def join_prime_fold(cl) -> bool:
+    """Whether Con(A) is distributive, by the test is_distributive once ran
+    on every algebra: each join-irreducible g is join-prime, that is the
+    masks of the θ not above g join to a mask (Davey & Priestley, ch. 10)."""
+    gm = cl.gen_masks
+    return all(
+        reduce(operator.or_, (m for m in gm if not m >> g & 1), 0) in cl._at
+        for g in _bits(gm[cl.index_of_nabla])
+    )
+
+
+def lifting_entry(cl, t: int, factor: bool) -> tuple:
+    """lifting._lifting(cl, t, factor) as one θ was decided alone: the
+    size of θ_t's center on that side, and the first member of it that no
+    u(α) reaches, or None.  [θ_t, ∇] is listed where the side gives no
+    order, and a failing θ_t counts its components again for its atoms."""
+    near, atoms, tops = jspace(cl.algebra).side(factor)
+    gm = cl.gen_masks
+    rest = gm[cl.index_of_nabla] & ~gm[t]
+    listed = [] if near is not None else _complemented(cl, t)[1]
+    size = len(listed) or 1 << (len(_components(near, rest)) if tops is None else (tops & rest).bit_count())
+    bad = None
+    if tops is None and size != 1 << sum(1 for x in atoms if x & rest):
+        ours = _atoms([gm[b] & rest for b, _ in listed]) if listed else _components(near, rest)
+        bad = min(cl._at[gm[t] | f] for f in ours if all(x & rest != f for x in atoms))
+    return size, bad

@@ -32,6 +32,7 @@ from congrlab.lifting import is_fc_normal
 
 from oracles import osum_congruence
 from sweep import sweep
+from test_coatom_pairs import small_lattices
 from test_join_irreducible_masks import random_generic_algebras
 from test_partition_join import chain
 
@@ -95,6 +96,21 @@ def test_the_product_map_is_checked_as_the_pair_scan_does():
         assert got == want and got is not None, names
         sizes.add(len(whole))
     assert 96 in sizes  # T×E×L3
+
+
+def test_the_fold_is_the_checked_constructors_congruence():
+    # product_congruence makes its fold with the private constructor, which
+    # checks nothing; on the 45 products of test_coatom_pairs it is, for
+    # every pair of the factors' congruences, the decoded partition as the
+    # public constructor makes it, checked canonical and compatible
+    pairs = list(itertools.combinations_with_replacement(small_lattices(5), 2))
+    assert len(pairs) == 45
+    for L, M in pairs:
+        P = direct_product([L, M])
+        for thetas in itertools.product(all_congruences(L).elements, all_congruences(M).elements):
+            got = product_congruence(P, [L, M], thetas)
+            want = Congruence(P, decoded_product_congruence(P, [L, M], thetas).block_of, check=True)
+            assert type(got.block_of) is tuple and got == want, (P.name, thetas)
 
 
 def test_the_ordinal_sum_map_is_checked_as_the_pair_scan_does():

@@ -35,6 +35,7 @@ from congrlab.fixtures import FIXTURE_NAMES, fixture
 from congrlab.lifting import algebra_cblp, algebra_fclp, has_cblp, is_b_normal, is_fc_normal, lifting_report
 from congrlab.report import build_report
 
+from oracles import join_prime_fold
 from sweep import sweep
 from test_congruences import xor_algebra
 from test_partition_join import chain, count_calls, generic_copy, lattice_algebras
@@ -121,15 +122,18 @@ def test_join_and_meet_are_the_partition_join_and_meet():
 
 def test_distributivity_by_join_primes_agrees_with_the_triple_scan():
     verdicts = {True: 0, False: 0}
-    for A in mask_algebras() + random_generic_algebras():
+    generic = random_generic_algebras()
+    for A in mask_algebras() + generic:
         cl = all_congruences(A)
         jt, mt = partition_tables(cl)
         ks = range(len(cl))
         scan = all(mt[a][jt[b][c]] == jt[mt[a][b]][mt[a][c]] for a in ks for b in ks for c in ks)
-        # every algebra, lattice or not, takes the join-prime test
-        assert cl.is_distributive() == scan, A.name
+        # True with no test where there is a lattice reduct, and the
+        # join-prime test elsewhere; the test alone decides every algebra
+        assert cl.is_distributive() == join_prime_fold(cl) == scan, A.name
         verdicts[scan] += not A.is_lattice
     assert min(verdicts.values()) >= 10, verdicts
+    assert sum(all_congruences(A).is_distributive() for A in generic) == 62
 
 
 # -- relative complements --------------------------------------------------------
@@ -302,18 +306,18 @@ def test_a_cold_report_decides_each_lifting_verdict_once(monkeypatch):
     sides, atoms = count_calls(monkeypatch, factor.JSpace, ["side"]), count_atoms(monkeypatch)
     components = count_calls(monkeypatch, lifting, ["_components"])
     build_report(A)
-    # the report asks for the verdict of each (property, θ), and the walks
-    # without a criterion ask for each once more; each is decided once, and
-    # each decision reads its side once: after Δ's center, listed for the
-    # flags, and A's atoms, read once off T's central elements, each factor
-    # verdict lists its interval and counts it.  Each component of T's J has
-    # a top, so each Boolean verdict counts the tops left, with no component
-    # searched for.  T has both properties, so no θ reads its own atoms for
-    # a target.
+    # the report fills each property's column whole, in one pass that reads
+    # its side once, and the walks without a criterion read the filled
+    # columns: each verdict is decided once.  After Δ's center, listed for
+    # the flags, and A's atoms, read once off T's central elements, each
+    # factor verdict lists its interval and counts it.  Each component of
+    # T's J has a top, so each Boolean verdict counts the tops left, with no
+    # component searched for.  T has both properties, so no θ reads its own
+    # atoms for a target.
     assert lifting_walk(A, True)[0] and lifting_walk(A, False)[0]
     cl = all_congruences(A)
     assert listings_on(cl, listed) == [cl.index_of_delta, *range(len(cl))]
-    assert (sides, atoms, components) == ({"side": 2 * len(cl)}, {"_atoms": 1}, {"_components": 0})
+    assert (sides, atoms, components) == ({"side": 2}, {"_atoms": 1}, {"_components": 0})
     assert lifting.algebra_fclp(A)[0] and lifting.algebra_cblp(A)[0]
 
 
@@ -602,14 +606,13 @@ def test_a_cold_lifting_report_builds_no_center_but_deltas(build, interval, monk
             # A's own atoms are read once, off its central elements.
             # Where some θ lacks the Boolean lifting, J has a component with
             # no top: each Boolean verdict counts the components of its
-            # R = J ∖ D_θ, and only a failing one takes them again, as its
-            # atoms
+            # R = J ∖ D_θ once, and a failing one takes those it counted as
+            # its atoms
             assert listings == [cl.index_of_delta, *range(len(cl))]
             assert counts == {"_atoms": 1 + sum(not row["fclp"] for row in rows)}
             nabla = cl.gen_masks[cl.index_of_nabla]
-            rest = [nabla & ~m for m in cl.gen_masks]
-            boolean = [] if all(row["cblp"] for row in rows) else rest
-            assert sorted(rests) == sorted(boolean + [rest[t] for t, row in enumerate(rows) if not row["cblp"]])
+            boolean = [] if all(row["cblp"] for row in rows) else [nabla & ~m for m in cl.gen_masks]
+            assert rests == boolean
         else:
             # L2x3cube is one: the rows are read off J(L), and only Δ's
             # center is listed

@@ -3,14 +3,15 @@
 algebra.cached keeps fn(X, *args) in X._cache under fn's name.  Nothing
 else in the package reads or writes a _cache, bar the private constructor
 FiniteAlgebra._derived, which seeds order_masks with the masks its caller
-derived, and the per-θ table of lifting._lifting; a cold copy of an
-algebra computes its own facts.  The J(Con A) record that factor.jspace
-memoizes keeps its own fields as attributes, each computed once (J's order
-as the record of a pure lattice is made, the rest on first read), and a
-raised exception is kept by neither.  That table is a dense list per
-property, not algebra.cached keyed by θ: the memo made the first calls
-about 25% slower, a median of 510 µs against 403 µs for the 128 θ of C8
-on both sides (40 interleaved cold rounds in one process).
+derived; a cold copy of an algebra computes its own facts.  The J(Con A)
+record that factor.jspace memoizes keeps its own fields as attributes,
+each computed once (J's order as the record of a pure lattice is made, the
+rest on first read), and a raised exception is kept by neither.  The
+per-θ lifting verdicts are one memo per property, not one per θ: the list
+lifting._lifting_column, which one loop fills in index order (a memo keyed
+by θ once made the first calls about 25% slower, a median of 510 µs
+against 403 µs for the 128 θ of C8 on both sides, in 40 interleaved cold
+rounds in one process).
 """
 
 import ast
@@ -36,7 +37,6 @@ ALLOWED = {
     ("algebra.py", "_derived"),  # FiniteAlgebra's memo, empty or seeded with order_masks
     ("congruences.py", "ConLattice"),  # the slot
     ("congruences.py", "__init__"),  # ConLattice's empty memo
-    ("lifting.py", "_lifting"),  # the dense per-θ table
 }
 
 MEMOIZED = {
@@ -51,6 +51,7 @@ MEMOIZED = {
     "_interval_centers",
     "jspace",
     "_holds",
+    "_lifting_column",
     "_joins_to_nabla",
     "element_boolean_center",
     "algebra_blp",

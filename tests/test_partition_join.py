@@ -9,7 +9,8 @@ with a lattice reduct and more operations the enumeration closes one pair
 (j₊, j) per join-irreducible j; the oracle closes every cover pair.  On a
 pure lattice it closes nothing: Con(L) is read off the dependency relation
 on J(L), and the closure enumeration it replaced is the oracle; the masks
-it hands to ConLattice are checked against the seed scan.  The
+ConLattice reads off the steps it hands over are checked against the seed
+scan.  The
 generator-mask order of Con(A) is checked against partition refinement and
 the O(k³) cover scan, the closure in rounds that walks a symmetric table
 once against the queue-driven two-sided closure, and J(L) read off the
@@ -207,12 +208,12 @@ def test_the_dependency_relation_matches_the_closure_enumeration():
     algebras = dependency_algebras()
     assert len(algebras) == 225 + 3 * 15 + 2
     for A in algebras:
-        parts, seeds, masks = congruences._enumerate_partitions(A)
+        parts, seeds, steps = congruences._enumerate_partitions(A)
         want_parts, want_seeds = closure_enumeration(A)
         assert set(parts) == set(want_parts) and len(parts) == len(want_parts), A.name
         assert seeds == want_seeds, A.name
         # the same partitions, in the same index order, under the same masks
-        got, want = congruences.ConLattice(A, parts, seeds, masks), congruences.ConLattice(A, want_parts, want_seeds)
+        got, want = congruences.ConLattice(A, parts, seeds, steps), congruences.ConLattice(A, want_parts, want_seeds)
         assert [c.block_of for c in got.elements] == [c.block_of for c in want.elements], A.name
         assert got.gen_masks == want.gen_masks, A.name
 
@@ -239,16 +240,17 @@ def con_fields(cl):
 
 
 def test_the_lattice_path_masks_are_the_seed_scan():
-    # ConLattice takes the lattice path's down-sets of J-classes as its
-    # masks; the seed scan it skips is the oracle
+    # ConLattice reads its masks off the lattice path's steps, each
+    # down-set of J-classes as its parent and the class it adds; the seed
+    # scan it skips is the oracle
     algebras = sweep() + [fixture(name) for name in FIXTURE_NAMES] + [direct_product([fixture("L2")] * 5)]
     lattice_path = 0
     for A in algebras:
-        parts, seeds, masks = congruences._enumerate_partitions(A)
-        if masks is None:
+        parts, seeds, steps = congruences._enumerate_partitions(A)
+        if steps is None:
             continue
         lattice_path += 1
-        got = congruences.ConLattice(A, parts, seeds, masks)
+        got = congruences.ConLattice(A, parts, seeds, steps)
         assert con_fields(got) == con_fields(congruences.ConLattice(A, parts, seeds)), A.name
     assert lattice_path == 225 + 15 + 1
 
@@ -264,13 +266,13 @@ def test_a_cold_pure_lattice_skips_the_seed_scan(monkeypatch):
     lattice_partitions = congruences._lattice_partitions
 
     def unscanned(A):
-        parts, seeds, masks = lattice_partitions(A)
-        return parts, Unscanned(seeds), masks
+        parts, seeds, steps = lattice_partitions(A)
+        return parts, Unscanned(seeds), steps
 
     monkeypatch.setattr(congruences, "_lattice_partitions", unscanned)
     for A, count in [(chain(8), 128), (direct_product([fixture("L2")] * 5), 32), (fixture("L2x3cube"), 8)]:
         assert len(all_congruences(A)) == count, A.name
-    # without the masks, the seeds are scanned
+    # without the steps, the seeds are scanned
     C3 = chain(3)
     with pytest.raises(AssertionError, match="scanned"):
         congruences.ConLattice(C3, *unscanned(C3)[:2])
