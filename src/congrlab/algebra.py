@@ -612,6 +612,23 @@ def join_classes(L: FiniteAlgebra) -> JClasses:
     return JClasses(tuple(pairs), tuple(seeds), under, tuple(classes), down, *order, False)
 
 
+def class_pairs(L: FiniteAlgebra):
+    """Yield (c, row, ys) for each j ∈ J(L) of a lattice L, in increasing j:
+    c the class of j in join_classes(L), row the join row of j, and ys the
+    mask of the y with j₊ ≤ y and j ≰ y.  The pairs (y, row[y]) are class
+    c's pairs, read off the join table with no cover found, and
+
+        the covers of L of class c ⊆ class c's pairs ⊆ Cg(j₊, j).
+
+    A pair lies in Cg(j₊, j): (y, j∨y) = (y∨j₊, y∨j).  A cover y ≺ x of
+    class c has a minimal j ≤ x with j ≰ y, which is in J(L) and of class c
+    (`congruences` module doc).  Every z < j has z ≤ x, so z ≤ y by j's
+    minimality, and then j₊ ≤ y; and y < y∨j ≤ x gives j∨y = x, so (y, x) is one of j's pairs."""
+    up, join, step = L.order_masks()[0], L.tables["join"], join_classes(L)
+    for jp, j in step.pairs:
+        yield step.classes[j], join[j], up[jp] & ~up[j]
+
+
 def _j_order(down: list[int], within: int) -> tuple[list[int], list[int], int | None]:
     """(near, components, tops) of the order on the members of within whose
     down-sets are down: near[g], the members comparable to g; the connected

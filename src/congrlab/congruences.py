@@ -74,35 +74,42 @@ the classes with a seed pair (j₊, j) each and the classes below each one,
 and J(Con L)'s order: the classes comparable to each one, the components
 and their tops.  It finds no cover of L and builds no partition: J(Con L)
 and its order are read off it with no Con(L), and so are the verdicts that
-depend on that order alone (`lifting` module doc); the block counts of
-FC(L) = B(L) and of the coatom pairs are read off the join table
-(`factor.JSpace.count`).  L's covers, and the covers of each class, are
-found only where a partition is built, by lattice_classes, a memo of its
-own, from which the enumeration lists the down-sets.
+depend on that order alone (`lifting` module doc).  The second step reads
+each class's pairs off the join table, algebra.class_pairs: for each
+j ∈ J(L) the pairs (y, j∨y) with j₊ ≤ y and j ≰ y, which lie in Cg(j₊, j)
+and include every cover of L of j's class (its docstring has the proof).
+No cover of L is found on either step.  The block counts of FC(L) = B(L)
+and of the coatom pairs are read off the pairs' upper ends
+(`factor.JSpace.count`), and the enumeration merges the pairs.
 
-The partition of ⋁S is the union-find over the covers whose class is in S.
-Each of those covers lies in ⋁S, and every (j₊, j) with j's class in S is
-one of them.  Conversely let a ⋁S b.  Then a ⋁S a∧b ⋁S b, so take a < b.
-The blocks of a lattice congruence are convex, so every cover on a maximal
-chain from a to b lies in ⋁S.  Its Cg is join-irreducible, hence join-prime
-in the distributive Con(L), so it lies below a member of S and its class is
-in S.  Each down-set is a smaller one plus one class, and its partition is
-the smaller one's with that class's covers merged.  The down-sets are
-counted against CON_CAP before any partition is built.
+The partition of ⋁S is the union-find over the pairs of the classes in S,
+as the covers of those classes ⊆ their pairs ⊆ ⋁S.  Each pair lies in its
+class's congruence, which is below ⋁S, so the union-find gives at most ⋁S.
+Conversely let a ⋁S b.  Then a ⋁S a∧b ⋁S b, so take a < b.  The blocks of a
+lattice congruence are convex, so every cover on a maximal chain from a to
+b lies in ⋁S.  Its Cg is join-irreducible, hence join-prime in the
+distributive Con(L), so it lies below a member of S: its class is in S, and
+the cover is one of that class's pairs.  Each down-set is a smaller one
+plus one class, and its partition is the smaller one's with that class's
+pairs merged.  The down-sets are counted against CON_CAP before any
+partition is built.
 
-The lattice path hands ConLattice each down-set S = D ∪ {c} as D's index
-and the class c, and ConLattice reads Con(L)'s order off those steps, with
-no seed pair looked up in any partition, by three identities.  Class c is
-the generator Cg(j₊, j) of its seed pair, and above(c) is the set of θ
-that hold it.
+Both enumerations hand ConLattice each partition but Δ as a step (i, g),
+the join of partition i with generator g, and each partition's mask, the
+set of generators below it.  On a pure lattice g is the class that a
+down-set adds, and the mask is the down-set.  On the closure path the mask
+costs one seed lookup per generator (Cg(a, b) ≤ θ iff a θ b), made as the
+enumeration tests whether a join is needed.  With above(g) the set of θ
+that hold generator g, ConLattice reads Con(A)'s order off the steps and
+masks by three identities.
 
-1. Every class is join-irreducible in Con(L), so S is ⋁S's mask over
-   J(Con L) (below) as it stands.  S ↦ ⋁S is an isomorphism from the
+1. Every class is join-irreducible in Con(L), so a down-set S is ⋁S's mask
+   over J(Con L) (below) as it stands.  S ↦ ⋁S is an isomorphism from the
    down-sets of the classes onto Con(L), and Cg(j₊, j) is ⋁↓c.  A down-set
    T ⊊ ↓c misses c, as c ∈ T gives ↓c ⊆ T, so T ⊆ ↓c ∖ {c}, itself a
    down-set: ↓c ≠ ∅ has one lower cover.
-2. ↑θ_{D∪{c}} = ↑θ_D ∩ above(c).  φ ≥ θ_S iff every class of S lies below
-   φ, so ↑θ_S is the meet of above(g) over g ∈ S.  One AND per congruence.
+2. ↑(θ ∨ g) = ↑θ ∩ above(g), as φ ≥ θ ∨ g iff φ ≥ θ and φ ≥ g.  One AND per
+   congruence, on every algebra.
 3. Con(A) is distributive for every A with a lattice reduct L (its join
    and meet), so no join-prime test runs on such an A.  Con(A) and Con(L)
    are sublattices of Eq(A) (below), and Con(A) ⊆ Con(L), so Con(A) is a
@@ -114,12 +121,11 @@ that hold it.
 on its first read.
 
 Con(A) is held as masks over its join-irreducibles J(Con A), for every
-algebra.  Cg(a, b) ≤ θ iff a θ b, so the set of distinct generators below θ
-costs one lookup per generator.  Every join-irreducible θ is a join of
-generators, hence one of them, and every θ is the join of the
-join-irreducibles below it.  So with mask(θ) the set of join-irreducible
-generators below θ (a generator is join-irreducible iff the θ strictly
-below it have a greatest element):
+algebra.  Every join-irreducible θ is a join of generators, hence one of
+them, and every θ is the join of the join-irreducibles below it.  So with
+mask(θ) the set of join-irreducible generators below θ (ConLattice's
+docstring has the test of a generator, which keeps every class of a pure
+lattice, by 1):
 
 - θ ≤ φ iff mask(θ) ⊆ mask(φ), and mask(θ ∧ φ) = mask(θ) ∩ mask(φ);
 - if mask(θ) ∪ mask(φ) is the mask of some ψ, then ψ = θ ∨ φ.  When Con(A)
@@ -172,6 +178,7 @@ from .algebra import (
     _bits,
     block_masks,
     cached,
+    class_pairs,
     cover_pairs,
     delta_partition,
     flat_table,
@@ -510,15 +517,22 @@ class ConLattice:
     is the set of indices of the θ above generator g, and ↑θ_i and ↓θ_i are
     index masks.
 
-    The closure path reads the generators below each θ off the seeds, and
-    finds the join-irreducible ones.  The lattice path is handed each
-    down-set D ∪ {c} of J(Con L) as D's index and the class c, and reads
-    the rest off those steps by three identities (module doc, 1–3):
+    Both enumerations hand it each θ but Δ as a step, θ_i ∨ g for an
+    earlier θ_i and a generator g, and the set of generators below each θ
+    (module doc), and it reads the rest off them, the same way on every
+    algebra:
 
-    - every class is join-irreducible, as ↓c ∖ {c} is the one down-set
-      that ↓c covers: gen_masks are the down-sets, and none is searched for;
-    - ↑θ_{D∪{c}} = ↑θ_D ∩ _above[c], as ↑θ_S is the meet of _above[g] over
-      g ∈ S: one AND per congruence;
+    - _above is the transpose of those sets;
+    - ↑(θ_i ∨ g) = ↑θ_i ∩ _above[g] (module doc, 2): one AND per congruence;
+    - generator g is θ_e, e the lowest index in _above[g], as index order
+      extends the order.  Let ψ be the join of the generators h ≠ g below
+      θ_e: ↑ψ is the meet of their _above[h] (all of Con(A) when there are
+      none), and ψ the lowest index in it.  g is join-irreducible iff
+      ψ ≠ θ_e.  The generators are distinct, so each h < θ_e, and ψ = θ_e
+      is a join of the θ below θ_e.  If ψ < θ_e, each θ < θ_e is the join
+      of the generators below it, which are all h's, as g ≤ θ would give
+      θ_e ≤ θ; so θ ≤ ψ, and ψ is the greatest θ below θ_e.  On a pure
+      lattice every class is kept, as ψ is θ_{↓c ∖ {c}} (module doc, 1);
     - Con(A) is distributive when A has a lattice reduct, as it is a
       sublattice of the reduct's Con, which is distributive (Funayama &
       Nakayama): is_distributive folds nothing there.
@@ -542,12 +556,12 @@ class ConLattice:
         "_cache",
     )
 
-    def __init__(self, algebra: FiniteAlgebra, partitions, seeds, steps=None):
-        """partitions are all of Con(A), each a join of the generators
-        Cg(a, b) with (a, b) in seeds.  steps is None on the closure path.
-        On the lattice path partitions[0] is Δ, and steps[x - 1] = (i, c)
-        makes partitions[x] = θ_{D∪{c}} for D the down-set of classes of
-        partitions[i], class c being the generator of seeds[c] (class doc)."""
+    def __init__(self, algebra: FiniteAlgebra, partitions, seeds, steps, masks):
+        """partitions are all of Con(A), partitions[0] being Δ, and each a
+        join of the generators Cg(a, b) with (a, b) in seeds.  steps[x − 1]
+        = (i, g) makes partitions[x] the join of partitions[i] with
+        generator g, and masks[x] is the set of generators below
+        partitions[x] (class doc)."""
         self.algebra = algebra
         self.seeds = seeds
         counts = [len(set(p)) for p in partitions]
@@ -556,47 +570,25 @@ class ConLattice:
         self._index = {c.block_of: i for i, c in enumerate(self.elements)}
         self._cache = {}
         self.blocks = [counts[x] for x in order]
+        masks = [masks[x] for x in order]
+        self._above = above = _transpose(masks, len(seeds))
         full = (1 << len(order)) - 1
-        if steps is None:
-            # Cg(a, b) ≤ θ iff a θ b
-            masks = [
-                sum(1 << g for g, (a, b) in enumerate(seeds) if c.block_of[a] == c.block_of[b])
-                for c in self.elements
-            ]
-            self._above = above = _transpose(masks, len(seeds))
-            # θ_i ≤ θ_j iff every g below θ_i is below θ_j, so ↑θ_i is the
-            # meet of above[g] over g in mask_i, and ↓θ_j that of the
-            # complements over g not in mask_j
-            self._up_masks, self._downs = [], []
-            for m in masks:
-                up = down = full
-                for g, h in enumerate(above):
-                    if m >> g & 1:
-                        up &= h
-                    else:
-                        down &= ~h
-                self._up_masks.append(up)
-                self._downs.append(down)
-            # generator g is the lowest index above g, as index order extends
-            # the order; it is join-irreducible iff its strict down-set has a
-            # top
-            downs, jbits = self._downs, 0
-            for g, h in enumerate(above):
-                e = _lowest_bit(h)
-                below = downs[e] & ~(1 << e)
-                if below and downs[below.bit_length() - 1] == below:
-                    jbits |= 1 << g
-            self.gen_masks = [m & jbits for m in masks]
-        else:
-            sets, ups = [0], [full]
-            for i, c in steps:
-                sets.append(sets[i] | 1 << c)
-            self.gen_masks = [sets[x] for x in order]
-            self._above = above = _transpose(self.gen_masks, len(seeds))
-            for i, c in steps:
-                ups.append(ups[i] & above[c])
-            self._up_masks = [ups[x] for x in order]
-            self._downs = None
+        ups = [full]  # ↑(θ_i ∨ g) = ↑θ_i ∩ above[g]
+        for i, g in steps:
+            ups.append(ups[i] & above[g])
+        self._up_masks = [ups[x] for x in order]
+        self._downs = None
+        # g, which is θ_e, is join-irreducible iff the join of the other
+        # generators below θ_e, the lowest index of the meet of their
+        # above masks, is not θ_e
+        jbits = 0
+        for g, h in enumerate(above):
+            e, up = _lowest_bit(h), full
+            for k in _bits(masks[e] & ~(1 << g)):
+                up &= above[k]
+            if _lowest_bit(up) != e:
+                jbits |= 1 << g
+        self.gen_masks = [m & jbits for m in masks]
         self._at = {m: i for i, m in enumerate(self.gen_masks)}
         self.index_of_delta = self._index[delta_partition(algebra.n)]
         self.index_of_nabla = self._index[nabla_partition(algebra.n)]
@@ -714,9 +706,10 @@ def is_pure_lattice(A: FiniteAlgebra) -> bool:
 
 
 def _enumerate_partitions(A: FiniteAlgebra) -> tuple:
-    """Con(A)'s partitions, one seed pair (a, b) per distinct generator
-    Cg(a, b), and on a pure lattice the step (parent, class) that made each
-    partition but Δ (None on the closure path): ConLattice's arguments."""
+    """ConLattice's arguments: Con(A)'s partitions, Δ first; one seed pair
+    (a, b) per distinct generator Cg(a, b); the step (i, g) that made each
+    partition but Δ, the join of partition i with generator g; and the
+    mask of the generators below each partition."""
     n = A.n
     if is_pure_lattice(A):
         return _lattice_partitions(A)
@@ -729,35 +722,18 @@ def _enumerate_partitions(A: FiniteAlgebra) -> tuple:
     gens = {}
     for a, b in gen_pairs:
         gens.setdefault(_close(A, [(a, b)]), (a, b))
-    return _close_under_joins(n, gens), tuple(gens.values()), None
-
-
-@cached
-def lattice_classes(A: FiniteAlgebra) -> tuple:
-    """The J step's classes with the covers of L: (seeds, under, covers),
-    seeds and under as in join_classes(A), and covers[c] the cover pairs
-    a ≺ b of L whose Cg is class c's (module doc).  Read only where a
-    partition is built.  Memoized on A, as tuples."""
-    step = join_classes(A)
-    seeds, under, cls = step.seeds, step.under, step.classes
-    up, down = A.order_masks()
-    class_covers = [[] for _ in seeds]
-    for a, b in cover_pairs(up, down):
-        # step down inside ↓b ∖ ↓a to a minimal member, which is in J(L)
-        cand = down[b] & ~down[a]
-        j = cand.bit_length() - 1
-        while down[j] & cand != 1 << j:
-            j = (down[j] & cand & ~(1 << j)).bit_length() - 1
-        class_covers[cls[j]].append((a, b))
-    return seeds, under, tuple(map(tuple, class_covers))
+    parts, steps, masks = _close_under_joins(n, gens)
+    return parts, tuple(gens.values()), steps, masks
 
 
 def _lattice_partitions(A: FiniteAlgebra) -> tuple:
     """_enumerate_partitions on a pure lattice: the down-sets of the classes
-    of lattice_classes(A), each partition a union-find over the covers of
-    its classes (module doc), and each down-set's step: (i, c) for the
-    earlier down-set i that it extends by the class c."""
-    seeds, under, class_covers = lattice_classes(A)
+    of join_classes(A), each partition a union-find over the pairs of its
+    classes (module doc), each down-set's step (i, c) for the earlier
+    down-set i that it extends by the class c, and the down-sets as the
+    masks."""
+    step = join_classes(A)
+    seeds, under = step.seeds, step.under
     # each down-set is an earlier one plus a class c, where the classes come
     # in an order that puts c after every class below it
     made, sets = [], [0]
@@ -768,31 +744,38 @@ def _lattice_partitions(A: FiniteAlgebra) -> tuple:
                 made.append((i, c))
         if len(sets) > CON_CAP:
             raise SizeCap(f"congruence count exceeds cap {CON_CAP}")
+    pairs = [[] for _ in seeds]
+    for c, row, ys in class_pairs(A):
+        pairs[c] += [(y, row[y]) for y in _bits(ys)]
     parts = [delta_partition(A.n)]
     for i, c in made:
-        parts.append(merge_pairs(parts[i], class_covers[c]))
-    return tuple(parts), seeds, made
+        parts.append(merge_pairs(parts[i], pairs[c]))
+    return parts, seeds, made, sets
 
 
 def _close_under_joins(n: int, gens: dict) -> tuple:
-    """Δ and every join of the principal congruences gens, each mapped to
-    its seed pair (a, b).  Each join is a partition join, and joining every
-    new partition with each generator reaches every join of generators;
-    p ∨ Cg(a, b) = p when a p b, so that join is skipped."""
-    found = {delta_partition(n)}
-    worklist = list(found)
-    while worklist:
-        p = worklist.pop()
-        for g, (a, b) in gens.items():
+    """(partitions, steps, masks) of Δ and every join of the principal
+    congruences gens, each mapped to its seed pair (a, b).  Each join is a
+    partition join, and joining every new partition with each generator
+    reaches every join of generators; p ∨ Cg(a, b) = p when a p b, so that
+    join is skipped, and the generators skipped are the mask of p."""
+    parts, steps, masks = [delta_partition(n)], [], []
+    found = set(parts)
+    for i, p in enumerate(parts):  # parts grows as it is walked
+        mask = 0
+        for g, (q, (a, b)) in enumerate(gens.items()):
             if p[a] == p[b]:
+                mask |= 1 << g
                 continue
-            r = join_partitions(p, g)
+            r = join_partitions(p, q)
             if r not in found:
                 found.add(r)
-                worklist.append(r)
+                parts.append(r)
+                steps.append((i, g))
                 if len(found) > CON_CAP:
                     raise SizeCap(f"congruence count exceeds cap {CON_CAP}")
-    return tuple(found)
+        masks.append(mask)
+    return parts, steps, masks
 
 
 @cached

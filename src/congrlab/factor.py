@@ -49,6 +49,7 @@ from .algebra import (
     _components,
     _j_order,
     cached,
+    class_pairs,
     direct_product,
     join_classes,
     join_partitions,
@@ -192,25 +193,19 @@ class _LatticeJSpace(JSpace):
     with no Con(L): class g is generator g, and ↓g is g with the classes
     under it.
 
-    count(D) = n − |⋃_{c∈D} E_c|, E_c the mask of the x with a lower cover
-    y ≺ x of class c: no partition.  Each block of a lattice congruence θ
-    is closed under ∧ (a θ b gives a∧b θ b∧b) and convex, so it has a
-    least element, and x is the least of its block iff no lower cover of x
-    is collapsed: were y θ x for some y < x, a lower cover z of x with
-    y ≤ z has z θ x, by convexity.  A cover y ≺ x is
-    collapsed by θ_D iff Cg(y, x) ≤ θ_D.  Cg(y, x) is the join-irreducible
-    of the cover's class, join-prime in the distributive Con(L), so that
-    holds iff its class is in the down-set D.  So the x outside
-    ⋃_{c∈D} E_c are the least elements of the blocks, one per block.
-
-    E_c = {j∨y : j ∈ J(L) of class c, j₊ ≤ y, j ≰ y}, read off the join
-    table with no cover found.  A cover y ≺ x of class c has a minimal
-    j ≤ x with j ≰ y, of class c (`congruences` module doc), so j₊ ≤ y and
-    j∨y = x.  Conversely, for such j and y let x = j∨y and y' maximal in
-    [y, x) with j ≰ y'.  Every z ∈ (y', x] lies above j, hence above
-    y'∨j = x, so y' ≺ x, and j∧y' = j₊.  So (y', x) = (y'∨j₊, y'∨j) lies in
-    Cg(j₊, j), and (j₊, j) = (j∧y', j∧x) in Cg(y', x): the cover's class is
-    c.  fc_atoms is read off L's central elements (_central_masks)."""
+    count(D) = n − |⋃_{c∈D} E_c|, E_c the mask of the upper ends of class
+    c's pairs (algebra.class_pairs): no cover found and no partition.  Each
+    block of a lattice congruence θ is closed under ∧ (a θ b gives
+    a∧b θ b∧b) and convex, so it has a least element, and x is the least of
+    its block iff no lower cover of x is collapsed: were y θ x for some
+    y < x, a lower cover z of x with y ≤ z has z θ x, by convexity.  A
+    cover y ≺ x is collapsed by θ_D iff Cg(y, x) ≤ θ_D.  Cg(y, x) is the
+    join-irreducible of the cover's class, join-prime in the distributive
+    Con(L), so that holds iff its class is in the down-set D, and then the
+    cover is one of that class's pairs.  Conversely a pair (y, x) of a
+    class in D lies in θ_D, with y < x.  So the x outside ⋃_{c∈D} E_c are
+    the least elements of the blocks, one per block.  fc_atoms is read off
+    L's central elements (_central_masks)."""
 
     def __init__(self, L: FiniteAlgebra):
         self.algebra = L
@@ -221,12 +216,9 @@ class _LatticeJSpace(JSpace):
 
     @_kept
     def _upper_ends(self) -> list[int]:
-        L = self.algebra
-        up, join, step = L.order_masks()[0], L.tables["join"], join_classes(L)
-        ends = [0] * len(step.seeds)
-        for jp, j in step.pairs:
-            row = join[j]
-            ends[step.classes[j]] |= sum({1 << row[y] for y in _bits(up[jp] & ~up[j])})
+        ends = [0] * len(join_classes(self.algebra).seeds)
+        for c, row, ys in class_pairs(self.algebra):
+            ends[c] |= sum({1 << row[y] for y in _bits(ys)})
         return ends
 
     def count(self, mask: int) -> int:

@@ -6,7 +6,9 @@ it on the fixtures: the radical of A, the maximal filters, the glued
 congruence of an ordinal sum, the isomorphism from the complemented
 elements of a bounded distributive lattice onto its factor congruences,
 the splitting of A into the quotients by a family of factor congruences,
-the block counts of a pure lattice's congruences by union-find, the order
+the covers of L of each J(Con L) class, found by a descent under each
+cover, the block counts of a pure lattice's congruences by union-find
+over those covers, the order
 and tables of a cover relation by a search from every element, the J
 step of a lattice in the three steps it once took, ConLattice's fields by
 the seed scan and per-generator loops it once ran on every algebra, the
@@ -24,6 +26,7 @@ from congrlab.algebra import (
     _components,
     cover_pairs,
     delta_partition,
+    join_classes,
     merge_pairs,
     nabla_partition,
     ordinal_sum_with_maps,
@@ -32,7 +35,6 @@ from congrlab.errors import NotALattice, TableError
 from congrlab.congruences import (
     Congruence,
     all_congruences,
-    lattice_classes,
     maximal_congruences,
     meet,
     principal_congruence,
@@ -120,6 +122,24 @@ def factorize(A: FiniteAlgebra, alphas: list[Congruence]):
         )
     )
     return quotients, ok
+
+
+def lattice_classes(L: FiniteAlgebra) -> tuple:
+    """The J step's classes with the covers of L: (seeds, under, covers),
+    seeds and under as in join_classes(L), and covers[c] the cover pairs
+    a ≺ b of L whose Cg is class c's, each found by stepping down inside
+    ↓b ∖ ↓a to a minimal member, which is in J(L) (`congruences` module
+    doc)."""
+    step = join_classes(L)
+    up, down = L.order_masks()
+    class_covers = [[] for _ in step.seeds]
+    for a, b in cover_pairs(up, down):
+        cand = down[b] & ~down[a]
+        j = cand.bit_length() - 1
+        while down[j] & cand != 1 << j:
+            j = (down[j] & cand & ~(1 << j)).bit_length() - 1
+        class_covers[step.classes[j]].append((a, b))
+    return step.seeds, step.under, tuple(map(tuple, class_covers))
 
 
 def union_find_block_counter(L: FiniteAlgebra):

@@ -3,8 +3,8 @@ routines they replaced.
 
 The J step (algebra.join_classes) reads J(L), M(L), Freese's D and D*, and
 J(Con L) off the order masks and the join table, with no cover of L, in one
-pass; L's covers are found only where a partition is built
-(congruences.lattice_classes).  L is
+pass; a partition is built from each class's pairs, which
+algebra.class_pairs reads off the join table with no cover either.  L is
 distributive iff D is empty, and FC(L) = B(L) is checked on the components
 of J(Con L), one factor pair per component.  The oracles are the routines
 these replaced: the J step that found the covers of L first, the join-prime
@@ -32,6 +32,7 @@ from congrlab.congruences import is_pure_lattice
 from congrlab.factor import jspace
 from congrlab.fixtures import FIXTURE_NAMES, fixture
 
+from oracles import lattice_classes
 from sweep import sweep
 from test_distributive_lattices import Reads, residuated_inputs
 from test_join_irreducible_masks import cold
@@ -39,8 +40,9 @@ from test_partition_join import count_calls, relabelled
 
 
 def covers_lattice_classes(A):
-    """lattice_classes as it was: J(L) and M(L) counted off the covers of
-    L, then D, D*, the classes and each class's covers."""
+    """oracles.lattice_classes as it was before the J step: J(L) and M(L)
+    counted off the covers of L, then D, D*, the classes and each class's
+    covers."""
     n, join = A.n, A.tables["join"]
     up, down = A.order_masks()
     covers = cover_pairs(up, down)
@@ -143,13 +145,13 @@ def test_the_cover_free_j_step_agrees_with_the_covers_of_l():
         fresh = cold(A)
         step = congruences.join_classes(fresh)
         j_seeds, j_under, cls = step.seeds, step.under, step.classes
-        assert "lattice_classes" not in fresh._cache, A.name
+        assert set(fresh._cache) == {"order_masks", "join_classes"}, A.name
         assert (j_seeds, j_under) == (seeds, under), A.name
         # each j ∈ J(L) is in a class, and the least member of a class is its seed
         js = [j for _, j in A.join_irreducible_pairs()]
         assert [x for x, c in enumerate(cls) if c is not None] == js, A.name
         assert [min(j for j in js if cls[j] == c) for c in range(len(seeds))] == [j for _, j in seeds], A.name
-        assert congruences.lattice_classes(fresh) == want, A.name
+        assert lattice_classes(fresh) == want, A.name
         classes.add(len(seeds))
     assert max(classes) == 7
 
@@ -220,7 +222,7 @@ def test_a_criterion_decided_verdict_finds_no_cover_and_builds_no_partition(name
         assert got == ((True, None, None), (True, None, None), (True, None), (True, None)), A.name
         J = jspace(A)
         assert not A.is_distributive_lattice() and len(J.components) == 1 and J.tops is not None, A.name
-        assert "all_congruences" not in A._cache and "lattice_classes" not in A._cache, A.name
+        assert "all_congruences" not in A._cache and "_upper_ends" not in vars(J), A.name
         # the join table is read by the dependency pass alone: no join is
         # folded for distributivity
         assert seen == dependency_reads(A), A.name

@@ -1,6 +1,6 @@
 """A pure lattice's liftings and normality decided on J(Con L) before Con(L).
 
-The J step (congruences.lattice_classes) gives J(Con L) and its order with
+The J step (algebra.join_classes) gives J(Con L) and its order with
 no partition built; the four verdicts decide by their criteria on it, or,
 on a lattice that is not distributive and fails the criterion of FCLP, by
 the pairs of maximal members of J (lifting module doc, 7), and Con(L) is
@@ -68,7 +68,8 @@ def test_the_j_step_gives_the_verdicts_of_the_enumerated_path():
         J = jspace(fresh)
         down, components, tops = J.down, J.components, J.tops
         assert "all_congruences" not in fresh._cache, A.name
-        assert all(type(x) is tuple for x in congruences.lattice_classes(fresh)), A.name
+        step = algebra.join_classes(fresh)
+        assert all(type(x) is tuple for x in (step.pairs, step.seeds, step.under, step.classes)), A.name
         cl = all_congruences(enumerated)
         assert down == con_down_sets(cl), A.name
         topped = all(any(down[g] == c for g in _bits(c)) for c in components)

@@ -1,31 +1,37 @@
-"""Con(L) read off the down-set enumeration, and the lifting verdicts in
-columns.
+"""Con(A) read off the enumeration's steps and masks, and the lifting
+verdicts in columns.
 
-On a pure lattice the enumeration hands ConLattice each down-set of
-J(Con L) as its parent and the class it adds.  The masks are then the
-down-sets themselves, ↑θ is one AND on its parent's, and ↓θ is made on its
-first read.  Con(A) is distributive on every algebra with a lattice
-reduct, so is_distributive folds nothing there.  Each side's lifting
-verdicts fill one column in index order, and a walk for the first failure
-fills it only that far.  The oracles are ConLattice's seed scan and
-per-generator loops (oracles.seed_scan), the join-prime fold
+Both enumerations hand ConLattice each θ but Δ as its parent and the
+generator it adds, with the set of generators below each θ: on a pure
+lattice the down-sets of J(Con L), which add one class at a time, and on
+the closure path one seed lookup per generator, made as the joins are
+tried.  ↑θ is then one AND on its parent's, ↓θ is made on its first read,
+and the join-irreducible test keeps every class of a pure lattice.  A pure
+lattice's partitions merge each class's pairs off the join table, which
+lie between the class's covers and its congruence.  Con(A) is distributive
+on every algebra with a lattice reduct, so is_distributive folds nothing
+there.  Each side's lifting verdicts fill one column in index order, and a
+walk for the first failure fills it only that far.  The oracles are
+ConLattice's seed scan and per-generator loops (oracles.seed_scan), the
+classes' covers (oracles.lattice_classes), the join-prime fold
 (oracles.join_prime_fold, which test_join_irreducible_masks also holds to
 the triple scan) and the verdict of one θ decided alone
 (oracles.lifting_entry).
 """
 
 from congrlab import congruences, factor, lifting
+from congrlab.algebra import _bits, class_pairs, delta_partition, join_partitions, lattice_reduct, merge_pairs
 from congrlab.cli import _check
-from congrlab.congruences import ConLattice, all_congruences
+from congrlab.congruences import ConLattice, all_congruences, is_pure_lattice
 from congrlab.fixtures import FIXTURE_NAMES, fixture
 
-from oracles import join_prime_fold, lifting_entry, seed_scan
+from oracles import join_prime_fold, lattice_classes, lifting_entry, seed_scan
 from sweep import sweep
 from test_coatom_pairs import ordinal_sums, products
 from test_distributive_lattices import residuated_inputs
-from test_join_irreducible_masks import cold
+from test_join_irreducible_masks import cold, random_generic_algebras
 from test_jspace import chains_on_top
-from test_partition_join import count_calls
+from test_partition_join import count_calls, generic_copy, subtraction_mod
 
 
 def populations():
@@ -67,15 +73,17 @@ def test_the_steps_give_the_seed_scans_fields():
     for name, population in populations().items():
         paths[name] = [0, 0]
         for A in population:
-            parts, seeds, steps = congruences._enumerate_partitions(A)
-            want = seed_scan(A, parts, seeds)
-            # the seed scan on the same partitions, as the closure path runs it
-            assert fields(ConLattice(A, parts, seeds)) == want, (name, A.name)
-            if steps is not None:
-                got = ConLattice(A, parts, seeds, steps)
-                assert got._downs is None, (name, A.name)
-                assert fields(got) == want, (name, A.name)
-            paths[name][steps is None] += 1
+            parts, seeds, steps, masks = congruences._enumerate_partitions(A)
+            got = ConLattice(A, parts, seeds, steps, masks)
+            assert got._downs is None, (name, A.name)
+            assert fields(got) == seed_scan(A, parts, seeds), (name, A.name)
+            pure = is_pure_lattice(A)
+            if pure:
+                # the join-irreducible test keeps every class, and the
+                # masks are the down-sets as they came
+                assert got.gen_masks[got.index_of_nabla] == (1 << len(seeds)) - 1, (name, A.name)
+                assert sorted(got.gen_masks) == sorted(masks), (name, A.name)
+            paths[name][not pure] += 1
         sizes[name] = len(population)
     assert sizes == {"sweep": 225, "fixtures": 16, "sums": 640, "products": 45, "chains on top": 45, "residuated": 111}
     # the fixtures' lattice path misses the residuated R0 alone, and the
@@ -90,8 +98,79 @@ def test_the_steps_give_the_seed_scans_fields():
     }
 
 
+def closure_populations():
+    """The algebras with no lattice reduct or more than one, which the
+    closure path enumerates: the 80 random generic algebras, the 16
+    fixtures' generic-kind copies, the residuated population, and Z_30 and
+    Z_60 under x − y."""
+    return {
+        "random": random_generic_algebras(),
+        "generic copies": [generic_copy(fixture(name)) for name in FIXTURE_NAMES],
+        "residuated": residuated_inputs(),
+        "Z_n": [subtraction_mod(30), subtraction_mod(60)],
+    }
+
+
+def test_the_closure_paths_steps_and_masks_give_the_seed_scans_fields():
+    dropped = 0
+    for name, population in closure_populations().items():
+        for A in population:
+            parts, seeds, steps, masks = congruences._enumerate_partitions(A)
+            assert not is_pure_lattice(A) and parts[0] == delta_partition(A.n), (name, A.name)
+            gens = [congruences._close(A, [pair]) for pair in seeds]
+            # each partition but Δ is an earlier one joined with a generator,
+            # and its mask is the seed lookup
+            assert len(steps) == len(parts) - 1, (name, A.name)
+            for x, (i, g) in enumerate(steps, 1):
+                assert i < x and parts[x] == join_partitions(parts[i], gens[g]), (name, A.name)
+            assert masks == [sum(1 << g for g, (a, b) in enumerate(seeds) if p[a] == p[b]) for p in parts], (name, A.name)
+            cl = ConLattice(A, parts, seeds, steps, masks)
+            assert cl._downs is None, (name, A.name)
+            assert fields(cl) == seed_scan(A, parts, seeds), (name, A.name)
+            assert cl._downs is not None, (name, A.name)
+            dropped += len(seeds) - cl.gen_masks[cl.index_of_nabla].bit_count()
+    # and the join-irreducible test drops some generators
+    assert dropped > 0
+
+
+def test_the_pairs_of_a_class_lie_between_its_covers_and_its_congruence():
+    pairs_read, covers_read = {}, {}
+    for name, population in populations().items():
+        if name == "residuated":
+            continue
+        pairs_read[name] = covers_read[name] = 0
+        for A in population:
+            L = A if is_pure_lattice(A) else lattice_reduct(A)
+            seeds, _, class_covers = lattice_classes(L)
+            pairs = [set() for _ in seeds]
+            for c, row, ys in class_pairs(L):
+                pairs[c].update((y, row[y]) for y in _bits(ys))
+            for c, seed in enumerate(seeds):
+                cg = congruences._close(L, [seed])
+                assert all(cg[y] == cg[x] for y, x in pairs[c]), (name, A.name, c)
+                assert pairs[c].issuperset(class_covers[c]), (name, A.name, c)
+            parts, _, steps, _ = congruences._lattice_partitions(L)
+            # the union-find over the covers, step by step
+            want = [delta_partition(L.n)]
+            for i, c in steps:
+                want.append(merge_pairs(want[i], class_covers[c]))
+            assert parts == want, (name, A.name)
+            pairs_read[name] += sum(map(len, pairs))
+            covers_read[name] += sum(map(len, class_covers))
+    assert (pairs_read["sweep"], covers_read["sweep"]) == (2268, 1896)
+
+
 def test_a_pure_lattice_makes_its_down_masks_only_where_read():
     for A in [cold(fixture("X")), cold(fixture("L2x3cube"))]:
+        cl = all_congruences(A)
+        lifting.lifting_report(A)
+        assert cl._downs is None, A.name
+        assert cl.covers() and cl._downs is not None, A.name
+
+
+def test_the_closure_path_makes_its_down_masks_only_where_read():
+    # a report reads no ↓θ on the generic-kind copies either
+    for A in [generic_copy(fixture("X")), generic_copy(fixture("L2x3cube")), subtraction_mod(6)]:
         cl = all_congruences(A)
         lifting.lifting_report(A)
         assert cl._downs is None, A.name

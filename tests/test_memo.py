@@ -21,7 +21,7 @@ import pytest
 
 from congrlab import factor, lifting, residuated
 from congrlab.algebra import join_classes
-from congrlab.congruences import all_congruences, is_pure_lattice, lattice_classes
+from congrlab.congruences import all_congruences
 from congrlab.errors import AmbiguousComplement, NotDistributive
 from congrlab.fixtures import fixture
 
@@ -46,7 +46,6 @@ MEMOIZED = {
     "_operations",
     "is_distributive",
     "is_permutable",
-    "lattice_classes",
     "all_congruences",
     "_interval_centers",
     "jspace",
@@ -127,8 +126,6 @@ def test_a_cold_copy_computes_its_own_facts_once(name):
         "_joins_to_nabla": lambda X: lifting._joins_to_nabla(all_congruences(X)),
         "_interval_centers": lambda X: factor._interval_centers(all_congruences(X), 0)[1].complement,
     }
-    if is_pure_lattice(B):
-        facts["lattice_classes"] = lattice_classes
     if B.is_distributive_lattice():  # else a complement is ambiguous
         facts["element_boolean_center"] = lambda X: residuated.element_boolean_center(X).complement
     for fact, read in facts.items():

@@ -48,6 +48,7 @@ from congrlab.congruences import (
 from congrlab.fixtures import FIXTURE_NAMES, fixture, fixture_spec
 from congrlab.report import build_report, render_dot
 
+from oracles import seed_scan
 from sweep import sweep
 from test_congruences import pointed_algebra, quaternary_algebra, xor_algebra
 
@@ -176,7 +177,8 @@ def closure_enumeration(A):
     gens = {}
     for a, b in A.join_irreducible_pairs():
         gens.setdefault(congruences._close(A, [(a, b)]), (a, b))
-    return congruences._close_under_joins(A.n, gens), tuple(gens.values())
+    parts, steps, masks = congruences._close_under_joins(A.n, gens)
+    return parts, tuple(gens.values()), steps, masks
 
 
 def relabelled(A, seed):
@@ -208,12 +210,12 @@ def test_the_dependency_relation_matches_the_closure_enumeration():
     algebras = dependency_algebras()
     assert len(algebras) == 225 + 3 * 15 + 2
     for A in algebras:
-        parts, seeds, steps = congruences._enumerate_partitions(A)
-        want_parts, want_seeds = closure_enumeration(A)
+        got_args, want_args = congruences._enumerate_partitions(A), closure_enumeration(A)
+        (parts, seeds, *_), (want_parts, want_seeds, *_) = got_args, want_args
         assert set(parts) == set(want_parts) and len(parts) == len(want_parts), A.name
         assert seeds == want_seeds, A.name
         # the same partitions, in the same index order, under the same masks
-        got, want = congruences.ConLattice(A, parts, seeds, steps), congruences.ConLattice(A, want_parts, want_seeds)
+        got, want = congruences.ConLattice(A, *got_args), congruences.ConLattice(A, *want_args)
         assert [c.block_of for c in got.elements] == [c.block_of for c in want.elements], A.name
         assert got.gen_masks == want.gen_masks, A.name
 
@@ -246,12 +248,13 @@ def test_the_lattice_path_masks_are_the_seed_scan():
     algebras = sweep() + [fixture(name) for name in FIXTURE_NAMES] + [direct_product([fixture("L2")] * 5)]
     lattice_path = 0
     for A in algebras:
-        parts, seeds, steps = congruences._enumerate_partitions(A)
-        if steps is None:
+        if not congruences.is_pure_lattice(A):
             continue
         lattice_path += 1
-        got = congruences.ConLattice(A, parts, seeds, steps)
-        assert con_fields(got) == con_fields(congruences.ConLattice(A, parts, seeds)), A.name
+        parts, seeds, steps, masks = congruences._enumerate_partitions(A)
+        got = congruences.ConLattice(A, parts, seeds, steps, masks)
+        want = seed_scan(A, parts, seeds)
+        assert con_fields(got) == tuple(want[f] for f in ("partitions", "blocks", "gen_masks", "up", "down")), A.name
     assert lattice_path == 225 + 15 + 1
 
 
@@ -266,16 +269,16 @@ def test_a_cold_pure_lattice_skips_the_seed_scan(monkeypatch):
     lattice_partitions = congruences._lattice_partitions
 
     def unscanned(A):
-        parts, seeds, steps = lattice_partitions(A)
-        return parts, Unscanned(seeds), steps
+        parts, seeds, steps, masks = lattice_partitions(A)
+        return parts, Unscanned(seeds), steps, masks
 
     monkeypatch.setattr(congruences, "_lattice_partitions", unscanned)
     for A, count in [(chain(8), 128), (direct_product([fixture("L2")] * 5), 32), (fixture("L2x3cube"), 8)]:
         assert len(all_congruences(A)) == count, A.name
-    # without the steps, the seeds are scanned
+    # the seed scan that the steps replace would walk them
     C3 = chain(3)
     with pytest.raises(AssertionError, match="scanned"):
-        congruences.ConLattice(C3, *unscanned(C3)[:2])
+        seed_scan(C3, *unscanned(C3)[:2])
 
 
 def c3_with_a_reversal():
@@ -418,7 +421,7 @@ def test_render_dot_draws_the_cover_edges():
 
 def test_each_generator_is_kept_with_one_seed_pair():
     for A in [fixture(name) for name in FIXTURE_NAMES] + [xor_algebra(), chain(8)]:
-        parts, seeds, _ = congruences._enumerate_partitions(A)
+        seeds = congruences._enumerate_partitions(A)[1]
         gens = [congruences._close(A, [pair]) for pair in seeds]
         assert len(set(gens)) == len(gens), A.name
         cl = all_congruences(A)
