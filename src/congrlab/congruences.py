@@ -21,9 +21,9 @@ pairs, whose images are joined by a path inside it.  Every pair merged is
 forced by the seeds, so the result is their Cg.
 
 Joins need no closure: Con(A) is a sublattice of Eq(A), so the join of two
-congruences is the join of their partitions, and Con(A) is enumerated by
-joining with the principal generators alone.  A pure lattice needs neither
-(below).
+congruences is the join of their partitions.  Con(A) is enumerated from
+J(Con A) alone, each member a principal congruence, and a pure lattice
+needs no closure and no join (below).
 
 On an algebra with a lattice reduct (join and meet among its operations)
 the generators are Cg(j₊, j) for the join-irreducible elements j, where
@@ -34,7 +34,18 @@ j₊ ≺ j is a cover pair, and every cover a ≺ b gives the same congruence as
 one of them.  Take j minimal with j ≤ b and j ≰ a.  Every x < j then has
 x ≤ a, so j₊ = j∧a ≠ j, and a < a∨j ≤ b gives a∨j = b.  A congruence
 holding (a, b) holds (j∧a, j∧b) = (j₊, j), and one holding (j₊, j) holds
-(a∨j₊, a∨j) = (a, b).  So Cg(a, b) = Cg(j₊, j).
+(a∨j₊, a∨j) = (a, b).  So Cg(a, b) = Cg(j₊, j).  Each is in J(Con A), as
+the Cg of a cover a ≺ b is: if (a, b) ∈ α ∨ β, a path from a to b whose
+steps each lie in α or in β maps under x ↦ (x∨a)∧b to a path in {a, b},
+each step in the same α or β, and one step is (a, b), so α or β holds it.
+
+With no lattice reduct the generators are Cg(a, b) for a < b, and q is
+kept iff q ≠ ψ_q, the join of the generators strictly below q (found as
+Cg(a, b) ≤ q iff a q b).  Every θ is the join of the generators below it,
+so a join-irreducible θ is a generator; q = α ∨ β with α, β < q gives
+ψ_q ≥ α ∨ β = q; and a join-irreducible q has ψ_q below its one lower
+cover (Davey & Priestley, ch. 2; Freese, "Computing congruences
+efficiently", Algebra Universalis 59, 2008).
 
 A pure lattice L, whose only operations besides join and meet are
 constants (which constrain no congruence), is enumerated with no closure and
@@ -89,43 +100,36 @@ Conversely let a ⋁S b.  Then a ⋁S a∧b ⋁S b, so take a < b.  The blocks o
 lattice congruence are convex, so every cover on a maximal chain from a to
 b lies in ⋁S.  Its Cg is join-irreducible, hence join-prime in the
 distributive Con(L), so it lies below a member of S: its class is in S, and
-the cover is one of that class's pairs.  Each down-set is a smaller one
-plus one class, and its partition is the smaller one's with that class's
-pairs merged.  The down-sets are counted against CON_CAP before any
-partition is built.
+the cover is one of that class's pairs.
+
+Every algebra with a lattice reduct goes through one down-set routine,
+_down_sets.  Its Con(A) is distributive (2 below), so S ↦ ⋁S is an
+isomorphism from the down-sets of J(Con A) onto Con(A) (Birkhoff).  On a
+pure lattice J(Con A) is the classes with their pairs; with other
+operations it is the generators, ordered by Cg(a, b) ≤ q iff a q b, and
+q's pairs are the (e, q[e]), whose merge is the partition join with q.  A
+down-set plus a member c has the down-set's partition with c's pairs
+merged, and the down-sets are counted against CON_CAP before any partition
+is built.  With no lattice reduct the generators are closed under joins.
 
 Both enumerations hand ConLattice each partition but Δ as a step (i, g),
-the join of partition i with generator g, and each partition's mask, the
-set of generators below it.  On a pure lattice g is the class that a
-down-set adds, and the mask is the down-set.  On the closure path the mask
-costs one seed lookup per generator (Cg(a, b) ≤ θ iff a θ b), made as the
-enumeration tests whether a join is needed.  With above(g) the set of θ
-that hold generator g, ConLattice reads Con(A)'s order off the steps and
-masks by three identities.
+partition i joined with member g, and each partition's mask, the members
+below it: with a lattice reduct the down-set itself, as each member is
+join-prime, else one seed lookup per member (a θ b) as each join is tried.
+With above(g) the set of θ that hold g, ConLattice reads Con(A)'s order
+off them by two identities.
 
-1. Every class is join-irreducible in Con(L), so a down-set S is ⋁S's mask
-   over J(Con L) (below) as it stands.  S ↦ ⋁S is an isomorphism from the
-   down-sets of the classes onto Con(L), and Cg(j₊, j) is ⋁↓c.  A down-set
-   T ⊊ ↓c misses c, as c ∈ T gives ↓c ⊆ T, so T ⊆ ↓c ∖ {c}, itself a
-   down-set: ↓c ≠ ∅ has one lower cover.
-2. ↑(θ ∨ g) = ↑θ ∩ above(g), as φ ≥ θ ∨ g iff φ ≥ θ and φ ≥ g.  One AND per
+1. ↑(θ ∨ g) = ↑θ ∩ above(g), as φ ≥ θ ∨ g iff φ ≥ θ and φ ≥ g.  One AND per
    congruence, on every algebra.
-3. Con(A) is distributive for every A with a lattice reduct L (its join
+2. Con(A) is distributive for every A with a lattice reduct L (its join
    and meet), so no join-prime test runs on such an A.  Con(A) and Con(L)
    are sublattices of Eq(A) (below), and Con(A) ⊆ Con(L), so Con(A) is a
    sublattice of Con(L), which is distributive (Funayama & Nakayama, Proc.
    Imp. Acad. Tokyo 18, 1942), and so is each sublattice of a distributive
    lattice.
 
-↓θ, which only the covers of Con(A) and the fc-normal walk read, is made
-on its first read.
-
-Con(A) is held as masks over its join-irreducibles J(Con A), for every
-algebra.  Every join-irreducible θ is a join of generators, hence one of
-them, and every θ is the join of the join-irreducibles below it.  So with
-mask(θ) the set of join-irreducible generators below θ (ConLattice's
-docstring has the test of a generator, which keeps every class of a pure
-lattice, by 1):
+Con(A) is held as masks over J(Con A) on every algebra, as every θ is the
+join of the members below it, mask(θ).  So:
 
 - θ ≤ φ iff mask(θ) ⊆ mask(φ), and mask(θ ∧ φ) = mask(θ) ∩ mask(φ);
 - if mask(θ) ∪ mask(φ) is the mask of some ψ, then ψ = θ ∨ φ.  When Con(A)
@@ -136,12 +140,9 @@ lattice, by 1):
 
 Each question about the order then has one test, on every algebra: Con(A)
 is distributive iff every j ∈ J is join-prime, i.e. iff the union of the
-masks without j is a mask (3 above answers it with a lattice reduct);
+masks without j is a mask (2 above answers it with a lattice reduct);
 θ ≠ ∇ is prime iff the meet of the j ≰ θ is not below θ; θ ≺ φ iff
 ↑θ ∩ ↓φ = {θ, φ}, read off the up- and down-masks.
-
-On a lattice no generator is dropped: each Cg(j₊, j) is generated by a
-prime quotient j₊ ≺ j, and such a congruence is join-irreducible.
 
 Composition of relations follows the convention
 
@@ -510,34 +511,25 @@ class ConLattice:
 
     elements are sorted canonically: number of blocks descending, then
     lexicographically by partition array — so Δ is first and ∇ last, and
-    blocks[i] = |A/θ_i|.  gen_masks[i] has bit g set iff the g-th generator
-    is join-irreducible in Con(A) and lies below θ_i: θ_i's mask over
-    J(Con A), which orders Con(A) and gives its meets and joins (module doc).
-    seeds[g] is a pair (a, b) with Cg(a, b) the g-th generator.  _above[g]
-    is the set of indices of the θ above generator g, and ↑θ_i and ↓θ_i are
-    index masks.
+    blocks[i] = |A/θ_i|.  The g-th member of J(Con A) is Cg(a, b) for
+    (a, b) = seeds[g], and gen_masks[i], θ_i's mask over J(Con A), has bit
+    g set iff it lies below θ_i (module doc).  _above[g] is the set of
+    indices of the θ above member g, and ↑θ_i and ↓θ_i are index masks.
 
     Both enumerations hand it each θ but Δ as a step, θ_i ∨ g for an
-    earlier θ_i and a generator g, and the set of generators below each θ
-    (module doc), and it reads the rest off them, the same way on every
-    algebra:
+    earlier θ_i and a member g, and the mask of each θ (module doc), and it
+    reads the rest off them, the same way on every algebra:
 
-    - _above is the transpose of those sets;
-    - ↑(θ_i ∨ g) = ↑θ_i ∩ _above[g] (module doc, 2): one AND per congruence;
-    - generator g is θ_e, e the lowest index in _above[g], as index order
-      extends the order.  Let ψ be the join of the generators h ≠ g below
-      θ_e: ↑ψ is the meet of their _above[h] (all of Con(A) when there are
-      none), and ψ the lowest index in it.  g is join-irreducible iff
-      ψ ≠ θ_e.  The generators are distinct, so each h < θ_e, and ψ = θ_e
-      is a join of the θ below θ_e.  If ψ < θ_e, each θ < θ_e is the join
-      of the generators below it, which are all h's, as g ≤ θ would give
-      θ_e ≤ θ; so θ ≤ ψ, and ψ is the greatest θ below θ_e.  On a pure
-      lattice every class is kept, as ψ is θ_{↓c ∖ {c}} (module doc, 1);
+    - _above is the transpose of the masks;
+    - ↑(θ_i ∨ g) = ↑θ_i ∩ _above[g] (module doc, 1): one AND per congruence;
+    - member g is θ_e, e the lowest index in _above[g], as index order
+      extends the order;
     - Con(A) is distributive when A has a lattice reduct, as it is a
       sublattice of the reduct's Con, which is distributive (Funayama &
       Nakayama): is_distributive folds nothing there.
 
-    ↓θ is made on its first read (_down_masks).
+    ↓θ, which only the covers of Con(A) and the fc-normal walk read, is
+    made on its first read (_down_masks).
     """
 
     __slots__ = (
@@ -557,11 +549,10 @@ class ConLattice:
     )
 
     def __init__(self, algebra: FiniteAlgebra, partitions, seeds, steps, masks):
-        """partitions are all of Con(A), partitions[0] being Δ, and each a
-        join of the generators Cg(a, b) with (a, b) in seeds.  steps[x − 1]
-        = (i, g) makes partitions[x] the join of partitions[i] with
-        generator g, and masks[x] is the set of generators below
-        partitions[x] (class doc)."""
+        """partitions are all of Con(A), partitions[0] being Δ; steps[x − 1]
+        = (i, g) makes partitions[x] the join of partitions[i] with member g
+        of J(Con A), and masks[x] is the set of members below partitions[x]
+        (class doc)."""
         self.algebra = algebra
         self.seeds = seeds
         counts = [len(set(p)) for p in partitions]
@@ -570,34 +561,22 @@ class ConLattice:
         self._index = {c.block_of: i for i, c in enumerate(self.elements)}
         self._cache = {}
         self.blocks = [counts[x] for x in order]
-        masks = [masks[x] for x in order]
+        self.gen_masks = masks = [masks[x] for x in order]
+        self._at = {m: i for i, m in enumerate(masks)}
         self._above = above = _transpose(masks, len(seeds))
-        full = (1 << len(order)) - 1
-        ups = [full]  # ↑(θ_i ∨ g) = ↑θ_i ∩ above[g]
+        ups = [(1 << len(order)) - 1]  # ↑(θ_i ∨ g) = ↑θ_i ∩ above[g]
         for i, g in steps:
             ups.append(ups[i] & above[g])
         self._up_masks = [ups[x] for x in order]
         self._downs = None
-        # g, which is θ_e, is join-irreducible iff the join of the other
-        # generators below θ_e, the lowest index of the meet of their
-        # above masks, is not θ_e
-        jbits = 0
-        for g, h in enumerate(above):
-            e, up = _lowest_bit(h), full
-            for k in _bits(masks[e] & ~(1 << g)):
-                up &= above[k]
-            if _lowest_bit(up) != e:
-                jbits |= 1 << g
-        self.gen_masks = [m & jbits for m in masks]
-        self._at = {m: i for i, m in enumerate(self.gen_masks)}
         self.index_of_delta = self._index[delta_partition(algebra.n)]
         self.index_of_nabla = self._index[nabla_partition(algebra.n)]
 
     @property
     def _down_masks(self) -> list[int]:
-        """↓θ_i for each i, made on first read: θ_j ≤ θ_i iff no
-        join-irreducible generator outside mask_i lies below θ_j, so ↓θ_i is
-        the meet of the complements of above[g] over those g."""
+        """↓θ_i for each i, made on first read: θ_j ≤ θ_i iff no member of
+        J(Con A) outside mask_i lies below θ_j, so ↓θ_i is the meet of the
+        complements of above[g] over those g."""
         if self._downs is None:
             full, above = (1 << len(self)) - 1, self._above
             nabla = self.gen_masks[self.index_of_nabla]
@@ -681,7 +660,7 @@ class ConLattice:
         join-irreducibles alone: if α, β, γ pairwise permute then
         α∨β = α∘β permutes with γ, so pairwise permuting join-irreducibles
         make every join of them, i.e. every congruence, permute."""
-        ji = sorted(_lowest_bit(self._above[g]) for g in _bits(self.gen_masks[self.index_of_nabla]))
+        ji = sorted(map(_lowest_bit, self._above))
         return all(self.permutes(i, j) for x, i in enumerate(ji) for j in ji[x + 1 :])
 
 
@@ -707,35 +686,57 @@ def is_pure_lattice(A: FiniteAlgebra) -> bool:
 
 def _enumerate_partitions(A: FiniteAlgebra) -> tuple:
     """ConLattice's arguments: Con(A)'s partitions, Δ first; one seed pair
-    (a, b) per distinct generator Cg(a, b); the step (i, g) that made each
-    partition but Δ, the join of partition i with generator g; and the
-    mask of the generators below each partition."""
+    (a, b) per member Cg(a, b) of J(Con A); the step (i, g) that made each
+    partition but Δ, the join of partition i with member g; and the mask of
+    the members below each partition."""
     n = A.n
     if is_pure_lattice(A):
-        return _lattice_partitions(A)
-    if A.is_lattice:
-        # Cg(a, b) over cover pairs generates Con, and each cover pair gives
-        # the same Cg as some (j₊, j) with j join-irreducible (module doc)
-        gen_pairs = A.join_irreducible_pairs()
-    else:
-        gen_pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        # the classes of the J step, with the pairs read off the join table
+        step = join_classes(A)
+        pairs = [[] for _ in step.seeds]
+        for c, row, ys in class_pairs(A):
+            pairs[c] += [(y, row[y]) for y in _bits(ys)]
+        return _down_sets(n, step.under, pairs, step.seeds)
+    # Cg(a, b) over cover pairs generates Con, and each cover pair gives the
+    # same Cg as some (j₊, j) with j join-irreducible (module doc)
+    gen_pairs = A.join_irreducible_pairs() if A.is_lattice else itertools.combinations(range(n), 2)
     gens = {}
     for a, b in gen_pairs:
         gens.setdefault(_close(A, [(a, b)]), (a, b))
-    parts, steps, masks = _close_under_joins(n, gens)
-    return parts, tuple(gens.values()), steps, masks
+    if not A.is_lattice:
+        return _close_under_joins(n, _join_irreducibles(n, gens))
+    # each generator is join-irreducible and Con(A) is distributive (module
+    # doc); Cg(a, b) ≤ q iff a q b, and q's pairs are its (e, q[e])
+    seeds = tuple(gens.values())
+    under = [sum(1 << h for h, (a, b) in enumerate(seeds) if h != g and q[a] == q[b]) for g, q in enumerate(gens)]
+    pairs = [[(e, r) for e, r in enumerate(q) if r != e] for q in gens]
+    return _down_sets(n, under, pairs, seeds)
 
 
-def _lattice_partitions(A: FiniteAlgebra) -> tuple:
-    """_enumerate_partitions on a pure lattice: the down-sets of the classes
-    of join_classes(A), each partition a union-find over the pairs of its
-    classes (module doc), each down-set's step (i, c) for the earlier
-    down-set i that it extends by the class c, and the down-sets as the
-    masks."""
-    step = join_classes(A)
-    seeds, under = step.seeds, step.under
-    # each down-set is an earlier one plus a class c, where the classes come
-    # in an order that puts c after every class below it
+def _join_irreducibles(n: int, gens: dict) -> dict:
+    """The members of J(Con A) among the generators gens, each q ≠ ψ_q
+    (module doc).  A generator already below the join so far is skipped."""
+    kept = {}
+    for q, seed in gens.items():
+        psi = delta_partition(n)
+        for p, (a, b) in gens.items():
+            if q[a] == q[b] and p is not q and psi[a] != psi[b]:
+                psi = join_partitions(psi, p)
+        if psi != q:
+            kept[q] = seed
+    return kept
+
+
+def _down_sets(n: int, under, pairs, seeds) -> tuple:
+    """_enumerate_partitions with a lattice reduct: the down-sets of
+    J(Con A) (module doc).  Member c has the seed pair seeds[c], the mask
+    under[c] of the members strictly below it, and pairs[c], whose merge into
+    the partition of a down-set S ⊇ under[c] gives that of S ∪ {c}.  Each
+    down-set's step is (i, c), the earlier down-set i plus c, and the
+    down-sets are the masks.  They are counted against CON_CAP before any
+    partition is built."""
+    # each down-set is an earlier one plus a member c, where the members
+    # come in an order that puts c after every member below it
     made, sets = [], [0]
     for c in sorted(range(len(seeds)), key=lambda c: under[c].bit_count()):
         for i in range(len(sets)):
@@ -744,21 +745,18 @@ def _lattice_partitions(A: FiniteAlgebra) -> tuple:
                 made.append((i, c))
         if len(sets) > CON_CAP:
             raise SizeCap(f"congruence count exceeds cap {CON_CAP}")
-    pairs = [[] for _ in seeds]
-    for c, row, ys in class_pairs(A):
-        pairs[c] += [(y, row[y]) for y in _bits(ys)]
-    parts = [delta_partition(A.n)]
+    parts = [delta_partition(n)]
     for i, c in made:
         parts.append(merge_pairs(parts[i], pairs[c]))
     return parts, seeds, made, sets
 
 
 def _close_under_joins(n: int, gens: dict) -> tuple:
-    """(partitions, steps, masks) of Δ and every join of the principal
-    congruences gens, each mapped to its seed pair (a, b).  Each join is a
-    partition join, and joining every new partition with each generator
-    reaches every join of generators; p ∨ Cg(a, b) = p when a p b, so that
-    join is skipped, and the generators skipped are the mask of p."""
+    """_enumerate_partitions with no lattice reduct: Δ and every partition
+    join of the members gens of J(Con A), each mapped to its seed pair
+    (a, b), reached by joining every new partition with each member;
+    p ∨ Cg(a, b) = p when a p b, so that join is skipped, and the members
+    skipped are the mask of p."""
     parts, steps, masks = [delta_partition(n)], [], []
     found = set(parts)
     for i, p in enumerate(parts):  # parts grows as it is walked
@@ -775,7 +773,7 @@ def _close_under_joins(n: int, gens: dict) -> tuple:
                 if len(found) > CON_CAP:
                     raise SizeCap(f"congruence count exceeds cap {CON_CAP}")
         masks.append(mask)
-    return parts, steps, masks
+    return parts, tuple(gens.values()), steps, masks
 
 
 @cached

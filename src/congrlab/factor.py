@@ -146,7 +146,7 @@ class JSpace:
     its record is made, as every reader but P's needs it and it costs no
     cover.  A subclass per kind fills J, count, fc_atoms and p_order.
 
-    - down[g] = ↓g, a mask over the generator bits, 0 for g outside J;
+    - down[g] = ↓g, a mask over J, each bit one seed of the enumeration;
       near[g] = the members comparable to g; components, the connected
       components; tops, the mask of their greatest elements when every
       component has one, else None.
@@ -239,8 +239,9 @@ class _LatticeJSpace(JSpace):
 
 
 class _ConJSpace(JSpace):
-    """The record of any other algebra, read off Con(A): g's own congruence
-    is the lowest index of Con(A) above it, and its mask is ↓g; count reads
+    """The record of any other algebra, read off Con(A), whose every seed
+    is a member g of J(Con A): g's own congruence is the lowest index of
+    Con(A) above it, and its mask is ↓g; count reads
     Con(A)'s block counts, and fc_atoms the listing of FC(A) at Δ.  A first
     read of J raises NotDistributive unless Con(A) is distributive, as a
     lattice's always is; p_order reads no Con(A)."""
@@ -258,9 +259,8 @@ class _ConJSpace(JSpace):
         if name not in ("down", "near", "components", "tops"):
             raise AttributeError(name)
         cl = self._cl
-        gm, nabla = cl.gen_masks, cl.gen_masks[cl.index_of_nabla]
-        self.down = [gm[_lowest_bit(above)] if nabla >> g & 1 else 0 for g, above in enumerate(cl._above)]
-        self.near, self.components, self.tops = _j_order(self.down, nabla)
+        self.down = [cl.gen_masks[_lowest_bit(above)] for above in cl._above]
+        self.near, self.components, self.tops = _j_order(self.down, cl.gen_masks[cl.index_of_nabla])
         return getattr(self, name)
 
     def count(self, mask: int) -> int:

@@ -11,19 +11,24 @@ cover, the block counts of a pure lattice's congruences by union-find
 over those covers, the order
 and tables of a cover relation by a search from every element, the J
 step of a lattice in the three steps it once took, ConLattice's fields by
-the seed scan and per-generator loops it once ran on every algebra, the
-join-prime fold for distributivity, and the lifting verdict of one θ as it
-was decided before the verdicts came in columns.
+the seed scan and per-generator loops it once ran on every algebra, Con(A)
+by closing every distinct principal generator under joins and testing
+which generators are join-irreducible afterwards, as every algebra but a
+pure lattice once had it, the join-prime fold for distributivity, and the
+lifting verdict of one θ as it was decided before the verdicts came in
+columns.
 """
 
 import operator
 from functools import reduce
 from itertools import product
 
+from congrlab import congruences
 from congrlab.algebra import (
     FiniteAlgebra,
     _bits,
     _components,
+    cached,
     cover_pairs,
     delta_partition,
     join_classes,
@@ -33,7 +38,9 @@ from congrlab.algebra import (
 )
 from congrlab.errors import NotALattice, TableError
 from congrlab.congruences import (
+    ConLattice,
     Congruence,
+    _lowest_bit,
     all_congruences,
     maximal_congruences,
     meet,
@@ -325,6 +332,50 @@ def seed_scan(A: FiniteAlgebra, partitions, seeds) -> dict:
         "nabla": parts.index(nabla_partition(A.n)),
         "size": k,
     }
+
+
+def closure_enumeration(A: FiniteAlgebra) -> tuple:
+    """ConLattice's arguments as every algebra once had them: every distinct
+    principal generator, Cg(j₊, j) for j ∈ J(L) with a lattice reduct L and
+    Cg(a, b) for each a < b without one, closed under partition joins
+    (congruences._close_under_joins)."""
+    n = A.n
+    pairs = A.join_irreducible_pairs() if A.is_lattice else [(a, b) for a in range(n) for b in range(a + 1, n)]
+    gens = {}
+    for a, b in pairs:
+        gens.setdefault(congruences._close(A, [(a, b)]), (a, b))
+    return congruences._close_under_joins(n, gens)
+
+
+class ClosureConLattice(ConLattice):
+    """Con(A) by the route every algebra but a pure lattice once took: the
+    closure_enumeration, then a test in the constructor that keeps the bits
+    of the join-irreducible generators alone.  Generator g is θ_e, e the
+    lowest index above it, and is join-irreducible iff the join ψ of the
+    other generators below θ_e, the lowest index in the meet of their ↑
+    masks, is not θ_e.  Were ψ = θ_e, θ_e would be a join of the θ below
+    it; if ψ < θ_e, each θ < θ_e is the join of the generators below it,
+    none of them g, so θ ≤ ψ.  is_permutable reads the kept bits, as _above
+    has a column for every generator."""
+
+    __slots__ = ()
+
+    def __init__(self, A):
+        super().__init__(A, *closure_enumeration(A))
+        full, above, jbits = (1 << len(self)) - 1, self._above, 0
+        for g, h in enumerate(above):
+            e, up = _lowest_bit(h), full
+            for k in _bits(self.gen_masks[e] & ~(1 << g)):
+                up &= above[k]
+            if _lowest_bit(up) != e:
+                jbits |= 1 << g
+        self.gen_masks = [m & jbits for m in self.gen_masks]
+        self._at = {m: i for i, m in enumerate(self.gen_masks)}
+
+    @cached
+    def is_permutable(self) -> bool:
+        ji = sorted(_lowest_bit(self._above[g]) for g in _bits(self.gen_masks[self.index_of_nabla]))
+        return all(self.permutes(i, j) for x, i in enumerate(ji) for j in ji[x + 1 :])
 
 
 def join_prime_fold(cl) -> bool:

@@ -85,23 +85,20 @@ def join_irreducibles(cl, join):
 def test_the_mask_bits_are_the_join_irreducibles():
     algebras = lattice_algebras()
     algebras += [generic_copy(A) for A in algebras[:-2]] + random_generic_algebras() + [xor_algebra()]
-    dropped = 0
     for A in algebras:
         cl = all_congruences(A)
         join, _ = partition_tables(cl)
         bits = cl.gen_masks[cl.index_of_nabla]
-        # each kept bit's lowest element, the generator itself, is join-irreducible
+        # each bit's lowest element, the generator itself, is join-irreducible
         owners = {min(i for i, m in enumerate(cl.gen_masks) if m >> g & 1) for g in range(bits.bit_length()) if bits >> g & 1}
         assert owners == join_irreducibles(cl, join), A.name
         assert [bin(m).count("1") for m in cl.gen_masks] == [
             len([j for j in owners if cl.leq(j, i)]) for i in range(len(cl))
         ], A.name
+        # every seed is a distinct join-irreducible, on every path: no
+        # generator is handed in that the masks drop
         seeds = len(cl._above)
-        if A.is_lattice:
-            # each Cg(j₊, j) is generated by a prime quotient: no bit is lost
-            assert bits == (1 << seeds) - 1, A.name
-        dropped += seeds - len(owners)
-    assert dropped > 0  # the generic path does drop generators
+        assert bits == (1 << seeds) - 1 and len(owners) == seeds, A.name
 
 
 def test_join_and_meet_are_the_partition_join_and_meet():

@@ -2,30 +2,49 @@
 verdicts in columns.
 
 Both enumerations hand ConLattice each θ but Δ as its parent and the
-generator it adds, with the set of generators below each θ: on a pure
-lattice the down-sets of J(Con L), which add one class at a time, and on
-the closure path one seed lookup per generator, made as the joins are
-tried.  ↑θ is then one AND on its parent's, ↓θ is made on its first read,
-and the join-irreducible test keeps every class of a pure lattice.  A pure
+member of J(Con A) it adds, with the set of members below each θ: with a
+lattice reduct the down-sets of J(Con A), which add one member at a time,
+and on the closure path one seed lookup per member, made as the joins are
+tried.  Every seed is join-irreducible in Con(A), on every path.  ↑θ is
+then one AND on its parent's, and ↓θ is made on its first read.  A pure
 lattice's partitions merge each class's pairs off the join table, which
-lie between the class's covers and its congruence.  Con(A) is distributive
-on every algebra with a lattice reduct, so is_distributive folds nothing
-there.  Each side's lifting verdicts fill one column in index order, and a
-walk for the first failure fills it only that far.  The oracles are
-ConLattice's seed scan and per-generator loops (oracles.seed_scan), the
-classes' covers (oracles.lattice_classes), the join-prime fold
-(oracles.join_prime_fold, which test_join_irreducible_masks also holds to
-the triple scan) and the verdict of one θ decided alone
-(oracles.lifting_entry).
+lie between the class's covers and its congruence.  Past the congruence
+cap, an algebra with a lattice reduct builds no partition.  Con(A) is
+distributive on every algebra with a lattice reduct, so is_distributive
+folds nothing there.  Each side's lifting verdicts fill one column in index
+order, and a walk for the first failure fills it only that far.  The
+oracles are ConLattice's seed scan and per-generator loops
+(oracles.seed_scan), Con(A) by closing every distinct generator under
+joins (oracles.ClosureConLattice), the classes' covers
+(oracles.lattice_classes), the join-prime fold (oracles.join_prime_fold,
+which test_join_irreducible_masks also holds to the triple scan) and the
+verdict of one θ decided alone (oracles.lifting_entry).
 """
 
+import json
+import random
+
+import pytest
+
 from congrlab import congruences, factor, lifting
-from congrlab.algebra import _bits, class_pairs, delta_partition, join_partitions, lattice_reduct, merge_pairs
-from congrlab.cli import _check
-from congrlab.congruences import ConLattice, all_congruences, is_pure_lattice
+from congrlab.algebra import (
+    FiniteAlgebra,
+    Signature,
+    _bits,
+    build_from_spec,
+    class_pairs,
+    delta_partition,
+    emit_spec,
+    join_partitions,
+    lattice_reduct,
+    merge_pairs,
+)
+from congrlab.cli import _check, main
+from congrlab.congruences import ConLattice, all_congruences, is_pure_lattice, maximal_indices, prime_indices
+from congrlab.errors import SizeCap
 from congrlab.fixtures import FIXTURE_NAMES, fixture
 
-from oracles import join_prime_fold, lattice_classes, lifting_entry, seed_scan
+from oracles import ClosureConLattice, join_prime_fold, lattice_classes, lifting_entry, seed_scan
 from sweep import sweep
 from test_coatom_pairs import ordinal_sums, products
 from test_distributive_lattices import residuated_inputs
@@ -77,17 +96,14 @@ def test_the_steps_give_the_seed_scans_fields():
             got = ConLattice(A, parts, seeds, steps, masks)
             assert got._downs is None, (name, A.name)
             assert fields(got) == seed_scan(A, parts, seeds), (name, A.name)
-            pure = is_pure_lattice(A)
-            if pure:
-                # the join-irreducible test keeps every class, and the
-                # masks are the down-sets as they came
-                assert got.gen_masks[got.index_of_nabla] == (1 << len(seeds)) - 1, (name, A.name)
-                assert sorted(got.gen_masks) == sorted(masks), (name, A.name)
-            paths[name][not pure] += 1
+            # the seed scan keeps every seed, and the masks are as they came
+            assert got.gen_masks[got.index_of_nabla] == (1 << len(seeds)) - 1, (name, A.name)
+            assert sorted(got.gen_masks) == sorted(masks), (name, A.name)
+            paths[name][not is_pure_lattice(A)] += 1
         sizes[name] = len(population)
     assert sizes == {"sweep": 225, "fixtures": 16, "sums": 640, "products": 45, "chains on top": 45, "residuated": 111}
     # the fixtures' lattice path misses the residuated R0 alone, and the
-    # residuated population takes the closure path throughout
+    # residuated population closes its principal generators throughout
     assert paths == {
         "sweep": [225, 0],
         "fixtures": [15, 1],
@@ -99,10 +115,10 @@ def test_the_steps_give_the_seed_scans_fields():
 
 
 def closure_populations():
-    """The algebras with no lattice reduct or more than one, which the
-    closure path enumerates: the 80 random generic algebras, the 16
-    fixtures' generic-kind copies, the residuated population, and Z_30 and
-    Z_60 under x − y."""
+    """The algebras with no lattice reduct or more than one, whose
+    generators are principal closures: the 80 random generic algebras, the
+    16 fixtures' generic-kind copies, the residuated population, and Z_30
+    and Z_60 under x − y."""
     return {
         "random": random_generic_algebras(),
         "generic copies": [generic_copy(fixture(name)) for name in FIXTURE_NAMES],
@@ -112,7 +128,6 @@ def closure_populations():
 
 
 def test_the_closure_paths_steps_and_masks_give_the_seed_scans_fields():
-    dropped = 0
     for name, population in closure_populations().items():
         for A in population:
             parts, seeds, steps, masks = congruences._enumerate_partitions(A)
@@ -128,9 +143,107 @@ def test_the_closure_paths_steps_and_masks_give_the_seed_scans_fields():
             assert cl._downs is None, (name, A.name)
             assert fields(cl) == seed_scan(A, parts, seeds), (name, A.name)
             assert cl._downs is not None, (name, A.name)
-            dropped += len(seeds) - cl.gen_masks[cl.index_of_nabla].bit_count()
-    # and the join-irreducible test drops some generators
-    assert dropped > 0
+            # and the seed scan's join-irreducible test drops no generator
+            assert cl.gen_masks[cl.index_of_nabla] == (1 << len(seeds)) - 1, (name, A.name)
+
+
+def successor_mod(n):
+    """Z_n under x + 1."""
+    return FiniteAlgebra(n, [str(x) for x in range(n)], Signature((("s", 1),)), {"s": [(x + 1) % n for x in range(n)]})
+
+
+def with_unary(L, table):
+    """The lattice L as a lattice-kind table spec with the unary u."""
+    spec = emit_spec(lattice_reduct(L))
+    spec["operations"]["u"] = [L.labels[v] for v in table]
+    return build_from_spec(spec)
+
+
+def oracle_populations():
+    """closure_populations, Z_30 and Z_60 under x + 1, and the 16 fixtures
+    and the sweep as lattice-kind table specs with a unary u, once the
+    identity and once a random map."""
+    rng = random.Random(2)
+    lattices = [fixture(name) for name in FIXTURE_NAMES] + sweep()
+    return {
+        **closure_populations(),
+        "successor": [successor_mod(30), successor_mod(60)],
+        "identity u": [with_unary(L, range(L.n)) for L in lattices],
+        "random u": [with_unary(L, [rng.randrange(L.n) for _ in range(L.n)]) for L in lattices],
+    }
+
+
+def answers(cl):
+    """What a ConLattice answers, as plain data."""
+    k = len(cl)
+    return {
+        "elements": cl.elements,
+        "blocks": cl.blocks,
+        "tables": [[(cl.leq(i, j), cl.join(i, j), cl.meet(i, j)) for j in range(k)] for i in range(k)],
+        "distributive": cl.is_distributive(),
+        "permutable": cl.is_permutable(),
+        "maximal": maximal_indices(cl),
+        "prime": prime_indices(cl),
+        "covers": cl.covers(),
+    }
+
+
+def test_the_join_irreducible_generators_give_the_closure_routes_con():
+    # the oracle closes every distinct generator under joins and keeps the
+    # join-irreducible ones' bits afterwards; the enumeration hands in those
+    # alone, in the same order, with the same masks over them, and gives
+    # the same answers
+    seeds = {}
+    for name, population in oracle_populations().items():
+        seeds[name] = [0, 0]
+        for A in population:
+            got, want = all_congruences(A), ClosureConLattice(A)
+            assert answers(got) == answers(want), (name, A.name)
+            kept = _bits(want.gen_masks[want.index_of_nabla])
+            assert got.seeds == tuple(want.seeds[g] for g in kept), (name, A.name)
+            want_masks = [sum(1 << h for h, g in enumerate(kept) if m >> g & 1) for m in want.gen_masks]
+            assert got.gen_masks == want_masks, (name, A.name)
+            seeds[name][0] += len(got.seeds)
+            seeds[name][1] += len(want.seeds)
+    # [members of J(Con A), distinct generators]: the oracle drops some on
+    # each population with no lattice reduct, and none where each generator
+    # is the Cg of a prime quotient
+    assert seeds == {
+        "random": [170, 217],
+        "generic copies": [37, 65],
+        "residuated": [336, 336],
+        "Z_n": [7, 18],
+        "successor": [7, 18],
+        "identity u": [755, 755],
+        "random u": [383, 383],
+    }
+
+
+def chain_with_identity(k):
+    """The k-chain as a lattice-kind table spec, join and meet given as
+    tables, with the identity unary u, which leaves its 2^(k−1)
+    congruences as they are."""
+    e = [f"c{i}" for i in range(k)]
+    table = lambda f: [[e[f(a, b)] for b in range(k)] for a in range(k)]
+    return {"name": f"C{k}u", "kind": "lattice", "elements": e, "operations": {"join": table(max), "meet": table(min), "u": e}}
+
+
+def test_a_lattice_reduct_past_the_cap_builds_no_partition(tmp_path, monkeypatch, capsys):
+    # C16 with u has 2^15 congruences: its 15 principal closures merge
+    # twice each, and the down-sets are counted against the cap before
+    # any partition is built
+    spec = chain_with_identity(16)
+    A = build_from_spec(spec)
+    assert A.is_lattice and not is_pure_lattice(A)
+    counts = count_calls(monkeypatch, congruences, ["_close", "merge_pairs", "join_partitions"])
+    with pytest.raises(SizeCap, match="^congruence count exceeds cap 20000$"):
+        all_congruences(A)
+    assert counts == {"_close": 15, "merge_pairs": 30, "join_partitions": 0}
+    path = tmp_path / "C16u.json"
+    path.write_text(json.dumps(spec))
+    capsys.readouterr()
+    assert main(["con", "--file", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: congruence count exceeds cap 20000\n")
 
 
 def test_the_pairs_of_a_class_lie_between_its_covers_and_its_congruence():
@@ -149,7 +262,7 @@ def test_the_pairs_of_a_class_lie_between_its_covers_and_its_congruence():
                 cg = congruences._close(L, [seed])
                 assert all(cg[y] == cg[x] for y, x in pairs[c]), (name, A.name, c)
                 assert pairs[c].issuperset(class_covers[c]), (name, A.name, c)
-            parts, _, steps, _ = congruences._lattice_partitions(L)
+            parts, _, steps, _ = congruences._enumerate_partitions(L)
             # the union-find over the covers, step by step
             want = [delta_partition(L.n)]
             for i, c in steps:
