@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import Counter, namedtuple
 
 from .errors import (
     KindError,
@@ -57,25 +55,22 @@ def cached(fn):
     return memo
 
 
-@dataclass(frozen=True)
-class Signature:
-    """Operation descriptors (name, arity) plus a kind tag."""
+class Signature(namedtuple("Signature", "operations kind")):
+    """Operation descriptors (name, arity) plus a kind tag, checked when made."""
 
-    operations: tuple[tuple[str, int], ...]
-    kind: str = "generic"
+    __slots__ = ()
 
-    def __post_init__(self):
-        names = [name for name, _ in self.operations]
+    def __new__(cls, operations: tuple[tuple[str, int], ...], kind: str = "generic"):
+        names = [name for name, _ in operations]
         if len(set(names)) != len(names):
             raise TableError(f"duplicate operation names in signature: {names}")
-        if self.kind not in KINDS:
-            raise TableError(f"unknown kind {self.kind!r}")
-        ops = dict(self.operations)
-        for name, arity in KIND_OPERATIONS[self.kind]:
+        if kind not in KINDS:
+            raise TableError(f"unknown kind {kind!r}")
+        ops = dict(operations)
+        for name, arity in KIND_OPERATIONS[kind]:
             if ops.get(name) != arity:
-                raise TableError(
-                    f"kind {self.kind!r} requires operation {name!r} of arity {arity}"
-                )
+                raise TableError(f"kind {kind!r} requires operation {name!r} of arity {arity}")
+        return super().__new__(cls, operations, kind)
 
     def arity(self, name: str) -> int:
         return dict(self.operations)[name]
@@ -524,26 +519,16 @@ def cover_pairs(ups, downs) -> list[tuple[int, int]]:
 # -- the J step -------------------------------------------------------------
 
 
-class JClasses(NamedTuple):
-    """J(Con L) of a lattice L, read off its order and join table
-    (join_classes).  pairs lists (j₊, j) for each j ∈ J(L), in increasing
-    j; seeds[c] is the pair of the least j of class c, so that Cg(j₊, j) is
-    class c's congruence; under[c] is the mask of the classes strictly
-    below c; classes[x], the class of x for x ∈ J(L), else None; down[c],
-    under[c] with c; near[c], the classes comparable to c; components, the
-    connected components; tops, the mask of their greatest elements when
-    every component has one, else None; and distributive, whether D is
-    empty.  The lists are shared by every reader and changed by none."""
-
-    pairs: tuple
-    seeds: tuple
-    under: tuple
-    classes: tuple
-    down: list
-    near: list
-    components: list
-    tops: int | None
-    distributive: bool
+# J(Con L) of a lattice L, read off its order and join table (join_classes).
+# pairs lists (j₊, j) for each j ∈ J(L), in increasing j; seeds[c] is the
+# pair of the least j of class c, so that Cg(j₊, j) is class c's congruence;
+# under[c] is the mask of the classes strictly below c; classes[x], the
+# class of x for x ∈ J(L), else None; down[c], under[c] with c; near[c], the
+# classes comparable to c; components, the connected components; tops, the
+# mask of their greatest elements when every component has one, else None;
+# and distributive, whether D is empty.  The lists are shared by every
+# reader and changed by none.
+JClasses = namedtuple("JClasses", "pairs seeds under classes down near components tops distributive")
 
 
 @cached

@@ -8,12 +8,12 @@ Exit-code contract (so shell scripts can assert properties):
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
+import os
 import sys
-from pathlib import Path
+from types import SimpleNamespace
 
 from .algebra import FiniteAlgebra, build_from_spec, direct_product, dual, emit_spec, ordinal_sum
 from .congruences import (
@@ -63,7 +63,7 @@ def _read_spec(path: str, max_size: int | None = None) -> dict:
     """Parse a spec file, refusing it before anything is built when it lists
     more than max_size elements."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             spec = json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CongrlabError(f"{path} is not a valid JSON spec: {exc}") from None
@@ -107,7 +107,8 @@ def _load_file(path: str, max_size: int | None) -> FiniteAlgebra:
 
 def _emit(text: str, out):
     if out:
-        Path(out).write_text(text)
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -154,10 +155,13 @@ _KINDS = {verb: {flag: kind for flag, kind, _, _ in options} for verb, (_, _, op
 
 
 @functools.cache
-def make_parser() -> argparse.ArgumentParser:
-    """The parser of VERBS, built once per process: parse_args leaves it
-    unchanged.  main asks it only for what _parse declines: help, usage and
-    errors, and the argv shapes that _parse does not read."""
+def make_parser():
+    """The argparse parser of VERBS, built once per process: parse_args
+    leaves it unchanged.  main asks it only for what _parse declines: help,
+    usage and errors, and the argv shapes that _parse does not read.  This
+    is the one place argparse is imported, so a plain argv never loads it."""
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="congrlab",
         description=__doc__,
@@ -183,9 +187,10 @@ def make_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _parse(argv: list[str]) -> argparse.Namespace | None:
-    """The Namespace make_parser().parse_args(argv) returns, read off VERBS
-    with no parser built, for an argv of the plain shape: the verb, its
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The attributes of the Namespace make_parser().parse_args(argv)
+    returns, as a SimpleNamespace read off VERBS with no parser built and
+    argparse not imported, for an argv of the plain shape: the verb, its
     positionals in one run, then options of the verb, each by its exact
     name and at most once, each value present and not starting with "-",
     --max-size in ASCII digits.  None for any other argv (help, an
@@ -241,7 +246,7 @@ def _parse(argv: list[str]) -> argparse.Namespace | None:
         if flag not in given and default is REQUIRED:
             return None
         args[flag[2:].replace("-", "_")] = given.get(flag, default)
-    return argparse.Namespace(**args)
+    return SimpleNamespace(**args)
 
 
 def _listing(A, rows, fmt):
@@ -409,20 +414,19 @@ def _check(A: FiniteAlgebra, prop: str) -> tuple[int, list[str]]:
     raise CongrlabError(f"unknown property {prop!r}")
 
 
-def regen_goldens(out_dir: str) -> int:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def regen_goldens(out: str) -> int:
+    os.makedirs(out, exist_ok=True)
     for name in FIXTURE_NAMES:
         A = fixture(name)
         doc = build_report(A, name=name)
-        (out / f"{name}.report.txt").write_text(render_report_table(doc))
-        (out / f"{name}.report.json").write_text(dump_json(doc))
-        (out / f"{name}.con.dot").write_text(render_dot(A))
+        _emit(render_report_table(doc), os.path.join(out, f"{name}.report.txt"))
+        _emit(dump_json(doc), os.path.join(out, f"{name}.report.json"))
+        _emit(render_dot(A), os.path.join(out, f"{name}.con.dot"))
     T, E = fixture("T"), fixture("E")
     P = direct_product([T, E])
     ok = product_con_iso_check([T, E], P=P)
-    (out / "TxE.txt").write_text(product_summary([T, E], P, ok))
-    print(f"wrote goldens for {len(FIXTURE_NAMES)} fixtures plus TxE into {out}/")
+    _emit(product_summary([T, E], P, ok), os.path.join(out, "TxE.txt"))
+    print(f"wrote goldens for {len(FIXTURE_NAMES)} fixtures plus TxE into {os.path.normpath(out)}/")
     return 0
 
 
@@ -433,10 +437,8 @@ def main(argv=None) -> int:
         args = make_parser().parse_args(argv)
     try:
         return run(args)
-    except CongrlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CongrlabError, OSError, UnicodeEncodeError) as exc:
+        # UnicodeEncodeError: a label that stdout's encoding, or UTF-8, cannot write
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -39,7 +39,7 @@ algebra, jspace(A), and every center and verdict reads them off it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations_with_replacement, product
 from math import comb
 
@@ -75,15 +75,10 @@ CRT_K_MAX = 3
 CRT_TUPLE_CAP = 5_000_000
 
 
-@dataclass
-class Center:
+class Center(namedtuple("Center", "lattice members complement")):
     """Members of the interval [t, ∇] of a ConLattice that have a complement
     relative to t, with that complement: the Boolean congruences, or the
     factor congruences among them, of A/θ_t (of A itself when t is Δ)."""
-
-    lattice: ConLattice
-    members: list[int]
-    complement: dict[int, int]
 
     def congruences(self) -> list[Congruence]:
         return [self.lattice.elements[i] for i in self.members]

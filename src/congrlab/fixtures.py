@@ -1,10 +1,14 @@
-"""Named example algebras, shipped as JSON spec files under data/."""
+"""Named example algebras, shipped as JSON spec files under data/.
+
+The spec files are read as UTF-8 files in the data/ directory next to this
+module, so the package must be installed as plain files: an install from a
+zip archive is out of scope."""
 
 from __future__ import annotations
 
 import functools
 import json
-from importlib import resources
+import os
 
 from .algebra import FiniteAlgebra, build_from_spec
 from .errors import UnknownFixture
@@ -45,8 +49,8 @@ def fixture_spec(name: str) -> dict:
         raise UnknownFixture(
             f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}"
         )
-    path = resources.files("congrlab.data").joinpath(name + ".json")
-    return json.loads(path.read_text())
+    with open(os.path.join(os.path.dirname(__file__), "data", name + ".json"), encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 @functools.cache

@@ -216,8 +216,8 @@ their evidence with the verdict, as oracles.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 from .algebra import FiniteAlgebra, _bits, _components, cached, kernel, map_table
 from .congruences import (
@@ -235,18 +235,12 @@ from .errors import ParentMismatch
 from .factor import _atoms, _complemented, boolean_center, factor_congruences, jspace
 
 
-@dataclass
-class QuotientResult:
+class QuotientResult(namedtuple("QuotientResult", "quotient projection theta index_in_quotient")):
     """A/theta with its canonical projection.
 
     projection[e] = the minimum element of e's theta-block (an element of A);
     index_in_quotient maps those representatives to dense quotient indices.
     """
-
-    quotient: FiniteAlgebra
-    projection: tuple[int, ...]
-    theta: Congruence
-    index_in_quotient: dict[int, int]
 
     def project(self, e: int) -> int:
         """Quotient index of an element of the original carrier."""
@@ -290,13 +284,23 @@ def s_inverse(A: FiniteAlgebra, theta: Congruence, beta: Congruence) -> Congruen
     return Congruence(A, kernel(beta.block_of[Q.project(e)] for e in range(A.n)))
 
 
-@dataclass
 class LiftEvidence:
     """Witnesses (target, source) per lifted congruence, or the first
     target congruence of the quotient that nothing maps onto."""
 
-    witnesses: list[tuple[str, str]] = field(default_factory=list)
-    unliftable: str | None = None
+    __slots__ = ("witnesses", "unliftable")
+
+    def __init__(self, witnesses: list[tuple[str, str]] | None = None, unliftable: str | None = None):
+        self.witnesses = [] if witnesses is None else witnesses
+        self.unliftable = unliftable
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.witnesses, self.unliftable) == (other.witnesses, other.unliftable)
+
+    def __repr__(self):
+        return f"LiftEvidence(witnesses={self.witnesses!r}, unliftable={self.unliftable!r})"
 
 
 class Verdict(Sequence):
@@ -622,11 +626,7 @@ def _b_normal_walk(cl: ConLattice):
 # -- report assembly --------------------------------------------------------
 
 
-@dataclass
-class LiftingReport:
-    algebra_name: str | None
-    flags: dict
-    per_congruence: list[dict]
+LiftingReport = namedtuple("LiftingReport", "algebra_name flags per_congruence")
 
 
 def lifting_report(A: FiniteAlgebra, name: str | None = None) -> LiftingReport:

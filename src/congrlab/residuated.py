@@ -73,7 +73,7 @@ meet is the filter generated by the union.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import FiniteAlgebra, _bits, _components, cached, delta_partition, kernel, lattice_from_order, lattice_reduct
 from .congruences import Congruence, all_congruences
@@ -92,13 +92,8 @@ from .lifting import Verdict, _holds, _lifting_failure
 FILTER_CAP = 12
 
 
-@dataclass
-class ElementBooleanCenter:
-    """Complemented elements of a bounded lattice, with the involution."""
-
-    algebra: FiniteAlgebra
-    members: list[int]
-    complement: dict[int, int]
+# Complemented elements of a bounded lattice, with the involution.
+ElementBooleanCenter = namedtuple("ElementBooleanCenter", "algebra members complement")
 
 
 def _complements(A: FiniteAlgebra, block_of) -> dict[int, int]:
