@@ -29,6 +29,9 @@ CON_CAP = 20000
 # The residuation check compares n² pairs of table rows of n entries: a
 # 128-element Gödel chain builds in about 0.4 s (README, Limits).
 RESIDUATED_CAP = 128
+# A spec table nests at most this deep: on two or more elements a table of
+# arity 64 would have 2^64 entries, so only a one-element carrier reaches it.
+ARITY_CAP = 64
 
 # The (name, arity) pairs each kind requires, in signature order: the one
 # statement of what a kind's algebra carries.
@@ -224,15 +227,6 @@ class FiniteAlgebra:
         """Cover pairs (a, b) with a covered by b, ordered by b, then a."""
         return cover_pairs(*self.order_masks())
 
-    def join_irreducible_pairs(self) -> list[tuple[int, int]]:
-        """(j₊, j) for each join-irreducible j, in increasing j: j is
-        join-irreducible iff it has exactly one lower cover, and that cover
-        is j₊ = ⋁{x : x < j}.  That holds iff ↓j ∖ {j} is some ↓m, as every
-        x < j lies below a lower cover of j; then m = j₊."""
-        down = self.order_masks()[1]
-        at = {d: m for m, d in enumerate(down)}
-        return [(at[d & ~(1 << j)], j) for j, d in enumerate(down) if d & ~(1 << j) in at]
-
     @cached
     def is_distributive_lattice(self) -> bool:
         """A finite lattice is distributive iff Freese's D is empty
@@ -297,47 +291,19 @@ def _carrier_labels(n, labels) -> tuple[str, ...]:
 
 def _with_axioms_checked(n, labels, signature, tables, name):
     """The algebra on frozen tables that are in range and match the
-    signature, once its kind's axioms hold: join and meet are a lattice's
-    (_lattice_masks, whose masks the algebra keeps), and residuation."""
-    masks = _lattice_masks(labels, tables) if signature.is_lattice else None
-    A = FiniteAlgebra._derived(n, labels, signature, tables, name, masks)
-    if signature.kind == "residuated":
-        A._validate_residuation()
-    return A
-
-
-def _lattice_masks(labels, tables):
-    """The (up, down) masks of meet's order a ≤ b ⇔ a∧b = a, once join
-    and meet are proved a lattice's operations: they are iff they are the
-    least upper and greatest lower bounds of that order (Davey & Priestley,
-    ch. 2), so both are derived from it and compared, as are the bounds."""
-    join, meet = tables["join"], tables["meet"]
-    n = len(join)
-    up = _up_masks(meet)
-    lub, glb, down = _order_operations(up, labels)
-    for oname, given, want, what in (
-        ("join", join, lub, "least upper bound"),
-        ("meet", meet, glb, "greatest lower bound"),
-    ):
-        for a in range(n):
-            if given[a] != want[a]:
-                b = next(b for b in range(n) if given[a][b] != want[a][b])
-                raise TableError(
-                    f"{oname} of ({labels[a]}, {labels[b]}) is not their {what} in meet's order"
-                )
-    if "bot" in tables:
-        b = tables["bot"]
-        if any(meet[b][x] != b for x in range(n)):
-            raise TableError("declared bot is not the least element")
-    if "top" in tables:
-        t = tables["top"]
-        if any(join[t][x] != t for x in range(n)):
-            raise TableError("declared top is not the greatest element")
-    return up, down
+    signature, once its kind's axioms hold.  join and meet are a lattice's
+    iff they are the least upper and greatest lower bounds of meet's order
+    a ≤ b ⇔ a∧b = a (Davey & Priestley, ch. 2): that order is checked
+    (_order_operations), and _order_lattice compares the tables with the
+    ones it derives from it."""
+    if not signature.is_lattice:
+        return FiniteAlgebra._derived(n, labels, signature, tables, name)
+    up = _up_masks(tables["meet"])
+    return _order_lattice(labels, signature, name, up, _order_operations(up, labels), tables, tables)
 
 
 _INT_TYPES = frozenset((int, bool))
-# the tables a lattice order determines (_order_tables)
+# the tables a lattice order determines (_order_lattice)
 _ORDER_TABLES = frozenset(name for name, _ in KIND_OPERATIONS["bounded-lattice"])
 # an explicit spec's signature order: the kinds' operations first, as the
 # residuated kind, which requires them all, lists them; then the rest by name
@@ -377,59 +343,56 @@ def _check_table(table, arity, n, fname):
 # -- order-based construction ----------------------------------------------
 
 
-def lattice_from_order(leq, labels, kind="lattice", name=None, extra_tables=None):
-    """Build a lattice from a reflexive partial-order matrix.
+def lattice_from_order(leq, labels, kind="lattice", name=None):
+    """Build a lattice of kind lattice or bounded-lattice from a reflexive
+    partial-order matrix: ``leq[a][b]`` is truthy iff a <= b.
 
     Every pair must have a unique least upper bound and greatest lower bound;
-    otherwise NotALattice names an offending pair.  ``leq[a][b]`` is truthy
-    iff a <= b.  ``extra_tables`` holds the operations not derived from the
-    order.  See _lattice_tables for how join and meet are derived.
+    otherwise NotALattice names an offending pair.  See _lattice_tables for
+    how join and meet are derived.
     """
+    if kind not in ("lattice", "bounded-lattice"):
+        raise KindError(f"cannot build a lattice of kind {kind!r} from an order")
     n = len(leq)
     labels = _carrier_labels(n, labels)
     up = [sum(1 << c for c in range(n) if leq[a][c]) for a in range(n)]
-    join, meet, down = _order_operations(up, labels)
-    sig = lattice_signature(kind)
-    tables = _order_tables(sig, up, down, join, meet)
-    if extra_tables or set(tables) != set(dict(sig.operations)):
-        if extra_tables and set(extra_tables) & set(tables):
-            raise TableError("extra_tables may not replace the tables derived from the order")
-        # tables given beside the order are checked, as every table given is
-        return FiniteAlgebra(n, labels, sig, {**tables, **(extra_tables or {})}, name)
-    return FiniteAlgebra._derived(n, labels, sig, tables, name, (up, down))
+    return _order_lattice(labels, lattice_signature(kind), name, up, _order_operations(up, labels), {})
 
 
-def _order_tables(sig, up, down, join, meet) -> dict:
-    """The tables of sig that a lattice order gives, from its masks and
-    the join and meet derived from them: bot and top, where sig has them,
-    are the elements whose up- and down-sets are everything."""
-    tables = {"join": join, "meet": meet}
-    if ("bot", 0) in sig.operations:
-        full = (1 << len(up)) - 1
-        tables["bot"], tables["top"] = up.index(full), down.index(full)
-    return tables
-
-
-def _order_lattice(labels, kind, name, up, down, extra):
-    """The lattice of kind on an order given by its up- and down-set masks,
-    which are reflexive and transitive by how they were made.  join and meet
-    are derived from them (_lattice_tables), a lattice's by construction, and
-    kept with the masks unchecked; extra holds the kind's other tables,
-    frozen and in range, for which only residuation is checked."""
+def _order_lattice(labels, signature, name, up, down, extra, given=None):
+    """The lattice of signature on the order whose up- and down-set masks
+    are up and down, reflexive and transitive: the one routine by which an
+    order becomes a lattice, which keeps the masks.  join and meet are
+    derived from them (_lattice_tables), and bot and top, where the
+    signature has them, are the elements whose up- and down-sets are
+    everything.  The given tables of these, if any, must equal the derived
+    ones.  extra holds the signature's other tables, frozen and in range,
+    for which only residuation is checked."""
     join, meet = _lattice_tables(up, down, labels)
-    sig = lattice_signature(kind)
-    tables = _order_tables(sig, up, down, join, meet)
+    tables = {"join": join, "meet": meet}
+    for cname, masks in (("bot", up), ("top", down)):
+        if (cname, 0) in signature.operations:
+            tables[cname] = masks.index((1 << len(up)) - 1)
+    if given is not None:
+        for oname, what in (("join", "least upper bound"), ("meet", "greatest lower bound")):
+            for a, (have, want) in enumerate(zip(given[oname], tables[oname])):
+                if have != want:
+                    b = next(b for b, (x, y) in enumerate(zip(have, want)) if x != y)
+                    raise TableError(f"{oname} of ({labels[a]}, {labels[b]}) is not their {what} in meet's order")
+        for cname, what in (("bot", "least"), ("top", "greatest")):
+            if cname in tables and given[cname] != tables[cname]:
+                raise TableError(f"declared {cname} is not the {what} element")
     tables.update(extra)
-    A = FiniteAlgebra._derived(len(up), labels, sig, tables, name, (up, down))
-    if sig.kind == "residuated":
+    A = FiniteAlgebra._derived(len(up), labels, signature, tables, name, (up, down))
+    if signature.kind == "residuated":
         A._validate_residuation()
     return A
 
 
-def _order_operations(up, labels) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], list[int]]:
-    """The join and meet tables of the order whose up-sets are the bitmasks
-    up, and its down-set bitmasks, for an order matrix or explicit join and
-    meet tables: up is checked reflexive and transitive in O(n²) first.
+def _order_operations(up, labels) -> list[int]:
+    """The down-set bitmasks of the order whose up-sets are the bitmasks up,
+    for an order given from outside, an order matrix or meet's order of
+    explicit tables: up is checked reflexive and transitive in O(n²) first.
     It is then antisymmetric too, or two elements share an up-set and
     _lattice_tables fails on their join."""
     n = len(up)
@@ -441,7 +404,7 @@ def _order_operations(up, labels) -> tuple[tuple[tuple[int, ...], ...], tuple[tu
             if up[c] & ~m:
                 raise TableError(f"order is not transitive at ({labels[a]}, {labels[c]})")
             down[c] |= 1 << a
-    return *_lattice_tables(up, down, labels), down
+    return down
 
 
 def _lattice_tables(up, down, labels) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
@@ -660,16 +623,9 @@ def build_from_spec(spec: dict) -> FiniteAlgebra:
     Two shapes are accepted: a cover relation ("cover": [[lo, hi], ...]) from
     which join/meet are synthesized, with the "times" and "implies" tables of
     the residuated kind and no other table, or explicit "operations" tables
-    (nested lists of labels) with optional "constants".  A table nested too
-    deeply for the builder's recursion raises NestedTooDeeply.
+    (nested lists of labels) with optional "constants".  A table nested
+    past ARITY_CAP raises NestedTooDeeply.
     """
-    try:
-        return _build_from_spec(spec)
-    except RecursionError:
-        raise NestedTooDeeply("spec tables are nested too deeply") from None
-
-
-def _build_from_spec(spec):
     if not isinstance(spec, dict):
         raise TableError("algebra spec must be a JSON object")
     kind = spec.get("kind", "algebra")
@@ -707,7 +663,7 @@ def _build_from_spec(spec):
             if opname not in operations:
                 raise TableError(f"{kind} spec requires a {opname!r} table")
             extra[opname] = _table_from_labels(operations[opname], arity, index, opname)
-        return _order_lattice(labels, kind, name, up, down, extra)
+        return _order_lattice(labels, lattice_signature(kind), name, up, down, extra)
 
     if "operations" not in spec:
         if n == 1 and kind == "generic":
@@ -800,11 +756,15 @@ def _reaches_itself(succ, a) -> bool:
 
 
 def _table_arity(raw, fname):
+    """The depth of raw's first entry: the arity its nesting claims, at most
+    ARITY_CAP, read before its table is built."""
     arity = 0
     t = raw
     while isinstance(t, list):
         if not t:
             raise TableError(f"table for {fname} is not total")
+        if arity == ARITY_CAP:
+            raise NestedTooDeeply("spec tables are nested too deeply")
         arity += 1
         t = t[0]
     return arity
@@ -984,7 +944,7 @@ def ordinal_sum_with_maps(L, M, name=None):
     down = down_l + [below | moved(down_m[j]) for j in m_rest]
     if name is None and L.name and M.name:
         name = f"{L.name}+{M.name}"
-    return _order_lattice(tuple(labels), L.signature.kind, name, up, down, {}), map_l, map_m
+    return _order_lattice(tuple(labels), lattice_signature(L.signature.kind), name, up, down, {}), map_l, map_m
 
 
 def sublattice(L: FiniteAlgebra, subset, name=None) -> FiniteAlgebra:

@@ -699,7 +699,7 @@ def _enumerate_partitions(A: FiniteAlgebra) -> tuple:
         return _down_sets(n, step.under, pairs, step.seeds)
     # Cg(a, b) over cover pairs generates Con, and each cover pair gives the
     # same Cg as some (j₊, j) with j join-irreducible (module doc)
-    gen_pairs = A.join_irreducible_pairs() if A.is_lattice else itertools.combinations(range(n), 2)
+    gen_pairs = join_classes(A).pairs if A.is_lattice else itertools.combinations(range(n), 2)
     gens = {}
     for a, b in gen_pairs:
         gens.setdefault(_close(A, [(a, b)]), (a, b))

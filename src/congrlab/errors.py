@@ -23,7 +23,7 @@ class TableError(CongrlabError):
 
 
 class NestedTooDeeply(TableError):
-    """A spec's tables nest deeper than the table builder can recurse."""
+    """A spec's table nests deeper than ARITY_CAP (`algebra`)."""
 
 
 class ResiduationViolation(CongrlabError):

@@ -232,7 +232,7 @@ from .congruences import (
     prime_indices,
 )
 from .errors import ParentMismatch
-from .factor import _atoms, _complemented, boolean_center, factor_congruences, jspace
+from .factor import _atoms, _complemented, factor_congruences, jspace
 
 
 class QuotientResult(namedtuple("QuotientResult", "quotient projection theta index_in_quotient")):
@@ -632,8 +632,6 @@ LiftingReport = namedtuple("LiftingReport", "algebra_name flags per_congruence")
 def lifting_report(A: FiniteAlgebra, name: str | None = None) -> LiftingReport:
     """Per-congruence verdicts plus algebra-level classification flags."""
     cl = all_congruences(A)
-    bc = boolean_center(cl)
-    fc = factor_congruences(cl)
     maxes, primes = set(maximal_indices(cl)), set(prime_indices(cl))
     rows = []
     fc_column, b_column = _column(cl, True, len(cl)), _column(cl, False, len(cl))
@@ -659,8 +657,9 @@ def lifting_report(A: FiniteAlgebra, name: str | None = None) -> LiftingReport:
     fclp, cblp = all(row["fclp"] for row in rows), all(row["cblp"] for row in rows)
     flags = {
         "con_size": len(cl),
-        "center_size": len(bc.members),
-        "fc_size": len(fc.members),
+        # Δ's row holds the sizes of A's own centers
+        "center_size": b_column[cl.index_of_delta][0],
+        "fc_size": fc_column[cl.index_of_delta][0],
         "fclp": fclp,
         "cblp": cblp,
         # fc-normality is FCLP and b-normality CBLP (module doc, 4 and 3)

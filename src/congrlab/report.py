@@ -13,7 +13,7 @@ import json
 from .algebra import FiniteAlgebra, ordinal_sum
 from .congruences import all_congruences
 from .errors import AmbiguousComplement
-from .factor import boolean_center, factor_congruences, osum_fc_comparison
+from .factor import boolean_center, factor_congruences, jspace, osum_fc_comparison
 from .fixtures import OSUM_PARTS, fixture
 from .lifting import lifting_report
 from .residuated import FILTER_CAP, blp_equivalence_check, has_filt_blp, has_id_blp
@@ -184,9 +184,10 @@ def build_report(A: FiniteAlgebra, name: str | None = None) -> dict:
         except AmbiguousComplement as exc:
             doc["blp"] = None
             doc["blp_note"] = str(exc)
-        distributive_enough = (
-            A.signature.kind == "residuated" or A.is_distributive_lattice()
-        )
+        # filter and ideal congruences are the residuated kind's, or those of
+        # a distributive lattice with no other operation, whose P = J(L)
+        # jspace reads
+        distributive_enough = A.signature.kind == "residuated" or jspace(A).p_order is not None
         if A.n <= FILTER_CAP and distributive_enough:
             doc["filt_blp"] = has_filt_blp(A)
             doc["id_blp"] = has_id_blp(A)

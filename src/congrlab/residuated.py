@@ -75,7 +75,17 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 
-from .algebra import FiniteAlgebra, _bits, _components, cached, delta_partition, kernel, lattice_from_order, lattice_reduct
+from .algebra import (
+    FiniteAlgebra,
+    _bits,
+    _components,
+    cached,
+    delta_partition,
+    join_classes,
+    kernel,
+    lattice_from_order,
+    lattice_reduct,
+)
 from .congruences import Congruence, all_congruences
 from .errors import (
     AmbiguousComplement,
@@ -140,7 +150,7 @@ def has_blp(A: FiniteAlgebra, theta: Congruence) -> bool:
         # P ∖ S_θ: the j with j₊ and j in two θ-classes, as bits in the order
         # of P (lifting module doc, 6a)
         block_of = theta.block_of
-        rest = sum(1 << h for h, (a, j) in enumerate(A.join_irreducible_pairs()) if block_of[a] != block_of[j])
+        rest = sum(1 << h for h, (a, j) in enumerate(join_classes(A).pairs) if block_of[a] != block_of[j])
         near, components = order
         return len(_components(near, rest)) == sum(1 for c in components if c & rest)
     if theta.is_delta():
@@ -260,13 +270,11 @@ def _smallest_first(sets) -> list[frozenset]:
 def filter_congruence(A: FiniteAlgebra, F) -> Congruence:
     """The congruence a filter F = [m) induces.  Residuated kind: x ~ y iff
     the biconditional (x -> y) ^ (y -> x) lands in F, which is m*x = m*y;
-    distributive lattice kind: x ~ y iff x ^ a = y ^ a for some member a,
-    which is x ^ m = y ^ m (module doc)."""
+    a distributive lattice with no other operation: x ~ y iff x ^ a = y ^ a
+    for some member a, which is x ^ m = y ^ m (module doc)."""
     F = frozenset(F)
-    if A.signature.kind != "residuated" and not A.is_distributive_lattice():
-        raise NotDistributive(
-            "filter congruences need a distributive (or residuated) lattice"
-        )
+    if A.signature.kind != "residuated":
+        _require_distributive_lattice(A, "filter")
     if not is_filter(A, F):
         raise NotAFilter(f"{sorted(A.labels[e] for e in F)} is not a filter")
     meet_t = A.tables["meet"]
@@ -285,15 +293,23 @@ def ideal_congruence(A: FiniteAlgebra, I) -> Congruence:
     I = frozenset(I)
     if A.signature.kind == "residuated":
         A = lattice_reduct(A, "bounded-lattice")
-    if not A.is_distributive_lattice():
-        raise NotDistributive(
-            "ideal congruences need a distributive (or residuated) lattice"
-        )
+    _require_distributive_lattice(A, "ideal")
     if not is_ideal(A, I):
         raise NotAnIdeal(f"{sorted(A.labels[e] for e in I)} is not an ideal")
     join = A.tables["join"]
     m = functools.reduce(lambda a, b: join[a][b], I)
     return Congruence(A, kernel(join[m]), check=True)
+
+
+def _require_distributive_lattice(A: FiniteAlgebra, what: str):
+    """A is a distributive lattice with no operation besides join, meet and
+    constants, the lattices whose P = J(L) jspace reads: the kernels above
+    are congruences of such a lattice, and another operation need not
+    respect them."""
+    if not A.is_distributive_lattice():
+        raise NotDistributive(f"{what} congruences need a distributive (or residuated) lattice")
+    if jspace(A).p_order is None:
+        raise KindError(f"{what} congruences need a lattice with no other operation, or the residuated kind")
 
 
 def filt_blp_failure(A: FiniteAlgebra) -> Congruence | None:
@@ -365,7 +381,7 @@ def _components_bounded(A: FiniteAlgebra, side: int) -> bool | None:
     if order is None:
         return None
     masks = A.order_masks()[side]
-    js = [j for _, j in A.join_irreducible_pairs()]
+    js = [j for _, j in join_classes(A).pairs]
     for c in order[1]:
         members = [js[h] for h in _bits(c)]
         mask = sum(1 << j for j in members)

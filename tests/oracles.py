@@ -6,10 +6,10 @@ it on the fixtures: the radical of A, the maximal filters, the glued
 congruence of an ordinal sum, the isomorphism from the complemented
 elements of a bounded distributive lattice onto its factor congruences,
 the splitting of A into the quotients by a family of factor congruences,
-the covers of L of each J(Con L) class, found by a descent under each
-cover, the block counts of a pure lattice's congruences by union-find
-over those covers, the order
-and tables of a cover relation by a search from every element, the J
+J(L) with each j₊ read off the down-sets, the covers of L of each J(Con L)
+class, found by a descent under each cover, the block counts of a pure
+lattice's congruences by union-find over those covers, the order and
+tables of a cover relation by a search from every element, the J
 step of a lattice in the three steps it once took, ConLattice's fields by
 the seed scan and per-generator loops it once ran on every algebra, Con(A)
 by closing every distinct principal generator under joins and testing
@@ -129,6 +129,16 @@ def factorize(A: FiniteAlgebra, alphas: list[Congruence]):
         )
     )
     return quotients, ok
+
+
+def join_irreducible_pairs(L: FiniteAlgebra) -> list[tuple[int, int]]:
+    """(j₊, j) for each join-irreducible j of a lattice L, in increasing j:
+    j is join-irreducible iff it has exactly one lower cover, and that cover
+    is j₊ = ⋁{x : x < j}.  That holds iff ↓j ∖ {j} is some ↓m, as every
+    x < j lies below a lower cover of j; then m = j₊."""
+    down = L.order_masks()[1]
+    at = {d: m for m, d in enumerate(down)}
+    return [(at[d & ~(1 << j)], j) for j, d in enumerate(down) if d & ~(1 << j) in at]
 
 
 def lattice_classes(L: FiniteAlgebra) -> tuple:
@@ -340,7 +350,7 @@ def closure_enumeration(A: FiniteAlgebra) -> tuple:
     Cg(a, b) for each a < b without one, closed under partition joins
     (congruences._close_under_joins)."""
     n = A.n
-    pairs = A.join_irreducible_pairs() if A.is_lattice else [(a, b) for a in range(n) for b in range(a + 1, n)]
+    pairs = join_irreducible_pairs(A) if A.is_lattice else [(a, b) for a in range(n) for b in range(a + 1, n)]
     gens = {}
     for a, b in pairs:
         gens.setdefault(congruences._close(A, [(a, b)]), (a, b))

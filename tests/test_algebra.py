@@ -33,7 +33,7 @@ from congrlab.errors import (
 )
 from congrlab.fixtures import FIXTURE_NAMES, fixture, fixture_spec
 
-from oracles import product_encode
+from oracles import join_irreducible_pairs, product_encode
 
 
 def test_signature_rejects_duplicate_names():
@@ -620,8 +620,10 @@ def test_lattice_from_order_rejects_a_matrix_that_is_not_an_order():
     chain[0][n - 1] = False
     with pytest.raises(TableError, match="not transitive"):
         lattice_from_order(chain, [str(e) for e in range(n)])
-    with pytest.raises(TableError, match="may not replace"):
-        lattice_from_order([[True]], "a", extra_tables={"join": [[0]]})
+    # an order determines the tables of the two lattice kinds, and no other
+    for kind in ("generic", "residuated", "semilattice"):
+        with pytest.raises(KindError, match=f"^cannot build a lattice of kind '{kind}' from an order$"):
+            lattice_from_order([[True]], "a", kind=kind)
 
 
 def axiom_scan(join, meet):
@@ -728,11 +730,36 @@ def test_explicit_tables_name_the_first_entry_off_the_order():
     assert isinstance(err, NotALattice) and err.pair == ("y", "z")
 
 
+def test_explicit_tables_are_checked_in_order_then_the_declared_bounds():
+    # the 3-chain x < y < z as a bounded-lattice spec: join rows come before
+    # meet rows, and both before the declared bot and top, in that order
+    low = [["xyz"[min(a, b)] for b in range(3)] for a in range(3)]
+    high = [["xyz"[max(a, b)] for b in range(3)] for a in range(3)]
+
+    def built(join, bot, top, kind="bounded-lattice"):
+        spec = {"kind": kind, "elements": list("xyz"), "operations": {"join": join, "meet": low}}
+        spec["constants"] = {"bot": bot, "top": top}
+        try:
+            return build_from_spec(spec)
+        except TableError as exc:
+            return str(exc)
+
+    assert built(high, "x", "z").tables["bot"] == 0
+    assert built(low, "y", "y") == "join of (x, y) is not their least upper bound in meet's order"
+    assert built(high, "y", "y") == "declared bot is not the least element"
+    assert built(high, "x", "y") == "declared top is not the greatest element"
+    # a lattice-kind spec carries its bounds as constants, checked alike
+    assert built(high, "x", "y", "lattice") == "declared top is not the greatest element"
+    # a unary operation that happens to be named bot is no bound
+    spec = {"kind": "lattice", "elements": list("xyz"), "operations": {"join": high, "meet": low, "bot": list("zyx")}}
+    assert build_from_spec(spec).tables["bot"] == (2, 1, 0)
+
+
 def join_prime_pair_scan(L):
     """Distributivity as it was decided: no join-irreducible j lies below
     a∨b for a pair a, b of elements not above it."""
     join, meet = L.tables["join"], L.tables["meet"]
-    for _, j in L.join_irreducible_pairs():
+    for _, j in join_irreducible_pairs(L):
         outside = [x for x in range(L.n) if meet[j][x] != j]
         if any(meet[j][join[a][b]] == j for a in outside for b in outside):
             return False

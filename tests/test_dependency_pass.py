@@ -32,7 +32,7 @@ from congrlab.congruences import is_pure_lattice
 from congrlab.factor import jspace
 from congrlab.fixtures import FIXTURE_NAMES, fixture
 
-from oracles import lattice_classes
+from oracles import join_irreducible_pairs, lattice_classes
 from sweep import sweep
 from test_distributive_lattices import Reads, residuated_inputs
 from test_join_irreducible_masks import cold
@@ -90,7 +90,7 @@ def join_prime_fold(L):
     """Distributivity as it was decided: every join-irreducible j is
     join-prime, that is j ≰ ⋁{x : j ≰ x}, one join fold per j."""
     join, meet = L.tables["join"], L.tables["meet"]
-    for _, j in L.join_irreducible_pairs():
+    for _, j in join_irreducible_pairs(L):
         mj = meet[j]
         joined = functools.reduce(lambda a, b: join[a][b], (x for x in range(L.n) if mj[x] != j))
         if mj[joined] == j:
@@ -148,7 +148,7 @@ def test_the_cover_free_j_step_agrees_with_the_covers_of_l():
         assert set(fresh._cache) == {"order_masks", "join_classes"}, A.name
         assert (j_seeds, j_under) == (seeds, under), A.name
         # each j ∈ J(L) is in a class, and the least member of a class is its seed
-        js = [j for _, j in A.join_irreducible_pairs()]
+        js = [j for _, j in join_irreducible_pairs(A)]
         assert [x for x, c in enumerate(cls) if c is not None] == js, A.name
         assert [min(j for j in js if cls[j] == c) for c in range(len(seeds))] == [j for _, j in seeds], A.name
         assert lattice_classes(fresh) == want, A.name
@@ -167,7 +167,7 @@ def test_d_is_empty_exactly_on_the_join_prime_lattices():
             # D is empty iff every j is its own class with nothing under it
             step = congruences.join_classes(fresh)
             seeds, under = step.seeds, step.under
-            assert got == (not any(under) and len(seeds) == len(A.join_irreducible_pairs())), A.name
+            assert got == (not any(under) and len(seeds) == len(join_irreducible_pairs(A))), A.name
         verdicts[got] += 1
     assert verdicts[True] > 300 and verdicts[False] > 300
 
@@ -194,7 +194,7 @@ def dependency_reads(A):
     meet_irreducible = [m for m, u in enumerate(up) if u & ~(1 << m) in ups]
     return {
         (j, m)
-        for jp, j in A.join_irreducible_pairs()
+        for jp, j in join_irreducible_pairs(A)
         for m in meet_irreducible
         if up[jp] >> m & 1 and not up[j] >> m & 1
     }

@@ -409,8 +409,42 @@ def test_filt_and_id_blp_criteria_match_the_walks():
             verdict = want if isinstance(want, tuple) else want is None
             assert outcome(has, A) == verdict, (A.name, has.__name__)
             verdicts.setdefault(has.__name__, set()).add(verdict if isinstance(verdict, bool) else verdict[0])
-    errors = {"NotDistributive", "SizeCap", "KindError", "InvalidCongruence"}
+    errors = {"NotDistributive", "SizeCap", "KindError"}
     assert verdicts["has_filt_blp"] == verdicts["has_id_blp"] == {True, False} | errors
+    # a lattice with another operation is refused before any kernel is
+    # taken for a congruence of it
+    A = c3_with_a_reversal()
+    for has, what in ((residuated.has_filt_blp, "filter"), (residuated.has_id_blp, "ideal")):
+        message = f"{what} congruences need a lattice with no other operation, or the residuated kind"
+        assert outcome(has, A) == ("KindError", message)
+
+
+C3_WITH_A_CYCLE = {
+    "kind": "lattice",
+    "elements": ["0", "a", "1"],
+    "operations": {
+        "join": [["0", "a", "1"], ["a", "a", "1"], ["1", "1", "1"]],
+        "meet": [["0", "0", "0"], ["0", "a", "a"], ["0", "a", "1"]],
+        "u": ["1", "0", "a"],
+    },
+}
+
+
+def test_filt_and_id_blp_are_not_reported_on_a_lattice_with_another_operation(tmp_path, capsys):
+    # the 3-chain with a unary u that cycles its elements: the kernels of
+    # its reduct's filters and ideals are no congruences of it, so the
+    # report leaves both verdicts out and each check exits 2 with one line
+    path = tmp_path / "c3u.json"
+    path.write_text(json.dumps(C3_WITH_A_CYCLE))
+    assert main(["report", "--format", "json", "--file", str(path)]) == 0
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert err == "" and doc["flags"]["con_size"] == 2
+    assert "filt_blp" not in doc and "id_blp" not in doc
+    for verb, what in (("filt-blp", "filter"), ("id-blp", "ideal")):
+        assert main(["check", verb, "--file", str(path)]) == 2
+        message = f"error: {what} congruences need a lattice with no other operation, or the residuated kind\n"
+        assert capsys.readouterr() == ("", message)
 
 
 def test_the_filter_congruences_of_a_residuated_algebra_are_all_of_con():

