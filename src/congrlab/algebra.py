@@ -303,6 +303,8 @@ def _with_axioms_checked(n, labels, signature, tables, name):
 
 
 _INT_TYPES = frozenset((int, bool))
+# JSON's array and object, refused unread where a label belongs (_label_texts)
+_NESTING_TYPES = frozenset((list, dict))
 # the tables a lattice order determines (_order_lattice)
 _ORDER_TABLES = frozenset(name for name, _ in KIND_OPERATIONS["bounded-lattice"])
 # an explicit spec's signature order: the kinds' operations first, as the
@@ -316,10 +318,11 @@ def _int_row(row) -> bool:
 
 
 def _freeze_tables(tables):
-    """Nested sequences as nested tuples, a row of ints in one tuple() call."""
+    """Nested sequences as nested tuples, a row of ints in one tuple() call.
+    Anything else is left as it is, for _check_table to refuse."""
 
     def freeze(t):
-        if isinstance(t, int):
+        if isinstance(t, (int, str, bytes)) or not hasattr(t, "__iter__"):
             return t
         row = tuple(t)
         return row if _int_row(row) else tuple(map(freeze, row))
@@ -633,8 +636,9 @@ def build_from_spec(spec: dict) -> FiniteAlgebra:
         # a cover can only describe a lattice
         kind = "lattice" if "cover" in spec else "generic"
     if kind not in KINDS:
-        raise TableError(f"unknown kind {kind!r}")
-    labels = tuple(map(str, _spec_field(spec, "elements", list)))
+        nested = type(kind) in _NESTING_TYPES  # refused unread, as _label_texts does
+        raise TableError("spec field 'kind' holds a JSON array or object" if nested else f"unknown kind {kind!r}")
+    labels = _label_texts(_spec_field(spec, "elements", list), "spec field 'elements'")
     if not labels:
         raise TableError("spec has no elements")
     # a label must read back from the block syntax "a,b|c" of con and quotient --by
@@ -665,9 +669,7 @@ def build_from_spec(spec: dict) -> FiniteAlgebra:
             extra[opname] = _table_from_labels(operations[opname], arity, index, opname)
         return _order_lattice(labels, lattice_signature(kind), name, up, down, extra)
 
-    if "operations" not in spec:
-        if n == 1 and kind == "generic":
-            return FiniteAlgebra._derived(1, labels, Signature((), "generic"), {}, name)
+    if "operations" not in spec and (n > 1 or kind != "generic"):
         raise TableError("spec needs either a cover relation or operation tables")
 
     tables = {}
@@ -692,8 +694,18 @@ def _spec_field(spec, key, shape):
     return value
 
 
+def _label_texts(values, what) -> tuple:
+    """values, JSON strings or numbers, as labels.  A JSON array or object
+    among them is refused unread: its str() or repr() walks it, and may
+    recurse past the interpreter's limit."""
+    if not _NESTING_TYPES.isdisjoint(map(type, values)):
+        raise TableError(f"{what} holds a JSON array or object where a label belongs")
+    return tuple(map(str, values))
+
+
 def _label_index(lab, index, what):
     if not isinstance(lab, str) or lab not in index:
+        _label_texts((lab,), what)
         raise TableError(f"{what} refers to unknown label {lab!r}")
     return index[lab]
 
@@ -713,8 +725,11 @@ def _close_cover(cover, labels, index):
     succ, waiting = [[] for _ in range(n)], [0] * n
     for pair in cover:
         if not isinstance(pair, list) or len(pair) != 2:
+            if isinstance(pair, dict):
+                raise TableError("spec field 'cover' holds a JSON object where a pair belongs")
+            _label_texts(pair if isinstance(pair, list) else (), "spec field 'cover'")
             raise TableError(f"bad cover pair {pair!r}")
-        lo, hi = str(pair[0]), str(pair[1])
+        lo, hi = pair if type(pair[0]) is type(pair[1]) is str else _label_texts(pair, "spec field 'cover'")
         a, b = index.get(lo), index.get(hi)
         if a is None or b is None:
             raise TableError(f"cover pair ({lo}, {hi}) uses unknown labels")

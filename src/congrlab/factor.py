@@ -274,12 +274,16 @@ def jspace(A: FiniteAlgebra) -> JSpace:
     return (_LatticeJSpace if is_pure_lattice(A) else _ConJSpace)(A)
 
 
-def _p_order(L: FiniteAlgebra) -> tuple[list[int], list[int]]:
+@cached
+def _p_order(L: FiniteAlgebra) -> tuple[list[int], list[int]] | None:
     """P = J(L) of a distributive lattice, or of an algebra's distributive
     lattice reduct, read off its order: near[h] = the members comparable to
     the h-th join-irreducible j, bit h being Cg(j₊, j) for the h-th seed of
     join_classes(L), each j being a class of its own, and the components
-    (`lifting` module doc, 6a)."""
+    (`lifting` module doc, 6a).  None unless L has a distributive lattice
+    reduct.  Memoized on L."""
+    if not (L.is_lattice and L.is_distributive_lattice()):
+        return None
     up, down = L.order_masks()
     js = [j for _, j in join_classes(L).seeds]
     near = [sum(1 << h for h, k in enumerate(js) if (up[j] | down[j]) >> k & 1) for j in js]

@@ -16,16 +16,16 @@ components of P ∖ S_theta.  Those are the images of the factor congruences
 in (6d), so BLP at theta is the trace test there, and BLP at every theta
 is FCLP, failing first at the same theta: every component of P is a chain
 (6e).
-Any other algebra whose lattice reduct is distributive, the residuated
-kind among them, tests at theta only the classes that hold no member of
-A's center, each against the others.
-A/theta is distributive, so a class has at most one complement, and the
-projection keeps complements: the class of a center member c has the class
-of c' as its complement.  So a class with a complement holds a center
-member iff its complement does, and BLP fails at theta iff two classes
-that hold no center member are complements.  A lattice whose reduct is
-not distributive keeps the scan of every class, which raises
-AmbiguousComplement on a class with two complements.
+Any other algebra A whose lattice reduct L is distributive, the residuated
+kind among them, is read off the same P.  theta is a congruence of L too,
+and A/theta has L/theta as its bounded-lattice reduct, so the complements
+in A/theta are those of L/theta, as A's complemented elements are L's.
+BLP at theta therefore depends on L/theta alone: it holds for A iff it
+holds for L, which is the trace test on P = J(L).  A lattice whose reduct
+is not distributive scans every class: the complements of A/theta are
+listed first, which raises AmbiguousComplement on a class with two
+complements, and BLP holds iff each complemented class holds a member of
+A's center.
 
 (g) On a distributive pure lattice L, Filt-BLP holds iff every component
 of P has a least element, and Id-BLP iff every component has a greatest
@@ -47,7 +47,8 @@ deductive filters (Galatos, Jipsen, Kowalski & Ono, Residuated Lattices,
 2007).  So Filt-BLP is BLP, read as such when the lattice reduct is
 distributive.  The ideal congruences are taken on the bounded-lattice
 reduct, so Id-BLP is read by (g) off A's join and meet, which are the
-reduct's, with no reduct built: P is read off them (`factor._p_order`).
+reduct's, with no reduct built: P is read off them by `factor._p_order`,
+memoized on A, the P that BLP reads (f).
 
 Every filter F of a finite lattice is principal: m = ^F lies in F, so
 F = [m).  In a residuated lattice m*m is in F and m*m <= m*1 = m, so m is
@@ -139,47 +140,22 @@ def element_boolean_center(A: FiniteAlgebra) -> ElementBooleanCenter:
 
 def has_blp(A: FiniteAlgebra, theta: Congruence) -> bool:
     """Every complemented element of A/theta has a complemented element of A
-    in its class.  Decided on A's tables: no quotient is built.  On a
-    distributive pure lattice it is the trace test on P = J(L) (module doc,
-    f).  At Δ the scan is A's own center, which holds it; an ambiguous
-    complement raises."""
+    in its class.  Decided on A's tables: no quotient is built.  Where A's
+    lattice reduct L is distributive it is the trace test on P = J(L)
+    (module doc, f).  Elsewhere every class is scanned: the complements of
+    A/theta first, so that an ambiguous one in the quotient is the one
+    raised, then A's center, whose ambiguous complement raises too."""
     if theta.algebra != A:
         raise ParentMismatch("congruence does not belong to the algebra")
-    order = jspace(A).p_order
+    order, block_of = _p_order(A), theta.block_of
     if order is not None:
         # P ∖ S_θ: the j with j₊ and j in two θ-classes, as bits in the order
         # of P (lifting module doc, 6a)
-        block_of = theta.block_of
         rest = sum(1 << h for h, (a, j) in enumerate(join_classes(A).pairs) if block_of[a] != block_of[j])
         near, components = order
         return len(_components(near, rest)) == sum(1 for c in components if c & rest)
-    if theta.is_delta():
-        element_boolean_center(A)
-        return True
-    return _blp_at(A, theta.block_of)
-
-
-def _blp_at(A: FiniteAlgebra, block_of) -> bool:
-    """BLP at the congruence block_of.  On a distributive reduct only the
-    classes that hold no member of A's center are tested, each against the
-    others (module doc).  Any other lattice scans every class first, so that
-    an ambiguous complement in the quotient is the one raised."""
-    if not A.is_distributive_lattice():
-        complemented = _complements(A, block_of)
-        return _center_reaches(block_of, complemented, element_boolean_center(A))
-    reached = {block_of[a] for a in element_boolean_center(A).members}
-    rest = [r for r, b in enumerate(block_of) if r == b and r not in reached]
-    join, meet = A.tables["join"], A.tables["meet"]
-    top, bot = block_of[A.top()], block_of[A.bottom()]
-    return not any(
-        block_of[join[r][s]] == top and block_of[meet[r][s]] == bot for x, r in enumerate(rest) for s in rest[x:]
-    )
-
-
-def _center_reaches(block_of, complemented, center: ElementBooleanCenter) -> bool:
-    """Every class in complemented holds a member of A's center."""
-    images = {block_of[a] for a in center.members}
-    return all(r in images for r in complemented)
+    complemented = _complements(A, block_of)
+    return {block_of[a] for a in element_boolean_center(A).members}.issuperset(complemented)
 
 
 @cached
@@ -189,18 +165,20 @@ def algebra_blp(A: FiniteAlgebra) -> Verdict:
     FCLP's verdict, decided at the call, with FCLP's failing θ, read as an
     index on the first read of the evidence (module doc, f; Verdict), so
     it answers past the congruence cap whenever FCLP does.  Elsewhere the
-    walk gives both at the call, and A's center is computed first, as
-    has_blp at Δ would, so an ambiguous complement raises the same
-    message, on every call.  Memoized on A, as a report asks for it twice:
-    once itself, once for Filt-BLP (h)."""
+    walk of has_blp over every θ but Δ, where BLP holds, gives both at the
+    call.  Where the lattice reduct is not distributive A's center is
+    scanned first, so that an ambiguous complement of A raises before any
+    of a quotient's, with the same message on every call.  Memoized on A,
+    as a report asks for it twice: once itself, once for Filt-BLP (h)."""
     if jspace(A).p_order is not None:
         ok = _holds(A, True)
         return Verdict(
             ok, lambda: (True, None) if ok else (False, all_congruences(A).elements[_lifting_failure(A, True)])
         )
     thetas = all_congruences(A).elements
-    element_boolean_center(A)
-    theta = next((theta for theta in thetas if not theta.is_delta() and not _blp_at(A, theta.block_of)), None)
+    if _p_order(A) is None:
+        element_boolean_center(A)
+    theta = next((theta for theta in thetas if not theta.is_delta() and not has_blp(A, theta)), None)
     return Verdict(theta is None, lambda: (theta is None, theta))
 
 
@@ -373,11 +351,10 @@ def _id_criterion(A: FiniteAlgebra) -> bool | None:
 def _components_bounded(A: FiniteAlgebra, side: int) -> bool | None:
     """Whether every component of P = J(L) has a least element (side 0) or
     a greatest one (side 1), read off L's up-set or down-set masks (module
-    doc, g), where L is a distributive pure lattice or the lattice reduct of
-    the residuated kind, read off A's own tables.  None elsewhere."""
-    order = jspace(A).p_order
-    if order is None and A.signature.kind == "residuated" and A.is_distributive_lattice():
-        order = _p_order(A)
+    doc, g), where L is a distributive pure lattice, or the distributive
+    lattice reduct of the residuated kind, whose P is read off A's own
+    tables and memoized on A (h).  None elsewhere."""
+    order = _p_order(A) if A.signature.kind == "residuated" else jspace(A).p_order
     if order is None:
         return None
     masks = A.order_masks()[side]
@@ -413,12 +390,14 @@ def reticulation(R: FiniteAlgebra) -> FiniteAlgebra:
 
 def blp_equivalence_check(A: FiniteAlgebra) -> dict:
     """Compute BLP / CBLP / FCLP together and check the expected pattern for
-    the kind: all three agree on a residuated lattice; on a bounded
-    distributive lattice, BLP = FCLP while CBLP always holds."""
+    the kind: all three agree on a residuated lattice; on a distributive
+    lattice with no other operation, the lattices jspace reads P of,
+    BLP = FCLP while CBLP always holds (module doc, f).  A lattice with
+    another operation is promised nothing, whatever its reduct."""
     blp, cblp, fclp = algebra_blp(A)[0], _holds(A, False), _holds(A, True)
     if A.signature.kind == "residuated":
         consistent = blp == cblp == fclp
-    elif A.is_lattice and A.is_distributive_lattice():
+    elif jspace(A).p_order is not None:
         consistent = (blp == fclp) and cblp
     else:
         consistent = True  # no equivalence promised for other kinds

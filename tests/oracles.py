@@ -14,9 +14,10 @@ step of a lattice in the three steps it once took, ConLattice's fields by
 the seed scan and per-generator loops it once ran on every algebra, Con(A)
 by closing every distinct principal generator under joins and testing
 which generators are join-irreducible afterwards, as every algebra but a
-pure lattice once had it, the join-prime fold for distributivity, and the
+pure lattice once had it, the join-prime fold for distributivity, the
 lifting verdict of one θ as it was decided before the verdicts came in
-columns.
+columns, and BLP at θ by the scan of every class of A/θ, with the walk
+of that scan over Con(A).
 """
 
 import operator
@@ -48,7 +49,7 @@ from congrlab.congruences import (
 )
 from congrlab.factor import _atoms, _complemented, _glue, factor_congruences, jspace
 from congrlab.lifting import quotient
-from congrlab.residuated import element_boolean_center, filters
+from congrlab.residuated import _complements, element_boolean_center, filters
 
 
 def product_encode(tup, radix):
@@ -414,3 +415,21 @@ def lifting_entry(cl, t: int, factor: bool) -> tuple:
         ours = _atoms([gm[b] & rest for b, _ in listed]) if listed else _components(near, rest)
         bad = min(cl._at[gm[t] | f] for f in ours if all(x & rest != f for x in atoms))
     return size, bad
+
+
+def scan_blp(A: FiniteAlgebra, theta: Congruence) -> bool:
+    """has_blp by the full scan of the classes of A/θ: the complements of
+    A/θ, which raise AmbiguousComplement on a class with two, then whether
+    every complemented class holds a member of A's center."""
+    block_of = theta.block_of
+    complemented = _complements(A, block_of)
+    reached = {block_of[a] for a in element_boolean_center(A).members}
+    return all(r in reached for r in complemented)
+
+
+def scan_blp_walk(A: FiniteAlgebra) -> tuple:
+    """algebra_blp by the full scan: A's center first, then scan_blp at
+    every θ but Δ, up to the first failure."""
+    element_boolean_center(A)
+    theta = next((t for t in all_congruences(A).elements if not t.is_delta() and not scan_blp(A, t)), None)
+    return theta is None, theta

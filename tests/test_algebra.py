@@ -114,6 +114,15 @@ def test_one_element_spec_is_valid():
         assert B.n == 1 and B.signature == Signature(())
 
 
+def test_a_one_element_spec_reads_its_constants():
+    # as every other spec does: no table is needed, and each constant is a label
+    spec = {"kind": "algebra", "elements": ["0"], "constants": {"c": "0"}}
+    assert build_from_spec(spec).signature == Signature((("c", 0),))
+    spec["constants"]["c"] = "nope"
+    with pytest.raises(TableError, match="^constant c refers to unknown label 'nope'$"):
+        build_from_spec(spec)
+
+
 def test_missing_top_reports_offending_pair():
     with pytest.raises(NotALattice) as err:
         build_from_spec(
@@ -170,12 +179,17 @@ def test_non_total_table_is_rejected():
 
 
 def entrywise_freeze(tables):
-    """_freeze_tables one entry per call, as it was before it froze rows."""
+    """_freeze_tables one entry per call, as it was before it froze rows,
+    leaving an int, a string, bytes and anything not iterable as it is."""
 
     def freeze(t):
-        if isinstance(t, int):
+        if isinstance(t, (int, str, bytes)):
             return t
-        return tuple(freeze(x) for x in t)
+        try:
+            items = iter(t)
+        except TypeError:
+            return t
+        return tuple(freeze(x) for x in items)
 
     return {name: freeze(t) for name, t in tables.items()}
 
@@ -224,11 +238,37 @@ def table_outcome(freeze, check, table, arity, n):
         ([0, 1, 2], 2),
         ([[0, 1, 2]] * 3, 1),
         ([], 1),
+        (None, 0),
+        (1.5, 0),
+        ("ab", 1),
+        (b"ab", 1),
+        ([0, None, 2], 1),
+        ([0, 1.5, 2], 1),
+        ([[0, 1, 2], "abc", [2, 2, 2]], 2),
+        ([[0, 1, 2], [1, None, 2], [2, 2, 2]], 2),
     ],
 )
 def test_rows_are_frozen_and_checked_as_entry_by_entry(table, arity):
     want = table_outcome(entrywise_freeze, entrywise_check, table, arity, 3)
     assert table_outcome(algebra._freeze_tables, algebra._check_table, table, arity, 3) == want
+
+
+@pytest.mark.parametrize(
+    "table,arity,message",
+    [
+        (None, 0, "constant f out of range"),
+        (1.5, 0, "constant f out of range"),
+        ("ab", 1, "table for f is not total"),
+        ([0, None], 1, "constant f out of range"),
+        ([[0, 1], [1, 1.5]], 2, "constant f out of range"),
+    ],
+)
+def test_the_public_constructor_refuses_a_table_of_other_entries(table, arity, message):
+    # a TableError from the checks, not a TypeError, nor a RecursionError
+    # from a string taken for a row of one-character rows
+    with pytest.raises(TableError) as info:
+        FiniteAlgebra(2, ["0", "1"], Signature((("f", arity),)), {"f": table})
+    assert str(info.value) == message
 
 
 def test_bad_lattice_table_is_rejected():

@@ -5,29 +5,32 @@ Boolean on P, and each quotient L/θ is the down-sets of P ∖ S_θ.  The report
 rows, FCLP and BLP read the factor side off P; the interval route, which
 reads each [θ, ∇] off the centers of `factor._interval_centers` and the
 center and images scans of `center_unliftable` and `images_unliftable`, and
-the full complement scan of BLP, are
-the oracles.  The `report --format json` digests of distributive lattices
-were taken before the J(L) route existed, and those of the pentagon and the
-diamond with a chain on top before the centers of each interval were listed
-off the components of J(Con A) ∖ D_θ.
+the full class scan of BLP (`oracles.scan_blp`), are the oracles.  The
+`report --format json` digests of distributive lattices were taken before
+the J(L) route existed, and those of the pentagon and the diamond with a
+chain on top before the centers of each interval were listed off the
+components of J(Con A) ∖ D_θ.
 """
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from congrlab import cli, congruences, lifting, residuated
-from congrlab.algebra import build_from_spec, dual, lattice_reduct
+from congrlab.algebra import build_from_spec, dual, emit_spec, lattice_reduct
 from congrlab.cli import main
 from congrlab.congruences import Congruence, all_congruences
 from congrlab.errors import CongrlabError
-from congrlab.factor import boolean_center, factor_congruences, jspace
+from congrlab.factor import _p_order, boolean_center, factor_congruences, jspace
 from congrlab.fixtures import FIXTURE_NAMES, fixture, fixture_spec
 from congrlab.report import build_report
 from congrlab.residuated import FILTER_CAP
 
+from oracles import scan_blp, scan_blp_walk
 from sweep import sweep
+from test_element_level import outcome as blp_outcome
 from test_join_irreducible_masks import center_unliftable, cold, images_unliftable, lifting_walk
 from test_partition_join import c3_with_a_reversal, count_calls
 from test_residuated import RESIDUATED_CHAINS, residuated_chain
@@ -238,33 +241,40 @@ def test_check_renders_evidence_for_its_own_failure_alone(prop, build, code, evi
     assert (renders["_has_lifting"], builds["MappingProxyType"]) == (evidence, labels)
 
 
-# -- BLP on the unreached classes ---------------------------------------------------
+# -- BLP on the lattice reduct ---------------------------------------------------
 
 
-def scan_blp(A, theta):
-    """has_blp by the full scan: every complemented class holds a center member."""
-    complemented = residuated._complements(A, theta.block_of)
-    return residuated._center_reaches(theta.block_of, complemented, residuated.element_boolean_center(A))
+def with_unary(L, table):
+    """The lattice L as a lattice-kind table spec with the unary u."""
+    spec = emit_spec(lattice_reduct(L))
+    spec["operations"]["u"] = [L.labels[v] for v in table]
+    return build_from_spec(spec)
 
 
 def blp_algebras():
-    chains = [build_from_spec(residuated_chain(n, t)) for t, n in RESIDUATED_CHAINS]
-    return distributive_lattices() + chains
+    """The distributive lattices above, the residuated inputs, the sweep,
+    the 3-chain with a cycling u, and the fixtures and the sweep as
+    lattice-kind specs with a seeded random unary u."""
+    rng = random.Random(49)
+    lattices = [fixture(name) for name in FIXTURE_NAMES] + sweep()
+    with_u = [with_unary(L, [rng.randrange(L.n) for _ in range(L.n)]) for L in lattices]
+    return distributive_lattices() + residuated_inputs() + sweep() + [build_from_spec(C3_WITH_A_CYCLE)] + with_u
 
 
 def test_pruned_blp_matches_the_full_scan():
-    thetas, verdicts = 0, set()
+    # BLP at θ is the trace test on P = J(L) wherever the lattice reduct L
+    # is distributive, whatever A's other operations (residuated module
+    # doc, f), and the scan elsewhere
+    thetas, verdicts, reducts = 0, set(), 0
     for A in blp_algebras():
-        walk = None
         for theta in all_congruences(A).elements:
-            got = residuated.has_blp(A, theta)
-            assert got == scan_blp(A, theta), (A.name, theta.block_string())
-            if not got and walk is None:
-                walk = theta
-            verdicts.add(got)
+            got = blp_outcome(residuated.has_blp, A, theta)
+            assert got == blp_outcome(scan_blp, A, theta), (A.name, theta.block_string())
+            verdicts.add(got if isinstance(got, bool) else "AmbiguousComplement")
             thetas += 1
-        assert residuated.algebra_blp(cold(A)) == (walk is None, walk), A.name
-    assert verdicts == {True, False} and thetas > 5000
+        assert blp_outcome(residuated.algebra_blp, cold(A)) == blp_outcome(scan_blp_walk, A), A.name
+        reducts += jspace(A).p_order is None and _p_order(A) is not None
+    assert verdicts == {True, False, "AmbiguousComplement"} and thetas > 9000 and reducts > 100
 
 
 class Reads:
@@ -285,29 +295,23 @@ class Reads:
 
 
 def test_pruned_blp_reads_only_pairs_of_unreached_classes():
-    # the residuated kind keeps the pruned scan; a distributive pure lattice
-    # reads P = J(L) instead (residuated module doc, f), and no table entry
+    # a distributive pure lattice and the residuated kind on a distributive
+    # reduct both read P = J(L) (residuated module doc, f), and no join or
+    # meet entry, not even of the classes no center member reaches
     lattice = build_from_spec(dict(chain_spec(8), kind="bounded-lattice"))
     goedel = build_from_spec(residuated_chain(8, "godel"))
     reads = {}
     for A in (lattice, goedel):
-        center = residuated.element_boolean_center(A)
-        assert A.is_distributive_lattice() and len(center.members) == 2
-        jspace(A).p_order  # L's order, read before the tables are watched
+        assert A.is_distributive_lattice() and len(residuated.element_boolean_center(A).members) == 2
+        assert _p_order(A) is not None  # L's order, read before the tables are watched
         seen = set()
         tables = dict(A.tables, join=Reads(A.tables["join"], seen), meet=Reads(A.tables["meet"], seen))
         thetas = all_congruences(A).elements
         object.__setattr__(A, "tables", tables)
-        read = 0
         for theta in thetas:
-            seen.clear()
             residuated.has_blp(A, theta)
-            block_of = theta.block_of
-            unreached = {r for r, b in enumerate(block_of) if r == b} - {block_of[a] for a in center.members}
-            assert {x for pair in seen for x in pair} <= unreached, theta.block_string()
-            read += len(seen)
-        reads[A.name] = read
-    assert reads["C8"] == 0 < reads["godel8"]
+        reads[A.name] = len(seen), len(thetas)
+    assert reads == {"C8": (0, 128), "godel8": (0, 8)}
 
 
 # -- Filt-BLP and Id-BLP read off P ---------------------------------------------------
@@ -447,6 +451,23 @@ def test_filt_and_id_blp_are_not_reported_on_a_lattice_with_another_operation(tm
         assert capsys.readouterr() == ("", message)
 
 
+def test_a_lattice_with_another_operation_is_promised_no_blp_equivalence(tmp_path, capsys):
+    # L2 × L3 with a unary u: its reduct is distributive, and BLP and FCLP
+    # hold while CBLP fails.  BLP = FCLP with CBLP is promised on a
+    # distributive lattice with no other operation alone (residuated module
+    # doc, f), so the pattern is consistent
+    A = with_unary(fixture("L2timesL3"), [4, 4, 4, 5, 5, 4])
+    assert A.labels == ("0", "p", "q", "r", "s", "1") and A.is_distributive_lattice()
+    assert residuated.blp_equivalence_check(A) == {"blp": True, "cblp": False, "fclp": True, "consistent": True}
+    path = tmp_path / "l2l3u.json"
+    path.write_text(json.dumps(emit_spec(A)))
+    assert main(["report", "--format", "json", "--file", str(path)]) == 0
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert err == "" and (doc["blp"], doc["flags"]["cblp"], doc["flags"]["fclp"]) == (True, False, True)
+    assert doc["blp_equivalences_consistent"] is True
+
+
 def test_the_filter_congruences_of_a_residuated_algebra_are_all_of_con():
     # congruences correspond to deductive filters (residuated module doc, h)
     inputs = residuated_inputs()
@@ -466,12 +487,12 @@ def test_a_report_builds_no_filter_or_ideal_congruence(name, monkeypatch):
 
 def test_a_residuated_report_decides_blp_once(monkeypatch):
     # the report's BLP, and its Filt-BLP, which is BLP on the residuated
-    # kind, read one memoized walk: one _blp_at per θ above Δ
+    # kind, read one memoized walk: one has_blp per θ above Δ
     A = cold(fixture("R0"))
-    counts = count_calls(monkeypatch, residuated, ["_blp_at"])
+    counts = count_calls(monkeypatch, residuated, ["has_blp"])
     doc = build_report(A)
     assert doc["blp"] is doc["filt_blp"] is True
-    assert len(all_congruences(A)) - 1 == counts["_blp_at"] == 4
+    assert len(all_congruences(A)) - 1 == counts["has_blp"] == 4
 
 
 def test_check_filt_blp_builds_no_filter_congruence(monkeypatch, capsys):

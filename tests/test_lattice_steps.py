@@ -34,7 +34,6 @@ from congrlab.algebra import (
     build_from_spec,
     class_pairs,
     delta_partition,
-    emit_spec,
     join_partitions,
     lattice_reduct,
     merge_pairs,
@@ -47,7 +46,7 @@ from congrlab.fixtures import FIXTURE_NAMES, fixture
 from oracles import ClosureConLattice, join_prime_fold, lattice_classes, lifting_entry, seed_scan
 from sweep import sweep
 from test_coatom_pairs import ordinal_sums, products
-from test_distributive_lattices import residuated_inputs
+from test_distributive_lattices import residuated_inputs, with_unary
 from test_join_irreducible_masks import cold, random_generic_algebras
 from test_jspace import chains_on_top
 from test_partition_join import count_calls, generic_copy, subtraction_mod
@@ -150,13 +149,6 @@ def test_the_closure_paths_steps_and_masks_give_the_seed_scans_fields():
 def successor_mod(n):
     """Z_n under x + 1."""
     return FiniteAlgebra(n, [str(x) for x in range(n)], Signature((("s", 1),)), {"s": [(x + 1) % n for x in range(n)]})
-
-
-def with_unary(L, table):
-    """The lattice L as a lattice-kind table spec with the unary u."""
-    spec = emit_spec(lattice_reduct(L))
-    spec["operations"]["u"] = [L.labels[v] for v in table]
-    return build_from_spec(spec)
 
 
 def oracle_populations():

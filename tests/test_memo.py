@@ -54,6 +54,7 @@ MEMOIZED = {
     "_joins_to_nabla",
     "element_boolean_center",
     "algebra_blp",
+    "_p_order",
 }
 
 

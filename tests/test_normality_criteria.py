@@ -6,8 +6,9 @@ is_b_normal holds iff every component of J(Con A) has a greatest element
 algebra_blp hold iff every component of P = J(L) is a chain (lifting module
 doc, 6f; residuated module doc, f), and has_blp at θ is the trace test of
 the factor lifting.  The walks are the oracles: the maximal-pair walk of
-fc-normality, the per-φ loop of b-normality and the _blp_at walk over every
-θ, each run in full on every algebra here.
+fc-normality, the per-φ loop of b-normality and the walk of the full class
+scan (`oracles.scan_blp`) over every θ, each run in full on every algebra
+here.
 """
 
 import pytest
@@ -20,7 +21,7 @@ from congrlab.factor import jspace
 from congrlab.fixtures import fixture
 from congrlab.lifting import is_b_normal, is_fc_normal
 
-from oracles import join_irreducible_pairs
+from oracles import join_irreducible_pairs, scan_blp, scan_blp_walk
 from test_distributive_lattices import boolean_spec
 from test_join_irreducible_masks import cold, mask_algebras, random_generic_algebras
 from test_partition_join import chain, count_calls
@@ -40,16 +41,6 @@ def criteria_algebras():
         + [chain(n) for n in range(2, 13)]
         + [build_from_spec(boolean_spec(k)) for k in range(1, 7)]
     )
-
-
-def blp_walk(A):
-    """The old algebra_blp: _blp_at at every θ but Δ, with A's center read
-    first."""
-    residuated.element_boolean_center(A)
-    for theta in all_congruences(A).elements:
-        if not theta.is_delta() and not residuated._blp_at(A, theta.block_of):
-            return False, theta
-    return True, None
 
 
 def outcome(decide, A):
@@ -81,13 +72,13 @@ def test_blp_criterion_gives_the_walks_verdict_and_evidence():
     for A in map(cold, criteria_algebras()):
         if not A.is_lattice:
             continue
-        want = outcome(blp_walk, A)
+        want = outcome(scan_blp_walk, A)
         assert outcome(residuated.algebra_blp, A) == want, A.name
         verdicts.add(verdict(want))
         if jspace(A).p_order is not None:
             # has_blp reads the trace test at each θ of a distributive pure lattice
             for theta in all_congruences(A).elements:
-                assert residuated.has_blp(A, theta) == (theta.is_delta() or residuated._blp_at(A, theta.block_of))
+                assert residuated.has_blp(A, theta) == scan_blp(A, theta)
                 thetas += 1
     assert verdicts == {True, False, "AmbiguousComplement"} and thetas > 5000
 
@@ -100,12 +91,14 @@ def test_blp_criterion_gives_the_walks_verdict_and_evidence():
 def test_a_distributive_lattice_walks_no_theta_where_the_criteria_hold(build, monkeypatch):
     A = cold(build())
     counts = count_calls(monkeypatch, lifting, ["_joins_to_nabla", "_b_normal_walk"])
-    blp_counts = count_calls(monkeypatch, residuated, ["_blp_at"])
+    blp_counts = count_calls(monkeypatch, residuated, ["has_blp", "_complements"])
     assert is_fc_normal(A) == is_b_normal(A) == (True, None)
     assert residuated.algebra_blp(A) == (True, None)
-    assert all(residuated.has_blp(A, theta) for theta in all_congruences(A).elements)
     assert residuated.has_filt_blp(A) and residuated.has_id_blp(A)
-    assert counts == {"_joins_to_nabla": 0, "_b_normal_walk": 0} and blp_counts == {"_blp_at": 0}
+    assert blp_counts == {"has_blp": 0, "_complements": 0}
+    # and has_blp at each θ is the trace test, with no class scanned
+    assert all(residuated.has_blp(A, theta) for theta in all_congruences(A).elements)
+    assert counts == {"_joins_to_nabla": 0, "_b_normal_walk": 0} and blp_counts["_complements"] == 0
 
 
 def test_b_normality_enters_no_loop_where_every_component_is_topped(monkeypatch):

@@ -161,6 +161,77 @@ def test_build_from_spec_refuses_a_table_nested_too_deeply(depth):
     assert build_from_spec(nested_spec(ARITY_CAP)).n == 1
 
 
+def deep_array(depth=5000):
+    """"0" in an array nested depth deep, past the interpreter's recursion
+    limit, so that its str() or repr() raises RecursionError."""
+    value = "0"
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+LABEL_PLACES = {
+    "element": (
+        lambda v: {"kind": "algebra", "elements": ["0", v], "operations": {"f": ["0", "0"]}},
+        "spec field 'elements' holds a JSON array or object where a label belongs",
+    ),
+    "cover end": (
+        lambda v: {"kind": "lattice", "elements": ["0", "1"], "cover": [["0", v]]},
+        "spec field 'cover' holds a JSON array or object where a label belongs",
+    ),
+    "short cover pair": (
+        lambda v: {"kind": "lattice", "elements": ["0", "1"], "cover": [[v]]},
+        "spec field 'cover' holds a JSON array or object where a label belongs",
+    ),
+    "constant": (
+        lambda v: {"kind": "algebra", "elements": ["0", "1"], "operations": {"f": ["0", "1"]}, "constants": {"c": v}},
+        "constant c holds a JSON array or object where a label belongs",
+    ),
+    "table entry": (
+        lambda v: {"kind": "algebra", "elements": ["0", "1"], "operations": {"f": [["0", "1"], ["1", v]]}},
+        "table for f holds a JSON array or object where a label belongs",
+    ),
+    "kind": (
+        lambda v: {"kind": v, "elements": ["0"]},
+        "spec field 'kind' holds a JSON array or object",
+    ),
+}
+
+
+@pytest.mark.parametrize("place", sorted(LABEL_PLACES))
+@pytest.mark.parametrize("shape", ["array", "object"])
+def test_an_array_where_a_label_belongs_is_refused_unread(place, shape):
+    # a TableError naming the field, whatever the depth, where str() or
+    # repr() of the value would raise RecursionError
+    build, message = LABEL_PLACES[place]
+    value = deep_array() if shape == "array" else {"a": deep_array()}
+    with pytest.raises(TableError) as info:
+        build_from_spec(build(value))
+    assert str(info.value) == message
+
+
+def test_an_object_where_a_cover_pair_belongs_is_refused_unread():
+    spec = {"kind": "lattice", "elements": ["0", "1"], "cover": [{"a": deep_array()}]}
+    with pytest.raises(TableError, match="^spec field 'cover' holds a JSON object where a pair belongs$"):
+        build_from_spec(spec)
+
+
+def test_labels_given_as_strings_and_numbers_keep_their_messages():
+    cases = [
+        ({"kind": "lattice", "elements": ["0", "1"], "cover": [["0", 2]]}, "cover pair (0, 2) uses unknown labels"),
+        ({"kind": "lattice", "elements": ["0", "1"], "cover": [["0"]]}, "bad cover pair ['0']"),
+        ({"kind": "lattice", "elements": ["0", "1"], "cover": [1]}, "bad cover pair 1"),
+        ({"kind": 5, "elements": ["0"]}, "unknown kind 5"),
+        ({"elements": ["0", "1"], "operations": {"f": ["0", "1"]}, "constants": {"c": 5}}, "constant c refers to unknown label 5"),
+        ({"elements": ["0", "1"], "operations": {"f": ["0", "x"]}}, "table for f refers to unknown label 'x'"),
+    ]
+    for spec, message in cases:
+        with pytest.raises(TableError) as info:
+            build_from_spec(spec)
+        assert str(info.value) == message
+    assert build_from_spec({"kind": "lattice", "elements": [0, 1], "cover": [[0, 1]]}).labels == ("0", "1")
+
+
 def lattice_with_a_deep_operation(depth):
     """The one-element lattice spec with an operation g of arity depth
     beside its join and meet."""

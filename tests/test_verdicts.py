@@ -20,6 +20,7 @@ from congrlab.factor import jspace
 from congrlab.fixtures import FIXTURE_NAMES, fixture
 from congrlab.lifting import Verdict, algebra_cblp, algebra_fclp, is_b_normal, is_fc_normal
 
+from oracles import scan_blp_walk
 from sweep import sweep
 from test_distributive_lattices import chain_spec, residuated_inputs
 from test_element_level import outcome
@@ -52,16 +53,11 @@ def eager_b_normal(A):
 
 def eager_blp(A):
     """algebra_blp with FCLP's failing θ found at the call on a distributive
-    pure lattice, and the has_blp walk elsewhere."""
+    pure lattice, and the walk of the full class scan elsewhere."""
     if jspace(A).p_order is not None:
         t = lifting._lifting_failure(A, True)
         return (True, None) if t is None else (False, all_congruences(A).elements[t])
-    thetas = all_congruences(A).elements
-    residuated.element_boolean_center(A)
-    for theta in thetas:
-        if not theta.is_delta() and not residuated._blp_at(A, theta.block_of):
-            return False, theta
-    return True, None
+    return scan_blp_walk(A)
 
 
 CHECKS = [
