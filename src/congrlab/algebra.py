@@ -105,18 +105,17 @@ class FiniteAlgebra:
     __slots__ = ("n", "labels", "signature", "tables", "name", "_hash", "_cache")
 
     def __new__(cls, n, labels, signature, tables, name=None):
-        """The public constructor: the labels and every table are checked,
-        the tables frozen, shaped and ranged against the signature, and the
-        kind's axioms proved.  congrlab's own constructions take _derived."""
+        """The public constructor: the labels are checked, every table is
+        read against the signature as _read_table reads it, ints in range,
+        and the kind's axioms are proved.  congrlab's own constructions take
+        _derived."""
         labels = _carrier_labels(n, labels)
-        tables = _freeze_tables(tables)
         ops = dict(signature.operations)
         if set(ops) != set(tables):
             raise TableError(
                 f"tables {sorted(tables)} do not match signature {sorted(ops)}"
             )
-        for fname, arity in signature.operations:
-            _check_table(tables[fname], arity, n, fname)
+        tables = {fname: _read_table(tables[fname], arity, n, fname) for fname, arity in signature.operations}
         return _with_axioms_checked(n, labels, signature, tables, name)
 
     @classmethod
@@ -279,13 +278,22 @@ def _check_carrier(n):
 
 
 def _carrier_labels(n, labels) -> tuple[str, ...]:
-    """labels as a tuple of n distinct strings, n in 1..CARRIER_CAP."""
+    """labels as a tuple of n distinct strings, n in 1..CARRIER_CAP: the one
+    check of labels given from outside, at every door.  A label must read
+    back from the block syntax "a,b|c" of con and quotient --by, so it is
+    not empty, has no surrounding whitespace and holds no ',' or '|'."""
     if n < 1:
         raise TableError("carrier must be non-empty")
     _check_carrier(n)
-    labels = tuple(str(x) for x in labels)
-    if len(labels) != n or len(set(labels)) != n:
+    labels = tuple(map(str, labels))
+    if len(labels) != n:
         raise TableError("need exactly n distinct element labels")
+    text = "".join(labels)
+    if "," in text or "|" in text or "" in labels or tuple(map(str.strip, labels)) != labels:
+        bad = next(lab for lab in labels if not lab or lab != lab.strip() or "," in lab or "|" in lab)
+        raise TableError(f"element label {bad!r} is empty, has surrounding whitespace, or holds ',' or '|'")
+    if len(set(labels)) != n:
+        raise TableError("element labels are not distinct")
     return labels
 
 
@@ -302,7 +310,6 @@ def _with_axioms_checked(n, labels, signature, tables, name):
     return _order_lattice(labels, signature, name, up, _order_operations(up, labels), tables, tables)
 
 
-_INT_TYPES = frozenset((int, bool))
 # JSON's array and object, refused unread where a label belongs (_label_texts)
 _NESTING_TYPES = frozenset((list, dict))
 # the tables a lattice order determines (_order_lattice)
@@ -312,35 +319,30 @@ _ORDER_TABLES = frozenset(name for name, _ in KIND_OPERATIONS["bounded-lattice"]
 _SPEC_ORDER = {name: i for i, (name, _) in enumerate(KIND_OPERATIONS["residuated"])}
 
 
-def _int_row(row) -> bool:
-    """Every entry of row is an int, tested at C speed."""
-    return set(map(type, row)) <= _INT_TYPES
-
-
-def _freeze_tables(tables):
-    """Nested sequences as nested tuples, a row of ints in one tuple() call.
-    Anything else is left as it is, for _check_table to refuse."""
-
-    def freeze(t):
-        if isinstance(t, (int, str, bytes)) or not hasattr(t, "__iter__"):
-            return t
-        row = tuple(t)
-        return row if _int_row(row) else tuple(map(freeze, row))
-
-    return {name: freeze(t) for name, t in tables.items()}
-
-
-def _check_table(table, arity, n, fname):
-    if arity == 0:
-        if not isinstance(table, int) or not 0 <= table < n:
-            raise TableError(f"constant {fname} out of range")
-        return
-    if not isinstance(table, tuple) or len(table) != n:
-        raise TableError(f"table for {fname} is not total")
-    if arity == 1 and _int_row(table) and 0 <= min(table) and max(table) < n:
-        return
-    for row in table:
-        _check_table(row, arity - 1, n, fname)
+def _read_table(raw, arity, n, fname, index=None):
+    """The table raw of an operation fname of this arity over n elements,
+    given from outside, as nested tuples: the one reader of both doors,
+    FiniteAlgebra(...) and build_from_spec.  It goes level by level, as
+    flat_table does.  Each node above the entries must be a list or tuple
+    of n items, or the table is not total.  The entries, in argument order,
+    are then mapped in one call: kept as they are when index is None, if
+    all are ints in 0..n-1, else labels turned into indices through index.
+    So a table with both a shape fault and a bad entry reports the shape
+    fault, and a bad entry the first one in argument order."""
+    flat = [raw]
+    for _ in range(arity):
+        if not all(isinstance(row, (list, tuple)) and len(row) == n for row in flat):
+            raise TableError(f"table for {fname} is not total")
+        flat = list(itertools.chain.from_iterable(flat))
+    if index is None:
+        if all(map(isinstance, flat, itertools.repeat(int))) and 0 <= min(flat) and max(flat) < n:
+            return nest_table(flat, arity, n)
+        raise TableError(f"constant {fname} out of range")
+    try:  # index holds only str keys: any other entry raises
+        return nest_table(map(index.__getitem__, flat), arity, n)
+    except (KeyError, TypeError):
+        bad = next(v for v in flat if not isinstance(v, str) or v not in index)
+        _label_index(bad, index, f"table for {fname}")
 
 
 # -- order-based construction ----------------------------------------------
@@ -639,18 +641,9 @@ def build_from_spec(spec: dict) -> FiniteAlgebra:
         nested = type(kind) in _NESTING_TYPES  # refused unread, as _label_texts does
         raise TableError("spec field 'kind' holds a JSON array or object" if nested else f"unknown kind {kind!r}")
     labels = _label_texts(_spec_field(spec, "elements", list), "spec field 'elements'")
-    if not labels:
-        raise TableError("spec has no elements")
-    # a label must read back from the block syntax "a,b|c" of con and quotient --by
-    text = "".join(labels)
-    if "," in text or "|" in text or "" in labels or tuple(map(str.strip, labels)) != labels:
-        bad = next(lab for lab in labels if not lab or lab != lab.strip() or "," in lab or "|" in lab)
-        raise TableError(f"element label {bad!r} is empty, has surrounding whitespace, or holds ',' or '|'")
-    index = dict(zip(labels, itertools.count()))
-    if len(index) != len(labels):
-        raise TableError("element labels are not distinct")
     n = len(labels)
-    _check_carrier(n)
+    labels = _carrier_labels(n, labels)
+    index = dict(zip(labels, itertools.count()))
     name = spec.get("name")
     if name is not None and not isinstance(name, str):
         raise TableError("spec field 'name' must be a JSON string")
@@ -666,7 +659,7 @@ def build_from_spec(spec: dict) -> FiniteAlgebra:
         for opname, arity in taken.items():
             if opname not in operations:
                 raise TableError(f"{kind} spec requires a {opname!r} table")
-            extra[opname] = _table_from_labels(operations[opname], arity, index, opname)
+            extra[opname] = _read_table(operations[opname], arity, n, opname, index)
         return _order_lattice(labels, lattice_signature(kind), name, up, down, extra)
 
     if "operations" not in spec and (n > 1 or kind != "generic"):
@@ -676,13 +669,13 @@ def build_from_spec(spec: dict) -> FiniteAlgebra:
     sig_ops = []
     for opname, raw in operations.items():
         arity = _table_arity(raw, opname)
-        tables[opname] = _table_from_labels(raw, arity, index, opname)
+        tables[opname] = _read_table(raw, arity, n, opname, index)
         sig_ops.append((opname, arity))
     for cname, lab in _spec_field(spec, "constants", dict).items():
         tables[cname] = _label_index(lab, index, f"constant {cname}")
         sig_ops.append((cname, 0))
     sig_ops.sort(key=lambda p: (_SPEC_ORDER.get(p[0], 99), p[0]))
-    # the label map builds frozen tables in range, matching the signature
+    # _read_table builds the tables in range, matching the signature
     return _with_axioms_checked(n, labels, Signature(tuple(sig_ops), kind), tables, name)
 
 
@@ -785,36 +778,13 @@ def _table_arity(raw, fname):
     return arity
 
 
-def _table_from_labels(raw, arity, index, fname):
-    """The table of labels raw as indices, a row of labels mapped in one
-    call.  A row that does not map is walked entry by entry, to name its
-    first bad entry."""
-    if arity == 0:
-        return _label_index(raw, index, f"table for {fname}")
-    if not isinstance(raw, list) or len(raw) != len(index):
-        raise TableError(f"table for {fname} is not total")
-    if arity == 1:
-        try:  # index holds only str keys: any other entry raises
-            return tuple(map(index.__getitem__, raw))
-        except (KeyError, TypeError):
-            pass
-    return tuple(_table_from_labels(row, arity - 1, index, fname) for row in raw)
-
-
 def emit_spec(algebra: FiniteAlgebra) -> dict:
     """Inverse of build_from_spec, as explicit operation tables."""
     labels = algebra.labels
-
-    def listed(t, arity):
-        return [listed(row, arity - 1) for row in t] if arity > 1 else [labels[v] for v in t]
-
     ops, consts = {}, {}
     for fname, arity in algebra.signature.operations:
-        t = algebra.tables[fname]
-        if arity:
-            ops[fname] = listed(t, arity)
-        else:
-            consts[fname] = labels[t]
+        flat = map(labels.__getitem__, flat_table(algebra.tables[fname], arity))
+        (ops if arity else consts)[fname] = nest_table(flat, arity, algebra.n, list)
     kind = algebra.signature.kind
     out = {
         "name": algebra.name,
@@ -1041,30 +1011,46 @@ def flat_table(t, arity: int) -> list:
     in lexicographic order; a constant gives [t]."""
     flat = [t]
     for _ in range(arity):
-        flat = [v for row in flat for v in row]
+        flat = list(itertools.chain.from_iterable(flat))
     return flat
+
+
+def nest_table(flat, arity: int, n: int, row=tuple):
+    """The inverse of flat_table: the values of a table of this arity over
+    n elements, in argument order, from any iterable, nested in rows of n,
+    each made by row; a constant gives its one value.  Each level is read
+    as it is nested, so no list of the values is made."""
+    for _ in range(arity):
+        flat = map(row, zip(*[iter(flat)] * n))
+    return next(iter(flat))
 
 
 def map_table(t, arity: int, keys, value) -> tuple:
     """The table t of this arity restricted to the argument tuples over
     keys, in keys' order, each entry v replaced by value[v], as nested
-    tuples; a constant gives value[t]."""
-    if arity > 1:
-        return tuple([map_table(t[k], arity - 1, keys, value) for k in keys])
-    return tuple([value[t[k]] for k in keys]) if arity else value[t]
+    tuples; a constant gives value[t].  It goes level by level to the
+    rows, and maps a row in one pass."""
+    if not arity:
+        return value[t]
+    rows = [t]
+    for _ in range(arity - 1):
+        rows = [row[k] for row in rows for k in keys]
+    return nest_table([tuple([value[row[k]] for k in keys]) for row in rows], arity - 1, len(keys))
 
 
 def product_table(ta, na: int, tb, nb: int, arity: int):
     """An operation's table on A×B from its tables ta on A and tb on B,
     where (a, b) is a·nb + b: f((a⃗, b⃗)) = f_A(a⃗)·nb + f_B(b⃗), as nested
-    tuples.  ta's values are scaled once, and the fold only adds tb's."""
-
-    def fold(sa, sb, arity):
-        if arity > 1:
-            return tuple([fold(x, y, arity - 1) for x in sa for y in sb])
-        return tuple([x + y for x in sa for y in sb]) if arity else sa + sb
-
-    return fold(map_table(ta, arity, range(na), list(range(0, na * nb, nb))), tb, arity)
+    tuples.  ta's values are scaled once.  Then it goes level by level:
+    each pair of a row of ta and a row of tb gives the pairs of their
+    items, A's outer as the encoding orders them, and at the last level a
+    row of the sums."""
+    if not arity:
+        return ta * nb + tb
+    pairs = [(map_table(ta, arity, range(na), list(range(0, na * nb, nb))), tb)]
+    for _ in range(arity - 1):
+        pairs = [(x, y) for sa, sb in pairs for x in sa for y in sb]
+    return nest_table([tuple([x + y for x in sa for y in sb]) for sa, sb in pairs], arity - 1, na * nb)
 
 
 # -- partitions -------------------------------------------------------------

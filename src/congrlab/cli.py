@@ -249,11 +249,14 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**args)
 
 
-def _listing(A, rows, fmt):
-    if fmt == "json":
-        return dump_json({"algebra": A.name, "counts": counts_line(A), "rows": rows})
+def _listing(A, member, fmt):
+    """The con, center or fc listing: the rows of member's congruences, or
+    the DOT diagram of Con(A), which reads no row."""
     if fmt == "dot":
         return render_dot(A)
+    rows = congruence_rows(A, member)
+    if fmt == "json":
+        return dump_json({"algebra": A.name, "counts": counts_line(A), "rows": rows})
     return render_con_table(A, rows)
 
 
@@ -275,7 +278,7 @@ def run(args) -> int:
     if verb in ("con", "center", "fc"):
         A = _load(args)
         member = {"center": "boolean", "fc": "factor"}.get(verb)
-        _emit(_listing(A, [r for r in congruence_rows(A) if member is None or r[member]], args.format), args.out)
+        _emit(_listing(A, member, args.format), args.out)
         return 0
     if verb == "quotient":
         A = _load(args)

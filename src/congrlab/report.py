@@ -90,21 +90,18 @@ def counts_line(A: FiniteAlgebra) -> str:
 # -- congruence listings ----------------------------------------------------
 
 
-def congruence_rows(A: FiniteAlgebra) -> list[dict]:
+def congruence_rows(A: FiniteAlgebra, member: str | None = None) -> list[dict]:
+    """A row for each congruence, or, with member "boolean" or "factor",
+    for each member of the Boolean center or of FC(A) alone: only the
+    congruences listed are rendered."""
     cl = all_congruences(A)
     bc = set(boolean_center(cl).members)
     fc = set(factor_congruences(cl).members)
     rows = []
     for i, theta in enumerate(cl.elements):
-        rows.append(
-            {
-                "index": i,
-                "congruence": theta.block_string(),
-                "blocks": cl.blocks[i],
-                "boolean": i in bc,
-                "factor": i in fc,
-            }
-        )
+        flags = {"boolean": i in bc, "factor": i in fc}
+        if member is None or flags[member]:
+            rows.append({"index": i, "congruence": theta.block_string(), "blocks": cl.blocks[i], **flags})
     return rows
 
 

@@ -16,8 +16,12 @@ by closing every distinct principal generator under joins and testing
 which generators are join-irreducible afterwards, as every algebra but a
 pure lattice once had it, the join-prime fold for distributivity, the
 lifting verdict of one θ as it was decided before the verdicts came in
-columns, and BLP at θ by the scan of every class of A/θ, with the walk
-of that scan over Con(A).
+columns, BLP at θ by the scan of every class of A/θ, with the walk of
+that scan over Con(A), and the table routines one argument position per
+call, as they were before they went level by level: the freeze and check
+of a table given to FiniteAlgebra(...), the label map of a spec table,
+the restriction of a table to some arguments, the fold of a product's
+table and the label listing of emit_spec.
 """
 
 import operator
@@ -28,6 +32,7 @@ from congrlab import congruences
 from congrlab.algebra import (
     FiniteAlgebra,
     _bits,
+    _label_index,
     _components,
     cached,
     cover_pairs,
@@ -433,3 +438,92 @@ def scan_blp_walk(A: FiniteAlgebra) -> tuple:
     element_boolean_center(A)
     theta = next((t for t in all_congruences(A).elements if not t.is_delta() and not scan_blp(A, t)), None)
     return theta is None, theta
+
+
+# -- the table routines, one argument position per call --------------------
+
+
+def freeze_tables(tables):
+    """Nested iterables as nested tuples, one entry per call, leaving an
+    int, a string, bytes and anything not iterable as it is, for
+    check_table to refuse.  Any iterable passes for a row: a mapping gives
+    its keys, a set its iteration order."""
+
+    def freeze(t):
+        if isinstance(t, (int, str, bytes)):
+            return t
+        try:
+            items = iter(t)
+        except TypeError:
+            return t
+        return tuple(freeze(x) for x in items)
+
+    return {name: freeze(t) for name, t in tables.items()}
+
+
+def check_table(table, arity, n, fname):
+    """A frozen table of this arity over n elements, checked depth first:
+    each row a tuple of n items, each entry an int in 0..n-1."""
+    if arity == 0:
+        if not isinstance(table, int) or not 0 <= table < n:
+            raise TableError(f"constant {fname} out of range")
+        return
+    if not isinstance(table, tuple) or len(table) != n:
+        raise TableError(f"table for {fname} is not total")
+    for row in table:
+        check_table(row, arity - 1, n, fname)
+
+
+def walked_table(table, arity, n, fname):
+    """A table given to FiniteAlgebra(...), frozen and checked as the
+    public constructor once did, depth first."""
+    frozen = freeze_tables({fname: table})[fname]
+    check_table(frozen, arity, n, fname)
+    return frozen
+
+
+def check_shape(table, arity, n, fname):
+    """Each node of table above its entries is a list or tuple of n items,
+    checked depth first, before any entry is read."""
+    if arity:
+        if not isinstance(table, (list, tuple)) or len(table) != n:
+            raise TableError(f"table for {fname} is not total")
+        for row in table:
+            check_shape(row, arity - 1, n, fname)
+
+
+def table_from_labels(raw, arity, index, fname):
+    """The table of labels raw as indices, walked depth first, each entry
+    mapped alone."""
+    if arity == 0:
+        return _label_index(raw, index, f"table for {fname}")
+    if not isinstance(raw, list) or len(raw) != len(index):
+        raise TableError(f"table for {fname} is not total")
+    return tuple(table_from_labels(row, arity - 1, index, fname) for row in raw)
+
+
+def map_table(t, arity, keys, value) -> tuple:
+    """algebra.map_table, a row per call."""
+    if arity > 1:
+        return tuple([map_table(t[k], arity - 1, keys, value) for k in keys])
+    return tuple([value[t[k]] for k in keys]) if arity else value[t]
+
+
+def product_table(ta, na, tb, nb, arity):
+    """algebra.product_table, a row per call: ta's values scaled by nb
+    first, then tb's folded in."""
+
+    def fold(sa, sb, arity):
+        if arity > 1:
+            return tuple([fold(x, y, arity - 1) for x in sa for y in sb])
+        return tuple([x + y for x in sa for y in sb]) if arity else sa + sb
+
+    return fold(map_table(ta, arity, range(na), list(range(0, na * nb, nb))), tb, arity)
+
+
+def listed_table(t, arity, labels):
+    """A table of this arity as emit_spec lists it, a row per call: nested
+    lists of labels, a constant its label."""
+    if arity == 0:
+        return labels[t]
+    return [listed_table(row, arity - 1, labels) for row in t] if arity > 1 else [labels[v] for v in t]

@@ -21,6 +21,7 @@ from congrlab.algebra import (
     product_radix,
     sublattice,
 )
+from congrlab.congruences import parse_congruence
 from congrlab.errors import (
     KindError,
     NotALattice,
@@ -32,8 +33,9 @@ from congrlab.errors import (
     UnknownFixture,
 )
 from congrlab.fixtures import FIXTURE_NAMES, fixture, fixture_spec
+from congrlab.lifting import quotient
 
-from oracles import join_irreducible_pairs, product_encode
+from oracles import join_irreducible_pairs, product_encode, table_from_labels, walked_table
 
 
 def test_signature_rejects_duplicate_names():
@@ -178,40 +180,10 @@ def test_non_total_table_is_rejected():
         )
 
 
-def entrywise_freeze(tables):
-    """_freeze_tables one entry per call, as it was before it froze rows,
-    leaving an int, a string, bytes and anything not iterable as it is."""
-
-    def freeze(t):
-        if isinstance(t, (int, str, bytes)):
-            return t
-        try:
-            items = iter(t)
-        except TypeError:
-            return t
-        return tuple(freeze(x) for x in items)
-
-    return {name: freeze(t) for name, t in tables.items()}
-
-
-def entrywise_check(table, arity, n, fname):
-    """_check_table one entry per call, as it was before it checked rows."""
-    if arity == 0:
-        if not isinstance(table, int) or not 0 <= table < n:
-            raise TableError(f"constant {fname} out of range")
-        return
-    if not isinstance(table, tuple) or len(table) != n:
-        raise TableError(f"table for {fname} is not total")
-    for row in table:
-        entrywise_check(row, arity - 1, n, fname)
-
-
-def table_outcome(freeze, check, table, arity, n):
-    """The frozen table, or the message of the TableError raised."""
+def table_outcome(read, table, arity, n):
+    """The table read, or the message of the TableError raised."""
     try:
-        frozen = freeze({"f": table})["f"]
-        check(frozen, arity, n, "f")
-        return frozen
+        return read(table, arity, n, "f")
     except TableError as exc:
         return str(exc)
 
@@ -249,8 +221,8 @@ def table_outcome(freeze, check, table, arity, n):
     ],
 )
 def test_rows_are_frozen_and_checked_as_entry_by_entry(table, arity):
-    want = table_outcome(entrywise_freeze, entrywise_check, table, arity, 3)
-    assert table_outcome(algebra._freeze_tables, algebra._check_table, table, arity, 3) == want
+    want = table_outcome(walked_table, table, arity, 3)
+    assert table_outcome(algebra._read_table, table, arity, 3) == want
 
 
 @pytest.mark.parametrize(
@@ -269,6 +241,103 @@ def test_the_public_constructor_refuses_a_table_of_other_entries(table, arity, m
     with pytest.raises(TableError) as info:
         FiniteAlgebra(2, ["0", "1"], Signature((("f", arity),)), {"f": table})
     assert str(info.value) == message
+
+
+NOT_ROWS = {
+    "dict": lambda: {0: 1, 1: 0},
+    "set": lambda: {0, 1},
+    "range": lambda: range(2),
+    "generator": lambda: (x for x in (1, 0)),
+    "str": lambda: "10",
+    "bytes": lambda: b"\x01\x00",
+}
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+@pytest.mark.parametrize("shape", sorted(NOT_ROWS))
+def test_a_table_or_row_that_is_not_a_list_or_tuple_is_refused(shape, arity):
+    # a mapping is not read as the row of its keys, nor a set, a range or a
+    # generator as the row it iterates, as the walk once read them
+    row = NOT_ROWS[shape]()
+    table = row if arity == 1 else [[0, 1], row]
+    signature = Signature((("f", arity),))
+    with pytest.raises(TableError, match="^table for f is not total$"):
+        FiniteAlgebra(2, ["0", "1"], signature, {"f": table})
+    if shape not in ("str", "bytes"):  # the walk took it for the row it iterates
+        table = NOT_ROWS[shape]() if arity == 1 else [[0, 1], NOT_ROWS[shape]()]
+        assert isinstance(walked_table(table, arity, 2, "f"), tuple)
+
+
+def test_a_shape_fault_is_reported_before_a_bad_entry():
+    # the depth-first walk meets the bad entry of row 0 first; the reader
+    # reads every level's shape before any entry
+    signature = Signature((("f", 2),))
+    with pytest.raises(TableError, match="^table for f is not total$"):
+        FiniteAlgebra(2, ["0", "1"], signature, {"f": [[0, 9], [0]]})
+    assert table_outcome(walked_table, [[0, 9], [0]], 2, 2) == "constant f out of range"
+    spec = {"elements": ["0", "1"], "operations": {"f": [["0", "x"], ["0"]]}}
+    with pytest.raises(TableError, match="^table for f is not total$"):
+        build_from_spec(spec)
+    index = {"0": 0, "1": 1}
+    with pytest.raises(TableError, match="^table for f refers to unknown label 'x'$"):
+        table_from_labels(spec["operations"]["f"], 2, index, "f")
+    # a bad entry alone is named, the first in argument order
+    spec["operations"]["f"] = [["0", "1"], [None, "x"]]
+    with pytest.raises(TableError, match="^table for f refers to unknown label None$"):
+        build_from_spec(spec)
+
+
+LABEL_FAULTS = ["a,b", "a|b", "", " a", "a\t", "a\n"]
+
+
+@pytest.mark.parametrize("bad", LABEL_FAULTS)
+def test_both_doors_refuse_a_label_the_block_syntax_cannot_read(bad):
+    message = f"element label {bad!r} is empty, has surrounding whitespace, or holds ',' or '|'"
+    labels = [bad, "c", "d"]
+    with pytest.raises(TableError) as info:
+        FiniteAlgebra(3, labels, Signature((("f", 1),)), {"f": [0, 1, 2]})
+    assert str(info.value) == message
+    with pytest.raises(TableError) as info:
+        lattice_from_order([[i <= j for j in range(3)] for i in range(3)], labels)
+    assert str(info.value) == message
+    with pytest.raises(TableError) as info:
+        build_from_spec({"elements": labels, "operations": {"f": labels}})
+    assert str(info.value) == message
+
+
+def test_both_doors_refuse_labels_alike():
+    order = [[True, True], [False, True]]
+    for labels, message in [
+        (["a", "a"], "element labels are not distinct"),
+        (["a"], "need exactly n distinct element labels"),
+        ([], "carrier must be non-empty"),
+    ]:
+        for build in (
+            lambda: FiniteAlgebra(2 if labels else 0, labels, Signature(()), {}),
+            lambda: lattice_from_order(order if labels else [], labels),
+        ):
+            with pytest.raises(TableError) as info:
+                build()
+            assert str(info.value) == message
+    for labels, message in [(["a", "a"], "element labels are not distinct"), ([], "carrier must be non-empty")]:
+        with pytest.raises(TableError) as info:
+            build_from_spec({"elements": labels, "operations": {}})
+        assert str(info.value) == message
+
+
+def test_labels_congrlab_makes_pass_the_public_constructor():
+    from congrlab.residuated import reticulation
+
+    made = [
+        direct_product([fixture("L2"), fixture("L3")]),
+        ordinal_sum(fixture("L2x2"), fixture("L2x2")),
+        quotient(fixture("L3"), parse_congruence(fixture("L3"), "0,m|1")).quotient,
+        reticulation(fixture("R0")),
+    ]
+    for A in made:
+        assert FiniteAlgebra(A.n, A.labels, A.signature, A.tables, A.name) == A
+    labels = [lab for A in made for lab in A.labels]
+    assert {"(0;0)", "1'", "0+m", "[1)"} <= set(labels)
 
 
 def test_bad_lattice_table_is_rejected():
@@ -342,28 +411,24 @@ def test_the_residuation_check_names_what_the_scan_names():
 )
 def test_a_cover_build_checks_only_the_tables_it_did_not_derive(name, checked, monkeypatch):
     # join, meet and the bounds come from the order, a lattice's by
-    # construction, and the label map builds times and implies frozen and in
-    # range: a spec build, of the cover or of explicit tables, freezes and
-    # range-checks none of them; a copy through the public constructor does
-    # all of them
-    seen, frozen = set(), []
-    check_table, freeze_tables = algebra._check_table, algebra._freeze_tables
+    # construction, and a spec's tables are read as labels: a spec build,
+    # of the cover or of explicit tables, reads no table as ints in range;
+    # a copy through the public constructor reads all of them so
+    read = algebra._read_table
+    seen = []
 
-    def check(table, arity, n, fname):
-        seen.add(fname)
-        return check_table(table, arity, n, fname)
+    def spy(raw, arity, n, fname, index=None):
+        seen.append((fname, index is None))
+        return read(raw, arity, n, fname, index)
 
-    def freeze(tables):
-        frozen.append(set(tables))
-        return freeze_tables(tables)
-
-    monkeypatch.setattr(algebra, "_check_table", check)
-    monkeypatch.setattr(algebra, "_freeze_tables", freeze)
+    monkeypatch.setattr(algebra, "_read_table", spy)
     A = build_from_spec(fixture_spec(name))
+    assert {f for f, ints in seen} == checked - algebra._ORDER_TABLES
     assert build_from_spec(emit_spec(A)) == A
-    assert seen == set() and frozen == []
+    assert not any(ints for _, ints in seen)
+    seen.clear()
     FiniteAlgebra(A.n, A.labels, A.signature, A.tables)
-    assert seen == checked and frozen == [checked]
+    assert sorted(seen) == sorted((f, True) for f in checked)
 
 
 def test_unknown_fixture():

@@ -134,6 +134,33 @@ def test_center_and_fc_listings(capsys):
     assert len(lines) - header - 1 == 2  # only the bounds are factor congruences
 
 
+@pytest.mark.parametrize(
+    "name,rendered",
+    [
+        ("X", {"con": 8, "center": 8, "fc": 2}),
+        ("R0", {"con": 5, "center": 2, "fc": 2}),
+    ],
+)
+def test_a_listing_renders_only_what_it_prints(capsys, monkeypatch, name, rendered):
+    # a row's block string is made only for a row printed, and the DOT
+    # diagram, which labels every node, reads no row
+    from congrlab.congruences import Congruence
+
+    calls, block_string = [0], Congruence.block_string
+
+    def counted(self, over=None):
+        calls[0] += 1
+        return block_string(self, over)
+
+    monkeypatch.setattr(Congruence, "block_string", counted)
+    size = len(cli.all_congruences(fixture(name)))
+    for verb, count in rendered.items():
+        for fmt, want in (("table", count), ("json", count), ("dot", size)):
+            calls[0] = 0
+            code, _, _ = run(capsys, verb, "--fixture", name, "--format", fmt)
+            assert code == 0 and calls[0] == want, (verb, fmt, calls[0])
+
+
 def test_quotient_verb(capsys):
     code, out, _ = run(capsys, "quotient", "--fixture", "S", "--by", "0|a|b|c|x,1")
     assert code == 0

@@ -21,7 +21,6 @@ from congrlab import algebra
 from congrlab.algebra import (
     CARRIER_CAP,
     FiniteAlgebra,
-    _freeze_tables,
     _up_masks,
     build_from_spec,
     direct_product,
@@ -38,7 +37,7 @@ from congrlab.errors import CongrlabError, SizeCap
 from congrlab.fixtures import FIXTURE_NAMES, fixture, fixture_spec
 from congrlab.lifting import quotient
 
-from oracles import dfs_cover_closure, scanned_lattice
+from oracles import dfs_cover_closure, freeze_tables, scanned_lattice
 from sweep import sweep
 from test_distributive_lattices import boolean_spec, chain_spec
 
@@ -196,7 +195,7 @@ def derived_algebras():
 def test_what_congrlab_derives_passes_every_check_of_the_public_constructor():
     carried = set()
     for what, B in derived_algebras():
-        assert _freeze_tables(B.tables) == B.tables, what
+        assert freeze_tables(B.tables) == B.tables, what
         assert isinstance(B.labels, tuple) and all(isinstance(x, str) for x in B.labels), what
         copy = FiniteAlgebra(B.n, B.labels, B.signature, B.tables, B.name)
         assert copy == B and hash(copy) == hash(B), what
@@ -223,7 +222,7 @@ def refuse(*args):
 
 def test_the_carrier_cap_comes_before_any_table_is_built(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(algebra, "_close_cover", refuse)
-    monkeypatch.setattr(algebra, "_table_from_labels", refuse)
+    monkeypatch.setattr(algebra, "_read_table", refuse)
     spec = chain_spec(CARRIER_CAP + 1)
     message = f"carrier size {CARRIER_CAP + 1} exceeds cap {CARRIER_CAP}"
     with pytest.raises(SizeCap, match=f"^{message}$"):

@@ -9,10 +9,14 @@ CongrlabError, and `congrlab con --file` and `congrlab report --file` must
 exit 0 or 2, with exactly one `error:` line when it is 2.  A spec nested
 too deeply to read or build exits 2 the same way.
 
-The table builder maps a row of labels in one call; the routine that walked
-every entry is kept here as the oracle, and the two agree, error messages
-included, on every table of these specs and of the algebras the other tests
-build.
+The table reader goes level by level and maps all the entries of a table
+in one call; the routines that walked it depth first, one argument position
+per call, are kept in `oracles` and the two agree, error messages included:
+on every table of these specs and of the algebras the other tests build,
+with every node's shape read before any entry, and on random tables of
+arity 0 to 3 over 1 to 4 elements with at most one fault, through both the
+public constructor and the spec builder.  So are the restriction, product
+and listing of a table, which go level by level too.
 """
 
 import io
@@ -23,8 +27,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from congrlab import algebra
-from congrlab.algebra import ARITY_CAP, build_from_spec, emit_spec
+from congrlab.algebra import ARITY_CAP, FiniteAlgebra, Signature, build_from_spec, emit_spec
 from congrlab.cli import main
 from congrlab.errors import CongrlabError, NestedTooDeeply, TableError
 
@@ -257,16 +262,18 @@ def test_json_output_at_the_arity_cap_exits_0(tmp_path, capsys, verb):
     assert capsys.readouterr() == ("", f"error: {path} is nested too deeply\n")
 
 
-# -- the table builder against the entry-by-entry walk ------------------------------------
+# -- the table reader against the depth-first walk -----------------------------------
 
 
 def walk_table(raw, arity, index, fname):
-    """The table of labels raw as indices, walked entry by entry."""
-    if arity == 0:
-        return algebra._label_index(raw, index, f"table for {fname}")
-    if not isinstance(raw, list) or len(raw) != len(index):
-        raise TableError(f"table for {fname} is not total")
-    return tuple(walk_table(row, arity - 1, index, fname) for row in raw)
+    """The table of labels raw as indices, walked depth first, every node's
+    shape checked before any entry is read, as the reader reads it."""
+    oracles.check_shape(raw, arity, len(index), fname)
+    return oracles.table_from_labels(raw, arity, index, fname)
+
+
+def read_table(raw, arity, index, fname):
+    return algebra._read_table(raw, arity, len(index), fname, index)
 
 
 def built(routine, raw, arity, index):
@@ -289,7 +296,7 @@ def assert_tables_agree(spec):
         except TableError:
             continue
         for a in {max(arity - 1, 0), arity, arity + 1}:
-            assert built(algebra._table_from_labels, raw, a, index) == built(walk_table, raw, a, index), (raw, a)
+            assert built(read_table, raw, a, index) == built(walk_table, raw, a, index), (raw, a)
 
 
 def test_tables_build_as_the_walk_builds_them():
@@ -313,3 +320,98 @@ def test_tables_build_as_the_walk_builds_them():
 @given(specs())
 def test_random_tables_build_as_the_walk_builds_them(spec):
     assert_tables_agree(spec)
+
+
+# -- random tables with at most one fault ------------------------------------------
+
+
+ENTRY_FAULTS = {
+    "ints": st.sampled_from([-1, 4, None, 1.5, "0", [0], (0,)]),
+    "labels": st.sampled_from(["x", " 0", 0, None, True, ["0"], {"a": "0"}]),
+}
+NODE_FAULTS = st.sampled_from([0, "0", None, "01", b"01", 1.5])
+
+
+@st.composite
+def single_fault_tables(draw):
+    """(entries, n, arity, table): a table of arity 0 to 3 over n = 1 to 4
+    elements, of ints or of labels, valid or with one fault: an entry or a
+    node above the entries replaced by another value, or a row one item
+    short or one too long."""
+    n, arity = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    entries = draw(st.sampled_from(sorted(ENTRY_FAULTS)))
+    entry = st.integers(0, n - 1) if entries == "ints" else st.sampled_from(["0", "1", "2", "a"][:n])
+
+    def build(depth):
+        return draw(entry) if depth == 0 else [build(depth - 1) for _ in range(n)]
+
+    table = build(arity)
+    paths = [p for p in _paths(table) if len(p) <= arity]
+    path = draw(st.sampled_from([None, *paths]))
+    if path is None:
+        return entries, n, arity, table
+    fault = ENTRY_FAULTS[entries] if len(path) == arity else NODE_FAULTS
+    if len(path) < arity and draw(st.booleans()):
+        node = table
+        for key in path:
+            node = node[key]
+        if draw(st.booleans()):
+            node.pop()
+        else:
+            node.append(node[0])
+        return entries, n, arity, table
+    if not path:
+        return entries, n, arity, draw(fault)
+    parent = table
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = draw(fault)
+    return entries, n, arity, table
+
+
+def outcome(read):
+    try:
+        return read()
+    except TableError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(single_fault_tables())
+def test_a_table_with_at_most_one_fault_reads_as_the_walk_reads_it(case):
+    entries, n, arity, table = case
+    labels = ["0", "1", "2", "a"][:n]
+    if entries == "ints":
+        signature = Signature((("f", arity),))
+        got = outcome(lambda: FiniteAlgebra(n, labels, signature, {"f": table}).tables["f"])
+
+        def want():
+            return oracles.walked_table(table, arity, n, "f")
+
+    else:
+        got = outcome(lambda: build_from_spec({"elements": labels, "operations": {"f": table}}).tables["f"])
+        index = {lab: i for i, lab in enumerate(labels)}
+
+        def want():
+            return oracles.table_from_labels(table, algebra._table_arity(table, "f"), index, "f")
+
+    assert got == outcome(want), (entries, n, arity, table)
+
+
+@BOUNDED
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 3), st.randoms(use_true_random=False))
+def test_tables_restrict_fold_and_list_as_the_walk_does(n, m, arity, rng):
+    def table(size):
+        flat = [rng.randrange(size) for _ in range(size**arity)]
+        return algebra.nest_table(flat, arity, size)
+
+    ta, tb = table(n), table(m)
+    assert algebra.product_table(ta, n, tb, m, arity) == oracles.product_table(ta, n, tb, m, arity)
+    keys = rng.sample(range(n), rng.randint(1, n))
+    value = [rng.randrange(10) for _ in range(n)]
+    assert algebra.map_table(ta, arity, keys, value) == oracles.map_table(ta, arity, keys, value)
+    labels = ["0", "1", "2", "a"][:n]
+    A = FiniteAlgebra(n, labels, Signature((("f", arity),)), {"f": ta})
+    spec = emit_spec(A)
+    listed = (spec["operations"] if arity else spec["constants"])["f"]
+    assert listed == oracles.listed_table(ta, arity, labels)
