@@ -329,11 +329,7 @@ def _read_table(raw, arity, n, fname, index=None):
     all are ints in 0..n-1, else labels turned into indices through index.
     So a table with both a shape fault and a bad entry reports the shape
     fault, and a bad entry the first one in argument order."""
-    flat = [raw]
-    for _ in range(arity):
-        if not all(isinstance(row, (list, tuple)) and len(row) == n for row in flat):
-            raise TableError(f"table for {fname} is not total")
-        flat = list(itertools.chain.from_iterable(flat))
+    flat = _entries(raw, arity, n, f"table for {fname} is not total")
     if index is None:
         if all(map(isinstance, flat, itertools.repeat(int))) and 0 <= min(flat) and max(flat) < n:
             return nest_table(flat, arity, n)
@@ -345,12 +341,26 @@ def _read_table(raw, arity, n, fname, index=None):
         _label_index(bad, index, f"table for {fname}")
 
 
+def _entries(raw, arity, n, fault):
+    """The entries of raw, nested arity deep, in argument order, read level
+    by level: each node above them must be a list or tuple of n items, else
+    TableError(fault)."""
+    flat = [raw]
+    for _ in range(arity):
+        if not all(isinstance(row, (list, tuple)) and len(row) == n for row in flat):
+            raise TableError(fault)
+        flat = list(itertools.chain.from_iterable(flat))
+    return flat
+
+
 # -- order-based construction ----------------------------------------------
 
 
 def lattice_from_order(leq, labels, kind="lattice", name=None):
     """Build a lattice of kind lattice or bounded-lattice from a reflexive
-    partial-order matrix: ``leq[a][b]`` is truthy iff a <= b.
+    partial-order matrix: ``leq[a][b]`` is truthy iff a <= b.  The matrix
+    is a list or tuple of n rows, each a list or tuple of n entries, else
+    TableError; the entries are read by their truth value.
 
     Every pair must have a unique least upper bound and greatest lower bound;
     otherwise NotALattice names an offending pair.  See _lattice_tables for
@@ -358,9 +368,10 @@ def lattice_from_order(leq, labels, kind="lattice", name=None):
     """
     if kind not in ("lattice", "bounded-lattice"):
         raise KindError(f"cannot build a lattice of kind {kind!r} from an order")
-    n = len(leq)
+    n = len(leq) if isinstance(leq, (list, tuple)) else -1
+    _entries(leq, 2, n, "order matrix is not a list or tuple of n rows of n entries")
     labels = _carrier_labels(n, labels)
-    up = [sum(1 << c for c in range(n) if leq[a][c]) for a in range(n)]
+    up = [sum(1 << c for c, x in enumerate(row) if x) for row in leq]
     return _order_lattice(labels, lattice_signature(kind), name, up, _order_operations(up, labels), {})
 
 

@@ -208,13 +208,21 @@ class Congruence:
     __slots__ = ("algebra", "block_of", "_masks", "_labels")
 
     def __init__(self, algebra: FiniteAlgebra, block_of, check=False):
+        """block_of is a list or tuple of n element indices, block_of[e]
+        the least member of e's block; anything else raises
+        InvalidCongruence."""
+        if not isinstance(block_of, (list, tuple)):
+            raise InvalidCongruence("a partition is a list or tuple of element indices")
         self.algebra = algebra
-        self.block_of = tuple(block_of)
+        self.block_of = block_of = tuple(block_of)
         self._masks = self._labels = None
-        if len(self.block_of) != algebra.n:
+        n = algebra.n
+        if len(block_of) != n:
             raise InvalidCongruence("partition length does not match the carrier")
-        for e, r in enumerate(self.block_of):
-            if self.block_of[r] != r or r > e:
+        for e, r in enumerate(block_of):
+            if not (isinstance(r, int) and 0 <= r < n):
+                raise InvalidCongruence(f"partition entry {r!r} is not an element index in 0..{n - 1}")
+            if r > e or block_of[r] != r:
                 raise InvalidCongruence("partition is not in canonical form")
         if check:
             bad = compatibility_violation(algebra, self.block_of)
@@ -415,12 +423,18 @@ def _operations(A: FiniteAlgebra) -> list:
 
 def principal_congruence(A: FiniteAlgebra, a: int, b: int) -> Congruence:
     """Smallest congruence identifying a and b (Mal'cev closure)."""
-    return Congruence(A, _close(A, [(a, b)]))
+    return cg_generated(A, [(a, b)])
 
 
 def cg_generated(A: FiniteAlgebra, pairs) -> Congruence:
-    """Smallest congruence containing all the given pairs."""
-    return Congruence(A, _close(A, list(pairs)))
+    """Smallest congruence containing all the given pairs: a list or tuple
+    of pairs of element indices in 0..n-1, else InvalidCongruence."""
+    if not isinstance(pairs, (list, tuple)):
+        raise InvalidCongruence("the pairs are not a list or tuple")
+    for pair in pairs:
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(isinstance(x, int) and 0 <= x < A.n for x in pair)):
+            raise InvalidCongruence(f"{pair!r} is not a pair of element indices in 0..{A.n - 1}")
+    return Congruence(A, _close(A, pairs))
 
 
 def _require_same_parent(theta: Congruence, phi: Congruence):
@@ -522,14 +536,16 @@ class ConLattice:
 
     - _above is the transpose of the masks;
     - ↑(θ_i ∨ g) = ↑θ_i ∩ _above[g] (module doc, 1): one AND per congruence;
-    - member g is θ_e, e the lowest index in _above[g], as index order
-      extends the order;
+    - member g is θ_e for e = _member_index[g], the lowest index in
+      _above[g], as index order extends the order;
     - Con(A) is distributive when A has a lattice reduct, as it is a
       sublattice of the reduct's Con, which is distributive (Funayama &
       Nakayama): is_distributive folds nothing there.
 
     ↓θ, which only the covers of Con(A) and the fc-normal walk read, is
-    made on its first read (_down_masks).
+    made on its first read (_down_masks), as are the joins to ∇.  Those two
+    and the primes are each one fold over the members outside each mask
+    (_outside).
     """
 
     __slots__ = (
@@ -543,6 +559,7 @@ class ConLattice:
         "_index",
         "_at",
         "_above",
+        "_member_index",
         "_up_masks",
         "_downs",
         "_cache",
@@ -564,6 +581,7 @@ class ConLattice:
         self.gen_masks = masks = [masks[x] for x in order]
         self._at = {m: i for i, m in enumerate(masks)}
         self._above = above = _transpose(masks, len(seeds))
+        self._member_index = [_lowest_bit(a) for a in above]
         ups = [(1 << len(order)) - 1]  # ↑(θ_i ∨ g) = ↑θ_i ∩ above[g]
         for i, g in steps:
             ups.append(ups[i] & above[g])
@@ -578,15 +596,28 @@ class ConLattice:
         J(Con A) outside mask_i lies below θ_j, so ↓θ_i is the meet of the
         complements of above[g] over those g."""
         if self._downs is None:
-            full, above = (1 << len(self)) - 1, self._above
-            nabla = self.gen_masks[self.index_of_nabla]
-            self._downs = downs = []
-            for m in self.gen_masks:
-                down = full
-                for g in _bits(nabla & ~m):
-                    down &= ~above[g]
-                downs.append(down)
+            full = (1 << len(self)) - 1
+            self._downs = self._outside([~a for a in self._above], full)
         return self._downs
+
+    @cached
+    def _joins_to_nabla(self) -> list[int]:
+        """Bit j of entry i is set iff θ_i ∨ θ_j = ∇.  In a distributive
+        Con(A) that holds iff mask_j holds J(Con A) ∖ mask_i, so entry i is
+        the AND of the up-sets of the members outside mask_i."""
+        return self._outside(self._above, (1 << len(self)) - 1)
+
+    def _outside(self, per: list[int], start: int) -> list[int]:
+        """For each θ_i, start ANDed with per[g] over the members g of
+        J(Con A) outside mask_i: the one fold by which ↓θ, the joins to ∇
+        and the primes are read off the masks."""
+        nabla, out = self.gen_masks[self.index_of_nabla], []
+        for m in self.gen_masks:
+            acc = start
+            for g in _bits(nabla & ~m):
+                acc &= per[g]
+            out.append(acc)
+        return out
 
     def __len__(self):
         return len(self.elements)
@@ -660,7 +691,7 @@ class ConLattice:
         join-irreducibles alone: if α, β, γ pairwise permute then
         α∨β = α∘β permutes with γ, so pairwise permuting join-irreducibles
         make every join of them, i.e. every congruence, permute."""
-        ji = sorted(map(_lowest_bit, self._above))
+        ji = sorted(self._member_index)
         return all(self.permutes(i, j) for x, i in enumerate(ji) for j in ji[x + 1 :])
 
 
@@ -853,16 +884,9 @@ def prime_congruences(A: FiniteAlgebra) -> list[Congruence]:
 
 
 def prime_indices(cl: ConLattice) -> list[int]:
-    """The indices of the prime congruences (see prime_congruences)."""
-    gm, nabla = cl.gen_masks, cl.gen_masks[cl.index_of_nabla]
-    # the join-irreducible g is θ_e for e the lowest index above g
-    ji = [(g, gm[_lowest_bit(cl._above[g])]) for g in _bits(nabla)]
-    out = []
-    for i, m in enumerate(gm):
-        below = nabla
-        for g, mj in ji:
-            if not m >> g & 1:
-                below &= mj
-        if below & ~m:
-            out.append(i)
-    return out
+    """The indices of the prime congruences (see prime_congruences): the
+    meet of the members outside θ's mask, each θ_e for its member index e,
+    is not below θ."""
+    gm = cl.gen_masks
+    meets = cl._outside([gm[e] for e in cl._member_index], gm[cl.index_of_nabla])
+    return [i for i, (below, m) in enumerate(zip(meets, gm)) if below & ~m]

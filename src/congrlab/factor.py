@@ -58,7 +58,6 @@ from .algebra import (
 from .congruences import (
     ConLattice,
     Congruence,
-    _lowest_bit,
     all_congruences,
     is_pure_lattice,
 )
@@ -254,7 +253,7 @@ class _ConJSpace(JSpace):
         if name not in ("down", "near", "components", "tops"):
             raise AttributeError(name)
         cl = self._cl
-        self.down = [cl.gen_masks[_lowest_bit(above)] for above in cl._above]
+        self.down = [cl.gen_masks[e] for e in cl._member_index]
         self.near, self.components, self.tops = _j_order(self.down, cl.gen_masks[cl.index_of_nabla])
         return getattr(self, name)
 

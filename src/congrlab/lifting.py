@@ -528,22 +528,6 @@ def algebra_cblp(A: FiniteAlgebra) -> Verdict:
 # -- normality conditions ---------------------------------------------------
 
 
-@cached
-def _joins_to_nabla(cl: ConLattice) -> list[int]:
-    """Bit j of entry i is set iff θ_i ∨ θ_j = ∇.  In a distributive Con(A)
-    that holds iff mask_j holds J(Con A) ∖ mask_i, so entry i is the AND of
-    the up-sets of the generators outside mask_i.  Memoized on the lattice."""
-    gm, full = cl.gen_masks, (1 << len(cl)) - 1
-    nabla = gm[cl.index_of_nabla]
-    out = []
-    for m in gm:
-        up = full
-        for g in _bits(nabla & ~m):
-            up &= cl._above[g]
-        out.append(up)
-    return out
-
-
 def is_fc_normal(A: FiniteAlgebra) -> Verdict:
     """For every pair with compose(phi, psi) the full relation, a factor
     congruence alpha must exist with phi v alpha = psi v (complement of
@@ -573,7 +557,7 @@ def _fc_normal_walk(cl: ConLattice):
     """is_fc_normal by the walk over each φ's maximal untested pairs
     (module doc, 4)."""
     fc = factor_congruences(cl)
-    joins = _joins_to_nabla(cl)
+    joins = cl._joins_to_nabla()
     members = sum(1 << a for a in fc.members)
     for i, m in enumerate(joins):
         witnessed = 0
@@ -618,7 +602,7 @@ def _b_normal_walk(cl: ConLattice):
         # takes to ∇ in [θ_i, ∇]: the components that meet rest (5d)
         v = sum(c for c in components if c & rest)
         if v & ~plus:
-            j = next(j for j in _bits(_joins_to_nabla(cl)[i]) if v & ~gm[j])
+            j = next(j for j in _bits(cl._joins_to_nabla()[i]) if v & ~gm[j])
             return False, (cl.elements[i].block_string(), cl.elements[j].block_string())
     return True, None
 

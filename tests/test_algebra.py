@@ -731,6 +731,29 @@ def test_lattice_from_order_rejects_a_matrix_that_is_not_an_order():
             lattice_from_order([[True]], "a", kind=kind)
 
 
+@pytest.mark.parametrize(
+    "leq",
+    [
+        [[True, True], [False]],  # a short row
+        [[True, True], [False, True, True]],  # a long row
+        {0: [True, True], 1: [False, True]},  # a dict keyed 0..n-1
+        [[True, True], "ab"],  # a string row
+        "ab",
+        ([True, True], {0: False, 1: True}),
+        [[True, True], range(2)],
+    ],
+)
+def test_lattice_from_order_refuses_a_matrix_of_the_wrong_shape(leq):
+    with pytest.raises(TableError) as info:
+        lattice_from_order(leq, "ab")
+    assert str(info.value) == "order matrix is not a list or tuple of n rows of n entries"
+
+
+def test_lattice_from_order_reads_entries_by_their_truth_value():
+    L = lattice_from_order(((1, "yes"), [0, [0]]), "ab")
+    assert L.tables["join"] == ((0, 1), (1, 1))
+
+
 def axiom_scan(join, meet):
     """The O(n³) law-by-law scan that the order check replaces: the first
     law that join and meet break, or None if they are a lattice's

@@ -470,3 +470,24 @@ def test_the_sweep_prints_the_pinned_bytes(capsys, monkeypatch):
             out, err = capsys.readouterr()
             digest.update(f"{code}\0{out}\0{err}\0".encode())
     assert digest.hexdigest() == SWEEP_DIGEST
+
+
+# -- the DOT renderer and the outputs no golden holds, pinned ---------------------
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        ("dot --fixture E", "3c0fc4fa62b198c5dbb5049697ed5c255b107a0505b71cf8aa76d608a3ffa698"),
+        ("dual --fixture P --format dot", "a2549d7beac946961c3128066a3e1a1abf300313b0592e72ea7c52c6474f9512"),
+        ("product T E --format dot", "491f0568958dbaca130e22507ff82117b3f2be38c17629dd8fe330c56b8b45b9"),
+        ("osum L2x2 D --format json", "7e8effc615a030994b37a4ed85d896b0e9931c3fad0eab5b5e64523a30de448c"),
+        ("osum L2x2 D --format dot", "0302d01536040613cfb1e3f8cd3580dd69b7c2a4671e15fc08dcb913972e6256"),
+        ("quotient --fixture S --by 0|a|b|c|x,1 --format dot", "b0ca45b1cb6abcc27a45b5a8dee43d163ae9bf6bb567e831717423c415e8d573"),
+        ("report --fixture H --format dot", "91ab9a982753661a513de9ae186ef9caefdfe686aa066736f8c95b9535dce33f"),
+    ],
+)
+def test_the_dot_and_sum_outputs_print_the_pinned_bytes(capsys, argv, digest):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -240,6 +240,49 @@ def test_constructor_requires_canonical_form():
         Congruence(fixture("L3"), (1, 1, 2))
 
 
+@pytest.mark.parametrize(
+    "block_of,message",
+    [
+        ({0: 0, 1: 0, 2: 2}, "a partition is a list or tuple of element indices"),
+        ("012", "a partition is a list or tuple of element indices"),
+        (range(3), "a partition is a list or tuple of element indices"),
+        ([0, 5, 2], "partition entry 5 is not an element index in 0..2"),
+        ([0, -1, 2], "partition entry -1 is not an element index in 0..2"),
+        ([0, "0", 2], "partition entry '0' is not an element index in 0..2"),
+        ([0, 0], "partition length does not match the carrier"),
+        ([0, 2, 2], "partition is not in canonical form"),
+    ],
+)
+def test_the_constructor_refuses_what_is_not_a_partition(block_of, message):
+    with pytest.raises(InvalidCongruence) as info:
+        Congruence(fixture("L3"), block_of)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda L: principal_congruence(L, -1, 0), "(-1, 0) is not a pair of element indices in 0..2"),
+        (lambda L: principal_congruence(L, 0, 9), "(0, 9) is not a pair of element indices in 0..2"),
+        (lambda L: principal_congruence(L, 0, "m"), "(0, 'm') is not a pair of element indices in 0..2"),
+        (lambda L: cg_generated(L, [(0, 1), (2, 3)]), "(2, 3) is not a pair of element indices in 0..2"),
+        (lambda L: cg_generated(L, [(0, 1, 2)]), "(0, 1, 2) is not a pair of element indices in 0..2"),
+        (lambda L: cg_generated(L, [0]), "0 is not a pair of element indices in 0..2"),
+        (lambda L: cg_generated(L, {(0, 1)}), "the pairs are not a list or tuple"),
+    ],
+)
+def test_generation_refuses_what_is_not_an_element_index(build, message):
+    with pytest.raises(InvalidCongruence) as info:
+        build(fixture("L3"))
+    assert str(info.value) == message
+
+
+def test_partitions_congrlab_builds_still_pass_the_constructor():
+    L = fixture("L3")
+    assert cg_generated(L, ([0, 1],)) == principal_congruence(L, 0, 1) == Congruence(L, [0, 0, 2])
+    assert Congruence(L, (0, 0, 0)).is_nabla() and Congruence(L, [0, 1, 2]).is_delta()
+
+
 # -- enumeration vs the brute-force oracle ----------------------------------
 
 

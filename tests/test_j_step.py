@@ -16,7 +16,7 @@ import pytest
 
 from congrlab import algebra, congruences, factor, lifting
 from congrlab.algebra import _bits, direct_product, emit_spec, lattice_reduct, ordinal_sum
-from congrlab.congruences import _lowest_bit, all_congruences
+from congrlab.congruences import ConLattice, _lowest_bit, all_congruences
 from congrlab.factor import jspace
 from congrlab.fixtures import FIXTURE_NAMES, fixture
 from congrlab.lifting import algebra_cblp, algebra_fclp, is_b_normal, is_fc_normal
@@ -122,7 +122,7 @@ def test_the_sweep_verdicts_build_no_partition(monkeypatch):
 def test_topped_with_fc_equal_to_b_is_fc_normal_with_no_pair_tried(monkeypatch):
     # lifting module doc, 5 (end) and 4: every θ then has the factor
     # property, which is fc-normality
-    counts = count_calls(monkeypatch, lifting, ["_joins_to_nabla"])
+    counts = count_calls(monkeypatch, ConLattice, ["_joins_to_nabla"])
     fired = 0
     for A in criteria_algebras():
         if not all_congruences(A).is_distributive():

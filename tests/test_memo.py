@@ -124,7 +124,7 @@ def test_a_cold_copy_computes_its_own_facts_once(name):
         "jspace.components": lambda X: factor.jspace(X).components,
         "jspace.p_order": lambda X: factor.jspace(X).p_order,
         "_holds": lambda X: lifting._holds(X, True),
-        "_joins_to_nabla": lambda X: lifting._joins_to_nabla(all_congruences(X)),
+        "_joins_to_nabla": lambda X: all_congruences(X)._joins_to_nabla(),
         "_interval_centers": lambda X: factor._interval_centers(all_congruences(X), 0)[1].complement,
     }
     if B.is_distributive_lattice():  # else a complement is ambiguous
