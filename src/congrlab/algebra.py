@@ -24,6 +24,10 @@ from .errors import (
 )
 
 # Size caps: everything downstream is exponential-ish, so fail loudly.
+# Deciding a lattice costs one lookup per join-irreducible j and element
+# incomparable to j: at the carrier cap, L2^12 and the chain build in under
+# 0.5 s and 64 MiB, and M_4094, at nearly n·|J|, in 11-14 s.  Past the
+# build, memory follows |Con| (README, Limits).
 CARRIER_CAP = 4096
 CON_CAP = 20000
 # The residuation check compares n² pairs of table rows of n entries: a
@@ -102,7 +106,7 @@ class FiniteAlgebra:
     algebras are equal iff they agree table-for-table and label-for-label.
     """
 
-    __slots__ = ("n", "labels", "signature", "tables", "name", "_hash", "_cache")
+    __slots__ = ("n", "labels", "signature", "_tables", "name", "_hash", "_cache")
 
     def __new__(cls, n, labels, signature, tables, name=None):
         """The public constructor: the labels are checked, every table is
@@ -119,23 +123,37 @@ class FiniteAlgebra:
         return _with_axioms_checked(n, labels, signature, tables, name)
 
     @classmethod
-    def _derived(cls, n, labels, signature, tables, name=None, order_masks=None):
+    def _derived(cls, n, labels, signature, tables, name=None, order_masks=None, mask_elements=None):
         """The private constructor, for an algebra congrlab derived itself:
         labels a tuple of n distinct strings, and tables frozen, in range,
         matching the signature and obeying the kind's axioms, by how they
         were made.  None of that is checked again.  order_masks, when
-        given, are the (up, down) masks of order_masks(), kept as its memo:
-        the one seed of a memo outside cached."""
+        given, are the (up, down) masks of order_masks(), kept as its memo,
+        and mask_elements likewise, given only with them: the seeds of a
+        memo outside cached.  A lattice given its order masks may leave
+        join and meet out of tables, to be made on their first read."""
         A = object.__new__(cls)
         object.__setattr__(A, "n", n)
         object.__setattr__(A, "labels", labels)
         object.__setattr__(A, "signature", signature)
-        object.__setattr__(A, "tables", tables)
+        object.__setattr__(A, "_tables", tables)
         object.__setattr__(A, "name", name)
         object.__setattr__(A, "_hash", None)
         # facts derived from the tables, kept by cached
         object.__setattr__(A, "_cache", {} if order_masks is None else {"order_masks": order_masks})
+        if mask_elements is not None:
+            A._cache["mask_elements"] = mask_elements
         return A
+
+    @property
+    def tables(self) -> dict:
+        """The operation tables by name.  A lattice built from its order
+        has no join or meet table until this is first read, when both are
+        made from its order masks (_lattice_tables) and kept."""
+        tables = self._tables
+        if "meet" not in tables and self.signature.is_lattice:
+            tables["join"], tables["meet"] = _lattice_tables(*self.order_masks(), *self.mask_elements())
+        return tables
 
     def __setattr__(self, *a):
         raise AttributeError("FiniteAlgebra is immutable")
@@ -192,27 +210,15 @@ class FiniteAlgebra:
             raise KindError(f"operation requires a lattice, got kind {self.signature.kind!r}")
 
     def leq(self, a: int, b: int) -> bool:
-        return self.op("meet", a, b) == a
+        return self.order_masks()[0][a] >> b & 1 == 1
 
     def bottom(self) -> int:
-        self.require_lattice()
-        if "bot" in self.tables:
-            return self.tables["bot"]
-        meet = self.tables["meet"]
-        e = 0
-        for x in range(1, self.n):
-            e = meet[e][x]
-        return e
+        """The element whose up-set is everything."""
+        return self.order_masks()[0].index((1 << self.n) - 1)
 
     def top(self) -> int:
-        self.require_lattice()
-        if "top" in self.tables:
-            return self.tables["top"]
-        join = self.tables["join"]
-        e = 0
-        for x in range(1, self.n):
-            e = join[e][x]
-        return e
+        """The element whose down-set is everything."""
+        return self.order_masks()[1].index((1 << self.n) - 1)
 
     @cached
     def order_masks(self) -> tuple[list[int], list[int]]:
@@ -221,6 +227,14 @@ class FiniteAlgebra:
         the cache."""
         self.require_lattice()
         return _up_masks(self.tables["meet"]), _up_masks(self.tables["join"])
+
+    @cached
+    def mask_elements(self) -> tuple[dict[int, int], dict[int, int]]:
+        """(by_up, by_down): the element whose up-set, and whose down-set,
+        is each mask of order_masks().  So a∨b is by_up[↑a ∩ ↑b] and a∧b
+        is by_down[↓a ∩ ↓b].  A build from an order leaves them in the
+        cache."""
+        return tuple(map(_element_of, self.order_masks()))
 
     def covers(self) -> list[tuple[int, int]]:
         """Cover pairs (a, b) with a covered by b, ordered by b, then a."""
@@ -363,8 +377,8 @@ def lattice_from_order(leq, labels, kind="lattice", name=None):
     TableError; the entries are read by their truth value.
 
     Every pair must have a unique least upper bound and greatest lower bound;
-    otherwise NotALattice names an offending pair.  See _lattice_tables for
-    how join and meet are derived.
+    otherwise NotALattice names an offending pair.  See _order_lattice for
+    how that is decided and join and meet are derived.
     """
     if kind not in ("lattice", "bounded-lattice"):
         raise KindError(f"cannot build a lattice of kind {kind!r} from an order")
@@ -378,18 +392,39 @@ def lattice_from_order(leq, labels, kind="lattice", name=None):
 def _order_lattice(labels, signature, name, up, down, extra, given=None):
     """The lattice of signature on the order whose up- and down-set masks
     are up and down, reflexive and transitive: the one routine by which an
-    order becomes a lattice, which keeps the masks.  join and meet are
-    derived from them (_lattice_tables), and bot and top, where the
-    signature has them, are the elements whose up- and down-sets are
-    everything.  The given tables of these, if any, must equal the derived
-    ones.  extra holds the signature's other tables, frozen and in range,
-    for which only residuation is checked."""
-    join, meet = _lattice_tables(up, down, labels)
-    tables = {"join": join, "meet": meet}
+    order becomes a lattice, which keeps the masks and the element of each
+    (mask_elements).  join and meet are made from them on their first read
+    (_lattice_tables), and bot and top, where the signature has them, are
+    the elements whose up- and down-sets are everything.  The given tables
+    of these, if any, must equal the derived ones.  extra holds the
+    signature's other tables, frozen and in range, for which only
+    residuation is checked.
+
+    The order is tested by its join-irreducibles J, the x whose ↓x ∖ {x}
+    is some ↓y, that is the x with exactly one lower cover: it is a
+    lattice iff its up-sets are distinct, it has a least element 0, and
+    ↑a ∩ ↑j is some element's up-set, a ∨ j, for every a and every j ∈ J:
+    looked up for the a incomparable to j alone, as a ∨ j is a or j for the
+    others.  That is at most n·|J| lookups, and none on a chain, where a
+    scan of every pair made n².  By induction on |↓y|, a ∨ y then exists
+    for every a and y.  It is given when y = 0 or y ∈ J.  Otherwise y has
+    two lower covers c₁ ≠ c₂; c₁ ∨ c₂ exists by induction, lies below y
+    and strictly above c₁, so it is y.  The upper bounds of {a, y} are then
+    those of {a ∨ c₁, c₂}, and both joins exist by induction.  A finite
+    join-semilattice with 0 is a lattice, a ∧ b the join of the common
+    lower bounds (Davey & Priestley, ch. 2).  Only when the test fails is
+    every pair scanned, so that NotALattice names the first pair (a, b),
+    a ≤ b in index order, without a unique bound."""
+    n, full = len(up), (1 << len(up)) - 1
+    by_up, by_down = _element_of(up), _element_of(down)
+    if not (len(by_up) == n and full in by_up and _joins_with_j(up, down, by_up, by_down)):
+        _refuse_pair(up, down, by_up, by_down, labels)
+    tables = {}
     for cname, masks in (("bot", up), ("top", down)):
         if (cname, 0) in signature.operations:
-            tables[cname] = masks.index((1 << len(up)) - 1)
+            tables[cname] = masks.index(full)
     if given is not None:
+        tables["join"], tables["meet"] = _lattice_tables(up, down, by_up, by_down)
         for oname, what in (("join", "least upper bound"), ("meet", "greatest lower bound")):
             for a, (have, want) in enumerate(zip(given[oname], tables[oname])):
                 if have != want:
@@ -399,10 +434,26 @@ def _order_lattice(labels, signature, name, up, down, extra, given=None):
             if cname in tables and given[cname] != tables[cname]:
                 raise TableError(f"declared {cname} is not the {what} element")
     tables.update(extra)
-    A = FiniteAlgebra._derived(len(up), labels, signature, tables, name, (up, down))
+    A = FiniteAlgebra._derived(n, labels, signature, tables, name, (up, down), (by_up, by_down))
     if signature.kind == "residuated":
         A._validate_residuation()
     return A
+
+
+def _joins_with_j(up, down, by_up, by_down) -> bool:
+    """↑a ∩ ↑j is some element's up-set for every a and every j whose
+    ↓j ∖ {j} is some element's down-set (_order_lattice).  Only the a
+    incomparable to j are looked up, as a ∨ j is j or a for the others:
+    their up-sets are picked out of up by the bits of their mask, read as
+    a string, so that each a costs one AND and one lookup however many
+    they are."""
+    full, elements = (1 << len(up)) - 1, by_up.keys()
+    for j, (uj, dj) in enumerate(zip(up, down)):
+        if dj ^ 1 << j in by_down:
+            apart = map(int, reversed(bin(full & ~(uj | dj))[2:]))
+            if not elements >= set(map(uj.__and__, itertools.compress(up, apart))):
+                return False
+    return True
 
 
 def _order_operations(up, labels) -> list[int]:
@@ -410,7 +461,7 @@ def _order_operations(up, labels) -> list[int]:
     for an order given from outside, an order matrix or meet's order of
     explicit tables: up is checked reflexive and transitive in O(n²) first.
     It is then antisymmetric too, or two elements share an up-set and
-    _lattice_tables fails on their join."""
+    _order_lattice refuses it."""
     n = len(up)
     down = [0] * n
     for a, m in enumerate(up):
@@ -423,21 +474,21 @@ def _order_operations(up, labels) -> list[int]:
     return down
 
 
-def _lattice_tables(up, down, labels) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """The join and meet tables of the partial order whose up- and down-set
-    bitmasks are up and down: the one path by which every input is decided
-    to be a lattice.  An element c with ↑c = ↑a ∩ ↑b is the least upper
-    bound of a and b, and dually for the meet, so join and meet are the
-    operations of the lattice the order is.  Otherwise NotALattice names
-    the first pair (a, b), a ≤ b in index order, without a unique bound."""
-    by_up, by_down = _element_of(up), _element_of(down)
-    try:
-        return (
-            tuple([tuple([by_up[ua & u] for u in up]) for ua in up]),
-            tuple([tuple([by_down[da & d] for d in down]) for da in down]),
-        )
-    except KeyError:  # not a lattice: find the pair, a row of both at a time
-        pass
+def _lattice_tables(up, down, by_up, by_down) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The join and meet tables of a lattice whose up- and down-set masks
+    are up and down, and whose elements by mask are by_up and by_down: an
+    element c with ↑c = ↑a ∩ ↑b is the least upper bound of a and b, and
+    dually for the meet."""
+    return (
+        tuple([tuple([by_up[ua & u] for u in up]) for ua in up]),
+        tuple([tuple([by_down[da & d] for d in down]) for da in down]),
+    )
+
+
+def _refuse_pair(up, down, by_up, by_down, labels):
+    """Raise NotALattice for the first pair (a, b), a ≤ b in index order,
+    of an order that is no lattice, without a least upper or a greatest
+    lower bound: a row of both at a time."""
     for a, (ua, da) in enumerate(zip(up, down)):
         join = [by_up.get(ua & u, -1) for u in up]
         meet = [by_down.get(da & d, -1) for d in down]
@@ -498,7 +549,7 @@ def cover_pairs(ups, downs) -> list[tuple[int, int]]:
 # -- the J step -------------------------------------------------------------
 
 
-# J(Con L) of a lattice L, read off its order and join table (join_classes).
+# J(Con L) of a lattice L, read off its order (join_classes).
 # pairs lists (j₊, j) for each j ∈ J(L), in increasing j; seeds[c] is the
 # pair of the least j of class c, so that Cg(j₊, j) is class c's congruence;
 # under[c] is the mask of the classes strictly below c; classes[x], the
@@ -513,32 +564,33 @@ JClasses = namedtuple("JClasses", "pairs seeds under classes down near component
 @cached
 def join_classes(L: FiniteAlgebra) -> JClasses:
     """The J step of a lattice L, or of an algebra's lattice reduct, in one
-    pass over its order masks and join table (`congruences` module doc).
-    k D j is tested at the m ∈ M(L) with j₊ ≤ m and j ≰ m, as k ≤ j∨m and
-    k ≰ m.  When D is empty, L is distributive and J(Con L) is an antichain
-    with one class per j.  Otherwise D* comes from Warshall's algorithm on
-    the rows {k : k D* j}, j and k share a class iff their rows are equal,
-    the classes are numbered by their least members, and J(Con L)'s order
-    is read off the classes' down-sets.  Memoized on L."""
+    pass over its order masks and the element of each (`congruences` module
+    doc).  k D j is tested at the m ∈ M(L) with j₊ ≤ m and j ≰ m, as
+    k ≤ j∨m and k ≰ m, j∨m read as the element whose up-set is ↑j ∩ ↑m.
+    When D is empty, L is distributive and J(Con L) is an antichain with
+    one class per j.  Otherwise D* comes from Warshall's algorithm on the
+    rows {k : k D* j}, j and k share a class iff their rows are equal, the
+    classes are numbered by their least members, and J(Con L)'s order is
+    read off the classes' down-sets.  Memoized on L."""
     up, down = L.order_masks()
-    join, ups, at = L.tables["join"], set(up), {d: x for x, d in enumerate(down)}
+    by_up, by_down = L.mask_elements()
     pairs, js, meet_irreducible = [], 0, 0
     for x, (u, d) in enumerate(zip(up, down)):
         bit = 1 << x
-        if u ^ bit in ups:
+        if u ^ bit in by_up:
             meet_irreducible |= bit
-        if d ^ bit in at:
-            pairs.append((at[d ^ bit], x))
+        if d ^ bit in by_down:
+            pairs.append((by_down[d ^ bit], x))
             js |= bit
     jd = [d & js for d in down]  # J(L) ∩ ↓x
     below, dependent = {}, False
     for jp, j in pairs:
-        acc, row = 1 << j, join[j]
-        ms = up[jp] & ~up[j] & meet_irreducible
+        acc, uj = 1 << j, up[j]
+        ms = up[jp] & ~uj & meet_irreducible
         while ms:
             low = ms & -ms
             m = low.bit_length() - 1
-            acc |= jd[row[m]] & ~jd[m]
+            acc |= jd[by_up[uj & up[m]]] & ~jd[m]
             ms ^= low
         below[j] = acc
         if acc & (acc - 1):
@@ -577,10 +629,11 @@ def join_classes(L: FiniteAlgebra) -> JClasses:
 
 
 def class_pairs(L: FiniteAlgebra):
-    """Yield (c, row, ys) for each j ∈ J(L) of a lattice L, in increasing j:
-    c the class of j in join_classes(L), row the join row of j, and ys the
-    mask of the y with j₊ ≤ y and j ≰ y.  The pairs (y, row[y]) are class
-    c's pairs, read off the join table with no cover found, and
+    """Yield (c, pairs) for each j ∈ J(L) of a lattice L, in increasing j:
+    c the class of j in join_classes(L), and pairs the (y, j∨y) for each y
+    with j₊ ≤ y and j ≰ y, in increasing y, each j∨y read off the order
+    masks (mask_elements).  They are class c's pairs, with no cover found,
+    and
 
         the covers of L of class c ⊆ class c's pairs ⊆ Cg(j₊, j).
 
@@ -588,9 +641,10 @@ def class_pairs(L: FiniteAlgebra):
     class c has a minimal j ≤ x with j ≰ y, which is in J(L) and of class c
     (`congruences` module doc).  Every z < j has z ≤ x, so z ≤ y by j's
     minimality, and then j₊ ≤ y; and y < y∨j ≤ x gives j∨y = x, so (y, x) is one of j's pairs."""
-    up, join, step = L.order_masks()[0], L.tables["join"], join_classes(L)
+    up, by_up, step = L.order_masks()[0], L.mask_elements()[0], join_classes(L)
     for jp, j in step.pairs:
-        yield step.classes[j], join[j], up[jp] & ~up[j]
+        uj = up[j]
+        yield step.classes[j], [(y, by_up[uj & up[y]]) for y in _bits(up[jp] & ~uj)]
 
 
 def _j_order(down: list[int], within: int) -> tuple[list[int], list[int], int | None]:
@@ -872,23 +926,25 @@ def direct_product(algebras: list[FiniteAlgebra], name=None) -> FiniteAlgebra:
     for idx in range(total):
         tup = product_decode(idx, sizes, radix)
         labels.append("(" + ";".join(A.labels[e] for A, e in zip(algebras, tup)) + ")")
+    if name is None:
+        name = "x".join([A.name or "?" for A in algebras])
+    # a lattice's join, meet and bounds come from its order, the masks
+    # folded as the other tables are; a product of lattices is a lattice
+    derived = KIND_OPERATIONS["bounded-lattice"] if sig.is_lattice else ()
     tables = {}
     for fname, arity in sig.operations:
-        t, n = algebras[0].tables[fname], algebras[0].n
-        for B in algebras[1:]:
-            t = product_table(t, n, B.tables[fname], B.n, arity)
-            n *= B.n
-        tables[fname] = t
-    masks = None
-    if sig.is_lattice:
-        # the order masks, folded as the tables are, with no table scanned
-        masks = algebras[0].order_masks()
-        for B in algebras[1:]:
-            masks = tuple(_product_masks(ms, mb, B.n) for ms, mb in zip(masks, B.order_masks()))
-    if name is None:
-        parts = [A.name or "?" for A in algebras]
-        name = "x".join(parts)
-    return FiniteAlgebra._derived(total, tuple(labels), sig, tables, name, masks)
+        if (fname, arity) not in derived:
+            t, n = algebras[0].tables[fname], algebras[0].n
+            for B in algebras[1:]:
+                t = product_table(t, n, B.tables[fname], B.n, arity)
+                n *= B.n
+            tables[fname] = t
+    if not sig.is_lattice:
+        return FiniteAlgebra._derived(total, tuple(labels), sig, tables, name)
+    masks = algebras[0].order_masks()
+    for B in algebras[1:]:
+        masks = tuple(_product_masks(ms, mb, B.n) for ms, mb in zip(masks, B.order_masks()))
+    return _order_lattice(tuple(labels), sig, name, *masks, tables)
 
 
 def _product_masks(ma: list[int], mb: list[int], nb: int) -> list[int]:
@@ -940,7 +996,8 @@ def ordinal_sum_with_maps(L, M, name=None):
     down = down_l + [below | moved(down_m[j]) for j in m_rest]
     if name is None and L.name and M.name:
         name = f"{L.name}+{M.name}"
-    return _order_lattice(tuple(labels), lattice_signature(L.signature.kind), name, up, down, {}), map_l, map_m
+    sig = lattice_signature(L.signature.kind)
+    return _order_lattice(tuple(labels), sig, name, up, down, {}), map_l, map_m
 
 
 def sublattice(L: FiniteAlgebra, subset, name=None) -> FiniteAlgebra:

@@ -78,15 +78,15 @@ below it.
 So Con(L) is built in two steps.  The J step, algebra.join_classes, is one
 pass per lattice.  It reads J(L), each j₊ and the meet-irreducibles M(L)
 off L's order masks (j ∈ J(L) iff ↓j ∖ {j} is some ↓m, and then m = j₊;
-dually for M(L)), then D off the join table, which decides distributivity
-as above.  When D is empty J(Con L) is an antichain, one class per j, and
-nothing more is read.  Otherwise D* comes by Warshall's algorithm, then
+dually for M(L)), then D off the joins j∨m, each the element whose up-set
+is ↑j ∩ ↑m, which decides distributivity as above.  When D is empty
+J(Con L) is an antichain, one class per j, and nothing more is read.  Otherwise D* comes by Warshall's algorithm, then
 the classes with a seed pair (j₊, j) each and the classes below each one,
 and J(Con L)'s order: the classes comparable to each one, the components
 and their tops.  It finds no cover of L and builds no partition: J(Con L)
 and its order are read off it with no Con(L), and so are the verdicts that
 depend on that order alone (`lifting` module doc).  The second step reads
-each class's pairs off the join table, algebra.class_pairs: for each
+each class's pairs off the order masks, algebra.class_pairs: for each
 j ∈ J(L) the pairs (y, j∨y) with j₊ ≤ y and j ≰ y, which lie in Cg(j₊, j)
 and include every cover of L of j's class (its docstring has the proof).
 No cover of L is found on either step.  The block counts of FC(L) = B(L)
@@ -722,11 +722,11 @@ def _enumerate_partitions(A: FiniteAlgebra) -> tuple:
     the members below each partition."""
     n = A.n
     if is_pure_lattice(A):
-        # the classes of the J step, with the pairs read off the join table
+        # the classes of the J step, with the pairs read off the order
         step = join_classes(A)
         pairs = [[] for _ in step.seeds]
-        for c, row, ys in class_pairs(A):
-            pairs[c] += [(y, row[y]) for y in _bits(ys)]
+        for c, more in class_pairs(A):
+            pairs[c] += more
         return _down_sets(n, step.under, pairs, step.seeds)
     # Cg(a, b) over cover pairs generates Con, and each cover pair gives the
     # same Cg as some (j₊, j) with j join-irreducible (module doc)

@@ -45,7 +45,6 @@ from math import comb
 
 from .algebra import (
     FiniteAlgebra,
-    _bits,
     _components,
     _j_order,
     cached,
@@ -211,8 +210,8 @@ class _LatticeJSpace(JSpace):
     @_kept
     def _upper_ends(self) -> list[int]:
         ends = [0] * len(join_classes(self.algebra).seeds)
-        for c, row, ys in class_pairs(self.algebra):
-            ends[c] |= sum({1 << row[y] for y in _bits(ys)})
+        for c, pairs in class_pairs(self.algebra):
+            ends[c] |= sum({1 << x for _, x in pairs})
         return ends
 
     def count(self, mask: int) -> int:

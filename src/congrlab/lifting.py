@@ -87,7 +87,7 @@ maximal members of J.
    FC(A) = B(A), which the criterion of the factor property reads (5,
    end), is one factor pair per component of J: 2c block counts, however
    many the 2^c members of B(A) are (`factor.JSpace.center_is_factor`),
-   each read on a pure lattice off its join table (`factor.JSpace.count`),
+   each read on a pure lattice off its order masks (`factor.JSpace.count`),
    with no Con(L), no cover and no partition.
 5. One rule decides both properties at θ and gives the evidence.  Call
    FC(A) or B(A) A's center, the same center of [θ, ∇] θ's, and R = J ∖ D_θ.
@@ -204,7 +204,7 @@ maximal members of J.
    component of J is an atom of B(A) (1), so it lies in one atom of
    FC(A) ⊆ B(A) (5a): a permuting pair inside one component fails FCLP,
    and FC(A)'s atoms are read only when every permuting pair spans two
-   components.  On a pure lattice the counts are read off the join table
+   components.  On a pure lattice the counts are read off the order masks
    (`factor.JSpace.count`) and FC(L)'s atoms off central elements
    (`factor.JSpace.fc_atoms`), with no Con(L), no cover and no partition.
 

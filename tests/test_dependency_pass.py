@@ -2,9 +2,10 @@
 routines they replaced.
 
 The J step (algebra.join_classes) reads J(L), M(L), Freese's D and D*, and
-J(Con L) off the order masks and the join table, with no cover of L, in one
-pass; a partition is built from each class's pairs, which
-algebra.class_pairs reads off the join table with no cover either.  L is
+J(Con L) off the order masks, each join j∨m the element whose up-set is
+↑j ∩ ↑m (mask_elements), with no cover of L and no table, in one pass; a
+partition is built from each class's pairs, which algebra.class_pairs reads
+off the masks with no cover either.  L is
 distributive iff D is empty, and FC(L) = B(L) is checked on the components
 of J(Con L), one factor pair per component.  The oracles are the routines
 these replaced: the J step that found the covers of L first, the join-prime
@@ -145,7 +146,7 @@ def test_the_cover_free_j_step_agrees_with_the_covers_of_l():
         fresh = cold(A)
         step = congruences.join_classes(fresh)
         j_seeds, j_under, cls = step.seeds, step.under, step.classes
-        assert set(fresh._cache) == {"order_masks", "join_classes"}, A.name
+        assert set(fresh._cache) == {"order_masks", "mask_elements", "join_classes"}, A.name
         assert (j_seeds, j_under) == (seeds, under), A.name
         # each j ∈ J(L) is in a class, and the least member of a class is its seed
         js = [j for _, j in join_irreducible_pairs(A)]
@@ -185,10 +186,40 @@ def test_fc_equal_to_b_on_the_components_agrees_with_all_2_to_the_c():
 # -- the work of a criterion-decided verdict -------------------------------
 
 
+class Lookups(dict):
+    """A mask -> element map that logs each mask it is read at."""
+
+    def __init__(self, elements, log):
+        super().__init__(elements)
+        self.log = log
+
+    def __getitem__(self, mask):
+        self.log.append(mask)
+        return dict.__getitem__(self, mask)
+
+
+def watch_joins(A):
+    """The log of the joins read on A from here on, each a ↑a ∩ ↑b looked
+    up among its elements' up-sets (mask_elements), and the set of the
+    (row, column) of each join- or meet-table entry read."""
+    joins, entries = [], set()
+    by_up, by_down = A.mask_elements()
+    A._cache["mask_elements"] = Lookups(by_up, joins), by_down
+    watched = dict(A.tables, join=Reads(A.tables["join"], entries), meet=Reads(A.tables["meet"], entries))
+    object.__setattr__(A, "_tables", watched)
+    return joins, entries
+
+
+def join_masks(A, pairs):
+    """↑a ∩ ↑b for each (a, b) of pairs, sorted: the masks its joins are
+    read at."""
+    up = A.order_masks()[0]
+    return sorted(up[a] & up[b] for a, b in pairs)
+
+
 def dependency_reads(A):
-    """The (row, column) of each join-table entry the dependency pass reads:
-    (j, m) for each join-irreducible j and meet-irreducible m with j₊ ≤ m
-    and j ≰ m."""
+    """The (j, m) of each join j∨m the dependency pass reads: each
+    join-irreducible j and meet-irreducible m with j₊ ≤ m and j ≰ m."""
     up, _ = A.order_masks()
     ups = set(up)
     meet_irreducible = [m for m, u in enumerate(up) if u & ~(1 << m) in ups]
@@ -210,9 +241,7 @@ def test_a_criterion_decided_verdict_finds_no_cover_and_builds_no_partition(name
     copies = [fixture(name)] + [relabelled(fixture(name), seed) for seed in range(3)]
     for A in copies:
         A = cold(A)
-        A.order_masks()  # L's order, read before the join table is watched
-        seen = set()
-        object.__setattr__(A, "tables", dict(A.tables, join=Reads(A.tables["join"], seen)))
+        joins, entries = watch_joins(A)  # L's order, read before its joins are watched
         got = (
             lifting.algebra_fclp(A),
             lifting.algebra_cblp(A),
@@ -223,7 +252,7 @@ def test_a_criterion_decided_verdict_finds_no_cover_and_builds_no_partition(name
         J = jspace(A)
         assert not A.is_distributive_lattice() and len(J.components) == 1 and J.tops is not None, A.name
         assert "all_congruences" not in A._cache and "_upper_ends" not in vars(J), A.name
-        # the join table is read by the dependency pass alone: no join is
-        # folded for distributivity
-        assert seen == dependency_reads(A), A.name
+        # each join of the dependency pass is read once, and no other: no
+        # join is folded for distributivity, and no table entry is read
+        assert sorted(joins) == join_masks(A, dependency_reads(A)) and not entries, A.name
     assert counts == {"cover_pairs": 0, "merge_pairs": 0}

@@ -307,7 +307,7 @@ def test_pruned_blp_reads_only_pairs_of_unreached_classes():
         seen = set()
         tables = dict(A.tables, join=Reads(A.tables["join"], seen), meet=Reads(A.tables["meet"], seen))
         thetas = all_congruences(A).elements
-        object.__setattr__(A, "tables", tables)
+        object.__setattr__(A, "_tables", tables)
         for theta in thetas:
             residuated.has_blp(A, theta)
         reads[A.name] = len(seen), len(thetas)

@@ -2,17 +2,17 @@
 
 algebra.join_classes reads J(L) with each j₊, M(L), Freese's D and D*, the
 classes of D* with their seeds, J(Con L)'s order (down, near, components,
-tops) and whether D is empty off L's order masks and join table, once per
-lattice; on a distributive L it skips the closure, the grouping and the
-order, as J(Con L) is then an antichain with one class per j.  The oracle
-is the chain it replaced (oracles.j_step): the dependency pass, then the
-classes, then J(Con L)'s order read off their down-sets.  The four cold
-verdicts run the pass once per lattice, decide FCLP once, and read the
-join table only in the pass and, where blocks are counted, for the upper
-ends of the lower covers of each class (factor.JSpace.count).
+tops) and whether D is empty off L's order masks, once per lattice, each
+join j∨m read as the element whose up-set is ↑j ∩ ↑m off the mask maps the
+build kept (algebra.mask_elements); on a distributive L it skips the
+closure, the grouping and the order, as J(Con L) is then an antichain with
+one class per j.  The oracle is the chain it replaced (oracles.j_step): the
+dependency pass, then the classes, then J(Con L)'s order read off their
+down-sets.  The four cold verdicts run the pass once per lattice, decide
+FCLP once, and read joins only in the pass and, where blocks are counted,
+for the upper ends of the lower covers of each class (factor.JSpace.count):
+no join or meet table is read, or made on a lattice built from its order.
 """
-
-from types import SimpleNamespace
 
 from congrlab import algebra, lifting
 from congrlab.algebra import _bits, join_classes
@@ -21,8 +21,8 @@ from congrlab.fixtures import FIXTURE_NAMES, fixture
 
 from oracles import j_step, join_irreducible_pairs
 from sweep import sweep
-from test_dependency_pass import dependency_reads
-from test_distributive_lattices import Reads, residuated_inputs
+from test_dependency_pass import dependency_reads, join_masks, watch_joins
+from test_distributive_lattices import residuated_inputs
 from test_j_step import verdicts
 from test_jspace import chains_on_top
 from test_join_irreducible_masks import cold
@@ -45,8 +45,8 @@ def test_the_one_pass_is_the_three_step_chain():
 
 
 def upper_end_reads(A):
-    """The (row, column) of each join-table entry the block counts read:
-    (j, y) for each join-irreducible j and each y ≥ j₊ with j ≰ y."""
+    """The (j, y) of each join j∨y the block counts read: each
+    join-irreducible j and each y ≥ j₊ with j ≰ y."""
     up = A.order_masks()[0]
     return [(j, y) for jp, j in join_irreducible_pairs(A) for y in _bits(up[jp] & ~up[j])]
 
@@ -58,21 +58,17 @@ def test_the_four_cold_verdicts_run_the_pass_once_per_sweep_lattice(monkeypatch)
     counts = count_calls(monkeypatch, lifting, ["_factor_criterion"])
     counted = 0
     for A in map(cold, sweep()):
-        A.order_masks()  # L's order, read before the join table is watched
-        reads = []
-        # Reads records each entry read, here in a list, repeats and all
-        logged = Reads(A.tables["join"], SimpleNamespace(add=reads.append))
-        object.__setattr__(A, "tables", dict(A.tables, join=logged))
+        joins, entries = watch_joins(A)  # L's order, read before its joins are watched
         before = len(made)
         [v[0] for v in verdicts(A)]
         assert len(made) == before + 1, A.name
-        # each entry the dependency pass needs, once, and those of the block
-        # counts where they are read
+        # each join the dependency pass needs, once, and those of the block
+        # counts where they are read, repeats and all; no table entry
         want = list(dependency_reads(A))
         if "_upper_ends" in vars(jspace(A)):
             counted += 1
             want += upper_end_reads(A)
-        assert sorted(reads) == sorted(want), A.name
+        assert sorted(joins) == join_masks(A, want) and not entries, A.name
     assert counts == {"_factor_criterion": 225}
     assert counted == 74
 

@@ -248,8 +248,8 @@ def test_the_pairs_of_a_class_lie_between_its_covers_and_its_congruence():
             L = A if is_pure_lattice(A) else lattice_reduct(A)
             seeds, _, class_covers = lattice_classes(L)
             pairs = [set() for _ in seeds]
-            for c, row, ys in class_pairs(L):
-                pairs[c].update((y, row[y]) for y in _bits(ys))
+            for c, more in class_pairs(L):
+                pairs[c].update(more)
             for c, seed in enumerate(seeds):
                 cg = congruences._close(L, [seed])
                 assert all(cg[y] == cg[x] for y, x in pairs[c]), (name, A.name, c)
