@@ -24,10 +24,14 @@ from .errors import (
 )
 
 # Size caps: everything downstream is exponential-ish, so fail loudly.
-# Deciding a lattice costs one lookup per join-irreducible j and element
-# incomparable to j: at the carrier cap, L2^12 and the chain build in under
-# 0.5 s and 64 MiB, and M_4094, at nearly n·|J|, in 11-14 s.  Past the
-# build, memory follows |Con| (README, Limits).
+# Deciding a lattice costs one AND per join-irreducible j and y with
+# j₊ < y and j ≰ y, and one lookup per distinct join j∨y: at the carrier
+# cap, L2^12 and the chain build in under 0.5 s and 64 MiB, and M_4094, at
+# nearly n·|J|, in 10.7-12.5 s at 22 MiB (12.7-14.2 s at 20 MiB when the
+# test kept no join).  `check cblp` takes 0.15-0.16 s on L2^12 (0.19-0.21 s)
+# and 0.55-0.71 s at 26 MiB on the 4096-chain (7.8-8.2 s, when P = J(L)
+# took a shift per pair), whole process.  Past the build, memory follows
+# |Con| (README, Limits).
 CARRIER_CAP = 4096
 CON_CAP = 20000
 # The residuation check compares n² pairs of table rows of n entries: a
@@ -123,15 +127,16 @@ class FiniteAlgebra:
         return _with_axioms_checked(n, labels, signature, tables, name)
 
     @classmethod
-    def _derived(cls, n, labels, signature, tables, name=None, order_masks=None, mask_elements=None):
+    def _derived(cls, n, labels, signature, tables, name=None, order_masks=None, mask_elements=None, irreducibles=None):
         """The private constructor, for an algebra congrlab derived itself:
         labels a tuple of n distinct strings, and tables frozen, in range,
         matching the signature and obeying the kind's axioms, by how they
         were made.  None of that is checked again.  order_masks, when
         given, are the (up, down) masks of order_masks(), kept as its memo,
-        and mask_elements likewise, given only with them: the seeds of a
-        memo outside cached.  A lattice given its order masks may leave
-        join and meet out of tables, to be made on their first read."""
+        and mask_elements and irreducibles likewise, given only with them:
+        the seeds of a memo outside cached.  A lattice given its order
+        masks may leave join and meet out of tables, to be made on their
+        first read."""
         A = object.__new__(cls)
         object.__setattr__(A, "n", n)
         object.__setattr__(A, "labels", labels)
@@ -143,6 +148,8 @@ class FiniteAlgebra:
         object.__setattr__(A, "_cache", {} if order_masks is None else {"order_masks": order_masks})
         if mask_elements is not None:
             A._cache["mask_elements"] = mask_elements
+        if irreducibles is not None:
+            A._cache["irreducibles"] = irreducibles
         return A
 
     @property
@@ -235,6 +242,13 @@ class FiniteAlgebra:
         is by_down[↓a ∩ ↓b].  A build from an order leaves them in the
         cache."""
         return tuple(map(_element_of, self.order_masks()))
+
+    @cached
+    def irreducibles(self) -> Irreducibles:
+        """J(L) with each j₊, M(L), and the upper ends of each j's pairs,
+        read off the order masks by the pass that decides a lattice
+        (_irreducibles).  A build from an order leaves them in the cache."""
+        return _irreducibles(*self.order_masks(), *self.mask_elements())
 
     def covers(self) -> list[tuple[int, int]]:
         """Cover pairs (a, b) with a covered by b, ordered by b, then a."""
@@ -392,8 +406,9 @@ def lattice_from_order(leq, labels, kind="lattice", name=None):
 def _order_lattice(labels, signature, name, up, down, extra, given=None):
     """The lattice of signature on the order whose up- and down-set masks
     are up and down, reflexive and transitive: the one routine by which an
-    order becomes a lattice, which keeps the masks and the element of each
-    (mask_elements).  join and meet are made from them on their first read
+    order becomes a lattice, which keeps the masks, the element of each
+    (mask_elements) and what the test below finds of J(L), M(L) and their
+    joins (irreducibles).  join and meet are made from them on their first read
     (_lattice_tables), and bot and top, where the signature has them, are
     the elements whose up- and down-sets are everything.  The given tables
     of these, if any, must equal the derived ones.  extra holds the
@@ -401,23 +416,27 @@ def _order_lattice(labels, signature, name, up, down, extra, given=None):
     residuation is checked.
 
     The order is tested by its join-irreducibles J, the x whose ↓x ∖ {x}
-    is some ↓y, that is the x with exactly one lower cover: it is a
+    is some ↓x₊, that is the x with exactly one lower cover x₊: it is a
     lattice iff its up-sets are distinct, it has a least element 0, and
-    ↑a ∩ ↑j is some element's up-set, a ∨ j, for every a and every j ∈ J:
-    looked up for the a incomparable to j alone, as a ∨ j is a or j for the
-    others.  That is at most n·|J| lookups, and none on a chain, where a
-    scan of every pair made n².  By induction on |↓y|, a ∨ y then exists
-    for every a and y.  It is given when y = 0 or y ∈ J.  Otherwise y has
-    two lower covers c₁ ≠ c₂; c₁ ∨ c₂ exists by induction, lies below y
-    and strictly above c₁, so it is y.  The upper bounds of {a, y} are then
-    those of {a ∨ c₁, c₂}, and both joins exist by induction.  A finite
-    join-semilattice with 0 is a lattice, a ∧ b the join of the common
-    lower bounds (Davey & Priestley, ch. 2).  Only when the test fails is
-    every pair scanned, so that NotALattice names the first pair (a, b),
-    a ≤ b in index order, without a unique bound."""
+    ↑x ∩ ↑y is some element's up-set, x ∨ y, for every x ∈ J and every y
+    with x₊ ≤ y and x ≰ y.  These joins are the upper ends of the pairs of
+    class_pairs: the test keeps them for the block counts, and J(L) and
+    M(L) for the J step (irreducibles).  By induction on |↓x|, a ∨ x then
+    exists for every a and x.  It is a when x = 0.  For x ∈ J, b = a ∨ x₊
+    exists by induction; if x ≤ b, b is a ∨ x, as every upper bound of a
+    and x is one of a and x₊; else b is such a y, and b ∨ x, looked up,
+    has the upper bounds of {a, x}.  Otherwise x has two lower covers c₁ ≠ c₂;
+    c₁ ∨ c₂ exists by induction, lies below x and strictly above c₁, so
+    it is x.  The upper bounds of {a, x} are then those of {a ∨ c₁, c₂},
+    and both joins exist by induction.  A finite join-semilattice with 0
+    is a lattice, a ∧ b the join of the common lower bounds (Davey &
+    Priestley, ch. 2).  Only when the test fails is every pair scanned,
+    so that NotALattice names the first pair (a, b), a ≤ b in index
+    order, without a unique bound."""
     n, full = len(up), (1 << len(up)) - 1
     by_up, by_down = _element_of(up), _element_of(down)
-    if not (len(by_up) == n and full in by_up and _joins_with_j(up, down, by_up, by_down)):
+    irreducibles = _irreducibles(up, down, by_up, by_down) if len(by_up) == n and full in by_up else None
+    if irreducibles is None:
         _refuse_pair(up, down, by_up, by_down, labels)
     tables = {}
     for cname, masks in (("bot", up), ("top", down)):
@@ -434,26 +453,49 @@ def _order_lattice(labels, signature, name, up, down, extra, given=None):
             if cname in tables and given[cname] != tables[cname]:
                 raise TableError(f"declared {cname} is not the {what} element")
     tables.update(extra)
-    A = FiniteAlgebra._derived(n, labels, signature, tables, name, (up, down), (by_up, by_down))
+    A = FiniteAlgebra._derived(n, labels, signature, tables, name, (up, down), (by_up, by_down), irreducibles)
     if signature.kind == "residuated":
         A._validate_residuation()
     return A
 
 
-def _joins_with_j(up, down, by_up, by_down) -> bool:
-    """↑a ∩ ↑j is some element's up-set for every a and every j whose
-    ↓j ∖ {j} is some element's down-set (_order_lattice).  Only the a
-    incomparable to j are looked up, as a ∨ j is j or a for the others:
-    their up-sets are picked out of up by the bits of their mask, read as
-    a string, so that each a costs one AND and one lookup however many
-    they are."""
-    full, elements = (1 << len(up)) - 1, by_up.keys()
-    for j, (uj, dj) in enumerate(zip(up, down)):
-        if dj ^ 1 << j in by_down:
-            apart = map(int, reversed(bin(full & ~(uj | dj))[2:]))
-            if not elements >= set(map(uj.__and__, itertools.compress(up, apart))):
-                return False
-    return True
+# J(L) and M(L) of a lattice L with the joins its lattice test looks up
+# (_irreducibles): pairs lists (j₊, j) for each j ∈ J(L), in increasing j,
+# the tuple join_classes(L) keeps; meet_irreducible is the mask of M(L);
+# and ends[i] is the mask of the joins j ∨ y, j the i-th pair's, over the
+# y with j₊ ≤ y and j ≰ y: the upper ends of j's pairs (class_pairs).
+Irreducibles = namedtuple("Irreducibles", "pairs meet_irreducible ends")
+
+# a mask's binary digits as the bytes 0 and 1, a selector for compress
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _irreducibles(up, down, by_up, by_down) -> Irreducibles | None:
+    """The Irreducibles of the order whose up- and down-set masks are up
+    and down, with distinct up-sets and a least element, if the order is a
+    lattice, else None (_order_lattice).  j ∈ J(L) iff ↓j ∖ {j} is some
+    ↓j₊, and m ∈ M(L) iff ↑m ∖ {m} is some up-set.  j ∨ j₊ is j; the
+    up-sets of the other y with j₊ ≤ y and j ≰ y are picked out of up by
+    the bits of ↑j₊ ∖ ↑j ∖ {j₊}, read as a string, and each distinct
+    ↑j ∩ ↑y is looked up once: so each j costs one AND a y and one lookup
+    a join, however many they are, and on a chain nothing."""
+    pairs, ends, meet_irreducible = [], [], 0
+    for j, (u, d) in enumerate(zip(up, down)):
+        bit = 1 << j
+        if u ^ bit in by_up:
+            meet_irreducible |= bit
+        jp = by_down.get(d ^ bit)
+        if jp is not None:
+            end = bit  # j ∨ j₊ = j
+            ys = bin(up[jp] & ~(u | 1 << jp))[:1:-1].encode().translate(_DIGITS)
+            for m in set(map(u.__and__, itertools.compress(up, ys))):
+                x = by_up.get(m)
+                if x is None:
+                    return None
+                end |= 1 << x
+            pairs.append((jp, j))
+            ends.append(end)
+    return Irreducibles(tuple(pairs), meet_irreducible, tuple(ends))
 
 
 def _order_operations(up, labels) -> list[int]:
@@ -564,24 +606,23 @@ JClasses = namedtuple("JClasses", "pairs seeds under classes down near component
 @cached
 def join_classes(L: FiniteAlgebra) -> JClasses:
     """The J step of a lattice L, or of an algebra's lattice reduct, in one
-    pass over its order masks and the element of each (`congruences` module
-    doc).  k D j is tested at the m ∈ M(L) with j₊ ≤ m and j ≰ m, as
-    k ≤ j∨m and k ≰ m, j∨m read as the element whose up-set is ↑j ∩ ↑m.
-    When D is empty, L is distributive and J(Con L) is an antichain with
-    one class per j.  Otherwise D* comes from Warshall's algorithm on the
-    rows {k : k D* j}, j and k share a class iff their rows are equal, the
-    classes are numbered by their least members, and J(Con L)'s order is
-    read off the classes' down-sets.  Memoized on L."""
+    pass over its order masks (`congruences` module doc).  J(L) with each
+    j₊, and M(L), are read off L.irreducibles(), which the build's lattice
+    test left.  k D j is tested at the m ∈ M(L) with j₊ ≤ m and j ≰ m, as
+    k ≤ j∨m and k ≰ m, j∨m read as the element whose up-set is ↑j ∩ ↑m
+    (mask_elements): a loop the build does not run, as on M_4094 it makes
+    16.7 M lookups.  When D is empty, L is distributive and J(Con L) is an
+    antichain with one class per j.  Otherwise D* comes from Warshall's
+    algorithm on the rows {k : k D* j}, j and k share a class iff their
+    rows are equal, the classes are numbered by their least members, and
+    J(Con L)'s order is read off the classes' down-sets.  The block counts
+    read the upper ends the build kept (factor.JSpace.count), and the
+    enumeration of Con(L) its classes' pairs (class_pairs).  Memoized on
+    L."""
     up, down = L.order_masks()
-    by_up, by_down = L.mask_elements()
-    pairs, js, meet_irreducible = [], 0, 0
-    for x, (u, d) in enumerate(zip(up, down)):
-        bit = 1 << x
-        if u ^ bit in by_up:
-            meet_irreducible |= bit
-        if d ^ bit in by_down:
-            pairs.append((by_down[d ^ bit], x))
-            js |= bit
+    by_up = L.mask_elements()[0]
+    pairs, meet_irreducible, _ = L.irreducibles()
+    js = sum([1 << j for _, j in pairs])
     jd = [d & js for d in down]  # J(L) ∩ ↓x
     below, dependent = {}, False
     for jp, j in pairs:
@@ -602,7 +643,7 @@ def join_classes(L: FiniteAlgebra) -> JClasses:
         for _, j in pairs:
             classes[j] = len(points)
             points.append(1 << classes[j])
-        pairs, full = tuple(pairs), (1 << len(points)) - 1
+        full = (1 << len(points)) - 1
         return JClasses(pairs, pairs, (0,) * len(points), tuple(classes), points, points, points, full, True)
     for i, bi in below.items():
         if bi & (bi - 1):
@@ -625,15 +666,17 @@ def join_classes(L: FiniteAlgebra) -> JClasses:
         down.append(d)
     under = tuple([d & ~(1 << c) for c, d in enumerate(down)])
     order = _j_order(down, (1 << len(down)) - 1)
-    return JClasses(tuple(pairs), tuple(seeds), under, tuple(classes), down, *order, False)
+    return JClasses(pairs, tuple(seeds), under, tuple(classes), down, *order, False)
 
 
 def class_pairs(L: FiniteAlgebra):
     """Yield (c, pairs) for each j ∈ J(L) of a lattice L, in increasing j:
     c the class of j in join_classes(L), and pairs the (y, j∨y) for each y
     with j₊ ≤ y and j ≰ y, in increasing y, each j∨y read off the order
-    masks (mask_elements).  They are class c's pairs, with no cover found,
-    and
+    masks (mask_elements).  The enumeration of Con(L) merges them
+    (congruences._enumerate_partitions); the block counts read only their
+    upper ends, which the lattice test kept (irreducibles).  They are class
+    c's pairs, with no cover found, and
 
         the covers of L of class c ⊆ class c's pairs ⊆ Cg(j₊, j).
 
@@ -871,11 +914,11 @@ def lattice_reduct(A: FiniteAlgebra, kind: str = "lattice") -> FiniteAlgebra:
     A.require_lattice()
     if kind not in ("lattice", "bounded-lattice"):
         raise KindError(f"cannot reduce to kind {kind!r}")
-    tables = {"join": A.tables["join"], "meet": A.tables["meet"]}
-    if kind == "bounded-lattice":
-        tables["bot"] = A.bottom()
-        tables["top"] = A.top()
-    return FiniteAlgebra._derived(A.n, A.labels, lattice_signature(kind), tables, A.name)
+    tables = {"bot": A.bottom(), "top": A.top()} if kind == "bounded-lattice" else {}
+    # A's order, its mask maps and its irreducibles are the reduct's: its
+    # join and meet are made from them on their first read, as a build's
+    facts = A.order_masks(), A.mask_elements(), A.irreducibles()
+    return FiniteAlgebra._derived(A.n, A.labels, lattice_signature(kind), tables, A.name, *facts)
 
 
 def dual(L: FiniteAlgebra) -> FiniteAlgebra:
@@ -979,18 +1022,23 @@ def ordinal_sum_with_maps(L, M, name=None):
     map_l, map_m = list(range(L.n)), [L.top()] * M.n
     for k, j in enumerate(m_rest):
         map_m[j] = L.n + k
-    labels = list(L.labels)
+    labels, taken = list(L.labels), set(L.labels)
     for j in m_rest:
         lab = M.labels[j]
-        while lab in labels:
+        while lab in taken:
             lab += "'"
         labels.append(lab)
+        taken.add(lab)
     # L keeps its indices and lies below the rest of M, which follows it
     (up_l, down_l), (up_m, down_m) = L.order_masks(), M.order_masks()
     rest, below = (1 << n) - (1 << L.n), (1 << L.n) - 1
+    low = (1 << bot_m) - 1
 
     def moved(m):
-        return sum(1 << map_m[b] for b in _bits(m))
+        # map_m is monotone off bot(M): the bits below bot(M) move up by
+        # L.n and those above it by L.n - 1.  bot(M) is top(L), which is in
+        # no ↑j of M's other elements and is in below, OR-ed into each ↓j
+        return (m & low) << L.n | m >> bot_m + 1 << L.n + bot_m
 
     up = [m | rest for m in up_l] + [moved(up_m[j]) for j in m_rest]
     down = down_l + [below | moved(down_m[j]) for j in m_rest]

@@ -77,9 +77,10 @@ below it.
 
 So Con(L) is built in two steps.  The J step, algebra.join_classes, is one
 pass per lattice.  It reads J(L), each j₊ and the meet-irreducibles M(L)
-off L's order masks (j ∈ J(L) iff ↓j ∖ {j} is some ↓m, and then m = j₊;
-dually for M(L)), then D off the joins j∨m, each the element whose up-set
-is ↑j ∩ ↑m, which decides distributivity as above.  When D is empty
+off the irreducibles that L's lattice test kept (j ∈ J(L) iff ↓j ∖ {j} is
+some ↓m, and then m = j₊; dually for M(L)), then D off the joins j∨m,
+each the element whose up-set is ↑j ∩ ↑m, which decides distributivity
+as above.  When D is empty
 J(Con L) is an antichain, one class per j, and nothing more is read.  Otherwise D* comes by Warshall's algorithm, then
 the classes with a seed pair (j₊, j) each and the classes below each one,
 and J(Con L)'s order: the classes comparable to each one, the components
@@ -90,8 +91,9 @@ each class's pairs off the order masks, algebra.class_pairs: for each
 j ∈ J(L) the pairs (y, j∨y) with j₊ ≤ y and j ≰ y, which lie in Cg(j₊, j)
 and include every cover of L of j's class (its docstring has the proof).
 No cover of L is found on either step.  The block counts of FC(L) = B(L)
-and of the coatom pairs are read off the pairs' upper ends
-(`factor.JSpace.count`), and the enumeration merges the pairs.
+and of the coatom pairs are read off the pairs' upper ends, which the
+lattice test kept (`factor.JSpace.count`), and the enumeration merges the
+pairs.
 
 The partition of ⋁S is the union-find over the pairs of the classes in S,
 as the covers of those classes ⊆ their pairs ⊆ ⋁S.  Each pair lies in its

@@ -40,15 +40,15 @@ algebra, jspace(A), and every center and verdict reads them off it.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, compress, product
 from math import comb
 
 from .algebra import (
     FiniteAlgebra,
+    _DIGITS,
     _components,
     _j_order,
     cached,
-    class_pairs,
     direct_product,
     join_classes,
     join_partitions,
@@ -187,7 +187,9 @@ class _LatticeJSpace(JSpace):
     under it.
 
     count(D) = n − |⋃_{c∈D} E_c|, E_c the mask of the upper ends of class
-    c's pairs (algebra.class_pairs): no cover found and no partition.  Each
+    c's pairs (algebra.class_pairs), the OR of those of its members j,
+    which the lattice test kept (FiniteAlgebra.irreducibles): no cover
+    found, no partition and no join looked up again.  Each
     block of a lattice congruence θ is closed under ∧ (a θ b gives
     a∧b θ b∧b) and convex, so it has a least element, and x is the least of
     its block iff no lower cover of x is collapsed: were y θ x for some
@@ -209,9 +211,11 @@ class _LatticeJSpace(JSpace):
 
     @_kept
     def _upper_ends(self) -> list[int]:
-        ends = [0] * len(join_classes(self.algebra).seeds)
-        for c, pairs in class_pairs(self.algebra):
-            ends[c] |= sum({1 << x for _, x in pairs})
+        L = self.algebra
+        step = join_classes(L)
+        ends = [0] * len(step.seeds)
+        for (_, j), end in zip(step.pairs, L.irreducibles().ends):
+            ends[step.classes[j]] |= end
         return ends
 
     def count(self, mask: int) -> int:
@@ -284,7 +288,12 @@ def _p_order(L: FiniteAlgebra) -> tuple[list[int], list[int]] | None:
         return None
     up, down = L.order_masks()
     js = [j for _, j in join_classes(L).seeds]
-    near = [sum(1 << h for h, k in enumerate(js) if (up[j] | down[j]) >> k & 1) for j in js]
+    # each row of the order, written out most significant digit first, is
+    # compressed onto J(L)'s digits in one string step: no pair of J(L)
+    # costs a shift, and no more than a row is held
+    width = f"0{L.n}b"
+    on_j = format(sum([1 << j for j in js]), width).encode().translate(_DIGITS)
+    near = [int("".join(compress(format(up[j] | down[j], width), on_j)), 2) for j in js]
     return near, _components(near, (1 << len(js)) - 1)
 
 

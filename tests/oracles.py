@@ -6,7 +6,8 @@ it on the fixtures: the radical of A, the maximal filters, the glued
 congruence of an ordinal sum, the isomorphism from the complemented
 elements of a bounded distributive lattice onto its factor congruences,
 the splitting of A into the quotients by a family of factor congruences,
-J(L) with each j₊ read off the down-sets, the covers of L of each J(Con L)
+J(L) with each j₊ read off the down-sets, J(L), M(L) and the upper ends of
+each j's pairs read off an order's scanned join table, the covers of L of each J(Con L)
 class, found by a descent under each cover, the block counts of a pure
 lattice's congruences by union-find over those covers, the order and
 tables of a cover relation by a search from every element, the J
@@ -235,6 +236,22 @@ def scanned_lattice(up, labels):
                 if row[b] < 0:
                     raise NotALattice(labels[a], labels[b], what)
     return down, tuple(join), tuple(meet)
+
+
+def scanned_irreducibles(up, down, join) -> tuple:
+    """(pairs, meet_irreducible, ends) of the lattice whose up- and
+    down-set masks are up and down and whose join table is join, as
+    FiniteAlgebra.irreducibles gives them: (j₊, j) for each j whose
+    ↓j ∖ {j} is some ↓j₊, the mask of the m whose ↑m ∖ {m} is some
+    up-set, and for each j the mask of the j∨y read in the table at every
+    y with j₊ ≤ y and j ≰ y."""
+    n, at, ups = len(up), {d: x for x, d in enumerate(down)}, set(up)
+    pairs = tuple((at[d & ~(1 << j)], j) for j, d in enumerate(down) if d & ~(1 << j) in at)
+    meet_irreducible = sum(1 << m for m, u in enumerate(up) if u & ~(1 << m) in ups)
+    ends = tuple(
+        sum({1 << join[j][y] for y in range(n) if up[jp] >> y & 1 and not up[j] >> y & 1}) for jp, j in pairs
+    )
+    return pairs, meet_irreducible, ends
 
 
 def join_dependency(L: FiniteAlgebra) -> tuple:

@@ -146,7 +146,7 @@ def test_the_cover_free_j_step_agrees_with_the_covers_of_l():
         fresh = cold(A)
         step = congruences.join_classes(fresh)
         j_seeds, j_under, cls = step.seeds, step.under, step.classes
-        assert set(fresh._cache) == {"order_masks", "mask_elements", "join_classes"}, A.name
+        assert set(fresh._cache) == {"order_masks", "mask_elements", "irreducibles", "join_classes"}, A.name
         assert (j_seeds, j_under) == (seeds, under), A.name
         # each j ∈ J(L) is in a class, and the least member of a class is its seed
         js = [j for _, j in join_irreducible_pairs(A)]
@@ -187,7 +187,8 @@ def test_fc_equal_to_b_on_the_components_agrees_with_all_2_to_the_c():
 
 
 class Lookups(dict):
-    """A mask -> element map that logs each mask it is read at."""
+    """A mask -> element map that logs each mask it is read at, by index
+    or by get."""
 
     def __init__(self, elements, log):
         super().__init__(elements)
@@ -196,6 +197,10 @@ class Lookups(dict):
     def __getitem__(self, mask):
         self.log.append(mask)
         return dict.__getitem__(self, mask)
+
+    def get(self, mask, default=None):
+        self.log.append(mask)
+        return dict.get(self, mask, default)
 
 
 def watch_joins(A):
@@ -215,6 +220,14 @@ def join_masks(A, pairs):
     read at."""
     up = A.order_masks()[0]
     return sorted(up[a] & up[b] for a, b in pairs)
+
+
+def pass_masks(A):
+    """The masks the lattice test looks up on A, a cold lattice's first
+    read of its irreducibles: for each join-irreducible j, each distinct
+    ↑j ∩ ↑y over the y > j₊ with j ≰ y, once."""
+    up = A.order_masks()[0]
+    return [m for jp, j in join_irreducible_pairs(A) for m in {up[j] & up[y] for y in _bits(up[jp] & ~up[j] & ~(1 << jp))}]
 
 
 def dependency_reads(A):
@@ -252,7 +265,9 @@ def test_a_criterion_decided_verdict_finds_no_cover_and_builds_no_partition(name
         J = jspace(A)
         assert not A.is_distributive_lattice() and len(J.components) == 1 and J.tops is not None, A.name
         assert "all_congruences" not in A._cache and "_upper_ends" not in vars(J), A.name
-        # each join of the dependency pass is read once, and no other: no
-        # join is folded for distributivity, and no table entry is read
-        assert sorted(joins) == join_masks(A, dependency_reads(A)) and not entries, A.name
+        # each join of the lattice test and of the dependency pass is read
+        # once, and no other: no join is folded for distributivity, and no
+        # table entry is read
+        want = join_masks(A, dependency_reads(A)) + pass_masks(A)
+        assert sorted(joins) == sorted(want) and not entries, A.name
     assert counts == {"cover_pairs": 0, "merge_pairs": 0}

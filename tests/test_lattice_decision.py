@@ -1,18 +1,24 @@
 """An order is decided to be a lattice by its join-irreducibles, and its
 join and meet tables are made only where read.
 
-algebra._order_lattice tests the joins a ∨ j, j ∈ J, with J the elements
-with one lower cover: n·|J| lookups of ↑a ∩ ↑j among the up-sets, where
-the scan it replaced looked up all n² (its docstring has the proof).  Only
-an order that fails the test is scanned, for the pair NotALattice names.
-Here the test is held to that scan (oracles.scanned_lattice) on every
-labelled bounded poset with at most 4 inner points, on every preorder of at
-most 4 points, bounded or not, and on seeded random bounded posets with
-3-11 inner points: the same verdict, the same tables, the same message.
+algebra._order_lattice tests the joins j ∨ y, j ∈ J with J the elements
+with one lower cover j₊, at the y with j₊ ≤ y and j ≰ y: at most n·|J|
+lookups of ↑j ∩ ↑y among the up-sets, where the scan it replaced looked up
+all n² (its docstring has the proof).  The test keeps J(L) with each j₊,
+M(L) and the upper ends of each j's joins (FiniteAlgebra.irreducibles),
+which the J step and the block counts read.  Only an order that fails the
+test is scanned, for the pair NotALattice names.  Here the test is held to
+that scan (oracles.scanned_lattice) on every labelled bounded poset with at
+most 4 inner points, on every preorder of at most 4 points, bounded or
+not, and on seeded random bounded posets with 3-11 inner points: the same
+verdict, the same tables, the same message, and on a lattice the
+irreducibles read off the scanned join table
+(oracles.scanned_irreducibles).
 
-A lattice built from its order keeps its masks and the element of each
-(mask_elements), and makes its join and meet tables on their first read:
-the J step, the four verdicts and a report read neither.  Its equality and
+A lattice built from its order keeps its masks, the element of each
+(mask_elements) and its irreducibles, and makes its join and meet tables
+on their first read: the J step, the four verdicts and a report read
+neither, and the J step reads no down-set's element.  Its equality and
 hash are those of its tables, whether or not they were made yet.
 """
 
@@ -32,7 +38,7 @@ from congrlab.errors import NotALattice
 from congrlab.fixtures import FIXTURE_NAMES, fixture
 from congrlab.report import build_report
 
-from oracles import scanned_lattice
+from oracles import scanned_irreducibles, scanned_lattice
 from sweep import _strict_orders, _with_bounds, sweep
 from test_distributive_lattices import boolean_spec
 from test_j_step import verdicts
@@ -42,21 +48,23 @@ from test_partition_join import count_calls
 
 def decided(leq, labels):
     """lattice_from_order's verdict on the order matrix leq: its join and
-    meet tables, or the text of its NotALattice."""
+    meet tables with the irreducibles its build kept, or the text of its
+    NotALattice."""
     try:
         A = lattice_from_order(leq, labels)
     except NotALattice as exc:
         return str(exc)
-    return A.tables["join"], A.tables["meet"]
+    return A.tables["join"], A.tables["meet"], tuple(A.irreducibles())
 
 
 def scanned(leq, labels):
     """decided(leq, labels) by the scan of every pair."""
     up = [sum(1 << b for b, x in enumerate(row) if x) for row in leq]
     try:
-        return scanned_lattice(up, labels)[1:]
+        down, join, meet = scanned_lattice(up, labels)
     except NotALattice as exc:
         return str(exc)
+    return join, meet, scanned_irreducibles(up, down, join)
 
 
 def tally(orders):
@@ -156,10 +164,13 @@ def test_an_order_built_lattice_equals_its_public_copy_before_and_after_its_tabl
 
 def test_a_cold_j_step_looks_up_no_mask_map(monkeypatch):
     lattices = [rebuilt(A) for A in sweep()] + [build_from_spec(boolean_spec(8))]
-    counts = count_calls(monkeypatch, algebra, ["_element_of", "_lattice_tables"])
+    counts = count_calls(monkeypatch, algebra, ["_element_of", "_lattice_tables", "_irreducibles"])
     for L in lattices:
+        # J(L) with each j₊ comes from the irreducibles the build kept: no
+        # down-set's element is looked up, so any read of by_down fails
+        L._cache["mask_elements"] = L.mask_elements()[0], None
         join_classes(L)
-    assert counts == {"_element_of": 0, "_lattice_tables": 0}
+    assert counts == {"_element_of": 0, "_lattice_tables": 0, "_irreducibles": 0}
 
 
 def test_the_four_cold_verdicts_and_a_report_make_no_table(monkeypatch):

@@ -2,9 +2,9 @@
 
 algebra.cached keeps fn(X, *args) in X._cache under fn's name.  Nothing
 else in the package reads or writes a _cache, bar the private constructor
-FiniteAlgebra._derived, which seeds order_masks and mask_elements with the
-masks and maps its caller derived; a cold copy of an algebra computes its
-own facts.  The J(Con A)
+FiniteAlgebra._derived, which seeds order_masks, mask_elements and
+irreducibles with the masks, maps and irreducibles its caller derived; a
+cold copy of an algebra computes its own facts.  The J(Con A)
 record that factor.jspace memoizes keeps its own fields as attributes,
 each computed once (J's order as the record of a pure lattice is made, the
 rest on first read), and a raised exception is kept by neither.  The
@@ -35,7 +35,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "congrlab"
 ALLOWED = {
     ("algebra.py", "FiniteAlgebra"),  # the slot
     ("algebra.py", "memo"),  # inside cached
-    ("algebra.py", "_derived"),  # FiniteAlgebra's memo, empty or seeded with order_masks and mask_elements
+    ("algebra.py", "_derived"),  # FiniteAlgebra's memo, empty or seeded with order_masks, mask_elements and irreducibles
     ("congruences.py", "ConLattice"),  # the slot
     ("congruences.py", "__init__"),  # ConLattice's empty memo
 }
@@ -43,6 +43,7 @@ ALLOWED = {
 MEMOIZED = {
     "order_masks",
     "mask_elements",
+    "irreducibles",
     "join_classes",
     "is_distributive_lattice",
     "_operations",
@@ -93,9 +94,9 @@ def test_no_cache_is_touched_outside_the_one_memo():
     parsed = trees()
     uses = [use for module, tree in parsed.items() for use in cache_uses(tree, module)]
     assert {(m, s) for m, s, _ in uses} == ALLOWED
-    # the seeds write order_masks and mask_elements and nothing else
-    assert sorted(seeded_keys(parsed["algebra.py"], "_derived")) == ["mask_elements", "order_masks"]
-    assert {"order_masks", "mask_elements"} <= MEMOIZED
+    # the seeds write order_masks, mask_elements and irreducibles and nothing else
+    assert sorted(seeded_keys(parsed["algebra.py"], "_derived")) == ["irreducibles", "mask_elements", "order_masks"]
+    assert {"order_masks", "mask_elements", "irreducibles"} <= MEMOIZED
 
 
 def test_no_two_memoized_functions_share_a_name():
@@ -121,6 +122,7 @@ def test_a_cold_copy_computes_its_own_facts_once(name):
     facts = {
         "order_masks": lambda X: X.order_masks(),
         "mask_elements": lambda X: X.mask_elements(),
+        "irreducibles": lambda X: X.irreducibles(),
         "join_classes": join_classes,
         "is_distributive_lattice": lambda X: X.is_distributive_lattice(),
         "jspace.down": lambda X: factor.jspace(X).down,
